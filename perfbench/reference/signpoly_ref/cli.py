@@ -1,0 +1,344 @@
+"""Command-line interface.
+
+Subcommands::
+
+    signpoly enumerate FILE [--target {amplitudes,bloch}] [--filter {any-pure,w-type}]
+    signpoly construct FILE [--verify-probes N]
+    signpoly check CENTER PROBE --alpha A
+    signpoly volume --dim D [--alpha A]
+    signpoly tangle FILE
+
+FILE arguments are JSON documents as described in
+:mod:`signpoly.stateio`.  Exit codes: 0 success (for ``check``: member),
+1 non-member, 2 malformed or invalid input, 3 resource limit hit
+(enumeration cap or LP iteration cap).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+
+import numpy as np
+
+from . import __version__
+from .algorithms import (
+    DecompositionInput,
+    hs_volume,
+    insphere_report,
+    max_inscribed_cross_polytope,
+    robustness_fraction,
+    robustness_member,
+)
+from .errors import (
+    DecompositionError,
+    DimensionMismatchError,
+    EnumerationTooLargeError,
+    FileFormatError,
+    SignpolyError,
+    SolverFailureError,
+    StateValidationError,
+)
+from .geometry import ENUMERATION_CAP, cross_polytope_volume
+from .quantum import (
+    PureState,
+    enumerate_pure_sign_perms,
+    hs_distance,
+    pure_from_density,
+    three_tangle,
+    to_coords,
+    validate_state,
+)
+from .stateio import LoadedState, load_decomposition, load_state
+
+EXIT_OK = 0
+EXIT_NON_MEMBER = 1
+EXIT_INPUT_ERROR = 2
+EXIT_RESOURCE = 3
+
+CAP_ENV_VAR = "SIGNPOLY_CAP"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=1e-9,
+                        help="membership/LP tolerance (default 1e-9)")
+    common.add_argument("--tol-alpha", type=float, default=1e-8, dest="tol_alpha",
+                        help="bisection bracket width for construct (default 1e-8)")
+    common.add_argument("--cap", type=int, default=None,
+                        help=f"enumeration cap (default {ENUMERATION_CAP}, "
+                             f"or ${CAP_ENV_VAR} when set)")
+    common.add_argument("--format", choices=("text", "structured"), default="text",
+                        help="output as key/value text or a JSON object")
+    common.add_argument("--seed", type=int, default=None,
+                        help="seed for randomized spot checks")
+
+    parser = argparse.ArgumentParser(
+        prog="signpoly",
+        description="Sign permutation polytopes over Euclidean points and "
+                    "quantum states.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("enumerate", parents=[common],
+                       help="enumerate signed permutations of a pure state")
+    p.add_argument("file", help="state document (JSON)")
+    p.add_argument("--target", choices=("amplitudes", "bloch"),
+                   default="amplitudes",
+                   help="permute the amplitude vector or the coordinate chart")
+    p.add_argument("--filter", choices=("any-pure", "w-type"), default="any-pure",
+                   help="keep everything valid, or only states with "
+                        "three-way entanglement below --tol")
+    p.add_argument("--show", type=int, default=0, metavar="N",
+                   help="include the first N retained states in the report")
+
+    p = sub.add_parser("construct", parents=[common],
+                       help="largest cross-polytope inside a convex decomposition")
+    p.add_argument("file", help="decomposition document (JSON)")
+    p.add_argument("--verify-probes", type=int, default=0, metavar="N",
+                   dest="verify_probes",
+                   help="spot-check N random interior points of the result "
+                        "for membership (uses --seed)")
+
+    p = sub.add_parser("check", parents=[common],
+                       help="membership of a probe state in a cross-polytope")
+    p.add_argument("center", help="center state document (JSON)")
+    p.add_argument("probe", help="probe state document (JSON)")
+    p.add_argument("--alpha", type=float, required=True,
+                   help="cross-polytope scale")
+
+    p = sub.add_parser("volume", parents=[common],
+                       help="Hilbert-Schmidt and cross-polytope volume report")
+    p.add_argument("--dim", type=int, required=True,
+                   help="Hilbert space dimension d (the chart has d^2 - 1 axes)")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="also report the cross-polytope of this scale")
+
+    p = sub.add_parser("tangle", parents=[common],
+                       help="three-way entanglement of a three-qubit pure state")
+    p.add_argument("file", help="state document (JSON)")
+    return parser
+
+
+def _resolve_cap(args) -> int:
+    cap = args.cap
+    if cap is None:
+        env = os.environ.get(CAP_ENV_VAR)
+        if env is not None:
+            try:
+                cap = int(env)
+            except ValueError:
+                raise ValueError(
+                    f"${CAP_ENV_VAR} must be an integer, got {env!r}"
+                ) from None
+    if cap is None:
+        cap = ENUMERATION_CAP
+    if cap < 1:
+        raise ValueError("enumeration cap must be at least 1")
+    return cap
+
+
+def _check_tols(args) -> None:
+    if args.tol <= 0.0:
+        raise ValueError("--tol must be positive")
+    if args.tol_alpha <= 0.0:
+        raise ValueError("--tol-alpha must be positive")
+
+
+def _render_value(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, (list, dict)):
+        return json.dumps(v)
+    if v is None:
+        return "null"
+    return str(v)
+
+
+def _emit(report: dict, fmt: str) -> None:
+    if fmt == "structured":
+        print(json.dumps(report, indent=2))
+    else:
+        for key, value in report.items():
+            print(f"{key}: {_render_value(value)}")
+
+
+def _pure_state_from(loaded: LoadedState, tol: float) -> PureState:
+    if loaded.amplitudes is not None:
+        return PureState(loaded.amplitudes)
+    rho = validate_state(loaded.matrix, tol=tol)
+    return pure_from_density(rho)
+
+
+def _amplitude_pairs(psi: PureState) -> list[list[float]]:
+    return [[float(a.real), float(a.imag)] for a in psi.amplitudes]
+
+
+def cmd_enumerate(args) -> int:
+    cap = _resolve_cap(args)
+    loaded = load_state(args.file)
+    psi = _pure_state_from(loaded, args.tol)
+    result = enumerate_pure_sign_perms(
+        psi, filter=args.filter, target=args.target, tol=args.tol, cap=cap
+    )
+    report = {
+        "command": "enumerate",
+        "target": args.target,
+        "filter": args.filter,
+        "dim": psi.dim,
+        "total": result.total,
+        "retained": result.retained,
+    }
+    if loaded.norm is not None:
+        report["input_norm"] = loaded.norm
+    if args.show > 0:
+        report["states"] = [_amplitude_pairs(s) for s in result.states[:args.show]]
+    _emit(report, args.format)
+    return EXIT_OK
+
+
+def cmd_tangle(args) -> int:
+    loaded = load_state(args.file)
+    psi = _pure_state_from(loaded, args.tol)
+    tau = three_tangle(psi)
+    report = {"command": "tangle", "dim": psi.dim, "tau3": tau}
+    if loaded.norm is not None:
+        report["input_norm"] = loaded.norm
+    _emit(report, args.format)
+    return EXIT_OK
+
+
+def cmd_construct(args) -> int:
+    loaded = load_decomposition(args.file)
+    target = validate_state(loaded.target.matrix)
+    members = tuple(validate_state(m.matrix) for m in loaded.members)
+    decomposition = DecompositionInput(target=target, members=members,
+                                       weights=tuple(loaded.weights))
+    poly = max_inscribed_cross_polytope(
+        decomposition, tol_alpha=args.tol_alpha, lp_tol=args.tol
+    )
+    d = poly.dim
+    alpha = poly.alpha
+    vertices = poly.vertex_coords()
+    try:
+        valid = len(poly.vertex_states())
+    except StateValidationError:
+        valid = 0
+    volume_ratio = poly.volume() / hs_volume(d)
+    report = {
+        "command": "construct",
+        "dim": d,
+        "chart_dim": d * d - 1,
+        "members": len(members),
+        "alpha": alpha,
+        "degenerate": poly.degenerate,
+        "edge_length": poly.edge_length(),
+        "insphere_radius": poly.insphere_radius(),
+        "cross_volume": poly.volume(),
+        "hs_volume": hs_volume(d),
+        "fraction_closed_form": robustness_fraction(d, alpha),
+        "fraction_volume_ratio": volume_ratio,
+        "vertex_states_valid": valid,
+        "vertex_states_total": len(vertices),
+    }
+    if args.verify_probes > 0 and not poly.degenerate:
+        rng = np.random.default_rng(args.seed)
+        hits = 0
+        verts = vertices.array
+        for _ in range(args.verify_probes):
+            w = rng.dirichlet(np.ones(len(verts)))
+            point = w @ verts
+            c = np.abs(point - to_coords(target).point.coords)
+            hits += int(c.sum() <= alpha + args.tol)
+        report["probes_checked"] = args.verify_probes
+        report["probes_inside"] = hits
+        if args.seed is not None:
+            report["seed"] = args.seed
+    _emit(report, args.format)
+    return EXIT_OK
+
+
+def cmd_check(args) -> int:
+    if args.alpha < 0.0:
+        raise ValueError("--alpha must be nonnegative")
+    center = validate_state(load_state(args.center).matrix)
+    probe = validate_state(load_state(args.probe).matrix)
+    member = robustness_member(probe, center, args.alpha, tol=args.tol)
+    c = (to_coords(probe).point.coords - to_coords(center).point.coords)
+    d = center.dim
+    report = {
+        "command": "check",
+        "dim": d,
+        "alpha": args.alpha,
+        "coord_distance_1norm": float(np.abs(c).sum()),
+        "hs_distance": hs_distance(probe, center),
+        "member": member,
+        "fraction_closed_form": robustness_fraction(d, args.alpha),
+        "fraction_volume_ratio": cross_polytope_volume(d * d - 1, args.alpha)
+        / hs_volume(d),
+    }
+    _emit(report, args.format)
+    return EXIT_OK if member else EXIT_NON_MEMBER
+
+
+def cmd_volume(args) -> int:
+    if args.dim < 2:
+        raise ValueError("--dim must be at least 2")
+    d = args.dim
+    report = {"command": "volume", "dim": d, "chart_dim": d * d - 1,
+              "hs_volume": hs_volume(d)}
+    if args.alpha is not None:
+        if args.alpha < 0.0:
+            raise ValueError("--alpha must be nonnegative")
+        ins = insphere_report(d, args.alpha)
+        report.update({
+            "alpha": args.alpha,
+            "cross_volume": ins.cross,
+            "fraction_closed_form": robustness_fraction(d, args.alpha),
+            "fraction_volume_ratio": ins.cross / report["hs_volume"],
+            "insphere_radius": ins.radius,
+            "ball_volume": ins.ball,
+            "ball_to_cross_ratio": ins.ratio,
+        })
+    _emit(report, args.format)
+    return EXIT_OK
+
+
+_DISPATCH = {
+    "enumerate": cmd_enumerate,
+    "construct": cmd_construct,
+    "check": cmd_check,
+    "volume": cmd_volume,
+    "tangle": cmd_tangle,
+}
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        _check_tols(args)
+        return _DISPATCH[args.command](args)
+    except (EnumerationTooLargeError, SolverFailureError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (FileFormatError, StateValidationError, DecompositionError,
+            DimensionMismatchError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except SignpolyError as exc:  # any other library failure is an input problem
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+
+
+def run() -> None:
+    sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,0 +1,376 @@
+"""Vertex sets, cross-polytopes, and LP-backed hull predicates.
+
+The combinatorial route to membership lives in
+:mod:`signpoly.majorization`; this module provides the explicit-geometry
+route: enumerate vertices, feed a feasibility LP, or use closed forms
+for volumes and inscribed balls.  Keeping both routes independent is the
+point — they cross-check each other.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import _enum
+from .errors import DimensionMismatchError, EnumerationTooLargeError, SolverFailureError
+from .majorization import DEFAULT_TOL, EuclideanPoint, PointLike, as_coords
+from .simplex import feasible_nonneg
+
+#: Default ceiling on the number of vertices an enumeration may produce.
+ENUMERATION_CAP = 10_000_000
+
+#: Entries closer to zero than this are grouped with zero when counting
+#: and enumerating; also the vertex-set deduplication tolerance.
+ZERO_TOL = 1e-12
+
+
+class VertexSet:
+    """A finite, deduplicated set of points spanning a convex hull.
+
+    Points are stored as the rows of a read-only ``(m, n)`` array.  Exact
+    duplicates are always removed; for small sets a quadratic pass also
+    merges points equal within ``dedup_tol`` per coordinate.
+    """
+
+    _QUADRATIC_DEDUP_LIMIT = 2048
+
+    __slots__ = ("_points",)
+
+    def __init__(self, points, dedup_tol: float = ZERO_TOL):
+        arr = np.array([as_coords(p) for p in points], dtype=float) \
+            if not isinstance(points, np.ndarray) else np.array(points, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError("a vertex set needs at least one point")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("vertex coordinates must be finite")
+        arr = self._dedup(arr, dedup_tol)
+        arr.setflags(write=False)
+        self._points = arr
+
+    @staticmethod
+    def _dedup(arr: np.ndarray, tol: float) -> np.ndarray:
+        seen: dict[bytes, int] = {}
+        keep = []
+        for i, row in enumerate(arr):
+            key = row.tobytes()
+            if key not in seen:
+                seen[key] = i
+                keep.append(i)
+        arr = arr[keep]
+        if len(arr) <= VertexSet._QUADRATIC_DEDUP_LIMIT:
+            alive = np.ones(len(arr), dtype=bool)
+            for i in range(len(arr)):
+                if not alive[i]:
+                    continue
+                later = np.all(np.abs(arr[i + 1:] - arr[i]) <= tol, axis=1)
+                alive[i + 1:] &= ~later
+            arr = arr[alive]
+        return arr
+
+    @property
+    def array(self) -> np.ndarray:
+        """Vertices as the rows of a read-only ``(m, n)`` array."""
+        return self._points
+
+    @property
+    def dim(self) -> int:
+        return self._points.shape[1]
+
+    def __len__(self) -> int:
+        return self._points.shape[0]
+
+    def __getitem__(self, i: int) -> EuclideanPoint:
+        return EuclideanPoint(self._points[i])
+
+    def __iter__(self):
+        for row in self._points:
+            yield EuclideanPoint(row)
+
+    def __repr__(self) -> str:
+        return f"VertexSet({len(self)} points in R^{self.dim})"
+
+
+@dataclass(frozen=True)
+class Hyperplane:
+    """The affine hyperplane ``<normal, x> = offset``."""
+
+    normal: EuclideanPoint
+    offset: float
+
+    def __post_init__(self):
+        if not np.any(self.normal.coords != 0.0):
+            raise ValueError("hyperplane normal must be nonzero")
+
+    def value(self, p: PointLike) -> float:
+        """Evaluate ``<normal, p> - offset``."""
+        arr = as_coords(p)
+        if arr.size != self.normal.dim:
+            raise DimensionMismatchError(
+                f"point dimension {arr.size} != normal dimension {self.normal.dim}"
+            )
+        return float(self.normal.coords @ arr - self.offset)
+
+    def contains(self, p: PointLike, tol: float = DEFAULT_TOL) -> bool:
+        return abs(self.value(p)) <= tol
+
+
+@dataclass(frozen=True)
+class CrossPolytopeSpec:
+    """An axis-aligned cross-polytope: ``center ± scale * e_k``.
+
+    ``scale`` is the circumradius (half the axis diagonal); volume,
+    insphere radius and edge length follow in closed form.
+    """
+
+    dimension: int
+    scale: float
+    center: EuclideanPoint
+
+    def __post_init__(self):
+        if self.dimension < 1:
+            raise ValueError("dimension must be at least 1")
+        if not (self.scale >= 0.0 and math.isfinite(self.scale)):
+            raise ValueError("scale must be a finite nonnegative real")
+        if self.center.dim != self.dimension:
+            raise DimensionMismatchError(
+                f"center has dimension {self.center.dim}, expected {self.dimension}"
+            )
+
+    def vertices(self) -> VertexSet:
+        """The 2n vertex points ``center ± scale * e_k``."""
+        n = self.dimension
+        eye = np.eye(n) * self.scale
+        pts = np.vstack([self.center.coords + eye, self.center.coords - eye])
+        return VertexSet(pts)
+
+    def volume(self) -> float:
+        return cross_polytope_volume(self.dimension, self.scale)
+
+    def insphere_radius(self) -> float:
+        return insphere_radius(self.dimension, self.scale)
+
+    def edge_length(self) -> float:
+        """Distance between adjacent vertices (distinct axes)."""
+        return math.sqrt(2.0) * self.scale
+
+
+class ConvexCombination:
+    """Nonnegative weights summing to one over indices into a vertex set."""
+
+    __slots__ = ("_indices", "_weights")
+
+    def __init__(self, indices, weights, tol: float = DEFAULT_TOL):
+        idx = tuple(int(i) for i in indices)
+        w = np.array(list(weights), dtype=float)
+        if len(idx) != w.size or w.size == 0:
+            raise ValueError("need matching nonempty indices and weights")
+        if len(set(idx)) != len(idx):
+            raise ValueError("indices must be distinct")
+        if w.min() < -tol:
+            raise ValueError(f"weights must be nonnegative within {tol}")
+        if abs(w.sum() - 1.0) > tol:
+            raise ValueError(f"weights must sum to 1 within {tol}")
+        self._indices = idx
+        w.setflags(write=False)
+        self._weights = w
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return self._indices
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._weights
+
+    def combine(self, vertices: VertexSet) -> EuclideanPoint:
+        """The weighted point ``sum_i w_i * vertices[indices[i]]``."""
+        arr = vertices.array
+        if max(self._indices) >= len(arr):
+            raise IndexError("combination indexes past the vertex set")
+        return EuclideanPoint(self._weights @ arr[list(self._indices)])
+
+    def __repr__(self) -> str:
+        return f"ConvexCombination({len(self._indices)} vertices)"
+
+
+def count_sign_perm_vertices(a: PointLike, zero_tol: float = ZERO_TOL) -> int:
+    """Number of distinct signed permutations of ``a``, exactly.
+
+    With ``m`` nonzero entries whose distinct absolute values have
+    multiplicities ``m_1..m_k``, the count is
+    ``2^m * n! / (m_1! ... m_k! * (n-m)!)``, evaluated in integer
+    arithmetic.
+    """
+    arr = as_coords(a)
+    classes = _enum.sign_classes(arr, zero_tol=zero_tol)
+    return _enum.count_signed_arrangements(classes)
+
+
+def enumerate_sign_perm_vertices(
+    a: PointLike,
+    cap: int = ENUMERATION_CAP,
+    zero_tol: float = ZERO_TOL,
+) -> VertexSet:
+    """All distinct signed permutations of ``a`` as a vertex set.
+
+    The count is computed first; exceeding ``cap`` raises
+    :class:`~signpoly.errors.EnumerationTooLargeError` before any work is
+    done.  Output order is deterministic (lexicographic arrangements,
+    signs toggled from all-positive).
+    """
+    arr = as_coords(a)
+    classes = _enum.sign_classes(arr, zero_tol=zero_tol)
+    count = _enum.count_signed_arrangements(classes)
+    if count > cap:
+        raise EnumerationTooLargeError(count, cap)
+    # One numpy block per arrangement: all 2^m sign choices at once.
+    values = np.array([0.0] + [float(r) for r in classes.reps])
+    signs = np.array(
+        list(itertools.product((1.0, -1.0), repeat=classes.m))
+    ).reshape(2 ** classes.m, classes.m)
+    out = np.empty((count, arr.size), dtype=float)
+    ptr = 0
+    for arrangement in _enum.distinct_permutations(classes.slot_codes()):
+        codes = np.array(arrangement)
+        base = values[codes]
+        hot = np.flatnonzero(codes != 0)
+        block = np.repeat(base[None, :], len(signs), axis=0)
+        block[:, hot] = base[hot] * signs
+        out[ptr:ptr + len(signs)] = block
+        ptr += len(signs)
+    return VertexSet(out)
+
+
+def enumerate_perm_vertices(a: PointLike, cap: int = ENUMERATION_CAP) -> VertexSet:
+    """All distinct coordinate permutations of ``a`` (no sign flips)."""
+    arr = as_coords(a)
+    vals = sorted(arr.tolist())
+    count = math.factorial(arr.size)
+    for _, mult in _run_lengths(vals):
+        count //= math.factorial(mult)
+    if count > cap:
+        raise EnumerationTooLargeError(count, cap)
+    out = np.array(list(_enum.distinct_permutations(vals)), dtype=float)
+    return VertexSet(out)
+
+
+def _run_lengths(sorted_vals):
+    runs = []
+    for v in sorted_vals:
+        if runs and v == runs[-1][0]:
+            runs[-1][1] += 1
+        else:
+            runs.append([v, 1])
+    return [(v, m) for v, m in runs]
+
+
+def hull_member_lp(
+    x: PointLike,
+    vertices: VertexSet | np.ndarray,
+    tol: float = DEFAULT_TOL,
+) -> tuple[bool, ConvexCombination | None]:
+    """LP feasibility test for ``x`` in the convex hull of ``vertices``.
+
+    Solves for nonnegative weights with unit sum reproducing ``x``; on
+    success also returns a witness whose residual
+    ``max_i |sum_j w_j v_j - x|_i`` is at most ``tol``.  A solver that
+    fails to converge raises rather than reporting non-membership.
+    """
+    V = vertices.array if isinstance(vertices, VertexSet) else np.asarray(vertices, float)
+    xv = as_coords(x)
+    if V.ndim != 2 or V.shape[1] != xv.size:
+        raise DimensionMismatchError(
+            f"point dimension {xv.size} does not match vertex dimension"
+        )
+    m, n = V.shape
+    A = np.vstack([V.T, np.ones((1, m))])
+    b = np.append(xv, 1.0)
+    ok, z = feasible_nonneg(A, b, tol=tol, max_iter=50 * (m + n))
+    if not ok:
+        return False, None
+    residual = float(np.max(np.abs(V.T @ z - xv)))
+    if residual > tol:
+        raise SolverFailureError(
+            f"witness residual {residual:.3e} exceeds tolerance {tol:.3e}"
+        )
+    support = np.flatnonzero(z > 0.0)
+    if support.size == 0:  # x is the zero combination only if all weights vanished
+        support = np.array([int(np.argmax(z))])
+    combo = ConvexCombination(support, z[support] / z[support].sum(),
+                              tol=max(tol, DEFAULT_TOL))
+    return True, combo
+
+
+def hulls_disjoint(a: PointLike, b: PointLike, tol: float = DEFAULT_TOL) -> bool:
+    """Whether the permutation hulls of ``a`` and ``b`` are disjoint.
+
+    Each hull lies in the hyperplane of constant coordinate sum, so the
+    hulls meet exactly when the two sums agree; sums within ``tol`` of
+    each other count as meeting.
+    """
+    av = as_coords(a)
+    bv = as_coords(b)
+    if av.size != bv.size:
+        raise DimensionMismatchError(
+            f"points have different dimensions: {av.size} vs {bv.size}"
+        )
+    return abs(float(av.sum()) - float(bv.sum())) > tol
+
+
+def cross_polytope_volume(n: int, alpha: float) -> float:
+    """Volume ``(2*alpha)^n / n!`` of the n-dimensional cross-polytope
+    with circumradius ``alpha``, evaluated in log space."""
+    _check_dim_scale(n, alpha)
+    if alpha == 0.0:
+        return 0.0
+    return math.exp(n * math.log(2.0 * alpha) - math.lgamma(n + 1))
+
+
+def insphere_radius(n: int, alpha: float) -> float:
+    """Radius ``alpha / sqrt(n)`` of the largest ball inside the
+    cross-polytope with circumradius ``alpha``."""
+    _check_dim_scale(n, alpha)
+    return alpha / math.sqrt(n)
+
+
+def ball_volume(n: int, r: float) -> float:
+    """Volume ``pi^(n/2) r^n / Gamma(n/2 + 1)`` of the n-ball."""
+    _check_dim_scale(n, r)
+    if r == 0.0:
+        return 0.0
+    return math.exp(0.5 * n * math.log(math.pi) + n * math.log(r)
+                    - math.lgamma(0.5 * n + 1.0))
+
+
+def _check_dim_scale(n: int, scale: float) -> None:
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    if not (scale >= 0.0 and math.isfinite(scale)):
+        raise ValueError("scale must be a finite nonnegative real")
+
+
+def affinely_independent(vertices: VertexSet, rel_tol: float = DEFAULT_TOL) -> bool:
+    """Whether the points of ``vertices`` are affinely independent.
+
+    Checked through the rank of the homogeneous lift: append a 1 to each
+    point and count singular values above ``rel_tol`` times the largest.
+    """
+    pts = vertices.array
+    lifted = np.hstack([pts, np.ones((len(pts), 1))])
+    s = np.linalg.svd(lifted, compute_uv=False)
+    if s[0] == 0.0:
+        return len(pts) == 1
+    rank = int(np.sum(s > rel_tol * s[0]))
+    return rank == len(pts)
+
+
+def permutahedron_hyperplane(n: int) -> Hyperplane:
+    """The hyperplane containing every permutation of ``(1, 2, ..., n)``:
+    all-ones normal with offset ``n(n+1)/2``."""
+    if n < 2:
+        raise ValueError("a permutahedron hyperplane needs dimension >= 2")
+    return Hyperplane(EuclideanPoint(np.ones(n)), offset=n * (n + 1) / 2.0)

@@ -1,0 +1,416 @@
+"""Density matrices, the isometric coordinate chart, and pure-state
+sign permutation enumeration.
+
+Coordinates of a d-level state are its components along an orthonormal
+traceless Hermitian basis (``Tr B_j B_k = delta_jk``), so Euclidean
+distance between coordinate vectors equals Hilbert-Schmidt distance
+between matrices.  Basis order for dimension d:
+
+1. symmetric off-diagonal elements ``(E_jk + E_kj)/sqrt(2)`` for
+   ``j < k`` in lexicographic order,
+2. antisymmetric off-diagonal elements ``(-i E_jk + i E_kj)/sqrt(2)``
+   in the same order,
+3. the ``d - 1`` diagonal elements
+   ``diag(1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1))`` for
+   ``l = 1 .. d-1``.
+
+For ``d = 2`` this is exactly ``(sigma_x, sigma_y, sigma_z) / sqrt(2)``.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import _enum
+from .errors import (
+    EnumerationTooLargeError,
+    StateValidationError,
+)
+from .geometry import ENUMERATION_CAP, enumerate_sign_perm_vertices
+from .majorization import DEFAULT_TOL, EuclideanPoint
+
+#: Tolerances for the density-matrix invariants.
+HERMITIAN_TOL = 1e-9
+TRACE_TOL = 1e-9
+PSD_TOL = 1e-9
+#: Unit-norm tolerance for pure-state amplitude vectors.
+NORM_TOL = 1e-9
+#: How far a purity may sit below 1 for a matrix to count as pure.
+PURITY_TOL = 1e-8
+
+
+@functools.lru_cache(maxsize=None)
+def traceless_hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
+    """The d*d - 1 orthonormal traceless Hermitian basis matrices.
+
+    Cached per dimension; every matrix is returned read-only.
+    """
+    if d < 2:
+        raise ValueError("basis needs dimension >= 2")
+    mats: list[np.ndarray] = []
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for j in range(d):
+        for k in range(j + 1, d):
+            B = np.zeros((d, d), dtype=complex)
+            B[j, k] = inv_sqrt2
+            B[k, j] = inv_sqrt2
+            mats.append(B)
+    for j in range(d):
+        for k in range(j + 1, d):
+            B = np.zeros((d, d), dtype=complex)
+            B[j, k] = -1j * inv_sqrt2
+            B[k, j] = 1j * inv_sqrt2
+            mats.append(B)
+    for l in range(1, d):
+        B = np.zeros((d, d), dtype=complex)
+        norm = 1.0 / math.sqrt(l * (l + 1))
+        for j in range(l):
+            B[j, j] = norm
+        B[l, l] = -l * norm
+        mats.append(B)
+    for B in mats:
+        B.setflags(write=False)
+    return tuple(mats)
+
+
+class DensityMatrix:
+    """A validated density matrix: Hermitian, unit trace, positive
+    semidefinite (each within a small tolerance).
+
+    Construction performs the checks and raises
+    :class:`~signpoly.errors.StateValidationError` describing the first
+    violated invariant.
+    """
+
+    __slots__ = ("_mat",)
+
+    def __init__(
+        self,
+        matrix,
+        hermitian_tol: float = HERMITIAN_TOL,
+        trace_tol: float = TRACE_TOL,
+        psd_tol: float = PSD_TOL,
+    ):
+        M = np.array(matrix, dtype=complex)
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 2:
+            raise StateValidationError(
+                "not-square", 0.0,
+                f"expected a square matrix of dimension >= 2, got shape {M.shape}",
+            )
+        herm_dev = float(np.max(np.abs(M - M.conj().T)))
+        if herm_dev > hermitian_tol:
+            raise StateValidationError(
+                "not-hermitian", herm_dev,
+                f"matrix deviates from Hermitian by {herm_dev:.3e}",
+            )
+        trace_dev = abs(complex(np.trace(M)) - 1.0)
+        if trace_dev > trace_tol:
+            raise StateValidationError(
+                "bad-trace", float(trace_dev),
+                f"trace deviates from 1 by {trace_dev:.3e}",
+            )
+        lam_min = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0).min())
+        if lam_min < -psd_tol:
+            raise StateValidationError(
+                "not-psd", lam_min,
+                f"smallest eigenvalue {lam_min:.3e} is below -{psd_tol:.1e}",
+            )
+        M.setflags(write=False)
+        self._mat = M
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The underlying read-only complex matrix."""
+        return self._mat
+
+    @property
+    def dim(self) -> int:
+        return self._mat.shape[0]
+
+    def __repr__(self) -> str:
+        return f"DensityMatrix(dim={self.dim})"
+
+
+def validate_state(matrix, tol: float = HERMITIAN_TOL) -> DensityMatrix:
+    """Check the density-matrix invariants and wrap the matrix.
+
+    ``tol`` is applied to the Hermiticity and trace checks and to the
+    eigenvalue floor.  Raises ``StateValidationError`` with a structured
+    ``kind`` and violation ``magnitude`` on failure.
+    """
+    return DensityMatrix(matrix, hermitian_tol=tol, trace_tol=tol, psd_tol=tol)
+
+
+class PureState:
+    """A unit-norm complex amplitude vector."""
+
+    __slots__ = ("_amps",)
+
+    def __init__(self, amplitudes, norm_tol: float = NORM_TOL):
+        amps = np.array(amplitudes, dtype=complex)
+        if amps.ndim != 1 or amps.size < 2:
+            raise ValueError("amplitudes must form a 1-d vector of length >= 2")
+        norm = float(np.linalg.norm(amps))
+        if abs(norm - 1.0) > norm_tol:
+            raise ValueError(f"amplitudes must have unit norm, got {norm!r}")
+        amps.setflags(write=False)
+        self._amps = amps
+
+    @classmethod
+    def normalized(cls, amplitudes) -> tuple["PureState", float]:
+        """Normalize raw amplitudes; returns the state and the original
+        norm so callers can report the scaling they applied."""
+        amps = np.asarray(amplitudes, dtype=complex)
+        norm = float(np.linalg.norm(amps))
+        if norm <= 1e-300:
+            raise ValueError("cannot normalize a zero amplitude vector")
+        return cls(amps / norm), norm
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        return self._amps
+
+    @property
+    def dim(self) -> int:
+        return self._amps.size
+
+    def projector(self) -> np.ndarray:
+        """The rank-one matrix |psi><psi|."""
+        return np.outer(self._amps, self._amps.conj())
+
+    def to_density(self) -> DensityMatrix:
+        return DensityMatrix(self.projector())
+
+    def __repr__(self) -> str:
+        return f"PureState(dim={self.dim})"
+
+
+@dataclass(frozen=True)
+class StateCoords:
+    """A point in the coordinate chart together with the matrix dimension
+    it came from (the point lives in R^(dim^2 - 1))."""
+
+    point: EuclideanPoint
+    dim: int
+
+    def __post_init__(self):
+        if self.dim < 2:
+            raise ValueError("dim must be at least 2")
+        if self.point.dim != self.dim * self.dim - 1:
+            raise ValueError(
+                f"expected {self.dim * self.dim - 1} coordinates, got {self.point.dim}"
+            )
+
+
+def purity(rho: DensityMatrix | np.ndarray) -> float:
+    """``Tr(rho^2)`` as a real number."""
+    M = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, complex)
+    return float(np.real(np.sum(M * M.T)))
+
+
+def to_coords(rho: DensityMatrix | np.ndarray) -> StateCoords:
+    """Coordinates of a matrix in the orthonormal traceless basis.
+
+    Accepts any Hermitian unit-trace matrix (validated to 1e-9), not
+    only positive ones: the chart is defined on the whole hyperplane of
+    unit-trace Hermitian matrices, and :func:`from_coords` inverts it
+    there.
+    """
+    if isinstance(rho, DensityMatrix):
+        M = rho.matrix
+    else:
+        M = np.asarray(rho, dtype=complex)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise StateValidationError(
+                "not-square", 0.0, f"expected a square matrix, got shape {M.shape}"
+            )
+        herm_dev = float(np.max(np.abs(M - M.conj().T)))
+        if herm_dev > HERMITIAN_TOL:
+            raise StateValidationError(
+                "not-hermitian", herm_dev,
+                f"matrix deviates from Hermitian by {herm_dev:.3e}",
+            )
+        trace_dev = abs(complex(np.trace(M)) - 1.0)
+        if trace_dev > TRACE_TOL:
+            raise StateValidationError(
+                "bad-trace", float(trace_dev),
+                f"trace deviates from 1 by {trace_dev:.3e}",
+            )
+    d = M.shape[0]
+    basis = traceless_hermitian_basis(d)
+    coords = np.empty(d * d - 1)
+    for i, B in enumerate(basis):
+        coords[i] = float(np.real(np.sum(M * B.T)))  # Tr(M B), B Hermitian
+    return StateCoords(EuclideanPoint(coords), d)
+
+
+def from_coords(coords: StateCoords) -> np.ndarray:
+    """The Hermitian unit-trace matrix with the given coordinates.
+
+    The result is not validated as a state: far-out coordinate vectors
+    produce indefinite matrices, which is exactly what membership tests
+    need to detect.
+    """
+    d = coords.dim
+    M = np.eye(d, dtype=complex) / d
+    for c, B in zip(coords.point.coords, traceless_hermitian_basis(d)):
+        if c != 0.0:
+            M = M + c * B
+    return M
+
+
+def hs_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:
+    """Hilbert-Schmidt (Frobenius) distance between two matrices."""
+    Ma = a.matrix if isinstance(a, DensityMatrix) else np.asarray(a, complex)
+    Mb = b.matrix if isinstance(b, DensityMatrix) else np.asarray(b, complex)
+    if Ma.shape != Mb.shape:
+        raise ValueError(f"shape mismatch: {Ma.shape} vs {Mb.shape}")
+    return float(np.linalg.norm(Ma - Mb))
+
+
+def pure_from_density(rho: DensityMatrix, purity_tol: float = PURITY_TOL) -> PureState:
+    """Extract the amplitude vector of a rank-one density matrix.
+
+    The leading eigenvector is phase-fixed by making its largest-modulus
+    component real and positive.  Raises ``ValueError`` when the purity
+    falls below ``1 - purity_tol``.
+    """
+    p = purity(rho)
+    if p < 1.0 - purity_tol:
+        raise ValueError(f"matrix is not pure: purity {p!r}")
+    w, v = np.linalg.eigh(rho.matrix)
+    vec = v[:, -1]
+    pivot = int(np.argmax(np.abs(vec)))
+    phase = vec[pivot] / abs(vec[pivot])
+    vec = vec * phase.conjugate()
+    vec = vec / np.linalg.norm(vec)
+    return PureState(vec)
+
+
+# --- three-qubit entanglement ------------------------------------------------
+
+def _cayley_hyperdeterminant(t: np.ndarray) -> complex:
+    t000, t001, t010, t011, t100, t101, t110, t111 = t
+    sq = ((t000 * t111) ** 2 + (t001 * t110) ** 2
+          + (t010 * t101) ** 2 + (t100 * t011) ** 2)
+    cross = (t000 * t001 * t110 * t111
+             + t000 * t010 * t101 * t111
+             + t000 * t100 * t011 * t111
+             + t001 * t010 * t101 * t110
+             + t001 * t100 * t011 * t110
+             + t010 * t100 * t011 * t101)
+    quad = t000 * t011 * t101 * t110 + t001 * t010 * t100 * t111
+    return sq - 2.0 * cross + 4.0 * quad
+
+
+def three_tangle(psi: PureState | np.ndarray) -> float:
+    """Genuine three-way entanglement of a three-qubit pure state:
+    four times the modulus of Cayley's 2x2x2 hyperdeterminant of the
+    amplitude tensor.
+
+    Amplitudes are indexed in binary order ``|000>, |001>, ..., |111>``.
+    Raw vectors are accepted but must be unit norm within 1e-9.
+    """
+    if not isinstance(psi, PureState):
+        psi = PureState(psi)
+    if psi.dim != 8:
+        raise ValueError(f"three_tangle needs an 8-amplitude state, got dim {psi.dim}")
+    return float(4.0 * abs(_cayley_hyperdeterminant(psi.amplitudes)))
+
+
+def make_canonical(kind: str) -> PureState:
+    """The standard three-qubit states by name: ``"ghz"`` or ``"w"``."""
+    k = kind.strip().lower()
+    amps = np.zeros(8, dtype=complex)
+    if k == "ghz":
+        amps[0] = amps[7] = 1.0 / math.sqrt(2.0)
+    elif k == "w":
+        amps[1] = amps[2] = amps[4] = 1.0 / math.sqrt(3.0)
+    else:
+        raise ValueError(f"unknown canonical state {kind!r} (expected 'ghz' or 'w')")
+    return PureState(amps)
+
+
+# --- sign permutation enumeration over states ---------------------------------
+
+@dataclass
+class PureEnumeration:
+    """Result of enumerating signed permutations of a pure state.
+
+    ``total`` counts everything enumerated before filtering; ``states``
+    holds the retained states in deterministic generation order.
+    """
+
+    states: list[PureState]
+    total: int
+
+    @property
+    def retained(self) -> int:
+        return len(self.states)
+
+
+def enumerate_pure_sign_perms(
+    psi: PureState,
+    filter: str = "any-pure",
+    target: str = "amplitudes",
+    tol: float = DEFAULT_TOL,
+    cap: int = ENUMERATION_CAP,
+) -> PureEnumeration:
+    """Enumerate distinct signed permutations of a pure state.
+
+    ``target`` selects what gets permuted:
+
+    * ``"amplitudes"`` — permute the complex amplitude vector and flip
+      signs of nonzero entries (entries equal up to overall sign count
+      as one class).  Every output is automatically a unit-norm pure
+      state.
+    * ``"bloch"`` — permute the real coordinate vector of the projector
+      in the traceless-basis chart.  Outputs are kept only when the
+      reconstructed matrix is an actual state (positive within ``tol``).
+
+    ``filter`` is ``"any-pure"`` (keep everything valid) or
+    ``"w-type"`` (amplitude target, three qubits only: keep states whose
+    three-way entanglement is at most ``tol``).
+
+    The full count is checked against ``cap`` before enumerating.
+    """
+    if filter not in ("any-pure", "w-type"):
+        raise ValueError(f"unknown filter {filter!r}")
+    if target not in ("amplitudes", "bloch"):
+        raise ValueError(f"unknown target {target!r}")
+    if filter == "w-type":
+        if target != "amplitudes":
+            raise ValueError("the w-type filter applies to amplitude enumeration only")
+        if psi.dim != 8:
+            raise ValueError("the w-type filter needs a three-qubit state")
+
+    if target == "amplitudes":
+        classes = _enum.sign_classes(psi.amplitudes)
+        total = _enum.count_signed_arrangements(classes)
+        if total > cap:
+            raise EnumerationTooLargeError(total, cap)
+        states: list[PureState] = []
+        for vec in _enum.signed_arrangements(classes):
+            amps = np.array(vec, dtype=complex)
+            if filter == "w-type" and 4.0 * abs(_cayley_hyperdeterminant(amps)) > tol:
+                continue
+            states.append(PureState(amps))
+        return PureEnumeration(states=states, total=total)
+
+    # Bloch-chart target: enumerate real coordinate vertices, keep the
+    # ones that reconstruct to genuine (necessarily pure) states.
+    coords = to_coords(psi.to_density())
+    vertices = enumerate_sign_perm_vertices(coords.point, cap=cap)
+    states = []
+    for row in vertices.array:
+        M = from_coords(StateCoords(EuclideanPoint(row), coords.dim))
+        lam_min = float(np.linalg.eigvalsh(M).min())
+        if lam_min < -tol:
+            continue
+        rho = DensityMatrix(M, psd_tol=max(tol, PSD_TOL))
+        states.append(pure_from_density(rho))
+    return PureEnumeration(states=states, total=len(vertices))
