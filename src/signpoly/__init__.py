@@ -10,9 +10,11 @@ full state space.
 """
 
 from .algorithms import (
+    CrossPolytopeCertificate,
     DecompositionInput,
     InsphereReport,
     QuantumCrossPolytope,
+    certificate_holds,
     hs_volume,
     insphere_report,
     max_inscribed_cross_polytope,
@@ -78,6 +80,7 @@ __all__ = [
     "DEFAULT_TOL",
     "ENUMERATION_CAP",
     "ConvexCombination",
+    "CrossPolytopeCertificate",
     "CrossPolytopeSpec",
     "DecompositionError",
     "DecompositionInput",
@@ -99,6 +102,7 @@ __all__ = [
     "VertexSet",
     "affinely_independent",
     "ball_volume",
+    "certificate_holds",
     "count_sign_perm_vertices",
     "cross_polytope_volume",
     "enumerate_perm_vertices",

@@ -14,22 +14,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DecompositionError
+from .errors import DecompositionError, SolverFailureError
 from .geometry import (
     CrossPolytopeSpec,
     VertexSet,
     ball_volume,
     cross_polytope_volume,
-    hull_member_lp,
     insphere_radius,
 )
 from .majorization import DEFAULT_TOL, EuclideanPoint, weakly_majorized
 from .quantum import DensityMatrix, StateCoords, from_coords, to_coords
+from .simplex import minimize_nonneg
 
-#: Bisection stops when the bracket around the optimal scale is this tight.
+#: Inscribed scales at or below this mark the polytope as degenerate.
 DEFAULT_TOL_ALPHA = 1e-8
 
 #: Allowed Hilbert-Schmidt residual when checking that the weighted
@@ -82,10 +83,34 @@ class DecompositionInput:
         return self.target.dim
 
 
+@dataclass(frozen=True)
+class CrossPolytopeCertificate:
+    """Two-sided evidence for the scale of a :class:`QuantumCrossPolytope`.
+
+    Direction ``j`` of the ``2n`` (``n = d^2 - 1``) is axis ``j % n``
+    with sign ``+1`` for ``j < n`` and ``-1`` otherwise, the order of
+    :meth:`CrossPolytopeSpec.vertices`.  ``t[j]`` is the largest ``t``
+    with ``t s e_k`` in the hull of the members translated by the
+    target, and row ``j`` of ``witnesses`` holds member weights that
+    reach it (NaN when even ``t = 0`` was out of reach).  The binding
+    direction is the one whose ``t`` is the scale.  ``hyperplane`` is
+    an ``h`` with ``h . v <= 1`` on every translated member and
+    ``h . (alpha s e_k) >= 1`` at the binding vertex, read from the dual
+    of the binding ray; it is ``None`` when the scale is 0.  See
+    :func:`certificate_holds`.
+    """
+
+    t: np.ndarray
+    witnesses: np.ndarray
+    binding_axis: int
+    binding_sign: int
+    hyperplane: np.ndarray | None
+
+
 @dataclass
 class QuantumCrossPolytope:
     """A cross-polytope of states: geometry in the coordinate chart plus
-    the decomposition that produced it.
+    the decomposition that produced it and the certificate of its scale.
 
     ``degenerate`` marks the boundary case where the target sits on the
     hull's boundary and the polytope collapsed to (numerically) a point.
@@ -94,6 +119,7 @@ class QuantumCrossPolytope:
     spec: CrossPolytopeSpec
     provenance: DecompositionInput
     degenerate: bool
+    certificate: CrossPolytopeCertificate
 
     @property
     def alpha(self) -> float:
@@ -104,15 +130,19 @@ class QuantumCrossPolytope:
         """Hilbert space dimension (the chart has dimension dim^2 - 1)."""
         return self.provenance.dim
 
+    @cached_property
+    def _vertices(self) -> VertexSet:
+        return self.spec.vertices()
+
     def vertex_coords(self) -> VertexSet:
         """The 2(d^2 - 1) vertex points in the coordinate chart."""
-        return self.spec.vertices()
+        return self._vertices
 
     def vertex_states(self) -> list[DensityMatrix]:
         """The vertices reconstructed and validated as density matrices."""
         d = self.dim
         out = []
-        for row in self.spec.vertices().array:
+        for row in self._vertices.array:
             M = from_coords(StateCoords(EuclideanPoint(row), d))
             out.append(DensityMatrix(M))
         return out
@@ -127,22 +157,6 @@ class QuantumCrossPolytope:
         return self.spec.edge_length()
 
 
-def _contains_cross_polytope(
-    translated: np.ndarray, alpha: float, lp_tol: float
-) -> bool:
-    """All 2n vertices ``+-alpha e_k`` lie in the hull of the rows."""
-    n = translated.shape[1]
-    probe = np.zeros(n)
-    for k in range(n):
-        for sign in (1.0, -1.0):
-            probe[:] = 0.0
-            probe[k] = sign * alpha
-            member, _ = hull_member_lp(probe, translated, tol=lp_tol)
-            if not member:
-                return False
-    return True
-
-
 def max_inscribed_cross_polytope(
     decomposition: DecompositionInput,
     tol_alpha: float = DEFAULT_TOL_ALPHA,
@@ -151,39 +165,113 @@ def max_inscribed_cross_polytope(
     """Largest cross-polytope centered on the target inside the hull of
     the decomposition members, in the coordinate chart.
 
-    Works by bisection on the scale: containment of all ``2(d^2-1)``
-    vertices is monotone in the scale, each check being one LP per
-    vertex.  The bracket starts at the largest member distance from the
-    center, which no inscribed scale can exceed.  The result carries a
-    ``degenerate`` flag instead of raising when the target sits on the
-    hull boundary and the best scale is (numerically) zero.
+    The target is a convex combination of the members, so the best
+    scale is exactly ``min over k, s of max {t : t s e_k in hull}``.
+    Each of the ``2(d^2-1)`` directions is one ray LP: maximize ``t``
+    subject to ``V^T w - t s e_k = 0``, ``sum w = 1``, ``w, t >= 0``
+    over the translated members ``V``.  A ray that cannot even start
+    means the target sits on the hull boundary: the scale is 0.  Scales
+    at or below ``tol_alpha`` carry the ``degenerate`` flag instead of
+    raising.  Every weight vector is checked to reproduce its ray point
+    within ``lp_tol``; a larger residual raises
+    :class:`~signpoly.errors.SolverFailureError`.
     """
     center = to_coords(decomposition.target).point
     n = center.dim
-    member_coords = np.array(
+    translated = np.array(
         [to_coords(m).point.coords for m in decomposition.members]
+    ) - center.coords
+    m = len(translated)
+
+    # Columns [w | t]; rows [V^T w - t s e_k = 0 | sum w = 1].
+    A = np.zeros((n + 1, m + 1))
+    A[:n, :m] = translated.T
+    A[n, :m] = 1.0
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    c = np.zeros(m + 1)
+    c[m] = -1.0
+
+    t = np.zeros(2 * n)
+    witnesses = np.full((2 * n, m), np.nan)
+    duals: list[np.ndarray | None] = [None] * (2 * n)
+    for j in range(2 * n):
+        A[:n, m] = 0.0
+        A[j % n, m] = -1.0 if j < n else 1.0
+        sol = minimize_nonneg(c, A, b, tol=lp_tol)
+        if sol.status == "infeasible":
+            continue
+        if sol.status != "optimal":
+            raise SolverFailureError(
+                f"ray LP {sol.status} inside a bounded hull")
+        residual = float(np.max(np.abs(A @ sol.z - b)))
+        if residual > lp_tol:
+            raise SolverFailureError(
+                f"ray witness residual {residual:.3e} exceeds tolerance "
+                f"{lp_tol:.3e}"
+            )
+        t[j] = sol.z[m]
+        witnesses[j] = sol.z[:m]
+        duals[j] = sol.dual[:n]
+
+    binding = int(np.argmin(t))
+    alpha = float(t[binding]) + 0.0  # no negative zero
+    # The dual (u, u0) of the binding ray has u . v <= -u0 = alpha on
+    # every member and s u_k >= 1; scaling by 1/alpha gives h.
+    hyperplane = duals[binding] / alpha if alpha > 0.0 else None
+    certificate = CrossPolytopeCertificate(
+        t=t,
+        witnesses=witnesses,
+        binding_axis=binding % n,
+        binding_sign=1 if binding < n else -1,
+        hyperplane=hyperplane,
     )
-    translated = member_coords - center.coords
+    spec = CrossPolytopeSpec(dimension=n, scale=alpha, center=center)
+    return QuantumCrossPolytope(spec, decomposition,
+                                degenerate=alpha <= tol_alpha,
+                                certificate=certificate)
 
-    alpha_hi = float(np.max(np.linalg.norm(translated, axis=1)))
-    spec_of = lambda a: CrossPolytopeSpec(dimension=n, scale=a, center=center)
-    if alpha_hi <= tol_alpha:
-        # Every member coincides with the target; the hull is a point.
-        return QuantumCrossPolytope(spec_of(0.0), decomposition, degenerate=True)
 
-    if _contains_cross_polytope(translated, alpha_hi, lp_tol):
-        return QuantumCrossPolytope(spec_of(alpha_hi), decomposition,
-                                    degenerate=False)
+def certificate_holds(poly: QuantumCrossPolytope,
+                      tol: float = DEFAULT_TOL) -> bool:
+    """Check the certificate of ``poly`` against its decomposition with
+    plain numpy, no LP.
 
-    lo, hi = 0.0, alpha_hi
-    while hi - lo > tol_alpha:
-        mid = 0.5 * (lo + hi)
-        if _contains_cross_polytope(translated, mid, lp_tol):
-            lo = mid
-        else:
-            hi = mid
-    return QuantumCrossPolytope(spec_of(lo), decomposition,
-                                degenerate=lo <= tol_alpha)
+    Primal side: every solved direction's weights sum to 1 and reproduce
+    ``t_j s_j e_k`` within ``tol``, an unsolved one has ``t_j = 0``, and
+    the scale is the smallest ``t_j``, attained at the binding
+    direction.  With the target the weighted mean of the members, every
+    vertex then lies in the hull.  Dual side:
+    ``max_j h . v_j <= 1 + tol`` over the translated members and
+    ``h . (alpha s* e_k*) >= 1 - tol`` at the binding vertex, so the
+    hyperplane ``h . x = 1`` leaves no room for a larger scale.  A scale
+    of 0 carries no hyperplane.
+    """
+    cert = poly.certificate
+    center = to_coords(poly.provenance.target).point.coords
+    V = np.array(
+        [to_coords(m).point.coords for m in poly.provenance.members]
+    ) - center
+    n = V.shape[1]
+    alpha = poly.alpha
+    binding = cert.binding_axis + (0 if cert.binding_sign > 0 else n)
+    if cert.t.min() != alpha or cert.t[binding] != alpha:
+        return False
+    for j, (t, w) in enumerate(zip(cert.t, cert.witnesses)):
+        if np.isnan(w).any():
+            if t != 0.0:
+                return False
+            continue
+        point = np.zeros(n)
+        point[j % n] = t if j < n else -t
+        if (w.min() < -tol or abs(w.sum() - 1.0) > tol
+                or np.max(np.abs(w @ V - point)) > tol):
+            return False
+    if cert.hyperplane is None:
+        return alpha == 0.0
+    h = cert.hyperplane
+    return (float(np.max(V @ h)) <= 1.0 + tol
+            and cert.binding_sign * alpha * h[cert.binding_axis] >= 1.0 - tol)
 
 
 def robustness_member(

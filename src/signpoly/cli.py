@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-9,
                         help="membership/LP tolerance (default 1e-9)")
     common.add_argument("--tol-alpha", type=float, default=1e-8, dest="tol_alpha",
-                        help="bisection bracket width for construct (default 1e-8)")
+                        help="construct: scales at or below this are reported "
+                             "as degenerate (default 1e-8)")
     common.add_argument("--cap", type=int, default=None,
                         help=f"enumeration cap (default {ENUMERATION_CAP}, "
                              f"or ${CAP_ENV_VAR} when set)")
@@ -245,15 +246,17 @@ def cmd_construct(args) -> int:
         "fraction_volume_ratio": volume_ratio,
         "vertex_states_valid": valid,
         "vertex_states_total": len(vertices),
+        "binding_axis": poly.certificate.binding_axis,
+        "binding_sign": poly.certificate.binding_sign,
     }
     if args.verify_probes > 0 and not poly.degenerate:
         rng = np.random.default_rng(args.seed)
         hits = 0
         verts = vertices.array
+        center = poly.spec.center.coords
         for _ in range(args.verify_probes):
             w = rng.dirichlet(np.ones(len(verts)))
-            point = w @ verts
-            c = np.abs(point - to_coords(target).point.coords)
+            c = np.abs(w @ verts - center)
             hits += int(c.sum() <= alpha + args.tol)
         report["probes_checked"] = args.verify_probes
         report["probes_inside"] = hits

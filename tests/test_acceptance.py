@@ -199,7 +199,7 @@ def test_08_monte_carlo_cross_volume(criterion):
 
 
 def test_09_inscribed_scale_recovery(criterion):
-    """The bisection recovers the known best scale on two decompositions
+    """The ray LPs recover the known best scale on two decompositions
     of the maximally mixed qubit: octahedral radius 0.4 and cube
     half-width 0.3."""
     with criterion(9, "inscribed scale 0.4 / 0.3", 10.0):

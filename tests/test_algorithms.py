@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from signpoly import (
@@ -11,6 +14,7 @@ from signpoly import (
     EuclideanPoint,
     CrossPolytopeSpec,
     StateCoords,
+    certificate_holds,
     cross_polytope_volume,
     from_coords,
     hs_volume,
@@ -160,35 +164,28 @@ def test_polytope_geometry_accessors():
     assert isinstance(poly.spec, CrossPolytopeSpec)
 
 
-def _oracle_alpha(dec, tol=1e-9):
-    """Independent bisection using an external LP solver for containment."""
+def _oracle_alpha(dec):
+    """Largest t with every ``+-t e_k`` in the hull of the translated
+    members, as one exact LP for an external solver: a weight vector
+    ``w_j >= 0`` with ``V^T w_j = t s_j e_k`` and ``sum w_j = 1`` for
+    each of the 2n rays j, all sharing t."""
     center = to_coords(dec.target).point.coords
     V = np.array([to_coords(m).point.coords for m in dec.members]) - center
     m, n = V.shape
-    A_eq = np.vstack([V.T, np.ones((1, m))])
-
-    def inside(alpha):
-        for k in range(n):
-            for s in (1.0, -1.0):
-                b = np.zeros(n + 1)
-                b[k] = s * alpha
-                b[-1] = 1.0
-                res = linprog(np.zeros(m), A_eq=A_eq, b_eq=b,
-                              bounds=[(0, None)] * m, method="highs")
-                if res.status != 0:
-                    return False
-        return True
-
-    lo, hi = 0.0, float(np.max(np.linalg.norm(V, axis=1)))
-    if inside(hi):
-        return hi
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    rays = 2 * n
+    A = np.zeros((rays * (n + 1), rays * m + 1))
+    b = np.zeros(rays * (n + 1))
+    for j in range(rays):
+        top = j * (n + 1)
+        A[top:top + n, j * m:(j + 1) * m] = V.T
+        A[top + j % n, -1] = -1.0 if j < n else 1.0
+        A[top + n, j * m:(j + 1) * m] = 1.0
+        b[top + n] = 1.0
+    c = np.zeros(rays * m + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
 
 
 def test_algorithm_matches_external_solver_on_random_instances():
@@ -207,6 +204,109 @@ def test_algorithm_matches_external_solver_on_random_instances():
         poly = max_inscribed_cross_polytope(dec, tol_alpha=1e-8)
         assert poly.alpha == pytest.approx(_oracle_alpha(dec), abs=1e-6)
         assert poly.alpha > 0.0
+
+
+def _random_decomposition(seed, d, m, concentration):
+    """m Hilbert-Schmidt random states of dimension d and a Dirichlet mix
+    of them as the target; a small concentration pushes the target
+    towards the hull boundary."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for _ in range(m):
+        G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        M = G @ G.conj().T
+        members.append(DensityMatrix(M / np.trace(M).real))
+    weights = rng.dirichlet(np.full(m, concentration))
+    target = sum(w * M.matrix for w, M in zip(weights, members))
+    return DecompositionInput(DensityMatrix(target), tuple(members),
+                              tuple(weights))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+       extra=st.integers(1, 20),
+       concentration=st.sampled_from([0.2, 1.0, 5.0]))
+def test_scale_and_certificate_on_random_decompositions(seed, d, extra,
+                                                        concentration):
+    dec = _random_decomposition(seed, d, d * d - 1 + extra, concentration)
+    poly = max_inscribed_cross_polytope(dec)
+    assert poly.alpha == pytest.approx(_oracle_alpha(dec), abs=1e-7)
+    assert certificate_holds(poly)
+
+
+def test_certificate_of_octahedral_decomposition():
+    poly = max_inscribed_cross_polytope(_octahedral_decomposition(0.4))
+    cert = poly.certificate
+    np.testing.assert_allclose(cert.t, 0.4, atol=1e-12)
+    binding = cert.binding_axis + (0 if cert.binding_sign > 0 else 3)
+    assert cert.t[binding] == poly.alpha == cert.t.min()
+    assert cert.witnesses.shape == (6, 6)
+    assert certificate_holds(poly)
+
+
+def test_certificate_checker_rejects_tampering():
+    poly = max_inscribed_cross_polytope(_cube_decomposition(0.3))
+    cert = poly.certificate
+    assert certificate_holds(poly)
+    # a larger claimed scale breaks the primal side (no ray reaches it)
+    bigger = dataclasses.replace(poly, spec=CrossPolytopeSpec(
+        3, poly.alpha + 1e-6, poly.spec.center))
+    assert not certificate_holds(bigger)
+    # so does a witness that misses its ray point
+    bent = cert.witnesses.copy()
+    bent[2] = np.roll(bent[2], 1)
+    assert not certificate_holds(dataclasses.replace(
+        poly, certificate=dataclasses.replace(cert, witnesses=bent)))
+    # a hyperplane too shallow to cut off the binding vertex
+    assert not certificate_holds(dataclasses.replace(
+        poly, certificate=dataclasses.replace(
+            cert, hyperplane=cert.hyperplane * 0.99)))
+    # a hyperplane that some member violates
+    assert not certificate_holds(dataclasses.replace(
+        poly, certificate=dataclasses.replace(
+            cert, hyperplane=cert.hyperplane * 1.01)))
+
+
+@pytest.mark.parametrize("offset", [0.0, 5e-9])
+def test_degenerate_certificate_has_no_hyperplane(offset):
+    """Members that all coincide with the target give rays of length 0;
+    a target 5e-9 off them (inside the reconstruction tolerance, outside
+    the LP one) gives rays that cannot start, except the one pointing
+    back at the members.  Either way the scale is
+    0 and the certificate carries no hyperplane."""
+    boundary = _qubit_state([0.2, 0.0, 0.0])
+    dec = DecompositionInput(target=_qubit_state([0.2 + offset, 0.0, 0.0]),
+                             members=(boundary,) * 4, weights=(0.25,) * 4)
+    poly = max_inscribed_cross_polytope(dec)
+    assert poly.degenerate and poly.alpha == 0.0
+    assert poly.certificate.hyperplane is None
+    # only the ray back towards the members can start
+    assert np.isnan(poly.certificate.witnesses).any() == (offset > 0.0)
+    assert poly.certificate.t[3] == pytest.approx(offset, abs=1e-12)
+    assert certificate_holds(poly)
+
+
+@pytest.mark.parametrize("d, m", [(2, 8), (3, 20)])
+def test_one_kernel_solve_per_direction(monkeypatch, d, m):
+    """Exactly 2(d^2 - 1) LP solves and no hull queries per search."""
+    import signpoly.algorithms
+    import signpoly.geometry
+
+    calls = {"minimize": 0, "feasible": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(signpoly.algorithms, "minimize_nonneg",
+                        counting("minimize", signpoly.algorithms.minimize_nonneg))
+    monkeypatch.setattr(signpoly.geometry, "feasible_nonneg",
+                        counting("feasible", signpoly.geometry.feasible_nonneg))
+    poly = max_inscribed_cross_polytope(_random_decomposition(7, d, m, 1.0))
+    assert not poly.degenerate
+    assert calls == {"minimize": 2 * (d * d - 1), "feasible": 0}
 
 
 # ------------------------------------------------------------- Algorithm 2

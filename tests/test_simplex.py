@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from signpoly.errors import SolverFailureError
-from signpoly.simplex import feasible_nonneg
+from signpoly.simplex import feasible_nonneg, minimize_nonneg
 
 
 def _reference_feasible(A, b):
@@ -93,3 +93,115 @@ def test_tolerance_separates_near_feasible():
     ok_loose, _ = feasible_nonneg(A, b, tol=1e-4)
     assert not ok_tight
     assert ok_loose
+
+
+# ------------------------------------------------------------- phase 2
+
+_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def _reference_min(c, A, b):
+    res = linprog(c, A_eq=A, b_eq=b, bounds=[(0, None)] * A.shape[1],
+                  method="highs")
+    return _STATUS[res.status], (res.fun if res.status == 0 else None)
+
+
+def _assert_optimal(sol, c, A, b, value):
+    assert sol.status == "optimal"
+    assert sol.z.min() >= 0.0
+    np.testing.assert_allclose(A @ sol.z, b, atol=1e-7)
+    assert sol.value == pytest.approx(value, abs=1e-7)
+    # the dual proves optimality: A^T y <= c and b . y equals the value
+    assert np.max(A.T @ sol.dual - c) <= 1e-8
+    assert b @ sol.dual == pytest.approx(sol.value, abs=1e-7)
+
+
+def test_minimize_agrees_with_reference_on_bounded_lps():
+    """Random LPs whose last row ``sum z = 1`` bounds the feasible set;
+    every other right-hand side is zero in the degenerate half, as in
+    the ray systems of the cross-polytope search."""
+    rng = np.random.default_rng(2718)
+    outcomes = {"optimal": 0, "infeasible": 0}
+    degenerate_optimal = 0
+    for trial in range(300):
+        k = int(rng.integers(1, 6))
+        p = int(rng.integers(2, 14))
+        A = np.vstack([rng.integers(-4, 5, size=(k, p)).astype(float),
+                       np.ones((1, p))])
+        if trial % 2:
+            b = np.append(np.zeros(k), 1.0)
+        else:
+            b = np.append(rng.integers(-3, 4, size=k).astype(float), 1.0)
+        c = rng.integers(-5, 6, size=p).astype(float)
+        status, value = _reference_min(c, A, b)
+        sol = minimize_nonneg(c, A, b)
+        assert sol.status == status
+        outcomes[status] += 1
+        if status == "optimal":
+            _assert_optimal(sol, c, A, b, value)
+            degenerate_optimal += trial % 2
+        else:
+            assert sol.z is None and sol.value is None and sol.dual is None
+    assert outcomes["optimal"] > 100
+    assert outcomes["infeasible"] > 20
+    assert degenerate_optimal > 50
+
+
+def test_minimize_all_zero_rhs_is_zero_or_unbounded():
+    """``A z = 0`` always admits ``z = 0``: the optimum is 0 or there is
+    an improving ray, and the verdict must match the reference."""
+    rng = np.random.default_rng(1618)
+    seen = set()
+    for _ in range(200):
+        k = int(rng.integers(1, 5))
+        p = int(rng.integers(2, 10))
+        A = rng.integers(-3, 4, size=(k, p)).astype(float)
+        b = np.zeros(k)
+        c = rng.integers(-2, 6, size=p).astype(float)
+        status, value = _reference_min(c, A, b)
+        sol = minimize_nonneg(c, A, b)
+        assert sol.status == status
+        seen.add(status)
+        if status == "optimal":
+            _assert_optimal(sol, c, A, b, 0.0)
+    assert seen == {"optimal", "unbounded"}
+
+
+def test_minimize_infeasible_returns_verdict():
+    sol = minimize_nonneg(np.array([1.0]), np.array([[1.0]]), np.array([-2.0]))
+    assert sol.status == "infeasible"
+    assert sol.z is None
+    # phase 1 matches feasible_nonneg on the same system
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    b = np.array([0.5, 0.5, 1e-6])
+    assert minimize_nonneg(np.ones(2), A, b).status == "infeasible"
+    assert minimize_nonneg(np.ones(2), A, b, tol=1e-4).status == "optimal"
+
+
+def test_minimize_redundant_rows():
+    """A duplicated equality leaves an artificial basic at zero after
+    phase 1; phase 2 must not move it."""
+    A = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [1.0, -1.0, 0.0]])
+    b = np.array([1.0, 2.0, 0.0])
+    c = np.array([0.0, 0.0, -1.0])
+    sol = minimize_nonneg(c, A, b)
+    _assert_optimal(sol, c, A, b, -1.0)
+
+
+def test_minimize_iteration_cap_raises():
+    V = np.vstack([np.eye(3), -np.eye(3)])
+    A = np.vstack([V.T, np.ones((1, 6))])
+    b = np.array([0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(SolverFailureError):
+        minimize_nonneg(np.ones(6), A, b, max_iter=1)
+    # a budget phase 1 alone uses up leaves phase 2 nothing
+    A = np.array([[1.0, 1.0]])
+    with pytest.raises(SolverFailureError, match="phase-2"):
+        minimize_nonneg(np.array([1.0, -1.0]), A, np.array([1.0]), max_iter=2)
+
+
+def test_minimize_shape_validation():
+    with pytest.raises(ValueError):
+        minimize_nonneg(np.ones(3), np.ones((2, 2)), np.ones(2))
+    with pytest.raises(ValueError):
+        minimize_nonneg(np.ones(2), np.ones((2, 2)), np.ones(3))
