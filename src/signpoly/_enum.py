@@ -1,9 +1,10 @@
-"""Internal enumeration helpers shared by the real and quantum modules.
+"""The one vertex enumerator, shared by the real and quantum modules.
 
 Entries of a vector are grouped into sign-equivalence classes (``v`` and
 ``-v`` identified); the distinct signed permutations of the vector are
 then exactly the distinct arrangements of class representatives combined
-with an independent sign per nonzero slot.
+with an independent sign per nonzero slot.  Plain permutations are the
+unsigned case: classes of equal values and no sign flips.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+#: Entries this close to zero are the zero class, and class
+#: representatives this close to each other are one class.
 ZERO_TOL = 1e-12
+
+#: Rows per block yielded by :func:`signed_arrangements`.
+BLOCK_ROWS = 1 << 15
 
 
 def _canonical_rep(v):
@@ -35,11 +41,14 @@ class SignClasses:
     ``reps[i]`` is the representative value of class ``i`` and
     ``counts[i]`` its multiplicity; ``n_zero`` counts entries treated as
     zero.  ``n`` is the total length, ``m`` the number of nonzero slots.
+    Unsigned classes (``signed`` false) are plain values: no zero class
+    and no sign flips.
     """
 
     reps: list
     counts: list[int]
     n_zero: int
+    signed: bool = True
 
     @property
     def n(self) -> int:
@@ -48,6 +57,11 @@ class SignClasses:
     @property
     def m(self) -> int:
         return sum(self.counts)
+
+    @property
+    def flips(self) -> int:
+        """Number of slots whose sign flips independently."""
+        return self.m if self.signed else 0
 
     def slot_codes(self) -> list[int]:
         """Multiset of class codes, one per slot: 0 for zero entries,
@@ -58,18 +72,23 @@ class SignClasses:
         return codes
 
 
-def sign_classes(values, zero_tol: float = ZERO_TOL) -> SignClasses:
+def sign_classes(values, zero_tol: float = ZERO_TOL, signed: bool = True) -> SignClasses:
     """Group the entries of a real or complex vector into sign classes.
 
     Entries of magnitude at most ``zero_tol`` are the zero class; the
     rest are canonicalized (``v`` vs ``-v``), sorted, and chained into
     groups whenever consecutive representatives differ by at most
-    ``zero_tol``.  Each group is snapped to its first value.
+    ``zero_tol``.  Each group is snapped to its first value.  With
+    ``signed`` false the entries of a real vector are grouped as they
+    are, by the same chaining rule, with no zero class.
     """
     vals = list(values)
-    is_complex = any(isinstance(v, complex) or np.iscomplexobj(v) for v in vals)
-    nonzero = [_canonical_rep(complex(v) if is_complex else float(v))
-               for v in vals if abs(v) > zero_tol]
+    if not signed:
+        nonzero = sorted(float(v) for v in vals)
+    else:
+        is_complex = any(isinstance(v, complex) or np.iscomplexobj(v) for v in vals)
+        nonzero = [_canonical_rep(complex(v) if is_complex else float(v))
+                   for v in vals if abs(v) > zero_tol]
     n_zero = len(vals) - len(nonzero)
     if not nonzero:
         return SignClasses(reps=[], counts=[], n_zero=n_zero)
@@ -83,13 +102,13 @@ def sign_classes(values, zero_tol: float = ZERO_TOL) -> SignClasses:
         else:
             reps.append(v)
             counts.append(1)
-    return SignClasses(reps=reps, counts=counts, n_zero=n_zero)
+    return SignClasses(reps=reps, counts=counts, n_zero=n_zero, signed=signed)
 
 
 def count_signed_arrangements(classes: SignClasses) -> int:
     """Exact number of distinct signed permutations, in integer arithmetic:
-    ``2^m * n! / (m_1! ... m_k! * n_zero!)``."""
-    total = math.factorial(classes.n) * 2 ** classes.m
+    ``2^m * n! / (m_1! ... m_k! * n_zero!)`` (no ``2^m`` when unsigned)."""
+    total = math.factorial(classes.n) * 2 ** classes.flips
     for c in classes.counts:
         total //= math.factorial(c)
     total //= math.factorial(classes.n_zero)
@@ -116,21 +135,33 @@ def distinct_permutations(items: Sequence) -> Iterator[tuple]:
         a[i + 1:] = reversed(a[i + 1:])
 
 
-def signed_arrangements(classes: SignClasses) -> Iterator[list]:
-    """Yield every distinct signed permutation as a list of entry values.
+def signed_arrangements(classes: SignClasses) -> Iterator[np.ndarray]:
+    """Yield every distinct signed permutation as the rows of ndarray blocks.
 
+    Rows are real, or complex when a representative is complex.
     Arrangements come out in lexicographic code order and, within one
-    arrangement, signs flip from all-positive downward; the order is
-    deterministic, and distinctness holds by construction.
+    arrangement, signs flip from all-positive downward, the last nonzero
+    slot fastest; the order is deterministic, and distinctness holds by
+    construction.  Unsigned classes give each arrangement once.  A block
+    holds about ``BLOCK_ROWS`` rows: whole arrangements, or a slice of
+    one arrangement's sign rows when it alone has more.
     """
-    zero = 0j if any(isinstance(r, complex) for r in classes.reps) else 0.0
-    reps = classes.reps
-    for arrangement in distinct_permutations(classes.slot_codes()):
-        base = [zero if c == 0 else reps[c - 1] for c in arrangement]
-        hot = [i for i, c in enumerate(arrangement) if c != 0]
-        for signs in itertools.product((1, -1), repeat=len(hot)):
-            vec = list(base)
-            for pos, s in zip(hot, signs):
-                if s < 0:
-                    vec[pos] = -vec[pos]
-            yield vec
+    values = np.array([0.0] + classes.reps)  # complex if any rep is
+    flips = classes.flips
+    # Row r of the mask flips hot slot j when bit (flips-1-j) of r is set,
+    # the itertools.product order; the extra column never flips.
+    signs = np.zeros((2 ** flips, flips + 1), dtype=bool)
+    signs[:, :flips] = np.arange(2 ** flips)[:, None] >> np.arange(flips)[::-1] & 1
+    per_chunk = max(1, BLOCK_ROWS >> flips)
+    step = min(len(signs), BLOCK_ROWS)
+    arrangements = distinct_permutations(classes.slot_codes())
+    while chunk := list(itertools.islice(arrangements, per_chunk)):
+        codes = np.array(chunk)
+        hot = codes != 0 if classes.signed else np.zeros(codes.shape, dtype=bool)
+        slot = np.where(hot, np.cumsum(hot, axis=1) - 1, flips)
+        base = values[codes][:, None, :]
+        for lo in range(0, len(signs), step):
+            mask = signs[lo:lo + step, slot].transpose(1, 0, 2)
+            block = np.repeat(base, mask.shape[1], axis=1)
+            np.negative(block, out=block, where=mask)
+            yield block.reshape(-1, codes.shape[1])

@@ -26,8 +26,8 @@ from .geometry import (
     cross_polytope_volume,
     insphere_radius,
 )
-from .majorization import DEFAULT_TOL, EuclideanPoint, weakly_majorized
-from .quantum import DensityMatrix, StateCoords, from_coords, to_coords
+from .majorization import DEFAULT_TOL, weakly_majorized
+from .quantum import DensityMatrix, _chart_matrices, to_coords
 from .simplex import minimize_nonneg
 
 #: Inscribed scales at or below this mark the polytope as degenerate.
@@ -140,12 +140,8 @@ class QuantumCrossPolytope:
 
     def vertex_states(self) -> list[DensityMatrix]:
         """The vertices reconstructed and validated as density matrices."""
-        d = self.dim
-        out = []
-        for row in self._vertices.array:
-            M = from_coords(StateCoords(EuclideanPoint(row), d))
-            out.append(DensityMatrix(M))
-        return out
+        return [DensityMatrix(M)
+                for M in _chart_matrices(self._vertices.array, self.dim)]
 
     def volume(self) -> float:
         return self.spec.volume()

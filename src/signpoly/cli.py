@@ -42,6 +42,7 @@ from .errors import (
     StateValidationError,
 )
 from .geometry import ENUMERATION_CAP, cross_polytope_volume
+from .majorization import weakly_majorized
 from .quantum import (
     PureState,
     enumerate_pure_sign_perms,
@@ -176,8 +177,8 @@ def _pure_state_from(loaded: LoadedState, tol: float) -> PureState:
     return pure_from_density(rho)
 
 
-def _amplitude_pairs(psi: PureState) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in psi.amplitudes]
+def _amplitude_pairs(amplitudes: np.ndarray) -> list[list[float]]:
+    return [[float(a.real), float(a.imag)] for a in amplitudes]
 
 
 def cmd_enumerate(args) -> int:
@@ -198,7 +199,7 @@ def cmd_enumerate(args) -> int:
     if loaded.norm is not None:
         report["input_norm"] = loaded.norm
     if args.show > 0:
-        report["states"] = [_amplitude_pairs(s) for s in result.states[:args.show]]
+        report["states"] = [_amplitude_pairs(a) for a in result.amplitudes[:args.show]]
     _emit(report, args.format)
     return EXIT_OK
 
@@ -254,10 +255,13 @@ def cmd_construct(args) -> int:
         hits = 0
         verts = vertices.array
         center = poly.spec.center.coords
+        # The membership test of robustness_member, on chart coordinates.
+        anchor = np.zeros(center.size)
+        anchor[0] = alpha
         for _ in range(args.verify_probes):
             w = rng.dirichlet(np.ones(len(verts)))
             c = np.abs(w @ verts - center)
-            hits += int(c.sum() <= alpha + args.tol)
+            hits += int(weakly_majorized(c, anchor, tol=args.tol))
         report["probes_checked"] = args.verify_probes
         report["probes_inside"] = hits
         if args.seed is not None:

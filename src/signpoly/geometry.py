@@ -9,13 +9,13 @@ point — they cross-check each other.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _enum
+from ._enum import ZERO_TOL
 from .errors import DimensionMismatchError, EnumerationTooLargeError, SolverFailureError
 from .majorization import DEFAULT_TOL, EuclideanPoint, PointLike, as_coords
 from .simplex import feasible_nonneg
@@ -23,53 +23,31 @@ from .simplex import feasible_nonneg
 #: Default ceiling on the number of vertices an enumeration may produce.
 ENUMERATION_CAP = 10_000_000
 
-#: Entries closer to zero than this are grouped with zero when counting
-#: and enumerating; also the vertex-set deduplication tolerance.
-ZERO_TOL = 1e-12
-
 
 class VertexSet:
-    """A finite, deduplicated set of points spanning a convex hull.
+    """A finite set of points spanning a convex hull.
 
-    Points are stored as the rows of a read-only ``(m, n)`` array.  Exact
-    duplicates are always removed; for small sets a quadratic pass also
-    merges points equal within ``dedup_tol`` per coordinate.
+    Points are stored as the rows of a read-only ``(m, n)`` array, in the
+    order given and with any repeats kept: neither a hull nor the LP
+    depends on them.  A read-only float array is held without a copy;
+    anything else is copied.
     """
-
-    _QUADRATIC_DEDUP_LIMIT = 2048
 
     __slots__ = ("_points",)
 
-    def __init__(self, points, dedup_tol: float = ZERO_TOL):
-        arr = np.array([as_coords(p) for p in points], dtype=float) \
-            if not isinstance(points, np.ndarray) else np.array(points, dtype=float)
+    def __init__(self, points):
+        if not isinstance(points, np.ndarray):
+            arr = np.array([as_coords(p) for p in points], dtype=float)
+        elif points.dtype == float and not points.flags.writeable:
+            arr = points
+        else:
+            arr = np.array(points, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("a vertex set needs at least one point")
         if not np.all(np.isfinite(arr)):
             raise ValueError("vertex coordinates must be finite")
-        arr = self._dedup(arr, dedup_tol)
         arr.setflags(write=False)
         self._points = arr
-
-    @staticmethod
-    def _dedup(arr: np.ndarray, tol: float) -> np.ndarray:
-        seen: dict[bytes, int] = {}
-        keep = []
-        for i, row in enumerate(arr):
-            key = row.tobytes()
-            if key not in seen:
-                seen[key] = i
-                keep.append(i)
-        arr = arr[keep]
-        if len(arr) <= VertexSet._QUADRATIC_DEDUP_LIMIT:
-            alive = np.ones(len(arr), dtype=bool)
-            for i in range(len(arr)):
-                if not alive[i]:
-                    continue
-                later = np.all(np.abs(arr[i + 1:] - arr[i]) <= tol, axis=1)
-                alive[i + 1:] &= ~later
-            arr = arr[alive]
-        return arr
 
     @property
     def array(self) -> np.ndarray:
@@ -223,49 +201,30 @@ def enumerate_sign_perm_vertices(
     signs toggled from all-positive).
     """
     arr = as_coords(a)
-    classes = _enum.sign_classes(arr, zero_tol=zero_tol)
-    count = _enum.count_signed_arrangements(classes)
-    if count > cap:
-        raise EnumerationTooLargeError(count, cap)
-    # One numpy block per arrangement: all 2^m sign choices at once.
-    values = np.array([0.0] + [float(r) for r in classes.reps])
-    signs = np.array(
-        list(itertools.product((1.0, -1.0), repeat=classes.m))
-    ).reshape(2 ** classes.m, classes.m)
-    out = np.empty((count, arr.size), dtype=float)
-    ptr = 0
-    for arrangement in _enum.distinct_permutations(classes.slot_codes()):
-        codes = np.array(arrangement)
-        base = values[codes]
-        hot = np.flatnonzero(codes != 0)
-        block = np.repeat(base[None, :], len(signs), axis=0)
-        block[:, hot] = base[hot] * signs
-        out[ptr:ptr + len(signs)] = block
-        ptr += len(signs)
-    return VertexSet(out)
+    return _vertex_set(_enum.sign_classes(arr, zero_tol=zero_tol), arr.size, cap)
 
 
 def enumerate_perm_vertices(a: PointLike, cap: int = ENUMERATION_CAP) -> VertexSet:
-    """All distinct coordinate permutations of ``a`` (no sign flips)."""
+    """All distinct coordinate permutations of ``a`` (no sign flips), in
+    lexicographic order.  Entries within ``ZERO_TOL`` of each other are
+    one value, for the count and the listing alike."""
     arr = as_coords(a)
-    vals = sorted(arr.tolist())
-    count = math.factorial(arr.size)
-    for _, mult in _run_lengths(vals):
-        count //= math.factorial(mult)
+    return _vertex_set(_enum.sign_classes(arr, signed=False), arr.size, cap)
+
+
+def _vertex_set(classes: _enum.SignClasses, n: int, cap: int) -> VertexSet:
+    """Count ``classes``' arrangements against ``cap``, then fill one
+    array with them, block by block."""
+    count = _enum.count_signed_arrangements(classes)
     if count > cap:
         raise EnumerationTooLargeError(count, cap)
-    out = np.array(list(_enum.distinct_permutations(vals)), dtype=float)
+    out = np.empty((count, n))
+    ptr = 0
+    for block in _enum.signed_arrangements(classes):
+        out[ptr:ptr + len(block)] = block
+        ptr += len(block)
+    out.setflags(write=False)
     return VertexSet(out)
-
-
-def _run_lengths(sorted_vals):
-    runs = []
-    for v in sorted_vals:
-        if runs and v == runs[-1][0]:
-            runs[-1][1] += 1
-        else:
-            runs.append([v, 1])
-    return [(v, m) for v, m in runs]
 
 
 def hull_member_lp(

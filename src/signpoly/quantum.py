@@ -30,7 +30,7 @@ from .errors import (
     EnumerationTooLargeError,
     StateValidationError,
 )
-from .geometry import ENUMERATION_CAP, enumerate_sign_perm_vertices
+from .geometry import ENUMERATION_CAP
 from .majorization import DEFAULT_TOL, EuclideanPoint
 
 #: Tolerances for the density-matrix invariants.
@@ -101,18 +101,7 @@ class DensityMatrix:
                 "not-square", 0.0,
                 f"expected a square matrix of dimension >= 2, got shape {M.shape}",
             )
-        herm_dev = float(np.max(np.abs(M - M.conj().T)))
-        if herm_dev > hermitian_tol:
-            raise StateValidationError(
-                "not-hermitian", herm_dev,
-                f"matrix deviates from Hermitian by {herm_dev:.3e}",
-            )
-        trace_dev = abs(complex(np.trace(M)) - 1.0)
-        if trace_dev > trace_tol:
-            raise StateValidationError(
-                "bad-trace", float(trace_dev),
-                f"trace deviates from 1 by {trace_dev:.3e}",
-            )
+        _check_hermitian_unit_trace(M, hermitian_tol, trace_tol)
         lam_min = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0).min())
         if lam_min < -psd_tol:
             raise StateValidationError(
@@ -133,6 +122,24 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
+
+
+def _check_hermitian_unit_trace(M: np.ndarray, hermitian_tol: float,
+                                trace_tol: float) -> None:
+    """Raise ``StateValidationError`` unless the square matrix ``M`` is
+    Hermitian and of unit trace within the given tolerances."""
+    herm_dev = float(np.max(np.abs(M - M.conj().T)))
+    if herm_dev > hermitian_tol:
+        raise StateValidationError(
+            "not-hermitian", herm_dev,
+            f"matrix deviates from Hermitian by {herm_dev:.3e}",
+        )
+    trace_dev = abs(complex(np.trace(M)) - 1.0)
+    if trace_dev > trace_tol:
+        raise StateValidationError(
+            "bad-trace", float(trace_dev),
+            f"trace deviates from 1 by {trace_dev:.3e}",
+        )
 
 
 def validate_state(matrix, tol: float = HERMITIAN_TOL) -> DensityMatrix:
@@ -228,18 +235,7 @@ def to_coords(rho: DensityMatrix | np.ndarray) -> StateCoords:
             raise StateValidationError(
                 "not-square", 0.0, f"expected a square matrix, got shape {M.shape}"
             )
-        herm_dev = float(np.max(np.abs(M - M.conj().T)))
-        if herm_dev > HERMITIAN_TOL:
-            raise StateValidationError(
-                "not-hermitian", herm_dev,
-                f"matrix deviates from Hermitian by {herm_dev:.3e}",
-            )
-        trace_dev = abs(complex(np.trace(M)) - 1.0)
-        if trace_dev > TRACE_TOL:
-            raise StateValidationError(
-                "bad-trace", float(trace_dev),
-                f"trace deviates from 1 by {trace_dev:.3e}",
-            )
+        _check_hermitian_unit_trace(M, HERMITIAN_TOL, TRACE_TOL)
     d = M.shape[0]
     basis = traceless_hermitian_basis(d)
     coords = np.empty(d * d - 1)
@@ -255,11 +251,17 @@ def from_coords(coords: StateCoords) -> np.ndarray:
     produce indefinite matrices, which is exactly what membership tests
     need to detect.
     """
-    d = coords.dim
-    M = np.eye(d, dtype=complex) / d
-    for c, B in zip(coords.point.coords, traceless_hermitian_basis(d)):
-        if c != 0.0:
-            M = M + c * B
+    return _chart_matrices(coords.point.coords[None, :], coords.dim)[0]
+
+
+def _chart_matrices(coords: np.ndarray, d: int) -> np.ndarray:
+    """The ``(N, d, d)`` stack of Hermitian unit-trace matrices whose
+    chart coordinates are the rows of the ``(N, d^2 - 1)`` array
+    ``coords``."""
+    M = np.empty((len(coords), d, d), dtype=complex)
+    M[:] = np.eye(d) / d
+    for c, B in zip(coords.T, traceless_hermitian_basis(d)):
+        M += c[:, None, None] * B
     return M
 
 
@@ -341,16 +343,22 @@ def make_canonical(kind: str) -> PureState:
 class PureEnumeration:
     """Result of enumerating signed permutations of a pure state.
 
-    ``total`` counts everything enumerated before filtering; ``states``
-    holds the retained states in deterministic generation order.
+    ``total`` counts everything enumerated before filtering;
+    ``amplitudes`` holds the retained states' amplitude vectors as the
+    rows of one read-only array, in deterministic generation order.
+    ``states`` wraps them as :class:`PureState` objects on first access.
     """
 
-    states: list[PureState]
+    amplitudes: np.ndarray
     total: int
 
     @property
     def retained(self) -> int:
-        return len(self.states)
+        return len(self.amplitudes)
+
+    @functools.cached_property
+    def states(self) -> list[PureState]:
+        return [PureState(a) for a in self.amplitudes]
 
 
 def enumerate_pure_sign_perms(
@@ -390,27 +398,28 @@ def enumerate_pure_sign_perms(
 
     if target == "amplitudes":
         classes = _enum.sign_classes(psi.amplitudes)
-        total = _enum.count_signed_arrangements(classes)
-        if total > cap:
-            raise EnumerationTooLargeError(total, cap)
-        states: list[PureState] = []
-        for vec in _enum.signed_arrangements(classes):
-            amps = np.array(vec, dtype=complex)
-            if filter == "w-type" and 4.0 * abs(_cayley_hyperdeterminant(amps)) > tol:
-                continue
-            states.append(PureState(amps))
-        return PureEnumeration(states=states, total=total)
+    else:
+        classes = _enum.sign_classes(to_coords(psi.to_density()).point.coords)
+    total = _enum.count_signed_arrangements(classes)
+    if total > cap:
+        raise EnumerationTooLargeError(total, cap)
+    kept = []
+    for block in _enum.signed_arrangements(classes):
+        if target == "bloch":
+            block = _pure_chart_states(block, psi.dim, tol)
+        elif filter == "w-type":
+            block = block[4.0 * np.abs(_cayley_hyperdeterminant(block.T)) <= tol]
+        kept.append(block)
+    amplitudes = np.concatenate(kept)
+    amplitudes.setflags(write=False)
+    return PureEnumeration(amplitudes=amplitudes, total=total)
 
-    # Bloch-chart target: enumerate real coordinate vertices, keep the
-    # ones that reconstruct to genuine (necessarily pure) states.
-    coords = to_coords(psi.to_density())
-    vertices = enumerate_sign_perm_vertices(coords.point, cap=cap)
-    states = []
-    for row in vertices.array:
-        M = from_coords(StateCoords(EuclideanPoint(row), coords.dim))
-        lam_min = float(np.linalg.eigvalsh(M).min())
-        if lam_min < -tol:
-            continue
-        rho = DensityMatrix(M, psd_tol=max(tol, PSD_TOL))
-        states.append(pure_from_density(rho))
-    return PureEnumeration(states=states, total=len(vertices))
+
+def _pure_chart_states(coords: np.ndarray, d: int, tol: float) -> np.ndarray:
+    """Amplitude vectors, one per row, of the chart points in ``coords``
+    whose matrices are states (smallest eigenvalue at least ``-tol``)."""
+    M = _chart_matrices(coords, d)
+    M = M[np.linalg.eigvalsh(M).min(axis=1) >= -tol]
+    states = [pure_from_density(DensityMatrix(m, psd_tol=max(tol, PSD_TOL))).amplitudes
+              for m in M]
+    return np.array(states, dtype=complex).reshape(len(states), d)

@@ -238,6 +238,8 @@ def test_construct_degenerate(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["degenerate"] is True
     assert doc["alpha"] == 0.0
+    assert doc["vertex_states_total"] == 6
+    assert doc["vertex_states_valid"] == 6
 
 
 def test_check_member_and_nonmember(tmp_path, capsys):

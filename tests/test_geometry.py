@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from signpoly import (
     ConvexCombination,
@@ -11,12 +13,14 @@ from signpoly import (
     EnumerationTooLargeError,
     EuclideanPoint,
     Hyperplane,
+    PureState,
     VertexSet,
     affinely_independent,
     ball_volume,
     count_sign_perm_vertices,
     cross_polytope_volume,
     enumerate_perm_vertices,
+    enumerate_pure_sign_perms,
     enumerate_sign_perm_vertices,
     hull_member_lp,
     hulls_disjoint,
@@ -38,13 +42,24 @@ class TestVertexSet:
         assert v[1] == EuclideanPoint([3.0, 4.0])
         assert [tuple(p) for p in v] == [(1.0, 2.0), (3.0, 4.0)]
 
+    def test_rows_kept_as_given(self):
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0],
+                         [1.0 + 1e-13, 0.0], [1.0 + 1e-6, 0.0]])
+        v = VertexSet(rows)
+        np.testing.assert_array_equal(v.array, rows)
+        assert rows.flags.writeable  # a writable input is copied, not frozen
+
+    # A VertexSet keeps repeats; the vertex sets the enumerators build have
+    # none, because equal entries are one class before any row is listed.
     def test_exact_duplicates_removed(self):
-        v = VertexSet(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
-        assert len(v) == 2
+        v = enumerate_sign_perm_vertices([1.0, 0.0, 1.0])
+        assert len(v) == 12  # 2^2 * 3! / 2!, not 2^2 * 3!
+        assert len(np.unique(v.array, axis=0)) == 12
 
     def test_tolerance_duplicates_removed(self):
-        v = VertexSet(np.array([[1.0, 0.0], [1.0 + 1e-13, 0.0], [1.0 + 1e-6, 0.0]]))
-        assert len(v) == 2
+        assert len(enumerate_sign_perm_vertices([1.0, 1.0 + 1e-13])) == 4
+        assert len(enumerate_sign_perm_vertices([-1.0, 1.0 + 1e-13])) == 4
+        assert len(enumerate_sign_perm_vertices([1.0, 1.0 + 1e-6])) == 8
 
     def test_points_are_read_only(self):
         v = VertexSet(np.array([[1.0, 2.0]]))
@@ -111,7 +126,8 @@ class TestCrossPolytopeSpec:
     def test_degenerate_scale_zero(self):
         spec = CrossPolytopeSpec(2, 0.0, EuclideanPoint([1.0, 1.0]))
         assert spec.volume() == 0.0
-        assert len(spec.vertices()) == 1  # all vertices collapse to the center
+        v = spec.vertices()  # all 2n vertices collapse to the center
+        np.testing.assert_array_equal(v.array, np.ones((4, 2)))
 
 
 class TestConvexCombination:
@@ -174,6 +190,39 @@ def test_enumerate_matches_count_randomized():
         assert len(got) == expected
 
 
+# Ties, near-ties (+-1e-13) and near-zeros: every entry is a grid value
+# plus an offset far below the 1e-12 class tolerance.
+_GRID = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+_OFFSET = st.sampled_from([0.0, 1e-13, -1e-13])
+_ENTRY = st.tuples(_GRID, _OFFSET).map(sum)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["signed", "unsigned", "complex"]),
+       re=st.lists(_ENTRY, min_size=2, max_size=5),
+       im=st.lists(_ENTRY, min_size=5, max_size=5))
+def test_enumeration_counts_distinct_members(kind, re, im):
+    a = np.array(re)
+    if kind == "signed":
+        V = enumerate_sign_perm_vertices(a).array
+        count = count_sign_perm_vertices(a)
+        assert all(sign_perm_member(v, a) for v in V)
+    elif kind == "unsigned":
+        V = enumerate_perm_vertices(a).array
+        with pytest.raises(EnumerationTooLargeError) as exc:
+            enumerate_perm_vertices(a, cap=len(V) - 1)
+        count = exc.value.count
+        assert all(rado_member(v, a) for v in V)
+    else:
+        amps = a + 1j * np.array(im[:a.size])
+        assume(np.abs(amps).max() >= 0.5)
+        res = enumerate_pure_sign_perms(PureState.normalized(amps)[0])
+        V = res.amplitudes.view(float)
+        count = res.total
+    assert count == len(V)
+    assert len(np.unique(V, axis=0)) == len(V)
+
+
 def test_enumerate_outputs_are_members():
     a = np.array([1.0, -2.0, 0.5])
     for v in enumerate_sign_perm_vertices(a):
@@ -181,10 +230,23 @@ def test_enumerate_outputs_are_members():
 
 
 def test_enumerate_deterministic_order():
-    a = [1.0, 2.0, 0.0]
-    first = enumerate_sign_perm_vertices(a).array
-    second = enumerate_sign_perm_vertices(a).array
-    np.testing.assert_array_equal(first, second)
+    # lexicographic arrangements of the class codes (0 for the zero, then
+    # 1.0, 2.0), signs toggled from all-positive, the last slot fastest
+    rows = [[0, 1, 2], [0, 1, -2], [0, -1, 2], [0, -1, -2],
+            [0, 2, 1], [0, 2, -1], [0, -2, 1], [0, -2, -1],
+            [1, 0, 2], [1, 0, -2], [-1, 0, 2], [-1, 0, -2],
+            [1, 2, 0], [1, -2, 0], [-1, 2, 0], [-1, -2, 0],
+            [2, 0, 1], [2, 0, -1], [-2, 0, 1], [-2, 0, -1],
+            [2, 1, 0], [2, -1, 0], [-2, 1, 0], [-2, -1, 0]]
+    got = enumerate_sign_perm_vertices([1.0, 2.0, 0.0]).array
+    assert got.tobytes() == np.array(rows, dtype=float).tobytes()
+
+
+def test_enumerate_sign_rows_beyond_one_block():
+    # 2^16 sign rows of one arrangement span several blocks, in order
+    got = enumerate_sign_perm_vertices(np.ones(16)).array
+    want = np.array(list(itertools.product((1.0, -1.0), repeat=16)))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_enumeration_cap():
@@ -201,6 +263,12 @@ def test_enumerate_perm_vertices():
     assert len(enumerate_perm_vertices([1.0, 1.0, 2.0])) == 3
     with pytest.raises(EnumerationTooLargeError):
         enumerate_perm_vertices(list(range(12)), cap=100)
+
+
+def test_enumerate_perm_vertices_counts_what_it_lists():
+    # a near-tie is one value for the cap check and the listing alike
+    v = enumerate_perm_vertices([1.0, 1.0 + 1e-13], cap=1)
+    assert len(v) == 1
 
 
 # ---------------------------------------------------------------- LP route

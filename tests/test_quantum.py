@@ -177,10 +177,12 @@ def test_chart_covers_nonpositive_hermitian_matrices():
     c = to_coords(M)
     np.testing.assert_allclose(from_coords(c), M, atol=1e-14)
     # ... but rejects wrong trace or non-Hermitian input
-    with pytest.raises(StateValidationError):
+    with pytest.raises(StateValidationError) as exc:
         to_coords(np.eye(2).astype(complex) * 0.75)
-    with pytest.raises(StateValidationError):
+    assert exc.value.kind == "bad-trace"
+    with pytest.raises(StateValidationError) as exc:
         to_coords(np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex))
+    assert exc.value.kind == "not-hermitian"
 
 
 def test_from_coords_center_is_maximally_mixed():
