@@ -34,9 +34,7 @@ from .geometry import (
     ENUMERATION_CAP,
     ConvexCombination,
     CrossPolytopeSpec,
-    Hyperplane,
     VertexSet,
-    affinely_independent,
     ball_volume,
     count_sign_perm_vertices,
     cross_polytope_volume,
@@ -45,23 +43,18 @@ from .geometry import (
     hull_member_lp,
     hulls_disjoint,
     insphere_radius,
-    permutahedron_hyperplane,
 )
 from .majorization import (
     DEFAULT_TOL,
-    EuclideanPoint,
-    SignedPermutation,
     majorizes,
     rado_member,
     sign_perm_member,
-    sort_desc,
     weakly_majorized,
 )
 from .quantum import (
     DensityMatrix,
     PureEnumeration,
     PureState,
-    StateCoords,
     enumerate_pure_sign_perms,
     from_coords,
     hs_distance,
@@ -87,20 +80,15 @@ __all__ = [
     "DensityMatrix",
     "DimensionMismatchError",
     "EnumerationTooLargeError",
-    "EuclideanPoint",
     "FileFormatError",
-    "Hyperplane",
     "InsphereReport",
     "PureEnumeration",
     "PureState",
     "QuantumCrossPolytope",
-    "SignedPermutation",
     "SignpolyError",
     "SolverFailureError",
-    "StateCoords",
     "StateValidationError",
     "VertexSet",
-    "affinely_independent",
     "ball_volume",
     "certificate_holds",
     "count_sign_perm_vertices",
@@ -118,14 +106,12 @@ __all__ = [
     "majorizes",
     "make_canonical",
     "max_inscribed_cross_polytope",
-    "permutahedron_hyperplane",
     "pure_from_density",
     "purity",
     "rado_member",
     "robustness_fraction",
     "robustness_member",
     "sign_perm_member",
-    "sort_desc",
     "three_tangle",
     "to_coords",
     "traceless_hermitian_basis",

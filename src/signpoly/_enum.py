@@ -72,37 +72,53 @@ class SignClasses:
         return codes
 
 
-def sign_classes(values, zero_tol: float = ZERO_TOL, signed: bool = True) -> SignClasses:
+def sign_classes(values, signed: bool = True) -> SignClasses:
     """Group the entries of a real or complex vector into sign classes.
 
-    Entries of magnitude at most ``zero_tol`` are the zero class; the
-    rest are canonicalized (``v`` vs ``-v``), sorted, and chained into
-    groups whenever consecutive representatives differ by at most
-    ``zero_tol``.  Each group is snapped to its first value.  With
-    ``signed`` false the entries of a real vector are grouped as they
-    are, by the same chaining rule, with no zero class.
+    Entries of magnitude at most ``ZERO_TOL`` are the zero class; the
+    rest are canonicalized (``v`` vs ``-v``) and sorted.  Each entry
+    joins the first class whose value is within ``ZERO_TOL`` of it (of
+    it or of its negative, for complex entries) and is snapped to that
+    value; otherwise it starts a class.  Sorted reals can only join the
+    last class.  With ``signed`` false the entries of a real vector are
+    grouped as they are, by the same rule, with no zero class.
     """
     vals = list(values)
+    is_complex = False
     if not signed:
         nonzero = sorted(float(v) for v in vals)
     else:
         is_complex = any(isinstance(v, complex) or np.iscomplexobj(v) for v in vals)
         nonzero = [_canonical_rep(complex(v) if is_complex else float(v))
-                   for v in vals if abs(v) > zero_tol]
+                   for v in vals if abs(v) > ZERO_TOL]
     n_zero = len(vals) - len(nonzero)
-    if not nonzero:
-        return SignClasses(reps=[], counts=[], n_zero=n_zero)
-    key = (lambda z: (z.real, z.imag)) if isinstance(nonzero[0], complex) else (lambda x: x)
+    key = (lambda z: (z.real, z.imag)) if is_complex else (lambda x: x)
     nonzero.sort(key=key)
-    reps = [nonzero[0]]
-    counts = [1]
-    for v in nonzero[1:]:
-        if abs(v - reps[-1]) <= zero_tol:
-            counts[-1] += 1
-        else:
+    reps: list = []
+    counts: list[int] = []
+    for v in nonzero:
+        i = _class_of(v, reps, is_complex)
+        if i is None:
             reps.append(v)
             counts.append(1)
+        else:
+            counts[i] += 1
     return SignClasses(reps=reps, counts=counts, n_zero=n_zero, signed=signed)
+
+
+def _class_of(v, reps: list, is_complex: bool) -> int | None:
+    """Index of the class in ``reps`` that ``v`` joins, if any.
+
+    A canonical complex entry near the imaginary axis can land on either
+    side of it, so its class may sit anywhere in the sorted order and
+    match only up to sign.
+    """
+    if not is_complex:
+        return len(reps) - 1 if reps and abs(v - reps[-1]) <= ZERO_TOL else None
+    for i, r in enumerate(reps):
+        if min(abs(v - r), abs(v + r)) <= ZERO_TOL:
+            return i
+    return None
 
 
 def count_signed_arrangements(classes: SignClasses) -> int:

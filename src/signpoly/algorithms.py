@@ -27,7 +27,7 @@ from .geometry import (
     insphere_radius,
 )
 from .majorization import DEFAULT_TOL, weakly_majorized
-from .quantum import DensityMatrix, _chart_matrices, to_coords
+from .quantum import DensityMatrix, from_coords, to_coords
 from .simplex import minimize_nonneg
 
 #: Inscribed scales at or below this mark the polytope as degenerate.
@@ -140,8 +140,7 @@ class QuantumCrossPolytope:
 
     def vertex_states(self) -> list[DensityMatrix]:
         """The vertices reconstructed and validated as density matrices."""
-        return [DensityMatrix(M)
-                for M in _chart_matrices(self._vertices.array, self.dim)]
+        return [DensityMatrix(M) for M in from_coords(self._vertices.array)]
 
     def volume(self) -> float:
         return self.spec.volume()
@@ -172,11 +171,11 @@ def max_inscribed_cross_polytope(
     within ``lp_tol``; a larger residual raises
     :class:`~signpoly.errors.SolverFailureError`.
     """
-    center = to_coords(decomposition.target).point
-    n = center.dim
+    center = to_coords(decomposition.target)
+    n = center.size
     translated = np.array(
-        [to_coords(m).point.coords for m in decomposition.members]
-    ) - center.coords
+        [to_coords(m) for m in decomposition.members]
+    ) - center
     m = len(translated)
 
     # Columns [w | t]; rows [V^T w - t s e_k = 0 | sum w = 1].
@@ -222,7 +221,7 @@ def max_inscribed_cross_polytope(
         binding_sign=1 if binding < n else -1,
         hyperplane=hyperplane,
     )
-    spec = CrossPolytopeSpec(dimension=n, scale=alpha, center=center)
+    spec = CrossPolytopeSpec(scale=alpha, center=center)
     return QuantumCrossPolytope(spec, decomposition,
                                 degenerate=alpha <= tol_alpha,
                                 certificate=certificate)
@@ -244,10 +243,8 @@ def certificate_holds(poly: QuantumCrossPolytope,
     of 0 carries no hyperplane.
     """
     cert = poly.certificate
-    center = to_coords(poly.provenance.target).point.coords
-    V = np.array(
-        [to_coords(m).point.coords for m in poly.provenance.members]
-    ) - center
+    center = to_coords(poly.provenance.target)
+    V = np.array([to_coords(m) for m in poly.provenance.members]) - center
     n = V.shape[1]
     alpha = poly.alpha
     binding = cert.binding_axis + (0 if cert.binding_sign > 0 else n)
@@ -289,7 +286,7 @@ def robustness_member(
         )
     if alpha < 0.0:
         raise ValueError("alpha must be nonnegative")
-    c = to_coords(probe).point.coords - to_coords(center).point.coords
+    c = to_coords(probe) - to_coords(center)
     anchor = np.zeros(c.size)
     anchor[0] = alpha
     return weakly_majorized(np.abs(c), anchor, tol=tol)

@@ -170,11 +170,10 @@ def _emit(report: dict, fmt: str) -> None:
             print(f"{key}: {_render_value(value)}")
 
 
-def _pure_state_from(loaded: LoadedState, tol: float) -> PureState:
+def _pure_state_from(loaded: LoadedState) -> PureState:
     if loaded.amplitudes is not None:
         return PureState(loaded.amplitudes)
-    rho = validate_state(loaded.matrix, tol=tol)
-    return pure_from_density(rho)
+    return pure_from_density(validate_state(loaded.matrix))
 
 
 def _amplitude_pairs(amplitudes: np.ndarray) -> list[list[float]]:
@@ -184,7 +183,7 @@ def _amplitude_pairs(amplitudes: np.ndarray) -> list[list[float]]:
 def cmd_enumerate(args) -> int:
     cap = _resolve_cap(args)
     loaded = load_state(args.file)
-    psi = _pure_state_from(loaded, args.tol)
+    psi = _pure_state_from(loaded)
     result = enumerate_pure_sign_perms(
         psi, filter=args.filter, target=args.target, tol=args.tol, cap=cap
     )
@@ -206,7 +205,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_tangle(args) -> int:
     loaded = load_state(args.file)
-    psi = _pure_state_from(loaded, args.tol)
+    psi = _pure_state_from(loaded)
     tau = three_tangle(psi)
     report = {"command": "tangle", "dim": psi.dim, "tau3": tau}
     if loaded.norm is not None:
@@ -254,7 +253,7 @@ def cmd_construct(args) -> int:
         rng = np.random.default_rng(args.seed)
         hits = 0
         verts = vertices.array
-        center = poly.spec.center.coords
+        center = poly.spec.center
         # The membership test of robustness_member, on chart coordinates.
         anchor = np.zeros(center.size)
         anchor[0] = alpha
@@ -276,7 +275,7 @@ def cmd_check(args) -> int:
     center = validate_state(load_state(args.center).matrix)
     probe = validate_state(load_state(args.probe).matrix)
     member = robustness_member(probe, center, args.alpha, tol=args.tol)
-    c = (to_coords(probe).point.coords - to_coords(center).point.coords)
+    c = to_coords(probe) - to_coords(center)
     d = center.dim
     report = {
         "command": "check",

@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import _enum
-from ._enum import ZERO_TOL
 from .errors import DimensionMismatchError, EnumerationTooLargeError, SolverFailureError
-from .majorization import DEFAULT_TOL, EuclideanPoint, PointLike, as_coords
+from .majorization import DEFAULT_TOL, as_coords
 from .simplex import feasible_nonneg
 
 #: Default ceiling on the number of vertices an enumeration may produce.
@@ -30,15 +30,14 @@ class VertexSet:
     Points are stored as the rows of a read-only ``(m, n)`` array, in the
     order given and with any repeats kept: neither a hull nor the LP
     depends on them.  A read-only float array is held without a copy;
-    anything else is copied.
+    anything else (an array or a sequence of points) is copied.
     """
 
     __slots__ = ("_points",)
 
     def __init__(self, points):
-        if not isinstance(points, np.ndarray):
-            arr = np.array([as_coords(p) for p in points], dtype=float)
-        elif points.dtype == float and not points.flags.writeable:
+        if (isinstance(points, np.ndarray) and points.dtype == float
+                and not points.flags.writeable):
             arr = points
         else:
             arr = np.array(points, dtype=float)
@@ -61,69 +60,46 @@ class VertexSet:
     def __len__(self) -> int:
         return self._points.shape[0]
 
-    def __getitem__(self, i: int) -> EuclideanPoint:
-        return EuclideanPoint(self._points[i])
+    def __getitem__(self, i: int) -> np.ndarray:
+        """Vertex ``i`` as a read-only row of :attr:`array`."""
+        return self._points[i]
 
     def __iter__(self):
-        for row in self._points:
-            yield EuclideanPoint(row)
+        return iter(self._points)
 
     def __repr__(self) -> str:
         return f"VertexSet({len(self)} points in R^{self.dim})"
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """The affine hyperplane ``<normal, x> = offset``."""
-
-    normal: EuclideanPoint
-    offset: float
-
-    def __post_init__(self):
-        if not np.any(self.normal.coords != 0.0):
-            raise ValueError("hyperplane normal must be nonzero")
-
-    def value(self, p: PointLike) -> float:
-        """Evaluate ``<normal, p> - offset``."""
-        arr = as_coords(p)
-        if arr.size != self.normal.dim:
-            raise DimensionMismatchError(
-                f"point dimension {arr.size} != normal dimension {self.normal.dim}"
-            )
-        return float(self.normal.coords @ arr - self.offset)
-
-    def contains(self, p: PointLike, tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.value(p)) <= tol
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossPolytopeSpec:
     """An axis-aligned cross-polytope: ``center ± scale * e_k``.
 
     ``scale`` is the circumradius (half the axis diagonal); volume,
-    insphere radius and edge length follow in closed form.
+    insphere radius and edge length follow in closed form.  ``center``
+    is copied into a read-only float array, whose length is the
+    dimension.
     """
 
-    dimension: int
     scale: float
-    center: EuclideanPoint
+    center: np.ndarray
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        if not (self.scale >= 0.0 and math.isfinite(self.scale)):
-            raise ValueError("scale must be a finite nonnegative real")
-        if self.center.dim != self.dimension:
-            raise DimensionMismatchError(
-                f"center has dimension {self.center.dim}, expected {self.dimension}"
-            )
+        center = np.array(as_coords(self.center))
+        if not np.all(np.isfinite(center)):
+            raise ValueError("center coordinates must be finite")
+        _check_dim_scale(center.size, self.scale)
+        center.setflags(write=False)
+        object.__setattr__(self, "center", center)
+
+    @property
+    def dimension(self) -> int:
+        return self.center.size
 
     def vertices(self) -> VertexSet:
         """The 2n vertex points ``center ± scale * e_k``."""
-        n = self.dimension
-        eye = np.eye(n) * self.scale
-        pts = np.vstack([self.center.coords + eye, self.center.coords - eye])
-        return VertexSet(pts)
+        eye = np.eye(self.dimension) * self.scale
+        return VertexSet(np.vstack([self.center + eye, self.center - eye]))
 
     def volume(self) -> float:
         return cross_polytope_volume(self.dimension, self.scale)
@@ -164,18 +140,21 @@ class ConvexCombination:
     def weights(self) -> np.ndarray:
         return self._weights
 
-    def combine(self, vertices: VertexSet) -> EuclideanPoint:
-        """The weighted point ``sum_i w_i * vertices[indices[i]]``."""
+    def combine(self, vertices: VertexSet) -> np.ndarray:
+        """The weighted point ``sum_i w_i * vertices[indices[i]]``, as a
+        read-only array."""
         arr = vertices.array
         if max(self._indices) >= len(arr):
             raise IndexError("combination indexes past the vertex set")
-        return EuclideanPoint(self._weights @ arr[list(self._indices)])
+        point = self._weights @ arr[list(self._indices)]
+        point.setflags(write=False)
+        return point
 
     def __repr__(self) -> str:
         return f"ConvexCombination({len(self._indices)} vertices)"
 
 
-def count_sign_perm_vertices(a: PointLike, zero_tol: float = ZERO_TOL) -> int:
+def count_sign_perm_vertices(a: ArrayLike) -> int:
     """Number of distinct signed permutations of ``a``, exactly.
 
     With ``m`` nonzero entries whose distinct absolute values have
@@ -183,16 +162,11 @@ def count_sign_perm_vertices(a: PointLike, zero_tol: float = ZERO_TOL) -> int:
     ``2^m * n! / (m_1! ... m_k! * (n-m)!)``, evaluated in integer
     arithmetic.
     """
-    arr = as_coords(a)
-    classes = _enum.sign_classes(arr, zero_tol=zero_tol)
+    classes = _enum.sign_classes(as_coords(a))
     return _enum.count_signed_arrangements(classes)
 
 
-def enumerate_sign_perm_vertices(
-    a: PointLike,
-    cap: int = ENUMERATION_CAP,
-    zero_tol: float = ZERO_TOL,
-) -> VertexSet:
+def enumerate_sign_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> VertexSet:
     """All distinct signed permutations of ``a`` as a vertex set.
 
     The count is computed first; exceeding ``cap`` raises
@@ -201,10 +175,10 @@ def enumerate_sign_perm_vertices(
     signs toggled from all-positive).
     """
     arr = as_coords(a)
-    return _vertex_set(_enum.sign_classes(arr, zero_tol=zero_tol), arr.size, cap)
+    return _vertex_set(_enum.sign_classes(arr), arr.size, cap)
 
 
-def enumerate_perm_vertices(a: PointLike, cap: int = ENUMERATION_CAP) -> VertexSet:
+def enumerate_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> VertexSet:
     """All distinct coordinate permutations of ``a`` (no sign flips), in
     lexicographic order.  Entries within ``ZERO_TOL`` of each other are
     one value, for the count and the listing alike."""
@@ -228,7 +202,7 @@ def _vertex_set(classes: _enum.SignClasses, n: int, cap: int) -> VertexSet:
 
 
 def hull_member_lp(
-    x: PointLike,
+    x: ArrayLike,
     vertices: VertexSet | np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> tuple[bool, ConvexCombination | None]:
@@ -264,7 +238,7 @@ def hull_member_lp(
     return True, combo
 
 
-def hulls_disjoint(a: PointLike, b: PointLike, tol: float = DEFAULT_TOL) -> bool:
+def hulls_disjoint(a: ArrayLike, b: ArrayLike, tol: float = DEFAULT_TOL) -> bool:
     """Whether the permutation hulls of ``a`` and ``b`` are disjoint.
 
     Each hull lies in the hyperplane of constant coordinate sum, so the
@@ -310,26 +284,3 @@ def _check_dim_scale(n: int, scale: float) -> None:
         raise ValueError("dimension must be at least 1")
     if not (scale >= 0.0 and math.isfinite(scale)):
         raise ValueError("scale must be a finite nonnegative real")
-
-
-def affinely_independent(vertices: VertexSet, rel_tol: float = DEFAULT_TOL) -> bool:
-    """Whether the points of ``vertices`` are affinely independent.
-
-    Checked through the rank of the homogeneous lift: append a 1 to each
-    point and count singular values above ``rel_tol`` times the largest.
-    """
-    pts = vertices.array
-    lifted = np.hstack([pts, np.ones((len(pts), 1))])
-    s = np.linalg.svd(lifted, compute_uv=False)
-    if s[0] == 0.0:
-        return len(pts) == 1
-    rank = int(np.sum(s > rel_tol * s[0]))
-    return rank == len(pts)
-
-
-def permutahedron_hyperplane(n: int) -> Hyperplane:
-    """The hyperplane containing every permutation of ``(1, 2, ..., n)``:
-    all-ones normal with offset ``n(n+1)/2``."""
-    if n < 2:
-        raise ValueError("a permutahedron hyperplane needs dimension >= 2")
-    return Hyperplane(EuclideanPoint(np.ones(n)), offset=n * (n + 1) / 2.0)

@@ -15,6 +15,10 @@ between matrices.  Basis order for dimension d:
    ``l = 1 .. d-1``.
 
 For ``d = 2`` this is exactly ``(sigma_x, sigma_y, sigma_z) / sqrt(2)``.
+
+Chart points are plain float arrays: :func:`to_coords` maps one matrix
+to a read-only ``(d*d - 1,)`` vector, and :func:`from_coords` maps any
+stack ``(..., d*d - 1)`` of them back to ``(..., d, d)`` matrices.
 """
 
 from __future__ import annotations
@@ -31,12 +35,11 @@ from .errors import (
     StateValidationError,
 )
 from .geometry import ENUMERATION_CAP
-from .majorization import DEFAULT_TOL, EuclideanPoint
+from .majorization import DEFAULT_TOL
 
-#: Tolerances for the density-matrix invariants.
-HERMITIAN_TOL = 1e-9
-TRACE_TOL = 1e-9
-PSD_TOL = 1e-9
+#: Tolerance for the density-matrix invariants (Hermitian, unit trace,
+#: positive semidefinite).
+STATE_TOL = 1e-9
 #: Unit-norm tolerance for pure-state amplitude vectors.
 NORM_TOL = 1e-9
 #: How far a purity may sit below 1 for a matrix to count as pure.
@@ -44,42 +47,34 @@ PURITY_TOL = 1e-8
 
 
 @functools.lru_cache(maxsize=None)
-def traceless_hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
-    """The d*d - 1 orthonormal traceless Hermitian basis matrices.
+def traceless_hermitian_basis(d: int) -> np.ndarray:
+    """The d*d - 1 orthonormal traceless Hermitian basis matrices, as
+    one ``(d*d - 1, d, d)`` complex array.
 
-    Cached per dimension; every matrix is returned read-only.
+    Cached per dimension and returned read-only.
     """
     if d < 2:
         raise ValueError("basis needs dimension >= 2")
-    mats: list[np.ndarray] = []
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for j in range(d):
-        for k in range(j + 1, d):
-            B = np.zeros((d, d), dtype=complex)
-            B[j, k] = inv_sqrt2
-            B[k, j] = inv_sqrt2
-            mats.append(B)
-    for j in range(d):
-        for k in range(j + 1, d):
-            B = np.zeros((d, d), dtype=complex)
-            B[j, k] = -1j * inv_sqrt2
-            B[k, j] = 1j * inv_sqrt2
-            mats.append(B)
-    for l in range(1, d):
-        B = np.zeros((d, d), dtype=complex)
-        norm = 1.0 / math.sqrt(l * (l + 1))
-        for j in range(l):
-            B[j, j] = norm
-        B[l, l] = -l * norm
-        mats.append(B)
-    for B in mats:
-        B.setflags(write=False)
-    return tuple(mats)
+    j, k = np.triu_indices(d, 1)
+    off = np.arange(j.size)
+    basis = np.zeros((d * d - 1, d, d), dtype=complex)
+    basis[off, j, k] = basis[off, k, j] = inv_sqrt2
+    basis[off + j.size, j, k] = -1j * inv_sqrt2
+    basis[off + j.size, k, j] = 1j * inv_sqrt2
+    # Row l - 1 of diag is (1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1)).
+    l = np.arange(1, d)
+    diag = np.tri(d - 1, d)
+    diag[l - 1, l] = -l
+    norm = 1.0 / np.sqrt(l * (l + 1))
+    basis[2 * j.size:, np.arange(d), np.arange(d)] = diag * norm[:, None]
+    basis.setflags(write=False)
+    return basis
 
 
 class DensityMatrix:
     """A validated density matrix: Hermitian, unit trace, positive
-    semidefinite (each within a small tolerance).
+    semidefinite (each within ``tol``).
 
     Construction performs the checks and raises
     :class:`~signpoly.errors.StateValidationError` describing the first
@@ -88,25 +83,19 @@ class DensityMatrix:
 
     __slots__ = ("_mat",)
 
-    def __init__(
-        self,
-        matrix,
-        hermitian_tol: float = HERMITIAN_TOL,
-        trace_tol: float = TRACE_TOL,
-        psd_tol: float = PSD_TOL,
-    ):
+    def __init__(self, matrix, tol: float = STATE_TOL):
         M = np.array(matrix, dtype=complex)
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 2:
             raise StateValidationError(
                 "not-square", 0.0,
                 f"expected a square matrix of dimension >= 2, got shape {M.shape}",
             )
-        _check_hermitian_unit_trace(M, hermitian_tol, trace_tol)
+        _check_hermitian_unit_trace(M, tol)
         lam_min = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0).min())
-        if lam_min < -psd_tol:
+        if lam_min < -tol:
             raise StateValidationError(
                 "not-psd", lam_min,
-                f"smallest eigenvalue {lam_min:.3e} is below -{psd_tol:.1e}",
+                f"smallest eigenvalue {lam_min:.3e} is below -{tol:.1e}",
             )
         M.setflags(write=False)
         self._mat = M
@@ -124,32 +113,31 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def _check_hermitian_unit_trace(M: np.ndarray, hermitian_tol: float,
-                                trace_tol: float) -> None:
+def _check_hermitian_unit_trace(M: np.ndarray, tol: float) -> None:
     """Raise ``StateValidationError`` unless the square matrix ``M`` is
-    Hermitian and of unit trace within the given tolerances."""
+    Hermitian and of unit trace within ``tol``."""
     herm_dev = float(np.max(np.abs(M - M.conj().T)))
-    if herm_dev > hermitian_tol:
+    if herm_dev > tol:
         raise StateValidationError(
             "not-hermitian", herm_dev,
             f"matrix deviates from Hermitian by {herm_dev:.3e}",
         )
     trace_dev = abs(complex(np.trace(M)) - 1.0)
-    if trace_dev > trace_tol:
+    if trace_dev > tol:
         raise StateValidationError(
             "bad-trace", float(trace_dev),
             f"trace deviates from 1 by {trace_dev:.3e}",
         )
 
 
-def validate_state(matrix, tol: float = HERMITIAN_TOL) -> DensityMatrix:
+def validate_state(matrix, tol: float = STATE_TOL) -> DensityMatrix:
     """Check the density-matrix invariants and wrap the matrix.
 
     ``tol`` is applied to the Hermiticity and trace checks and to the
     eigenvalue floor.  Raises ``StateValidationError`` with a structured
     ``kind`` and violation ``magnitude`` on failure.
     """
-    return DensityMatrix(matrix, hermitian_tol=tol, trace_tol=tol, psd_tol=tol)
+    return DensityMatrix(matrix, tol=tol)
 
 
 class PureState:
@@ -157,12 +145,12 @@ class PureState:
 
     __slots__ = ("_amps",)
 
-    def __init__(self, amplitudes, norm_tol: float = NORM_TOL):
+    def __init__(self, amplitudes):
         amps = np.array(amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 2:
             raise ValueError("amplitudes must form a 1-d vector of length >= 2")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > norm_tol:
+        if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes must have unit norm, got {norm!r}")
         amps.setflags(write=False)
         self._amps = amps
@@ -196,31 +184,15 @@ class PureState:
         return f"PureState(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class StateCoords:
-    """A point in the coordinate chart together with the matrix dimension
-    it came from (the point lives in R^(dim^2 - 1))."""
-
-    point: EuclideanPoint
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be at least 2")
-        if self.point.dim != self.dim * self.dim - 1:
-            raise ValueError(
-                f"expected {self.dim * self.dim - 1} coordinates, got {self.point.dim}"
-            )
-
-
 def purity(rho: DensityMatrix | np.ndarray) -> float:
     """``Tr(rho^2)`` as a real number."""
     M = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, complex)
     return float(np.real(np.sum(M * M.T)))
 
 
-def to_coords(rho: DensityMatrix | np.ndarray) -> StateCoords:
-    """Coordinates of a matrix in the orthonormal traceless basis.
+def to_coords(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+    """Coordinates of a matrix in the orthonormal traceless basis, as a
+    read-only ``(d*d - 1,)`` array.
 
     Accepts any Hermitian unit-trace matrix (validated to 1e-9), not
     only positive ones: the chart is defined on the whole hyperplane of
@@ -235,33 +207,32 @@ def to_coords(rho: DensityMatrix | np.ndarray) -> StateCoords:
             raise StateValidationError(
                 "not-square", 0.0, f"expected a square matrix, got shape {M.shape}"
             )
-        _check_hermitian_unit_trace(M, HERMITIAN_TOL, TRACE_TOL)
+        _check_hermitian_unit_trace(M, STATE_TOL)
     d = M.shape[0]
-    basis = traceless_hermitian_basis(d)
-    coords = np.empty(d * d - 1)
-    for i, B in enumerate(basis):
-        coords[i] = float(np.real(np.sum(M * B.T)))  # Tr(M B), B Hermitian
-    return StateCoords(EuclideanPoint(coords), d)
+    basis = traceless_hermitian_basis(d).reshape(d * d - 1, d * d)
+    # Tr(M B) = sum_jk M_jk conj(B_jk) for Hermitian B, and conjugating
+    # the sum leaves its real part unchanged.
+    coords = (basis @ M.conj().reshape(d * d)).real
+    coords.setflags(write=False)
+    return coords
 
 
-def from_coords(coords: StateCoords) -> np.ndarray:
-    """The Hermitian unit-trace matrix with the given coordinates.
+def from_coords(coords) -> np.ndarray:
+    """The Hermitian unit-trace matrices with the given chart coordinates.
 
-    The result is not validated as a state: far-out coordinate vectors
-    produce indefinite matrices, which is exactly what membership tests
-    need to detect.
+    ``coords`` has shape ``(..., d*d - 1)`` and the result shape
+    ``(..., d, d)``; d is inferred from the last axis, and any other
+    length raises ``ValueError``.  The result is not validated as a
+    state: far-out coordinate vectors produce indefinite matrices,
+    which is exactly what membership tests need to detect.
     """
-    return _chart_matrices(coords.point.coords[None, :], coords.dim)[0]
-
-
-def _chart_matrices(coords: np.ndarray, d: int) -> np.ndarray:
-    """The ``(N, d, d)`` stack of Hermitian unit-trace matrices whose
-    chart coordinates are the rows of the ``(N, d^2 - 1)`` array
-    ``coords``."""
-    M = np.empty((len(coords), d, d), dtype=complex)
-    M[:] = np.eye(d) / d
-    for c, B in zip(coords.T, traceless_hermitian_basis(d)):
-        M += c[:, None, None] * B
+    c = np.asarray(coords, dtype=float)
+    n = c.shape[-1] if c.ndim else 0
+    d = math.isqrt(n + 1)
+    if d < 2 or d * d - 1 != n:
+        raise ValueError(f"{n} chart coordinates is not d*d - 1 for any d >= 2")
+    M = np.tensordot(c, traceless_hermitian_basis(d), axes=1)
+    M += np.eye(d) / d
     return M
 
 
@@ -274,15 +245,15 @@ def hs_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) ->
     return float(np.linalg.norm(Ma - Mb))
 
 
-def pure_from_density(rho: DensityMatrix, purity_tol: float = PURITY_TOL) -> PureState:
+def pure_from_density(rho: DensityMatrix) -> PureState:
     """Extract the amplitude vector of a rank-one density matrix.
 
     The leading eigenvector is phase-fixed by making its largest-modulus
     component real and positive.  Raises ``ValueError`` when the purity
-    falls below ``1 - purity_tol``.
+    falls below ``1 - PURITY_TOL``.
     """
     p = purity(rho)
-    if p < 1.0 - purity_tol:
+    if p < 1.0 - PURITY_TOL:
         raise ValueError(f"matrix is not pure: purity {p!r}")
     w, v = np.linalg.eigh(rho.matrix)
     vec = v[:, -1]
@@ -399,7 +370,7 @@ def enumerate_pure_sign_perms(
     if target == "amplitudes":
         classes = _enum.sign_classes(psi.amplitudes)
     else:
-        classes = _enum.sign_classes(to_coords(psi.to_density()).point.coords)
+        classes = _enum.sign_classes(to_coords(psi.to_density()))
     total = _enum.count_signed_arrangements(classes)
     if total > cap:
         raise EnumerationTooLargeError(total, cap)
@@ -418,8 +389,8 @@ def enumerate_pure_sign_perms(
 def _pure_chart_states(coords: np.ndarray, d: int, tol: float) -> np.ndarray:
     """Amplitude vectors, one per row, of the chart points in ``coords``
     whose matrices are states (smallest eigenvalue at least ``-tol``)."""
-    M = _chart_matrices(coords, d)
+    M = from_coords(coords)
     M = M[np.linalg.eigvalsh(M).min(axis=1) >= -tol]
-    states = [pure_from_density(DensityMatrix(m, psd_tol=max(tol, PSD_TOL))).amplitudes
+    states = [pure_from_density(DensityMatrix(m, tol=max(tol, STATE_TOL))).amplitudes
               for m in M]
     return np.array(states, dtype=complex).reshape(len(states), d)

@@ -95,7 +95,7 @@ def test_02_cuboctahedron_from_bloch_vector(criterion):
     with criterion(2, "cuboctahedron 12 vertices", 1.0):
         psi = PureState(np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)]))
         np.testing.assert_allclose(
-            to_coords(psi.to_density()).point.coords,
+            to_coords(psi.to_density()),
             [0.5, 0.0, 0.5], atol=1e-12)
         result = enumerate_pure_sign_perms(psi, filter="any-pure", target="bloch")
         assert result.total == 12
@@ -227,8 +227,7 @@ def test_10_chart_isometry(criterion):
             for _ in range(50):
                 rho = _random_density(rng, d)
                 sigma = _random_density(rng, d)
-                gap = np.linalg.norm(to_coords(rho).point.coords
-                                     - to_coords(sigma).point.coords)
+                gap = np.linalg.norm(to_coords(rho) - to_coords(sigma))
                 assert abs(hs_distance(rho, sigma) - gap) <= 1e-10
 
 

@@ -11,9 +11,7 @@ from signpoly import (
     DecompositionError,
     DecompositionInput,
     DensityMatrix,
-    EuclideanPoint,
     CrossPolytopeSpec,
-    StateCoords,
     certificate_holds,
     cross_polytope_volume,
     from_coords,
@@ -32,7 +30,7 @@ MIXED_2 = np.eye(2, dtype=complex) / 2
 
 def _qubit_state(coords3):
     """State with the given chart coordinates (must stay positive)."""
-    return DensityMatrix(from_coords(StateCoords(EuclideanPoint(coords3), 2)))
+    return DensityMatrix(from_coords(coords3))
 
 
 def _octahedral_decomposition(r=0.4):
@@ -128,9 +126,8 @@ def test_result_optimality_certificates():
     fails it (monotone containment makes these two checks sufficient)."""
     dec = _cube_decomposition(0.3)
     poly = max_inscribed_cross_polytope(dec, tol_alpha=1e-8)
-    center = to_coords(dec.target).point.coords
-    translated = np.array(
-        [to_coords(m).point.coords for m in dec.members]) - center
+    center = to_coords(dec.target)
+    translated = np.array([to_coords(m) for m in dec.members]) - center
 
     def contained(alpha):
         n = translated.shape[1]
@@ -169,8 +166,8 @@ def _oracle_alpha(dec):
     members, as one exact LP for an external solver: a weight vector
     ``w_j >= 0`` with ``V^T w_j = t s_j e_k`` and ``sum w_j = 1`` for
     each of the 2n rays j, all sharing t."""
-    center = to_coords(dec.target).point.coords
-    V = np.array([to_coords(m).point.coords for m in dec.members]) - center
+    center = to_coords(dec.target)
+    V = np.array([to_coords(m) for m in dec.members]) - center
     m, n = V.shape
     rays = 2 * n
     A = np.zeros((rays * (n + 1), rays * m + 1))
@@ -250,7 +247,7 @@ def test_certificate_checker_rejects_tampering():
     assert certificate_holds(poly)
     # a larger claimed scale breaks the primal side (no ray reaches it)
     bigger = dataclasses.replace(poly, spec=CrossPolytopeSpec(
-        3, poly.alpha + 1e-6, poly.spec.center))
+        poly.alpha + 1e-6, poly.spec.center))
     assert not certificate_holds(bigger)
     # so does a witness that misses its ray point
     bent = cert.witnesses.copy()
@@ -347,7 +344,7 @@ def test_robustness_member_agrees_with_lp_route():
     rng = np.random.default_rng(500)
     center = DensityMatrix(MIXED_2)
     alpha = 0.3
-    vertices = CrossPolytopeSpec(3, alpha, EuclideanPoint([0, 0, 0])).vertices()
+    vertices = CrossPolytopeSpec(alpha, [0, 0, 0]).vertices()
     disagreements = 0
     for _ in range(500):
         c = rng.uniform(-0.35, 0.35, size=3)

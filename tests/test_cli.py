@@ -327,6 +327,21 @@ def test_bad_tolerance_flags(ghz_file):
     assert main(["tangle", ghz_file, "--tol", "-1"]) == 2
 
 
+def test_state_files_validated_at_fixed_tolerance(tmp_path):
+    # --tol loosens membership, the LP and the filters, never the 1e-9
+    # validation of state files: a GHZ projector with an eigenvalue at
+    # -5e-6 is rejected by every subcommand that reads a state file.
+    ghz = np.zeros(8)
+    ghz[0] = ghz[7] = 1.0 / math.sqrt(2.0)
+    M = (1.0 + 5e-6) * np.outer(ghz, ghz)
+    M[1, 1] = -5e-6
+    bad = _state_file(tmp_path, "bad.json", M)
+    mixed = _state_file(tmp_path, "mixed.json", np.eye(8) / 8)
+    assert main(["enumerate", bad, "--tol", "1e-4"]) == 2
+    assert main(["tangle", bad, "--tol", "1e-4"]) == 2
+    assert main(["check", mixed, bad, "--alpha", "0.1", "--tol", "1e-4"]) == 2
+
+
 def test_python_dash_m_entry_point():
     import subprocess
     import sys

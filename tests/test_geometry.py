@@ -11,11 +11,8 @@ from signpoly import (
     CrossPolytopeSpec,
     DimensionMismatchError,
     EnumerationTooLargeError,
-    EuclideanPoint,
-    Hyperplane,
     PureState,
     VertexSet,
-    affinely_independent,
     ball_volume,
     count_sign_perm_vertices,
     cross_polytope_volume,
@@ -25,7 +22,6 @@ from signpoly import (
     hull_member_lp,
     hulls_disjoint,
     insphere_radius,
-    permutahedron_hyperplane,
     rado_member,
     sign_perm_member,
 )
@@ -39,7 +35,8 @@ class TestVertexSet:
         v = VertexSet(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert len(v) == 2
         assert v.dim == 2
-        assert v[1] == EuclideanPoint([3.0, 4.0])
+        np.testing.assert_array_equal(v[1], [3.0, 4.0])
+        assert not v[1].flags.writeable
         assert [tuple(p) for p in v] == [(1.0, 2.0), (3.0, 4.0)]
 
     def test_rows_kept_as_given(self):
@@ -73,58 +70,51 @@ class TestVertexSet:
             VertexSet(np.array([[np.inf, 0.0]]))
 
     def test_accepts_point_iterables(self):
-        v = VertexSet([EuclideanPoint([1, 2]), [3, 4]])
+        v = VertexSet([np.array([1, 2]), [3, 4]])
         assert len(v) == 2
-
-
-class TestHyperplane:
-    def test_value_and_contains(self):
-        h = Hyperplane(EuclideanPoint([1.0, 1.0]), 3.0)
-        assert h.value([1.0, 2.0]) == 0.0
-        assert h.contains([1.0, 2.0])
-        assert not h.contains([1.0, 2.5])
-        assert h.value([0.0, 0.0]) == -3.0
-
-    def test_rejects_zero_normal(self):
-        with pytest.raises(ValueError):
-            Hyperplane(EuclideanPoint([0.0, 0.0]), 1.0)
-
-    def test_dimension_mismatch(self):
-        h = Hyperplane(EuclideanPoint([1.0, 0.0]), 0.0)
-        with pytest.raises(DimensionMismatchError):
-            h.value([1.0, 2.0, 3.0])
 
 
 class TestCrossPolytopeSpec:
     def test_vertices(self):
-        spec = CrossPolytopeSpec(3, 0.4, EuclideanPoint([0.0, 0.0, 0.0]))
+        spec = CrossPolytopeSpec(0.4, [0.0, 0.0, 0.0])
+        assert spec.dimension == 3
         v = spec.vertices()
         assert len(v) == 6
         sums = np.sort(np.abs(v.array).sum(axis=1))
         np.testing.assert_allclose(sums, 0.4)
 
     def test_offset_center(self):
-        spec = CrossPolytopeSpec(2, 1.0, EuclideanPoint([5.0, -1.0]))
+        spec = CrossPolytopeSpec(1.0, [5.0, -1.0])
         arr = spec.vertices().array
         assert {tuple(r) for r in arr} == {(6.0, -1.0), (4.0, -1.0),
                                            (5.0, 0.0), (5.0, -2.0)}
 
     def test_derived_quantities(self):
-        spec = CrossPolytopeSpec(3, 1.0, EuclideanPoint([0.0, 0.0, 0.0]))
+        spec = CrossPolytopeSpec(1.0, np.zeros(3))
         assert spec.volume() == pytest.approx(4.0 / 3.0, rel=1e-14)
         assert spec.insphere_radius() == pytest.approx(1.0 / math.sqrt(3.0))
         assert spec.edge_length() == pytest.approx(math.sqrt(2.0))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CrossPolytopeSpec(0, 1.0, EuclideanPoint([1.0]))
+            CrossPolytopeSpec(1.0, [])
         with pytest.raises(ValueError):
-            CrossPolytopeSpec(2, -0.5, EuclideanPoint([0.0, 0.0]))
-        with pytest.raises(DimensionMismatchError):
-            CrossPolytopeSpec(2, 1.0, EuclideanPoint([0.0, 0.0, 0.0]))
+            CrossPolytopeSpec(1.0, [[0.0, 0.0]])
+        with pytest.raises(ValueError):
+            CrossPolytopeSpec(1.0, [0.0, np.nan])
+        with pytest.raises(ValueError):
+            CrossPolytopeSpec(-0.5, [0.0, 0.0])
+
+    def test_center_is_a_read_only_copy(self):
+        center = np.array([1.0, 2.0])
+        spec = CrossPolytopeSpec(1.0, center)
+        center[0] = 9.0
+        assert spec.center[0] == 1.0
+        with pytest.raises(ValueError):
+            spec.center[0] = 5.0
 
     def test_degenerate_scale_zero(self):
-        spec = CrossPolytopeSpec(2, 0.0, EuclideanPoint([1.0, 1.0]))
+        spec = CrossPolytopeSpec(0.0, [1.0, 1.0])
         assert spec.volume() == 0.0
         v = spec.vertices()  # all 2n vertices collapse to the center
         np.testing.assert_array_equal(v.array, np.ones((4, 2)))
@@ -134,7 +124,9 @@ class TestConvexCombination:
     def test_combine(self):
         v = VertexSet(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
         c = ConvexCombination([0, 1, 2], [0.5, 0.25, 0.25])
-        assert c.combine(v) == EuclideanPoint([0.5, 0.5])
+        point = c.combine(v)
+        np.testing.assert_array_equal(point, [0.5, 0.5])
+        assert not point.flags.writeable
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -223,6 +215,18 @@ def test_enumeration_counts_distinct_members(kind, re, im):
     assert len(np.unique(V, axis=0)) == len(V)
 
 
+@pytest.mark.parametrize("amps", [[1e-13 + 1j, 1e-13 - 1j],
+                                  [1e-13 + 1j, -1e-13 - 1j]])
+def test_near_axis_complex_entries_share_a_class(amps):
+    # the two entries are negatives of each other within 2e-13, whichever
+    # side of the imaginary axis their real parts fall
+    res = enumerate_pure_sign_perms(PureState.normalized(amps)[0])
+    assert res.total == res.retained == 4
+    V = res.amplitudes
+    gaps = np.abs(V[:, None, :] - V[None, :, :]).max(axis=2)
+    assert gaps[~np.eye(len(V), dtype=bool)].min() > 0.5
+
+
 def test_enumerate_outputs_are_members():
     a = np.array([1.0, -2.0, 0.5])
     for v in enumerate_sign_perm_vertices(a):
@@ -274,11 +278,11 @@ def test_enumerate_perm_vertices_counts_what_it_lists():
 # ---------------------------------------------------------------- LP route
 
 def test_hull_member_octahedron():
-    verts = CrossPolytopeSpec(3, 0.4, EuclideanPoint([0, 0, 0])).vertices()
+    verts = CrossPolytopeSpec(0.4, [0, 0, 0]).vertices()
     member, combo = hull_member_lp([0.0, 0.0, 0.0], verts)
     assert member
     reconstructed = combo.combine(verts)
-    assert np.max(np.abs(reconstructed.coords)) <= 1e-9
+    assert np.max(np.abs(reconstructed)) <= 1e-9
 
     member, combo = hull_member_lp([0.41, 0.0, 0.0], verts)
     assert not member and combo is None
@@ -297,7 +301,7 @@ def test_hull_member_witness_residual():
         x = w @ verts.array[idx]
         member, combo = hull_member_lp(x, verts)
         assert member
-        assert np.max(np.abs(combo.combine(verts).coords - x)) <= 1e-9
+        assert np.max(np.abs(combo.combine(verts) - x)) <= 1e-9
 
 
 def test_hull_member_agrees_with_majorization():
@@ -441,33 +445,3 @@ def test_insphere_ball_ratio_within_factor_two(n):
     ratio = ball_volume(n, insphere_radius(n, alpha)) / cross_polytope_volume(n, alpha)
     reference = (math.pi / 4.0) ** (n / 2.0)
     assert 0.5 <= ratio / reference <= 2.0
-
-
-# ---------------------------------------------------------------- hyperplanes
-
-def test_affinely_independent():
-    assert affinely_independent(VertexSet(np.array([[0.0, 0], [1, 0], [0, 1]])))
-    assert not affinely_independent(
-        VertexSet(np.array([[0.0, 0], [1, 1], [2, 2]]))
-    )
-    assert affinely_independent(VertexSet(np.array([[3.0, 4.0]])))
-    # six permutations of (1,2,3) share a plane in R^3: dependent
-    assert not affinely_independent(enumerate_perm_vertices([1.0, 2.0, 3.0]))
-    # 2n cross-polytope vertices exceed n+1 for n >= 2
-    assert not affinely_independent(
-        CrossPolytopeSpec(3, 1.0, EuclideanPoint([0, 0, 0])).vertices()
-    )
-
-
-def test_permutahedron_hyperplane_contains_all_vertices_exactly():
-    for n in (2, 3, 5):
-        h = permutahedron_hyperplane(n)
-        assert h.offset == n * (n + 1) / 2.0
-        base = np.arange(1.0, n + 1.0)
-        for perm in itertools.permutations(base):
-            assert h.value(list(perm)) == 0.0  # integer sums are exact
-
-
-def test_permutahedron_hyperplane_rejects_small_dims():
-    with pytest.raises(ValueError):
-        permutahedron_hyperplane(1)

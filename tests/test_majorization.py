@@ -3,87 +3,11 @@ import pytest
 
 from signpoly import (
     DimensionMismatchError,
-    EuclideanPoint,
-    SignedPermutation,
     majorizes,
     rado_member,
     sign_perm_member,
-    sort_desc,
     weakly_majorized,
 )
-
-
-class TestEuclideanPoint:
-    def test_basic_properties(self):
-        p = EuclideanPoint([3.0, 1.0, 2.0])
-        assert p.dim == 3
-        assert len(p) == 3
-        assert p[1] == 1.0
-        assert list(p) == [3.0, 1.0, 2.0]
-
-    def test_immutable(self):
-        p = EuclideanPoint([1.0, 2.0])
-        with pytest.raises(ValueError):
-            p.coords[0] = 5.0
-
-    def test_construction_copies(self):
-        src = np.array([1.0, 2.0])
-        p = EuclideanPoint(src)
-        src[0] = 99.0
-        assert p[0] == 1.0
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            EuclideanPoint([])
-        with pytest.raises(ValueError):
-            EuclideanPoint([1.0, np.nan])
-        with pytest.raises(ValueError):
-            EuclideanPoint([[1.0, 2.0]])
-
-    def test_equality_and_hash(self):
-        assert EuclideanPoint([1, 2]) == EuclideanPoint([1.0, 2.0])
-        assert EuclideanPoint([1, 2]) != EuclideanPoint([2, 1])
-        assert hash(EuclideanPoint([1, 2])) == hash(EuclideanPoint([1.0, 2.0]))
-
-
-class TestSignedPermutation:
-    def test_apply(self):
-        g = SignedPermutation([2, 0, 1], [1, -1, 1])
-        out = g.apply([10.0, 20.0, 30.0])
-        assert list(out) == [30.0, -10.0, 20.0]
-
-    def test_identity(self):
-        g = SignedPermutation.identity(4)
-        assert list(g.apply([1.0, 2.0, 3.0, 4.0])) == [1.0, 2.0, 3.0, 4.0]
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            SignedPermutation([0, 0, 1], [1, 1, 1])
-        with pytest.raises(ValueError):
-            SignedPermutation([0, 1], [1, 2])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            SignedPermutation.identity(3).apply([1.0, 2.0])
-
-
-def test_sort_desc_examples():
-    assert list(sort_desc([1.0, 3.0, 2.0])) == [3.0, 2.0, 1.0]
-    assert list(sort_desc([-1.0, -3.0, 0.0])) == [0.0, -1.0, -3.0]
-    assert list(sort_desc([5.0])) == [5.0]
-
-
-def test_sort_desc_invariants():
-    rng = np.random.default_rng(42)
-    for _ in range(50):
-        n = rng.integers(1, 8)
-        x = rng.normal(size=n)
-        s = sort_desc(x)
-        # idempotent, and invariant under any reshuffle of the input
-        assert sort_desc(s) == s
-        perm = rng.permutation(n)
-        assert sort_desc(x[perm]) == s
-        assert np.all(np.diff(s.coords) <= 0)
 
 
 def test_majorizes_examples():
@@ -120,13 +44,6 @@ def test_weakly_majorized_examples():
     assert not weakly_majorized([3, 3, 0], [1, 2, 3])
     # equality case sits on the boundary and is kept by default
     assert weakly_majorized([3, 2, 1], [1, 2, 3])
-
-
-def test_weakly_majorized_strict_variant():
-    a = [1.0, 2.0, 3.0]
-    assert weakly_majorized([3, 2, 1], a, strict_total=False)
-    assert not weakly_majorized([3, 2, 1], a, strict_total=True)
-    assert weakly_majorized([2, 2, 1], a, strict_total=True)
 
 
 def test_weak_majorization_tolerance_boundary():
@@ -188,9 +105,9 @@ def test_sign_perm_member_invariant_under_signed_permutations():
     x = np.array([0.1, 0.4, -0.2, 1.1])
     ref = sign_perm_member(x, a)
     for _ in range(20):
-        g = SignedPermutation(rng.permutation(4), rng.choice([-1, 1], size=4))
-        assert sign_perm_member(g.apply(x), a) == ref
-        assert sign_perm_member(x, g.apply(a)) == ref
+        perm, signs = rng.permutation(4), rng.choice([-1.0, 1.0], size=4)
+        assert sign_perm_member(signs * x[perm], a) == ref
+        assert sign_perm_member(x, signs * a[perm]) == ref
 
 
 def test_sum_of_sorted_dominates_sum():
@@ -201,7 +118,7 @@ def test_sum_of_sorted_dominates_sum():
         n = rng.integers(2, 7)
         a = rng.normal(size=n)
         b = rng.normal(size=n)
-        top = sort_desc(a).coords + sort_desc(b).coords
+        top = np.sort(a)[::-1] + np.sort(b)[::-1]
         assert majorizes(top, a + b)
 
 

@@ -3,14 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signpoly import (
     DensityMatrix,
     EnumerationTooLargeError,
     PureState,
-    StateCoords,
     StateValidationError,
-    EuclideanPoint,
     enumerate_pure_sign_perms,
     from_coords,
     hs_distance,
@@ -155,10 +155,10 @@ def test_pure_from_density_rejects_mixed():
 
 def test_coords_of_special_states():
     c = to_coords(DensityMatrix(np.eye(2) / 2))
-    np.testing.assert_allclose(c.point.coords, 0.0, atol=1e-15)
+    np.testing.assert_allclose(c, 0.0, atol=1e-15)
 
     c = to_coords(DensityMatrix(np.diag([1.0, 0.0])))
-    np.testing.assert_allclose(c.point.coords, [0.0, 0.0, 1 / math.sqrt(2)],
+    np.testing.assert_allclose(c, [0.0, 0.0, 1 / math.sqrt(2)],
                                atol=1e-15)
 
 
@@ -186,21 +186,54 @@ def test_chart_covers_nonpositive_hermitian_matrices():
 
 
 def test_from_coords_center_is_maximally_mixed():
-    c = StateCoords(EuclideanPoint(np.zeros(8)), 3)
-    np.testing.assert_allclose(from_coords(c), np.eye(3) / 3, atol=1e-15)
+    np.testing.assert_allclose(from_coords(np.zeros(8)), np.eye(3) / 3, atol=1e-15)
 
 
 def test_far_coords_give_invalid_states():
-    c = StateCoords(EuclideanPoint([2.0, 0.0, 0.0]), 2)
-    M = from_coords(c)
+    M = from_coords([2.0, 0.0, 0.0])
     with pytest.raises(StateValidationError) as exc:
         validate_state(M)
     assert exc.value.kind == "not-psd"
 
 
 def test_state_coords_validation():
+    for n in (0, 1, 2, 4, 7, 9):  # not d*d - 1 for any d >= 2
+        with pytest.raises(ValueError):
+            from_coords(np.zeros(n))
     with pytest.raises(ValueError):
-        StateCoords(EuclideanPoint([1.0, 2.0]), 2)  # needs 3 coordinates
+        from_coords(0.0)
+
+
+def _hermitian_unit_trace(d, x):
+    """The Hermitian unit-trace matrix built from d*d reals: the diagonal,
+    then the real and the imaginary parts of the strict upper triangle.
+    Most such matrices are not states."""
+    j, k = np.triu_indices(d, 1)
+    M = np.diag(np.asarray(x[:d], dtype=complex))
+    M[j, k] = np.asarray(x[d:d + j.size]) + 1j * np.asarray(x[d + j.size:])
+    M[k, j] = M[j, k].conj()
+    return M + (1.0 - np.trace(M).real) / d * np.eye(d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.sampled_from([2, 3, 4]), data=st.data())
+def test_array_chart(d, data):
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=d * d, max_size=d * d)
+    A, B, C = (_hermitian_unit_trace(d, data.draw(entries)) for _ in range(3))
+    a, b, c = to_coords(A), to_coords(B), to_coords(C)
+    assert a.shape == (d * d - 1,)
+    with pytest.raises(ValueError):
+        a[0] = 0.0
+    np.testing.assert_allclose(from_coords(a), A, rtol=0, atol=1e-12)
+    assert abs(np.linalg.norm(a - b) - hs_distance(A, B)) <= 1e-12
+    stack = np.array([a, b, c])
+    rows = [from_coords(r) for r in stack]
+    np.testing.assert_allclose(from_coords(stack), rows, rtol=0, atol=1e-15)
+    for n in (d * d - 2, d * d):
+        with pytest.raises(ValueError):
+            from_coords(np.zeros(n))
+        with pytest.raises(ValueError):
+            from_coords(np.zeros((3, n)))
 
 
 def test_chart_is_an_isometry():
@@ -209,8 +242,7 @@ def test_chart_is_an_isometry():
         for _ in range(25):
             r1 = _random_density(rng, d)
             r2 = _random_density(rng, d)
-            euclid = float(np.linalg.norm(
-                to_coords(r1).point.coords - to_coords(r2).point.coords))
+            euclid = float(np.linalg.norm(to_coords(r1) - to_coords(r2)))
             assert abs(euclid - hs_distance(r1, r2)) < 1e-10
 
 
@@ -219,7 +251,7 @@ def test_purity_from_coordinate_norm():
     rng = np.random.default_rng(321)
     for d in (2, 3):
         rho = _random_density(rng, d)
-        c = to_coords(rho).point.coords
+        c = to_coords(rho)
         assert purity(rho) == pytest.approx(1.0 / d + float(c @ c), abs=1e-12)
 
 
