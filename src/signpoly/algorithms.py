@@ -165,7 +165,10 @@ def max_inscribed_cross_polytope(
     Each of the ``2(d^2-1)`` directions is one ray LP: maximize ``t``
     subject to ``V^T w - t s e_k = 0``, ``sum w = 1``, ``w, t >= 0``
     over the translated members ``V``.  A ray that cannot even start
-    means the target sits on the hull boundary: the scale is 0.  Scales
+    means the target sits on the hull boundary: the scale is 0, and so
+    is a positive ray optimum at or below ``min(lp_tol, tol_alpha)``,
+    which the solver cannot tell from 0 (its hyperplane ``u/t`` would be
+    noise): such a ray is recorded like one that cannot start.  Scales
     at or below ``tol_alpha`` carry the ``degenerate`` flag instead of
     raising.  Every weight vector is checked to reproduce its ray point
     within ``lp_tol``; a larger residual raises
@@ -187,6 +190,7 @@ def max_inscribed_cross_polytope(
     c = np.zeros(m + 1)
     c[m] = -1.0
 
+    zero_t = min(lp_tol, tol_alpha)
     t = np.zeros(2 * n)
     witnesses = np.full((2 * n, m), np.nan)
     duals: list[np.ndarray | None] = [None] * (2 * n)
@@ -205,6 +209,8 @@ def max_inscribed_cross_polytope(
                 f"ray witness residual {residual:.3e} exceeds tolerance "
                 f"{lp_tol:.3e}"
             )
+        if 0.0 < sol.z[m] <= zero_t:
+            continue
         t[j] = sol.z[m]
         witnesses[j] = sol.z[:m]
         duals[j] = sol.dual[:n]

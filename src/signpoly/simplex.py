@@ -3,9 +3,9 @@
 Phase 1 answers "is there a z >= 0 with A z = b?" by minimizing the
 total artificial infeasibility in a full tableau; phase 2 then minimizes
 a linear cost from the feasible basis phase 1 found.  Both phases run
-through one Bland pivot loop, which keeps the pivoting cycle-free: this
-matters here, because hull-membership and ray systems are heavily
-degenerate.  Failure to converge raises, it never masquerades as a
+through one pivot loop: Dantzig pricing, with Bland's rule as the
+fallback that keeps the heavily degenerate hull and ray systems from
+cycling.  Failure to converge raises, it never masquerades as a
 verdict.
 """
 
@@ -19,8 +19,14 @@ from .errors import SolverFailureError
 
 # Pivot candidates below this magnitude are treated as zero.
 PIVOT_EPS = 1e-11
-# Slack used when comparing minimum ratios in the leaving-variable test.
+# Slack used when comparing minimum ratios in the leaving-variable test;
+# a pivot whose minimum ratio is at most this is degenerate.
 RATIO_EPS = 1e-12
+# Consecutive degenerate pivots after which Bland's rule takes over.
+STALL_LIMIT = 20
+# Tableaux larger than this are updated a row at a time, which keeps the
+# rows in cache (crossover measured by bench/rank1_sweep.py).
+ROW_UPDATE_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -55,22 +61,43 @@ def _pivot(T, obj, basis, i, j):
     T[i] /= T[i, j]
     factors = T[:, j].copy()
     factors[i] = 0.0
-    T -= np.outer(factors, T[i])
+    if T.nbytes <= ROW_UPDATE_BYTES:
+        T -= np.outer(factors, T[i])
+    else:
+        for r in np.flatnonzero(factors):
+            T[r] -= factors[r] * T[i]
     obj -= obj[j] * T[i]
     basis[i] = j
 
 
-def _bland(T, obj, basis, ncols, max_iter, phase):
+def _bland(reduced):
+    """Lowest-index column with a negative reduced cost."""
+    return int(np.flatnonzero(reduced < -PIVOT_EPS)[0])
+
+
+def _pivot_loop(T, obj, basis, ncols, max_iter, phase):
     """Pivot until no column below ``ncols`` has a negative reduced cost.
+
+    The most negative reduced cost enters (Dantzig's rule); ties in the
+    ratio test leave by lowest basic index.  After ``STALL_LIMIT``
+    consecutive degenerate pivots the lowest-index negative column
+    enters instead (Bland's rule) until a pivot with a positive ratio.
+    So the loop is finite in exact arithmetic, where Dantzig's rule
+    alone can cycle: positive-ratio pivots lower the objective, and
+    Bland's rule cannot cycle within a degenerate run.  In floating
+    point the ``max_iter`` cap is the backstop, and reaching it raises.
 
     Returns ``(iterations, unbounded)``; ``unbounded`` means the entering
     column had no positive entry.  More than ``max_iter`` pivots raise.
     """
+    stalled = 0
     for it in range(max_iter):
-        entering = np.flatnonzero(obj[:ncols] < -PIVOT_EPS)
-        if entering.size == 0:
+        reduced = obj[:ncols]
+        j = int(np.argmin(reduced))  # Dantzig: most negative enters
+        if reduced[j] >= -PIVOT_EPS:
             return it, False
-        j = int(entering[0])  # Bland: lowest eligible index enters
+        if stalled >= STALL_LIMIT:
+            j = _bland(reduced)
         col = T[:, j]
         rows = np.flatnonzero(col > PIVOT_EPS)
         if rows.size == 0:
@@ -79,6 +106,7 @@ def _bland(T, obj, basis, ncols, max_iter, phase):
         rmin = ratios.min()
         ties = rows[ratios <= rmin + RATIO_EPS]
         i = int(min(ties, key=lambda r: basis[r]))  # Bland tie-break
+        stalled = stalled + 1 if rmin <= RATIO_EPS else 0
         _pivot(T, obj, basis, i, j)
     raise SolverFailureError(
         f"phase-{phase} simplex did not converge within {max_iter} iterations"
@@ -94,25 +122,20 @@ def _phase1(A, b, max_iter):
     used.
     """
     k, p = A.shape
-
-    # Orient rows so the right-hand side is nonnegative.
-    flip = b < 0
-    A = np.where(flip[:, None], -A, A)
-    b = np.where(flip, -b, b)
-
     T = np.zeros((k, p + k + 1))
     T[:, :p] = A
-    T[:, p:p + k] = np.eye(k)
     T[:, -1] = b
+    # Orient rows so the right-hand side is nonnegative.
+    flip = b < 0
+    T[flip] *= -1.0
+    # Reduced costs of min(sum of artificials), priced out against the
+    # artificial starting basis (whose columns are still zero), and the
+    # negated objective value.
+    obj = -T.sum(axis=0)
+    T[:, p:p + k] = np.eye(k)
     basis = list(range(p, p + k))
 
-    # Reduced costs of min(sum of artificials), priced out against the
-    # artificial starting basis, and the negated objective value.
-    obj = np.zeros(p + k + 1)
-    obj[:p] = -A.sum(axis=0)
-    obj[-1] = -b.sum()
-
-    used, unbounded = _bland(T, obj, basis, p + k, max_iter, phase=1)
+    used, unbounded = _pivot_loop(T, obj, basis, p + k, max_iter, phase=1)
     if unbounded:
         # Phase 1 is bounded below by zero, so this is numerical
         # breakdown rather than genuine unboundedness.
@@ -191,7 +214,7 @@ def minimize_nonneg(
         if var < p and c[var] != 0.0:
             obj -= c[var] * T[i]
 
-    _, unbounded = _bland(T, obj, basis, p, max_iter - used, phase=2)
+    _, unbounded = _pivot_loop(T, obj, basis, p, max_iter - used, phase=2)
     if unbounded:
         return LPSolution("unbounded")
     z = _basic_solution(T, basis, p)

@@ -231,6 +231,50 @@ def test_scale_and_certificate_on_random_decompositions(seed, d, extra,
     assert certificate_holds(poly)
 
 
+def test_sub_tolerance_ray_optimum_is_a_zero_scale():
+    """The binding ray of this decomposition reaches t = 7.19e-14 (the
+    external solver agrees), below the LP tolerance: the scale is 0 and
+    carries no hyperplane, where u/t of size ~1e13 would miss the
+    certificate on roundoff alone."""
+    dec = _random_decomposition(341000839, 2, 4, 0.2)
+    poly = max_inscribed_cross_polytope(dec)
+    assert poly.alpha == 0.0
+    assert poly.degenerate and poly.certificate.hyperplane is None
+    assert certificate_holds(poly)
+    assert poly.alpha == pytest.approx(_oracle_alpha(dec), abs=1e-7)
+
+
+@pytest.mark.parametrize("lp_tol, tol_alpha, zeroed", [
+    (1e-4, 1e-8, False),  # a loose LP tolerance alone zeroes nothing
+    (1e-6, 1e-6, True),
+])
+def test_ray_optimum_zeroed_below_the_smaller_tolerance(lp_tol, tol_alpha,
+                                                        zeroed):
+    """The rays of this decomposition reach 2.79e-8 and more: zeroed
+    only at or below min(lp_tol, tol_alpha), and a zeroed ray keeps no
+    weights, so the certificate holds at the default tolerance."""
+    dec = _random_decomposition(72565379, 3, 10, 0.2)
+    poly = max_inscribed_cross_polytope(dec, tol_alpha=tol_alpha,
+                                        lp_tol=lp_tol)
+    if zeroed:
+        assert poly.alpha == 0.0 and poly.certificate.hyperplane is None
+        assert certificate_holds(poly)
+    else:
+        assert poly.alpha == pytest.approx(_oracle_alpha(dec), rel=1e-6)
+        assert certificate_holds(poly, tol=lp_tol)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "alpha = 2.79e-8 matches the oracle, but the hyperplane h = u/alpha "
+    "scales the dual's roundoff by 1/alpha ~ 3.6e7, so max V.h - 1 = "
+    "1e-8 to 2e-8 exceeds the 1e-9 certificate tolerance"))
+def test_certificate_of_near_degenerate_decomposition():
+    dec = _random_decomposition(72565379, 3, 10, 0.2)
+    poly = max_inscribed_cross_polytope(dec)
+    assert poly.alpha == pytest.approx(_oracle_alpha(dec), abs=1e-7)
+    assert certificate_holds(poly)
+
+
 def test_certificate_of_octahedral_decomposition():
     poly = max_inscribed_cross_polytope(_octahedral_decomposition(0.4))
     cert = poly.certificate

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from signpoly import (
     ConvexCombination,
@@ -25,6 +26,7 @@ from signpoly import (
     rado_member,
     sign_perm_member,
 )
+from signpoly import simplex
 from signpoly.simplex import feasible_nonneg
 
 
@@ -317,6 +319,40 @@ def test_hull_member_agrees_with_majorization():
         y = x + (a.sum() - x.sum()) / 3.0
         lp, _ = hull_member_lp(y, perm_verts)
         assert lp == rado_member(y, a)
+
+
+OCTA_BASE = [4.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("probe, bound", [
+    # answered True by scipy and majorization, but Bland's rule alone
+    # pivoted 4,807 times and then found no admissible pivot
+    (0.9179802462889692 * np.array([4.0, -3.0, 0.0, -2.0, 0.0, 0.0, 0.0, 1.0]), 40),
+    # the last vertex, scaled by 1.0: maximally degenerate (7,159 pivots
+    # under Bland's rule alone)
+    (1.0 * np.array([-4.0, -3.0, -2.0, -1.0, 0.0, 0.0, 0.0, 0.0]), 72),
+], ids=["defect-probe", "vertex"])
+def test_boundary_probe_pivot_count(monkeypatch, probe, bound):
+    """Boundary probes against the 26,880 signed permutations of
+    OCTA_BASE: the right answer within twice the pivots counted when the
+    gate was set (20 and 36); pivot counts do not depend on the machine."""
+    verts = enumerate_sign_perm_vertices(OCTA_BASE)
+    pivots = []
+    pivot = simplex._pivot
+
+    def counting(*args):
+        pivots.append(1)
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    member, combo = hull_member_lp(probe, verts)
+    assert len(pivots) <= bound
+    assert member and sign_perm_member(probe, OCTA_BASE)
+    m = len(verts)
+    reference = linprog(np.zeros(m), A_eq=np.vstack([verts.array.T, np.ones((1, m))]),
+                        b_eq=np.append(probe, 1.0), bounds=(0, None), method="highs")
+    assert reference.status == 0
+    assert np.max(np.abs(combo.combine(verts) - probe)) <= 1e-9
 
 
 def test_hull_member_dimension_mismatch():

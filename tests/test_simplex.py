@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from signpoly import simplex, to_coords
 from signpoly.errors import SolverFailureError
 from signpoly.simplex import feasible_nonneg, minimize_nonneg
 
@@ -205,3 +206,69 @@ def test_minimize_shape_validation():
         minimize_nonneg(np.ones(3), np.ones((2, 2)), np.ones(2))
     with pytest.raises(ValueError):
         minimize_nonneg(np.ones(2), np.ones((2, 2)), np.ones(3))
+
+
+# --------------------------------------------------------- anti-cycling
+
+def test_beale_cycling_lp():
+    """Beale's (1955) example, on which Dantzig's rule with a fixed
+    tie-break cycles from the slack basis; its optimum is -1/20."""
+    A = np.array([[1.0, 0.0, 0.0, 0.25, -60.0, -1 / 25, 9.0],
+                  [0.0, 1.0, 0.0, 0.5, -90.0, -1 / 50, 3.0],
+                  [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+    b = np.array([0.0, 0.0, 1.0])
+    c = np.array([0.0, 0.0, 0.0, -0.75, 150.0, -1 / 50, 6.0])
+    status, value = _reference_min(c, A, b)
+    assert status == "optimal" and value == pytest.approx(-1 / 20)
+    _assert_optimal(minimize_nonneg(c, A, b), c, A, b, value)
+
+
+def _qutrit_ray_system(seed, ray, m=20):
+    """Ray LP ``ray`` of the cross-polytope search around a Dirichlet mix
+    of ``m`` random qutrit states: columns ``[w | t]``, rows
+    ``V^T w - t s e_k = 0`` and ``sum w = 1``.  The chart coordinates are
+    rounded to 1e-4, so the system does not hinge on the last bits."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(m, 3, 3)) + 1j * rng.normal(size=(m, 3, 3))
+    states = G @ G.conj().transpose(0, 2, 1)
+    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+    X = np.array([to_coords(s) for s in states])
+    V = np.round(X - rng.dirichlet(np.ones(m)) @ X, 4)
+    n = V.shape[1]
+    A = np.zeros((n + 1, m + 1))
+    A[:n, :m] = V.T
+    A[n, :m] = 1.0
+    A[ray % n, m] = -1.0 if ray < n else 1.0
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    return A, b
+
+
+@pytest.mark.parametrize("seed, ray", [(303, 12), (329, 9)])
+def test_bland_fallback_ends_a_dantzig_cycle(monkeypatch, seed, ray):
+    """Dantzig's rule alone cycles through degenerate pivots on these
+    systems until the iteration cap; the Bland fallback ends the cycle,
+    and both phases then agree with the reference."""
+    A, b = _qutrit_ray_system(seed, ray)
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "STALL_LIMIT", 10**9)
+        with pytest.raises(SolverFailureError, match="did not converge"):
+            feasible_nonneg(A, b)
+
+    calls = []
+    bland = simplex._bland
+
+    def counting(reduced):
+        calls.append(1)
+        return bland(reduced)
+
+    monkeypatch.setattr(simplex, "_bland", counting)
+    ok, z = feasible_nonneg(A, b)
+    assert calls, "the Bland fallback never ran"
+    assert ok and _reference_feasible(A, b)
+    np.testing.assert_allclose(A @ z, b, atol=1e-8)
+    c = np.zeros(A.shape[1])
+    c[-1] = -1.0  # the longest ray
+    status, value = _reference_min(c, A, b)
+    assert status == "optimal"
+    _assert_optimal(minimize_nonneg(c, A, b), c, A, b, value)
