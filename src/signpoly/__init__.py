@@ -32,7 +32,6 @@ from .errors import (
 )
 from .geometry import (
     ENUMERATION_CAP,
-    ConvexCombination,
     CrossPolytopeSpec,
     VertexSet,
     ball_volume,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TOL",
     "ENUMERATION_CAP",
-    "ConvexCombination",
     "CrossPolytopeCertificate",
     "CrossPolytopeSpec",
     "DecompositionError",

@@ -22,6 +22,7 @@ from .errors import DecompositionError, SolverFailureError
 from .geometry import (
     CrossPolytopeSpec,
     VertexSet,
+    _witness_violation,
     ball_volume,
     cross_polytope_volume,
     insphere_radius,
@@ -170,8 +171,8 @@ def max_inscribed_cross_polytope(
     which the solver cannot tell from 0 (its hyperplane ``u/t`` would be
     noise): such a ray is recorded like one that cannot start.  Scales
     at or below ``tol_alpha`` carry the ``degenerate`` flag instead of
-    raising.  Every weight vector is checked to reproduce its ray point
-    within ``lp_tol``; a larger residual raises
+    raising.  Every weight vector is checked to be a convex combination
+    reaching its ray point within ``lp_tol``; a larger violation raises
     :class:`~signpoly.errors.SolverFailureError`.
     """
     center = to_coords(decomposition.target)
@@ -203,10 +204,12 @@ def max_inscribed_cross_polytope(
         if sol.status != "optimal":
             raise SolverFailureError(
                 f"ray LP {sol.status} inside a bounded hull")
-        residual = float(np.max(np.abs(A @ sol.z - b)))
-        if residual > lp_tol:
+        # The ray point t s e_k is -t times the t column.
+        violation = _witness_violation(sol.z[:m], translated,
+                                       -sol.z[m] * A[:n, m])
+        if violation > lp_tol:
             raise SolverFailureError(
-                f"ray witness residual {residual:.3e} exceeds tolerance "
+                f"ray witness violation {violation:.3e} exceeds tolerance "
                 f"{lp_tol:.3e}"
             )
         if 0.0 < sol.z[m] <= zero_t:
@@ -238,8 +241,8 @@ def certificate_holds(poly: QuantumCrossPolytope,
     """Check the certificate of ``poly`` against its decomposition with
     plain numpy, no LP.
 
-    Primal side: every solved direction's weights sum to 1 and reproduce
-    ``t_j s_j e_k`` within ``tol``, an unsolved one has ``t_j = 0``, and
+    Primal side: every solved direction's weights are a convex combination
+    reaching ``t_j s_j e_k`` within ``tol``, an unsolved one has ``t_j = 0``, and
     the scale is the smallest ``t_j``, attained at the binding
     direction.  With the target the weighted mean of the members, every
     vertex then lies in the hull.  Dual side:
@@ -256,15 +259,13 @@ def certificate_holds(poly: QuantumCrossPolytope,
     binding = cert.binding_axis + (0 if cert.binding_sign > 0 else n)
     if cert.t.min() != alpha or cert.t[binding] != alpha:
         return False
-    for j, (t, w) in enumerate(zip(cert.t, cert.witnesses)):
+    points = np.vstack([np.eye(n), -np.eye(n)]) * cert.t[:, None]
+    for t, w, point in zip(cert.t, cert.witnesses, points):
         if np.isnan(w).any():
             if t != 0.0:
                 return False
             continue
-        point = np.zeros(n)
-        point[j % n] = t if j < n else -t
-        if (w.min() < -tol or abs(w.sum() - 1.0) > tol
-                or np.max(np.abs(w @ V - point)) > tol):
+        if _witness_violation(w, V, point) > tol:
             return False
     if cert.hyperplane is None:
         return alpha == 0.0
@@ -292,7 +293,12 @@ def robustness_member(
         )
     if alpha < 0.0:
         raise ValueError("alpha must be nonnegative")
-    c = to_coords(probe) - to_coords(center)
+    return _in_cross_polytope(to_coords(probe) - to_coords(center), alpha, tol)
+
+
+def _in_cross_polytope(c: np.ndarray, alpha: float, tol: float) -> bool:
+    """Whether ``c`` is in the cross-polytope of scale ``alpha`` about 0,
+    the sign-permutation polytope of ``(alpha, 0, ..., 0)``."""
     anchor = np.zeros(c.size)
     anchor[0] = alpha
     return weakly_majorized(np.abs(c), anchor, tol=tol)

@@ -25,7 +25,9 @@ import numpy as np
 
 from . import __version__
 from .algorithms import (
+    DEFAULT_TOL_ALPHA,
     DecompositionInput,
+    _in_cross_polytope,
     hs_volume,
     insphere_report,
     max_inscribed_cross_polytope,
@@ -42,7 +44,7 @@ from .errors import (
     StateValidationError,
 )
 from .geometry import ENUMERATION_CAP, cross_polytope_volume
-from .majorization import weakly_majorized
+from .majorization import DEFAULT_TOL
 from .quantum import (
     PureState,
     enumerate_pure_sign_perms,
@@ -62,13 +64,18 @@ EXIT_RESOURCE = 3
 CAP_ENV_VAR = "SIGNPOLY_CAP"
 
 
+def _short(tol: float) -> str:
+    """A tolerance as help text writes it: ``1e-9``, not ``1e-09``."""
+    return f"{tol:.0e}".replace("e-0", "e-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="membership/LP tolerance (default 1e-9)")
-    common.add_argument("--tol-alpha", type=float, default=1e-8, dest="tol_alpha",
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help=f"membership/LP tolerance (default {_short(DEFAULT_TOL)})")
+    common.add_argument("--tol-alpha", type=float, default=DEFAULT_TOL_ALPHA,
                         help="construct: scales at or below this are reported "
-                             "as degenerate (default 1e-8)")
+                             f"as degenerate (default {_short(DEFAULT_TOL_ALPHA)})")
     common.add_argument("--cap", type=int, default=None,
                         help=f"enumeration cap (default {ENUMERATION_CAP}, "
                              f"or ${CAP_ENV_VAR} when set)")
@@ -101,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest cross-polytope inside a convex decomposition")
     p.add_argument("file", help="decomposition document (JSON)")
     p.add_argument("--verify-probes", type=int, default=0, metavar="N",
-                   dest="verify_probes",
                    help="spot-check N random interior points of the result "
                         "for membership (uses --seed)")
 
@@ -254,13 +260,9 @@ def cmd_construct(args) -> int:
         hits = 0
         verts = vertices.array
         center = poly.spec.center
-        # The membership test of robustness_member, on chart coordinates.
-        anchor = np.zeros(center.size)
-        anchor[0] = alpha
         for _ in range(args.verify_probes):
             w = rng.dirichlet(np.ones(len(verts)))
-            c = np.abs(w @ verts - center)
-            hits += int(weakly_majorized(c, anchor, tol=args.tol))
+            hits += int(_in_cross_polytope(w @ verts - center, alpha, args.tol))
         report["probes_checked"] = args.verify_probes
         report["probes_inside"] = hits
         if args.seed is not None:

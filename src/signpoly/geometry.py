@@ -112,48 +112,6 @@ class CrossPolytopeSpec:
         return math.sqrt(2.0) * self.scale
 
 
-class ConvexCombination:
-    """Nonnegative weights summing to one over indices into a vertex set."""
-
-    __slots__ = ("_indices", "_weights")
-
-    def __init__(self, indices, weights, tol: float = DEFAULT_TOL):
-        idx = tuple(int(i) for i in indices)
-        w = np.array(list(weights), dtype=float)
-        if len(idx) != w.size or w.size == 0:
-            raise ValueError("need matching nonempty indices and weights")
-        if len(set(idx)) != len(idx):
-            raise ValueError("indices must be distinct")
-        if w.min() < -tol:
-            raise ValueError(f"weights must be nonnegative within {tol}")
-        if abs(w.sum() - 1.0) > tol:
-            raise ValueError(f"weights must sum to 1 within {tol}")
-        self._indices = idx
-        w.setflags(write=False)
-        self._weights = w
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return self._indices
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    def combine(self, vertices: VertexSet) -> np.ndarray:
-        """The weighted point ``sum_i w_i * vertices[indices[i]]``, as a
-        read-only array."""
-        arr = vertices.array
-        if max(self._indices) >= len(arr):
-            raise IndexError("combination indexes past the vertex set")
-        point = self._weights @ arr[list(self._indices)]
-        point.setflags(write=False)
-        return point
-
-    def __repr__(self) -> str:
-        return f"ConvexCombination({len(self._indices)} vertices)"
-
-
 def count_sign_perm_vertices(a: ArrayLike) -> int:
     """Number of distinct signed permutations of ``a``, exactly.
 
@@ -205,13 +163,13 @@ def hull_member_lp(
     x: ArrayLike,
     vertices: VertexSet | np.ndarray,
     tol: float = DEFAULT_TOL,
-) -> tuple[bool, ConvexCombination | None]:
+) -> tuple[bool, np.ndarray | None]:
     """LP feasibility test for ``x`` in the convex hull of ``vertices``.
 
-    Solves for nonnegative weights with unit sum reproducing ``x``; on
-    success also returns a witness whose residual
-    ``max_i |sum_j w_j v_j - x|_i`` is at most ``tol``.  A solver that
-    fails to converge raises rather than reporting non-membership.
+    Returns ``(True, w)`` with the LP's own read-only ``(m,)`` weights
+    over the ``m`` vertices, meeting ``w >= 0``, ``sum w = 1`` and
+    ``w @ V = x`` within ``tol``, or ``(False, None)``.  A solver that
+    fails to converge or misses that bound raises instead.
     """
     V = vertices.array if isinstance(vertices, VertexSet) else np.asarray(vertices, float)
     xv = as_coords(x)
@@ -222,20 +180,23 @@ def hull_member_lp(
     m, n = V.shape
     A = np.vstack([V.T, np.ones((1, m))])
     b = np.append(xv, 1.0)
-    ok, z = feasible_nonneg(A, b, tol=tol, max_iter=50 * (m + n))
+    ok, w = feasible_nonneg(A, b, tol=tol, max_iter=50 * (m + n))
     if not ok:
         return False, None
-    residual = float(np.max(np.abs(V.T @ z - xv)))
-    if residual > tol:
+    violation = _witness_violation(w, V, xv)
+    if violation > tol:
         raise SolverFailureError(
-            f"witness residual {residual:.3e} exceeds tolerance {tol:.3e}"
+            f"witness violation {violation:.3e} exceeds tolerance {tol:.3e}"
         )
-    support = np.flatnonzero(z > 0.0)
-    if support.size == 0:  # x is the zero combination only if all weights vanished
-        support = np.array([int(np.argmax(z))])
-    combo = ConvexCombination(support, z[support] / z[support].sum(),
-                              tol=max(tol, DEFAULT_TOL))
-    return True, combo
+    w.setflags(write=False)
+    return True, w
+
+
+def _witness_violation(w: np.ndarray, V: np.ndarray, x: np.ndarray) -> float:
+    """Worst violation of ``w >= 0``, ``sum w = 1`` and ``w @ V = x`` by
+    weights ``w`` over the rows of ``V``: 0 for an exact witness of ``x``."""
+    return max(float(-w.min()), abs(float(w.sum()) - 1.0),
+               float(np.max(np.abs(w @ V - x))))
 
 
 def hulls_disjoint(a: ArrayLike, b: ArrayLike, tol: float = DEFAULT_TOL) -> bool:

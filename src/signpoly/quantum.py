@@ -255,13 +255,16 @@ def pure_from_density(rho: DensityMatrix) -> PureState:
     p = purity(rho)
     if p < 1.0 - PURITY_TOL:
         raise ValueError(f"matrix is not pure: purity {p!r}")
-    w, v = np.linalg.eigh(rho.matrix)
-    vec = v[:, -1]
-    pivot = int(np.argmax(np.abs(vec)))
-    phase = vec[pivot] / abs(vec[pivot])
-    vec = vec * phase.conjugate()
-    vec = vec / np.linalg.norm(vec)
-    return PureState(vec)
+    _, v = np.linalg.eigh(rho.matrix)
+    return PureState(_phase_fixed(v[:, -1]))
+
+
+def _phase_fixed(vecs: np.ndarray) -> np.ndarray:
+    """The unit vectors along the last axis of ``vecs``, each multiplied
+    by the phase that makes its largest-modulus component real positive."""
+    pivot = np.argmax(np.abs(vecs), axis=-1)[..., None]
+    phase = np.take_along_axis(vecs, pivot, axis=-1)
+    return vecs * (phase.conj() / np.abs(phase))
 
 
 # --- three-qubit entanglement ------------------------------------------------
@@ -317,7 +320,6 @@ class PureEnumeration:
     ``total`` counts everything enumerated before filtering;
     ``amplitudes`` holds the retained states' amplitude vectors as the
     rows of one read-only array, in deterministic generation order.
-    ``states`` wraps them as :class:`PureState` objects on first access.
     """
 
     amplitudes: np.ndarray
@@ -326,10 +328,6 @@ class PureEnumeration:
     @property
     def retained(self) -> int:
         return len(self.amplitudes)
-
-    @functools.cached_property
-    def states(self) -> list[PureState]:
-        return [PureState(a) for a in self.amplitudes]
 
 
 def enumerate_pure_sign_perms(
@@ -377,7 +375,7 @@ def enumerate_pure_sign_perms(
     kept = []
     for block in _enum.signed_arrangements(classes):
         if target == "bloch":
-            block = _pure_chart_states(block, psi.dim, tol)
+            block = _pure_chart_states(block, tol)
         elif filter == "w-type":
             block = block[4.0 * np.abs(_cayley_hyperdeterminant(block.T)) <= tol]
         kept.append(block)
@@ -386,11 +384,11 @@ def enumerate_pure_sign_perms(
     return PureEnumeration(amplitudes=amplitudes, total=total)
 
 
-def _pure_chart_states(coords: np.ndarray, d: int, tol: float) -> np.ndarray:
+def _pure_chart_states(coords: np.ndarray, tol: float) -> np.ndarray:
     """Amplitude vectors, one per row, of the chart points in ``coords``
-    whose matrices are states (smallest eigenvalue at least ``-tol``)."""
+    whose matrices are states (smallest eigenvalue at least ``-tol``);
+    their purity ``1/d + |c|^2`` is the input's, 1, so no row is mixed."""
     M = from_coords(coords)
     M = M[np.linalg.eigvalsh(M).min(axis=1) >= -tol]
-    states = [pure_from_density(DensityMatrix(m, tol=max(tol, STATE_TOL))).amplitudes
-              for m in M]
-    return np.array(states, dtype=complex).reshape(len(states), d)
+    _, v = np.linalg.eigh(M)
+    return _phase_fixed(v[..., -1])

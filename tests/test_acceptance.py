@@ -100,7 +100,7 @@ def test_02_cuboctahedron_from_bloch_vector(criterion):
         result = enumerate_pure_sign_perms(psi, filter="any-pure", target="bloch")
         assert result.total == 12
         assert result.retained == 12
-        stack = np.array([s.amplitudes for s in result.states])
+        stack = np.array([PureState(a).amplitudes for a in result.amplitudes])
         gram = np.abs(stack @ stack.conj().T)
         assert np.sum(gram > 1.0 - 1e-9) == 12  # pairwise distinct states
 

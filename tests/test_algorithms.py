@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from signpoly import (
     DecompositionError,
+    SolverFailureError,
     DecompositionInput,
     DensityMatrix,
     CrossPolytopeSpec,
@@ -285,6 +286,37 @@ def test_certificate_of_octahedral_decomposition():
     assert certificate_holds(poly)
 
 
+@pytest.mark.parametrize("shift", [
+    np.array([-2e-9, 2e-9, 0.0, 0.0]),   # a negative weight, same sum
+    np.array([2e-9, 0.0, 0.0, 0.0]),     # sum 1 + 2e-9
+], ids=["negative", "sum"])
+def test_hull_member_raises_on_a_witness_that_misses(monkeypatch, shift):
+    """A solver answer whose weights break ``w >= 0`` or ``sum w = 1``
+    is a solver failure, not a verdict."""
+    import signpoly.geometry
+    verts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    w = np.array([0.0, 0.5, 0.25, 0.25]) + shift
+    monkeypatch.setattr(signpoly.geometry, "feasible_nonneg",
+                        lambda *a, **k: (True, w))
+    with pytest.raises(SolverFailureError, match="witness"):
+        hull_member_lp([0.25, 0.25], verts)
+
+
+def test_ray_witness_that_misses_raises(monkeypatch):
+    import signpoly.algorithms
+    kernel = signpoly.algorithms.minimize_nonneg
+
+    def heavy(*args, **kwargs):
+        sol = kernel(*args, **kwargs)
+        z = sol.z.copy()
+        z[0] += 2e-9
+        return dataclasses.replace(sol, z=z)
+
+    monkeypatch.setattr(signpoly.algorithms, "minimize_nonneg", heavy)
+    with pytest.raises(SolverFailureError, match="ray witness"):
+        max_inscribed_cross_polytope(_cube_decomposition(0.3))
+
+
 def test_certificate_checker_rejects_tampering():
     poly = max_inscribed_cross_polytope(_cube_decomposition(0.3))
     cert = poly.certificate
@@ -298,6 +330,18 @@ def test_certificate_checker_rejects_tampering():
     bent[2] = np.roll(bent[2], 1)
     assert not certificate_holds(dataclasses.replace(
         poly, certificate=dataclasses.replace(cert, witnesses=bent)))
+    # weights that still reach their ray point but break w >= 0 or
+    # sum w = 1 by 2e-9; members k and 7 - k are antipodal, so shifting
+    # the same weight onto both moves no point
+    negative = cert.witnesses.copy()
+    assert negative[0, 0] == negative[0, 7] == 0.0
+    negative[0, [0, 7]] -= 2e-9
+    negative[0, [1, 6]] += 2e-9
+    heavy = cert.witnesses.copy()
+    heavy[0, [0, 7]] += 1e-9
+    for witnesses in (negative, heavy):
+        assert not certificate_holds(dataclasses.replace(
+            poly, certificate=dataclasses.replace(cert, witnesses=witnesses)))
     # a hyperplane too shallow to cut off the binding vertex
     assert not certificate_holds(dataclasses.replace(
         poly, certificate=dataclasses.replace(

@@ -26,9 +26,9 @@ from signpoly import (
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 PUBLIC_NAMES = [
-    "DEFAULT_TOL", "ENUMERATION_CAP", "ConvexCombination",
-    "CrossPolytopeCertificate", "CrossPolytopeSpec", "DecompositionError",
-    "DecompositionInput", "DensityMatrix", "DimensionMismatchError",
+    "DEFAULT_TOL", "ENUMERATION_CAP", "CrossPolytopeCertificate",
+    "CrossPolytopeSpec", "DecompositionError", "DecompositionInput",
+    "DensityMatrix", "DimensionMismatchError",
     "EnumerationTooLargeError", "FileFormatError", "InsphereReport",
     "PureEnumeration", "PureState", "QuantumCrossPolytope", "SignpolyError",
     "SolverFailureError", "StateValidationError", "VertexSet", "ball_volume",
@@ -70,4 +70,4 @@ def test_result_attributes_read_by_the_tracer():
 
 def test_public_names():
     assert sorted(signpoly.__all__) == sorted(PUBLIC_NAMES)
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 46

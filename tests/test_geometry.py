@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from signpoly import (
-    ConvexCombination,
     CrossPolytopeSpec,
     DimensionMismatchError,
     EnumerationTooLargeError,
@@ -120,29 +119,6 @@ class TestCrossPolytopeSpec:
         assert spec.volume() == 0.0
         v = spec.vertices()  # all 2n vertices collapse to the center
         np.testing.assert_array_equal(v.array, np.ones((4, 2)))
-
-
-class TestConvexCombination:
-    def test_combine(self):
-        v = VertexSet(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
-        c = ConvexCombination([0, 1, 2], [0.5, 0.25, 0.25])
-        point = c.combine(v)
-        np.testing.assert_array_equal(point, [0.5, 0.5])
-        assert not point.flags.writeable
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConvexCombination([0, 1], [0.6, 0.6])       # sum != 1
-        with pytest.raises(ValueError):
-            ConvexCombination([0, 1], [1.5, -0.5])      # negative weight
-        with pytest.raises(ValueError):
-            ConvexCombination([0, 0], [0.5, 0.5])       # repeated index
-        with pytest.raises(ValueError):
-            ConvexCombination([], [])
-
-    def test_small_negatives_within_tolerance_pass(self):
-        c = ConvexCombination([0, 1], [1.0 + 5e-10, -5e-10])
-        assert c.weights.sum() == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------- counting
@@ -279,18 +255,29 @@ def test_enumerate_perm_vertices_counts_what_it_lists():
 
 # ---------------------------------------------------------------- LP route
 
+def _assert_witness(w, verts, x):
+    """``w`` is a read-only weight vector over all of ``verts`` writing
+    ``x`` as a convex combination."""
+    V = verts.array
+    assert w.shape == (len(V),)
+    assert not w.flags.writeable
+    assert w.min() >= 0.0
+    assert abs(w.sum() - 1.0) <= 1e-9
+    assert np.max(np.abs(w @ V - x)) <= 1e-9
+
+
 def test_hull_member_octahedron():
     verts = CrossPolytopeSpec(0.4, [0, 0, 0]).vertices()
-    member, combo = hull_member_lp([0.0, 0.0, 0.0], verts)
+    member, w = hull_member_lp([0.0, 0.0, 0.0], verts)
     assert member
-    reconstructed = combo.combine(verts)
-    assert np.max(np.abs(reconstructed)) <= 1e-9
+    _assert_witness(w, verts, [0.0, 0.0, 0.0])
 
-    member, combo = hull_member_lp([0.41, 0.0, 0.0], verts)
-    assert not member and combo is None
+    member, w = hull_member_lp([0.41, 0.0, 0.0], verts)
+    assert not member and w is None
 
-    member, _ = hull_member_lp([0.4, 0.0, 0.0], verts)  # a vertex is a member
+    member, w = hull_member_lp([0.4, 0.0, 0.0], verts)  # a vertex is a member
     assert member
+    _assert_witness(w, verts, [0.4, 0.0, 0.0])
 
 
 def test_hull_member_witness_residual():
@@ -301,9 +288,9 @@ def test_hull_member_witness_residual():
         w = rng.dirichlet(np.ones(5))
         idx = rng.choice(len(verts), size=5, replace=False)
         x = w @ verts.array[idx]
-        member, combo = hull_member_lp(x, verts)
+        member, w = hull_member_lp(x, verts)
         assert member
-        assert np.max(np.abs(combo.combine(verts) - x)) <= 1e-9
+        _assert_witness(w, verts, x)
 
 
 def test_hull_member_agrees_with_majorization():
@@ -345,14 +332,14 @@ def test_boundary_probe_pivot_count(monkeypatch, probe, bound):
         return pivot(*args)
 
     monkeypatch.setattr(simplex, "_pivot", counting)
-    member, combo = hull_member_lp(probe, verts)
+    member, w = hull_member_lp(probe, verts)
     assert len(pivots) <= bound
     assert member and sign_perm_member(probe, OCTA_BASE)
     m = len(verts)
     reference = linprog(np.zeros(m), A_eq=np.vstack([verts.array.T, np.ones((1, m))]),
                         b_eq=np.append(probe, 1.0), bounds=(0, None), method="highs")
     assert reference.status == 0
-    assert np.max(np.abs(combo.combine(verts) - probe)) <= 1e-9
+    _assert_witness(w, verts, probe)
 
 
 def test_hull_member_dimension_mismatch():

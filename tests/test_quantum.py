@@ -368,7 +368,7 @@ def test_enumerate_w_state_sign_perms():
 def test_enumerate_amplitudes_preserves_norm_and_distinctness():
     res = enumerate_pure_sign_perms(make_canonical("ghz"))
     assert res.total == 112  # 2^2 * 8!/(2! 6!)
-    seen = {tuple(np.round(s.amplitudes, 12)) for s in res.states}
+    seen = {tuple(np.round(PureState(a).amplitudes, 12)) for a in res.amplitudes}
     assert len(seen) == res.retained == res.total
 
 
@@ -376,8 +376,8 @@ def test_enumerate_bloch_target_computational_basis_state():
     res = enumerate_pure_sign_perms(PureState([1.0, 0.0]), target="bloch")
     assert res.total == 6
     assert res.retained == 6
-    for s in res.states:
-        assert purity(s.to_density()) == pytest.approx(1.0, abs=1e-9)
+    for a in res.amplitudes:
+        assert purity(PureState(a).to_density()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_enumerate_bloch_target_cuboctahedron():
@@ -386,7 +386,7 @@ def test_enumerate_bloch_target_cuboctahedron():
     res = enumerate_pure_sign_perms(psi, target="bloch")
     assert res.total == 12
     assert res.retained == 12
-    seen = {tuple(np.round(s.amplitudes, 10)) for s in res.states}
+    seen = {tuple(np.round(PureState(a).amplitudes, 10)) for a in res.amplitudes}
     assert len(seen) == 12
 
 
@@ -399,8 +399,31 @@ def test_enumerate_bloch_target_qutrit_filters_invalid():
     res = enumerate_pure_sign_perms(psi, target="bloch")
     assert res.total == 224
     assert res.retained == 6
-    for s in res.states:
-        assert purity(s.to_density()) == pytest.approx(1.0, abs=1e-9)
+    for a in res.amplitudes:
+        assert purity(PureState(a).to_density()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_enumerate_bloch_target_qutrit_amplitudes_reach_their_chart_points():
+    """2,688 signed permutations of a real qutrit's chart point, 24 of
+    them states: each retained amplitude vector is phase-fixed, and its
+    projector is a distinct signed permutation of the input's point."""
+    psi = PureState([math.cos(0.1), math.sin(0.1), 0.0])
+    res = enumerate_pure_sign_perms(psi, target="bloch")
+    assert (res.total, res.retained) == (2688, 24)
+    base = np.sort(np.abs(to_coords(psi.to_density())))
+    points = set()
+    for a in res.amplitudes:
+        state = PureState(a)
+        c = to_coords(state.to_density())
+        np.testing.assert_allclose(np.sort(np.abs(c)), base, atol=1e-12)
+        points.add(tuple(np.round(c, 9)))
+        # some largest-modulus entry (they may tie) is real and positive
+        top = a[np.abs(a) >= np.abs(a).max() - 1e-12]
+        assert np.any((np.abs(top.imag) <= 1e-15) & (top.real > 0.0))
+        # the same state as pure_from_density's, up to a tied pivot's phase
+        back = pure_from_density(state.to_density()).amplitudes
+        assert abs(np.vdot(back, a)) == pytest.approx(1.0, abs=1e-12)
+    assert len(points) == 24
 
 
 def test_enumerate_validation_and_cap():
@@ -439,4 +462,4 @@ def test_enumerate_example_state_pipeline():
     # spot-check: every retained state is exactly tangle-free here
     rng = np.random.default_rng(0)
     for idx in rng.choice(res.retained, size=25, replace=False):
-        assert three_tangle(res.states[idx]) <= 1e-12
+        assert three_tangle(PureState(res.amplitudes[idx])) <= 1e-12
