@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .algorithms import (
     DEFAULT_TOL_ALPHA,
-    DecompositionInput,
     _in_cross_polytope,
     hs_volume,
     insphere_report,
@@ -52,9 +51,8 @@ from .quantum import (
     pure_from_density,
     three_tangle,
     to_coords,
-    validate_state,
 )
-from .stateio import LoadedState, load_decomposition, load_state
+from .stateio import _as_density, load_decomposition, load_state
 
 EXIT_OK = 0
 EXIT_NON_MEMBER = 1
@@ -176,10 +174,9 @@ def _emit(report: dict, fmt: str) -> None:
             print(f"{key}: {_render_value(value)}")
 
 
-def _pure_state_from(loaded: LoadedState) -> PureState:
-    if loaded.amplitudes is not None:
-        return PureState(loaded.amplitudes)
-    return pure_from_density(validate_state(loaded.matrix))
+def _load_pure(path) -> tuple[PureState, float | None]:
+    state, norm = load_state(path)
+    return (state if isinstance(state, PureState) else pure_from_density(state)), norm
 
 
 def _amplitude_pairs(amplitudes: np.ndarray) -> list[list[float]]:
@@ -188,8 +185,7 @@ def _amplitude_pairs(amplitudes: np.ndarray) -> list[list[float]]:
 
 def cmd_enumerate(args) -> int:
     cap = _resolve_cap(args)
-    loaded = load_state(args.file)
-    psi = _pure_state_from(loaded)
+    psi, norm = _load_pure(args.file)
     result = enumerate_pure_sign_perms(
         psi, filter=args.filter, target=args.target, tol=args.tol, cap=cap
     )
@@ -201,8 +197,8 @@ def cmd_enumerate(args) -> int:
         "total": result.total,
         "retained": result.retained,
     }
-    if loaded.norm is not None:
-        report["input_norm"] = loaded.norm
+    if norm is not None:
+        report["input_norm"] = norm
     if args.show > 0:
         report["states"] = [_amplitude_pairs(a) for a in result.amplitudes[:args.show]]
     _emit(report, args.format)
@@ -210,22 +206,17 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_tangle(args) -> int:
-    loaded = load_state(args.file)
-    psi = _pure_state_from(loaded)
+    psi, norm = _load_pure(args.file)
     tau = three_tangle(psi)
     report = {"command": "tangle", "dim": psi.dim, "tau3": tau}
-    if loaded.norm is not None:
-        report["input_norm"] = loaded.norm
+    if norm is not None:
+        report["input_norm"] = norm
     _emit(report, args.format)
     return EXIT_OK
 
 
 def cmd_construct(args) -> int:
-    loaded = load_decomposition(args.file)
-    target = validate_state(loaded.target.matrix)
-    members = tuple(validate_state(m.matrix) for m in loaded.members)
-    decomposition = DecompositionInput(target=target, members=members,
-                                       weights=tuple(loaded.weights))
+    decomposition = load_decomposition(args.file)
     poly = max_inscribed_cross_polytope(
         decomposition, tol_alpha=args.tol_alpha, lp_tol=args.tol
     )
@@ -241,7 +232,7 @@ def cmd_construct(args) -> int:
         "command": "construct",
         "dim": d,
         "chart_dim": d * d - 1,
-        "members": len(members),
+        "members": len(decomposition.members),
         "alpha": alpha,
         "degenerate": poly.degenerate,
         "edge_length": poly.edge_length(),
@@ -272,10 +263,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.alpha < 0.0:
-        raise ValueError("--alpha must be nonnegative")
-    center = validate_state(load_state(args.center).matrix)
-    probe = validate_state(load_state(args.probe).matrix)
+    center = _as_density(load_state(args.center)[0])
+    probe = _as_density(load_state(args.probe)[0])
     member = robustness_member(probe, center, args.alpha, tol=args.tol)
     c = to_coords(probe) - to_coords(center)
     d = center.dim
@@ -295,14 +284,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    if args.dim < 2:
-        raise ValueError("--dim must be at least 2")
     d = args.dim
     report = {"command": "volume", "dim": d, "chart_dim": d * d - 1,
               "hs_volume": hs_volume(d)}
     if args.alpha is not None:
-        if args.alpha < 0.0:
-            raise ValueError("--alpha must be nonnegative")
         ins = insphere_report(d, args.alpha)
         report.update({
             "alpha": args.alpha,

@@ -85,11 +85,6 @@ class DensityMatrix:
 
     def __init__(self, matrix, tol: float = STATE_TOL):
         M = np.array(matrix, dtype=complex)
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 2:
-            raise StateValidationError(
-                "not-square", 0.0,
-                f"expected a square matrix of dimension >= 2, got shape {M.shape}",
-            )
         _check_hermitian_unit_trace(M, tol)
         lam_min = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0).min())
         if lam_min < -tol:
@@ -114,8 +109,13 @@ class DensityMatrix:
 
 
 def _check_hermitian_unit_trace(M: np.ndarray, tol: float) -> None:
-    """Raise ``StateValidationError`` unless the square matrix ``M`` is
-    Hermitian and of unit trace within ``tol``."""
+    """Raise ``StateValidationError`` unless ``M`` is a square matrix of
+    dimension >= 2, Hermitian and of unit trace within ``tol``."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 2:
+        raise StateValidationError(
+            "not-square", 0.0,
+            f"expected a square matrix of dimension >= 2, got shape {M.shape}",
+        )
     herm_dev = float(np.max(np.abs(M - M.conj().T)))
     if herm_dev > tol:
         raise StateValidationError(
@@ -184,9 +184,21 @@ class PureState:
         return f"PureState(dim={self.dim})"
 
 
+def _unit_trace_hermitian(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+    """The matrix of a ``DensityMatrix``, or a raw array checked to be
+    square, Hermitian and of unit trace within ``STATE_TOL`` (not
+    necessarily positive)."""
+    if isinstance(rho, DensityMatrix):
+        return rho.matrix
+    M = np.asarray(rho, dtype=complex)
+    _check_hermitian_unit_trace(M, STATE_TOL)
+    return M
+
+
 def purity(rho: DensityMatrix | np.ndarray) -> float:
-    """``Tr(rho^2)`` as a real number."""
-    M = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, complex)
+    """``Tr(rho^2)`` as a real number; raw arrays are checked as in
+    :func:`to_coords`."""
+    M = _unit_trace_hermitian(rho)
     return float(np.real(np.sum(M * M.T)))
 
 
@@ -199,15 +211,7 @@ def to_coords(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     unit-trace Hermitian matrices, and :func:`from_coords` inverts it
     there.
     """
-    if isinstance(rho, DensityMatrix):
-        M = rho.matrix
-    else:
-        M = np.asarray(rho, dtype=complex)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise StateValidationError(
-                "not-square", 0.0, f"expected a square matrix, got shape {M.shape}"
-            )
-        _check_hermitian_unit_trace(M, STATE_TOL)
+    M = _unit_trace_hermitian(rho)
     d = M.shape[0]
     basis = traceless_hermitian_basis(d).reshape(d * d - 1, d * d)
     # Tr(M B) = sum_jk M_jk conj(B_jk) for Hermitian B, and conjugating
@@ -237,9 +241,9 @@ def from_coords(coords) -> np.ndarray:
 
 
 def hs_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) distance between two matrices."""
-    Ma = a.matrix if isinstance(a, DensityMatrix) else np.asarray(a, complex)
-    Mb = b.matrix if isinstance(b, DensityMatrix) else np.asarray(b, complex)
+    """Hilbert-Schmidt (Frobenius) distance between two matrices; raw
+    arrays are checked as in :func:`to_coords`."""
+    Ma, Mb = _unit_trace_hermitian(a), _unit_trace_hermitian(b)
     if Ma.shape != Mb.shape:
         raise ValueError(f"shape mismatch: {Ma.shape} vs {Mb.shape}")
     return float(np.linalg.norm(Ma - Mb))
@@ -248,8 +252,9 @@ def hs_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) ->
 def pure_from_density(rho: DensityMatrix) -> PureState:
     """Extract the amplitude vector of a rank-one density matrix.
 
-    The leading eigenvector is phase-fixed by making its largest-modulus
-    component real and positive.  Raises ``ValueError`` when the purity
+    The leading eigenvector is phase-fixed by making its pivot real and
+    positive: the first component whose modulus is within a relative
+    1e-9 of the largest.  Raises ``ValueError`` when the purity
     falls below ``1 - PURITY_TOL``.
     """
     p = purity(rho)
@@ -261,8 +266,15 @@ def pure_from_density(rho: DensityMatrix) -> PureState:
 
 def _phase_fixed(vecs: np.ndarray) -> np.ndarray:
     """The unit vectors along the last axis of ``vecs``, each multiplied
-    by the phase that makes its largest-modulus component real positive."""
-    pivot = np.argmax(np.abs(vecs), axis=-1)[..., None]
+    by the phase that makes its pivot component real positive.
+
+    The pivot is the first component whose modulus is within a relative
+    1e-9 of the largest, so components tied in modulus are broken by
+    index, not by last-bit roundoff, and a vector re-extracted from its
+    own projector comes back with the same phase."""
+    mod = np.abs(vecs)
+    near_max = mod >= (1.0 - 1e-9) * mod.max(axis=-1, keepdims=True)
+    pivot = np.argmax(near_max, axis=-1)[..., None]
     phase = np.take_along_axis(vecs, pivot, axis=-1)
     return vecs * (phase.conj() / np.abs(phase))
 

@@ -12,8 +12,11 @@ State document (exactly one of ``matrix`` / ``amplitudes``)::
     {"schema": 1, "kind": "state", "dim": 8,
      "amplitudes": [[0.0, 0.758], [0.0, 0.0], ...]}
 
-Amplitude vectors are normalized on load and the original norm is kept
-so callers can report the scaling.
+Loading validates: a matrix document yields a
+:class:`~signpoly.quantum.DensityMatrix` checked at ``STATE_TOL``, an
+amplitude document the normalized :class:`~signpoly.quantum.PureState`
+with its original norm, and a decomposition document a
+:class:`~signpoly.algorithms.DecompositionInput`.
 
 Decomposition document::
 
@@ -26,40 +29,15 @@ Decomposition document::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .algorithms import DecompositionInput
 from .errors import FileFormatError
+from .quantum import DensityMatrix, PureState, validate_state
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class LoadedState:
-    """A state document after parsing.
-
-    ``matrix`` is always populated (amplitude documents store the
-    projector); ``amplitudes`` is present only when the document carried
-    them, already normalized, with ``norm`` recording the original norm.
-    """
-
-    dim: int
-    matrix: np.ndarray
-    amplitudes: np.ndarray | None = None
-    norm: float | None = None
-
-
-@dataclass
-class LoadedDecomposition:
-    """A decomposition document after parsing; entries are raw matrices,
-    not yet validated as states."""
-
-    dim: int
-    target: LoadedState
-    members: list[LoadedState]
-    weights: list[float]
 
 
 def _fail(msg: str) -> FileFormatError:
@@ -101,7 +79,8 @@ def _complex_pairs(obj, expected: int, where: str) -> np.ndarray:
     return out
 
 
-def _parse_state_body(doc: dict, where: str) -> LoadedState:
+def _parse_state_body(doc: dict, where: str) -> tuple[DensityMatrix | PureState,
+                                                      float | None]:
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 2:
         raise _fail(f"{where}: \"dim\" must be an integer >= 2")
@@ -111,19 +90,29 @@ def _parse_state_body(doc: dict, where: str) -> LoadedState:
         raise _fail(f"{where}: provide exactly one of \"matrix\" / \"amplitudes\"")
     if has_matrix:
         flat = _complex_pairs(doc["matrix"], dim * dim, f"{where}.matrix")
-        return LoadedState(dim=dim, matrix=flat.reshape(dim, dim))
+        return validate_state(flat.reshape(dim, dim)), None
     amps = _complex_pairs(doc["amplitudes"], dim, f"{where}.amplitudes")
-    norm = float(np.linalg.norm(amps))
-    if norm <= 1e-300:
-        raise _fail(f"{where}: amplitude vector has zero norm")
-    amps = amps / norm
-    return LoadedState(dim=dim, matrix=np.outer(amps, amps.conj()),
-                       amplitudes=amps, norm=norm)
+    try:
+        return PureState.normalized(amps)
+    except ValueError as exc:
+        raise _fail(f"{where}.amplitudes: {exc}") from None
 
 
-def load_state(path) -> LoadedState:
-    """Parse a state document; raises
-    :class:`~signpoly.errors.FileFormatError` on any malformation."""
+def _as_density(state: DensityMatrix | PureState) -> DensityMatrix:
+    return state.to_density() if isinstance(state, PureState) else state
+
+
+def load_state(path) -> tuple[DensityMatrix | PureState, float | None]:
+    """Parse and validate a state document.
+
+    Returns ``(state, norm)``: a :class:`~signpoly.quantum.DensityMatrix`
+    and ``None`` for a matrix document, or the normalized
+    :class:`~signpoly.quantum.PureState` and the original norm for an
+    amplitude document.  Raises :class:`~signpoly.errors.FileFormatError`
+    on any malformation (a zero amplitude vector included) and
+    :class:`~signpoly.errors.StateValidationError` when a matrix is not
+    a state at ``STATE_TOL``.
+    """
     doc = _read_json(path)
     _check_schema(doc, str(path))
     kind = doc.get("kind", "state")
@@ -132,11 +121,16 @@ def load_state(path) -> LoadedState:
     return _parse_state_body(doc, str(path))
 
 
-def load_decomposition(path) -> LoadedDecomposition:
-    """Parse a decomposition document (target, members, weights).
+def load_decomposition(path) -> DecompositionInput:
+    """Parse and validate a decomposition document (target, members,
+    weights).
 
-    Entries are returned as raw matrices; state validation is the
-    caller's decision.
+    Each entry is validated as a state at ``STATE_TOL`` (amplitude
+    entries through their projector).  Raises
+    :class:`~signpoly.errors.FileFormatError` on any malformation,
+    :class:`~signpoly.errors.StateValidationError` for an entry that is
+    not a state, and :class:`~signpoly.errors.DecompositionError` when
+    the entries do not form a decomposition.
     """
     doc = _read_json(path)
     _check_schema(doc, str(path))
@@ -148,7 +142,7 @@ def load_decomposition(path) -> LoadedDecomposition:
         raise _fail(f"{path}: \"dim\" must be an integer >= 2")
     if not isinstance(doc.get("target"), dict):
         raise _fail(f"{path}: \"target\" must be a state object")
-    target = _parse_state_body({"dim": dim, **doc["target"]}, f"{path}.target")
+    target, _ = _parse_state_body({"dim": dim, **doc["target"]}, f"{path}.target")
     members_doc = doc.get("members")
     if not isinstance(members_doc, list) or not members_doc:
         raise _fail(f"{path}: \"members\" must be a nonempty list")
@@ -156,14 +150,15 @@ def load_decomposition(path) -> LoadedDecomposition:
     for i, body in enumerate(members_doc):
         if not isinstance(body, dict):
             raise _fail(f"{path}.members[{i}]: must be a state object")
-        members.append(_parse_state_body({"dim": dim, **body}, f"{path}.members[{i}]"))
+        member, _ = _parse_state_body({"dim": dim, **body}, f"{path}.members[{i}]")
+        members.append(_as_density(member))
     weights = doc.get("weights")
     if (not isinstance(weights, list) or len(weights) != len(members)
             or not all(isinstance(w, (int, float)) for w in weights)):
         raise _fail(f"{path}: \"weights\" must be a list of "
                     f"{len(members)} numbers")
-    return LoadedDecomposition(dim=dim, target=target, members=members,
-                               weights=[float(w) for w in weights])
+    return DecompositionInput(target=_as_density(target), members=tuple(members),
+                              weights=tuple(float(w) for w in weights))
 
 
 def _pairs(values: np.ndarray) -> list[list[float]]:

@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from signpoly import stateio, traceless_hermitian_basis
+from signpoly import (
+    DecompositionError,
+    DecompositionInput,
+    DensityMatrix,
+    PureState,
+    StateValidationError,
+    stateio,
+    traceless_hermitian_basis,
+)
 from signpoly.cli import main
 
 MIXED_2 = np.eye(2, dtype=complex) / 2
@@ -64,24 +72,49 @@ class TestStateIO:
         M = MIXED_2 + 0.3 * traceless_hermitian_basis(2)[1]
         path = tmp_path / "s.json"
         stateio.save_document(path, stateio.state_document(2, matrix=M))
-        loaded = stateio.load_state(path)
-        np.testing.assert_allclose(loaded.matrix, M, atol=1e-15)
-        assert loaded.amplitudes is None
+        rho, norm = stateio.load_state(path)
+        assert isinstance(rho, DensityMatrix)
+        np.testing.assert_allclose(rho.matrix, M, atol=1e-15)
+        assert norm is None
 
     def test_amplitudes_normalized_on_load(self, tmp_path):
         path = tmp_path / "s.json"
         stateio.save_document(path, stateio.state_document(
             2, amplitudes=np.array([3.0, 4.0])))
-        loaded = stateio.load_state(path)
-        assert loaded.norm == pytest.approx(5.0)
-        np.testing.assert_allclose(loaded.amplitudes, [0.6, 0.8])
+        psi, norm = stateio.load_state(path)
+        assert isinstance(psi, PureState)
+        assert norm == pytest.approx(5.0)
+        np.testing.assert_allclose(psi.amplitudes, [0.6, 0.8])
 
     def test_decomposition_round_trip(self, tmp_path, octahedral_file):
-        loaded = stateio.load_decomposition(octahedral_file)
-        assert loaded.dim == 2
-        assert len(loaded.members) == 6
-        assert sum(loaded.weights) == pytest.approx(1.0)
-        np.testing.assert_allclose(loaded.target.matrix, MIXED_2, atol=1e-15)
+        dec = stateio.load_decomposition(octahedral_file)
+        assert isinstance(dec, DecompositionInput)
+        assert dec.dim == 2
+        assert len(dec.members) == 6
+        assert sum(dec.weights) == pytest.approx(1.0)
+        np.testing.assert_allclose(dec.target.matrix, MIXED_2, atol=1e-15)
+
+    def test_non_psd_matrix_document_rejected(self, tmp_path):
+        path = _state_file(tmp_path, "bad.json", np.diag([1.5, -0.5]))
+        with pytest.raises(StateValidationError) as exc:
+            stateio.load_state(path)
+        assert exc.value.kind == "not-psd"
+
+    def test_too_few_members_rejected(self, tmp_path):
+        basis = traceless_hermitian_basis(2)
+        members = [MIXED_2 + s * 0.4 * basis[0] for s in (1, -1)]
+        path = tmp_path / "few.json"
+        stateio.save_document(path, stateio.decomposition_document(
+            2, MIXED_2, members, [0.5, 0.5]))
+        with pytest.raises(DecompositionError):
+            stateio.load_decomposition(path)
+
+    def test_zero_amplitudes_rejected(self, tmp_path):
+        path = tmp_path / "zero.json"
+        stateio.save_document(path, stateio.state_document(
+            2, amplitudes=np.zeros(2)))
+        with pytest.raises(stateio.FileFormatError):
+            stateio.load_state(path)
 
     @pytest.mark.parametrize("doc", [
         {},                                                   # no schema
@@ -264,6 +297,11 @@ def test_check_dimension_mismatch(tmp_path):
     a = _state_file(tmp_path, "a.json", MIXED_2)
     b = _state_file(tmp_path, "b.json", np.eye(3) / 3)
     assert main(["check", a, b, "--alpha", "0.1"]) == 2
+
+
+def test_check_negative_alpha(tmp_path):
+    a = _state_file(tmp_path, "a.json", MIXED_2)
+    assert main(["check", a, a, "--alpha", "-1"]) == 2
 
 
 def test_check_rejects_invalid_state(tmp_path):

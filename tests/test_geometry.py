@@ -12,6 +12,7 @@ from signpoly import (
     DimensionMismatchError,
     EnumerationTooLargeError,
     PureState,
+    SolverFailureError,
     VertexSet,
     ball_volume,
     count_sign_perm_vertices,
@@ -340,6 +341,16 @@ def test_boundary_probe_pivot_count(monkeypatch, probe, bound):
                         b_eq=np.append(probe, 1.0), bounds=(0, None), method="highs")
     assert reference.status == 0
     _assert_witness(w, verts, probe)
+
+
+@pytest.mark.xfail(strict=True, raises=SolverFailureError, reason=(
+    "phase 1 accepts an infeasibility of 1e-9 and the witness check then "
+    "reads 1.00000008e-9 against its 1e-9 tolerance, so a probe 1e-10 "
+    "outside the permutohedron raises instead of getting a verdict"))
+def test_hull_member_just_outside_permutohedron_gets_a_verdict():
+    probe = (1 + 1e-10) * np.array([1.0, 3.0, 2.0, 2.0, 2.0])
+    member, _ = hull_member_lp(probe, enumerate_perm_vertices([2.0, 2.0, 1.0, 3.0, 2.0]))
+    assert member in (True, False)
 
 
 def test_hull_member_dimension_mismatch():

@@ -426,6 +426,17 @@ def test_enumerate_bloch_target_qutrit_amplitudes_reach_their_chart_points():
     assert len(points) == 24
 
 
+def test_phase_fixed_rows_survive_re_extraction():
+    """Bloch rows of a real qutrit tie in modulus across components; the
+    pivot rule breaks ties by index, so re-extracting each row from its
+    own projector returns the row itself, not a phase-rotated copy."""
+    psi = PureState([math.cos(0.1), math.sin(0.1), 0.0])
+    res = enumerate_pure_sign_perms(psi, target="bloch")
+    for a in res.amplitudes:
+        back = pure_from_density(PureState(a).to_density()).amplitudes
+        np.testing.assert_allclose(back, a, rtol=0, atol=1e-12)
+
+
 def test_enumerate_validation_and_cap():
     w = make_canonical("w")
     with pytest.raises(ValueError):
