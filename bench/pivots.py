@@ -3,8 +3,9 @@
 Pivot counts do not depend on the machine, so they compare two versions
 of the LP kernel exactly.  The inputs are those of one ``hull`` block
 and the first ``construct`` block of ``perfbench/workloads.py`` for the
-given seed.  ``--src`` picks the ``signpoly`` to count, so the same
-command measures another checkout::
+given seed, plus one larger ``construct`` (d=5, m=60, drawn from the same
+seed).  ``--src`` picks the ``signpoly`` to count, so the same command
+measures another checkout::
 
     python3 bench/pivots.py --seed 3
     python3 bench/pivots.py --seed 3 --src ../parent/src
@@ -12,10 +13,22 @@ command measures another checkout::
 
 Prints one JSON object: per ``hull`` probe kind the number of probes,
 the mean, smallest and largest pivot count, the solver failures and the
-answers that disagree with the oracle; for ``construct`` the ray LPs
-solved and the mean pivots per ray LP.  ``--stall-limit`` overrides
-``simplex.STALL_LIMIT``, the degenerate run after which Bland's rule
-takes over, for a sweep of that constant.
+answers that disagree with the oracle; for the ``construct`` block and
+the d=5 case the phase-1 solves from the artificial basis and the mean
+pivots per ``construct``, split by where they happen:
+
+- ``phase1``: in those phase-1 solves (one shared solve per
+  ``construct``, or one per ray LP where phase 1 is not shared);
+- ``phase1_continued``: phase 1 continued per ray from the shared
+  tableau;
+- ``drive_out``: artificials pivoted out between the phases;
+- ``phase2``: phase 2.
+
+The d=5 case also reports its alpha and its median wall time over three
+runs (which does depend on the machine), or the solver failure it
+raised.  ``--stall-limit`` overrides ``simplex.STALL_LIMIT``, the run of
+pivots that leave the objective unchanged after which Bland's rule takes
+over, for a sweep of that constant.
 """
 
 from __future__ import annotations
@@ -25,6 +38,7 @@ import importlib
 import json
 import sys
 import tempfile
+import time
 from collections import defaultdict
 from pathlib import Path
 
@@ -33,24 +47,67 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
+class PivotCounter:
+    """Counts the pivots of ``sp.simplex`` by where they happen (the keys
+    of :data:`KINDS`) while it is entered, and the phase-1 solves from
+    the artificial basis."""
+
+    KINDS = ("phase1", "phase1_continued", "drive_out", "phase2")
+
+    def __init__(self, sp):
+        self.simplex = sp.simplex
+        self.counts = dict.fromkeys(self.KINDS, 0)
+        self.phase1_solves = 0
+        self._where = ["drive_out"]
+
+    def _inside(self, kind, fn, *args, **kwargs):
+        self._where.append(kind)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            self._where.pop()
+
+    def __enter__(self):
+        simplex = self.simplex
+        self._saved = simplex._pivot, simplex._phase1, simplex._pivot_loop
+        pivot, phase1, loop = self._saved
+
+        def counted_pivot(*args):
+            self.counts[self._where[-1]] += 1
+            return pivot(*args)
+
+        def counted_phase1(*args, **kwargs):
+            self.phase1_solves += 1
+            return self._inside("phase1", phase1, *args, **kwargs)
+
+        def counted_loop(*args, phase, **kwargs):
+            kind = self._where[-1] if phase == 1 else "phase2"
+            if kind == "drive_out":  # a phase-1 loop outside _phase1
+                kind = "phase1_continued"
+            return self._inside(kind, loop, *args, phase=phase, **kwargs)
+
+        simplex._pivot = counted_pivot
+        simplex._phase1 = counted_phase1
+        simplex._pivot_loop = counted_loop
+        return self
+
+    def __exit__(self, *exc):
+        simplex = self.simplex
+        simplex._pivot, simplex._phase1, simplex._pivot_loop = self._saved
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+
 def count_pivots(sp, call):
-    """Run ``call()`` and return ``(pivots, result or exception)``."""
-    simplex = sp.simplex
-    pivot = simplex._pivot
-    count = [0]
-
-    def counted(*args):
-        count[0] += 1
-        return pivot(*args)
-
-    simplex._pivot = counted
-    try:
-        result = call()
-    except sp.errors.SolverFailureError as exc:
-        result = exc
-    finally:
-        simplex._pivot = pivot
-    return count[0], result
+    """Run ``call()`` and return ``(pivot counter, result or exception)``."""
+    with PivotCounter(sp) as counter:
+        try:
+            result = call()
+        except sp.errors.SolverFailureError as exc:
+            result = exc
+    return counter, result
 
 
 def hull_pivots(sp, workloads, seed: int) -> dict:
@@ -58,9 +115,9 @@ def hull_pivots(sp, workloads, seed: int) -> dict:
         wl = workloads.build_hull(np.random.default_rng(seed), Path(tmp), sp)
     kinds = defaultdict(lambda: {"pivots": [], "failures": 0, "wrong": 0})
     for op in wl.blocks[0]:
-        pivots, answer = count_pivots(sp, op.call)
+        counter, answer = count_pivots(sp, op.call)
         rec = kinds[op.kind]
-        rec["pivots"].append(pivots)
+        rec["pivots"].append(counter.total)
         if isinstance(answer, Exception):
             rec["failures"] += 1
         elif not op.agrees(answer):
@@ -72,28 +129,57 @@ def hull_pivots(sp, workloads, seed: int) -> dict:
             for kind, rec in sorted(kinds.items())}
 
 
+def _per_construct(counters) -> dict:
+    """Mean phase-1 solves and pivots per ``construct`` over ``counters``."""
+    mean = lambda values: round(float(np.mean(values)), 2)
+    pivots = {kind: mean([c.counts[kind] for c in counters])
+              for kind in PivotCounter.KINDS}
+    pivots["total"] = mean([c.total for c in counters])
+    return {"phase1_solves": mean([c.phase1_solves for c in counters]),
+            "pivots": pivots}
+
+
 def construct_pivots(sp, workloads, seed: int) -> dict:
-    algorithms = sp.algorithms
-    minimize = algorithms.minimize_nonneg
-    solves = [0]
+    counters = []
+    wrong = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        wl = workloads.build_construct(np.random.default_rng(seed), Path(tmp), sp)
+        for op in wl.blocks[0]:
+            counter, answer = count_pivots(sp, op.call)
+            counters.append(counter)
+            wrong += isinstance(answer, Exception) or not op.agrees(answer)
+    return {"decompositions": len(counters), **_per_construct(counters),
+            "wrong": wrong}
 
-    def counted(*args, **kwargs):
-        solves[0] += 1
-        return minimize(*args, **kwargs)
 
-    algorithms.minimize_nonneg = counted
-    pivots = wrong = 0
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            wl = workloads.build_construct(np.random.default_rng(seed), Path(tmp), sp)
-            for op in wl.blocks[0]:
-                count, answer = count_pivots(sp, op.call)
-                pivots += count
-                wrong += not op.agrees(answer)
-    finally:
-        algorithms.minimize_nonneg = minimize
-    return {"decompositions": len(wl.blocks[0]), "ray_lps": solves[0],
-            "pivots_per_ray_lp": round(pivots / solves[0], 2), "wrong": wrong}
+def _random_decomposition(sp, rng, d: int, m: int):
+    """m Hilbert-Schmidt random states of dimension d and a Dirichlet(1)
+    mix of them as the target."""
+    members = []
+    for _ in range(m):
+        G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        M = G @ G.conj().T
+        members.append(sp.DensityMatrix(M / np.trace(M).real))
+    weights = rng.dirichlet(np.ones(m))
+    target = sum(w * M.matrix for w, M in zip(weights, members))
+    return sp.DecompositionInput(sp.DensityMatrix(target), tuple(members),
+                                 tuple(weights))
+
+
+def large_construct_pivots(sp, seed: int, d: int = 5, m: int = 60) -> dict:
+    dec = _random_decomposition(sp, np.random.default_rng(seed), d, m)
+    counter, poly = count_pivots(
+        sp, lambda: sp.max_inscribed_cross_polytope(dec))
+    result = {"d": d, "m": m, **_per_construct([counter])}
+    if isinstance(poly, Exception):
+        return {**result, "failure": str(poly)}
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        sp.max_inscribed_cross_polytope(dec)
+        times.append(time.perf_counter() - start)
+    return {**result, "alpha": poly.alpha,
+            "median_wall_s": round(float(np.median(times)), 4)}
 
 
 def main(argv=None) -> int:
@@ -114,7 +200,8 @@ def main(argv=None) -> int:
     print(json.dumps({"seed": args.seed,
                       "stall_limit": getattr(sp.simplex, "STALL_LIMIT", None),
                       "hull": hull_pivots(sp, workloads, args.seed),
-                      "construct": construct_pivots(sp, workloads, args.seed)},
+                      "construct": construct_pivots(sp, workloads, args.seed),
+                      "construct_large": large_construct_pivots(sp, args.seed)},
                      indent=1))
     return 0
 

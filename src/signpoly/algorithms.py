@@ -29,7 +29,7 @@ from .geometry import (
 )
 from .majorization import DEFAULT_TOL, weakly_majorized
 from .quantum import DensityMatrix, from_coords, to_coords
-from .simplex import minimize_nonneg
+from .simplex import _ray_maxima
 
 #: Inscribed scales at or below this mark the polytope as degenerate.
 DEFAULT_TOL_ALPHA = 1e-8
@@ -161,44 +161,36 @@ def max_inscribed_cross_polytope(
     """Largest cross-polytope centered on the target inside the hull of
     the decomposition members, in the coordinate chart.
 
-    The target is a convex combination of the members, so the best
-    scale is exactly ``min over k, s of max {t : t s e_k in hull}``.
-    Each of the ``2(d^2-1)`` directions is one ray LP: maximize ``t``
-    subject to ``V^T w - t s e_k = 0``, ``sum w = 1``, ``w, t >= 0``
-    over the translated members ``V``.  A ray that cannot even start
-    means the target sits on the hull boundary: the scale is 0, and so
-    is a positive ray optimum at or below ``min(lp_tol, tol_alpha)``,
-    which the solver cannot tell from 0 (its hyperplane ``u/t`` would be
-    noise): such a ray is recorded like one that cannot start.  Scales
-    at or below ``tol_alpha`` carry the ``degenerate`` flag instead of
-    raising.  Every weight vector is checked to be a convex combination
-    reaching its ray point within ``lp_tol``; a larger violation raises
+    The target is a convex combination of the members, so the best scale
+    is exactly ``min over k, s of max {t : t s e_k in hull}``.  Each of
+    the ``2(d^2-1)`` directions is one ray LP: maximize ``t`` subject to
+    ``V^T w - t s e_k = 0``, ``sum w = 1``, ``w, t >= 0`` over the
+    translated members ``V``.  The rays differ only in the ``t`` column,
+    so one shared phase 1 feeds their ``2(d^2-1)`` phase-2 runs, with
+    the same exact scale.  A ray that cannot even start means the target
+    sits on the hull boundary: the scale is 0, and so is a positive ray
+    optimum at or below ``min(lp_tol, tol_alpha)``, which the solver
+    cannot tell from 0 (its hyperplane ``u/t`` would be noise): such a
+    ray is recorded like one that cannot start.  Scales at or below
+    ``tol_alpha`` carry the ``degenerate`` flag instead of raising.
+    Every weight vector is checked to be a convex combination reaching
+    its ray point within ``lp_tol``; a larger violation raises
     :class:`~signpoly.errors.SolverFailureError`.
     """
     center = to_coords(decomposition.target)
-    n = center.size
-    translated = np.array(
-        [to_coords(m) for m in decomposition.members]
-    ) - center
-    m = len(translated)
+    translated = np.array([to_coords(mb) for mb in decomposition.members])
+    translated -= center
+    m, n = translated.shape
 
-    # Columns [w | t]; rows [V^T w - t s e_k = 0 | sum w = 1].
-    A = np.zeros((n + 1, m + 1))
-    A[:n, :m] = translated.T
-    A[n, :m] = 1.0
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    c = np.zeros(m + 1)
-    c[m] = -1.0
+    # Rows [V^T w = 0 | sum w = 1] for every ray; ray j adds column -s e_k.
+    A = np.vstack([translated.T, np.ones(m)])
+    b = np.append(np.zeros(n), 1.0)
+    columns = np.vstack([-np.eye(n, n + 1), np.eye(n, n + 1)])
 
-    zero_t = min(lp_tol, tol_alpha)
     t = np.zeros(2 * n)
     witnesses = np.full((2 * n, m), np.nan)
     duals: list[np.ndarray | None] = [None] * (2 * n)
-    for j in range(2 * n):
-        A[:n, m] = 0.0
-        A[j % n, m] = -1.0 if j < n else 1.0
-        sol = minimize_nonneg(c, A, b, tol=lp_tol)
+    for j, sol in enumerate(_ray_maxima(A, b, columns, lp_tol)):
         if sol.status == "infeasible":
             continue
         if sol.status != "optimal":
@@ -206,13 +198,13 @@ def max_inscribed_cross_polytope(
                 f"ray LP {sol.status} inside a bounded hull")
         # The ray point t s e_k is -t times the t column.
         violation = _witness_violation(sol.z[:m], translated,
-                                       -sol.z[m] * A[:n, m])
+                                       -sol.z[m] * columns[j, :n])
         if violation > lp_tol:
             raise SolverFailureError(
                 f"ray witness violation {violation:.3e} exceeds tolerance "
                 f"{lp_tol:.3e}"
             )
-        if 0.0 < sol.z[m] <= zero_t:
+        if 0.0 < sol.z[m] <= min(lp_tol, tol_alpha):
             continue
         t[j] = sol.z[m]
         witnesses[j] = sol.z[:m]

@@ -19,10 +19,9 @@ from .errors import SolverFailureError
 
 # Pivot candidates below this magnitude are treated as zero.
 PIVOT_EPS = 1e-11
-# Slack used when comparing minimum ratios in the leaving-variable test;
-# a pivot whose minimum ratio is at most this is degenerate.
+# Slack used when comparing minimum ratios in the leaving-variable test.
 RATIO_EPS = 1e-12
-# Consecutive degenerate pivots after which Bland's rule takes over.
+# Consecutive pivots that leave the objective unchanged before Bland's rule.
 STALL_LIMIT = 20
 # Tableaux larger than this are updated a row at a time, which keeps the
 # rows in cache (crossover measured by bench/rank1_sweep.py).
@@ -80,15 +79,16 @@ def _pivot_loop(T, obj, basis, ncols, max_iter, phase):
 
     The most negative reduced cost enters (Dantzig's rule); ties in the
     ratio test leave by lowest basic index.  After ``STALL_LIMIT``
-    consecutive degenerate pivots the lowest-index negative column
-    enters instead (Bland's rule) until a pivot with a positive ratio.
-    So the loop is finite in exact arithmetic, where Dantzig's rule
-    alone can cycle: positive-ratio pivots lower the objective, and
-    Bland's rule cannot cycle within a degenerate run.  In floating
-    point the ``max_iter`` cap is the backstop, and reaching it raises.
+    consecutive pivots that leave the computed objective unchanged, the
+    lowest-index negative column enters instead (Bland's rule) until a
+    pivot lowers it.  So the loop is finite: the objective strictly
+    falls, as computed, at each reset of the counter, so no cycle of
+    bases resets it, and Bland's rule cannot cycle while the objective
+    stands still (in exact arithmetic; against roundoff the ``max_iter``
+    cap is the backstop, and reaching it raises).
 
-    Returns ``(iterations, unbounded)``; ``unbounded`` means the entering
-    column had no positive entry.  More than ``max_iter`` pivots raise.
+    Returns ``(iterations, unbounded)``: an entering column without a
+    positive entry is unbounded, or in phase 1 (bounded below) raises.
     """
     stalled = 0
     for it in range(max_iter):
@@ -101,13 +101,15 @@ def _pivot_loop(T, obj, basis, ncols, max_iter, phase):
         col = T[:, j]
         rows = np.flatnonzero(col > PIVOT_EPS)
         if rows.size == 0:
+            if phase == 1:
+                raise SolverFailureError("no admissible pivot in entering column")
             return it, True
         ratios = T[rows, -1] / col[rows]
-        rmin = ratios.min()
-        ties = rows[ratios <= rmin + RATIO_EPS]
+        ties = rows[ratios <= ratios.min() + RATIO_EPS]
         i = int(min(ties, key=lambda r: basis[r]))  # Bland tie-break
-        stalled = stalled + 1 if rmin <= RATIO_EPS else 0
+        before = obj[-1]
         _pivot(T, obj, basis, i, j)
+        stalled = 0 if obj[-1] > before else stalled + 1
     raise SolverFailureError(
         f"phase-{phase} simplex did not converge within {max_iter} iterations"
     )
@@ -135,11 +137,7 @@ def _phase1(A, b, max_iter):
     T[:, p:p + k] = np.eye(k)
     basis = list(range(p, p + k))
 
-    used, unbounded = _pivot_loop(T, obj, basis, p + k, max_iter, phase=1)
-    if unbounded:
-        # Phase 1 is bounded below by zero, so this is numerical
-        # breakdown rather than genuine unboundedness.
-        raise SolverFailureError("no admissible pivot in entering column")
+    used, _ = _pivot_loop(T, obj, basis, p + k, max_iter, phase=1)
     return T, obj, basis, flip, used
 
 
@@ -190,35 +188,65 @@ def minimize_nonneg(
     """
     A, b, max_iter = _checked(A, b, max_iter)
     c = np.asarray(c, dtype=float)
-    k, p = A.shape
-    if c.shape != (p,):
+    if c.shape != (A.shape[1],):
         raise ValueError("c must have one entry per column of A")
     T, obj, basis, flip, used = _phase1(A, b, max_iter)
-    if -obj[-1] > tol:
-        return LPSolution("infeasible")
+    return _phase2(c, T, obj, basis, flip, tol, max_iter - used)
 
-    # Artificials still basic sit at zero; pivot them out so phase 2
-    # cannot raise them.  A row with no usable real entry is redundant
-    # and keeps its artificial at zero.
-    for i in range(k):
-        if basis[i] >= p:
+
+def _ray_maxima(A, b, columns, tol):
+    """Maximize ``t`` over ``A w + t a = b``, ``w, t >= 0`` for each row
+    ``a`` of ``columns``, as :func:`minimize_nonneg` would on ``[A | a]``
+    with cost ``(0, ..., 0, -1)``, but from one shared phase 1 on
+    ``[A | 0]`` (so at ``t = 0``): each ray writes ``B^-1 a``, read from
+    the artificial block, into the ``t`` column of a copy of that
+    tableau, prices it at ``-(1 - obj_art) . a``, continues phase 1,
+    drives out and runs phase 2.  Each ray's pivot cap is
+    :func:`minimize_nonneg`'s on ``[A | a]``, ``50 * (rows + cols + 1)``,
+    less the shared phase-1 pivots.
+    """
+    k, p = A.shape
+    cap = 50 * (k + p + 1)
+    T0, obj0, basis0, flip, shared = _phase1(np.c_[A, np.zeros(k)], b, cap)
+    cap -= shared
+    c = np.append(np.zeros(p), -1.0)
+    for a in np.where(flip, -1.0, 1.0) * columns:
+        T, obj, basis = T0.copy(), obj0.copy(), list(basis0)
+        T[:, p] = T0[:, p + 1:-1] @ a
+        obj[p] = (obj0[p + 1:-1] - 1.0) @ a
+        used, _ = _pivot_loop(T, obj, basis, p + k + 1, cap, phase=1)
+        yield _phase2(c, T, obj, basis, flip, tol, cap - used)
+
+
+def _drive_out(T, obj, basis, p):
+    """Pivot the basic artificials, at zero, out so phase 2 cannot raise
+    them; a row with no usable real entry is redundant and keeps its."""
+    for i, var in enumerate(basis):
+        if var >= p:
             j = int(np.argmax(np.abs(T[i, :p])))
             if abs(T[i, j]) > PIVOT_EPS:
                 T[i, -1] = 0.0
                 _pivot(T, obj, basis, i, j)
 
+
+def _phase2(c, T, obj, basis, flip, tol, max_iter):
+    """Infeasibility verdict, drive-out and phase 2 from a phase-1 tableau."""
+    if -obj[-1] > tol:
+        return LPSolution("infeasible")
+    p = c.size
+    _drive_out(T, obj, basis, p)
+
     # Phase-2 reduced costs: the real costs priced out against the basis.
-    obj = np.zeros(p + k + 1)
-    obj[:p] = c
+    obj = np.concatenate([c, np.zeros(T.shape[1] - p)])
     for i, var in enumerate(basis):
         if var < p and c[var] != 0.0:
             obj -= c[var] * T[i]
 
-    _, unbounded = _pivot_loop(T, obj, basis, p, max_iter - used, phase=2)
+    _, unbounded = _pivot_loop(T, obj, basis, p, max_iter, phase=2)
     if unbounded:
         return LPSolution("unbounded")
     z = _basic_solution(T, basis, p)
     # An artificial column's reduced cost is minus the dual of its
     # (possibly flipped) row.
-    dual = np.where(flip, obj[p:p + k], -obj[p:p + k])
+    dual = np.where(flip, obj[p:-1], -obj[p:-1])
     return LPSolution("optimal", z, float(c @ z), dual)

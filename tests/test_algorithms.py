@@ -22,9 +22,11 @@ from signpoly import (
     max_inscribed_cross_polytope,
     robustness_fraction,
     robustness_member,
+    simplex,
     to_coords,
     traceless_hermitian_basis,
 )
+from signpoly.simplex import minimize_nonneg
 
 MIXED_2 = np.eye(2, dtype=complex) / 2
 
@@ -304,15 +306,15 @@ def test_hull_member_raises_on_a_witness_that_misses(monkeypatch, shift):
 
 def test_ray_witness_that_misses_raises(monkeypatch):
     import signpoly.algorithms
-    kernel = signpoly.algorithms.minimize_nonneg
+    rays = signpoly.algorithms._ray_maxima
 
     def heavy(*args, **kwargs):
-        sol = kernel(*args, **kwargs)
-        z = sol.z.copy()
-        z[0] += 2e-9
-        return dataclasses.replace(sol, z=z)
+        for sol in rays(*args, **kwargs):
+            z = sol.z.copy()
+            z[0] += 2e-9
+            yield dataclasses.replace(sol, z=z)
 
-    monkeypatch.setattr(signpoly.algorithms, "minimize_nonneg", heavy)
+    monkeypatch.setattr(signpoly.algorithms, "_ray_maxima", heavy)
     with pytest.raises(SolverFailureError, match="ray witness"):
         max_inscribed_cross_polytope(_cube_decomposition(0.3))
 
@@ -372,26 +374,107 @@ def test_degenerate_certificate_has_no_hyperplane(offset):
 
 
 @pytest.mark.parametrize("d, m", [(2, 8), (3, 20)])
-def test_one_kernel_solve_per_direction(monkeypatch, d, m):
-    """Exactly 2(d^2 - 1) LP solves and no hull queries per search."""
-    import signpoly.algorithms
+def test_one_kernel_solve_per_direction(monkeypatch, phase_calls, d, m):
+    """Exactly one shared phase 1, then 2(d^2 - 1) phase-1 continuations
+    and phase-2 runs, and no hull queries per search."""
     import signpoly.geometry
 
-    calls = {"minimize": 0, "feasible": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(signpoly.algorithms, "minimize_nonneg",
-                        counting("minimize", signpoly.algorithms.minimize_nonneg))
+    feasible = []
+    kernel = signpoly.geometry.feasible_nonneg
     monkeypatch.setattr(signpoly.geometry, "feasible_nonneg",
-                        counting("feasible", signpoly.geometry.feasible_nonneg))
+                        lambda *a, **k: feasible.append(1) or kernel(*a, **k))
     poly = max_inscribed_cross_polytope(_random_decomposition(7, d, m, 1.0))
     assert not poly.degenerate
-    assert calls == {"minimize": 2 * (d * d - 1), "feasible": 0}
+    n = d * d - 1
+    assert phase_calls == {"phase1": 1, "continued": 2 * n, "phase2": 2 * n}
+    assert not feasible
+
+
+def test_shared_phase1_pivot_count(monkeypatch):
+    """Pivots of one d=4, m=40 search: at most a third of the 2,053 it
+    took with one full two-phase solve per ray; pivot counts do not
+    depend on the machine."""
+    pivots = []
+    pivot = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot",
+                        lambda *a: pivots.append(1) or pivot(*a))
+    poly = max_inscribed_cross_polytope(_random_decomposition(7, 4, 40, 1.0))
+    assert len(pivots) <= 2053 // 3
+    assert certificate_holds(poly)
+
+
+def _ray_system(dec):
+    """Shared rows ``[V^T; 1] w = [0; 1]`` of the ray LPs of ``dec`` and
+    the ``t`` column ``-s e_k`` of each of its 2n directions."""
+    center = to_coords(dec.target)
+    V = np.array([to_coords(m) for m in dec.members]) - center
+    m, n = V.shape
+    A = np.vstack([V.T, np.ones(m)])
+    b = np.append(np.zeros(n), 1.0)
+    return A, b, np.vstack([-np.eye(n, n + 1), np.eye(n, n + 1)])
+
+
+def _assert_rays_match_standalone(dec):
+    """Every ray of the shared phase 1 has the status and the ``t`` of a
+    standalone two-phase solve of that ray's full LP."""
+    A, b, columns = _ray_system(dec)
+    c = np.zeros(A.shape[1] + 1)
+    c[-1] = -1.0
+    shared = list(simplex._ray_maxima(A, b, columns, 1e-9))
+    assert len(shared) == len(columns)
+    for column, sol in zip(columns, shared):
+        alone = minimize_nonneg(c, np.column_stack([A, column]), b)
+        assert sol.status == alone.status
+        if alone.status == "optimal":
+            assert sol.z[-1] == pytest.approx(alone.z[-1], abs=1e-9)
+            assert sol.value == pytest.approx(alone.value, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+       extra=st.integers(1, 20),
+       concentration=st.sampled_from([0.2, 1.0, 5.0]))
+def test_shared_phase1_rays_match_standalone_solves(seed, d, extra,
+                                                    concentration):
+    _assert_rays_match_standalone(
+        _random_decomposition(seed, d, d * d - 1 + extra, concentration))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 10),
+       offset=st.sampled_from([0.0, 5e-9]))
+def test_rank_deficient_rays_match_standalone_solves(seed, m, offset):
+    """Members all at Bloch z = 0 make ``[V^T; 1]`` rank deficient: an
+    artificial stays basic in the shared phase 1, and on the two z rays
+    the t column replaces it.  A target ``offset`` above the plane makes
+    the shared phase 1 infeasible, and only the ray back down to the
+    plane, continued in phase 1, reaches ``t = offset``."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2.0 * np.pi, m)
+    members = tuple(_qubit_state([0.3 * np.cos(a), 0.3 * np.sin(a), 0.0])
+                    for a in angles)
+    weights = rng.dirichlet(np.ones(m))
+    target = sum(w * to_coords(mb) for w, mb in zip(weights, members))
+    target[2] = offset
+    dec = DecompositionInput(_qubit_state(target), members, tuple(weights))
+    A, b, _ = _ray_system(dec)
+    _, obj, basis, _, _ = simplex._phase1(A, b, 1000)
+    assert max(basis) >= m
+    assert (-obj[-1] > 1e-9) == (offset > 0.0)
+    _assert_rays_match_standalone(dec)
+    t = max_inscribed_cross_polytope(dec).certificate.t
+    assert t[2] == 0.0
+    assert t[5] == pytest.approx(offset, abs=1e-12)
+
+
+def test_offset_degenerate_rays_match_standalone_solves():
+    """The target 5e-9 off four coincident members: the shared t = 0
+    phase 1 is infeasible, so every verdict comes from a ray's phase-1
+    continuation."""
+    boundary = _qubit_state([0.2, 0.0, 0.0])
+    dec = DecompositionInput(target=_qubit_state([0.2 + 5e-9, 0.0, 0.0]),
+                             members=(boundary,) * 4, weights=(0.25,) * 4)
+    _assert_rays_match_standalone(dec)
 
 
 # ------------------------------------------------------------- Algorithm 2

@@ -224,18 +224,13 @@ def test_construct_octahedral(capsys, octahedral_file):
         doc["fraction_closed_form"], rel=1e-10)
 
 
-def test_construct_reports_binding_direction(capsys, monkeypatch,
+def test_construct_reports_binding_direction(capsys, phase_calls,
                                              octahedral_file):
-    import signpoly.algorithms
-
-    solves = []
-    kernel = signpoly.algorithms.minimize_nonneg
-    monkeypatch.setattr(signpoly.algorithms, "minimize_nonneg",
-                        lambda *a, **k: solves.append(1) or kernel(*a, **k))
     rc = main(["construct", octahedral_file, "--format", "structured"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
-    assert len(solves) == 2 * doc["chart_dim"]
+    n = doc["chart_dim"]
+    assert phase_calls == {"phase1": 1, "continued": 2 * n, "phase2": 2 * n}
     assert 0 <= doc["binding_axis"] < doc["chart_dim"]
     assert doc["binding_sign"] in (1, -1)
 

@@ -272,3 +272,24 @@ def test_bland_fallback_ends_a_dantzig_cycle(monkeypatch, seed, ray):
     status, value = _reference_min(c, A, b)
     assert status == "optimal"
     _assert_optimal(minimize_nonneg(c, A, b), c, A, b, value)
+
+
+def test_positive_ratio_pivot_that_leaves_the_objective_counts_as_stalled(
+        monkeypatch):
+    """The first pivot has ratio 2e-12 > RATIO_EPS, but it changes the
+    objective by 4e-23, which leaves ``obj[-1] = -1`` bit-identical; it
+    counts toward STALL_LIMIT, so with a limit of 1 Bland's rule picks
+    the second entering column."""
+    T = np.array([[1.0, -1.0, 1.0, 0.0, 2e-12],
+                  [0.0, 1.0, 0.0, 1.0, 1.0]])
+    obj = np.array([-2e-11, 0.0, 0.0, 0.0, -1.0])
+    assert obj[-1] - obj[0] * T[0, -1] == obj[-1]
+    calls = []
+    bland = simplex._bland
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 1)
+    monkeypatch.setattr(simplex, "_bland",
+                        lambda reduced: calls.append(1) or bland(reduced))
+    basis = [2, 3]
+    assert simplex._pivot_loop(T, obj, basis, 4, 10, phase=2) == (2, False)
+    assert basis == [0, 1]
+    assert calls == [1]
