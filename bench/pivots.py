@@ -20,7 +20,9 @@ pivots per ``construct``, split by where they happen:
 - ``phase1``: in those phase-1 solves (one shared solve per
   ``construct``, or one per ray LP where phase 1 is not shared);
 - ``phase1_continued``: phase 1 continued per ray from the shared
-  tableau;
+  tableau; 0 by construction since the ray LPs are centred on the
+  members' weighted mean (``t = 0`` is feasible), and kept for ``--src``
+  runs against older checkouts;
 - ``drive_out``: artificials pivoted out between the phases;
 - ``phase2``: phase 2.
 

@@ -3,8 +3,8 @@ the robustness bookkeeping built on them.
 
 Given a target state written as a convex combination of other states,
 the first routine finds the largest axis-aligned cross-polytope in the
-coordinate chart that is centered on the target and contained in the
-hull of the decomposition members.  Membership of a probe state in that
+coordinate chart that is centered on the members' weighted mean and
+contained in the hull of the decomposition members.  Membership of a probe state in that
 polytope is a one-line weak-majorization test, and the polytope's
 volume measured against the Hilbert-Schmidt volume of the full state
 space gives a robustness fraction.
@@ -47,7 +47,7 @@ class DecompositionInput:
     (otherwise the hull has empty interior and no polytope fits), equal
     dimensions throughout, weights that are nonnegative with unit sum,
     and a weighted reconstruction within ``1e-8`` of the target in
-    Hilbert-Schmidt norm.
+    Hilbert-Schmidt norm (NaN fails every check).
     """
 
     target: DensityMatrix
@@ -67,13 +67,13 @@ class DecompositionInput:
         if len(self.weights) != len(self.members):
             raise DecompositionError("weights and members must have equal length")
         w = np.array(self.weights, dtype=float)
-        if w.min() < -DEFAULT_TOL:
+        if not w.min() >= -DEFAULT_TOL:
             raise DecompositionError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > DEFAULT_TOL:
+        if not abs(w.sum() - 1.0) <= DEFAULT_TOL:
             raise DecompositionError(f"weights must sum to 1, got {w.sum()!r}")
         mix = sum(wi * m.matrix for wi, m in zip(w, self.members))
         residual = float(np.linalg.norm(mix - self.target.matrix))
-        if residual > RECONSTRUCTION_TOL:
+        if not residual <= RECONSTRUCTION_TOL:
             raise DecompositionError(
                 f"weighted members miss the target by {residual:.3e} "
                 f"(allowed {RECONSTRUCTION_TOL:.1e})"
@@ -91,9 +91,9 @@ class CrossPolytopeCertificate:
     Direction ``j`` of the ``2n`` (``n = d^2 - 1``) is axis ``j % n``
     with sign ``+1`` for ``j < n`` and ``-1`` otherwise, the order of
     :meth:`CrossPolytopeSpec.vertices`.  ``t[j]`` is the largest ``t``
-    with ``t s e_k`` in the hull of the members translated by the
-    target, and row ``j`` of ``witnesses`` holds member weights that
-    reach it (NaN when even ``t = 0`` was out of reach).  The binding
+    with ``t s e_k`` in the hull of the members translated by their
+    weighted mean, and row ``j`` of ``witnesses`` holds member weights
+    that reach it (the decomposition's own for a zeroed ray).  The binding
     direction is the one whose ``t`` is the scale.  ``hyperplane`` is
     an ``h`` with ``h . v <= 1`` on every translated member and
     ``h . (alpha s e_k) >= 1`` at the binding vertex, read from the dual
@@ -113,7 +113,7 @@ class QuantumCrossPolytope:
     """A cross-polytope of states: geometry in the coordinate chart plus
     the decomposition that produced it and the certificate of its scale.
 
-    ``degenerate`` marks the boundary case where the target sits on the
+    ``degenerate`` marks the boundary case where the centre sits on the
     hull's boundary and the polytope collapsed to (numerically) a point.
     """
 
@@ -153,33 +153,43 @@ class QuantumCrossPolytope:
         return self.spec.edge_length()
 
 
+def _chart_members(decomposition: DecompositionInput):
+    """The weights, clipped at 0 and renormalized, the chart point of the
+    members' mean under them (the chart of their weighted matrix sum, as
+    checked against the target), and the members' chart points less it."""
+    weights = np.clip(decomposition.weights, 0.0, None)
+    weights /= weights.sum()
+    members = decomposition.members
+    center = to_coords(sum(w * mb.matrix for w, mb in zip(weights, members)))
+    points = np.array([to_coords(mb) for mb in members])
+    return weights, center, points - center
+
+
 def max_inscribed_cross_polytope(
     decomposition: DecompositionInput,
     tol_alpha: float = DEFAULT_TOL_ALPHA,
     lp_tol: float = DEFAULT_TOL,
 ) -> QuantumCrossPolytope:
-    """Largest cross-polytope centered on the target inside the hull of
-    the decomposition members, in the coordinate chart.
+    """Largest cross-polytope centered on the members' weighted mean
+    inside their hull, in the coordinate chart (the target is not read).
 
-    The target is a convex combination of the members, so the best scale
-    is exactly ``min over k, s of max {t : t s e_k in hull}``.  Each of
-    the ``2(d^2-1)`` directions is one ray LP: maximize ``t`` subject to
-    ``V^T w - t s e_k = 0``, ``sum w = 1``, ``w, t >= 0`` over the
-    translated members ``V``.  The rays differ only in the ``t`` column,
-    so one shared phase 1 feeds their ``2(d^2-1)`` phase-2 runs, with
-    the same exact scale.  A ray that cannot even start means the target
-    sits on the hull boundary: the scale is 0, and so is a positive ray
-    optimum at or below ``min(lp_tol, tol_alpha)``, which the solver
-    cannot tell from 0 (its hyperplane ``u/t`` would be noise): such a
-    ray is recorded like one that cannot start.  Scales at or below
-    ``tol_alpha`` carry the ``degenerate`` flag instead of raising.
-    Every weight vector is checked to be a convex combination reaching
-    its ray point within ``lp_tol``; a larger violation raises
+    The weights reach the centre, so ``t = 0`` is feasible on every ray
+    and the best scale is ``min over k, s of max {t : t s e_k in hull}``.
+    Each of the ``2(d^2-1)`` directions is one ray LP: maximize ``t``
+    subject to ``V^T w - t s e_k = 0``, ``sum w = 1``, ``w, t >= 0`` over
+    the translated members ``V``.  The rays differ only in the ``t``
+    column, so one shared phase 1 feeds their ``2(d^2-1)`` phase-2 runs,
+    with the same exact scale.  A centre on the hull boundary gives
+    scale 0, and so does a positive ray optimum at or below
+    ``min(lp_tol, tol_alpha)``, which the solver cannot tell from 0 (its
+    hyperplane ``u/t`` would be noise): such a ray keeps the
+    decomposition's weights as its witness.  Scales at or below
+    ``tol_alpha`` carry the ``degenerate`` flag instead of raising.  A
+    ray LP that is not optimal, or a weight vector that misses its ray
+    point by more than ``lp_tol``, raises
     :class:`~signpoly.errors.SolverFailureError`.
     """
-    center = to_coords(decomposition.target)
-    translated = np.array([to_coords(mb) for mb in decomposition.members])
-    translated -= center
+    weights, center, translated = _chart_members(decomposition)
     m, n = translated.shape
 
     # Rows [V^T w = 0 | sum w = 1] for every ray; ray j adds column -s e_k.
@@ -188,18 +198,16 @@ def max_inscribed_cross_polytope(
     columns = np.vstack([-np.eye(n, n + 1), np.eye(n, n + 1)])
 
     t = np.zeros(2 * n)
-    witnesses = np.full((2 * n, m), np.nan)
+    witnesses = np.tile(weights, (2 * n, 1))
     duals: list[np.ndarray | None] = [None] * (2 * n)
     for j, sol in enumerate(_ray_maxima(A, b, columns, lp_tol)):
-        if sol.status == "infeasible":
-            continue
         if sol.status != "optimal":
             raise SolverFailureError(
-                f"ray LP {sol.status} inside a bounded hull")
+                f"ray LP {sol.status}, though t = 0 is feasible in a bounded hull")
         # The ray point t s e_k is -t times the t column.
         violation = _witness_violation(sol.z[:m], translated,
                                        -sol.z[m] * columns[j, :n])
-        if violation > lp_tol:
+        if not violation <= lp_tol:
             raise SolverFailureError(
                 f"ray witness violation {violation:.3e} exceeds tolerance "
                 f"{lp_tol:.3e}"
@@ -233,31 +241,25 @@ def certificate_holds(poly: QuantumCrossPolytope,
     """Check the certificate of ``poly`` against its decomposition with
     plain numpy, no LP.
 
-    Primal side: every solved direction's weights are a convex combination
-    reaching ``t_j s_j e_k`` within ``tol``, an unsolved one has ``t_j = 0``, and
-    the scale is the smallest ``t_j``, attained at the binding
-    direction.  With the target the weighted mean of the members, every
-    vertex then lies in the hull.  Dual side:
-    ``max_j h . v_j <= 1 + tol`` over the translated members and
-    ``h . (alpha s* e_k*) >= 1 - tol`` at the binding vertex, so the
-    hyperplane ``h . x = 1`` leaves no room for a larger scale.  A scale
-    of 0 carries no hyperplane.
+    Primal side: every direction's weights are a convex combination
+    reaching ``t_j s_j e_k`` within ``tol``, and the scale is the
+    smallest ``t_j``, attained at the binding direction.  With the
+    centre the members' weighted mean, every vertex then lies in the
+    hull.  Dual side: ``max_j h . v_j <= 1 + tol`` over the translated
+    members and ``h . (alpha s* e_k*) >= 1 - tol`` at the binding
+    vertex, so the hyperplane ``h . x = 1`` leaves no room for a larger
+    scale.  A scale of 0 carries no hyperplane.  NaN anywhere fails.
     """
     cert = poly.certificate
-    center = to_coords(poly.provenance.target)
-    V = np.array([to_coords(m) for m in poly.provenance.members]) - center
+    _, _, V = _chart_members(poly.provenance)
     n = V.shape[1]
     alpha = poly.alpha
     binding = cert.binding_axis + (0 if cert.binding_sign > 0 else n)
     if cert.t.min() != alpha or cert.t[binding] != alpha:
         return False
     points = np.vstack([np.eye(n), -np.eye(n)]) * cert.t[:, None]
-    for t, w, point in zip(cert.t, cert.witnesses, points):
-        if np.isnan(w).any():
-            if t != 0.0:
-                return False
-            continue
-        if _witness_violation(w, V, point) > tol:
+    for w, point in zip(cert.witnesses, points):
+        if not _witness_violation(w, V, point) <= tol:
             return False
     if cert.hyperplane is None:
         return alpha == 0.0

@@ -34,10 +34,7 @@ from .algorithms import (
     robustness_member,
 )
 from .errors import (
-    DecompositionError,
-    DimensionMismatchError,
     EnumerationTooLargeError,
-    FileFormatError,
     SignpolyError,
     SolverFailureError,
     StateValidationError,
@@ -320,11 +317,7 @@ def main(argv=None) -> int:
     except (EnumerationTooLargeError, SolverFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (FileFormatError, StateValidationError, DecompositionError,
-            DimensionMismatchError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except SignpolyError as exc:  # any other library failure is an input problem
+    except (SignpolyError, ValueError) as exc:  # every other failure is bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -168,23 +168,27 @@ def hull_member_lp(
 
     Returns ``(True, w)`` with the LP's own read-only ``(m,)`` weights
     over the ``m`` vertices, meeting ``w >= 0``, ``sum w = 1`` and
-    ``w @ V = x`` within ``tol``, or ``(False, None)``.  A solver that
-    fails to converge or misses that bound raises instead.
+    ``w @ V = x`` within ``tol``, or ``(False, None)``.  Raw vertices are
+    checked as :class:`VertexSet` checks them, and a non-finite point
+    raises ``ValueError``.  A solver that fails to converge or misses
+    that bound raises instead.
     """
-    V = vertices.array if isinstance(vertices, VertexSet) else np.asarray(vertices, float)
+    V = (vertices if isinstance(vertices, VertexSet) else VertexSet(vertices)).array
     xv = as_coords(x)
-    if V.ndim != 2 or V.shape[1] != xv.size:
+    if not np.all(np.isfinite(xv)):
+        raise ValueError("point coordinates must be finite")
+    if V.shape[1] != xv.size:
         raise DimensionMismatchError(
             f"point dimension {xv.size} does not match vertex dimension"
         )
-    m, n = V.shape
+    m = V.shape[0]
     A = np.vstack([V.T, np.ones((1, m))])
     b = np.append(xv, 1.0)
-    ok, w = feasible_nonneg(A, b, tol=tol, max_iter=50 * (m + n))
+    ok, w = feasible_nonneg(A, b, tol=tol)
     if not ok:
         return False, None
     violation = _witness_violation(w, V, xv)
-    if violation > tol:
+    if not violation <= tol:
         raise SolverFailureError(
             f"witness violation {violation:.3e} exceeds tolerance {tol:.3e}"
         )

@@ -74,7 +74,7 @@ def traceless_hermitian_basis(d: int) -> np.ndarray:
 
 class DensityMatrix:
     """A validated density matrix: Hermitian, unit trace, positive
-    semidefinite (each within ``tol``).
+    semidefinite (each within ``tol``; NaN fails every check).
 
     Construction performs the checks and raises
     :class:`~signpoly.errors.StateValidationError` describing the first
@@ -87,7 +87,7 @@ class DensityMatrix:
         M = np.array(matrix, dtype=complex)
         _check_hermitian_unit_trace(M, tol)
         lam_min = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0).min())
-        if lam_min < -tol:
+        if not lam_min >= -tol:
             raise StateValidationError(
                 "not-psd", lam_min,
                 f"smallest eigenvalue {lam_min:.3e} is below -{tol:.1e}",
@@ -110,20 +110,21 @@ class DensityMatrix:
 
 def _check_hermitian_unit_trace(M: np.ndarray, tol: float) -> None:
     """Raise ``StateValidationError`` unless ``M`` is a square matrix of
-    dimension >= 2, Hermitian and of unit trace within ``tol``."""
+    dimension >= 2, Hermitian and of unit trace within ``tol``; a NaN or
+    infinite entry fails."""
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 2:
         raise StateValidationError(
             "not-square", 0.0,
             f"expected a square matrix of dimension >= 2, got shape {M.shape}",
         )
     herm_dev = float(np.max(np.abs(M - M.conj().T)))
-    if herm_dev > tol:
+    if not herm_dev <= tol:
         raise StateValidationError(
             "not-hermitian", herm_dev,
             f"matrix deviates from Hermitian by {herm_dev:.3e}",
         )
     trace_dev = abs(complex(np.trace(M)) - 1.0)
-    if trace_dev > tol:
+    if not trace_dev <= tol:
         raise StateValidationError(
             "bad-trace", float(trace_dev),
             f"trace deviates from 1 by {trace_dev:.3e}",
@@ -150,7 +151,7 @@ class PureState:
         if amps.ndim != 1 or amps.size < 2:
             raise ValueError("amplitudes must form a 1-d vector of length >= 2")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"amplitudes must have unit norm, got {norm!r}")
         amps.setflags(write=False)
         self._amps = amps

@@ -200,22 +200,19 @@ def _ray_maxima(A, b, columns, tol):
     with cost ``(0, ..., 0, -1)``, but from one shared phase 1 on
     ``[A | 0]`` (so at ``t = 0``): each ray writes ``B^-1 a``, read from
     the artificial block, into the ``t`` column of a copy of that
-    tableau, prices it at ``-(1 - obj_art) . a``, continues phase 1,
-    drives out and runs phase 2.  Each ray's pivot cap is
-    :func:`minimize_nonneg`'s on ``[A | a]``, ``50 * (rows + cols + 1)``,
-    less the shared phase-1 pivots.
+    tableau and runs phase 2.  The caller poses ``A w = b`` so that
+    ``t = 0`` is feasible; if it is not, every ray reports infeasible.
+    Each ray's pivot cap is :func:`minimize_nonneg`'s on ``[A | a]``,
+    ``50 * (rows + cols + 1)``, less the shared phase-1 pivots.
     """
     k, p = A.shape
     cap = 50 * (k + p + 1)
     T0, obj0, basis0, flip, shared = _phase1(np.c_[A, np.zeros(k)], b, cap)
-    cap -= shared
     c = np.append(np.zeros(p), -1.0)
     for a in np.where(flip, -1.0, 1.0) * columns:
-        T, obj, basis = T0.copy(), obj0.copy(), list(basis0)
+        T = T0.copy()
         T[:, p] = T0[:, p + 1:-1] @ a
-        obj[p] = (obj0[p + 1:-1] - 1.0) @ a
-        used, _ = _pivot_loop(T, obj, basis, p + k + 1, cap, phase=1)
-        yield _phase2(c, T, obj, basis, flip, tol, cap - used)
+        yield _phase2(c, T, obj0.copy(), list(basis0), flip, tol, cap - shared)
 
 
 def _drive_out(T, obj, basis, p):

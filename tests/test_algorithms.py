@@ -26,6 +26,7 @@ from signpoly import (
     to_coords,
     traceless_hermitian_basis,
 )
+from signpoly.algorithms import _chart_members
 from signpoly.simplex import minimize_nonneg
 
 MIXED_2 = np.eye(2, dtype=complex) / 2
@@ -90,6 +91,12 @@ class TestDecompositionInput:
         with pytest.raises(DecompositionError, match="miss the target"):
             DecompositionInput(target=off_target, members=dec.members,
                                weights=(1 / 6,) * 6)
+
+    def test_nan_weight_is_rejected(self):
+        dec = _octahedral_decomposition()
+        with pytest.raises(DecompositionError, match="nonnegative"):
+            DecompositionInput(target=dec.target, members=dec.members,
+                               weights=(math.nan,) + (1 / 6,) * 5)
 
     def test_dimension_mismatch(self):
         dec = _octahedral_decomposition()
@@ -254,8 +261,9 @@ def test_sub_tolerance_ray_optimum_is_a_zero_scale():
 def test_ray_optimum_zeroed_below_the_smaller_tolerance(lp_tol, tol_alpha,
                                                         zeroed):
     """The rays of this decomposition reach 2.79e-8 and more: zeroed
-    only at or below min(lp_tol, tol_alpha), and a zeroed ray keeps no
-    weights, so the certificate holds at the default tolerance."""
+    only at or below min(lp_tol, tol_alpha), and a zeroed ray keeps the
+    decomposition's own weights, so the certificate holds at the default
+    tolerance."""
     dec = _random_decomposition(72565379, 3, 10, 0.2)
     poly = max_inscribed_cross_polytope(dec, tol_alpha=tol_alpha,
                                         lp_tol=lp_tol)
@@ -356,27 +364,58 @@ def test_certificate_checker_rejects_tampering():
 
 @pytest.mark.parametrize("offset", [0.0, 5e-9])
 def test_degenerate_certificate_has_no_hyperplane(offset):
-    """Members that all coincide with the target give rays of length 0;
-    a target 5e-9 off them (inside the reconstruction tolerance, outside
-    the LP one) gives rays that cannot start, except the one pointing
-    back at the members.  Either way the scale is
-    0 and the certificate carries no hyperplane."""
+    """Members that all coincide give rays of length 0 from their mean,
+    also with the target 5e-9 off them (inside the reconstruction
+    tolerance, outside the LP one), which the rays never read: the scale
+    is 0, every ray keeps a witness and the certificate carries no
+    hyperplane."""
     boundary = _qubit_state([0.2, 0.0, 0.0])
     dec = DecompositionInput(target=_qubit_state([0.2 + offset, 0.0, 0.0]),
                              members=(boundary,) * 4, weights=(0.25,) * 4)
     poly = max_inscribed_cross_polytope(dec)
     assert poly.degenerate and poly.alpha == 0.0
     assert poly.certificate.hyperplane is None
-    # only the ray back towards the members can start
-    assert np.isnan(poly.certificate.witnesses).any() == (offset > 0.0)
-    assert poly.certificate.t[3] == pytest.approx(offset, abs=1e-12)
+    assert np.all(poly.certificate.t == 0.0)
+    assert not np.isnan(poly.certificate.witnesses).any()
     assert certificate_holds(poly)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
+       extra=st.integers(1, 20), shift=st.floats(-5e-9, 5e-9))
+def test_target_within_reconstruction_tolerance_leaves_the_scale(seed, d,
+                                                                extra, shift):
+    """The scale is a function of the members and weights alone: moving
+    the target by up to 5e-9 in a chart direction drawn from ``seed``
+    leaves it unchanged, bit for bit."""
+    dec = _random_decomposition(seed, d, d * d - 1 + extra, 1.0)
+    direction = np.random.default_rng(seed).normal(size=d * d - 1)
+    moved = to_coords(dec.target) + shift * direction / np.linalg.norm(direction)
+    moved_dec = dataclasses.replace(dec, target=DensityMatrix(from_coords(moved)))
+    assert (max_inscribed_cross_polytope(moved_dec).alpha
+            == max_inscribed_cross_polytope(dec).alpha)
+
+
+def test_infeasible_shared_phase1_raises(monkeypatch):
+    """A centre outside the members' hull makes ``t = 0`` infeasible, so
+    every ray reports infeasible, and that is a solver failure, never a
+    zero scale."""
+    import signpoly.algorithms
+    chart = signpoly.algorithms._chart_members
+
+    def off_centre(dec):
+        weights, center, translated = chart(dec)
+        return weights, center, translated + 1.0
+
+    monkeypatch.setattr(signpoly.algorithms, "_chart_members", off_centre)
+    with pytest.raises(SolverFailureError, match="ray LP infeasible"):
+        max_inscribed_cross_polytope(_cube_decomposition(0.3))
 
 
 @pytest.mark.parametrize("d, m", [(2, 8), (3, 20)])
 def test_one_kernel_solve_per_direction(monkeypatch, phase_calls, d, m):
-    """Exactly one shared phase 1, then 2(d^2 - 1) phase-1 continuations
-    and phase-2 runs, and no hull queries per search."""
+    """Exactly one phase-1 loop, the shared one, then 2(d^2 - 1) phase-2
+    runs, and no hull queries per search."""
     import signpoly.geometry
 
     feasible = []
@@ -386,7 +425,7 @@ def test_one_kernel_solve_per_direction(monkeypatch, phase_calls, d, m):
     poly = max_inscribed_cross_polytope(_random_decomposition(7, d, m, 1.0))
     assert not poly.degenerate
     n = d * d - 1
-    assert phase_calls == {"phase1": 1, "continued": 2 * n, "phase2": 2 * n}
+    assert phase_calls == {"phase1": 1, "phase2": 2 * n}
     assert not feasible
 
 
@@ -406,8 +445,7 @@ def test_shared_phase1_pivot_count(monkeypatch):
 def _ray_system(dec):
     """Shared rows ``[V^T; 1] w = [0; 1]`` of the ray LPs of ``dec`` and
     the ``t`` column ``-s e_k`` of each of its 2n directions."""
-    center = to_coords(dec.target)
-    V = np.array([to_coords(m) for m in dec.members]) - center
+    _, _, V = _chart_members(dec)
     m, n = V.shape
     A = np.vstack([V.T, np.ones(m)])
     b = np.append(np.zeros(n), 1.0)
@@ -441,40 +479,25 @@ def test_shared_phase1_rays_match_standalone_solves(seed, d, extra,
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 10),
-       offset=st.sampled_from([0.0, 5e-9]))
-def test_rank_deficient_rays_match_standalone_solves(seed, m, offset):
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 10))
+def test_rank_deficient_rays_match_standalone_solves(seed, m):
     """Members all at Bloch z = 0 make ``[V^T; 1]`` rank deficient: an
     artificial stays basic in the shared phase 1, and on the two z rays
-    the t column replaces it.  A target ``offset`` above the plane makes
-    the shared phase 1 infeasible, and only the ray back down to the
-    plane, continued in phase 1, reaches ``t = offset``."""
+    the t column replaces it."""
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * np.pi, m)
     members = tuple(_qubit_state([0.3 * np.cos(a), 0.3 * np.sin(a), 0.0])
                     for a in angles)
     weights = rng.dirichlet(np.ones(m))
     target = sum(w * to_coords(mb) for w, mb in zip(weights, members))
-    target[2] = offset
     dec = DecompositionInput(_qubit_state(target), members, tuple(weights))
     A, b, _ = _ray_system(dec)
     _, obj, basis, _, _ = simplex._phase1(A, b, 1000)
     assert max(basis) >= m
-    assert (-obj[-1] > 1e-9) == (offset > 0.0)
+    assert -obj[-1] <= 1e-9
     _assert_rays_match_standalone(dec)
     t = max_inscribed_cross_polytope(dec).certificate.t
-    assert t[2] == 0.0
-    assert t[5] == pytest.approx(offset, abs=1e-12)
-
-
-def test_offset_degenerate_rays_match_standalone_solves():
-    """The target 5e-9 off four coincident members: the shared t = 0
-    phase 1 is infeasible, so every verdict comes from a ray's phase-1
-    continuation."""
-    boundary = _qubit_state([0.2, 0.0, 0.0])
-    dec = DecompositionInput(target=_qubit_state([0.2 + 5e-9, 0.0, 0.0]),
-                             members=(boundary,) * 4, weights=(0.25,) * 4)
-    _assert_rays_match_standalone(dec)
+    assert t[2] == t[5] == 0.0
 
 
 # ------------------------------------------------------------- Algorithm 2

@@ -230,7 +230,7 @@ def test_construct_reports_binding_direction(capsys, phase_calls,
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     n = doc["chart_dim"]
-    assert phase_calls == {"phase1": 1, "continued": 2 * n, "phase2": 2 * n}
+    assert phase_calls == {"phase1": 1, "phase2": 2 * n}
     assert 0 <= doc["binding_axis"] < doc["chart_dim"]
     assert doc["binding_sign"] in (1, -1)
 
@@ -253,6 +253,17 @@ def test_construct_too_few_members(tmp_path, capsys):
         2, MIXED_2, members, [0.5, 0.5]))
     assert main(["construct", str(path)]) == 2
     assert "members" in capsys.readouterr().err
+
+
+def test_construct_rejects_nan_weight(tmp_path, capsys):
+    basis = traceless_hermitian_basis(2)
+    members = [MIXED_2 + s * 0.4 * basis[k] for k in range(3) for s in (1, -1)]
+    path = tmp_path / "nan.json"
+    stateio.save_document(path, stateio.decomposition_document(
+        2, MIXED_2, members, [math.nan] + [1 / 6] * 5))
+    assert "NaN" in path.read_text()
+    assert main(["construct", str(path)]) == 2
+    assert "weights" in capsys.readouterr().err
 
 
 def test_construct_degenerate(tmp_path, capsys):
@@ -376,10 +387,16 @@ def test_state_files_validated_at_fixed_tolerance(tmp_path):
 
 
 def test_python_dash_m_entry_point():
+    """``python -m signpoly``, run beside the package the tests import,
+    so it needs no install and no ``PYTHONPATH``."""
     import subprocess
     import sys
+    from pathlib import Path
+
+    import signpoly
     proc = subprocess.run(
         [sys.executable, "-m", "signpoly", "volume", "--dim", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        cwd=Path(signpoly.__file__).resolve().parents[1])
     assert proc.returncode == 0
     assert "hs_volume" in proc.stdout

@@ -359,6 +359,20 @@ def test_hull_member_dimension_mismatch():
         hull_member_lp([1.0, 0.0], verts)
 
 
+@pytest.mark.parametrize("vertices, point", [
+    ([[0.0, 0.0], [np.nan, 1.0]], [0.0, 0.0]),
+    ([[0.0, 0.0], [np.inf, 1.0]], [0.0, 0.0]),
+    (np.empty((0, 2)), [0.0, 0.0]),
+    ([0.0, 1.0], [0.0]),
+    ([[0.0, 0.0], [1.0, 1.0]], [np.nan, 0.5]),
+    ([[0.0, 0.0], [1.0, 1.0]], [np.inf, 0.5]),
+], ids=["nan-vertex", "inf-vertex", "no-vertex", "1d-vertices",
+        "nan-point", "inf-point"])
+def test_hull_member_rejects_malformed_raw_input(vertices, point):
+    with pytest.raises(ValueError, match="finite|at least one point"):
+        hull_member_lp(point, np.array(vertices))
+
+
 # ---------------------------------------------------------------- disjointness
 
 def test_hulls_disjoint_examples():

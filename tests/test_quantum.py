@@ -111,11 +111,25 @@ class TestDensityMatrix:
                           DensityMatrix)
 
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_nan_entry_is_rejected(self, entry):
+        M = np.eye(2, dtype=complex) / 2
+        M[entry] = np.nan
+        with pytest.raises(StateValidationError):
+            DensityMatrix(M)
+        for raw_array_function in (to_coords, purity,
+                                   lambda a: hs_distance(np.eye(2) / 2, a)):
+            with pytest.raises(StateValidationError):
+                raw_array_function(M)
+
+
 class TestPureState:
     def test_unit_norm_enforced(self):
         PureState([1.0, 0.0])
         with pytest.raises(ValueError):
             PureState([1.0, 1.0])
+        with pytest.raises(ValueError, match="unit norm"):
+            PureState([np.nan, 1.0])
 
     def test_normalized_records_factor(self):
         psi, norm = PureState.normalized([3.0, 4.0])
