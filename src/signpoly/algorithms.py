@@ -92,20 +92,19 @@ class CrossPolytopeCertificate:
     with sign ``+1`` for ``j < n`` and ``-1`` otherwise, the order of
     :meth:`CrossPolytopeSpec.vertices`.  ``t[j]`` is the largest ``t``
     with ``t s e_k`` in the hull of the members translated by their
-    weighted mean, and row ``j`` of ``witnesses`` holds member weights
-    that reach it (the decomposition's own for a zeroed ray).  The binding
-    direction is the one whose ``t`` is the scale.  ``hyperplane`` is
-    an ``h`` with ``h . v <= 1`` on every translated member and
-    ``h . (alpha s e_k) >= 1`` at the binding vertex, read from the dual
-    of the binding ray; it is ``None`` when the scale is 0.  See
-    :func:`certificate_holds`.
+    weighted mean, and row ``j`` of ``witnesses`` holds the member
+    weights of its ray LP, which reach it.  The binding direction is
+    the one whose ``t`` is the scale.  ``hyperplane`` is the binding
+    ray's LP dual ``u``, as the solver returns it: ``u . v <= alpha`` on
+    every translated member and ``s u_k >= 1`` at the binding axis, so
+    no scale above ``alpha`` fits.  See :func:`certificate_holds`.
     """
 
     t: np.ndarray
     witnesses: np.ndarray
     binding_axis: int
     binding_sign: int
-    hyperplane: np.ndarray | None
+    hyperplane: np.ndarray
 
 
 @dataclass
@@ -154,15 +153,15 @@ class QuantumCrossPolytope:
 
 
 def _chart_members(decomposition: DecompositionInput):
-    """The weights, clipped at 0 and renormalized, the chart point of the
-    members' mean under them (the chart of their weighted matrix sum, as
+    """The chart point of the members' mean under the weights, clipped
+    at 0 and renormalized (the chart of their weighted matrix sum, as
     checked against the target), and the members' chart points less it."""
     weights = np.clip(decomposition.weights, 0.0, None)
     weights /= weights.sum()
     members = decomposition.members
     center = to_coords(sum(w * mb.matrix for w, mb in zip(weights, members)))
     points = np.array([to_coords(mb) for mb in members])
-    return weights, center, points - center
+    return center, points - center
 
 
 def max_inscribed_cross_polytope(
@@ -179,17 +178,15 @@ def max_inscribed_cross_polytope(
     subject to ``V^T w - t s e_k = 0``, ``sum w = 1``, ``w, t >= 0`` over
     the translated members ``V``.  The rays differ only in the ``t``
     column, so one shared phase 1 feeds their ``2(d^2-1)`` phase-2 runs,
-    with the same exact scale.  A centre on the hull boundary gives
-    scale 0, and so does a positive ray optimum at or below
-    ``min(lp_tol, tol_alpha)``, which the solver cannot tell from 0 (its
-    hyperplane ``u/t`` would be noise): such a ray keeps the
-    decomposition's weights as its witness.  Scales at or below
-    ``tol_alpha`` carry the ``degenerate`` flag instead of raising.  A
+    with the same exact scale.  A centre on the hull boundary gives a
+    scale at or near 0; scales at or below ``tol_alpha`` carry the
+    ``degenerate`` flag instead of raising.  Every ray keeps its LP
+    weights, and the binding ray its LP dual, as the certificate.  A
     ray LP that is not optimal, or a weight vector that misses its ray
     point by more than ``lp_tol``, raises
     :class:`~signpoly.errors.SolverFailureError`.
     """
-    weights, center, translated = _chart_members(decomposition)
+    center, translated = _chart_members(decomposition)
     m, n = translated.shape
 
     # Rows [V^T w = 0 | sum w = 1] for every ray; ray j adds column -s e_k.
@@ -197,9 +194,7 @@ def max_inscribed_cross_polytope(
     b = np.append(np.zeros(n), 1.0)
     columns = np.vstack([-np.eye(n, n + 1), np.eye(n, n + 1)])
 
-    t = np.zeros(2 * n)
-    witnesses = np.tile(weights, (2 * n, 1))
-    duals: list[np.ndarray | None] = [None] * (2 * n)
+    sols = []
     for j, sol in enumerate(_ray_maxima(A, b, columns, lp_tol)):
         if sol.status != "optimal":
             raise SolverFailureError(
@@ -212,23 +207,19 @@ def max_inscribed_cross_polytope(
                 f"ray witness violation {violation:.3e} exceeds tolerance "
                 f"{lp_tol:.3e}"
             )
-        if 0.0 < sol.z[m] <= min(lp_tol, tol_alpha):
-            continue
-        t[j] = sol.z[m]
-        witnesses[j] = sol.z[:m]
-        duals[j] = sol.dual[:n]
+        sols.append(sol)
 
+    t = np.array([sol.z[m] for sol in sols])
     binding = int(np.argmin(t))
     alpha = float(t[binding]) + 0.0  # no negative zero
     # The dual (u, u0) of the binding ray has u . v <= -u0 = alpha on
-    # every member and s u_k >= 1; scaling by 1/alpha gives h.
-    hyperplane = duals[binding] / alpha if alpha > 0.0 else None
+    # every member and s u_k >= 1.
     certificate = CrossPolytopeCertificate(
         t=t,
-        witnesses=witnesses,
+        witnesses=np.array([sol.z[:m] for sol in sols]),
         binding_axis=binding % n,
         binding_sign=1 if binding < n else -1,
-        hyperplane=hyperplane,
+        hyperplane=sols[binding].dual[:n],
     )
     spec = CrossPolytopeSpec(scale=alpha, center=center)
     return QuantumCrossPolytope(spec, decomposition,
@@ -245,13 +236,14 @@ def certificate_holds(poly: QuantumCrossPolytope,
     reaching ``t_j s_j e_k`` within ``tol``, and the scale is the
     smallest ``t_j``, attained at the binding direction.  With the
     centre the members' weighted mean, every vertex then lies in the
-    hull.  Dual side: ``max_j h . v_j <= 1 + tol`` over the translated
-    members and ``h . (alpha s* e_k*) >= 1 - tol`` at the binding
-    vertex, so the hyperplane ``h . x = 1`` leaves no room for a larger
-    scale.  A scale of 0 carries no hyperplane.  NaN anywhere fails.
+    hull.  Dual side: ``max_j u . v_j <= alpha + tol`` over the
+    translated members and ``s* u_k* >= 1 - tol`` at the binding axis,
+    so every hull point ``beta s* e_k*`` has ``beta <= (alpha + tol) /
+    (1 - tol)``: an absolute bound at ``tol``, as the primal side's.
+    NaN anywhere fails.
     """
     cert = poly.certificate
-    _, _, V = _chart_members(poly.provenance)
+    _, V = _chart_members(poly.provenance)
     n = V.shape[1]
     alpha = poly.alpha
     binding = cert.binding_axis + (0 if cert.binding_sign > 0 else n)
@@ -261,11 +253,9 @@ def certificate_holds(poly: QuantumCrossPolytope,
     for w, point in zip(cert.witnesses, points):
         if not _witness_violation(w, V, point) <= tol:
             return False
-    if cert.hyperplane is None:
-        return alpha == 0.0
-    h = cert.hyperplane
-    return (float(np.max(V @ h)) <= 1.0 + tol
-            and cert.binding_sign * alpha * h[cert.binding_axis] >= 1.0 - tol)
+    u = cert.hyperplane
+    return (float(np.max(V @ u)) <= alpha + tol
+            and cert.binding_sign * u[cert.binding_axis] >= 1.0 - tol)
 
 
 def robustness_member(
@@ -285,7 +275,7 @@ def robustness_member(
         raise DecompositionError(
             f"probe dimension {probe.dim} != center dimension {center.dim}"
         )
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise ValueError("alpha must be nonnegative")
     return _in_cross_polytope(to_coords(probe) - to_coords(center), alpha, tol)
 

@@ -145,9 +145,9 @@ def _resolve_cap(args) -> int:
 
 
 def _check_tols(args) -> None:
-    if args.tol <= 0.0:
+    if not args.tol > 0.0:
         raise ValueError("--tol must be positive")
-    if args.tol_alpha <= 0.0:
+    if not args.tol_alpha > 0.0:
         raise ValueError("--tol-alpha must be positive")
 
 

@@ -34,8 +34,8 @@ class StateValidationError(SignpolyError):
     Attributes
     ----------
     kind:
-        Which invariant failed: ``"not-square"``, ``"not-hermitian"``,
-        ``"bad-trace"`` or ``"not-psd"``.
+        Which invariant failed: ``"not-square"``, ``"not-finite"``,
+        ``"not-hermitian"``, ``"bad-trace"`` or ``"not-psd"``.
     magnitude:
         Size of the violation (max deviation, or the offending eigenvalue).
     """

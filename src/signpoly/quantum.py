@@ -111,11 +111,18 @@ class DensityMatrix:
 def _check_hermitian_unit_trace(M: np.ndarray, tol: float) -> None:
     """Raise ``StateValidationError`` unless ``M`` is a square matrix of
     dimension >= 2, Hermitian and of unit trace within ``tol``; a NaN or
-    infinite entry fails."""
+    infinite entry fails as such, before any arithmetic on it."""
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 2:
         raise StateValidationError(
             "not-square", 0.0,
             f"expected a square matrix of dimension >= 2, got shape {M.shape}",
+        )
+    bad = np.argwhere(~np.isfinite(M))
+    if bad.size:
+        i, j = bad[0]
+        raise StateValidationError(
+            "not-finite", float(abs(M[i, j])),
+            f"entry ({i}, {j}) is {M[i, j]}, not finite",
         )
     herm_dev = float(np.max(np.abs(M - M.conj().T)))
     if not herm_dev <= tol:

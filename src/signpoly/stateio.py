@@ -40,42 +40,38 @@ from .quantum import DensityMatrix, PureState, validate_state
 SCHEMA_VERSION = 1
 
 
-def _fail(msg: str) -> FileFormatError:
-    return FileFormatError(msg)
-
-
 def _read_json(path) -> dict:
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as exc:
-        raise _fail(f"cannot read {p}: {exc}") from exc
+        raise FileFormatError(f"cannot read {p}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail(f"{p} is not valid JSON: {exc}") from exc
+        raise FileFormatError(f"{p} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise _fail(f"{p}: top level must be an object")
+        raise FileFormatError(f"{p}: top level must be an object")
     return doc
 
 
 def _check_schema(doc: dict, where: str) -> None:
     if doc.get("schema") != SCHEMA_VERSION:
-        raise _fail(f"{where}: expected \"schema\": {SCHEMA_VERSION}, "
-                    f"got {doc.get('schema')!r}")
+        raise FileFormatError(f"{where}: expected \"schema\": {SCHEMA_VERSION}, "
+                              f"got {doc.get('schema')!r}")
 
 
 def _complex_pairs(obj, expected: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != expected:
-        raise _fail(f"{where}: expected a list of {expected} [re, im] pairs")
+        raise FileFormatError(f"{where}: expected a list of {expected} [re, im] pairs")
     out = np.empty(expected, dtype=complex)
     for i, pair in enumerate(obj):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                 or not all(isinstance(v, (int, float)) for v in pair)):
-            raise _fail(f"{where}: entry {i} is not a [re, im] pair")
+            raise FileFormatError(f"{where}: entry {i} is not a [re, im] pair")
         out[i] = complex(pair[0], pair[1])
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise _fail(f"{where}: entries must be finite")
+        raise FileFormatError(f"{where}: entries must be finite")
     return out
 
 
@@ -83,11 +79,12 @@ def _parse_state_body(doc: dict, where: str) -> tuple[DensityMatrix | PureState,
                                                       float | None]:
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 2:
-        raise _fail(f"{where}: \"dim\" must be an integer >= 2")
+        raise FileFormatError(f"{where}: \"dim\" must be an integer >= 2")
     has_matrix = "matrix" in doc
     has_amps = "amplitudes" in doc
     if has_matrix == has_amps:
-        raise _fail(f"{where}: provide exactly one of \"matrix\" / \"amplitudes\"")
+        raise FileFormatError(
+            f"{where}: provide exactly one of \"matrix\" / \"amplitudes\"")
     if has_matrix:
         flat = _complex_pairs(doc["matrix"], dim * dim, f"{where}.matrix")
         return validate_state(flat.reshape(dim, dim)), None
@@ -95,7 +92,7 @@ def _parse_state_body(doc: dict, where: str) -> tuple[DensityMatrix | PureState,
     try:
         return PureState.normalized(amps)
     except ValueError as exc:
-        raise _fail(f"{where}.amplitudes: {exc}") from None
+        raise FileFormatError(f"{where}.amplitudes: {exc}") from None
 
 
 def _as_density(state: DensityMatrix | PureState) -> DensityMatrix:
@@ -117,7 +114,7 @@ def load_state(path) -> tuple[DensityMatrix | PureState, float | None]:
     _check_schema(doc, str(path))
     kind = doc.get("kind", "state")
     if kind != "state":
-        raise _fail(f"{path}: expected a state document, got kind {kind!r}")
+        raise FileFormatError(f"{path}: expected a state document, got kind {kind!r}")
     return _parse_state_body(doc, str(path))
 
 
@@ -136,27 +133,28 @@ def load_decomposition(path) -> DecompositionInput:
     _check_schema(doc, str(path))
     kind = doc.get("kind", "decomposition")
     if kind != "decomposition":
-        raise _fail(f"{path}: expected a decomposition document, got kind {kind!r}")
+        raise FileFormatError(
+            f"{path}: expected a decomposition document, got kind {kind!r}")
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 2:
-        raise _fail(f"{path}: \"dim\" must be an integer >= 2")
+        raise FileFormatError(f"{path}: \"dim\" must be an integer >= 2")
     if not isinstance(doc.get("target"), dict):
-        raise _fail(f"{path}: \"target\" must be a state object")
+        raise FileFormatError(f"{path}: \"target\" must be a state object")
     target, _ = _parse_state_body({"dim": dim, **doc["target"]}, f"{path}.target")
     members_doc = doc.get("members")
     if not isinstance(members_doc, list) or not members_doc:
-        raise _fail(f"{path}: \"members\" must be a nonempty list")
+        raise FileFormatError(f"{path}: \"members\" must be a nonempty list")
     members = []
     for i, body in enumerate(members_doc):
         if not isinstance(body, dict):
-            raise _fail(f"{path}.members[{i}]: must be a state object")
+            raise FileFormatError(f"{path}.members[{i}]: must be a state object")
         member, _ = _parse_state_body({"dim": dim, **body}, f"{path}.members[{i}]")
         members.append(_as_density(member))
     weights = doc.get("weights")
     if (not isinstance(weights, list) or len(weights) != len(members)
             or not all(isinstance(w, (int, float)) for w in weights)):
-        raise _fail(f"{path}: \"weights\" must be a list of "
-                    f"{len(members)} numbers")
+        raise FileFormatError(f"{path}: \"weights\" must be a list of "
+                              f"{len(members)} numbers")
     return DecompositionInput(target=_as_density(target), members=tuple(members),
                               weights=tuple(float(w) for w in weights))
 

@@ -243,44 +243,28 @@ def test_scale_and_certificate_on_random_decompositions(seed, d, extra,
 
 def test_sub_tolerance_ray_optimum_is_a_zero_scale():
     """The binding ray of this decomposition reaches t = 7.19e-14 (the
-    external solver agrees), below the LP tolerance: the scale is 0 and
-    carries no hyperplane, where u/t of size ~1e13 would miss the
-    certificate on roundoff alone."""
+    external solver agrees), far below ``tol_alpha``: the scale is
+    flagged degenerate, and the binding ray's own dual, read without
+    dividing by t, still certifies it."""
     dec = _random_decomposition(341000839, 2, 4, 0.2)
     poly = max_inscribed_cross_polytope(dec)
-    assert poly.alpha == 0.0
-    assert poly.degenerate and poly.certificate.hyperplane is None
+    assert 0.0 <= poly.alpha <= 1e-12
+    assert poly.degenerate and poly.certificate.hyperplane is not None
     assert certificate_holds(poly)
     assert poly.alpha == pytest.approx(_oracle_alpha(dec), abs=1e-7)
 
 
-@pytest.mark.parametrize("lp_tol, tol_alpha, zeroed", [
-    (1e-4, 1e-8, False),  # a loose LP tolerance alone zeroes nothing
-    (1e-6, 1e-6, True),
+@pytest.mark.parametrize("seed, d, m", [
+    (72565379, 3, 10),  # alpha = 2.79e-8
+    # sweep cases, m = d^2 + seed mod 20
+    (60, 3, 9), (80, 3, 9), (460, 3, 9), (640, 2, 4), (721, 3, 10),
 ])
-def test_ray_optimum_zeroed_below_the_smaller_tolerance(lp_tol, tol_alpha,
-                                                        zeroed):
-    """The rays of this decomposition reach 2.79e-8 and more: zeroed
-    only at or below min(lp_tol, tol_alpha), and a zeroed ray keeps the
-    decomposition's own weights, so the certificate holds at the default
-    tolerance."""
-    dec = _random_decomposition(72565379, 3, 10, 0.2)
-    poly = max_inscribed_cross_polytope(dec, tol_alpha=tol_alpha,
-                                        lp_tol=lp_tol)
-    if zeroed:
-        assert poly.alpha == 0.0 and poly.certificate.hyperplane is None
-        assert certificate_holds(poly)
-    else:
-        assert poly.alpha == pytest.approx(_oracle_alpha(dec), rel=1e-6)
-        assert certificate_holds(poly, tol=lp_tol)
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "alpha = 2.79e-8 matches the oracle, but the hyperplane h = u/alpha "
-    "scales the dual's roundoff by 1/alpha ~ 3.6e7, so max V.h - 1 = "
-    "1e-8 to 2e-8 exceeds the 1e-9 certificate tolerance"))
-def test_certificate_of_near_degenerate_decomposition():
-    dec = _random_decomposition(72565379, 3, 10, 0.2)
+def test_certificate_of_near_degenerate_decomposition(seed, d, m):
+    """Decompositions near the hull boundary (concentration 0.2), where
+    a hyperplane scaled by 1/alpha would amplify the dual's roundoff
+    past the tolerance: the scale matches the oracle and the binding
+    ray's unscaled dual certifies it."""
+    dec = _random_decomposition(seed, d, m, 0.2)
     poly = max_inscribed_cross_polytope(dec)
     assert poly.alpha == pytest.approx(_oracle_alpha(dec), abs=1e-7)
     assert certificate_holds(poly)
@@ -363,20 +347,22 @@ def test_certificate_checker_rejects_tampering():
 
 
 @pytest.mark.parametrize("offset", [0.0, 5e-9])
-def test_degenerate_certificate_has_no_hyperplane(offset):
+def test_degenerate_certificate_has_a_supporting_hyperplane(offset):
     """Members that all coincide give rays of length 0 from their mean,
     also with the target 5e-9 off them (inside the reconstruction
     tolerance, outside the LP one), which the rays never read: the scale
-    is 0, every ray keeps a witness and the certificate carries no
-    hyperplane."""
+    is 0, every ray keeps a witness, and the binding ray's dual is a
+    hyperplane through the members that cuts off every positive scale."""
     boundary = _qubit_state([0.2, 0.0, 0.0])
     dec = DecompositionInput(target=_qubit_state([0.2 + offset, 0.0, 0.0]),
                              members=(boundary,) * 4, weights=(0.25,) * 4)
     poly = max_inscribed_cross_polytope(dec)
     assert poly.degenerate and poly.alpha == 0.0
-    assert poly.certificate.hyperplane is None
-    assert np.all(poly.certificate.t == 0.0)
-    assert not np.isnan(poly.certificate.witnesses).any()
+    cert = poly.certificate
+    assert cert.hyperplane is not None
+    assert cert.binding_sign * cert.hyperplane[cert.binding_axis] >= 1.0
+    assert np.all(cert.t == 0.0)
+    assert not np.isnan(cert.witnesses).any()
     assert certificate_holds(poly)
 
 
@@ -404,8 +390,8 @@ def test_infeasible_shared_phase1_raises(monkeypatch):
     chart = signpoly.algorithms._chart_members
 
     def off_centre(dec):
-        weights, center, translated = chart(dec)
-        return weights, center, translated + 1.0
+        center, translated = chart(dec)
+        return center, translated + 1.0
 
     monkeypatch.setattr(signpoly.algorithms, "_chart_members", off_centre)
     with pytest.raises(SolverFailureError, match="ray LP infeasible"):
@@ -445,7 +431,7 @@ def test_shared_phase1_pivot_count(monkeypatch):
 def _ray_system(dec):
     """Shared rows ``[V^T; 1] w = [0; 1]`` of the ray LPs of ``dec`` and
     the ``t`` column ``-s e_k`` of each of its 2n directions."""
-    _, _, V = _chart_members(dec)
+    _, V = _chart_members(dec)
     m, n = V.shape
     A = np.vstack([V.T, np.ones(m)])
     b = np.append(np.zeros(n), 1.0)
@@ -528,8 +514,9 @@ def test_robustness_member_validation():
     center = DensityMatrix(MIXED_2)
     with pytest.raises(DecompositionError):
         robustness_member(DensityMatrix(np.eye(3) / 3), center, 0.1)
-    with pytest.raises(ValueError):
-        robustness_member(center, center, -0.1)
+    for alpha in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            robustness_member(center, center, alpha)
 
 
 def test_robustness_member_agrees_with_lp_route():

@@ -371,6 +371,19 @@ def test_bad_tolerance_flags(ghz_file):
     assert main(["tangle", ghz_file, "--tol", "-1"]) == 2
 
 
+@pytest.mark.parametrize("extra", [
+    ["--alpha", "nan"],
+    ["--alpha", "0.5", "--tol", "nan"],
+    ["--alpha", "0.5", "--tol-alpha", "nan"],
+], ids=["alpha", "tol", "tol-alpha"])
+def test_nan_tolerance_or_scale_is_bad_input(tmp_path, capsys, extra):
+    """NaN is invalid input (exit 2), never a verdict."""
+    a = _state_file(tmp_path, "a.json", MIXED_2)
+    assert main(["check", a, a, *extra]) == 2
+    captured = capsys.readouterr()
+    assert "member" not in captured.out and "error:" in captured.err
+
+
 def test_state_files_validated_at_fixed_tolerance(tmp_path):
     # --tol loosens membership, the LP and the filters, never the 1e-9
     # validation of state files: a GHZ projector with an eigenvalue at

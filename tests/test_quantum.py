@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ class TestDensityMatrix:
             DensityMatrix(np.eye(2))
         assert exc.value.kind == "bad-trace"
         assert exc.value.magnitude == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diag", "off"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    def test_not_finite(self, entry, value):
+        """A NaN or infinite entry is named as such, on or off the
+        diagonal, before any arithmetic that would warn about it."""
+        M = np.eye(2, dtype=complex) / 2
+        M[entry] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateValidationError) as exc:
+                DensityMatrix(M)
+            with pytest.raises(StateValidationError) as raw:
+                to_coords(M)
+        assert exc.value.kind == raw.value.kind == "not-finite"
+        assert not exc.value.magnitude < math.inf  # inf or NaN
 
     def test_not_psd(self):
         with pytest.raises(StateValidationError) as exc:
