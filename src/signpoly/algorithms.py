@@ -28,7 +28,7 @@ from .geometry import (
     insphere_radius,
 )
 from .majorization import DEFAULT_TOL, weakly_majorized
-from .quantum import DensityMatrix, from_coords, to_coords
+from .quantum import DensityMatrix, _density_matrices, from_coords, to_coords
 from .simplex import _ray_maxima
 
 #: Inscribed scales at or below this mark the polytope as degenerate.
@@ -90,14 +90,16 @@ class CrossPolytopeCertificate:
 
     Direction ``j`` of the ``2n`` (``n = d^2 - 1``) is axis ``j % n``
     with sign ``+1`` for ``j < n`` and ``-1`` otherwise, the order of
-    :meth:`CrossPolytopeSpec.vertices`.  ``t[j]`` is the largest ``t``
-    with ``t s e_k`` in the hull of the members translated by their
-    weighted mean, and row ``j`` of ``witnesses`` holds the member
-    weights of its ray LP, which reach it.  The binding direction is
-    the one whose ``t`` is the scale.  ``hyperplane`` is the binding
-    ray's LP dual ``u``, as the solver returns it: ``u . v <= alpha`` on
-    every translated member and ``s u_k >= 1`` at the binding axis, so
-    no scale above ``alpha`` fits.  See :func:`certificate_holds`.
+    :meth:`CrossPolytopeSpec.vertices`.  Row ``j`` of ``witnesses`` holds
+    the member weights of its ray LP, which reach ``t[j] s e_k`` in the
+    hull of the members translated by their weighted mean.  The binding
+    direction is the one whose ``t`` is the scale, and its ``t`` is the
+    LP optimum, the largest such ``t``; for any other direction ``t[j]``
+    is a ``t`` above the scale that its witness reaches, not its
+    maximum.  ``hyperplane`` is the binding ray's LP dual ``u``, as the
+    solver returns it: ``u . v <= alpha`` on every translated member and
+    ``s u_k >= 1`` at the binding axis, so no scale above ``alpha`` fits.
+    See :func:`certificate_holds`.
     """
 
     t: np.ndarray
@@ -139,8 +141,9 @@ class QuantumCrossPolytope:
         return self._vertices
 
     def vertex_states(self) -> list[DensityMatrix]:
-        """The vertices reconstructed and validated as density matrices."""
-        return [DensityMatrix(M) for M in from_coords(self._vertices.array)]
+        """The vertices reconstructed and validated, as one stack, as
+        density matrices; the first vertex that is not a state raises."""
+        return _density_matrices(from_coords(self._vertices.array))
 
     def volume(self) -> float:
         return self.spec.volume()
@@ -178,12 +181,15 @@ def max_inscribed_cross_polytope(
     subject to ``V^T w - t s e_k = 0``, ``sum w = 1``, ``w, t >= 0`` over
     the translated members ``V``.  The rays differ only in the ``t``
     column, so one shared phase 1 feeds their ``2(d^2-1)`` phase-2 runs,
-    with the same exact scale.  A centre on the hull boundary gives a
-    scale at or near 0; scales at or below ``tol_alpha`` carry the
-    ``degenerate`` flag instead of raising.  Every ray keeps its LP
-    weights, and the binding ray its LP dual, as the certificate.  A
-    ray LP that is not optimal, or a weight vector that misses its ray
-    point by more than ``lp_tol``, raises
+    and a ray stops once its ``t`` is strictly above the smallest
+    optimum found so far (status ``"cut-off"``), which leaves the scale
+    unchanged: the binding ray always runs to its optimum.  A centre on
+    the hull boundary gives a scale at or near 0; scales at or below
+    ``tol_alpha`` carry the ``degenerate`` flag instead of raising.
+    Every ray keeps its LP weights, and the binding ray its LP dual, as
+    the certificate.  A ray LP that is neither optimal nor cut off, a
+    binding ray that is not optimal, or a weight vector that misses its
+    ray point by more than ``lp_tol``, raises
     :class:`~signpoly.errors.SolverFailureError`.
     """
     center, translated = _chart_members(decomposition)
@@ -196,7 +202,7 @@ def max_inscribed_cross_polytope(
 
     sols = []
     for j, sol in enumerate(_ray_maxima(A, b, columns, lp_tol)):
-        if sol.status != "optimal":
+        if sol.status not in ("optimal", "cut-off"):
             raise SolverFailureError(
                 f"ray LP {sol.status}, though t = 0 is feasible in a bounded hull")
         # The ray point t s e_k is -t times the t column.
@@ -211,6 +217,8 @@ def max_inscribed_cross_polytope(
 
     t = np.array([sol.z[m] for sol in sols])
     binding = int(np.argmin(t))
+    if sols[binding].status != "optimal":
+        raise SolverFailureError("the binding ray LP stopped before its optimum")
     alpha = float(t[binding]) + 0.0  # no negative zero
     # The dual (u, u0) of the binding ray has u . v <= -u0 = alpha on
     # every member and s u_k >= 1.

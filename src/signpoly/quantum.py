@@ -85,13 +85,7 @@ class DensityMatrix:
 
     def __init__(self, matrix, tol: float = STATE_TOL):
         M = np.array(matrix, dtype=complex)
-        _check_hermitian_unit_trace(M, tol)
-        lam_min = float(np.linalg.eigvalsh((M + M.conj().T) / 2.0).min())
-        if not lam_min >= -tol:
-            raise StateValidationError(
-                "not-psd", lam_min,
-                f"smallest eigenvalue {lam_min:.3e} is below -{tol:.1e}",
-            )
+        _check_states(M[None], tol)
         M.setflags(write=False)
         self._mat = M
 
@@ -108,34 +102,74 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def _check_hermitian_unit_trace(M: np.ndarray, tol: float) -> None:
-    """Raise ``StateValidationError`` unless ``M`` is a square matrix of
-    dimension >= 2, Hermitian and of unit trace within ``tol``; a NaN or
-    infinite entry fails as such, before any arithmetic on it."""
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 2:
+def _density_matrices(matrices, tol: float = STATE_TOL) -> list[DensityMatrix]:
+    """Validate a ``(k, d, d)`` stack of matrices in one pass, with the
+    error :class:`DensityMatrix` raises for the first matrix that is not
+    a state, and wrap each read-only row without checking it again."""
+    M = np.array(matrices, dtype=complex)
+    _check_states(M, tol)
+    M.setflags(write=False)
+    states = []
+    for row in M:
+        rho = DensityMatrix.__new__(DensityMatrix)
+        rho._mat = row
+        states.append(rho)
+    return states
+
+
+def _check_states(M: np.ndarray, tol: float, psd: bool = True) -> None:
+    """Raise ``StateValidationError`` for the first matrix of the stack
+    ``M`` that is not a state within ``tol``, naming the first invariant
+    it violates in the order: square of dimension >= 2, finite,
+    Hermitian, unit trace, and (with ``psd``) positive semidefinite.
+
+    Each check runs on the stack up to the first failure found so far,
+    so no arithmetic touches a NaN or infinite entry, and the smallest
+    eigenvalues come from one batched ``eigvalsh``.
+    """
+    if M.ndim != 3 or M.shape[1] != M.shape[2] or M.shape[1] < 2:
         raise StateValidationError(
             "not-square", 0.0,
-            f"expected a square matrix of dimension >= 2, got shape {M.shape}",
+            f"expected a square matrix of dimension >= 2, got shape {M.shape[1:]}",
         )
-    bad = np.argwhere(~np.isfinite(M))
-    if bad.size:
-        i, j = bad[0]
-        raise StateValidationError(
-            "not-finite", float(abs(M[i, j])),
-            f"entry ({i}, {j}) is {M[i, j]}, not finite",
+    failure = None
+
+    def first(bad):
+        return int(np.argmax(bad)) if bad.any() else len(M)
+
+    end = first(~np.isfinite(M).all(axis=(1, 2)))
+    if end < len(M):
+        r, c = np.argwhere(~np.isfinite(M[end]))[0]
+        failure = StateValidationError(
+            "not-finite", float(abs(M[end, r, c])),
+            f"entry ({r}, {c}) is {M[end, r, c]}, not finite",
         )
-    herm_dev = float(np.max(np.abs(M - M.conj().T)))
-    if not herm_dev <= tol:
-        raise StateValidationError(
-            "not-hermitian", herm_dev,
-            f"matrix deviates from Hermitian by {herm_dev:.3e}",
+    H = M[:end]
+    herm_dev = np.abs(H - H.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    i = first(~(herm_dev <= tol))
+    if i < end:
+        end, failure = i, StateValidationError(
+            "not-hermitian", float(herm_dev[i]),
+            f"matrix deviates from Hermitian by {herm_dev[i]:.3e}",
         )
-    trace_dev = abs(complex(np.trace(M)) - 1.0)
-    if not trace_dev <= tol:
-        raise StateValidationError(
-            "bad-trace", float(trace_dev),
-            f"trace deviates from 1 by {trace_dev:.3e}",
+    trace_dev = np.abs(np.trace(M[:end], axis1=1, axis2=2) - 1.0)
+    i = first(~(trace_dev <= tol))
+    if i < end:
+        end, failure = i, StateValidationError(
+            "bad-trace", float(trace_dev[i]),
+            f"trace deviates from 1 by {trace_dev[i]:.3e}",
         )
+    if psd and end:
+        H = M[:end]
+        lam_min = np.linalg.eigvalsh((H + H.conj().transpose(0, 2, 1)) / 2.0).min(axis=1)
+        i = first(~(lam_min >= -tol))
+        if i < end:
+            failure = StateValidationError(
+                "not-psd", float(lam_min[i]),
+                f"smallest eigenvalue {lam_min[i]:.3e} is below -{tol:.1e}",
+            )
+    if failure is not None:
+        raise failure
 
 
 def validate_state(matrix, tol: float = STATE_TOL) -> DensityMatrix:
@@ -199,7 +233,7 @@ def _unit_trace_hermitian(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     if isinstance(rho, DensityMatrix):
         return rho.matrix
     M = np.asarray(rho, dtype=complex)
-    _check_hermitian_unit_trace(M, STATE_TOL)
+    _check_states(M[None], STATE_TOL, psd=False)
     return M
 
 

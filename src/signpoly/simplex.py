@@ -11,6 +11,7 @@ verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,10 @@ class LPSolution:
     When optimal, ``z`` is a minimizer, ``value`` is ``c . z`` and
     ``dual`` is a vector ``y`` with ``A^T y <= c`` (up to the pivot
     tolerance) and ``b . y = value``, the certificate that no feasible
-    point does better; all three are ``None`` otherwise.
+    point does better; all three are ``None`` otherwise.  The ray LPs
+    of ``_ray_maxima`` also report ``"cut-off"``: phase 2 stopped early,
+    and ``z`` is a feasible basic solution with cost ``value``, not a
+    minimizer, so ``dual`` is ``None``.
     """
 
     status: str
@@ -74,7 +78,7 @@ def _bland(reduced):
     return int(np.flatnonzero(reduced < -PIVOT_EPS)[0])
 
 
-def _pivot_loop(T, obj, basis, ncols, max_iter, phase):
+def _pivot_loop(T, obj, basis, ncols, max_iter, phase, stop_above=math.inf):
     """Pivot until no column below ``ncols`` has a negative reduced cost.
 
     The most negative reduced cost enters (Dantzig's rule); ties in the
@@ -89,12 +93,16 @@ def _pivot_loop(T, obj, basis, ncols, max_iter, phase):
 
     Returns ``(iterations, unbounded)``: an entering column without a
     positive entry is unbounded, or in phase 1 (bounded below) raises.
+    The loop also returns, unfinished, at a basis that is not optimal
+    once ``obj[-1]`` (minus the objective value) is strictly above
+    ``stop_above``; the caller tells that apart by the sign of the
+    reduced costs.
     """
     stalled = 0
     for it in range(max_iter):
         reduced = obj[:ncols]
         j = int(np.argmin(reduced))  # Dantzig: most negative enters
-        if reduced[j] >= -PIVOT_EPS:
+        if reduced[j] >= -PIVOT_EPS or obj[-1] > stop_above:
             return it, False
         if stalled >= STALL_LIMIT:
             j = _bland(reduced)
@@ -204,15 +212,32 @@ def _ray_maxima(A, b, columns, tol):
     ``t = 0`` is feasible; if it is not, every ray reports infeasible.
     Each ray's pivot cap is :func:`minimize_nonneg`'s on ``[A | a]``,
     ``50 * (rows + cols + 1)``, less the shared phase-1 pivots.
+
+    Only the smallest maximum matters to the caller.  So the rays run in
+    ascending order of the bound ``max_i -a . A_i`` (for the ray system
+    of :func:`~signpoly.algorithms.max_inscribed_cross_polytope`, the
+    support ``max_i s v_ik`` of the members along the ray), and a ray's
+    phase 2 stops, as ``"cut-off"``, at the first basis whose ``t`` is
+    strictly above the smallest optimal ``t`` found so far.  The primal
+    simplex never lowers ``t``, so every ray whose ``t`` is the final
+    minimum runs to optimality.  Returns the solutions in the order of
+    ``columns``.
     """
     k, p = A.shape
     cap = 50 * (k + p + 1)
     T0, obj0, basis0, flip, shared = _phase1(np.c_[A, np.zeros(k)], b, cap)
     c = np.append(np.zeros(p), -1.0)
-    for a in np.where(flip, -1.0, 1.0) * columns:
+    signed = np.where(flip, -1.0, 1.0) * columns
+    sols = [None] * len(columns)
+    best = math.inf
+    for j in np.argsort(np.max(-columns @ A, axis=1), kind="stable"):
         T = T0.copy()
-        T[:, p] = T0[:, p + 1:-1] @ a
-        yield _phase2(c, T, obj0.copy(), list(basis0), flip, tol, cap - shared)
+        T[:, p] = T0[:, p + 1:-1] @ signed[j]
+        sols[j] = sol = _phase2(c, T, obj0.copy(), list(basis0), flip, tol,
+                                cap - shared, stop_above=best)
+        if sol.status == "optimal":
+            best = min(best, sol.z[-1])
+    return sols
 
 
 def _drive_out(T, obj, basis, p):
@@ -226,8 +251,9 @@ def _drive_out(T, obj, basis, p):
                 _pivot(T, obj, basis, i, j)
 
 
-def _phase2(c, T, obj, basis, flip, tol, max_iter):
-    """Infeasibility verdict, drive-out and phase 2 from a phase-1 tableau."""
+def _phase2(c, T, obj, basis, flip, tol, max_iter, stop_above=math.inf):
+    """Infeasibility verdict, drive-out and phase 2 from a phase-1 tableau;
+    phase 2 stops, as ``"cut-off"``, once ``-c . z > stop_above``."""
     if -obj[-1] > tol:
         return LPSolution("infeasible")
     p = c.size
@@ -239,10 +265,13 @@ def _phase2(c, T, obj, basis, flip, tol, max_iter):
         if var < p and c[var] != 0.0:
             obj -= c[var] * T[i]
 
-    _, unbounded = _pivot_loop(T, obj, basis, p, max_iter, phase=2)
+    _, unbounded = _pivot_loop(T, obj, basis, p, max_iter, phase=2,
+                               stop_above=stop_above)
     if unbounded:
         return LPSolution("unbounded")
     z = _basic_solution(T, basis, p)
+    if obj[:p].min() < -PIVOT_EPS:
+        return LPSolution("cut-off", z, float(c @ z))
     # An artificial column's reduced cost is minus the dual of its
     # (possibly flipped) row.
     dual = np.where(flip, obj[p:-1], -obj[p:-1])

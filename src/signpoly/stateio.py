@@ -35,7 +35,7 @@ import numpy as np
 
 from .algorithms import DecompositionInput
 from .errors import FileFormatError
-from .quantum import DensityMatrix, PureState, validate_state
+from .quantum import DensityMatrix, PureState, _density_matrices, validate_state
 
 SCHEMA_VERSION = 1
 
@@ -70,13 +70,15 @@ def _complex_pairs(obj, expected: int, where: str) -> np.ndarray:
                 or not all(isinstance(v, (int, float)) for v in pair)):
             raise FileFormatError(f"{where}: entry {i} is not a [re, im] pair")
         out[i] = complex(pair[0], pair[1])
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise FileFormatError(f"{where}: entries must be finite")
     return out
 
 
-def _parse_state_body(doc: dict, where: str) -> tuple[DensityMatrix | PureState,
+def _parse_state_body(doc: dict, where: str) -> tuple[np.ndarray | PureState,
                                                       float | None]:
+    """The raw ``(dim, dim)`` matrix of a matrix body and ``None``, not
+    yet validated as a state (a NaN or infinite entry is left to that
+    check, which names it), or the normalized state of an amplitude
+    body and its original norm."""
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 2:
         raise FileFormatError(f"{where}: \"dim\" must be an integer >= 2")
@@ -87,8 +89,10 @@ def _parse_state_body(doc: dict, where: str) -> tuple[DensityMatrix | PureState,
             f"{where}: provide exactly one of \"matrix\" / \"amplitudes\"")
     if has_matrix:
         flat = _complex_pairs(doc["matrix"], dim * dim, f"{where}.matrix")
-        return validate_state(flat.reshape(dim, dim)), None
+        return flat.reshape(dim, dim), None
     amps = _complex_pairs(doc["amplitudes"], dim, f"{where}.amplitudes")
+    if not np.all(np.isfinite(amps)):
+        raise FileFormatError(f"{where}.amplitudes: entries must be finite")
     try:
         return PureState.normalized(amps)
     except ValueError as exc:
@@ -115,19 +119,24 @@ def load_state(path) -> tuple[DensityMatrix | PureState, float | None]:
     kind = doc.get("kind", "state")
     if kind != "state":
         raise FileFormatError(f"{path}: expected a state document, got kind {kind!r}")
-    return _parse_state_body(doc, str(path))
+    state, norm = _parse_state_body(doc, str(path))
+    if isinstance(state, PureState):
+        return state, norm
+    return validate_state(state), None
 
 
 def load_decomposition(path) -> DecompositionInput:
     """Parse and validate a decomposition document (target, members,
     weights).
 
-    Each entry is validated as a state at ``STATE_TOL`` (amplitude
-    entries through their projector).  Raises
+    Every entry is parsed first, then the target and the members are
+    validated as states at ``STATE_TOL`` in one pass (amplitude entries
+    through their projector), so a malformed entry is reported before
+    a state error in an earlier one.  Raises
     :class:`~signpoly.errors.FileFormatError` on any malformation,
-    :class:`~signpoly.errors.StateValidationError` for an entry that is
-    not a state, and :class:`~signpoly.errors.DecompositionError` when
-    the entries do not form a decomposition.
+    :class:`~signpoly.errors.StateValidationError` for the first entry
+    that is not a state, and :class:`~signpoly.errors.DecompositionError`
+    when the entries do not form a decomposition.
     """
     doc = _read_json(path)
     _check_schema(doc, str(path))
@@ -140,22 +149,23 @@ def load_decomposition(path) -> DecompositionInput:
         raise FileFormatError(f"{path}: \"dim\" must be an integer >= 2")
     if not isinstance(doc.get("target"), dict):
         raise FileFormatError(f"{path}: \"target\" must be a state object")
-    target, _ = _parse_state_body({"dim": dim, **doc["target"]}, f"{path}.target")
+    entries = [_parse_state_body({"dim": dim, **doc["target"]}, f"{path}.target")[0]]
     members_doc = doc.get("members")
     if not isinstance(members_doc, list) or not members_doc:
         raise FileFormatError(f"{path}: \"members\" must be a nonempty list")
-    members = []
     for i, body in enumerate(members_doc):
         if not isinstance(body, dict):
             raise FileFormatError(f"{path}.members[{i}]: must be a state object")
-        member, _ = _parse_state_body({"dim": dim, **body}, f"{path}.members[{i}]")
-        members.append(_as_density(member))
+        entries.append(_parse_state_body({"dim": dim, **body},
+                                         f"{path}.members[{i}]")[0])
     weights = doc.get("weights")
-    if (not isinstance(weights, list) or len(weights) != len(members)
+    if (not isinstance(weights, list) or len(weights) != len(members_doc)
             or not all(isinstance(w, (int, float)) for w in weights)):
         raise FileFormatError(f"{path}: \"weights\" must be a list of "
-                              f"{len(members)} numbers")
-    return DecompositionInput(target=_as_density(target), members=tuple(members),
+                              f"{len(members_doc)} numbers")
+    target, *members = _density_matrices(
+        [e.projector() if isinstance(e, PureState) else e for e in entries])
+    return DecompositionInput(target=target, members=tuple(members),
                               weights=tuple(float(w) for w in weights))
 
 

@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from signpoly import (
     DecompositionError,
+    StateValidationError,
     SolverFailureError,
     DecompositionInput,
     DensityMatrix,
@@ -27,6 +28,7 @@ from signpoly import (
     traceless_hermitian_basis,
 )
 from signpoly.algorithms import _chart_members
+from signpoly.geometry import _witness_violation
 from signpoly.simplex import minimize_nonneg
 
 MIXED_2 = np.eye(2, dtype=complex) / 2
@@ -160,6 +162,23 @@ def test_vertex_states_are_valid_density_matrices():
     assert len(states) == 6
     for s in states:
         assert isinstance(s, DensityMatrix)
+
+
+def test_vertex_states_raise_for_the_first_vertex_outside_the_states():
+    """Vertices are validated as one stack, all or nothing: moved off
+    the mixed state along -e_0, only the vertex centre - 0.5 e_0
+    (direction 3, chart norm 0.8 past the Bloch sphere's 1/sqrt(2))
+    is not a state, and it raises the error it raises alone."""
+    poly = max_inscribed_cross_polytope(_octahedral_decomposition(0.4))
+    moved = dataclasses.replace(
+        poly, spec=CrossPolytopeSpec(0.5, [-0.3, 0.0, 0.0]))
+    with pytest.raises(StateValidationError) as exc:
+        moved.vertex_states()
+    with pytest.raises(StateValidationError) as alone:
+        DensityMatrix(from_coords([-0.8, 0.0, 0.0]))
+    assert exc.value.kind == "not-psd"
+    assert (exc.value.magnitude, str(exc.value)) == (alone.value.magnitude,
+                                                     str(alone.value))
 
 
 def test_polytope_geometry_accessors():
@@ -428,6 +447,48 @@ def test_shared_phase1_pivot_count(monkeypatch):
     assert certificate_holds(poly)
 
 
+def test_bounded_rays_pivot_count(monkeypatch):
+    """The same d=4, m=40 search with every ray stopped once it cannot
+    bind: at most 296 pivots, 60% of the 494 it took with every ray
+    driven to its own optimum."""
+    pivots = []
+    pivot = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot",
+                        lambda *a: pivots.append(1) or pivot(*a))
+    poly = max_inscribed_cross_polytope(_random_decomposition(7, 4, 40, 1.0))
+    assert len(pivots) <= 296
+    assert certificate_holds(poly)
+
+
+def test_tied_rays_all_run_to_their_optimum():
+    """On the octahedral decomposition all six rays tie at 0.4: the
+    cut-off is strict, so none of them stops early, each keeps its
+    dual, and the certificate holds."""
+    dec = _octahedral_decomposition(0.4)
+    sols = simplex._ray_maxima(*_ray_system(dec), 1e-9)
+    assert [sol.status for sol in sols] == ["optimal"] * 6
+    assert all(sol.dual is not None for sol in sols)
+    np.testing.assert_allclose([sol.z[-1] for sol in sols], 0.4, atol=1e-12)
+    assert certificate_holds(max_inscribed_cross_polytope(dec))
+
+
+def test_cut_off_binding_ray_raises(monkeypatch):
+    """A binding ray without its optimum has no dual to certify the
+    scale: a solver failure, never a result."""
+    import signpoly.algorithms
+    rays = signpoly.algorithms._ray_maxima
+
+    def stopped(*args, **kwargs):
+        sols = rays(*args, **kwargs)
+        j = int(np.argmin([sol.z[-1] for sol in sols]))
+        sols[j] = dataclasses.replace(sols[j], status="cut-off", dual=None)
+        return sols
+
+    monkeypatch.setattr(signpoly.algorithms, "_ray_maxima", stopped)
+    with pytest.raises(SolverFailureError, match="binding ray"):
+        max_inscribed_cross_polytope(_cube_decomposition(0.3))
+
+
 def _ray_system(dec):
     """Shared rows ``[V^T; 1] w = [0; 1]`` of the ray LPs of ``dec`` and
     the ``t`` column ``-s e_k`` of each of its 2n directions."""
@@ -439,19 +500,32 @@ def _ray_system(dec):
 
 
 def _assert_rays_match_standalone(dec):
-    """Every ray of the shared phase 1 has the status and the ``t`` of a
-    standalone two-phase solve of that ray's full LP."""
+    """Every ray of the shared phase 1 that runs to its optimum has the
+    status and the ``t`` of a standalone two-phase solve of that ray's
+    full LP, and so does every ray whose ``t`` is the scale; every ray
+    stopped early is strictly above the scale, at most its standalone
+    optimum, and reached by its witness."""
     A, b, columns = _ray_system(dec)
+    _, V = _chart_members(dec)
+    m, n = V.shape
     c = np.zeros(A.shape[1] + 1)
     c[-1] = -1.0
-    shared = list(simplex._ray_maxima(A, b, columns, 1e-9))
+    shared = simplex._ray_maxima(A, b, columns, 1e-9)
     assert len(shared) == len(columns)
+    alpha = min(sol.z[-1] for sol in shared)
     for column, sol in zip(columns, shared):
         alone = minimize_nonneg(c, np.column_stack([A, column]), b)
-        assert sol.status == alone.status
-        if alone.status == "optimal":
+        assert alone.status == "optimal"
+        if sol.z[-1] == alpha:
+            assert sol.status == "optimal"
+        if sol.status == "optimal":
             assert sol.z[-1] == pytest.approx(alone.z[-1], abs=1e-9)
             assert sol.value == pytest.approx(alone.value, abs=1e-9)
+        else:
+            assert sol.status == "cut-off" and sol.dual is None
+            assert alpha < sol.z[-1] <= alone.z[-1] + 1e-9
+            assert _witness_violation(sol.z[:m], V,
+                                      -sol.z[-1] * column[:n]) <= 1e-9
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

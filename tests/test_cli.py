@@ -1,5 +1,6 @@
 """Command-line behavior: reports, exit codes, file handling."""
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from signpoly import (
+    CrossPolytopeSpec,
     DecompositionError,
     DecompositionInput,
     DensityMatrix,
@@ -108,6 +110,63 @@ class TestStateIO:
             2, MIXED_2, members, [0.5, 0.5]))
         with pytest.raises(DecompositionError):
             stateio.load_decomposition(path)
+
+    @pytest.mark.parametrize("matrix", [
+        np.diag([1.2, -0.2]),
+        np.array([[0.5, 0.2], [0.0, 0.5]]),
+        np.eye(2) * (0.5 + 1e-6),
+        np.array([[0.5, math.nan], [0.0, 0.5]]),
+    ], ids=["not-psd", "not-hermitian", "bad-trace", "nan"])
+    def test_member_error_is_the_matrix_own(self, tmp_path, matrix):
+        """Members are validated as one stack; the third, the first that
+        is not a state, raises the error it raises alone (the fifth,
+        also not a state, is never reported)."""
+        basis = traceless_hermitian_basis(2)
+        members = [MIXED_2 + s * 0.4 * basis[k] for k in range(3) for s in (1, -1)]
+        members[2] = matrix
+        members[4] = np.diag([2.0, -1.0])
+        path = tmp_path / "bad.json"
+        stateio.save_document(path, stateio.decomposition_document(
+            2, MIXED_2, members, [1 / 6] * 6))
+        with pytest.raises(StateValidationError) as exc:
+            stateio.load_decomposition(path)
+        with pytest.raises(StateValidationError) as alone:
+            DensityMatrix(matrix)
+        assert ((exc.value.kind, repr(exc.value.magnitude), str(exc.value))
+                == (alone.value.kind, repr(alone.value.magnitude), str(alone.value)))
+
+    def test_amplitude_members_load_through_their_projectors(self, tmp_path):
+        s = 1.0 / math.sqrt(2.0)
+        amps = [[1.0, 0.0], [0.0, 1.0], [s, s], [s, -s], [s, 1j * s], [s, -1j * s],
+                [3.0, 4.0]]
+        doc = stateio.decomposition_document(2, MIXED_2, [MIXED_2] * 7,
+                                             [1 / 6] * 6 + [0.0])
+        doc["members"] = [{"amplitudes": stateio._pairs(np.array(a))} for a in amps]
+        path = tmp_path / "pure.json"
+        stateio.save_document(path, doc)
+        dec = stateio.load_decomposition(path)
+        for member, a in zip(dec.members, amps):
+            psi = np.array(a) / np.linalg.norm(a)
+            np.testing.assert_allclose(member.matrix, np.outer(psi, psi.conj()),
+                                       atol=1e-15)
+            assert not member.matrix.flags.writeable
+
+    def test_format_error_is_reported_before_an_earlier_state_error(
+            self, tmp_path, capsys):
+        """Every entry is parsed before any is validated: a malformed last
+        member wins over a first member that is not a state, with the
+        same exit code."""
+        basis = traceless_hermitian_basis(2)
+        members = [MIXED_2 + s * 0.4 * basis[k] for k in range(3) for s in (1, -1)]
+        members[0] = np.diag([1.2, -0.2])
+        doc = stateio.decomposition_document(2, MIXED_2, members, [1 / 6] * 6)
+        doc["members"][5] = {"matrix": [[0.5, 0.0]] * 3}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(stateio.FileFormatError, match=r"members\[5\]"):
+            stateio.load_decomposition(path)
+        assert main(["construct", str(path)]) == 2
+        assert "members[5]" in capsys.readouterr().err
 
     def test_zero_amplitudes_rejected(self, tmp_path):
         path = tmp_path / "zero.json"
@@ -264,6 +323,24 @@ def test_construct_rejects_nan_weight(tmp_path, capsys):
     assert "NaN" in path.read_text()
     assert main(["construct", str(path)]) == 2
     assert "weights" in capsys.readouterr().err
+
+
+def test_construct_with_an_invalid_vertex_counts_none(monkeypatch, capsys,
+                                                     octahedral_file):
+    """Vertex states are validated all or nothing: with one vertex past
+    the Bloch sphere the report counts 0 of 6 valid."""
+    import signpoly.cli
+    solve = signpoly.cli.max_inscribed_cross_polytope
+
+    def moved(*args, **kwargs):
+        poly = solve(*args, **kwargs)
+        return dataclasses.replace(
+            poly, spec=CrossPolytopeSpec(0.5, [-0.3, 0.0, 0.0]))
+
+    monkeypatch.setattr(signpoly.cli, "max_inscribed_cross_polytope", moved)
+    assert main(["construct", octahedral_file, "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["vertex_states_valid"], doc["vertex_states_total"]) == (0, 6)
 
 
 def test_construct_degenerate(tmp_path, capsys):

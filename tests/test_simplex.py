@@ -293,3 +293,29 @@ def test_positive_ratio_pivot_that_leaves_the_objective_counts_as_stalled(
     assert simplex._pivot_loop(T, obj, basis, 4, 10, phase=2) == (2, False)
     assert basis == [0, 1]
     assert calls == [1]
+
+
+@pytest.mark.parametrize("seed, ray", [(303, 12), (329, 9)])
+def test_phase2_cut_off_is_strict(seed, ray):
+    """Phase 2 stopped at ``stop_above`` equal to the optimum runs to
+    the optimum, bit for bit; stopped at 0 it ends at the first basis
+    whose ``t`` is above 0, a feasible point short of the optimum, with
+    status ``"cut-off"`` and no dual."""
+    A, b = _qutrit_ray_system(seed, ray)
+    c = np.zeros(A.shape[1])
+    c[-1] = -1.0
+    best = minimize_nonneg(c, A, b)
+
+    def stopped_at(stop):
+        T, obj, basis, flip, used = simplex._phase1(A, b, 10**4)
+        return simplex._phase2(c, T, obj, basis, flip, 1e-9, 10**4,
+                               stop_above=stop)
+
+    at_optimum = stopped_at(best.z[-1])
+    assert at_optimum.status == "optimal"
+    np.testing.assert_array_equal(at_optimum.z, best.z)
+    cut = stopped_at(0.0)
+    assert cut.status == "cut-off" and cut.dual is None
+    assert 0.0 < cut.z[-1] < best.z[-1]
+    assert cut.value == -cut.z[-1]
+    np.testing.assert_allclose(A @ cut.z, b, atol=1e-9)
