@@ -19,10 +19,6 @@ pivots per ``construct``, split by where they happen:
 
 - ``phase1``: in those phase-1 solves (one shared solve per
   ``construct``, or one per ray LP where phase 1 is not shared);
-- ``phase1_continued``: phase 1 continued per ray from the shared
-  tableau; 0 by construction since the ray LPs are centred on the
-  members' weighted mean (``t = 0`` is feasible), and kept for ``--src``
-  runs against older checkouts;
 - ``drive_out``: artificials pivoted out between the phases;
 - ``phase2``: phase 2.
 
@@ -54,7 +50,7 @@ class PivotCounter:
     of :data:`KINDS`) while it is entered, and the phase-1 solves from
     the artificial basis."""
 
-    KINDS = ("phase1", "phase1_continued", "drive_out", "phase2")
+    KINDS = ("phase1", "drive_out", "phase2")
 
     def __init__(self, sp):
         self.simplex = sp.simplex
@@ -83,10 +79,8 @@ class PivotCounter:
             return self._inside("phase1", phase1, *args, **kwargs)
 
         def counted_loop(*args, phase, **kwargs):
-            kind = self._where[-1] if phase == 1 else "phase2"
-            if kind == "drive_out":  # a phase-1 loop outside _phase1
-                kind = "phase1_continued"
-            return self._inside(kind, loop, *args, phase=phase, **kwargs)
+            return self._inside(f"phase{phase}", loop, *args, phase=phase,
+                                **kwargs)
 
         simplex._pivot = counted_pivot
         simplex._phase1 = counted_phase1

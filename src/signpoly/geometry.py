@@ -181,8 +181,10 @@ def hull_member_lp(
         raise DimensionMismatchError(
             f"point dimension {xv.size} does not match vertex dimension"
         )
-    m = V.shape[0]
-    A = np.vstack([V.T, np.ones((1, m))])
+    m, n = V.shape
+    A = np.empty((n + 1, m))
+    A[:n] = V.T
+    A[n] = 1.0
     b = np.append(xv, 1.0)
     ok, w = feasible_nonneg(A, b, tol=tol)
     if not ok:

@@ -1,12 +1,11 @@
-"""Dense two-phase simplex for small nonnegative systems.
+"""Revised two-phase simplex for small nonnegative systems.
 
-Phase 1 answers "is there a z >= 0 with A z = b?" by minimizing the
-total artificial infeasibility in a full tableau; phase 2 then minimizes
-a linear cost from the feasible basis phase 1 found.  Both phases run
-through one pivot loop: Dantzig pricing, with Bland's rule as the
-fallback that keeps the heavily degenerate hull and ray systems from
-cycling.  Failure to converge raises, it never masquerades as a
-verdict.
+Phase 1 decides whether some ``z >= 0`` solves ``A z = b``; phase 2
+minimizes a linear cost from its basis.  A solve keeps ``A`` and only
+the ``k x (k + 1)`` array ``[B^-1 | x_B]``, prices every column from
+``A`` at each pivot (Dantzig & Orchard-Hays, 1954), and ends each phase
+by solving for ``x_B`` again from the basis columns of ``A``.  Failure
+to converge raises, it never masquerades as a verdict.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ PIVOT_EPS = 1e-11
 RATIO_EPS = 1e-12
 # Consecutive pivots that leave the objective unchanged before Bland's rule.
 STALL_LIMIT = 20
-# Tableaux larger than this are updated a row at a time, which keeps the
-# rows in cache (crossover measured by bench/rank1_sweep.py).
-ROW_UPDATE_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -49,6 +45,18 @@ class LPSolution:
     dual: np.ndarray | None = None
 
 
+class _State:
+    """``T = [B^-1 | x_B]`` for a basis (``basis``, one variable index per
+    row) of ``A z + diag(sign) s = b``, starting from the artificial one:
+    ``s_i`` is variable ``p + i``, signed so that the basis is feasible."""
+
+    def __init__(self, A, b):
+        self.A, self.b = A, b
+        self.sign = np.where(b < 0, -1.0, 1.0)
+        self.T = np.c_[np.diag(self.sign), np.abs(b)]
+        self.basis = np.arange(A.shape[1], A.shape[1] + b.size)
+
+
 def _checked(A, b, max_iter):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -59,18 +67,12 @@ def _checked(A, b, max_iter):
     return A, b, max_iter
 
 
-def _pivot(T, obj, basis, i, j):
-    """Gauss-Jordan pivot on ``(i, j)``, carrying the objective row."""
-    T[i] /= T[i, j]
-    factors = T[:, j].copy()
-    factors[i] = 0.0
-    if T.nbytes <= ROW_UPDATE_BYTES:
-        T -= np.outer(factors, T[i])
-    else:
-        for r in np.flatnonzero(factors):
-            T[r] -= factors[r] * T[i]
-    obj -= obj[j] * T[i]
-    basis[i] = j
+def _pivot(s, i, j, col):
+    """Pivot column ``j``, whose ``B^-1`` image is ``col``, into row ``i``."""
+    row = s.T[i] / col[i]
+    s.T -= col[:, None] * row
+    s.T[i] = row
+    s.basis[i] = j
 
 
 def _bland(reduced):
@@ -78,85 +80,94 @@ def _bland(reduced):
     return int(np.flatnonzero(reduced < -PIVOT_EPS)[0])
 
 
-def _pivot_loop(T, obj, basis, ncols, max_iter, phase, stop_above=math.inf):
-    """Pivot until no column below ``ncols`` has a negative reduced cost.
+def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
+    """Pivot until no column below ``ncols`` (real columns, then the
+    artificials) has a negative reduced cost ``cost - c_B B^-1 column``.
 
     The most negative reduced cost enters (Dantzig's rule); ties in the
     ratio test leave by lowest basic index.  After ``STALL_LIMIT``
-    consecutive pivots that leave the computed objective unchanged, the
-    lowest-index negative column enters instead (Bland's rule) until a
-    pivot lowers it.  So the loop is finite: the objective strictly
-    falls, as computed, at each reset of the counter, so no cycle of
-    bases resets it, and Bland's rule cannot cycle while the objective
-    stands still (in exact arithmetic; against roundoff the ``max_iter``
-    cap is the backstop, and reaching it raises).
-
-    Returns ``(iterations, unbounded)``: an entering column without a
-    positive entry is unbounded, or in phase 1 (bounded below) raises.
-    The loop also returns, unfinished, at a basis that is not optimal
-    once ``obj[-1]`` (minus the objective value) is strictly above
-    ``stop_above``; the caller tells that apart by the sign of the
-    reduced costs.
+    pivots in a row that leave the computed objective unchanged, the
+    lowest-index negative column enters (Bland's rule, which cannot
+    cycle) until a pivot lowers it; so no cycle of bases is endless, and
+    against roundoff ``max_iter`` is the backstop (reaching it raises).
+    Returns ``(iterations, outcome)``: ``"optimal"``, ``"unbounded"``
+    (phase 1 raises instead), or ``"cut-off"`` at a basis that is not
+    optimal once minus the objective value is above ``stop_above``.
     """
+    p = s.A.shape[1]
+    basis, inverse, x = s.basis, s.T[:, :-1], s.T[:, -1]  # updated in place
+    c_basic = cost[basis]
+    c_real = cost[:p] if cost[:p].any() else None
+    value = float(c_basic @ x)
     stalled = 0
+    # Reused: a fresh wide array per pass costs more in page faults than pricing.
+    reduced, ratios = np.empty(ncols), np.empty(basis.size)
     for it in range(max_iter):
-        reduced = obj[:ncols]
-        j = int(np.argmin(reduced))  # Dantzig: most negative enters
-        if reduced[j] >= -PIVOT_EPS or obj[-1] > stop_above:
-            return it, False
+        y = c_basic @ inverse
+        np.matmul(-y, s.A, out=reduced[:p])
+        if c_real is not None:
+            reduced[:p] += c_real
+        if ncols > p:
+            np.subtract(cost[p:], s.sign * y, out=reduced[p:])
+        j = int(reduced.argmin())  # Dantzig: most negative enters
+        if reduced[j] >= -PIVOT_EPS:
+            return it, "optimal"
+        if -value > stop_above:
+            return it, "cut-off"
         if stalled >= STALL_LIMIT:
             j = _bland(reduced)
-        col = T[:, j]
-        rows = np.flatnonzero(col > PIVOT_EPS)
-        if rows.size == 0:
+        col = inverse @ s.A[:, j] if j < p else s.sign[j - p] * inverse[:, j - p]
+        ratios.fill(math.inf)
+        np.divide(x, col, out=ratios, where=col > PIVOT_EPS)
+        least = ratios.min()
+        if least == math.inf:
             if phase == 1:
                 raise SolverFailureError("no admissible pivot in entering column")
-            return it, True
-        ratios = T[rows, -1] / col[rows]
-        ties = rows[ratios <= ratios.min() + RATIO_EPS]
-        i = int(min(ties, key=lambda r: basis[r]))  # Bland tie-break
-        before = obj[-1]
-        _pivot(T, obj, basis, i, j)
-        stalled = 0 if obj[-1] > before else stalled + 1
-    raise SolverFailureError(
-        f"phase-{phase} simplex did not converge within {max_iter} iterations"
-    )
+            return it, "unbounded"
+        ties = (ratios <= least + RATIO_EPS).nonzero()[0]
+        i = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
+        _pivot(s, i, j, col)
+        c_basic[i] = cost[j]
+        before, value = value, value + float(reduced[j]) * float(x[i])
+        stalled = 0 if value < before else stalled + 1
+    raise SolverFailureError(f"phase-{phase} simplex did not converge "
+                             f"within {max_iter} iterations")
+
+
+def _refine(s):
+    """Solve for ``x_B`` again from the basis columns of ``[A | diag(sign)]``."""
+    p = s.A.shape[1]
+    art = s.basis >= p
+    B = s.A[:, np.where(art, 0, s.basis)]
+    if art.any():
+        B[:, art] = np.diag(s.sign)[:, s.basis[art] - p]
+    try:
+        s.T[:, -1] = np.linalg.solve(B, s.b)
+    except np.linalg.LinAlgError:
+        raise SolverFailureError("singular simplex basis") from None
 
 
 def _phase1(A, b, max_iter):
-    """Minimize the sum of artificials from the artificial basis.
-
-    Returns the final tableau ``[real | artificial | rhs]`` of the
-    row-flipped system, its objective row (last entry: minus the
-    remaining infeasibility), the basis, the row flips and the pivots
-    used.
-    """
-    k, p = A.shape
-    T = np.zeros((k, p + k + 1))
-    T[:, :p] = A
-    T[:, -1] = b
-    # Orient rows so the right-hand side is nonnegative.
-    flip = b < 0
-    T[flip] *= -1.0
-    # Reduced costs of min(sum of artificials), priced out against the
-    # artificial starting basis (whose columns are still zero), and the
-    # negated objective value.
-    obj = -T.sum(axis=0)
-    T[:, p:p + k] = np.eye(k)
-    basis = list(range(p, p + k))
-
-    used, _ = _pivot_loop(T, obj, basis, p + k, max_iter, phase=1)
-    return T, obj, basis, flip, used
+    """Minimize the sum of artificials from the artificial basis; returns
+    the final, refined state and the pivots used."""
+    s = _State(A, b)
+    cost = np.concatenate([np.zeros(A.shape[1]), np.ones(b.size)])
+    used, _ = _pivot_loop(s, cost, cost.size, max_iter, phase=1)
+    _refine(s)
+    return s, used
 
 
-def _basic_solution(T, basis, p):
-    z = np.zeros(p)
-    for row, var in enumerate(basis):
-        if var < p:
-            z[var] = T[row, -1]
+def _infeasibility(s):
+    """The sum of the basic artificials: phase 1's objective value."""
+    return float(s.T[:, -1] @ (s.basis >= s.A.shape[1]))
+
+
+def _basic_solution(s):
+    k, p = s.A.shape
+    z = np.zeros(p + k)
+    z[s.basis] = s.T[:, -1]
     # Basic values are nonnegative up to roundoff; clamp the dust.
-    np.clip(z, 0.0, None, out=z)
-    return z
+    return np.maximum(z[:p], 0.0)
 
 
 def feasible_nonneg(
@@ -167,16 +178,16 @@ def feasible_nonneg(
 ) -> tuple[bool, np.ndarray | None]:
     """Search for ``z >= 0`` solving ``A z = b`` (phase 1 alone).
 
-    Returns ``(True, z)`` when the phase-1 optimum is within ``tol`` of
-    zero, ``(False, None)`` otherwise.  ``max_iter`` defaults to
-    ``50 * (rows + cols)``; exceeding it raises
+    Returns ``(True, z)`` when the phase-1 optimum, recomputed from the
+    final basis, is within ``tol`` of zero, ``(False, None)`` otherwise.
+    ``max_iter`` defaults to ``50 * (rows + cols)``; exceeding it raises
     :class:`~signpoly.errors.SolverFailureError`.
     """
     A, b, max_iter = _checked(A, b, max_iter)
-    T, obj, basis, _, _ = _phase1(A, b, max_iter)
-    if -obj[-1] > tol:
+    s, _ = _phase1(A, b, max_iter)
+    if not _infeasibility(s) <= tol:
         return False, None
-    return True, _basic_solution(T, basis, A.shape[1])
+    return True, _basic_solution(s)
 
 
 def minimize_nonneg(
@@ -198,81 +209,69 @@ def minimize_nonneg(
     c = np.asarray(c, dtype=float)
     if c.shape != (A.shape[1],):
         raise ValueError("c must have one entry per column of A")
-    T, obj, basis, flip, used = _phase1(A, b, max_iter)
-    return _phase2(c, T, obj, basis, flip, tol, max_iter - used)
+    s, used = _phase1(A, b, max_iter)
+    return _phase2(c, s, tol, max_iter - used)
 
 
 def _ray_maxima(A, b, columns, tol):
     """Maximize ``t`` over ``A w + t a = b``, ``w, t >= 0`` for each row
     ``a`` of ``columns``, as :func:`minimize_nonneg` would on ``[A | a]``
-    with cost ``(0, ..., 0, -1)``, but from one shared phase 1 on
-    ``[A | 0]`` (so at ``t = 0``): each ray writes ``B^-1 a``, read from
-    the artificial block, into the ``t`` column of a copy of that
-    tableau and runs phase 2.  The caller poses ``A w = b`` so that
-    ``t = 0`` is feasible; if it is not, every ray reports infeasible.
-    Each ray's pivot cap is :func:`minimize_nonneg`'s on ``[A | a]``,
-    ``50 * (rows + cols + 1)``, less the shared phase-1 pivots.
+    with cost ``(0, ..., 0, -1)``, but each ray continues, with ``a`` in
+    the ``t`` column, from one shared phase 1 on ``[A | 0]``.  The caller
+    poses ``A w = b`` so that ``t = 0`` is feasible, else every ray is
+    infeasible.  Each ray's pivot cap is ``50 * (rows + cols + 1)`` less
+    the shared phase-1 pivots.
 
-    Only the smallest maximum matters to the caller.  So the rays run in
-    ascending order of the bound ``max_i -a . A_i`` (for the ray system
-    of :func:`~signpoly.algorithms.max_inscribed_cross_polytope`, the
-    support ``max_i s v_ik`` of the members along the ray), and a ray's
-    phase 2 stops, as ``"cut-off"``, at the first basis whose ``t`` is
-    strictly above the smallest optimal ``t`` found so far.  The primal
-    simplex never lowers ``t``, so every ray whose ``t`` is the final
-    minimum runs to optimality.  Returns the solutions in the order of
-    ``columns``.
+    Only the smallest maximum matters to the caller, so the rays run in
+    ascending order of the bound ``max_i -a . A_i`` (the members'
+    support along the ray), and a ray's phase 2 stops, as ``"cut-off"``,
+    at the first basis whose ``t`` is strictly above the smallest
+    optimal ``t`` so far.  The primal simplex never lowers ``t``, so
+    every ray whose ``t`` is the final minimum runs to optimality.
+    Returns the solutions in the order of ``columns``.
     """
     k, p = A.shape
     cap = 50 * (k + p + 1)
-    T0, obj0, basis0, flip, shared = _phase1(np.c_[A, np.zeros(k)], b, cap)
+    s, used = _phase1(np.c_[A, np.zeros(k)], b, cap)
+    shared = s.T.copy(), s.basis.copy()
     c = np.append(np.zeros(p), -1.0)
-    signed = np.where(flip, -1.0, 1.0) * columns
     sols = [None] * len(columns)
     best = math.inf
     for j in np.argsort(np.max(-columns @ A, axis=1), kind="stable"):
-        T = T0.copy()
-        T[:, p] = T0[:, p + 1:-1] @ signed[j]
-        sols[j] = sol = _phase2(c, T, obj0.copy(), list(basis0), flip, tol,
-                                cap - shared, stop_above=best)
+        # The t column is nonbasic at the shared basis, so only it changes.
+        s.A[:, p] = columns[j]
+        s.T[:], s.basis[:] = shared
+        sols[j] = sol = _phase2(c, s, tol, cap - used, stop_above=best)
         if sol.status == "optimal":
             best = min(best, sol.z[-1])
     return sols
 
 
-def _drive_out(T, obj, basis, p):
+def _drive_out(s):
     """Pivot the basic artificials, at zero, out so phase 2 cannot raise
     them; a row with no usable real entry is redundant and keeps its."""
-    for i, var in enumerate(basis):
-        if var >= p:
-            j = int(np.argmax(np.abs(T[i, :p])))
-            if abs(T[i, j]) > PIVOT_EPS:
-                T[i, -1] = 0.0
-                _pivot(T, obj, basis, i, j)
+    for i in (s.basis >= s.A.shape[1]).nonzero()[0]:
+        row = s.T[i, :-1] @ s.A
+        j = int(np.argmax(np.abs(row)))
+        if abs(row[j]) > PIVOT_EPS:
+            s.T[i, -1] = 0.0
+            _pivot(s, i, j, s.T[:, :-1] @ s.A[:, j])
 
 
-def _phase2(c, T, obj, basis, flip, tol, max_iter, stop_above=math.inf):
-    """Infeasibility verdict, drive-out and phase 2 from a phase-1 tableau;
+def _phase2(c, s, tol, max_iter, stop_above=math.inf):
+    """Infeasibility verdict, drive-out and phase 2 from a phase-1 state;
     phase 2 stops, as ``"cut-off"``, once ``-c . z > stop_above``."""
-    if -obj[-1] > tol:
+    if not _infeasibility(s) <= tol:
         return LPSolution("infeasible")
-    p = c.size
-    _drive_out(T, obj, basis, p)
-
-    # Phase-2 reduced costs: the real costs priced out against the basis.
-    obj = np.concatenate([c, np.zeros(T.shape[1] - p)])
-    for i, var in enumerate(basis):
-        if var < p and c[var] != 0.0:
-            obj -= c[var] * T[i]
-
-    _, unbounded = _pivot_loop(T, obj, basis, p, max_iter, phase=2,
-                               stop_above=stop_above)
-    if unbounded:
+    _drive_out(s)
+    cost = np.concatenate([c, np.zeros(s.b.size)])
+    _, outcome = _pivot_loop(s, cost, c.size, max_iter, phase=2,
+                             stop_above=stop_above)
+    if outcome == "unbounded":
         return LPSolution("unbounded")
-    z = _basic_solution(T, basis, p)
-    if obj[:p].min() < -PIVOT_EPS:
+    _refine(s)
+    z = _basic_solution(s)
+    if outcome == "cut-off":
         return LPSolution("cut-off", z, float(c @ z))
-    # An artificial column's reduced cost is minus the dual of its
-    # (possibly flipped) row.
-    dual = np.where(flip, obj[p:-1], -obj[p:-1])
+    dual = cost[s.basis] @ s.T[:, :-1]
     return LPSolution("optimal", z, float(c @ z), dual)

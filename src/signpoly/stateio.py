@@ -62,15 +62,14 @@ def _check_schema(doc: dict, where: str) -> None:
 
 
 def _complex_pairs(obj, expected: int, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != expected:
-        raise FileFormatError(f"{where}: expected a list of {expected} [re, im] pairs")
-    out = np.empty(expected, dtype=complex)
-    for i, pair in enumerate(obj):
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
-            raise FileFormatError(f"{where}: entry {i} is not a [re, im] pair")
-        out[i] = complex(pair[0], pair[1])
-    return out
+    try:  # a ragged list (a pair of another length, or nested) raises
+        pairs = np.asarray(obj if isinstance(obj, list) else None)
+    except ValueError:
+        pairs = np.asarray(None)
+    if pairs.shape != (expected, 2) or pairs.dtype.kind not in "biuf":
+        raise FileFormatError(f"{where}: expected a list of {expected} "
+                              "[re, im] pairs of numbers")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[:, 0]
 
 
 def _parse_state_body(doc: dict, where: str) -> tuple[np.ndarray | PureState,

@@ -277,6 +277,9 @@ def test_sub_tolerance_ray_optimum_is_a_zero_scale():
     (72565379, 3, 10),  # alpha = 2.79e-8
     # sweep cases, m = d^2 + seed mod 20
     (60, 3, 9), (80, 3, 9), (460, 3, 9), (640, 2, 4), (721, 3, 10),
+    # ray witnesses that meet 1e-9 only with x_B solved for from the
+    # basis columns (residuals 1.1e-9 and 6.5e-9 without)
+    (100, 2, 4), (680, 2, 4),
 ])
 def test_certificate_of_near_degenerate_decomposition(seed, d, m):
     """Decompositions near the hull boundary (concentration 0.2), where
@@ -552,9 +555,9 @@ def test_rank_deficient_rays_match_standalone_solves(seed, m):
     target = sum(w * to_coords(mb) for w, mb in zip(weights, members))
     dec = DecompositionInput(_qubit_state(target), members, tuple(weights))
     A, b, _ = _ray_system(dec)
-    _, obj, basis, _, _ = simplex._phase1(A, b, 1000)
-    assert max(basis) >= m
-    assert -obj[-1] <= 1e-9
+    state, _ = simplex._phase1(A, b, 1000)
+    assert max(state.basis) >= m
+    assert simplex._infeasibility(state) <= 1e-9
     _assert_rays_match_standalone(dec)
     t = max_inscribed_cross_polytope(dec).certificate.t
     assert t[2] == t[5] == 0.0

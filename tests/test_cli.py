@@ -187,6 +187,26 @@ class TestStateIO:
          "matrix": [[1.0, 0.0]] * 3},                         # wrong length
         {"schema": 1, "kind": "state", "dim": 2,
          "amplitudes": [[1.0], [0.0]]},                       # malformed pair
+        {"schema": 1, "kind": "state", "dim": 2,
+         "amplitudes": [["1.0", 0], [0, 0]]},                 # numeric string
+        {"schema": 1, "kind": "state", "dim": 2,
+         "amplitudes": [[1.0, None], [0, 0]]},                # null entry
+        {"schema": 1, "kind": "state", "dim": 2,
+         "amplitudes": [None, [0, 0]]},                       # null pair
+        {"schema": 1, "kind": "state", "dim": 2,
+         "amplitudes": [[1.0, 0, 0], [0, 0]]},                # three-element pair
+        {"schema": 1, "kind": "state", "dim": 2,
+         "amplitudes": [[1.0, 0, 0], [0, 0, 0]]},             # all pairs of three
+        {"schema": 1, "kind": "state", "dim": 2,
+         "amplitudes": [[[1.0, 0], 0], [0, 0]]},              # nested pair
+        {"schema": 1, "kind": "state", "dim": 2,
+         "amplitudes": [[[1.0, 0], [0, 0]], [[0, 0], [0, 0]]]},  # all nested
+        {"schema": 1, "kind": "state", "dim": 2,
+         "amplitudes": [{"re": 1.0, "im": 0}, [0, 0]]},       # object
+        {"schema": 1, "kind": "state", "dim": 2,
+         "amplitudes": {"re": [1.0, 0], "im": [0, 0]}},       # object payload
+        {"schema": 1, "kind": "state", "dim": 2,
+         "matrix": [[0.5, 0], [0, 0], [0, 0], "0.5"]},        # string entry
         {"schema": 1, "kind": "decomposition", "dim": 2},     # wrong kind
     ])
     def test_malformed_state_documents(self, tmp_path, doc):
@@ -194,6 +214,23 @@ class TestStateIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(stateio.FileFormatError):
             stateio.load_state(path)
+
+    def test_pairs_parse_as_complex_does(self):
+        """The array parse of ``[re, im]`` pairs gives ``complex(re, im)``
+        bit for bit on every kind of JSON number, NaN and infinities
+        included."""
+        rng = np.random.default_rng(17)
+        parts = [0, 1, -3, True, False, 0.5, -1e-300, 1e300, math.inf,
+                 -math.inf, math.nan]
+        for _ in range(200):
+            k = int(rng.integers(2, 10))
+            obj = [[parts[i] if i < len(parts) else float(rng.normal())
+                    for i in rng.integers(0, 2 * len(parts), size=2)]
+                   for _ in range(k)]
+            expected = np.array([complex(re, im) for re, im in obj])
+            parsed = stateio._complex_pairs(json.loads(json.dumps(obj)), k, "x")
+            assert parsed.dtype == complex and parsed.shape == (k,)
+            np.testing.assert_array_equal(parsed.view(float), expected.view(float))
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -148,6 +148,57 @@ def test_minimize_agrees_with_reference_on_bounded_lps():
     assert degenerate_optimal > 50
 
 
+def _wide_system(rng, k, p):
+    """A ``k x p`` integer system whose columns repeat a third as many
+    distinct ones (as the many coincident vertices of a hull system do),
+    with a last row of ones in half the draws."""
+    distinct = rng.integers(-4, 5, size=(k, p // 3)).astype(float)
+    A = distinct[:, rng.integers(0, p // 3, size=p)]
+    if rng.random() < 0.5:
+        A[-1] = 1.0
+    return A
+
+
+def test_wide_systems_agree_with_reference_solver():
+    """Systems of up to 10 rows and 1,000-5,000 columns, the shape the
+    pricing runs on in a hull query: feasibility verdicts, and optimal
+    values with their duals, match the reference; a third of the
+    right-hand sides are zero, and a third pose hull queries."""
+    rng = np.random.default_rng(1729)
+    verdicts = {True: 0, False: 0}
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    zero_rhs_optimal = 0
+    for trial in range(30):
+        k = int(rng.integers(2, 11))
+        p = int(rng.integers(1000, 5001))
+        A = _wide_system(rng, k, p)
+        if trial % 3 == 0:
+            b = np.zeros(k)
+        elif trial % 3 == 1:
+            z0 = rng.random(p) * (rng.random(p) < 5.0 / p)
+            b = A @ z0
+        else:  # a hull query; entries beyond +-4 lie outside the hull
+            A[-1] = 1.0
+            b = np.append(rng.integers(-6, 7, size=k - 1), 1.0)
+        ok, z = feasible_nonneg(A, b)
+        assert ok == _reference_feasible(A, b)
+        verdicts[ok] += 1
+        if ok:
+            assert z.min() >= 0.0
+            np.testing.assert_allclose(A @ z, b, atol=1e-7)
+        c = rng.integers(-2, 6, size=p).astype(float)
+        status, value = _reference_min(c, A, b)
+        sol = minimize_nonneg(c, A, b)
+        assert sol.status == status
+        statuses[status] += 1
+        if status == "optimal":
+            _assert_optimal(sol, c, A, b, value)
+            zero_rhs_optimal += trial % 3 == 0
+    assert min(verdicts.values()) >= 5
+    assert min(statuses.values()) >= 3
+    assert zero_rhs_optimal >= 2
+
+
 def test_minimize_all_zero_rhs_is_zero_or_unbounded():
     """``A z = 0`` always admits ``z = 0``: the optimum is 0 or there is
     an improving ray, and the verdict must match the reference."""
@@ -276,22 +327,24 @@ def test_bland_fallback_ends_a_dantzig_cycle(monkeypatch, seed, ray):
 
 def test_positive_ratio_pivot_that_leaves_the_objective_counts_as_stalled(
         monkeypatch):
-    """The first pivot has ratio 2e-12 > RATIO_EPS, but it changes the
-    objective by 4e-23, which leaves ``obj[-1] = -1`` bit-identical; it
-    counts toward STALL_LIMIT, so with a limit of 1 Bland's rule picks
-    the second entering column."""
-    T = np.array([[1.0, -1.0, 1.0, 0.0, 2e-12],
-                  [0.0, 1.0, 0.0, 1.0, 1.0]])
-    obj = np.array([-2e-11, 0.0, 0.0, 0.0, -1.0])
-    assert obj[-1] - obj[0] * T[0, -1] == obj[-1]
+    """From the basis {2, 3, 4} the first pivot has ratio 2e-12 >
+    RATIO_EPS, but it changes the objective by 4e-23, which leaves the
+    objective value 1 bit-identical; it counts toward STALL_LIMIT, so
+    with a limit of 1 Bland's rule picks the second entering column."""
+    A = np.array([[1.0, -1.0, 1.0, 0.0, 0.0],
+                  [0.0, 1.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 1.0]])
+    state = simplex._State(A, np.array([2e-12, 1.0, 1.0]))
+    state.basis[:] = [2, 3, 4]
+    cost = np.array([-2e-11, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    assert 1.0 + cost[0] * 2e-12 == 1.0
     calls = []
     bland = simplex._bland
     monkeypatch.setattr(simplex, "STALL_LIMIT", 1)
     monkeypatch.setattr(simplex, "_bland",
                         lambda reduced: calls.append(1) or bland(reduced))
-    basis = [2, 3]
-    assert simplex._pivot_loop(T, obj, basis, 4, 10, phase=2) == (2, False)
-    assert basis == [0, 1]
+    assert simplex._pivot_loop(state, cost, 5, 10, phase=2) == (2, "optimal")
+    assert list(state.basis) == [0, 1, 4]
     assert calls == [1]
 
 
@@ -307,9 +360,8 @@ def test_phase2_cut_off_is_strict(seed, ray):
     best = minimize_nonneg(c, A, b)
 
     def stopped_at(stop):
-        T, obj, basis, flip, used = simplex._phase1(A, b, 10**4)
-        return simplex._phase2(c, T, obj, basis, flip, 1e-9, 10**4,
-                               stop_above=stop)
+        state, _ = simplex._phase1(A, b, 10**4)
+        return simplex._phase2(c, state, 1e-9, 10**4, stop_above=stop)
 
     at_optimum = stopped_at(best.z[-1])
     assert at_optimum.status == "optimal"
