@@ -4,7 +4,18 @@ Entries of a vector are grouped into sign-equivalence classes (``v`` and
 ``-v`` identified); the distinct signed permutations of the vector are
 then exactly the distinct arrangements of class representatives combined
 with an independent sign per nonzero slot.  Plain permutations are the
-unsigned case: classes of equal values and no sign flips.
+unsigned case: classes of equal values and no sign flips.  A NaN or
+infinite entry belongs to no class, and is refused before anything is
+counted or listed.
+
+Everything is built in numpy, a chunk of arrangements at a time.  An
+arrangement is a row of class codes (0 for the zero class, ``1..k`` for
+the others), and :func:`distinct_permutations` grows a chunk's rows
+from their prefixes in lexicographic order.  The sign rows of an
+arrangement depend only on where its zeros sit, so
+:func:`signed_arrangements` writes a chunk's signed rows from one +-1
+table per zero pattern: one gather of the tables and one product with
+the arrangements' values.
 """
 
 from __future__ import annotations
@@ -63,14 +74,6 @@ class SignClasses:
         """Number of slots whose sign flips independently."""
         return self.m if self.signed else 0
 
-    def slot_codes(self) -> list[int]:
-        """Multiset of class codes, one per slot: 0 for zero entries,
-        ``1..k`` for the nonzero classes, in ascending order."""
-        codes = [0] * self.n_zero
-        for i, c in enumerate(self.counts):
-            codes.extend([i + 1] * c)
-        return codes
-
 
 def sign_classes(values, signed: bool = True) -> SignClasses:
     """Group the entries of a real or complex vector into sign classes.
@@ -81,9 +84,12 @@ def sign_classes(values, signed: bool = True) -> SignClasses:
     it or of its negative, for complex entries) and is snapped to that
     value; otherwise it starts a class.  Sorted reals can only join the
     last class.  With ``signed`` false the entries of a real vector are
-    grouped as they are, by the same rule, with no zero class.
+    grouped as they are, by the same rule, with no zero class.  A NaN or
+    infinite entry raises ``ValueError``: it belongs to no class.
     """
     vals = list(values)
+    if not np.isfinite(vals).all():
+        raise ValueError("vector entries must be finite")
     is_complex = False
     if not signed:
         nonzero = sorted(float(v) for v in vals)
@@ -124,31 +130,70 @@ def _class_of(v, reps: list, is_complex: bool) -> int | None:
 def count_signed_arrangements(classes: SignClasses) -> int:
     """Exact number of distinct signed permutations, in integer arithmetic:
     ``2^m * n! / (m_1! ... m_k! * n_zero!)`` (no ``2^m`` when unsigned)."""
-    total = math.factorial(classes.n) * 2 ** classes.flips
-    for c in classes.counts:
+    return _multinomial([classes.n_zero, *classes.counts]) << classes.flips
+
+
+def _multinomial(counts) -> int:
+    """Distinct arrangements of a multiset with these multiplicities."""
+    total = math.factorial(sum(counts))
+    for c in counts:
         total //= math.factorial(c)
-    total //= math.factorial(classes.n_zero)
     return total
 
 
-def distinct_permutations(items: Sequence) -> Iterator[tuple]:
-    """Distinct permutations of a multiset of comparable values, in
-    lexicographic order, via the classic next-permutation step."""
-    a = sorted(items)
-    n = len(a)
-    while True:
-        yield tuple(a)
-        # find the rightmost ascent
-        i = n - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = reversed(a[i + 1:])
+def distinct_permutations(counts: Sequence[int], per_chunk: int) -> Iterator[np.ndarray]:
+    """Distinct arrangements of the multiset holding ``counts[c]`` copies
+    of each code ``c``, in lexicographic order, as the rows of integer
+    arrays of at most ``per_chunk`` rows each.
+
+    Arrangements grow by prefix expansion: each prefix row carries its
+    remaining counts, and the nonzero entries of that matrix, read in
+    row-major order, are every prefix's one-code extensions in
+    lexicographic order.  A prefix with more than ``per_chunk``
+    completions is split into its extensions first, depth first; a run
+    of consecutive siblings that each fit is completed at once and cut
+    into chunks.  So no temporary holds more than ``len(counts) *
+    per_chunk`` arrangements, whatever their total.
+    """
+    n = sum(counts)
+    root = np.zeros((1, n + len(counts)), dtype=np.min_scalar_type(n))
+    root[0, n:] = counts
+    yield from _completions(root, 0, n, per_chunk)
+
+
+def _completions(nodes: np.ndarray, depth: int, n: int, per_chunk: int) -> Iterator[np.ndarray]:
+    """Chunks of the completions of the prefix rows ``nodes``: ``depth``
+    codes in the first ``n`` columns, remaining counts after them."""
+    fits = [_multinomial(rem) <= per_chunk for rem in nodes[:, n:].tolist()]
+    start = 0
+    for fit, group in itertools.groupby(fits):
+        stop = start + len(list(group))
+        if fit:
+            run = nodes[start:stop]
+            for d in range(depth, n):
+                run = _extend(run, d, n)
+            for lo in range(0, len(run), per_chunk):
+                yield run[lo:lo + per_chunk, :n]
+        else:
+            for i in range(start, stop):
+                yield from _completions(_extend(nodes[i:i + 1], depth, n), depth + 1, n, per_chunk)
+        start = stop
+
+
+def _extend(nodes: np.ndarray, depth: int, n: int) -> np.ndarray:
+    """Every one-code extension of the prefix rows ``nodes``, in
+    lexicographic order: code ``c`` goes to column ``depth`` and is taken
+    from the remaining count in column ``n + c``."""
+    width = nodes.shape[1]
+    # np.nonzero over the remaining counts, in row-major order; the flat
+    # form is several times faster than the two-dimensional one.
+    flat = np.flatnonzero(nodes[:, n:] != 0)
+    rows = flat // (width - n)
+    codes = flat - rows * (width - n)
+    nodes = nodes.take(rows, axis=0)
+    nodes[:, depth] = codes
+    nodes.reshape(-1)[np.arange(len(rows)) * width + n + codes] -= 1
+    return nodes
 
 
 def signed_arrangements(classes: SignClasses) -> Iterator[np.ndarray]:
@@ -159,25 +204,52 @@ def signed_arrangements(classes: SignClasses) -> Iterator[np.ndarray]:
     arrangement, signs flip from all-positive downward, the last nonzero
     slot fastest; the order is deterministic, and distinctness holds by
     construction.  Unsigned classes give each arrangement once.  A block
-    holds about ``BLOCK_ROWS`` rows: whole arrangements, or a slice of
+    holds at most ``BLOCK_ROWS`` rows: whole arrangements, or a slice of
     one arrangement's sign rows when it alone has more.
+
+    An arrangement's sign rows are its values times a +-1 table that
+    depends only on where its zeros sit, so a chunk's rows are one
+    gather from the tables of its zero patterns and one product.  The
+    product runs on the float view, where negating both parts of a
+    complex entry is exact.
     """
     values = np.array([0.0] + classes.reps)  # complex if any rep is
     flips = classes.flips
-    # Row r of the mask flips hot slot j when bit (flips-1-j) of r is set,
-    # the itertools.product order; the extra column never flips.
-    signs = np.zeros((2 ** flips, flips + 1), dtype=bool)
-    signs[:, :flips] = np.arange(2 ** flips)[:, None] >> np.arange(flips)[::-1] & 1
     per_chunk = max(1, BLOCK_ROWS >> flips)
-    step = min(len(signs), BLOCK_ROWS)
-    arrangements = distinct_permutations(classes.slot_codes())
-    while chunk := list(itertools.islice(arrangements, per_chunk)):
-        codes = np.array(chunk)
-        hot = codes != 0 if classes.signed else np.zeros(codes.shape, dtype=bool)
-        slot = np.where(hot, np.cumsum(hot, axis=1) - 1, flips)
-        base = values[codes][:, None, :]
-        for lo in range(0, len(signs), step):
-            mask = signs[lo:lo + step, slot].transpose(1, 0, 2)
-            block = np.repeat(base, mask.shape[1], axis=1)
-            np.negative(block, out=block, where=mask)
-            yield block.reshape(-1, codes.shape[1])
+    step = min(1 << flips, BLOCK_ROWS)
+    parts = values.view(float).reshape(len(values), -1)
+    bits = np.arange(flips)[::-1]
+    for codes in distinct_permutations([classes.n_zero, *classes.counts], per_chunk):
+        if not classes.signed:
+            yield values[codes]
+            continue
+        k, n = codes.shape
+        base = parts[codes][:, None]
+        patterns, row_pattern = _zero_patterns(codes != 0)
+        # Row r of ``signs`` flips nonzero slot j when bit (flips-1-j) of
+        # r is set, the itertools.product order; zeros read its last
+        # column, which never flips.
+        slot = np.where(patterns, np.cumsum(patterns, axis=1) - 1, flips)
+        for lo in range(0, 1 << flips, step):
+            signs = np.ones((step, flips + 1))
+            signs[:, :flips] -= 2 * (np.arange(lo, lo + step)[:, None] >> bits & 1)
+            table = np.empty((len(patterns), step, n, parts.shape[1]))
+            table[...] = signs[:, slot].transpose(1, 0, 2)[..., None]
+            block = np.empty((k, step, n), dtype=values.dtype)
+            rows = block.view(float).reshape(k, *table.shape[1:])
+            np.take(table, row_pattern, axis=0, out=rows, mode="clip")
+            rows *= base
+            yield block.reshape(k * step, n)
+
+
+def _zero_patterns(hot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the boolean matrix ``hot``, and the index of
+    each row's pattern among them (what ``np.unique(hot, axis=0,
+    return_inverse=True)`` gives, up to order, at a tenth of its cost)."""
+    order = np.lexsort(hot.T)
+    ranked = hot[order]
+    new = np.ones(len(hot), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    pattern = np.empty(len(hot), dtype=np.intp)
+    pattern[order] = np.cumsum(new) - 1
+    return ranked[new], pattern

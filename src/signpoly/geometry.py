@@ -118,7 +118,7 @@ def count_sign_perm_vertices(a: ArrayLike) -> int:
     With ``m`` nonzero entries whose distinct absolute values have
     multiplicities ``m_1..m_k``, the count is
     ``2^m * n! / (m_1! ... m_k! * (n-m)!)``, evaluated in integer
-    arithmetic.
+    arithmetic.  A NaN or infinite entry raises ``ValueError``.
     """
     classes = _enum.sign_classes(as_coords(a))
     return _enum.count_signed_arrangements(classes)
@@ -128,9 +128,10 @@ def enumerate_sign_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> Ve
     """All distinct signed permutations of ``a`` as a vertex set.
 
     The count is computed first; exceeding ``cap`` raises
-    :class:`~signpoly.errors.EnumerationTooLargeError` before any work is
-    done.  Output order is deterministic (lexicographic arrangements,
-    signs toggled from all-positive).
+    :class:`~signpoly.errors.EnumerationTooLargeError`, and a NaN or
+    infinite entry ``ValueError``, before any work is done.  Output order
+    is deterministic (lexicographic arrangements, signs toggled from
+    all-positive).
     """
     arr = as_coords(a)
     return _vertex_set(_enum.sign_classes(arr), arr.size, cap)
@@ -139,14 +140,16 @@ def enumerate_sign_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> Ve
 def enumerate_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> VertexSet:
     """All distinct coordinate permutations of ``a`` (no sign flips), in
     lexicographic order.  Entries within ``ZERO_TOL`` of each other are
-    one value, for the count and the listing alike."""
+    one value, for the count and the listing alike; a NaN or infinite
+    entry raises ``ValueError``."""
     arr = as_coords(a)
     return _vertex_set(_enum.sign_classes(arr, signed=False), arr.size, cap)
 
 
 def _vertex_set(classes: _enum.SignClasses, n: int, cap: int) -> VertexSet:
     """Count ``classes``' arrangements against ``cap``, then fill one
-    array with them, block by block."""
+    array with them, block by block.  ``sign_classes`` refused every
+    non-finite entry, so the rows are finite and are wrapped unchecked."""
     count = _enum.count_signed_arrangements(classes)
     if count > cap:
         raise EnumerationTooLargeError(count, cap)
@@ -156,7 +159,9 @@ def _vertex_set(classes: _enum.SignClasses, n: int, cap: int) -> VertexSet:
         out[ptr:ptr + len(block)] = block
         ptr += len(block)
     out.setflags(write=False)
-    return VertexSet(out)
+    vertices = VertexSet.__new__(VertexSet)
+    vertices._points = out
+    return vertices
 
 
 def hull_member_lp(

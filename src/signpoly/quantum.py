@@ -323,18 +323,17 @@ def _phase_fixed(vecs: np.ndarray) -> np.ndarray:
 
 # --- three-qubit entanglement ------------------------------------------------
 
-def _cayley_hyperdeterminant(t: np.ndarray) -> complex:
+def _hyperdeterminant(t):
+    """Cayley's 2x2x2 hyperdeterminant of the amplitudes ``t`` of
+    ``|000>, ..., |111>`` (numbers, or equal-length columns of them).
+
+    It is the discriminant of the pencil ``det(x A + y B)`` of the
+    slices ``A = t[0jk]`` and ``B = t[1jk]``: eleven products instead of
+    the expanded sum's thirty-odd.
+    """
     t000, t001, t010, t011, t100, t101, t110, t111 = t
-    sq = ((t000 * t111) ** 2 + (t001 * t110) ** 2
-          + (t010 * t101) ** 2 + (t100 * t011) ** 2)
-    cross = (t000 * t001 * t110 * t111
-             + t000 * t010 * t101 * t111
-             + t000 * t100 * t011 * t111
-             + t001 * t010 * t101 * t110
-             + t001 * t100 * t011 * t110
-             + t010 * t100 * t011 * t101)
-    quad = t000 * t011 * t101 * t110 + t001 * t010 * t100 * t111
-    return sq - 2.0 * cross + 4.0 * quad
+    mixed = t000 * t111 - t001 * t110 - t010 * t101 + t011 * t100
+    return mixed * mixed - 4.0 * (t000 * t011 - t001 * t010) * (t100 * t111 - t101 * t110)
 
 
 def three_tangle(psi: PureState | np.ndarray) -> float:
@@ -349,7 +348,7 @@ def three_tangle(psi: PureState | np.ndarray) -> float:
         psi = PureState(psi)
     if psi.dim != 8:
         raise ValueError(f"three_tangle needs an 8-amplitude state, got dim {psi.dim}")
-    return float(4.0 * abs(_cayley_hyperdeterminant(psi.amplitudes)))
+    return float(4.0 * abs(_hyperdeterminant(psi.amplitudes)))
 
 
 def make_canonical(kind: str) -> PureState:
@@ -431,7 +430,7 @@ def enumerate_pure_sign_perms(
         if target == "bloch":
             block = _pure_chart_states(block, tol)
         elif filter == "w-type":
-            block = block[4.0 * np.abs(_cayley_hyperdeterminant(block.T)) <= tol]
+            block = block[4.0 * np.abs(_hyperdeterminant(block.T)) <= tol]
         kept.append(block)
     amplitudes = np.concatenate(kept)
     amplitudes.setflags(write=False)

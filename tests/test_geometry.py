@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from signpoly import (
     rado_member,
     sign_perm_member,
 )
-from signpoly import simplex
+from signpoly import _enum, simplex
 from signpoly.simplex import feasible_nonneg
 
 
@@ -251,6 +252,80 @@ def test_enumerate_perm_vertices_counts_what_it_lists():
     # a near-tie is one value for the cap check and the listing alike
     v = enumerate_perm_vertices([1.0, 1.0 + 1e-13], cap=1)
     assert len(v) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_refused_before_counting(bad, monkeypatch):
+    def never_listed(classes):
+        raise AssertionError("listing started")
+        yield
+
+    monkeypatch.setattr(_enum, "signed_arrangements", never_listed)
+    for call in (count_sign_perm_vertices, enumerate_sign_perm_vertices,
+                 enumerate_perm_vertices):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            call([bad, 1.0])
+
+
+def _itertools_rows(classes) -> np.ndarray:
+    """The enumerator's rows rebuilt one by one: sorted distinct
+    permutations of the class codes (0 for zeros), each followed by its
+    sign rows in ``itertools.product((1, -1))`` order over the nonzero
+    slots."""
+    is_complex = any(isinstance(r, complex) for r in classes.reps)
+    values = [0.0] + classes.reps
+    codes = [0] * classes.n_zero + [c + 1 for c, m in enumerate(classes.counts)
+                                    for _ in range(m)]
+    rows = []
+    for arrangement in sorted(set(itertools.permutations(codes))):
+        hot = [j for j, c in enumerate(arrangement) if c and classes.signed]
+        for signs in itertools.product((1, -1), repeat=len(hot)):
+            row = [values[c] for c in arrangement]
+            for j, s in zip(hot, signs):
+                if s < 0:
+                    row[j] = -row[j]
+            rows.append(row)
+    return np.array(rows, dtype=complex if is_complex else float)
+
+
+# Zeros of both signs, ties, +-1e-13 near-ties and near-zeros; complex
+# entries with a zero real part and a negative imaginary part, whose
+# class representative has a real part of -0.0.
+_ORACLE_INPUTS = {
+    "signed": ([2.0, -1.0, 0.0, 1.0 + 1e-13, -0.0, 2.0 - 1e-13, 1e-13], True),
+    "unsigned": ([3.0, -1.0, 0.0, -0.0, 3.0 + 1e-13, 1e-13, -1.0], False),
+    "complex": ([-1j, 0.0, 1e-13 + 1j, 0.5 - 0.5j, -0.5 + 0.5j, complex(-0.0, -2.0)], True),
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 4, 8])
+@pytest.mark.parametrize("kind", sorted(_ORACLE_INPUTS))
+def test_enumerator_matches_itertools_byte_for_byte(kind, block_rows, monkeypatch):
+    values, signed = _ORACLE_INPUTS[kind]
+    classes = _enum.sign_classes(np.array(values), signed=signed)
+    monkeypatch.setattr(_enum, "BLOCK_ROWS", block_rows)
+    blocks = list(_enum.signed_arrangements(classes))
+    assert max(len(b) for b in blocks) <= block_rows
+    got = np.concatenate(blocks)
+    want = _itertools_rows(classes)
+    assert len(want) == _enum.count_signed_arrangements(classes)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_filtered_stream_holds_a_few_blocks():
+    # 2^6 * 8!/2! = 1,290,240 rows stream through the w-type filter
+    # (165 MB as one array); only the blocks in flight and the kept rows
+    # may be held at once
+    psi = PureState.normalized([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0])[0]
+    tracemalloc.start()
+    try:
+        res = enumerate_pure_sign_perms(psi, filter="w-type")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.total == 1_290_240
+    assert peak < 8 * _enum.BLOCK_ROWS * psi.amplitudes.itemsize * 8
 
 
 # ---------------------------------------------------------------- LP route

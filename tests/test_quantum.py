@@ -23,6 +23,7 @@ from signpoly import (
     traceless_hermitian_basis,
     validate_state,
 )
+from signpoly.quantum import _hyperdeterminant
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -353,6 +354,33 @@ def test_tangle_not_invariant_under_arbitrary_amplitude_permutations():
     amps = np.zeros(8)
     amps[[0, 1, 7]] = 1.0 / math.sqrt(3.0)
     assert three_tangle(PureState(amps)) == pytest.approx(4.0 / 9.0, rel=1e-12)
+
+
+def _cayley_sum(t):
+    """Cayley's hyperdeterminant as its expanded sum of monomials."""
+    t000, t001, t010, t011, t100, t101, t110, t111 = t
+    sq = ((t000 * t111) ** 2 + (t001 * t110) ** 2
+          + (t010 * t101) ** 2 + (t100 * t011) ** 2)
+    cross = (t000 * t001 * t110 * t111
+             + t000 * t010 * t101 * t111
+             + t000 * t100 * t011 * t111
+             + t001 * t010 * t101 * t110
+             + t001 * t100 * t011 * t110
+             + t010 * t100 * t011 * t101)
+    quad = t000 * t011 * t101 * t110 + t001 * t010 * t100 * t111
+    return sq - 2.0 * cross + 4.0 * quad
+
+
+def test_hyperdeterminant_matches_the_expanded_cayley_sum():
+    # the pencil discriminant behind three_tangle and the w-type filter,
+    # on 200 random states, one at a time and as the columns of a block
+    rng = np.random.default_rng(13)
+    block = np.array([_random_pure(rng).amplitudes for _ in range(200)])
+    want = _cayley_sum(block.T)
+    np.testing.assert_allclose(_hyperdeterminant(block.T), want, rtol=1e-12, atol=0)
+    for amps, w in zip(block, want):
+        assert abs(_hyperdeterminant(amps) - w) <= 1e-12 * abs(w)
+        assert three_tangle(PureState(amps)) == pytest.approx(4.0 * abs(w), rel=1e-12)
 
 
 def _pair_tangle(rho2):
