@@ -51,9 +51,8 @@ class SignClasses:
 
     ``reps[i]`` is the representative value of class ``i`` and
     ``counts[i]`` its multiplicity; ``n_zero`` counts entries treated as
-    zero.  ``n`` is the total length, ``m`` the number of nonzero slots.
-    Unsigned classes (``signed`` false) are plain values: no zero class
-    and no sign flips.
+    zero.  Unsigned classes (``signed`` false) are plain values: no zero
+    class and no sign flips.
     """
 
     reps: list
@@ -62,17 +61,10 @@ class SignClasses:
     signed: bool = True
 
     @property
-    def n(self) -> int:
-        return self.n_zero + sum(self.counts)
-
-    @property
-    def m(self) -> int:
-        return sum(self.counts)
-
-    @property
     def flips(self) -> int:
-        """Number of slots whose sign flips independently."""
-        return self.m if self.signed else 0
+        """Number of slots whose sign flips independently: the nonzero
+        ones, or none for unsigned classes."""
+        return sum(self.counts) if self.signed else 0
 
 
 def sign_classes(values, signed: bool = True) -> SignClasses:

@@ -71,7 +71,7 @@ class DecompositionInput:
             raise DecompositionError("weights must be nonnegative")
         if not abs(w.sum() - 1.0) <= DEFAULT_TOL:
             raise DecompositionError(f"weights must sum to 1, got {w.sum()!r}")
-        mix = sum(wi * m.matrix for wi, m in zip(w, self.members))
+        mix = (w[:, None, None] * np.array([m.matrix for m in self.members])).sum(axis=0)
         residual = float(np.linalg.norm(mix - self.target.matrix))
         if not residual <= RECONSTRUCTION_TOL:
             raise DecompositionError(
@@ -161,10 +161,9 @@ def _chart_members(decomposition: DecompositionInput):
     checked against the target), and the members' chart points less it."""
     weights = np.clip(decomposition.weights, 0.0, None)
     weights /= weights.sum()
-    members = decomposition.members
-    center = to_coords(sum(w * mb.matrix for w, mb in zip(weights, members)))
-    points = np.array([to_coords(mb) for mb in members])
-    return center, points - center
+    matrices = np.array([mb.matrix for mb in decomposition.members])
+    center = to_coords((weights[:, None, None] * matrices).sum(axis=0))
+    return center, to_coords(matrices) - center
 
 
 def max_inscribed_cross_polytope(
@@ -200,22 +199,21 @@ def max_inscribed_cross_polytope(
     b = np.append(np.zeros(n), 1.0)
     columns = np.vstack([-np.eye(n, n + 1), np.eye(n, n + 1)])
 
-    sols = []
-    for j, sol in enumerate(_ray_maxima(A, b, columns, lp_tol)):
+    sols = list(_ray_maxima(A, b, columns, lp_tol))
+    for sol in sols:
         if sol.status not in ("optimal", "cut-off"):
             raise SolverFailureError(
                 f"ray LP {sol.status}, though t = 0 is feasible in a bounded hull")
-        # The ray point t s e_k is -t times the t column.
-        violation = _witness_violation(sol.z[:m], translated,
-                                       -sol.z[m] * columns[j, :n])
-        if not violation <= lp_tol:
-            raise SolverFailureError(
-                f"ray witness violation {violation:.3e} exceeds tolerance "
-                f"{lp_tol:.3e}"
-            )
-        sols.append(sol)
-
-    t = np.array([sol.z[m] for sol in sols])
+    z = np.array([sol.z for sol in sols])
+    t = z[:, m]
+    # The ray point t s e_k is -t times the t column.
+    violation = _witness_violation(z[:, :m], translated,
+                                   -t[:, None] * columns[:, :n]).max()
+    if not violation <= lp_tol:
+        raise SolverFailureError(
+            f"ray witness violation {violation:.3e} exceeds tolerance "
+            f"{lp_tol:.3e}"
+        )
     binding = int(np.argmin(t))
     if sols[binding].status != "optimal":
         raise SolverFailureError("the binding ray LP stopped before its optimum")
@@ -224,7 +222,7 @@ def max_inscribed_cross_polytope(
     # every member and s u_k >= 1.
     certificate = CrossPolytopeCertificate(
         t=t,
-        witnesses=np.array([sol.z[:m] for sol in sols]),
+        witnesses=z[:, :m],
         binding_axis=binding % n,
         binding_sign=1 if binding < n else -1,
         hyperplane=sols[binding].dual[:n],
@@ -248,19 +246,23 @@ def certificate_holds(poly: QuantumCrossPolytope,
     translated members and ``s* u_k* >= 1 - tol`` at the binding axis,
     so every hull point ``beta s* e_k*`` has ``beta <= (alpha + tol) /
     (1 - tol)``: an absolute bound at ``tol``, as the primal side's.
-    NaN anywhere fails.
+    NaN anywhere fails, and so does a ``t``, ``witnesses`` or
+    ``hyperplane`` not of shape ``(2n,)``, ``(2n, m)`` or ``(n,)`` over
+    the ``m`` members, or a binding axis outside ``0 .. n-1``.
     """
     cert = poly.certificate
     _, V = _chart_members(poly.provenance)
-    n = V.shape[1]
+    m, n = V.shape
+    if (np.shape(cert.t) != (2 * n,) or np.shape(cert.witnesses) != (2 * n, m)
+            or np.shape(cert.hyperplane) != (n,) or not 0 <= cert.binding_axis < n):
+        return False
     alpha = poly.alpha
     binding = cert.binding_axis + (0 if cert.binding_sign > 0 else n)
     if cert.t.min() != alpha or cert.t[binding] != alpha:
         return False
     points = np.vstack([np.eye(n), -np.eye(n)]) * cert.t[:, None]
-    for w, point in zip(cert.witnesses, points):
-        if not _witness_violation(w, V, point) <= tol:
-            return False
+    if not _witness_violation(cert.witnesses, V, points).max() <= tol:
+        return False
     u = cert.hyperplane
     return (float(np.max(V @ u)) <= alpha + tol
             and cert.binding_sign * u[cert.binding_axis] >= 1.0 - tol)

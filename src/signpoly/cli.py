@@ -49,7 +49,7 @@ from .quantum import (
     three_tangle,
     to_coords,
 )
-from .stateio import _as_density, load_decomposition, load_state
+from .stateio import _as_density, _pairs, load_decomposition, load_state
 
 EXIT_OK = 0
 EXIT_NON_MEMBER = 1
@@ -176,10 +176,6 @@ def _load_pure(path) -> tuple[PureState, float | None]:
     return (state if isinstance(state, PureState) else pure_from_density(state)), norm
 
 
-def _amplitude_pairs(amplitudes: np.ndarray) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in amplitudes]
-
-
 def cmd_enumerate(args) -> int:
     cap = _resolve_cap(args)
     psi, norm = _load_pure(args.file)
@@ -197,7 +193,7 @@ def cmd_enumerate(args) -> int:
     if norm is not None:
         report["input_norm"] = norm
     if args.show > 0:
-        report["states"] = [_amplitude_pairs(a) for a in result.amplitudes[:args.show]]
+        report["states"] = [_pairs(a) for a in result.amplitudes[:args.show]]
     _emit(report, args.format)
     return EXIT_OK
 

@@ -203,11 +203,12 @@ def hull_member_lp(
     return True, w
 
 
-def _witness_violation(w: np.ndarray, V: np.ndarray, x: np.ndarray) -> float:
+def _witness_violation(w: np.ndarray, V: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Worst violation of ``w >= 0``, ``sum w = 1`` and ``w @ V = x`` by
-    weights ``w`` over the rows of ``V``: 0 for an exact witness of ``x``."""
-    return max(float(-w.min()), abs(float(w.sum()) - 1.0),
-               float(np.max(np.abs(w @ V - x))))
+    weights ``w`` over the rows of ``V``, one per row of ``w`` and ``x``:
+    0 for an exact witness, NaN for a NaN."""
+    return np.maximum.reduce([-w.min(axis=-1), np.abs(w.sum(axis=-1) - 1.0),
+                              np.abs(w @ V - x).max(axis=-1)])
 
 
 def hulls_disjoint(a: ArrayLike, b: ArrayLike, tol: float = DEFAULT_TOL) -> bool:

@@ -16,9 +16,10 @@ between matrices.  Basis order for dimension d:
 
 For ``d = 2`` this is exactly ``(sigma_x, sigma_y, sigma_z) / sqrt(2)``.
 
-Chart points are plain float arrays: :func:`to_coords` maps one matrix
-to a read-only ``(d*d - 1,)`` vector, and :func:`from_coords` maps any
-stack ``(..., d*d - 1)`` of them back to ``(..., d, d)`` matrices.
+Chart points are plain float arrays: :func:`to_coords` maps a stack
+``(..., d, d)`` of matrices to read-only ``(..., d*d - 1)`` vectors, and
+:func:`from_coords` maps any stack ``(..., d*d - 1)`` of them back to
+``(..., d, d)`` matrices.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def traceless_hermitian_basis(d: int) -> np.ndarray:
 
 class DensityMatrix:
     """A validated density matrix: Hermitian, unit trace, positive
-    semidefinite (each within ``tol``; NaN fails every check).
+    semidefinite (each within ``STATE_TOL``; NaN fails every check).
 
     Construction performs the checks and raises
     :class:`~signpoly.errors.StateValidationError` describing the first
@@ -83,9 +84,9 @@ class DensityMatrix:
 
     __slots__ = ("_mat",)
 
-    def __init__(self, matrix, tol: float = STATE_TOL):
+    def __init__(self, matrix):
         M = np.array(matrix, dtype=complex)
-        _check_states(M[None], tol)
+        _check_states(M[None])
         M.setflags(write=False)
         self._mat = M
 
@@ -102,12 +103,12 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def _density_matrices(matrices, tol: float = STATE_TOL) -> list[DensityMatrix]:
+def _density_matrices(matrices) -> list[DensityMatrix]:
     """Validate a ``(k, d, d)`` stack of matrices in one pass, with the
     error :class:`DensityMatrix` raises for the first matrix that is not
     a state, and wrap each read-only row without checking it again."""
     M = np.array(matrices, dtype=complex)
-    _check_states(M, tol)
+    _check_states(M)
     M.setflags(write=False)
     states = []
     for row in M:
@@ -117,69 +118,58 @@ def _density_matrices(matrices, tol: float = STATE_TOL) -> list[DensityMatrix]:
     return states
 
 
-def _check_states(M: np.ndarray, tol: float, psd: bool = True) -> None:
+def _check_states(M: np.ndarray, psd: bool = True) -> None:
     """Raise ``StateValidationError`` for the first matrix of the stack
-    ``M`` that is not a state within ``tol``, naming the first invariant
-    it violates in the order: square of dimension >= 2, finite,
-    Hermitian, unit trace, and (with ``psd``) positive semidefinite.
+    ``M`` that is not a state within ``STATE_TOL``, naming the first
+    invariant it violates in the order: square of dimension >= 2,
+    finite, Hermitian, unit trace, and (with ``psd``) positive
+    semidefinite.
 
-    Each check runs on the stack up to the first failure found so far,
-    so no arithmetic touches a NaN or infinite entry, and the smallest
-    eigenvalues come from one batched ``eigvalsh``.
+    Matrices with a NaN or infinite entry are zeroed before any
+    arithmetic, so nothing warns.  Every invariant is measured on the
+    whole stack at once (the smallest eigenvalues by one batched
+    ``eigvalsh``) into one table of passes, invariant by matrix, whose
+    first failing matrix raises for its first failing invariant.
     """
     if M.ndim != 3 or M.shape[1] != M.shape[2] or M.shape[1] < 2:
         raise StateValidationError(
             "not-square", 0.0,
             f"expected a square matrix of dimension >= 2, got shape {M.shape[1:]}",
         )
-    failure = None
-
-    def first(bad):
-        return int(np.argmax(bad)) if bad.any() else len(M)
-
-    end = first(~np.isfinite(M).all(axis=(1, 2)))
-    if end < len(M):
-        r, c = np.argwhere(~np.isfinite(M[end]))[0]
-        failure = StateValidationError(
-            "not-finite", float(abs(M[end, r, c])),
-            f"entry ({r}, {c}) is {M[end, r, c]}, not finite",
+    finite = np.isfinite(M).all(axis=(1, 2))
+    F = np.where(finite[:, None, None], M, 0.0)
+    herm = np.abs(F - F.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    trace = np.abs(np.trace(F, axis1=1, axis2=2) - 1.0)
+    lam = np.zeros(len(M))
+    if psd:
+        lam = np.linalg.eigvalsh((F + F.conj().transpose(0, 2, 1)) / 2.0).min(axis=1)
+    passed = np.array([finite, herm <= STATE_TOL, trace <= STATE_TOL, lam >= -STATE_TOL])
+    if passed.all():
+        return
+    i = int(np.argmin(passed.all(axis=0)))
+    check = int(np.argmin(passed[:, i]))
+    if check == 0:
+        r, c = np.argwhere(~np.isfinite(M[i]))[0]
+        raise StateValidationError(
+            "not-finite", float(abs(M[i, r, c])),
+            f"entry ({r}, {c}) is {M[i, r, c]}, not finite",
         )
-    H = M[:end]
-    herm_dev = np.abs(H - H.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    i = first(~(herm_dev <= tol))
-    if i < end:
-        end, failure = i, StateValidationError(
-            "not-hermitian", float(herm_dev[i]),
-            f"matrix deviates from Hermitian by {herm_dev[i]:.3e}",
-        )
-    trace_dev = np.abs(np.trace(M[:end], axis1=1, axis2=2) - 1.0)
-    i = first(~(trace_dev <= tol))
-    if i < end:
-        end, failure = i, StateValidationError(
-            "bad-trace", float(trace_dev[i]),
-            f"trace deviates from 1 by {trace_dev[i]:.3e}",
-        )
-    if psd and end:
-        H = M[:end]
-        lam_min = np.linalg.eigvalsh((H + H.conj().transpose(0, 2, 1)) / 2.0).min(axis=1)
-        i = first(~(lam_min >= -tol))
-        if i < end:
-            failure = StateValidationError(
-                "not-psd", float(lam_min[i]),
-                f"smallest eigenvalue {lam_min[i]:.3e} is below -{tol:.1e}",
-            )
-    if failure is not None:
-        raise failure
+    kind, dev, message = (
+        ("not-hermitian", herm, "matrix deviates from Hermitian by {:.3e}"),
+        ("bad-trace", trace, "trace deviates from 1 by {:.3e}"),
+        ("not-psd", lam, f"smallest eigenvalue {{:.3e}} is below -{STATE_TOL:.1e}"),
+    )[check - 1]
+    raise StateValidationError(kind, float(dev[i]), message.format(dev[i]))
 
 
-def validate_state(matrix, tol: float = STATE_TOL) -> DensityMatrix:
-    """Check the density-matrix invariants and wrap the matrix.
+def validate_state(matrix) -> DensityMatrix:
+    """Check the density-matrix invariants at ``STATE_TOL`` and wrap the
+    matrix.
 
-    ``tol`` is applied to the Hermiticity and trace checks and to the
-    eigenvalue floor.  Raises ``StateValidationError`` with a structured
-    ``kind`` and violation ``magnitude`` on failure.
+    Raises ``StateValidationError`` with a structured ``kind`` and
+    violation ``magnitude`` on failure.
     """
-    return DensityMatrix(matrix, tol=tol)
+    return DensityMatrix(matrix)
 
 
 class PureState:
@@ -233,7 +223,7 @@ def _unit_trace_hermitian(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     if isinstance(rho, DensityMatrix):
         return rho.matrix
     M = np.asarray(rho, dtype=complex)
-    _check_states(M[None], STATE_TOL, psd=False)
+    _check_states(M[None], psd=False)
     return M
 
 
@@ -245,20 +235,26 @@ def purity(rho: DensityMatrix | np.ndarray) -> float:
 
 
 def to_coords(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Coordinates of a matrix in the orthonormal traceless basis, as a
-    read-only ``(d*d - 1,)`` array.
+    """Coordinates of a matrix, or of each matrix of a ``(..., d, d)``
+    stack, in the orthonormal traceless basis, as a read-only
+    ``(..., d*d - 1)`` array.
 
-    Accepts any Hermitian unit-trace matrix (validated to 1e-9), not
-    only positive ones: the chart is defined on the whole hyperplane of
-    unit-trace Hermitian matrices, and :func:`from_coords` inverts it
-    there.
+    Accepts any Hermitian unit-trace matrices (validated to 1e-9, the
+    first that fails raising its own error), not only positive ones:
+    the chart is defined on the whole hyperplane of unit-trace Hermitian
+    matrices, and :func:`from_coords` inverts it there.
     """
-    M = _unit_trace_hermitian(rho)
-    d = M.shape[0]
+    if isinstance(rho, DensityMatrix):
+        M = rho.matrix
+    else:
+        M = np.asarray(rho, dtype=complex)
+        _check_states(M.reshape(math.prod(M.shape[:-2]), *M.shape[-2:]), psd=False)
+    d = M.shape[-1]
     basis = traceless_hermitian_basis(d).reshape(d * d - 1, d * d)
     # Tr(M B) = sum_jk M_jk conj(B_jk) for Hermitian B, and conjugating
-    # the sum leaves its real part unchanged.
-    coords = (basis @ M.conj().reshape(d * d)).real
+    # the sum leaves its real part unchanged.  One matrix-vector product
+    # per matrix, so a stack's rows are bit for bit its matrices' charts.
+    coords = (basis @ M.conj().reshape(M.shape[:-2] + (d * d, 1)))[..., 0].real
     coords.setflags(write=False)
     return coords
 

@@ -355,9 +355,15 @@ def test_certificate_checker_rejects_tampering():
     negative[0, [1, 6]] += 2e-9
     heavy = cert.witnesses.copy()
     heavy[0, [0, 7]] += 1e-9
-    for witnesses in (negative, heavy):
+    # missing witness rows: none, or only the first direction's
+    for witnesses in (negative, heavy, cert.witnesses[:0], cert.witnesses[:1]):
         assert not certificate_holds(dataclasses.replace(
             poly, certificate=dataclasses.replace(cert, witnesses=witnesses)))
+    # a t, hyperplane or binding axis that does not fit the chart
+    for tampered in (dict(t=cert.t[:-1]), dict(hyperplane=cert.hyperplane[:-1]),
+                     dict(binding_axis=len(cert.hyperplane))):
+        assert not certificate_holds(dataclasses.replace(
+            poly, certificate=dataclasses.replace(cert, **tampered)))
     # a hyperplane too shallow to cut off the binding vertex
     assert not certificate_holds(dataclasses.replace(
         poly, certificate=dataclasses.replace(

@@ -125,8 +125,6 @@ class TestDensityMatrix:
         assert isinstance(validate_state(M), DensityMatrix)
         with pytest.raises(StateValidationError):
             validate_state(np.diag([1.0 + 5e-6, -5e-6]))
-        assert isinstance(validate_state(np.diag([1.0 + 5e-6, -5e-6]), tol=1e-4),
-                          DensityMatrix)
 
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
@@ -197,10 +195,17 @@ def test_coords_of_special_states():
 def test_from_coords_inverts_to_coords():
     rng = np.random.default_rng(77)
     for d in (2, 3, 4):
-        for _ in range(10):
-            rho = _random_density(rng, d)
+        states = [_random_density(rng, d) for _ in range(10)]
+        for rho in states:
             c = to_coords(rho)
             np.testing.assert_allclose(from_coords(c), rho.matrix, atol=1e-12)
+        # a (2, 5, d, d) stack maps row by row to (2, 5, d*d - 1)
+        stack = np.array([rho.matrix for rho in states]).reshape(2, 5, d, d)
+        c = to_coords(stack)
+        assert c.shape == (2, 5, d * d - 1)
+        np.testing.assert_allclose(
+            c.reshape(10, -1), [to_coords(rho) for rho in states], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(from_coords(c), stack, atol=1e-12)
 
 
 def test_chart_covers_nonpositive_hermitian_matrices():
@@ -215,6 +220,16 @@ def test_chart_covers_nonpositive_hermitian_matrices():
     with pytest.raises(StateValidationError) as exc:
         to_coords(np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex))
     assert exc.value.kind == "not-hermitian"
+    # a raw stack raises the error of its first matrix that is not in
+    # the hyperplane, here the second (the third, of trace 2, is later)
+    bent = np.array([[0.5, 0.2], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(StateValidationError) as exc:
+        to_coords(np.array([M, bent, np.eye(2)]))
+    with pytest.raises(StateValidationError) as alone:
+        to_coords(bent)
+    assert exc.value.kind == "not-hermitian"
+    assert ((exc.value.kind, repr(exc.value.magnitude), str(exc.value))
+            == (alone.value.kind, repr(alone.value.magnitude), str(alone.value)))
 
 
 def test_from_coords_center_is_maximally_mixed():
