@@ -1,0 +1,139 @@
+"""Byte-for-byte comparison of ``python -m signpoly`` between two trees.
+
+Runs one fixed set of ``volume``, ``check`` and ``construct`` command
+lines against the ``signpoly`` under ``--src`` and the one under
+``--against`` (default: this checkout's ``src``) and compares stdout,
+stderr and exit code of every run, so a refactor that must not change
+what the commands print can be checked against its parent::
+
+    python3 bench/cli_diff.py --src ../parent/src
+    python3 bench/cli_diff.py --src ../parent/src --against ../other/src
+
+The 120 cases, with input documents written from numpy alone (seeded,
+so every run writes the same files):
+
+- ``volume``: d in {2, 3, 4, 5} at alpha in {0, 0.1, 0.4, 1, -1, nan},
+  and each d without ``--alpha``;
+- ``check``: four centre/probe pairs (d = 2, 3, 4, and a close d = 2
+  pair) at alpha in {0, 0.2, 0.7, 3, -1};
+- ``construct``: six seeded decompositions with d = 2-4, one of them
+  with Dirichlet(0.05) weights, each with and without
+  ``--verify-probes 20 --seed S``;
+
+each in the text and the structured format.  Prints one JSON object
+with the case counts and every case that differs; exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+VOLUME_DIMS = (2, 3, 4, 5)
+ALPHAS = ("0", "0.1", "0.4", "1", "-1", "nan")
+CHECK_ALPHAS = ("0", "0.2", "0.7", "3", "-1")
+#: (seed, d, members, Dirichlet concentration of the weights)
+DECOMPOSITIONS = ((0, 2, 6, 1.0), (1, 2, 9, 1.0), (2, 3, 12, 1.0),
+                  (3, 3, 20, 1.0), (4, 4, 24, 1.0), (5, 3, 14, 0.05))
+FORMATS = ("text", "structured")
+#: command lines run at once
+JOBS = 2
+
+
+def _pairs(matrix) -> list[list[float]]:
+    return [[float(v.real), float(v.imag)] for v in np.ravel(matrix)]
+
+
+def _random_state(rng, d: int) -> np.ndarray:
+    G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    M = G @ G.conj().T
+    return M / np.trace(M).real
+
+
+def _write(path: Path, doc: dict) -> str:
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    return str(path)
+
+
+def _state_file(path: Path, matrix) -> str:
+    return _write(path, {"schema": 1, "kind": "state", "dim": len(matrix),
+                         "matrix": _pairs(matrix)})
+
+
+def cases(workdir: Path) -> list[list[str]]:
+    """The command lines, with their input documents written to ``workdir``."""
+    runs = []
+    for d in VOLUME_DIMS:
+        runs.append(["volume", "--dim", str(d)])
+        runs += [["volume", "--dim", str(d), "--alpha", a] for a in ALPHAS]
+
+    rng = np.random.default_rng(15)
+    for i, (d, step) in enumerate(((2, 0.3), (3, 0.3), (4, 0.3), (2, 0.05))):
+        center = 0.5 * np.eye(d) / d + 0.5 * _random_state(rng, d)
+        probe = (1.0 - step) * center + step * _random_state(rng, d)
+        files = [_state_file(workdir / f"{name}{i}.json", m)
+                 for name, m in (("center", center), ("probe", probe))]
+        runs += [["check", *files, "--alpha", a] for a in CHECK_ALPHAS]
+
+    for seed, d, m, concentration in DECOMPOSITIONS:
+        rng = np.random.default_rng(seed)
+        members = [_random_state(rng, d) for _ in range(m)]
+        weights = rng.dirichlet(np.full(m, concentration))
+        target = sum(w * M for w, M in zip(weights, members))
+        path = _write(workdir / f"dec{seed}.json", {
+            "schema": 1, "kind": "decomposition", "dim": d,
+            "target": {"matrix": _pairs(target)},
+            "members": [{"matrix": _pairs(M)} for M in members],
+            "weights": [float(w) for w in weights]})
+        runs.append(["construct", path])
+        runs.append(["construct", path, "--verify-probes", "20",
+                     "--seed", str(seed + 7)])
+    return [run + ["--format", fmt] for run in runs for fmt in FORMATS]
+
+
+def run_case(src: Path, argv: list[str]) -> tuple[str, str, int]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("SIGNPOLY_CAP", None)
+    proc = subprocess.run([sys.executable, "-m", "signpoly", *argv], env=env,
+                          capture_output=True, text=True)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", type=Path, required=True,
+                        help="directory holding one signpoly package")
+    parser.add_argument("--against", type=Path, default=ROOT / "src",
+                        help="directory holding the other (default: ./src)")
+    args = parser.parse_args(argv)
+    trees = [args.src.resolve(), args.against.resolve()]
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = cases(Path(tmp))
+        with ThreadPoolExecutor(JOBS) as pool:
+            results = [list(pool.map(lambda a, src=src: run_case(src, a), runs))
+                       for src in trees]
+    differ = [{"argv": " ".join(Path(a).name if a.endswith(".json") else a
+                                for a in run),
+               "differs": [what for what, x, y in zip(("stdout", "stderr", "exit"),
+                                                      old, new) if x != y]}
+              for run, old, new in zip(runs, *results) if old != new]
+    print(json.dumps({"cases": len(runs),
+                      "by_command": Counter(run[0] for run in runs),
+                      "exit_codes": sorted({r[2] for r in results[1]}),
+                      "differences": differ}, indent=1))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,11 +22,12 @@ pivots per ``construct``, split by where they happen:
 - ``drive_out``: artificials pivoted out between the phases;
 - ``phase2``: phase 2.
 
-The d=5 case also reports its alpha and its median wall time over three
-runs (which does depend on the machine), or the solver failure it
-raised.  ``--stall-limit`` overrides ``simplex.STALL_LIMIT``, the run of
-pivots that leave the objective unchanged after which Bland's rule takes
-over, for a sweep of that constant.
+The d=5 case also reports its alpha, or the solver failure it raised.
+No wall time is taken: one unpaired timing of one tree varies from run
+to run by more than the changes it would compare.  ``--stall-limit``
+overrides ``simplex.STALL_LIMIT``, the run of pivots that leave the
+objective unchanged after which Bland's rule takes over, for a sweep of
+that constant.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import importlib
 import json
 import sys
 import tempfile
-import time
 from collections import defaultdict
 from pathlib import Path
 
@@ -169,13 +169,7 @@ def large_construct_pivots(sp, seed: int, d: int = 5, m: int = 60) -> dict:
     result = {"d": d, "m": m, **_per_construct([counter])}
     if isinstance(poly, Exception):
         return {**result, "failure": str(poly)}
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        sp.max_inscribed_cross_polytope(dec)
-        times.append(time.perf_counter() - start)
-    return {**result, "alpha": poly.alpha,
-            "median_wall_s": round(float(np.median(times)), 4)}
+    return {**result, "alpha": poly.alpha}
 
 
 def main(argv=None) -> int:

@@ -12,11 +12,9 @@ full state space.
 from .algorithms import (
     CrossPolytopeCertificate,
     DecompositionInput,
-    InsphereReport,
     QuantumCrossPolytope,
     certificate_holds,
     hs_volume,
-    insphere_report,
     max_inscribed_cross_polytope,
     robustness_fraction,
     robustness_member,
@@ -79,7 +77,6 @@ __all__ = [
     "DimensionMismatchError",
     "EnumerationTooLargeError",
     "FileFormatError",
-    "InsphereReport",
     "PureEnumeration",
     "PureState",
     "QuantumCrossPolytope",
@@ -100,7 +97,6 @@ __all__ = [
     "hull_member_lp",
     "hulls_disjoint",
     "insphere_radius",
-    "insphere_report",
     "majorizes",
     "make_canonical",
     "max_inscribed_cross_polytope",

@@ -14,19 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DecompositionError, SolverFailureError
-from .geometry import (
-    CrossPolytopeSpec,
-    VertexSet,
-    _witness_violation,
-    ball_volume,
-    cross_polytope_volume,
-    insphere_radius,
-)
+from .geometry import CrossPolytopeSpec, _witness_violation
 from .majorization import DEFAULT_TOL, weakly_majorized
 from .quantum import DensityMatrix, _density_matrices, from_coords, to_coords
 from .simplex import _ray_maxima
@@ -132,27 +124,11 @@ class QuantumCrossPolytope:
         """Hilbert space dimension (the chart has dimension dim^2 - 1)."""
         return self.provenance.dim
 
-    @cached_property
-    def _vertices(self) -> VertexSet:
-        return self.spec.vertices()
-
-    def vertex_coords(self) -> VertexSet:
-        """The 2(d^2 - 1) vertex points in the coordinate chart."""
-        return self._vertices
-
     def vertex_states(self) -> list[DensityMatrix]:
-        """The vertices reconstructed and validated, as one stack, as
-        density matrices; the first vertex that is not a state raises."""
-        return _density_matrices(from_coords(self._vertices.array))
-
-    def volume(self) -> float:
-        return self.spec.volume()
-
-    def insphere_radius(self) -> float:
-        return self.spec.insphere_radius()
-
-    def edge_length(self) -> float:
-        return self.spec.edge_length()
+        """The vertices of :attr:`spec` reconstructed and validated, as
+        one stack, as density matrices; the first vertex that is not a
+        state raises."""
+        return _density_matrices(from_coords(self.spec.vertices().array))
 
 
 def _chart_members(decomposition: DecompositionInput):
@@ -248,13 +224,16 @@ def certificate_holds(poly: QuantumCrossPolytope,
     (1 - tol)``: an absolute bound at ``tol``, as the primal side's.
     NaN anywhere fails, and so does a ``t``, ``witnesses`` or
     ``hyperplane`` not of shape ``(2n,)``, ``(2n, m)`` or ``(n,)`` over
-    the ``m`` members, or a binding axis outside ``0 .. n-1``.
+    the ``m`` members, a binding axis that is not an integer in
+    ``0 .. n-1``, or a binding sign other than ``+1`` or ``-1``.
     """
     cert = poly.certificate
     _, V = _chart_members(poly.provenance)
     m, n = V.shape
     if (np.shape(cert.t) != (2 * n,) or np.shape(cert.witnesses) != (2 * n, m)
-            or np.shape(cert.hyperplane) != (n,) or not 0 <= cert.binding_axis < n):
+            or np.shape(cert.hyperplane) != (n,)
+            or not isinstance(cert.binding_axis, (int, np.integer))
+            or not 0 <= cert.binding_axis < n or cert.binding_sign not in (1, -1)):
         return False
     alpha = poly.alpha
     binding = cert.binding_axis + (0 if cert.binding_sign > 0 else n)
@@ -281,13 +260,20 @@ def robustness_member(
     majorization against ``(alpha, 0, ..., 0)``, which reduces to the
     1-norm comparison ``|c|_1 <= alpha``; no vertex set or LP appears.
     """
+    return _in_cross_polytope(_displacement(probe, center, alpha), alpha, tol)
+
+
+def _displacement(probe: DensityMatrix, center: DensityMatrix,
+                  alpha: float) -> np.ndarray:
+    """The chart displacement ``c`` of ``probe`` from ``center``, once
+    their dimensions agree and ``alpha`` is nonnegative."""
     if probe.dim != center.dim:
         raise DecompositionError(
             f"probe dimension {probe.dim} != center dimension {center.dim}"
         )
     if not alpha >= 0.0:
         raise ValueError("alpha must be nonnegative")
-    return _in_cross_polytope(to_coords(probe) - to_coords(center), alpha, tol)
+    return to_coords(probe) - to_coords(center)
 
 
 def _in_cross_polytope(c: np.ndarray, alpha: float, tol: float) -> bool:
@@ -335,45 +321,3 @@ def robustness_fraction(d: int, alpha: float) -> float:
     for k in range(1, d + 1):
         log_f -= math.lgamma(k)
     return math.exp(log_f)
-
-
-@dataclass(frozen=True)
-class InsphereReport:
-    """Inscribed-ball summary of the cross-polytope of scale ``alpha`` in
-    the chart of d-level states (chart dimension ``n = d^2 - 1``): the
-    insphere radius, both volumes, their ratio, and the loose reference
-    value ``(pi/4)^(n/2)`` the ratio roughly tracks in low dimension
-    (the true ratio/reference quotient is ``n!/(n^(n/2) Gamma(n/2+1))``,
-    which decays like ``sqrt(2) (2/e)^(n/2)``)."""
-
-    dim: int
-    chart_dim: int
-    alpha: float
-    radius: float
-    ball: float
-    cross: float
-    ratio: float
-    reference: float
-
-
-def insphere_report(d: int, alpha: float) -> InsphereReport:
-    """Compare the inscribed-ball volume of the chart cross-polytope of a
-    d-level system with the polytope volume.  For ``alpha = 0`` both
-    volumes are zero and the ratio is reported as 0."""
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    n = d * d - 1
-    r = insphere_radius(n, alpha)
-    vb = ball_volume(n, r)
-    vc = cross_polytope_volume(n, alpha)
-    ratio = vb / vc if vc > 0.0 else 0.0
-    return InsphereReport(
-        dim=d,
-        chart_dim=n,
-        alpha=alpha,
-        radius=r,
-        ball=vb,
-        cross=vc,
-        ratio=ratio,
-        reference=(math.pi / 4.0) ** (n / 2.0),
-    )

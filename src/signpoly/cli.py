@@ -26,12 +26,11 @@ import numpy as np
 from . import __version__
 from .algorithms import (
     DEFAULT_TOL_ALPHA,
+    _displacement,
     _in_cross_polytope,
     hs_volume,
-    insphere_report,
     max_inscribed_cross_polytope,
     robustness_fraction,
-    robustness_member,
 )
 from .errors import (
     EnumerationTooLargeError,
@@ -39,7 +38,12 @@ from .errors import (
     SolverFailureError,
     StateValidationError,
 )
-from .geometry import ENUMERATION_CAP, cross_polytope_volume
+from .geometry import (
+    ENUMERATION_CAP,
+    ball_volume,
+    cross_polytope_volume,
+    insphere_radius,
+)
 from .majorization import DEFAULT_TOL
 from .quantum import (
     PureState,
@@ -47,7 +51,6 @@ from .quantum import (
     hs_distance,
     pure_from_density,
     three_tangle,
-    to_coords,
 )
 from .stateio import _as_density, _pairs, load_decomposition, load_state
 
@@ -208,6 +211,16 @@ def cmd_tangle(args) -> int:
     return EXIT_OK
 
 
+def _fractions(d: int, alpha: float) -> dict:
+    """The share of all d-level states in the cross-polytope of scale
+    ``alpha``, in closed form and as its volume over the HS volume."""
+    return {
+        "fraction_closed_form": robustness_fraction(d, alpha),
+        "fraction_volume_ratio": cross_polytope_volume(d * d - 1, alpha)
+        / hs_volume(d),
+    }
+
+
 def cmd_construct(args) -> int:
     decomposition = load_decomposition(args.file)
     poly = max_inscribed_cross_polytope(
@@ -215,12 +228,11 @@ def cmd_construct(args) -> int:
     )
     d = poly.dim
     alpha = poly.alpha
-    vertices = poly.vertex_coords()
+    spec = poly.spec
     try:
         valid = len(poly.vertex_states())
     except StateValidationError:
         valid = 0
-    volume_ratio = poly.volume() / hs_volume(d)
     report = {
         "command": "construct",
         "dim": d,
@@ -228,25 +240,23 @@ def cmd_construct(args) -> int:
         "members": len(decomposition.members),
         "alpha": alpha,
         "degenerate": poly.degenerate,
-        "edge_length": poly.edge_length(),
-        "insphere_radius": poly.insphere_radius(),
-        "cross_volume": poly.volume(),
+        "edge_length": spec.edge_length(),
+        "insphere_radius": spec.insphere_radius(),
+        "cross_volume": spec.volume(),
         "hs_volume": hs_volume(d),
-        "fraction_closed_form": robustness_fraction(d, alpha),
-        "fraction_volume_ratio": volume_ratio,
+        **_fractions(d, alpha),
         "vertex_states_valid": valid,
-        "vertex_states_total": len(vertices),
+        "vertex_states_total": 2 * spec.dimension,
         "binding_axis": poly.certificate.binding_axis,
         "binding_sign": poly.certificate.binding_sign,
     }
     if args.verify_probes > 0 and not poly.degenerate:
         rng = np.random.default_rng(args.seed)
         hits = 0
-        verts = vertices.array
-        center = poly.spec.center
+        verts = spec.vertices().array
         for _ in range(args.verify_probes):
             w = rng.dirichlet(np.ones(len(verts)))
-            hits += int(_in_cross_polytope(w @ verts - center, alpha, args.tol))
+            hits += int(_in_cross_polytope(w @ verts - spec.center, alpha, args.tol))
         report["probes_checked"] = args.verify_probes
         report["probes_inside"] = hits
         if args.seed is not None:
@@ -258,8 +268,8 @@ def cmd_construct(args) -> int:
 def cmd_check(args) -> int:
     center = _as_density(load_state(args.center)[0])
     probe = _as_density(load_state(args.probe)[0])
-    member = robustness_member(probe, center, args.alpha, tol=args.tol)
-    c = to_coords(probe) - to_coords(center)
+    c = _displacement(probe, center, args.alpha)
+    member = _in_cross_polytope(c, args.alpha, args.tol)
     d = center.dim
     report = {
         "command": "check",
@@ -268,9 +278,7 @@ def cmd_check(args) -> int:
         "coord_distance_1norm": float(np.abs(c).sum()),
         "hs_distance": hs_distance(probe, center),
         "member": member,
-        "fraction_closed_form": robustness_fraction(d, args.alpha),
-        "fraction_volume_ratio": cross_polytope_volume(d * d - 1, args.alpha)
-        / hs_volume(d),
+        **_fractions(d, args.alpha),
     }
     _emit(report, args.format)
     return EXIT_OK if member else EXIT_NON_MEMBER
@@ -278,18 +286,20 @@ def cmd_check(args) -> int:
 
 def cmd_volume(args) -> int:
     d = args.dim
-    report = {"command": "volume", "dim": d, "chart_dim": d * d - 1,
+    n = d * d - 1
+    report = {"command": "volume", "dim": d, "chart_dim": n,
               "hs_volume": hs_volume(d)}
     if args.alpha is not None:
-        ins = insphere_report(d, args.alpha)
+        radius = insphere_radius(n, args.alpha)
+        cross = cross_polytope_volume(n, args.alpha)
+        ball = ball_volume(n, radius)
         report.update({
             "alpha": args.alpha,
-            "cross_volume": ins.cross,
-            "fraction_closed_form": robustness_fraction(d, args.alpha),
-            "fraction_volume_ratio": ins.cross / report["hs_volume"],
-            "insphere_radius": ins.radius,
-            "ball_volume": ins.ball,
-            "ball_to_cross_ratio": ins.ratio,
+            "cross_volume": cross,
+            **_fractions(d, args.alpha),
+            "insphere_radius": radius,
+            "ball_volume": ball,
+            "ball_to_cross_ratio": ball / cross if cross > 0.0 else 0.0,
         })
     _emit(report, args.format)
     return EXIT_OK

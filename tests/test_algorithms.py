@@ -19,7 +19,6 @@ from signpoly import (
     from_coords,
     hs_volume,
     hull_member_lp,
-    insphere_report,
     max_inscribed_cross_polytope,
     robustness_fraction,
     robustness_member,
@@ -114,7 +113,7 @@ def test_octahedral_decomposition_recovers_exact_scale():
     assert poly.alpha == pytest.approx(0.4, abs=1e-6)
     assert not poly.degenerate
     assert poly.dim == 2
-    assert len(poly.vertex_coords()) == 6
+    assert len(poly.spec.vertices()) == 6
 
 
 def test_cube_decomposition_recovers_half_width():
@@ -130,7 +129,7 @@ def test_degenerate_target_on_hull_boundary():
     poly = max_inscribed_cross_polytope(dec)
     assert poly.degenerate
     assert poly.alpha == 0.0
-    assert poly.volume() == 0.0
+    assert poly.spec.volume() == 0.0
 
 
 def test_result_optimality_certificates():
@@ -183,11 +182,12 @@ def test_vertex_states_raise_for_the_first_vertex_outside_the_states():
 
 def test_polytope_geometry_accessors():
     poly = max_inscribed_cross_polytope(_octahedral_decomposition(0.4))
+    spec = poly.spec
     a = poly.alpha
-    assert poly.edge_length() == pytest.approx(math.sqrt(2.0) * a, rel=1e-12)
-    assert poly.insphere_radius() == pytest.approx(a / math.sqrt(3.0), rel=1e-12)
-    assert poly.volume() == pytest.approx((2 * a) ** 3 / 6.0, rel=1e-12)
-    assert isinstance(poly.spec, CrossPolytopeSpec)
+    assert isinstance(spec, CrossPolytopeSpec) and spec.scale == a
+    assert spec.edge_length() == pytest.approx(math.sqrt(2.0) * a, rel=1e-12)
+    assert spec.insphere_radius() == pytest.approx(a / math.sqrt(3.0), rel=1e-12)
+    assert spec.volume() == pytest.approx((2 * a) ** 3 / 6.0, rel=1e-12)
 
 
 def _oracle_alpha(dec):
@@ -359,9 +359,14 @@ def test_certificate_checker_rejects_tampering():
     for witnesses in (negative, heavy, cert.witnesses[:0], cert.witnesses[:1]):
         assert not certificate_holds(dataclasses.replace(
             poly, certificate=dataclasses.replace(cert, witnesses=witnesses)))
-    # a t, hyperplane or binding axis that does not fit the chart
+    # a t, hyperplane, binding axis or binding sign that does not fit the
+    # chart: a float axis, or a sign of 2 with the hyperplane halved to
+    # match, which would only bound the scale by 2 alpha
     for tampered in (dict(t=cert.t[:-1]), dict(hyperplane=cert.hyperplane[:-1]),
-                     dict(binding_axis=len(cert.hyperplane))):
+                     dict(binding_axis=len(cert.hyperplane)),
+                     dict(binding_axis=float(cert.binding_axis)),
+                     dict(binding_sign=2 * cert.binding_sign,
+                          hyperplane=cert.hyperplane / 2)):
         assert not certificate_holds(dataclasses.replace(
             poly, certificate=dataclasses.replace(cert, **tampered)))
     # a hyperplane too shallow to cut off the binding vertex
@@ -672,31 +677,3 @@ def test_fraction_times_hs_volume_is_cross_volume():
 def test_fraction_is_tiny_but_positive_for_realistic_scales():
     f = robustness_fraction(3, 0.05)
     assert 0.0 < f < 1e-6
-
-
-# ---------------------------------------------------------- insphere report
-
-def test_insphere_report_qubit_values():
-    rep = insphere_report(2, 1.0)
-    assert rep.chart_dim == 3
-    assert rep.radius == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
-    assert rep.ball == pytest.approx(4.0 * math.pi / 3.0 * 3.0 ** -1.5, rel=1e-13)
-    assert rep.cross == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert rep.ratio == pytest.approx(0.6045997880780726, rel=1e-12)
-    assert rep.reference == pytest.approx((math.pi / 4.0) ** 1.5, rel=1e-15)
-
-
-def test_insphere_report_zero_scale():
-    rep = insphere_report(2, 0.0)
-    assert rep.radius == 0.0
-    assert rep.ball == 0.0
-    assert rep.cross == 0.0
-    assert rep.ratio == 0.0
-
-
-def test_insphere_report_qutrit_ratio_pinned():
-    # at chart dimension 8 the ratio/reference quotient is exactly
-    # 8!/(8^4 * 4!) = 0.410156...: same order of magnitude, not factor-2
-    rep = insphere_report(3, 1.0)
-    assert rep.ratio / rep.reference == pytest.approx(
-        math.factorial(8) / (8.0 ** 4 * math.factorial(4)), rel=1e-12)

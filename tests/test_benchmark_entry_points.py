@@ -29,13 +29,13 @@ PUBLIC_NAMES = [
     "DEFAULT_TOL", "ENUMERATION_CAP", "CrossPolytopeCertificate",
     "CrossPolytopeSpec", "DecompositionError", "DecompositionInput",
     "DensityMatrix", "DimensionMismatchError",
-    "EnumerationTooLargeError", "FileFormatError", "InsphereReport",
+    "EnumerationTooLargeError", "FileFormatError",
     "PureEnumeration", "PureState", "QuantumCrossPolytope", "SignpolyError",
     "SolverFailureError", "StateValidationError", "VertexSet", "ball_volume",
     "certificate_holds", "count_sign_perm_vertices", "cross_polytope_volume",
     "enumerate_perm_vertices", "enumerate_pure_sign_perms",
     "enumerate_sign_perm_vertices", "from_coords", "hs_distance", "hs_volume",
-    "hull_member_lp", "hulls_disjoint", "insphere_radius", "insphere_report",
+    "hull_member_lp", "hulls_disjoint", "insphere_radius",
     "majorizes", "make_canonical", "max_inscribed_cross_polytope",
     "pure_from_density", "purity", "rado_member", "robustness_fraction",
     "robustness_member", "sign_perm_member", "three_tangle", "to_coords",
@@ -70,4 +70,4 @@ def test_result_attributes_read_by_the_tracer():
 
 def test_public_names():
     assert sorted(signpoly.__all__) == sorted(PUBLIC_NAMES)
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 44

@@ -441,6 +441,34 @@ def test_volume_report(capsys):
         doc["fraction_volume_ratio"], rel=1e-10)
 
 
+def test_volume_insphere_values(capsys):
+    """The qubit chart (n = 3) at scale 1: insphere radius 1/sqrt(3),
+    ball volume 4 pi/3 * 3^-1.5, cross volume 4/3, keys in report order."""
+    rc = main(["volume", "--dim", "2", "--alpha", "1", "--format", "structured"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["command", "dim", "chart_dim", "hs_volume", "alpha",
+                         "cross_volume", "fraction_closed_form",
+                         "fraction_volume_ratio", "insphere_radius",
+                         "ball_volume", "ball_to_cross_ratio"]
+    assert doc["chart_dim"] == 3
+    assert doc["insphere_radius"] == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
+    assert doc["ball_volume"] == pytest.approx(4.0 * math.pi / 3.0 * 3.0 ** -1.5,
+                                               rel=1e-13)
+    assert doc["cross_volume"] == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert doc["ball_to_cross_ratio"] == pytest.approx(0.6045997880780726,
+                                                       rel=1e-12)
+
+
+def test_volume_zero_scale(capsys):
+    """At scale 0 both volumes are 0 and the ratio is reported as 0."""
+    rc = main(["volume", "--dim", "2", "--alpha", "0", "--format", "structured"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["insphere_radius"], doc["ball_volume"], doc["cross_volume"],
+            doc["ball_to_cross_ratio"]) == (0.0, 0.0, 0.0, 0.0)
+
+
 def test_volume_without_alpha(capsys):
     assert main(["volume", "--dim", "3"]) == 0
     parsed = _parse_text(capsys.readouterr().out)

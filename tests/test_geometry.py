@@ -567,3 +567,12 @@ def test_insphere_ball_ratio_within_factor_two(n):
     ratio = ball_volume(n, insphere_radius(n, alpha)) / cross_polytope_volume(n, alpha)
     reference = (math.pi / 4.0) ** (n / 2.0)
     assert 0.5 <= ratio / reference <= 2.0
+
+
+def test_insphere_ball_ratio_qutrit_pinned():
+    # the ratio/reference quotient is n!/(n^(n/2) Gamma(n/2+1)), which
+    # decays like sqrt(2) (2/e)^(n/2); at chart dimension 8 (qutrits) it
+    # is exactly 8!/(8^4 * 4!) = 0.410156...: same order, not factor-2
+    ratio = ball_volume(8, insphere_radius(8, 1.0)) / cross_polytope_volume(8, 1.0)
+    assert ratio / (math.pi / 4.0) ** 4 == pytest.approx(
+        math.factorial(8) / (8.0 ** 4 * math.factorial(4)), rel=1e-12)
