@@ -150,16 +150,20 @@ def construct_pivots(sp, workloads, seed: int) -> dict:
 
 def _random_decomposition(sp, rng, d: int, m: int):
     """m Hilbert-Schmidt random states of dimension d and a Dirichlet(1)
-    mix of them as the target."""
+    mix of them as the target, read back through
+    ``stateio.load_decomposition`` from a document."""
     members = []
     for _ in range(m):
         G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         M = G @ G.conj().T
-        members.append(sp.DensityMatrix(M / np.trace(M).real))
+        members.append(M / np.trace(M).real)
     weights = rng.dirichlet(np.ones(m))
-    target = sum(w * M.matrix for w, M in zip(weights, members))
-    return sp.DecompositionInput(sp.DensityMatrix(target), tuple(members),
-                                 tuple(weights))
+    target = sum(w * M for w, M in zip(weights, members))
+    doc = sp.stateio.decomposition_document(d, target, members, weights)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "decomposition.json"
+        sp.stateio.save_document(path, doc)
+        return sp.stateio.load_decomposition(path)
 
 
 def large_construct_pivots(sp, seed: int, d: int = 5, m: int = 60) -> dict:
@@ -182,7 +186,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
     sp = importlib.import_module("signpoly")
-    for sub in ("algorithms", "cli", "errors", "geometry", "majorization", "simplex"):
+    for sub in ("algorithms", "cli", "errors", "geometry", "majorization", "simplex",
+                "stateio"):
         importlib.import_module(f"signpoly.{sub}")
     workloads = importlib.import_module("workloads")
     if args.stall_limit is not None:

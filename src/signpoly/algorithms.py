@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DecompositionError, SolverFailureError
 from .geometry import CrossPolytopeSpec, _witness_violation
 from .majorization import DEFAULT_TOL, weakly_majorized
-from .quantum import DensityMatrix, _density_matrices, from_coords, to_coords
+from .quantum import DensityMatrix, _state_stack, from_coords, to_coords
 from .simplex import _ray_maxima
 
 #: Inscribed scales at or below this mark the polytope as degenerate.
@@ -31,49 +31,58 @@ DEFAULT_TOL_ALPHA = 1e-8
 RECONSTRUCTION_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionInput:
-    """A target state with a convex decomposition over member states.
-
-    Needs strictly more members than the chart dimension ``d^2 - 1``
-    (otherwise the hull has empty interior and no polytope fits), equal
-    dimensions throughout, weights that are nonnegative with unit sum,
-    and a weighted reconstruction within ``1e-8`` of the target in
-    Hilbert-Schmidt norm (NaN fails every check).
+    """A target state with a convex decomposition over member states, as
+    read-only arrays ``target`` ``(d, d)``, ``members`` ``(m, d, d)`` and
+    ``weights`` ``(m,)`` built from any array-likes.  The target, then the
+    members, must be states (one stack of the target's shape), more than
+    ``d^2 - 1`` members (else the hull has empty interior), weights
+    nonnegative with unit sum, and a weighted reconstruction within
+    ``1e-8`` of the target in Hilbert-Schmidt norm (NaN fails every check).
     """
 
-    target: DensityMatrix
-    members: tuple[DensityMatrix, ...]
-    weights: tuple[float, ...]
+    target: np.ndarray
+    members: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        d = self.target.dim
-        if any(m.dim != d for m in self.members):
-            raise DecompositionError("all members must match the target dimension")
+        try:
+            stack = np.concatenate([[self.target], self.members])
+        except (TypeError, ValueError):
+            raise DecompositionError(
+                "all members must match the target dimension") from None
+        states = _state_stack(stack)
+        target, members = states[0], states[1:]
+        d = target.shape[0]
         n_needed = d * d - 1
-        if len(self.members) <= n_needed:
+        if len(members) <= n_needed:
             raise DecompositionError(
                 f"need more than {n_needed} members for dimension {d}, "
-                f"got {len(self.members)}"
+                f"got {len(members)}"
             )
-        if len(self.weights) != len(self.members):
-            raise DecompositionError("weights and members must have equal length")
         w = np.array(self.weights, dtype=float)
+        if w.shape != (len(members),):
+            raise DecompositionError("weights and members must have equal length")
         if not w.min() >= -DEFAULT_TOL:
             raise DecompositionError("weights must be nonnegative")
         if not abs(w.sum() - 1.0) <= DEFAULT_TOL:
             raise DecompositionError(f"weights must sum to 1, got {w.sum()!r}")
-        mix = (w[:, None, None] * np.array([m.matrix for m in self.members])).sum(axis=0)
-        residual = float(np.linalg.norm(mix - self.target.matrix))
+        mix = (w[:, None, None] * members).sum(axis=0)
+        residual = float(np.linalg.norm(mix - target))
         if not residual <= RECONSTRUCTION_TOL:
             raise DecompositionError(
                 f"weighted members miss the target by {residual:.3e} "
                 f"(allowed {RECONSTRUCTION_TOL:.1e})"
             )
+        w.setflags(write=False)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "weights", w)
 
     @property
     def dim(self) -> int:
-        return self.target.dim
+        return self.target.shape[0]
 
 
 @dataclass(frozen=True)
@@ -124,22 +133,21 @@ class QuantumCrossPolytope:
         """Hilbert space dimension (the chart has dimension dim^2 - 1)."""
         return self.provenance.dim
 
-    def vertex_states(self) -> list[DensityMatrix]:
-        """The vertices of :attr:`spec` reconstructed and validated, as
-        one stack, as density matrices; the first vertex that is not a
-        state raises."""
-        return _density_matrices(from_coords(self.spec.vertices().array))
+    def vertex_states(self) -> np.ndarray:
+        """The vertices of :attr:`spec` as one validated, read-only
+        ``(2n, d, d)`` stack of density matrices; the first vertex that
+        is not a state raises."""
+        return _state_stack(from_coords(self.spec.vertices().array))
 
 
 def _chart_members(decomposition: DecompositionInput):
     """The chart point of the members' mean under the weights, clipped
     at 0 and renormalized (the chart of their weighted matrix sum, as
-    checked against the target), and the members' chart points less it."""
+    checked against the target), and the members' chart points."""
     weights = np.clip(decomposition.weights, 0.0, None)
     weights /= weights.sum()
-    matrices = np.array([mb.matrix for mb in decomposition.members])
-    center = to_coords((weights[:, None, None] * matrices).sum(axis=0))
-    return center, to_coords(matrices) - center
+    M = decomposition.members
+    return to_coords((weights[:, None, None] * M).sum(axis=0)), to_coords(M)
 
 
 def max_inscribed_cross_polytope(
@@ -153,26 +161,26 @@ def max_inscribed_cross_polytope(
     The weights reach the centre, so ``t = 0`` is feasible on every ray
     and the best scale is ``min over k, s of max {t : t s e_k in hull}``.
     Each of the ``2(d^2-1)`` directions is one ray LP: maximize ``t``
-    subject to ``V^T w - t s e_k = 0``, ``sum w = 1``, ``w, t >= 0`` over
-    the translated members ``V``.  The rays differ only in the ``t``
-    column, so one shared phase 1 feeds their ``2(d^2-1)`` phase-2 runs,
-    and a ray stops once its ``t`` is strictly above the smallest
-    optimum found so far (status ``"cut-off"``), which leaves the scale
-    unchanged: the binding ray always runs to its optimum.  A centre on
-    the hull boundary gives a scale at or near 0; scales at or below
-    ``tol_alpha`` carry the ``degenerate`` flag instead of raising.
-    Every ray keeps its LP weights, and the binding ray its LP dual, as
-    the certificate.  A ray LP that is neither optimal nor cut off, a
-    binding ray that is not optimal, or a weight vector that misses its
-    ray point by more than ``lp_tol``, raises
-    :class:`~signpoly.errors.SolverFailureError`.
+    subject to ``X^T w - t s e_k = c``, ``sum w = 1``, ``w, t >= 0`` over
+    the members' chart points ``X`` and the centre ``c`` (not over points
+    translated to put ``c`` at 0: phase 1 is fully degenerate there).
+    The rays differ only in the ``t`` column, so one shared phase 1 feeds
+    their ``2(d^2-1)`` phase-2 runs, and a ray stops once its ``t`` is
+    strictly above the smallest optimum found so far (status
+    ``"cut-off"``), which leaves the scale unchanged: the binding ray
+    always runs to its optimum.  A centre on the hull boundary gives a
+    scale at or near 0; scales at or below ``tol_alpha`` carry the
+    ``degenerate`` flag instead of raising.  Every ray keeps its LP
+    weights, and the binding ray its LP dual, as the certificate.  A ray
+    LP that is neither optimal nor cut off, a binding ray that is not
+    optimal, or a weight vector that misses its ray point by more than
+    ``lp_tol``, raises :class:`~signpoly.errors.SolverFailureError`.
     """
-    center, translated = _chart_members(decomposition)
-    m, n = translated.shape
-
-    # Rows [V^T w = 0 | sum w = 1] for every ray; ray j adds column -s e_k.
-    A = np.vstack([translated.T, np.ones(m)])
-    b = np.append(np.zeros(n), 1.0)
+    center, points = _chart_members(decomposition)
+    m, n = points.shape
+    # Ray j adds the column -s e_k to the shared rows.
+    A = np.vstack([points.T, np.ones(m)])
+    b = np.append(center, 1.0)
     columns = np.vstack([-np.eye(n, n + 1), np.eye(n, n + 1)])
 
     sols = list(_ray_maxima(A, b, columns, lp_tol))
@@ -183,7 +191,7 @@ def max_inscribed_cross_polytope(
     z = np.array([sol.z for sol in sols])
     t = z[:, m]
     # The ray point t s e_k is -t times the t column.
-    violation = _witness_violation(z[:, :m], translated,
+    violation = _witness_violation(z[:, :m], points - center,
                                    -t[:, None] * columns[:, :n]).max()
     if not violation <= lp_tol:
         raise SolverFailureError(
@@ -194,8 +202,8 @@ def max_inscribed_cross_polytope(
     if sols[binding].status != "optimal":
         raise SolverFailureError("the binding ray LP stopped before its optimum")
     alpha = float(t[binding]) + 0.0  # no negative zero
-    # The dual (u, u0) of the binding ray has u . v <= -u0 = alpha on
-    # every member and s u_k >= 1.
+    # The dual (u, u0) of the binding ray has u . x + u0 <= 0 on every
+    # member, s u_k >= 1 and u . c + u0 = -alpha: u . (x - c) <= alpha.
     certificate = CrossPolytopeCertificate(
         t=t,
         witnesses=z[:, :m],
@@ -228,7 +236,8 @@ def certificate_holds(poly: QuantumCrossPolytope,
     ``0 .. n-1``, or a binding sign other than ``+1`` or ``-1``.
     """
     cert = poly.certificate
-    _, V = _chart_members(poly.provenance)
+    center, points = _chart_members(poly.provenance)
+    V = points - center
     m, n = V.shape
     if (np.shape(cert.t) != (2 * n,) or np.shape(cert.witnesses) != (2 * n, m)
             or np.shape(cert.hyperplane) != (n,)

@@ -47,7 +47,9 @@ from .geometry import (
 from .majorization import DEFAULT_TOL
 from .quantum import (
     PureState,
+    _state_stack,
     enumerate_pure_sign_perms,
+    from_coords,
     hs_distance,
     pure_from_density,
     three_tangle,
@@ -229,8 +231,9 @@ def cmd_construct(args) -> int:
     d = poly.dim
     alpha = poly.alpha
     spec = poly.spec
+    verts = spec.vertices().array
     try:
-        valid = len(poly.vertex_states())
+        valid = len(_state_stack(from_coords(verts)))
     except StateValidationError:
         valid = 0
     report = {
@@ -253,7 +256,6 @@ def cmd_construct(args) -> int:
     if args.verify_probes > 0 and not poly.degenerate:
         rng = np.random.default_rng(args.seed)
         hits = 0
-        verts = spec.vertices().array
         for _ in range(args.verify_probes):
             w = rng.dirichlet(np.ones(len(verts)))
             hits += int(_in_cross_polytope(w @ verts - spec.center, alpha, args.tol))

@@ -85,10 +85,7 @@ class DensityMatrix:
     __slots__ = ("_mat",)
 
     def __init__(self, matrix):
-        M = np.array(matrix, dtype=complex)
-        _check_states(M[None])
-        M.setflags(write=False)
-        self._mat = M
+        self._mat = _state_stack([matrix])[0]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -103,19 +100,14 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def _density_matrices(matrices) -> list[DensityMatrix]:
-    """Validate a ``(k, d, d)`` stack of matrices in one pass, with the
-    error :class:`DensityMatrix` raises for the first matrix that is not
-    a state, and wrap each read-only row without checking it again."""
+def _state_stack(matrices) -> np.ndarray:
+    """A ``(k, d, d)`` stack of matrices as a read-only complex copy,
+    validated in one :func:`_check_states` pass, which raises for the
+    first matrix that is not a state."""
     M = np.array(matrices, dtype=complex)
     _check_states(M)
     M.setflags(write=False)
-    states = []
-    for row in M:
-        rho = DensityMatrix.__new__(DensityMatrix)
-        rho._mat = row
-        states.append(rho)
-    return states
+    return M
 
 
 def _check_states(M: np.ndarray, psd: bool = True) -> None:
@@ -163,12 +155,8 @@ def _check_states(M: np.ndarray, psd: bool = True) -> None:
 
 
 def validate_state(matrix) -> DensityMatrix:
-    """Check the density-matrix invariants at ``STATE_TOL`` and wrap the
-    matrix.
-
-    Raises ``StateValidationError`` with a structured ``kind`` and
-    violation ``magnitude`` on failure.
-    """
+    """``DensityMatrix(matrix)``: the invariants checked at ``STATE_TOL``,
+    or a ``StateValidationError`` with its ``kind`` and ``magnitude``."""
     return DensityMatrix(matrix)
 
 

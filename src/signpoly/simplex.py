@@ -3,9 +3,9 @@
 Phase 1 decides whether some ``z >= 0`` solves ``A z = b``; phase 2
 minimizes a linear cost from its basis.  A solve keeps ``A`` and only
 the ``k x (k + 1)`` array ``[B^-1 | x_B]``, prices every column from
-``A`` at each pivot (Dantzig & Orchard-Hays, 1954), and ends each phase
-by solving for ``x_B`` again from the basis columns of ``A``.  Failure
-to converge raises, it never masquerades as a verdict.
+``A`` at each pivot (Dantzig & Orchard-Hays, 1954), and rebuilds it from
+the basis columns every ``REFRESH_EVERY`` pivots and at the end of each
+phase.  Failure to converge raises, it never masquerades as a verdict.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from .errors import SolverFailureError
 PIVOT_EPS = 1e-11
 # Slack used when comparing minimum ratios in the leaving-variable test.
 RATIO_EPS = 1e-12
-# Consecutive pivots that leave the objective unchanged before Bland's rule.
+# Pivots in a row lowering the objective by roundoff at most before Bland's rule.
 STALL_LIMIT = 20
+# Pivots between two rebuilds of [B^-1 | x_B] by _refine.
+REFRESH_EVERY = 32
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,10 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
 
     The most negative reduced cost enters (Dantzig's rule); ties in the
     ratio test leave by lowest basic index.  After ``STALL_LIMIT``
-    pivots in a row that leave the computed objective unchanged, the
-    lowest-index negative column enters (Bland's rule, which cannot
-    cycle) until a pivot lowers it; so no cycle of bases is endless, and
-    against roundoff ``max_iter`` is the backstop (reaching it raises).
+    pivots in a row that lower the objective by at most a relative
+    ``PIVOT_EPS``, the lowest-index negative column enters (Bland's rule,
+    which cannot cycle) until one lowers it more, so no cycle of bases is
+    endless; ``max_iter`` (against roundoff) and non-finite pricing raise.
     Returns ``(iterations, outcome)``: ``"optimal"``, ``"unbounded"``
     (phase 1 raises instead), or ``"cut-off"`` at a basis that is not
     optimal once minus the objective value is above ``stop_above``.
@@ -109,7 +111,9 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
             reduced[:p] += c_real
         if ncols > p:
             np.subtract(cost[p:], s.sign * y, out=reduced[p:])
-        j = int(reduced.argmin())  # Dantzig: most negative enters
+        j = int(reduced.argmin())  # Dantzig: most negative enters; NaN wins
+        if not math.isfinite(reduced[j]):
+            raise SolverFailureError("non-finite reduced cost in pricing")
         if reduced[j] >= -PIVOT_EPS:
             return it, "optimal"
         if -value > stop_above:
@@ -129,22 +133,26 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
         _pivot(s, i, j, col)
         c_basic[i] = cost[j]
         before, value = value, value + float(reduced[j]) * float(x[i])
-        stalled = 0 if value < before else stalled + 1
+        stalled = 0 if before - value > PIVOT_EPS * max(1.0, abs(before)) else stalled + 1
+        if (it + 1) % REFRESH_EVERY == 0:
+            _refine(s)
+            value = float(c_basic @ x)
     raise SolverFailureError(f"phase-{phase} simplex did not converge "
                              f"within {max_iter} iterations")
 
 
 def _refine(s):
-    """Solve for ``x_B`` again from the basis columns of ``[A | diag(sign)]``."""
+    """Invert the basis columns of ``[A | diag(sign)]`` into ``s.T``."""
     p = s.A.shape[1]
     art = s.basis >= p
     B = s.A[:, np.where(art, 0, s.basis)]
     if art.any():
         B[:, art] = np.diag(s.sign)[:, s.basis[art] - p]
     try:
-        s.T[:, -1] = np.linalg.solve(B, s.b)
+        s.T[:, :-1] = np.linalg.inv(B)
     except np.linalg.LinAlgError:
         raise SolverFailureError("singular simplex basis") from None
+    s.T[:, -1] = s.T[:, :-1] @ s.b
 
 
 def _phase1(A, b, max_iter):

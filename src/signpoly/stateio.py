@@ -35,7 +35,7 @@ import numpy as np
 
 from .algorithms import DecompositionInput
 from .errors import FileFormatError
-from .quantum import DensityMatrix, PureState, _density_matrices, validate_state
+from .quantum import DensityMatrix, PureState, validate_state
 
 SCHEMA_VERSION = 1
 
@@ -125,18 +125,10 @@ def load_state(path) -> tuple[DensityMatrix | PureState, float | None]:
 
 
 def load_decomposition(path) -> DecompositionInput:
-    """Parse and validate a decomposition document (target, members,
-    weights).
-
-    Every entry is parsed first, then the target and the members are
-    validated as states at ``STATE_TOL`` in one pass (amplitude entries
-    through their projector), so a malformed entry is reported before
-    a state error in an earlier one.  Raises
-    :class:`~signpoly.errors.FileFormatError` on any malformation,
-    :class:`~signpoly.errors.StateValidationError` for the first entry
-    that is not a state, and :class:`~signpoly.errors.DecompositionError`
-    when the entries do not form a decomposition.
-    """
+    """Parse a decomposition document into the validating
+    :class:`~signpoly.algorithms.DecompositionInput` (amplitude entries
+    as their projectors), parsing every entry first, so a malformed one
+    raises ``FileFormatError`` before a state error in an earlier one."""
     doc = _read_json(path)
     _check_schema(doc, str(path))
     kind = doc.get("kind", "decomposition")
@@ -162,10 +154,9 @@ def load_decomposition(path) -> DecompositionInput:
             or not all(isinstance(w, (int, float)) for w in weights)):
         raise FileFormatError(f"{path}: \"weights\" must be a list of "
                               f"{len(members_doc)} numbers")
-    target, *members = _density_matrices(
-        [e.projector() if isinstance(e, PureState) else e for e in entries])
-    return DecompositionInput(target=target, members=tuple(members),
-                              weights=tuple(float(w) for w in weights))
+    target, *members = [e.projector() if isinstance(e, PureState) else e
+                        for e in entries]
+    return DecompositionInput(target=target, members=members, weights=weights)
 
 
 def _pairs(values: np.ndarray) -> list[list[float]]:

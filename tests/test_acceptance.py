@@ -203,15 +203,16 @@ def test_09_inscribed_scale_recovery(criterion):
     of the maximally mixed qubit: octahedral radius 0.4 and cube
     half-width 0.3."""
     with criterion(9, "inscribed scale 0.4 / 0.3", 10.0):
-        mixed = DensityMatrix(np.eye(2, dtype=complex) / 2)
+        mixed = np.eye(2, dtype=complex) / 2
         eye = np.eye(3)
 
-        octa = [_qubit_from_chart(s * 0.4 * eye[k]) for k in range(3) for s in (1, -1)]
+        octa = [_qubit_from_chart(s * 0.4 * eye[k]).matrix
+                for k in range(3) for s in (1, -1)]
         poly = max_inscribed_cross_polytope(
             DecompositionInput(mixed, octa, [1 / 6] * 6))
         assert abs(poly.alpha - 0.4) <= 1e-6
 
-        corners = [_qubit_from_chart(0.3 * np.array([sx, sy, sz]))
+        corners = [_qubit_from_chart(0.3 * np.array([sx, sy, sz])).matrix
                    for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
         poly = max_inscribed_cross_polytope(
             DecompositionInput(mixed, corners, [1 / 8] * 8))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.stats import unitary_group
 
 from signpoly import (
     DecompositionError,
@@ -40,24 +41,20 @@ def _qubit_state(coords3):
 
 def _octahedral_decomposition(r=0.4):
     basis = traceless_hermitian_basis(2)
-    members = tuple(
-        DensityMatrix(MIXED_2 + s * r * basis[k])
-        for k in range(3) for s in (1, -1)
-    )
-    return DecompositionInput(
-        target=DensityMatrix(MIXED_2), members=members, weights=(1 / 6,) * 6
-    )
+    members = np.array([MIXED_2 + s * r * basis[k]
+                        for k in range(3) for s in (1, -1)])
+    return DecompositionInput(target=MIXED_2, members=members,
+                              weights=(1 / 6,) * 6)
 
 
 def _cube_decomposition(w=0.3):
     basis = traceless_hermitian_basis(2)
-    members = tuple(
-        DensityMatrix(MIXED_2 + w * (sx * basis[0] + sy * basis[1] + sz * basis[2]))
+    members = np.array([
+        MIXED_2 + w * (sx * basis[0] + sy * basis[1] + sz * basis[2])
         for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)
-    )
-    return DecompositionInput(
-        target=DensityMatrix(MIXED_2), members=members, weights=(1 / 8,) * 8
-    )
+    ])
+    return DecompositionInput(target=MIXED_2, members=members,
+                              weights=(1 / 8,) * 8)
 
 
 # ---------------------------------------------------------- decompositions
@@ -88,7 +85,7 @@ class TestDecompositionInput:
 
     def test_members_must_reconstruct_target(self):
         dec = _octahedral_decomposition()
-        off_target = _qubit_state([0.1, 0.0, 0.0])
+        off_target = _qubit_state([0.1, 0.0, 0.0]).matrix
         with pytest.raises(DecompositionError, match="miss the target"):
             DecompositionInput(target=off_target, members=dec.members,
                                weights=(1 / 6,) * 6)
@@ -100,10 +97,24 @@ class TestDecompositionInput:
                                weights=(math.nan,) + (1 / 6,) * 5)
 
     def test_dimension_mismatch(self):
+        """A target of another shape, or a ragged member list, is no
+        stack of states: a decomposition error before any state check."""
         dec = _octahedral_decomposition()
         with pytest.raises(DecompositionError, match="dimension"):
-            DecompositionInput(target=DensityMatrix(np.eye(3) / 3),
+            DecompositionInput(target=np.eye(3) / 3,
                                members=dec.members, weights=(1 / 6,) * 6)
+        ragged = list(dec.members[:5]) + [np.diag([2.0, -0.5, -0.5])]
+        with pytest.raises(DecompositionError, match="dimension"):
+            DecompositionInput(target=dec.target, members=ragged,
+                               weights=(1 / 6,) * 6)
+
+    def test_fields_are_read_only_arrays(self):
+        dec = _octahedral_decomposition()
+        assert (dec.target.shape, dec.members.shape, dec.weights.shape) == (
+            (2, 2), (6, 2, 2), (6,))
+        assert dec.members.dtype == complex and dec.weights.dtype == float
+        for field in (dec.target, dec.members, dec.weights):
+            assert not field.flags.writeable
 
 
 # ------------------------------------------------------------- Algorithm 1
@@ -123,7 +134,7 @@ def test_cube_decomposition_recovers_half_width():
 
 
 def test_degenerate_target_on_hull_boundary():
-    boundary = _qubit_state([0.2, 0.0, 0.0])
+    boundary = _qubit_state([0.2, 0.0, 0.0]).matrix
     dec = DecompositionInput(target=boundary, members=(boundary,) * 4,
                              weights=(0.25,) * 4)
     poly = max_inscribed_cross_polytope(dec)
@@ -137,8 +148,7 @@ def test_result_optimality_certificates():
     fails it (monotone containment makes these two checks sufficient)."""
     dec = _cube_decomposition(0.3)
     poly = max_inscribed_cross_polytope(dec, tol_alpha=1e-8)
-    center = to_coords(dec.target)
-    translated = np.array([to_coords(m) for m in dec.members]) - center
+    translated = to_coords(dec.members) - to_coords(dec.target)
 
     def contained(alpha):
         n = translated.shape[1]
@@ -156,11 +166,14 @@ def test_result_optimality_certificates():
 
 
 def test_vertex_states_are_valid_density_matrices():
+    """One read-only (2n, d, d) stack whose rows chart to the vertices."""
     poly = max_inscribed_cross_polytope(_octahedral_decomposition(0.4))
     states = poly.vertex_states()
-    assert len(states) == 6
+    assert states.shape == (6, 2, 2) and not states.flags.writeable
+    np.testing.assert_allclose(to_coords(states), poly.spec.vertices().array,
+                               atol=1e-15)
     for s in states:
-        assert isinstance(s, DensityMatrix)
+        DensityMatrix(s)
 
 
 def test_vertex_states_raise_for_the_first_vertex_outside_the_states():
@@ -195,8 +208,7 @@ def _oracle_alpha(dec):
     members, as one exact LP for an external solver: a weight vector
     ``w_j >= 0`` with ``V^T w_j = t s_j e_k`` and ``sum w_j = 1`` for
     each of the 2n rays j, all sharing t."""
-    center = to_coords(dec.target)
-    V = np.array([to_coords(m) for m in dec.members]) - center
+    V = to_coords(dec.members) - to_coords(dec.target)
     m, n = V.shape
     rays = 2 * n
     A = np.zeros((rays * (n + 1), rays * m + 1))
@@ -224,8 +236,8 @@ def test_algorithm_matches_external_solver_on_random_instances():
         rel = rng.normal(size=(8, 3))
         rel -= rel.mean(axis=0)
         rel *= 0.4 / np.linalg.norm(rel, axis=1).max()
-        members = tuple(_qubit_state(c0 + r) for r in rel)
-        dec = DecompositionInput(target=_qubit_state(c0), members=members,
+        members = np.array([_qubit_state(c0 + r).matrix for r in rel])
+        dec = DecompositionInput(target=_qubit_state(c0).matrix, members=members,
                                  weights=(1 / 8,) * 8)
         poly = max_inscribed_cross_polytope(dec, tol_alpha=1e-8)
         assert poly.alpha == pytest.approx(_oracle_alpha(dec), abs=1e-6)
@@ -241,11 +253,10 @@ def _random_decomposition(seed, d, m, concentration):
     for _ in range(m):
         G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         M = G @ G.conj().T
-        members.append(DensityMatrix(M / np.trace(M).real))
+        members.append(M / np.trace(M).real)
     weights = rng.dirichlet(np.full(m, concentration))
-    target = sum(w * M.matrix for w, M in zip(weights, members))
-    return DecompositionInput(DensityMatrix(target), tuple(members),
-                              tuple(weights))
+    target = sum(w * M for w, M in zip(weights, members))
+    return DecompositionInput(target, np.array(members), weights)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -255,6 +266,39 @@ def _random_decomposition(seed, d, m, concentration):
 def test_scale_and_certificate_on_random_decompositions(seed, d, extra,
                                                         concentration):
     dec = _random_decomposition(seed, d, d * d - 1 + extra, concentration)
+    poly = max_inscribed_cross_polytope(dec)
+    assert poly.alpha == pytest.approx(_oracle_alpha(dec), abs=1e-7)
+    assert certificate_holds(poly)
+
+
+def _centred_decomposition(seed, d, K):
+    """K Haar unitaries U, each with a Dirichlet(1) spectrum p, give the
+    d members ``U diag(roll(p, j)) U^+``; under uniform weights every U's
+    members average to the maximally mixed state, the target."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for _ in range(K):
+        U = unitary_group.rvs(d, random_state=rng)
+        p = rng.dirichlet(np.ones(d))
+        members += [U @ np.diag(np.roll(p, j)) @ U.conj().T for j in range(d)]
+    return DecompositionInput(np.eye(d) / d, np.array(members),
+                              np.full(K * d, 1.0 / (K * d)))
+
+
+@pytest.mark.parametrize("dec", [
+    # a ray witness missed by 6.1e-3, from drifted rank-one updates of B^-1
+    pytest.param(lambda: _random_decomposition(2, 5, 60, 1.0), id="d5-seed2"),
+    # the binding ray's dual missed the certificate
+    pytest.param(lambda: _random_decomposition(50, 5, 60, 1.0), id="d5-seed50"),
+    # phase 1 on translated members (right-hand side e_last) never left
+    # an infeasibility of 1 before the pivot cap
+    pytest.param(lambda: _centred_decomposition(2, 3, 4), id="centred-d3-seed2"),
+    pytest.param(lambda: _centred_decomposition(0, 4, 5), id="centred-d4-seed0"),
+])
+def test_scale_and_certificate_at_larger_and_centred_decompositions(dec):
+    """Decompositions on which the solver once raised or printed an
+    uncertified scale: the scale matches the oracle and is certified."""
+    dec = dec()
     poly = max_inscribed_cross_polytope(dec)
     assert poly.alpha == pytest.approx(_oracle_alpha(dec), abs=1e-7)
     assert certificate_holds(poly)
@@ -386,8 +430,8 @@ def test_degenerate_certificate_has_a_supporting_hyperplane(offset):
     tolerance, outside the LP one), which the rays never read: the scale
     is 0, every ray keeps a witness, and the binding ray's dual is a
     hyperplane through the members that cuts off every positive scale."""
-    boundary = _qubit_state([0.2, 0.0, 0.0])
-    dec = DecompositionInput(target=_qubit_state([0.2 + offset, 0.0, 0.0]),
+    boundary = _qubit_state([0.2, 0.0, 0.0]).matrix
+    dec = DecompositionInput(target=from_coords([0.2 + offset, 0.0, 0.0]),
                              members=(boundary,) * 4, weights=(0.25,) * 4)
     poly = max_inscribed_cross_polytope(dec)
     assert poly.degenerate and poly.alpha == 0.0
@@ -410,7 +454,7 @@ def test_target_within_reconstruction_tolerance_leaves_the_scale(seed, d,
     dec = _random_decomposition(seed, d, d * d - 1 + extra, 1.0)
     direction = np.random.default_rng(seed).normal(size=d * d - 1)
     moved = to_coords(dec.target) + shift * direction / np.linalg.norm(direction)
-    moved_dec = dataclasses.replace(dec, target=DensityMatrix(from_coords(moved)))
+    moved_dec = dataclasses.replace(dec, target=from_coords(moved))
     assert (max_inscribed_cross_polytope(moved_dec).alpha
             == max_inscribed_cross_polytope(dec).alpha)
 
@@ -423,8 +467,8 @@ def test_infeasible_shared_phase1_raises(monkeypatch):
     chart = signpoly.algorithms._chart_members
 
     def off_centre(dec):
-        center, translated = chart(dec)
-        return center, translated + 1.0
+        center, points = chart(dec)
+        return center, points + 1.0
 
     monkeypatch.setattr(signpoly.algorithms, "_chart_members", off_centre)
     with pytest.raises(SolverFailureError, match="ray LP infeasible"):
@@ -504,12 +548,13 @@ def test_cut_off_binding_ray_raises(monkeypatch):
 
 
 def _ray_system(dec):
-    """Shared rows ``[V^T; 1] w = [0; 1]`` of the ray LPs of ``dec`` and
-    the ``t`` column ``-s e_k`` of each of its 2n directions."""
-    _, V = _chart_members(dec)
-    m, n = V.shape
-    A = np.vstack([V.T, np.ones(m)])
-    b = np.append(np.zeros(n), 1.0)
+    """Shared rows ``[X^T; 1] w = [c; 1]`` of the ray LPs of ``dec``, over
+    the members' chart points ``X`` and the centre ``c``, and the ``t``
+    column ``-s e_k`` of each of its 2n directions."""
+    center, X = _chart_members(dec)
+    m, n = X.shape
+    A = np.vstack([X.T, np.ones(m)])
+    b = np.append(center, 1.0)
     return A, b, np.vstack([-np.eye(n, n + 1), np.eye(n, n + 1)])
 
 
@@ -520,7 +565,8 @@ def _assert_rays_match_standalone(dec):
     stopped early is strictly above the scale, at most its standalone
     optimum, and reached by its witness."""
     A, b, columns = _ray_system(dec)
-    _, V = _chart_members(dec)
+    center, X = _chart_members(dec)
+    V = X - center
     m, n = V.shape
     c = np.zeros(A.shape[1] + 1)
     c[-1] = -1.0
@@ -560,11 +606,11 @@ def test_rank_deficient_rays_match_standalone_solves(seed, m):
     the t column replaces it."""
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * np.pi, m)
-    members = tuple(_qubit_state([0.3 * np.cos(a), 0.3 * np.sin(a), 0.0])
-                    for a in angles)
+    members = from_coords(
+        0.3 * np.column_stack([np.cos(angles), np.sin(angles), np.zeros(m)]))
     weights = rng.dirichlet(np.ones(m))
-    target = sum(w * to_coords(mb) for w, mb in zip(weights, members))
-    dec = DecompositionInput(_qubit_state(target), members, tuple(weights))
+    dec = DecompositionInput(from_coords(weights @ to_coords(members)),
+                             members, weights)
     A, b, _ = _ray_system(dec)
     state, _ = simplex._phase1(A, b, 1000)
     assert max(state.basis) >= m

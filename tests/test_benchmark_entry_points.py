@@ -15,7 +15,6 @@ import numpy as np
 import signpoly
 from signpoly import (
     DecompositionInput,
-    DensityMatrix,
     enumerate_pure_sign_perms,
     enumerate_sign_perm_vertices,
     make_canonical,
@@ -59,9 +58,9 @@ def test_traced_functions_resolve():
 def test_result_attributes_read_by_the_tracer():
     mixed = np.eye(2) / 2
     basis = traceless_hermitian_basis(2)
-    members = tuple(DensityMatrix(mixed + s * 0.4 * basis[k])
-                    for k in range(3) for s in (1, -1))
-    dec = DecompositionInput(DensityMatrix(mixed), members, (1 / 6,) * 6)
+    members = np.array([mixed + s * 0.4 * basis[k]
+                        for k in range(3) for s in (1, -1)])
+    dec = DecompositionInput(mixed, members, (1 / 6,) * 6)
     assert max_inscribed_cross_polytope(dec).spec.dimension == 3
     res = enumerate_pure_sign_perms(make_canonical("w"), filter="w-type")
     assert (res.total, res.retained) == (448, 256)

@@ -94,7 +94,7 @@ class TestStateIO:
         assert dec.dim == 2
         assert len(dec.members) == 6
         assert sum(dec.weights) == pytest.approx(1.0)
-        np.testing.assert_allclose(dec.target.matrix, MIXED_2, atol=1e-15)
+        np.testing.assert_allclose(dec.target, MIXED_2, atol=1e-15)
 
     def test_non_psd_matrix_document_rejected(self, tmp_path):
         path = _state_file(tmp_path, "bad.json", np.diag([1.5, -0.5]))
@@ -147,9 +147,9 @@ class TestStateIO:
         dec = stateio.load_decomposition(path)
         for member, a in zip(dec.members, amps):
             psi = np.array(a) / np.linalg.norm(a)
-            np.testing.assert_allclose(member.matrix, np.outer(psi, psi.conj()),
+            np.testing.assert_allclose(member, np.outer(psi, psi.conj()),
                                        atol=1e-15)
-            assert not member.matrix.flags.writeable
+        assert not dec.members.flags.writeable
 
     def test_format_error_is_reported_before_an_earlier_state_error(
             self, tmp_path, capsys):

@@ -348,6 +348,20 @@ def test_positive_ratio_pivot_that_leaves_the_objective_counts_as_stalled(
     assert calls == [1]
 
 
+def test_non_finite_pricing_raises(monkeypatch):
+    """A NaN in ``B^-1`` makes every reduced cost NaN, so no column
+    prices below ``-PIVOT_EPS``; with Bland's rule due at once, that is
+    a solver failure, not an IndexError from an empty candidate list."""
+    A = np.array([[1.0, 0.0, 1.0],
+                  [0.0, 1.0, 1.0]])
+    state = simplex._State(A, np.array([1.0, 1.0]))
+    state.T[0, 0] = np.nan
+    cost = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
+    with pytest.raises(SolverFailureError, match="non-finite"):
+        simplex._pivot_loop(state, cost, 5, 10, phase=1)
+
+
 @pytest.mark.parametrize("seed, ray", [(303, 12), (329, 9)])
 def test_phase2_cut_off_is_strict(seed, ray):
     """Phase 2 stopped at ``stop_above`` equal to the optimum runs to
