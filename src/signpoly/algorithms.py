@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DecompositionError, SolverFailureError
 from .geometry import CrossPolytopeSpec, _witness_violation
 from .majorization import DEFAULT_TOL, weakly_majorized
-from .quantum import DensityMatrix, _state_stack, from_coords, to_coords
+from .quantum import DensityMatrix, _chart, _state_stack, from_coords, to_coords
 from .simplex import _ray_maxima
 
 #: Inscribed scales at or below this mark the polytope as degenerate.
@@ -143,11 +143,14 @@ class QuantumCrossPolytope:
 def _chart_members(decomposition: DecompositionInput):
     """The chart point of the members' mean under the weights, clipped
     at 0 and renormalized (the chart of their weighted matrix sum, as
-    checked against the target), and the members' chart points."""
+    checked against the target), and the members' chart points.  The
+    members were validated as states when ``decomposition`` was built,
+    and so is any convex combination of them, so neither is checked
+    again."""
     weights = np.clip(decomposition.weights, 0.0, None)
     weights /= weights.sum()
     M = decomposition.members
-    return to_coords((weights[:, None, None] * M).sum(axis=0)), to_coords(M)
+    return _chart((weights[:, None, None] * M).sum(axis=0)), _chart(M)
 
 
 def max_inscribed_cross_polytope(

@@ -17,6 +17,7 @@ FILE arguments are JSON documents as described in
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -69,7 +70,13 @@ def _short(tol: float) -> str:
     return f"{tol:.0e}".replace("e-0", "e-")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use and then kept
+    for the process: parsing never changes it, and each ``parse_args``
+    returns a fresh namespace, so in-process callers of :func:`main`
+    stop paying for the build (and for collecting its reference
+    cycles) on every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help=f"membership/LP tolerance (default {_short(DEFAULT_TOL)})")

@@ -233,10 +233,15 @@ def to_coords(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     matrices, and :func:`from_coords` inverts it there.
     """
     if isinstance(rho, DensityMatrix):
-        M = rho.matrix
-    else:
-        M = np.asarray(rho, dtype=complex)
-        _check_states(M.reshape(math.prod(M.shape[:-2]), *M.shape[-2:]), psd=False)
+        return _chart(rho.matrix)
+    M = np.asarray(rho, dtype=complex)
+    _check_states(M.reshape(math.prod(M.shape[:-2]), *M.shape[-2:]), psd=False)
+    return _chart(M)
+
+
+def _chart(M: np.ndarray) -> np.ndarray:
+    """:func:`to_coords` of a complex ``(..., d, d)`` array already known
+    to hold Hermitian unit-trace matrices, without checking it again."""
     d = M.shape[-1]
     basis = traceless_hermitian_basis(d).reshape(d * d - 1, d * d)
     # Tr(M B) = sum_jk M_jk conj(B_jk) for Hermitian B, and conjugating

@@ -165,6 +165,26 @@ def test_result_optimality_certificates():
     assert not contained(poly.alpha + 1e-6)
 
 
+def test_construct_charts_its_validated_members_unchecked(monkeypatch):
+    """A ``DecompositionInput`` validates its states once: the search and
+    the certificate check chart them with no second state check, to the
+    same bits as the checked ``to_coords``."""
+    import signpoly
+
+    dec = _random_decomposition(3, 3, 20, 1.0)
+    weights = np.clip(dec.weights, 0.0, None)
+    weights /= weights.sum()
+    center, points = _chart_members(dec)
+    assert np.array_equal(points, to_coords(dec.members))
+    assert np.array_equal(
+        center, to_coords((weights[:, None, None] * dec.members).sum(axis=0)))
+    checks = []
+    monkeypatch.setattr(signpoly.quantum, "_check_states",
+                        lambda *args, **kwargs: checks.append(args))
+    assert certificate_holds(max_inscribed_cross_polytope(dec))
+    assert checks == []
+
+
 def test_vertex_states_are_valid_density_matrices():
     """One read-only (2n, d, d) stack whose rows chart to the vertices."""
     poly = max_inscribed_cross_polytope(_octahedral_decomposition(0.4))

@@ -541,6 +541,56 @@ def test_state_files_validated_at_fixed_tolerance(tmp_path):
     assert main(["check", mixed, bad, "--alpha", "0.1", "--tol", "1e-4"]) == 2
 
 
+# ------------------------------------------------ one parser per process
+
+def test_option_values_do_not_leak_between_calls(capsys):
+    assert main(["volume", "--dim", "2", "--alpha", "0.1",
+                 "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == 0.1
+    assert main(["volume", "--dim", "2", "--format", "structured"]) == 0
+    assert "alpha" not in json.loads(capsys.readouterr().out)
+
+
+def test_cap_env_is_read_on_every_call(w_example_file, monkeypatch):
+    monkeypatch.delenv("SIGNPOLY_CAP", raising=False)
+    assert main(["enumerate", w_example_file]) == 0
+    monkeypatch.setenv("SIGNPOLY_CAP", "100")
+    assert main(["enumerate", w_example_file]) == 3
+
+
+def test_argparse_exit_leaves_the_next_call_working(capsys):
+    import signpoly
+
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.strip() == signpoly.__version__
+    with pytest.raises(SystemExit) as info:
+        main(["volume", "--dim", "2", "--format", "yaml"])
+    assert info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["volume", "--dim", "2", "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 2
+
+
+def test_later_calls_build_no_parser(monkeypatch):
+    """The parser is built once per process: after one ``main`` call,
+    another constructs no ``ArgumentParser`` at all."""
+    import argparse
+
+    assert main(["volume", "--dim", "2"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["volume", "--dim", "3", "--alpha", "0.2"]) == 0
+    assert built == []
+
+
 def test_python_dash_m_entry_point():
     """``python -m signpoly``, run beside the package the tests import,
     so it needs no install and no ``PYTHONPATH``."""
