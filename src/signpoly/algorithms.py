@@ -176,8 +176,9 @@ def max_inscribed_cross_polytope(
     ``degenerate`` flag instead of raising.  Every ray keeps its LP
     weights, and the binding ray its LP dual, as the certificate.  A ray
     LP that is neither optimal nor cut off, a binding ray that is not
-    optimal, or a weight vector that misses its ray point by more than
-    ``lp_tol``, raises :class:`~signpoly.errors.SolverFailureError`.
+    optimal, or a certificate that :func:`certificate_holds` rejects at
+    ``lp_tol`` raises :class:`~signpoly.errors.SolverFailureError`, so
+    every scale returned is certified on both sides.
     """
     center, points = _chart_members(decomposition)
     m, n = points.shape
@@ -193,14 +194,6 @@ def max_inscribed_cross_polytope(
                 f"ray LP {sol.status}, though t = 0 is feasible in a bounded hull")
     z = np.array([sol.z for sol in sols])
     t = z[:, m]
-    # The ray point t s e_k is -t times the t column.
-    violation = _witness_violation(z[:, :m], points - center,
-                                   -t[:, None] * columns[:, :n]).max()
-    if not violation <= lp_tol:
-        raise SolverFailureError(
-            f"ray witness violation {violation:.3e} exceeds tolerance "
-            f"{lp_tol:.3e}"
-        )
     binding = int(np.argmin(t))
     if sols[binding].status != "optimal":
         raise SolverFailureError("the binding ray LP stopped before its optimum")
@@ -215,9 +208,15 @@ def max_inscribed_cross_polytope(
         hyperplane=sols[binding].dual[:n],
     )
     spec = CrossPolytopeSpec(scale=alpha, center=center)
-    return QuantumCrossPolytope(spec, decomposition,
+    poly = QuantumCrossPolytope(spec, decomposition,
                                 degenerate=alpha <= tol_alpha,
                                 certificate=certificate)
+    if not certificate_holds(poly, lp_tol):
+        raise SolverFailureError(
+            f"the certificate of scale {alpha!r} fails at tolerance "
+            f"{lp_tol:.3e}: a ray witness misses its point or the dual "
+            "does not bound the scale")
+    return poly
 
 
 def certificate_holds(poly: QuantumCrossPolytope,
@@ -300,6 +299,11 @@ def hs_volume(d: int) -> float:
     """Hilbert-Schmidt volume of the set of all d-level states:
     ``sqrt(d) * pi^(d(d-1)/2) / 2^((d-1)/2) * prod_{k=1..d} Gamma(k) / Gamma(d^2)``,
     evaluated in log space."""
+    return math.exp(_log_hs_volume(d))
+
+
+def _log_hs_volume(d: int) -> float:
+    """The log of :func:`hs_volume`."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
     log_v = (0.5 * math.log(d)
@@ -308,7 +312,7 @@ def hs_volume(d: int) -> float:
              - math.lgamma(d * d))
     for k in range(1, d + 1):
         log_v += math.lgamma(k)
-    return math.exp(log_v)
+    return log_v
 
 
 def robustness_fraction(d: int, alpha: float) -> float:

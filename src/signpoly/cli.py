@@ -10,8 +10,9 @@ Subcommands::
 
 FILE arguments are JSON documents as described in
 :mod:`signpoly.stateio`.  Exit codes: 0 success (for ``check``: member),
-1 non-member, 2 malformed or invalid input, 3 resource limit hit
-(enumeration cap or LP iteration cap).
+1 non-member, 2 malformed or invalid input, 3 resource limit hit or
+solver failure (enumeration cap, LP iteration cap, or a ``construct``
+scale whose certificate fails).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -29,6 +31,7 @@ from .algorithms import (
     DEFAULT_TOL_ALPHA,
     _displacement,
     _in_cross_polytope,
+    _log_hs_volume,
     hs_volume,
     max_inscribed_cross_polytope,
     robustness_fraction,
@@ -41,6 +44,8 @@ from .errors import (
 )
 from .geometry import (
     ENUMERATION_CAP,
+    _log_ball_volume,
+    _log_cross_polytope_volume,
     ball_volume,
     cross_polytope_volume,
     insphere_radius,
@@ -168,10 +173,8 @@ def _render_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, (list, dict)):
+    if isinstance(v, list):
         return json.dumps(v)
-    if v is None:
-        return "null"
     return str(v)
 
 
@@ -222,11 +225,14 @@ def cmd_tangle(args) -> int:
 
 def _fractions(d: int, alpha: float) -> dict:
     """The share of all d-level states in the cross-polytope of scale
-    ``alpha``, in closed form and as its volume over the HS volume."""
+    ``alpha``, in closed form and as its volume over the HS volume; the
+    ratio is taken of the logs, so it does not underflow where the HS
+    volume does."""
     return {
         "fraction_closed_form": robustness_fraction(d, alpha),
-        "fraction_volume_ratio": cross_polytope_volume(d * d - 1, alpha)
-        / hs_volume(d),
+        "fraction_volume_ratio": math.exp(
+            _log_cross_polytope_volume(d * d - 1, alpha) - _log_hs_volume(d))
+        if alpha > 0.0 else 0.0,
     }
 
 
@@ -308,7 +314,10 @@ def cmd_volume(args) -> int:
             **_fractions(d, args.alpha),
             "insphere_radius": radius,
             "ball_volume": ball,
-            "ball_to_cross_ratio": ball / cross if cross > 0.0 else 0.0,
+            "ball_to_cross_ratio": math.exp(
+                _log_ball_volume(n, radius)
+                - _log_cross_polytope_volume(n, args.alpha))
+            if radius > 0.0 else 0.0,
         })
     _emit(report, args.format)
     return EXIT_OK

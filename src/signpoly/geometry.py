@@ -231,9 +231,12 @@ def cross_polytope_volume(n: int, alpha: float) -> float:
     """Volume ``(2*alpha)^n / n!`` of the n-dimensional cross-polytope
     with circumradius ``alpha``, evaluated in log space."""
     _check_dim_scale(n, alpha)
-    if alpha == 0.0:
-        return 0.0
-    return math.exp(n * math.log(2.0 * alpha) - math.lgamma(n + 1))
+    return math.exp(_log_cross_polytope_volume(n, alpha)) if alpha > 0.0 else 0.0
+
+
+def _log_cross_polytope_volume(n: int, alpha: float) -> float:
+    """The log of :func:`cross_polytope_volume`, for ``alpha > 0``."""
+    return n * math.log(2.0 * alpha) - math.lgamma(n + 1)
 
 
 def insphere_radius(n: int, alpha: float) -> float:
@@ -246,10 +249,13 @@ def insphere_radius(n: int, alpha: float) -> float:
 def ball_volume(n: int, r: float) -> float:
     """Volume ``pi^(n/2) r^n / Gamma(n/2 + 1)`` of the n-ball."""
     _check_dim_scale(n, r)
-    if r == 0.0:
-        return 0.0
-    return math.exp(0.5 * n * math.log(math.pi) + n * math.log(r)
-                    - math.lgamma(0.5 * n + 1.0))
+    return math.exp(_log_ball_volume(n, r)) if r > 0.0 else 0.0
+
+
+def _log_ball_volume(n: int, r: float) -> float:
+    """The log of :func:`ball_volume`, for ``r > 0``."""
+    return (0.5 * n * math.log(math.pi) + n * math.log(r)
+            - math.lgamma(0.5 * n + 1.0))
 
 
 def _check_dim_scale(n: int, scale: float) -> None:

@@ -24,10 +24,12 @@ from signpoly import (
     robustness_fraction,
     robustness_member,
     simplex,
+    stateio,
     to_coords,
     traceless_hermitian_basis,
 )
 from signpoly.algorithms import _chart_members
+from signpoly.cli import main
 from signpoly.geometry import _witness_violation
 from signpoly.simplex import minimize_nonneg
 
@@ -82,6 +84,14 @@ class TestDecompositionInput:
         with pytest.raises(DecompositionError, match="nonnegative"):
             DecompositionInput(target=dec.target, members=dec.members,
                                weights=(0.5, 0.5, 0.5, -0.5, 0.5, -0.5))
+
+    @pytest.mark.parametrize("weights", [(1 / 5,) * 5, (1 / 7,) * 7,
+                                         ((1 / 6,) * 6,)])
+    def test_weights_must_match_the_members(self, weights):
+        dec = _octahedral_decomposition()
+        with pytest.raises(DecompositionError, match="equal length"):
+            DecompositionInput(target=dec.target, members=dec.members,
+                               weights=weights)
 
     def test_members_must_reconstruct_target(self):
         dec = _octahedral_decomposition()
@@ -395,6 +405,33 @@ def test_ray_witness_that_misses_raises(monkeypatch):
     monkeypatch.setattr(signpoly.algorithms, "_ray_maxima", heavy)
     with pytest.raises(SolverFailureError, match="ray witness"):
         max_inscribed_cross_polytope(_cube_decomposition(0.3))
+
+
+def test_construct_refuses_a_dual_that_does_not_bound_the_scale(
+        monkeypatch, tmp_path, capsys):
+    """A binding ray whose dual is halved still has every witness, but
+    its hyperplane only bounds the scale by twice alpha: the certificate
+    fails, and ``construct`` refuses the scale instead of printing it."""
+    import signpoly.algorithms
+    rays = signpoly.algorithms._ray_maxima
+
+    def halved(*args, **kwargs):
+        sols = list(rays(*args, **kwargs))
+        j = int(np.argmin([sol.z[-1] for sol in sols]))
+        sols[j] = dataclasses.replace(sols[j], dual=sols[j].dual / 2)
+        return sols
+
+    dec = _random_decomposition(7, 3, 20, 1.0)
+    monkeypatch.setattr(signpoly.algorithms, "_ray_maxima", halved)
+    with pytest.raises(SolverFailureError, match="dual does not bound"):
+        max_inscribed_cross_polytope(dec)
+    path = tmp_path / "dec.json"
+    stateio.save_document(path, stateio.decomposition_document(
+        3, dec.target, dec.members, dec.weights))
+    capsys.readouterr()
+    assert main(["construct", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "certificate" in out.err
 
 
 def test_certificate_checker_rejects_tampering():

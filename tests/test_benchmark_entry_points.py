@@ -1,13 +1,16 @@
-"""The names the benchmark reaches in ``signpoly`` still exist.
+"""The names the benchmark reaches in ``signpoly`` still exist, and its
+inputs stay answerable.
 
 ``perfbench/spans.py`` wraps functions by ``(module, name)`` and reads
 attributes off their results; a simplification that renames or removes
 one of them breaks ``perfbench/run.py --trace 1`` without failing any
-other test.
+other test.  Likewise a ``construct`` input that the library refuses
+shows up only as a failed benchmark operation.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +18,17 @@ import numpy as np
 import signpoly
 from signpoly import (
     DecompositionInput,
+    certificate_holds,
     enumerate_pure_sign_perms,
     enumerate_sign_perm_vertices,
     make_canonical,
     max_inscribed_cross_polytope,
+    stateio,
     traceless_hermitian_basis,
 )
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 PUBLIC_NAMES = [
     "DEFAULT_TOL", "ENUMERATION_CAP", "CrossPolytopeCertificate",
@@ -42,15 +48,18 @@ PUBLIC_NAMES = [
 ]
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(monkeypatch, name, path):
+    """The module at ``path``, registered as ``name`` for the test (its
+    dataclasses look their module up there)."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
 
 
-def test_traced_functions_resolve():
-    for modname, attr, *_ in _load_spans().TRACED:
+def test_traced_functions_resolve(monkeypatch):
+    for modname, attr, *_ in _load(monkeypatch, "perfbench_spans", SPANS).TRACED:
         module = importlib.import_module(f"signpoly.{modname}")
         assert callable(getattr(module, attr)), f"signpoly.{modname}.{attr}"
 
@@ -70,3 +79,17 @@ def test_result_attributes_read_by_the_tracer():
 def test_public_names():
     assert sorted(signpoly.__all__) == sorted(PUBLIC_NAMES)
     assert len(PUBLIC_NAMES) == 44
+
+
+def test_construct_workload_inputs_certify(tmp_path, monkeypatch):
+    """Every decomposition of the seed-3 ``construct`` workload loads and
+    gets a scale whose certificate holds, so the refusal of an
+    uncertified scale cannot turn a benchmark operation into a failure."""
+    workloads = _load(monkeypatch, "perfbench_workloads",
+                      PERFBENCH / "workloads.py")
+    workloads.build_construct(np.random.default_rng(3), tmp_path, signpoly)
+    paths = sorted(tmp_path.glob("*.json"))
+    assert len(paths) == 126
+    for path in paths:
+        poly = max_inscribed_cross_polytope(stateio.load_decomposition(path))
+        assert certificate_holds(poly), path.name

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +216,31 @@ class TestStateIO:
         with pytest.raises(stateio.FileFormatError):
             stateio.load_state(path)
 
+    @pytest.mark.parametrize("change", [
+        {"kind": "state"},                                    # wrong kind
+        {"dim": 1},                                           # dim too small
+        {"dim": "2"},                                         # dim not an integer
+        {"target": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]},  # bare list
+        {"members": []},                                      # no members
+        {"members": {"matrix": [[0.5, 0.0]] * 4}},            # not a list
+        {"members": [[[0.5, 0.0]] * 4] * 6},                  # bare lists
+        {"weights": [1 / 5] * 5},                             # one too few
+        {"weights": [1 / 6] * 5 + ["0.1"]},                   # a string
+        {"weights": None},                                    # missing
+    ], ids=["kind", "dim", "dim-type", "target", "members-empty",
+            "members-object", "member-list", "weights-length",
+            "weights-string", "weights-none"])
+    def test_malformed_decomposition_documents(self, tmp_path, capsys,
+                                               octahedral_file, change):
+        doc = json.loads(Path(octahedral_file).read_text())
+        doc.update(change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(stateio.FileFormatError):
+            stateio.load_decomposition(path)
+        assert main(["construct", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_pairs_parse_as_complex_does(self):
         """The array parse of ``[re, im]`` pairs gives ``complex(re, im)``
         bit for bit on every kind of JSON number, NaN and infinities
@@ -281,6 +307,18 @@ def test_enumerate_show_states(capsys, ghz_file):
     assert np.linalg.norm(amp) == pytest.approx(1.0)
 
 
+def test_enumerate_show_states_as_text(capsys, ghz_file):
+    """Text output writes the shown states as one JSON list of states,
+    each a list of ``[re, im]`` pairs."""
+    assert main(["enumerate", ghz_file, "--show", "2"]) == 0
+    states = json.loads(_parse_text(capsys.readouterr().out)["states"])
+    assert len(states) == 2
+    for state in states:
+        amp = np.array([complex(re, im) for re, im in state])
+        assert amp.shape == (8,)
+        assert np.linalg.norm(amp) == pytest.approx(1.0)
+
+
 def test_enumerate_bloch_target(capsys, tmp_path):
     path = _state_file(tmp_path, "zero.json", np.diag([1.0, 0.0]))
     rc = main(["enumerate", path, "--target", "bloch"])
@@ -299,6 +337,11 @@ def test_enumerate_cap_env(w_example_file, monkeypatch):
     assert main(["enumerate", w_example_file]) == 3
     # an explicit flag wins over the environment
     assert main(["enumerate", w_example_file, "--cap", "30000"]) == 0
+
+
+def test_enumerate_cap_below_one(w_example_file, capsys):
+    assert main(["enumerate", w_example_file, "--cap", "0"]) == 2
+    assert "at least 1" in capsys.readouterr().err
 
 
 def test_enumerate_bad_cap_env(w_example_file, monkeypatch, capsys):
@@ -467,6 +510,26 @@ def test_volume_zero_scale(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert (doc["insphere_radius"], doc["ball_volume"], doc["cross_volume"],
             doc["ball_to_cross_ratio"]) == (0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("d", [12, 20])
+def test_volume_ratios_survive_underflow(capsys, d):
+    """The HS volume underflows past d = 19 and the cross and ball
+    volumes long before; the volume-ratio fraction and the ball-to-cross
+    ratio are taken of their logs, so they match the closed form and
+    stay positive, and the ratio does not depend on the scale."""
+    docs = {}
+    for alpha in ("0.1", "0.5"):
+        rc = main(["volume", "--dim", str(d), "--alpha", alpha,
+                   "--format", "structured"])
+        assert rc == 0
+        docs[alpha] = doc = json.loads(capsys.readouterr().out)
+        assert doc["fraction_volume_ratio"] == pytest.approx(
+            doc["fraction_closed_form"], rel=1e-12)
+        assert doc["ball_to_cross_ratio"] > 0.0
+    assert docs["0.5"]["fraction_volume_ratio"] > 0.0
+    assert docs["0.1"]["ball_to_cross_ratio"] == pytest.approx(
+        docs["0.5"]["ball_to_cross_ratio"], rel=1e-12)
 
 
 def test_volume_without_alpha(capsys):
