@@ -9,21 +9,23 @@ what the commands print can be checked against its parent::
     python3 bench/cli_diff.py --src ../parent/src
     python3 bench/cli_diff.py --src ../parent/src --against ../other/src
 
-The 138 cases, with input documents written from numpy alone (seeded,
+The 158 cases, with input documents written from numpy alone (seeded,
 so every run writes the same files):
 
-- ``volume``: d in {2, 3, 4, 5} at alpha in {0, 0.1, 0.4, 1, -1, nan},
-  and each d without ``--alpha``;
+- ``volume``: d in {2, 3, 4, 5} at alpha in {0, 0.1, 0.4, 1, -1, nan,
+  1e200}, and each d without ``--alpha``;
 - ``check``: four centre/probe pairs (d = 2, 3, 4, and a close d = 2
-  pair) at alpha in {0, 0.2, 0.7, 3, -1};
+  pair) at alpha in {0, 0.2, 0.7, 3, -1, 1e200};
 - ``construct``: six seeded decompositions with d = 2-4, one of them
   with Dirichlet(0.05) weights, each with and without
-  ``--verify-probes 20 --seed S``;
+  ``--verify-probes 20 --seed S``, and the first with
+  ``--verify-probes -1`` (exit 2);
 - ``enumerate``: a seeded signed permutation (and global phase) of the
   README's three-qubit example under ``--filter any-pure``, ``w-type``,
-  ``w-type --show 3`` and ``--cap 100`` (exit 3); seeded qutrit and
-  qubit states under ``--target bloch``, the qubit with ``--show 3``;
-  and ``w-type`` with ``bloch``, which is refused (exit 2);
+  ``w-type --show 3``, ``w-type --show -1`` (exit 2) and ``--cap 100``
+  (exit 3); seeded qutrit and qubit states under ``--target bloch``,
+  the qubit with ``--show 3``; and ``w-type`` with ``bloch``, which is
+  refused (exit 2);
 - ``tangle``: the GHZ and the W state;
 
 each in the text and the structured format.  Prints one JSON object
@@ -51,8 +53,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 VOLUME_DIMS = (2, 3, 4, 5)
-ALPHAS = ("0", "0.1", "0.4", "1", "-1", "nan")
-CHECK_ALPHAS = ("0", "0.2", "0.7", "3", "-1")
+ALPHAS = ("0", "0.1", "0.4", "1", "-1", "nan", "1e200")
+CHECK_ALPHAS = ("0", "0.2", "0.7", "3", "-1", "1e200")
 #: (seed, d, members, Dirichlet concentration of the weights)
 DECOMPOSITIONS = ((0, 2, 6, 1.0), (1, 2, 9, 1.0), (2, 3, 12, 1.0),
                   (3, 3, 20, 1.0), (4, 4, 24, 1.0), (5, 3, 14, 0.05))
@@ -116,6 +118,7 @@ def cases(workdir: Path) -> list[list[str]]:
         runs.append(["construct", path])
         runs.append(["construct", path, "--verify-probes", "20",
                      "--seed", str(seed + 7)])
+    runs.append(["construct", str(workdir / "dec0.json"), "--verify-probes", "-1"])
 
     rng = np.random.default_rng(16)
     w = np.zeros(8, dtype=complex)
@@ -131,6 +134,7 @@ def cases(workdir: Path) -> list[list[str]]:
     runs += [["enumerate", w_path, "--filter", "any-pure"],
              ["enumerate", w_path, "--filter", "w-type"],
              ["enumerate", w_path, "--filter", "w-type", "--show", "3"],
+             ["enumerate", w_path, "--filter", "w-type", "--show", "-1"],
              ["enumerate", w_path, "--cap", "100"],
              ["enumerate", qutrit, "--target", "bloch"],
              ["enumerate", qubit, "--target", "bloch", "--show", "3"],

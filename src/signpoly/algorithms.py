@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, SolverFailureError
-from .geometry import CrossPolytopeSpec, _witness_violation
-from .majorization import DEFAULT_TOL, weakly_majorized
+from .geometry import CrossPolytopeSpec, _exp, _witness_violation
+from .majorization import DEFAULT_TOL, _weakly_majorized
 from .quantum import DensityMatrix, _chart, _state_stack, from_coords, to_coords
 from .simplex import _ray_maxima
 
@@ -94,20 +94,26 @@ class CrossPolytopeCertificate:
     :meth:`CrossPolytopeSpec.vertices`.  Row ``j`` of ``witnesses`` holds
     the member weights of its ray LP, which reach ``t[j] s e_k`` in the
     hull of the members translated by their weighted mean.  The binding
-    direction is the one whose ``t`` is the scale, and its ``t`` is the
-    LP optimum, the largest such ``t``; for any other direction ``t[j]``
-    is a ``t`` above the scale that its witness reaches, not its
-    maximum.  ``hyperplane`` is the binding ray's LP dual ``u``, as the
-    solver returns it: ``u . v <= alpha`` on every translated member and
-    ``s u_k >= 1`` at the binding axis, so no scale above ``alpha`` fits.
-    See :func:`certificate_holds`.
+    direction is the first one whose ``t`` is the smallest, the scale,
+    and its ``t`` is the LP optimum, the largest such ``t``; for any
+    other direction ``t[j]`` is a ``t`` above the scale that its witness
+    reaches, not its maximum.  ``hyperplane`` is the binding ray's LP
+    dual ``u``, as the solver returns it: ``u . v <= alpha`` on every
+    translated member and ``s u_k >= 1`` at the binding axis, so no
+    scale above ``alpha`` fits.  See :func:`certificate_holds`.
     """
 
     t: np.ndarray
     witnesses: np.ndarray
-    binding_axis: int
-    binding_sign: int
     hyperplane: np.ndarray
+
+    @property
+    def binding_axis(self) -> int:
+        return int(np.argmin(self.t)) % (len(self.t) // 2)
+
+    @property
+    def binding_sign(self) -> int:
+        return 1 if int(np.argmin(self.t)) < len(self.t) // 2 else -1
 
 
 @dataclass
@@ -201,22 +207,15 @@ def max_inscribed_cross_polytope(
     # The dual (u, u0) of the binding ray has u . x + u0 <= 0 on every
     # member, s u_k >= 1 and u . c + u0 = -alpha: u . (x - c) <= alpha.
     certificate = CrossPolytopeCertificate(
-        t=t,
-        witnesses=z[:, :m],
-        binding_axis=binding % n,
-        binding_sign=1 if binding < n else -1,
-        hyperplane=sols[binding].dual[:n],
-    )
-    spec = CrossPolytopeSpec(scale=alpha, center=center)
-    poly = QuantumCrossPolytope(spec, decomposition,
-                                degenerate=alpha <= tol_alpha,
-                                certificate=certificate)
-    if not certificate_holds(poly, lp_tol):
+        t=t, witnesses=z[:, :m], hyperplane=sols[binding].dual[:n])
+    if not _certified(certificate, alpha, center, points, lp_tol):
         raise SolverFailureError(
             f"the certificate of scale {alpha!r} fails at tolerance "
             f"{lp_tol:.3e}: a ray witness misses its point or the dual "
             "does not bound the scale")
-    return poly
+    return QuantumCrossPolytope(CrossPolytopeSpec(scale=alpha, center=center),
+                                decomposition, degenerate=alpha <= tol_alpha,
+                                certificate=certificate)
 
 
 def certificate_holds(poly: QuantumCrossPolytope,
@@ -226,29 +225,26 @@ def certificate_holds(poly: QuantumCrossPolytope,
 
     Primal side: every direction's weights are a convex combination
     reaching ``t_j s_j e_k`` within ``tol``, and the scale is the
-    smallest ``t_j``, attained at the binding direction.  With the
-    centre the members' weighted mean, every vertex then lies in the
-    hull.  Dual side: ``max_j u . v_j <= alpha + tol`` over the
-    translated members and ``s* u_k* >= 1 - tol`` at the binding axis,
-    so every hull point ``beta s* e_k*`` has ``beta <= (alpha + tol) /
-    (1 - tol)``: an absolute bound at ``tol``, as the primal side's.
-    NaN anywhere fails, and so does a ``t``, ``witnesses`` or
-    ``hyperplane`` not of shape ``(2n,)``, ``(2n, m)`` or ``(n,)`` over
-    the ``m`` members, a binding axis that is not an integer in
-    ``0 .. n-1``, or a binding sign other than ``+1`` or ``-1``.
+    smallest ``t_j``.  With the centre the members' weighted mean, every
+    vertex then lies in the hull.  Dual side: ``max_j u . v_j <= alpha +
+    tol`` over the translated members and ``s* u_k* >= 1 - tol`` at the
+    binding direction (the first smallest ``t_j``), so every hull point
+    ``beta s* e_k*`` has ``beta <= (alpha + tol) / (1 - tol)``: an
+    absolute bound at ``tol``, as the primal side's.  NaN anywhere
+    fails, and so does a ``t``, ``witnesses`` or ``hyperplane`` not of
+    shape ``(2n,)``, ``(2n, m)`` or ``(n,)`` over the ``m`` members.
     """
-    cert = poly.certificate
-    center, points = _chart_members(poly.provenance)
+    return _certified(poly.certificate, poly.alpha,
+                      *_chart_members(poly.provenance), tol)
+
+
+def _certified(cert: CrossPolytopeCertificate, alpha: float,
+               center: np.ndarray, points: np.ndarray, tol: float) -> bool:
+    """:func:`certificate_holds` on the chart ``center, points`` it was posed on."""
     V = points - center
     m, n = V.shape
     if (np.shape(cert.t) != (2 * n,) or np.shape(cert.witnesses) != (2 * n, m)
-            or np.shape(cert.hyperplane) != (n,)
-            or not isinstance(cert.binding_axis, (int, np.integer))
-            or not 0 <= cert.binding_axis < n or cert.binding_sign not in (1, -1)):
-        return False
-    alpha = poly.alpha
-    binding = cert.binding_axis + (0 if cert.binding_sign > 0 else n)
-    if cert.t.min() != alpha or cert.t[binding] != alpha:
+            or np.shape(cert.hyperplane) != (n,) or cert.t.min() != alpha):
         return False
     points = np.vstack([np.eye(n), -np.eye(n)]) * cert.t[:, None]
     if not _witness_violation(cert.witnesses, V, points).max() <= tol:
@@ -292,7 +288,7 @@ def _in_cross_polytope(c: np.ndarray, alpha: float, tol: float) -> bool:
     the sign-permutation polytope of ``(alpha, 0, ..., 0)``."""
     anchor = np.zeros(c.size)
     anchor[0] = alpha
-    return weakly_majorized(np.abs(c), anchor, tol=tol)
+    return _weakly_majorized(np.abs(c), anchor, tol)
 
 
 def hs_volume(d: int) -> float:
@@ -336,4 +332,4 @@ def robustness_fraction(d: int, alpha: float) -> float:
              - 0.5 * d * (d - 1) * math.log(math.pi))
     for k in range(1, d + 1):
         log_f -= math.lgamma(k)
-    return math.exp(log_f)
+    return _exp(log_f, "robustness fraction")

@@ -44,6 +44,7 @@ from .errors import (
 )
 from .geometry import (
     ENUMERATION_CAP,
+    _exp,
     _log_ball_volume,
     _log_cross_polytope_volume,
     ball_volume,
@@ -192,6 +193,8 @@ def _load_pure(path) -> tuple[PureState, float | None]:
 
 
 def cmd_enumerate(args) -> int:
+    if args.show < 0:
+        raise ValueError("--show must be nonnegative")
     cap = _resolve_cap(args)
     psi, norm = _load_pure(args.file)
     result = enumerate_pure_sign_perms(
@@ -230,13 +233,15 @@ def _fractions(d: int, alpha: float) -> dict:
     volume does."""
     return {
         "fraction_closed_form": robustness_fraction(d, alpha),
-        "fraction_volume_ratio": math.exp(
-            _log_cross_polytope_volume(d * d - 1, alpha) - _log_hs_volume(d))
-        if alpha > 0.0 else 0.0,
+        "fraction_volume_ratio": _exp(
+            _log_cross_polytope_volume(d * d - 1, alpha) - _log_hs_volume(d),
+            "volume ratio") if alpha > 0.0 else 0.0,
     }
 
 
 def cmd_construct(args) -> int:
+    if args.verify_probes < 0:
+        raise ValueError("--verify-probes must be nonnegative")
     decomposition = load_decomposition(args.file)
     poly = max_inscribed_cross_polytope(
         decomposition, tol_alpha=args.tol_alpha, lp_tol=args.tol

@@ -17,7 +17,7 @@ from numpy.typing import ArrayLike
 
 from . import _enum
 from .errors import DimensionMismatchError, EnumerationTooLargeError, SolverFailureError
-from .majorization import DEFAULT_TOL, as_coords
+from .majorization import DEFAULT_TOL, _check_finite, _check_same_dim, as_coords
 from .simplex import feasible_nonneg
 
 #: Default ceiling on the number of vertices an enumeration may produce.
@@ -216,22 +216,24 @@ def hulls_disjoint(a: ArrayLike, b: ArrayLike, tol: float = DEFAULT_TOL) -> bool
 
     Each hull lies in the hyperplane of constant coordinate sum, so the
     hulls meet exactly when the two sums agree; sums within ``tol`` of
-    each other count as meeting.
+    each other count as meeting.  A NaN or infinite entry raises
+    ``ValueError``.
     """
     av = as_coords(a)
     bv = as_coords(b)
-    if av.size != bv.size:
-        raise DimensionMismatchError(
-            f"points have different dimensions: {av.size} vs {bv.size}"
-        )
-    return abs(float(av.sum()) - float(bv.sum())) > tol
+    _check_same_dim(av, bv)
+    gap = abs(float(av.sum()) - float(bv.sum()))
+    if not math.isfinite(gap):
+        _check_finite(av, bv)
+    return gap > tol
 
 
 def cross_polytope_volume(n: int, alpha: float) -> float:
     """Volume ``(2*alpha)^n / n!`` of the n-dimensional cross-polytope
     with circumradius ``alpha``, evaluated in log space."""
     _check_dim_scale(n, alpha)
-    return math.exp(_log_cross_polytope_volume(n, alpha)) if alpha > 0.0 else 0.0
+    return (_exp(_log_cross_polytope_volume(n, alpha), "cross-polytope volume")
+            if alpha > 0.0 else 0.0)
 
 
 def _log_cross_polytope_volume(n: int, alpha: float) -> float:
@@ -249,13 +251,25 @@ def insphere_radius(n: int, alpha: float) -> float:
 def ball_volume(n: int, r: float) -> float:
     """Volume ``pi^(n/2) r^n / Gamma(n/2 + 1)`` of the n-ball."""
     _check_dim_scale(n, r)
-    return math.exp(_log_ball_volume(n, r)) if r > 0.0 else 0.0
+    return _exp(_log_ball_volume(n, r), "ball volume") if r > 0.0 else 0.0
 
 
 def _log_ball_volume(n: int, r: float) -> float:
     """The log of :func:`ball_volume`, for ``r > 0``."""
     return (0.5 * n * math.log(math.pi) + n * math.log(r)
             - math.lgamma(0.5 * n + 1.0))
+
+
+def _exp(log_v: float, what: str) -> float:
+    """``exp(log_v)`` of a closed form evaluated in log space, or
+    ``ValueError`` naming ``what`` when it does not fit a float."""
+    try:
+        v = math.exp(log_v)
+    except OverflowError:
+        v = math.inf
+    if v == math.inf:
+        raise ValueError(f"the {what} overflows a float")
+    return v
 
 
 def _check_dim_scale(n: int, scale: float) -> None:

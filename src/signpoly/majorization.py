@@ -9,10 +9,12 @@ live in :mod:`signpoly.geometry`.
 
 All predicates take a tolerance (default ``1e-9``) and treat the hulls
 as closed: boundary points, including the vertices themselves, count as
-members.
+members.  A NaN or infinite entry raises ``ValueError``, never a verdict.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -37,6 +39,14 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
+def _check_finite(*points: np.ndarray) -> None:
+    """Raise on a NaN or infinite entry of any of ``points``.  Any such
+    entry makes a sum over them non-finite, so callers test a sum they
+    already have first, and finite input pays one scalar test."""
+    if not all(np.isfinite(p).all() for p in points):
+        raise ValueError("point coordinates must be finite")
+
+
 def _partial_sums_desc(arr: np.ndarray) -> np.ndarray:
     # Only the sorted values matter for partial sums, so plain sort is fine.
     return np.cumsum(np.sort(arr)[::-1])
@@ -54,7 +64,10 @@ def majorizes(b: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bool:
     _check_same_dim(av, bv)
     sa = _partial_sums_desc(av)
     sb = _partial_sums_desc(bv)
-    if abs(sa[-1] - sb[-1]) > tol:
+    gap = abs(sa.item(-1) - sb.item(-1))
+    if not math.isfinite(gap):
+        _check_finite(av, bv)
+    if gap > tol:
         return False
     return bool(np.all(sa <= sb + tol))
 
@@ -69,8 +82,15 @@ def weakly_majorized(x: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bo
     xv = as_coords(x)
     av = as_coords(a)
     _check_same_dim(xv, av)
+    return _weakly_majorized(xv, av, tol)
+
+
+def _weakly_majorized(xv: np.ndarray, av: np.ndarray, tol: float) -> bool:
+    """:func:`weakly_majorized` on 1-d float arrays of one size."""
     sx = _partial_sums_desc(xv)
     sa = _partial_sums_desc(av)
+    if not math.isfinite(sx.item(-1) + sa.item(-1)):
+        _check_finite(xv, av)
     return bool(np.all(sx <= sa + tol))
 
 
@@ -92,4 +112,4 @@ def sign_perm_member(x: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bo
     xv = as_coords(x)
     av = as_coords(a)
     _check_same_dim(xv, av)
-    return weakly_majorized(np.abs(xv), np.abs(av), tol=tol)
+    return _weakly_majorized(np.abs(xv), np.abs(av), tol)

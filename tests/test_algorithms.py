@@ -460,14 +460,8 @@ def test_certificate_checker_rejects_tampering():
     for witnesses in (negative, heavy, cert.witnesses[:0], cert.witnesses[:1]):
         assert not certificate_holds(dataclasses.replace(
             poly, certificate=dataclasses.replace(cert, witnesses=witnesses)))
-    # a t, hyperplane, binding axis or binding sign that does not fit the
-    # chart: a float axis, or a sign of 2 with the hyperplane halved to
-    # match, which would only bound the scale by 2 alpha
-    for tampered in (dict(t=cert.t[:-1]), dict(hyperplane=cert.hyperplane[:-1]),
-                     dict(binding_axis=len(cert.hyperplane)),
-                     dict(binding_axis=float(cert.binding_axis)),
-                     dict(binding_sign=2 * cert.binding_sign,
-                          hyperplane=cert.hyperplane / 2)):
+    # a t or hyperplane that does not fit the chart
+    for tampered in (dict(t=cert.t[:-1]), dict(hyperplane=cert.hyperplane[:-1])):
         assert not certificate_holds(dataclasses.replace(
             poly, certificate=dataclasses.replace(cert, **tampered)))
     # a hyperplane too shallow to cut off the binding vertex
@@ -478,6 +472,46 @@ def test_certificate_checker_rejects_tampering():
     assert not certificate_holds(dataclasses.replace(
         poly, certificate=dataclasses.replace(
             cert, hyperplane=cert.hyperplane * 1.01)))
+
+
+@pytest.mark.parametrize("dec", [
+    pytest.param(lambda: _random_decomposition(7, 3, 20, 1.0), id="random"),
+    pytest.param(lambda: _octahedral_decomposition(0.4), id="octahedral-tied"),
+    pytest.param(lambda: DecompositionInput(
+        target=from_coords([0.2, 0.0, 0.0]),
+        members=(_qubit_state([0.2, 0.0, 0.0]).matrix,) * 4,
+        weights=(0.25,) * 4), id="degenerate-tied"),
+])
+def test_binding_direction_is_the_first_smallest_t(dec):
+    """The binding direction is read from ``t``: its first minimum, as
+    axis ``j % n`` with sign ``+1`` for ``j < n``.  The octahedral rays
+    tie to roundoff; on coinciding members every ``t`` is exactly 0,
+    and the binding direction is axis 0, ``+1``."""
+    cert = max_inscribed_cross_polytope(dec()).certificate
+    n = len(cert.t) // 2
+    j = int(np.argmin(cert.t))
+    assert cert.t[j] == cert.t.min()
+    assert cert.binding_axis == j % n
+    assert cert.binding_sign == (1 if j < n else -1)
+    assert isinstance(cert.binding_axis, int)
+    if np.all(cert.t == cert.t[0]):
+        assert (cert.binding_axis, cert.binding_sign) == (0, 1)
+    # nothing stored can disagree with t: moving its minimum moves them
+    moved = dataclasses.replace(cert, t=np.roll(cert.t, 1))
+    k = int(np.argmin(moved.t))
+    assert (moved.binding_axis, moved.binding_sign) == (k % n, 1 if k < n else -1)
+
+
+def test_one_chart_per_search(monkeypatch):
+    """A search charts its centre and its members once, and checks its
+    certificate on that chart: two chart calls, not four."""
+    import signpoly.algorithms
+    calls = []
+    chart = signpoly.algorithms._chart
+    monkeypatch.setattr(signpoly.algorithms, "_chart",
+                        lambda M: calls.append(1) or chart(M))
+    max_inscribed_cross_polytope(_random_decomposition(7, 3, 20, 1.0))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("offset", [0.0, 5e-9])
@@ -765,6 +799,8 @@ def test_robustness_fraction_qubit_closed_form():
     assert robustness_fraction(2, 0.0) == 0.0
     with pytest.raises(ValueError):
         robustness_fraction(1, 0.1)
+    with pytest.raises(ValueError, match="robustness fraction overflows"):
+        robustness_fraction(3, 1e100)
     with pytest.raises(ValueError):
         robustness_fraction(2, -0.1)
 

@@ -344,6 +344,12 @@ def test_enumerate_cap_below_one(w_example_file, capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+def test_enumerate_negative_show(w_example_file, capsys):
+    assert main(["enumerate", w_example_file, "--show", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--show must be nonnegative" in captured.err
+
+
 def test_enumerate_bad_cap_env(w_example_file, monkeypatch, capsys):
     monkeypatch.setenv("SIGNPOLY_CAP", "many")
     assert main(["enumerate", w_example_file]) == 2
@@ -382,6 +388,13 @@ def test_construct_verify_probes(capsys, octahedral_file):
     assert doc["probes_checked"] == 25
     assert doc["probes_inside"] == 25
     assert doc["seed"] == 11
+
+
+def test_construct_negative_verify_probes(capsys, octahedral_file):
+    assert main(["construct", octahedral_file, "--verify-probes", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out == ""
+            and "--verify-probes must be nonnegative" in captured.err)
 
 
 def test_construct_too_few_members(tmp_path, capsys):
@@ -530,6 +543,23 @@ def test_volume_ratios_survive_underflow(capsys, d):
     assert docs["0.5"]["fraction_volume_ratio"] > 0.0
     assert docs["0.1"]["ball_to_cross_ratio"] == pytest.approx(
         docs["0.5"]["ball_to_cross_ratio"], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (["volume", "--dim", "2", "--alpha", "1e308"], "cross-polytope volume"),
+    (["volume", "--dim", "3", "--alpha", "1e40"], "cross-polytope volume"),
+    (["check", "--alpha", "1e200"], "robustness fraction"),
+], ids=["volume-d2", "volume-d3", "check"])
+def test_overflowing_volume_is_bad_input(tmp_path, capsys, argv, quantity):
+    """A volume or fraction too large for a float is invalid input (exit
+    2) with one error line naming it, never a verdict or a traceback."""
+    if argv[0] == "check":
+        a = _state_file(tmp_path, "a.json", MIXED_2)
+        argv = ["check", a, a, *argv[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the {quantity} overflows a float\n"
 
 
 def test_volume_without_alpha(capsys):

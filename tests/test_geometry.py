@@ -527,6 +527,18 @@ def test_ball_volume_closed_forms():
     assert ball_volume(5, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("volume, n, scale, what", [
+    (cross_polytope_volume, 3, 1e200, "cross-polytope volume"),
+    # 2 * alpha overflows before the exp
+    (cross_polytope_volume, 3, 1e308, "cross-polytope volume"),
+    (cross_polytope_volume, 1, 1e308, "cross-polytope volume"),
+    (ball_volume, 8, 1e40, "ball volume"),
+])
+def test_volume_that_does_not_fit_a_float_raises(volume, n, scale, what):
+    with pytest.raises(ValueError, match=f"the {what} overflows a float"):
+        volume(n, scale)
+
+
 def test_insphere_radius_is_facet_distance():
     # the nearest facet spans the all-positive vertices; its plane is
     # sum(x) = alpha with unit normal 1/sqrt(n)

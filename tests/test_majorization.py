@@ -3,6 +3,7 @@ import pytest
 
 from signpoly import (
     DimensionMismatchError,
+    hulls_disjoint,
     majorizes,
     rado_member,
     sign_perm_member,
@@ -128,3 +129,22 @@ def test_scalar_dimension():
     assert weakly_majorized([1.0], [2.0])
     assert sign_perm_member([-1.5], [2.0])
     assert not sign_perm_member([2.5], [2.0])
+
+
+# inf - inf in the partial sums warns before the check raises
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("predicate", [majorizes, weakly_majorized, rado_member,
+                                       sign_perm_member, hulls_disjoint])
+@pytest.mark.parametrize("x, a", [
+    ([0.5, 0.0], [np.inf, 0.0]),
+    ([np.inf, 0.0], [0.5, 0.5]),
+    ([0.5, np.nan], [0.5, 0.5]),
+    ([0.5, 0.5], [np.nan, 0.0]),
+    ([np.inf, -np.inf], [1.0, 1.0]),
+], ids=["inf-anchor", "inf-point", "nan-point", "nan-anchor", "inf-minus-inf"])
+def test_non_finite_entries_raise(predicate, x, a):
+    """A NaN or infinite entry is refused, as the vertex route refuses
+    it, never read as a verdict."""
+    with pytest.raises(ValueError, match="finite"):
+        predicate(x, a)
+
