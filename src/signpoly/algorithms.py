@@ -180,11 +180,12 @@ def max_inscribed_cross_polytope(
     always runs to its optimum.  A centre on the hull boundary gives a
     scale at or near 0; scales at or below ``tol_alpha`` carry the
     ``degenerate`` flag instead of raising.  Every ray keeps its LP
-    weights, and the binding ray its LP dual, as the certificate.  A ray
-    LP that is neither optimal nor cut off, a binding ray that is not
-    optimal, or a certificate that :func:`certificate_holds` rejects at
-    ``lp_tol`` raises :class:`~signpoly.errors.SolverFailureError`, so
-    every scale returned is certified on both sides.
+    weights, and the binding ray its LP dual, as the certificate.  A
+    shared phase 1 that leaves ``t = 0`` infeasible at ``lp_tol``, a ray
+    with no admissible pivot, a binding ray that is not optimal, or a
+    certificate that :func:`certificate_holds` rejects at ``lp_tol``
+    raises :class:`~signpoly.errors.SolverFailureError`, so every scale
+    returned is certified on both sides.
     """
     center, points = _chart_members(decomposition)
     m, n = points.shape
@@ -194,10 +195,6 @@ def max_inscribed_cross_polytope(
     columns = np.vstack([-np.eye(n, n + 1), np.eye(n, n + 1)])
 
     sols = list(_ray_maxima(A, b, columns, lp_tol))
-    for sol in sols:
-        if sol.status not in ("optimal", "cut-off"):
-            raise SolverFailureError(
-                f"ray LP {sol.status}, though t = 0 is feasible in a bounded hull")
     z = np.array([sol.z for sol in sols])
     t = z[:, m]
     binding = int(np.argmin(t))

@@ -54,9 +54,7 @@ from .geometry import (
 from .majorization import DEFAULT_TOL
 from .quantum import (
     PureState,
-    _state_stack,
     enumerate_pure_sign_perms,
-    from_coords,
     hs_distance,
     pure_from_density,
     three_tangle,
@@ -249,9 +247,8 @@ def cmd_construct(args) -> int:
     d = poly.dim
     alpha = poly.alpha
     spec = poly.spec
-    verts = spec.vertices().array
     try:
-        valid = len(_state_stack(from_coords(verts)))
+        valid = len(poly.vertex_states())
     except StateValidationError:
         valid = 0
     report = {
@@ -273,6 +270,7 @@ def cmd_construct(args) -> int:
     }
     if args.verify_probes > 0 and not poly.degenerate:
         rng = np.random.default_rng(args.seed)
+        verts = spec.vertices().array
         hits = 0
         for _ in range(args.verify_probes):
             w = rng.dirichlet(np.ones(len(verts)))

@@ -17,7 +17,7 @@ from numpy.typing import ArrayLike
 
 from . import _enum
 from .errors import DimensionMismatchError, EnumerationTooLargeError, SolverFailureError
-from .majorization import DEFAULT_TOL, _check_finite, _check_same_dim, as_coords
+from .majorization import DEFAULT_TOL, _check_same_dim, _check_sums, as_coords
 from .simplex import feasible_nonneg
 
 #: Default ceiling on the number of vertices an enumeration may produce.
@@ -216,15 +216,16 @@ def hulls_disjoint(a: ArrayLike, b: ArrayLike, tol: float = DEFAULT_TOL) -> bool
 
     Each hull lies in the hyperplane of constant coordinate sum, so the
     hulls meet exactly when the two sums agree; sums within ``tol`` of
-    each other count as meeting.  A NaN or infinite entry raises
-    ``ValueError``.
+    each other count as meeting.  A NaN or infinite entry, or a sum that
+    overflows, raises ``ValueError``.
     """
     av = as_coords(a)
     bv = as_coords(b)
     _check_same_dim(av, bv)
-    gap = abs(float(av.sum()) - float(bv.sum()))
+    sa, sb = float(av.sum()), float(bv.sum())
+    gap = abs(sa - sb)
     if not math.isfinite(gap):
-        _check_finite(av, bv)
+        _check_sums((av, bv), (sa, sb))
     return gap > tol
 
 

@@ -9,7 +9,8 @@ live in :mod:`signpoly.geometry`.
 
 All predicates take a tolerance (default ``1e-9``) and treat the hulls
 as closed: boundary points, including the vertices themselves, count as
-members.  A NaN or infinite entry raises ``ValueError``, never a verdict.
+members.  A NaN or infinite entry, or a partial sum of finite entries
+that overflows the float range, raises ``ValueError``, never a verdict.
 """
 
 from __future__ import annotations
@@ -39,12 +40,16 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-def _check_finite(*points: np.ndarray) -> None:
-    """Raise on a NaN or infinite entry of any of ``points``.  Any such
-    entry makes a sum over them non-finite, so callers test a sum they
-    already have first, and finite input pays one scalar test."""
+def _check_sums(points: tuple[np.ndarray, ...], totals: tuple[float, ...]) -> None:
+    """Raise on a NaN or infinite entry of ``points``, or on a non-finite
+    one of ``totals``, their full sums.  A partial sum of finite entries
+    that overflows stays infinite through the full sum, so finite totals
+    clear every partial sum; callers whose own result is finite skip
+    this, so finite input pays one scalar test."""
     if not all(np.isfinite(p).all() for p in points):
         raise ValueError("point coordinates must be finite")
+    if not all(math.isfinite(t) for t in totals):
+        raise ValueError("partial sums of the coordinates overflow")
 
 
 def _partial_sums_desc(arr: np.ndarray) -> np.ndarray:
@@ -66,7 +71,7 @@ def majorizes(b: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bool:
     sb = _partial_sums_desc(bv)
     gap = abs(sa.item(-1) - sb.item(-1))
     if not math.isfinite(gap):
-        _check_finite(av, bv)
+        _check_sums((av, bv), (sa.item(-1), sb.item(-1)))
     if gap > tol:
         return False
     return bool(np.all(sa <= sb + tol))
@@ -90,7 +95,7 @@ def _weakly_majorized(xv: np.ndarray, av: np.ndarray, tol: float) -> bool:
     sx = _partial_sums_desc(xv)
     sa = _partial_sums_desc(av)
     if not math.isfinite(sx.item(-1) + sa.item(-1)):
-        _check_finite(xv, av)
+        _check_sums((xv, av), (sx.item(-1), sa.item(-1)))
     return bool(np.all(sx <= sa + tol))
 
 

@@ -1,11 +1,13 @@
 """Revised two-phase simplex for small nonnegative systems.
 
-Phase 1 decides whether some ``z >= 0`` solves ``A z = b``; phase 2
-minimizes a linear cost from its basis.  A solve keeps ``A`` and only
-the ``k x (k + 1)`` array ``[B^-1 | x_B]``, prices every column from
-``A`` at each pivot (Dantzig & Orchard-Hays, 1954), and rebuilds it from
-the basis columns every ``REFRESH_EVERY`` pivots and at the end of each
-phase.  Failure to converge raises, it never masquerades as a verdict.
+Phase 1 decides whether some ``z >= 0`` solves ``A z = b``
+(:func:`feasible_nonneg`); phase 2 runs only in the ray LPs of
+:func:`_ray_maxima`, maximizing ``t`` from one shared phase-1 basis.  A
+solve keeps ``A`` and only the ``k x (k + 1)`` array ``[B^-1 | x_B]``,
+prices every column from ``A`` at each pivot (Dantzig & Orchard-Hays,
+1954), and rebuilds it from the basis columns every ``REFRESH_EVERY``
+pivots and at the end of each phase.  Failure to converge raises, it
+never masquerades as a verdict.
 """
 
 from __future__ import annotations
@@ -29,21 +31,19 @@ REFRESH_EVERY = 32
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Outcome of :func:`minimize_nonneg`.
+    """One ray LP of :func:`_ray_maxima`: minimize ``c . z`` subject to
+    ``A z = b``, ``z >= 0``, with ``c = (0, ..., 0, -1)``.
 
-    ``status`` is ``"optimal"``, ``"infeasible"`` or ``"unbounded"``.
-    When optimal, ``z`` is a minimizer, ``value`` is ``c . z`` and
+    ``status`` is ``"optimal"`` or ``"cut-off"``, and ``z`` is a feasible
+    basic solution either way.  When optimal, ``z`` is a minimizer and
     ``dual`` is a vector ``y`` with ``A^T y <= c`` (up to the pivot
-    tolerance) and ``b . y = value``, the certificate that no feasible
-    point does better; all three are ``None`` otherwise.  The ray LPs
-    of ``_ray_maxima`` also report ``"cut-off"``: phase 2 stopped early,
-    and ``z`` is a feasible basic solution with cost ``value``, not a
-    minimizer, so ``dual`` is ``None``.
+    tolerance) and ``b . y = c . z``, the certificate that no feasible
+    point does better.  When cut off, phase 2 stopped early, ``z`` is
+    not a minimizer and ``dual`` is ``None``.
     """
 
     status: str
-    z: np.ndarray | None = None
-    value: float | None = None
+    z: np.ndarray
     dual: np.ndarray | None = None
 
 
@@ -57,16 +57,6 @@ class _State:
         self.sign = np.where(b < 0, -1.0, 1.0)
         self.T = np.c_[np.diag(self.sign), np.abs(b)]
         self.basis = np.arange(A.shape[1], A.shape[1] + b.size)
-
-
-def _checked(A, b, max_iter):
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
-        raise ValueError("A must be (k, p) and b of length k")
-    if max_iter is None:
-        max_iter = 50 * sum(A.shape)
-    return A, b, max_iter
 
 
 def _pivot(s, i, j, col):
@@ -91,10 +81,12 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
     pivots in a row that lower the objective by at most a relative
     ``PIVOT_EPS``, the lowest-index negative column enters (Bland's rule,
     which cannot cycle) until one lowers it more, so no cycle of bases is
-    endless; ``max_iter`` (against roundoff) and non-finite pricing raise.
-    Returns ``(iterations, outcome)``: ``"optimal"``, ``"unbounded"``
-    (phase 1 raises instead), or ``"cut-off"`` at a basis that is not
-    optimal once minus the objective value is above ``stop_above``.
+    endless; ``max_iter`` (against roundoff), non-finite pricing and an
+    entering column with no admissible pivot raise: phase 1 is bounded
+    below by 0, and a ray's ``t`` by the hull, so an unbounded direction
+    is a solver failure.  Returns ``(iterations, outcome)``:
+    ``"optimal"``, or ``"cut-off"`` at a basis that is not optimal once
+    minus the objective value is above ``stop_above``.
     """
     p = s.A.shape[1]
     basis, inverse, x = s.basis, s.T[:, :-1], s.T[:, -1]  # updated in place
@@ -125,9 +117,7 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
         np.divide(x, col, out=ratios, where=col > PIVOT_EPS)
         least = ratios.min()
         if least == math.inf:
-            if phase == 1:
-                raise SolverFailureError("no admissible pivot in entering column")
-            return it, "unbounded"
+            raise SolverFailureError("no admissible pivot in entering column")
         ties = (ratios <= least + RATIO_EPS).nonzero()[0]
         i = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
         _pivot(s, i, j, col)
@@ -191,44 +181,28 @@ def feasible_nonneg(
     ``max_iter`` defaults to ``50 * (rows + cols)``; exceeding it raises
     :class:`~signpoly.errors.SolverFailureError`.
     """
-    A, b, max_iter = _checked(A, b, max_iter)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
+        raise ValueError("A must be (k, p) and b of length k")
+    if max_iter is None:
+        max_iter = 50 * sum(A.shape)
     s, _ = _phase1(A, b, max_iter)
     if not _infeasibility(s) <= tol:
         return False, None
     return True, _basic_solution(s)
 
 
-def minimize_nonneg(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int | None = None,
-) -> LPSolution:
-    """Minimize ``c . z`` subject to ``A z = b``, ``z >= 0``.
-
-    Phase 1 decides feasibility exactly as :func:`feasible_nonneg` does
-    (``tol`` bounds the remaining infeasibility); phase 2 continues from
-    its basis with the same pivot rule.  ``max_iter`` (default
-    ``50 * (rows + cols)``) caps the pivots of both phases together;
-    exceeding it raises :class:`~signpoly.errors.SolverFailureError`.
-    """
-    A, b, max_iter = _checked(A, b, max_iter)
-    c = np.asarray(c, dtype=float)
-    if c.shape != (A.shape[1],):
-        raise ValueError("c must have one entry per column of A")
-    s, used = _phase1(A, b, max_iter)
-    return _phase2(c, s, tol, max_iter - used)
-
-
 def _ray_maxima(A, b, columns, tol):
     """Maximize ``t`` over ``A w + t a = b``, ``w, t >= 0`` for each row
-    ``a`` of ``columns``, as :func:`minimize_nonneg` would on ``[A | a]``
-    with cost ``(0, ..., 0, -1)``, but each ray continues, with ``a`` in
+    ``a`` of ``columns``: a two-phase solve of ``[A | a]`` with cost
+    ``(0, ..., 0, -1)``, except that each ray continues, with ``a`` in
     the ``t`` column, from one shared phase 1 on ``[A | 0]``.  The caller
-    poses ``A w = b`` so that ``t = 0`` is feasible, else every ray is
-    infeasible.  Each ray's pivot cap is ``50 * (rows + cols + 1)`` less
-    the shared phase-1 pivots.
+    poses ``A w = b`` so that ``t = 0`` is feasible and ``t`` is bounded;
+    a shared phase 1 left more than ``tol`` infeasible, or a ray with no
+    admissible pivot, raises :class:`~signpoly.errors.SolverFailureError`.
+    Each ray's pivot cap is ``50 * (rows + cols + 1)`` less the shared
+    phase-1 pivots.
 
     Only the smallest maximum matters to the caller, so the rays run in
     ascending order of the bound ``max_i -a . A_i`` (the members'
@@ -236,11 +210,15 @@ def _ray_maxima(A, b, columns, tol):
     at the first basis whose ``t`` is strictly above the smallest
     optimal ``t`` so far.  The primal simplex never lowers ``t``, so
     every ray whose ``t`` is the final minimum runs to optimality.
-    Returns the solutions in the order of ``columns``.
+    Returns the :class:`LPSolution` of each ray in the order of
+    ``columns``.
     """
     k, p = A.shape
     cap = 50 * (k + p + 1)
     s, used = _phase1(np.c_[A, np.zeros(k)], b, cap)
+    if not _infeasibility(s) <= tol:
+        raise SolverFailureError(
+            "ray LP infeasible, though t = 0 is feasible in a bounded hull")
     shared = s.T.copy(), s.basis.copy()
     c = np.append(np.zeros(p), -1.0)
     sols = [None] * len(columns)
@@ -249,7 +227,7 @@ def _ray_maxima(A, b, columns, tol):
         # The t column is nonbasic at the shared basis, so only it changes.
         s.A[:, p] = columns[j]
         s.T[:], s.basis[:] = shared
-        sols[j] = sol = _phase2(c, s, tol, cap - used, stop_above=best)
+        sols[j] = sol = _phase2(c, s, cap - used, stop_above=best)
         if sol.status == "optimal":
             best = min(best, sol.z[-1])
     return sols
@@ -266,20 +244,15 @@ def _drive_out(s):
             _pivot(s, i, j, s.T[:, :-1] @ s.A[:, j])
 
 
-def _phase2(c, s, tol, max_iter, stop_above=math.inf):
-    """Infeasibility verdict, drive-out and phase 2 from a phase-1 state;
-    phase 2 stops, as ``"cut-off"``, once ``-c . z > stop_above``."""
-    if not _infeasibility(s) <= tol:
-        return LPSolution("infeasible")
+def _phase2(c, s, max_iter, stop_above=math.inf):
+    """Drive-out and phase 2 from a feasible phase-1 state; phase 2
+    stops, as ``"cut-off"``, once ``-c . z > stop_above``."""
     _drive_out(s)
     cost = np.concatenate([c, np.zeros(s.b.size)])
     _, outcome = _pivot_loop(s, cost, c.size, max_iter, phase=2,
                              stop_above=stop_above)
-    if outcome == "unbounded":
-        return LPSolution("unbounded")
     _refine(s)
     z = _basic_solution(s)
     if outcome == "cut-off":
-        return LPSolution("cut-off", z, float(c @ z))
-    dual = cost[s.basis] @ s.T[:, :-1]
-    return LPSolution("optimal", z, float(c @ z), dual)
+        return LPSolution("cut-off", z)
+    return LPSolution("optimal", z, cost[s.basis] @ s.T[:, :-1])

@@ -29,6 +29,7 @@ from signpoly import (
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
+PIVOTS = Path(__file__).resolve().parents[1] / "bench" / "pivots.py"
 
 PUBLIC_NAMES = [
     "DEFAULT_TOL", "ENUMERATION_CAP", "CrossPolytopeCertificate",
@@ -64,13 +65,18 @@ def test_traced_functions_resolve(monkeypatch):
         assert callable(getattr(module, attr)), f"signpoly.{modname}.{attr}"
 
 
-def test_result_attributes_read_by_the_tracer():
+def _octahedral():
+    """The maximally mixed qubit as the mean of six states at +-0.4 on
+    each chart axis."""
     mixed = np.eye(2) / 2
     basis = traceless_hermitian_basis(2)
     members = np.array([mixed + s * 0.4 * basis[k]
                         for k in range(3) for s in (1, -1)])
-    dec = DecompositionInput(mixed, members, (1 / 6,) * 6)
-    assert max_inscribed_cross_polytope(dec).spec.dimension == 3
+    return DecompositionInput(mixed, members, (1 / 6,) * 6)
+
+
+def test_result_attributes_read_by_the_tracer():
+    assert max_inscribed_cross_polytope(_octahedral()).spec.dimension == 3
     res = enumerate_pure_sign_perms(make_canonical("w"), filter="w-type")
     assert (res.total, res.retained) == (448, 256)
     assert enumerate_sign_perm_vertices([1.0, 2.0]).array.shape == (8, 2)
@@ -93,3 +99,17 @@ def test_construct_workload_inputs_certify(tmp_path, monkeypatch):
     for path in paths:
         poly = max_inscribed_cross_polytope(stateio.load_decomposition(path))
         assert certificate_holds(poly), path.name
+
+
+def test_pivot_counter_counts_a_construct(monkeypatch):
+    """``bench/pivots.py`` counts by rebinding names in ``simplex``; if
+    one of them is renamed or stops being called, its counts read 0
+    without an error.  One small search runs one shared phase 1 and
+    pivots in phase 2."""
+    pivots = _load(monkeypatch, "bench_pivots", PIVOTS)
+    counter, poly = pivots.count_pivots(
+        signpoly, lambda: max_inscribed_cross_polytope(_octahedral()))
+    assert certificate_holds(poly)
+    assert counter.phase1_solves == 1
+    assert counter.counts["phase2"] > 0
+    assert counter.total == sum(counter.counts.values())

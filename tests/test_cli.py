@@ -169,6 +169,22 @@ class TestStateIO:
         assert main(["construct", str(path)]) == 2
         assert "members[5]" in capsys.readouterr().err
 
+    def test_nan_amplitudes_exit_2(self, tmp_path, capsys):
+        """JSON ``NaN`` parses as a float; an amplitude document holding
+        one is refused by name, not normalized."""
+        path = tmp_path / "nan.json"
+        path.write_text('{"schema": 1, "kind": "state", "dim": 2, '
+                        '"amplitudes": [[NaN, 0.0], [0.0, 0.0]]}')
+        assert main(["check", str(path), str(path), "--alpha", "0.1"]) == 2
+        assert "amplitudes: entries must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        {"matrix": np.eye(2) / 2, "amplitudes": [1.0, 0.0]}, {}],
+        ids=["both", "neither"])
+    def test_state_document_needs_exactly_one_payload(self, payload):
+        with pytest.raises(ValueError, match="exactly one"):
+            stateio.state_document(2, **payload)
+
     def test_zero_amplitudes_rejected(self, tmp_path):
         path = tmp_path / "zero.json"
         stateio.save_document(path, stateio.state_document(

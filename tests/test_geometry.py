@@ -60,6 +60,11 @@ class TestVertexSet:
         assert len(enumerate_sign_perm_vertices([-1.0, 1.0 + 1e-13])) == 4
         assert len(enumerate_sign_perm_vertices([1.0, 1.0 + 1e-6])) == 8
 
+    def test_read_only_float_array_is_held_without_a_copy(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        rows.setflags(write=False)
+        assert VertexSet(rows).array is rows
+
     def test_points_are_read_only(self):
         v = VertexSet(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):

@@ -148,3 +148,30 @@ def test_non_finite_entries_raise(predicate, x, a):
     with pytest.raises(ValueError, match="finite"):
         predicate(x, a)
 
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("predicate", [majorizes, weakly_majorized, rado_member,
+                                       sign_perm_member, hulls_disjoint])
+@pytest.mark.parametrize("x, a", [
+    ([1e308, 1e308], [1e308, 9e307]),
+    ([0.5, 0.0], [1e308, 1e308]),
+    ([-1e308, -1e308], [0.5, 0.0]),
+], ids=["both", "anchor", "negative-point"])
+def test_overflowing_sums_raise(predicate, x, a):
+    """Every entry is finite, but a sum overflows to infinity, where
+    ``inf <= inf`` would read as a verdict: refused instead."""
+    with pytest.raises(ValueError, match="overflow"):
+        predicate(x, a)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_difference_of_finite_sums_is_a_verdict():
+    """Sums of 1e308 and -1e308 are finite; only their difference
+    overflows, and it is still a gap far above the tolerance."""
+    assert hulls_disjoint([1e308, 0.0], [-1e308, 0.0])
+    assert not majorizes([1e308, 0.0], [-1e308, 0.0])
+    assert not rado_member([1e308, 0.0], [-1e308, 0.0])
+    # sx + sa = 1e308 + 1.1e308 overflows, both sums are finite
+    assert weakly_majorized([1e308, 0.0], [1e308, 1e307])
+    assert sign_perm_member([-1e308, 0.0], [1e308, 1e307])

@@ -127,6 +127,10 @@ class TestDensityMatrix:
             validate_state(np.diag([1.0 + 5e-6, -5e-6]))
 
 
+    def test_hs_distance_needs_one_shape(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            hs_distance(np.eye(2) / 2, np.eye(3) / 3)
+
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
     def test_nan_entry_is_rejected(self, entry):
         M = np.eye(2, dtype=complex) / 2
@@ -146,6 +150,11 @@ class TestPureState:
             PureState([1.0, 1.0])
         with pytest.raises(ValueError, match="unit norm"):
             PureState([np.nan, 1.0])
+
+    @pytest.mark.parametrize("amps", [[[1.0, 0.0]], [1.0]], ids=["2-d", "length-1"])
+    def test_shape_enforced(self, amps):
+        with pytest.raises(ValueError, match="1-d vector of length >= 2"):
+            PureState(amps)
 
     def test_normalized_records_factor(self):
         psi, norm = PureState.normalized([3.0, 4.0])

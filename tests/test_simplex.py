@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from signpoly import simplex, to_coords
 from signpoly.errors import SolverFailureError
-from signpoly.simplex import feasible_nonneg, minimize_nonneg
+from signpoly.simplex import feasible_nonneg
 
 
 def _reference_feasible(A, b):
@@ -86,6 +86,16 @@ def test_shape_validation():
         feasible_nonneg(np.ones(4), np.ones(2))
 
 
+def test_singular_basis_raises():
+    """A basis whose columns are dependent cannot be inverted, and that
+    is a solver failure."""
+    state = simplex._State(np.array([[1.0, 2.0], [1.0, 2.0]]),
+                           np.array([1.0, 1.0]))
+    state.basis[:] = [0, 1]
+    with pytest.raises(SolverFailureError, match="singular"):
+        simplex._refine(state)
+
+
 def test_tolerance_separates_near_feasible():
     # b is 1e-6 outside the column cone; loose tolerance accepts it
     A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -98,31 +108,50 @@ def test_tolerance_separates_near_feasible():
 
 # ------------------------------------------------------------- phase 2
 
-_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-
-
 def _reference_min(c, A, b):
+    """The optimal value of ``min c . z``, ``A z = b``, ``z >= 0`` from
+    HiGHS, which must find one."""
     res = linprog(c, A_eq=A, b_eq=b, bounds=[(0, None)] * A.shape[1],
                   method="highs")
-    return _STATUS[res.status], (res.fun if res.status == 0 else None)
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def _ray_cost(A):
+    """The cost ``(0, ..., 0, -1)`` of a ray LP over ``[A | a]``."""
+    c = np.zeros(A.shape[1] + 1)
+    c[-1] = -1.0
+    return c
+
+
+def _two_phase(c, A, b, max_iter=10**4):
+    """Phase 1, then phase 2 from its basis: minimize ``c . z`` over a
+    feasible ``A z = b``, ``z >= 0``."""
+    state, used = simplex._phase1(A, b, max_iter)
+    assert simplex._infeasibility(state) <= 1e-9
+    return simplex._phase2(c, state, max_iter - used)
 
 
 def _assert_optimal(sol, c, A, b, value):
     assert sol.status == "optimal"
     assert sol.z.min() >= 0.0
     np.testing.assert_allclose(A @ sol.z, b, atol=1e-7)
-    assert sol.value == pytest.approx(value, abs=1e-7)
+    assert c @ sol.z == pytest.approx(value, abs=1e-7)
     # the dual proves optimality: A^T y <= c and b . y equals the value
     assert np.max(A.T @ sol.dual - c) <= 1e-8
-    assert b @ sol.dual == pytest.approx(sol.value, abs=1e-7)
+    assert b @ sol.dual == pytest.approx(c @ sol.z, abs=1e-7)
 
 
 def test_minimize_agrees_with_reference_on_bounded_lps():
-    """Random LPs whose last row ``sum z = 1`` bounds the feasible set;
-    every other right-hand side is zero in the degenerate half, as in
-    the ray systems of the cross-polytope search."""
+    """Random ray LPs ``A w + t a = b``, ``w, t >= 0`` through
+    ``_ray_maxima``, whose last row ``sum w = 1`` bounds ``t``; every
+    other right-hand side is zero in the degenerate half, as in the ray
+    systems of the cross-polytope search.  Each optimal ray has the
+    reference's ``t`` and a dual proving it, each cut-off ray is a
+    feasible point strictly above the smallest optimum, and a system
+    whose ``t = 0`` is infeasible raises."""
     rng = np.random.default_rng(2718)
-    outcomes = {"optimal": 0, "infeasible": 0}
+    outcomes = {"optimal": 0, "cut-off": 0, "infeasible": 0}
     degenerate_optimal = 0
     for trial in range(300):
         k = int(rng.integers(1, 6))
@@ -133,17 +162,31 @@ def test_minimize_agrees_with_reference_on_bounded_lps():
             b = np.append(np.zeros(k), 1.0)
         else:
             b = np.append(rng.integers(-3, 4, size=k).astype(float), 1.0)
-        c = rng.integers(-5, 6, size=p).astype(float)
-        status, value = _reference_min(c, A, b)
-        sol = minimize_nonneg(c, A, b)
-        assert sol.status == status
-        outcomes[status] += 1
-        if status == "optimal":
-            _assert_optimal(sol, c, A, b, value)
-            degenerate_optimal += trial % 2
-        else:
-            assert sol.z is None and sol.value is None and sol.dual is None
+        columns = np.zeros((int(rng.integers(1, 5)), k + 1))
+        columns[:, :k] = rng.integers(-3, 4, size=(len(columns), k))
+        columns[~columns.any(axis=1), 0] = 1.0  # a zero column leaves t unbounded
+        if not _reference_feasible(A, b):
+            with pytest.raises(SolverFailureError, match="ray LP infeasible"):
+                simplex._ray_maxima(A, b, columns, 1e-9)
+            outcomes["infeasible"] += 1
+            continue
+        sols = simplex._ray_maxima(A, b, columns, 1e-9)
+        best = min(sol.z[-1] for sol in sols if sol.status == "optimal")
+        c = _ray_cost(A)
+        for a, sol in zip(columns, sols):
+            full = np.column_stack([A, a])
+            value = _reference_min(c, full, b)
+            outcomes[sol.status] += 1
+            if sol.status == "optimal":
+                _assert_optimal(sol, c, full, b, value)
+                degenerate_optimal += trial % 2
+            else:
+                assert sol.status == "cut-off" and sol.dual is None
+                assert sol.z.min() >= 0.0
+                np.testing.assert_allclose(full @ sol.z, b, atol=1e-7)
+                assert best < sol.z[-1] <= -value + 1e-7
     assert outcomes["optimal"] > 100
+    assert outcomes["cut-off"] > 20
     assert outcomes["infeasible"] > 20
     assert degenerate_optimal > 50
 
@@ -161,13 +204,11 @@ def _wide_system(rng, k, p):
 
 def test_wide_systems_agree_with_reference_solver():
     """Systems of up to 10 rows and 1,000-5,000 columns, the shape the
-    pricing runs on in a hull query: feasibility verdicts, and optimal
-    values with their duals, match the reference; a third of the
-    right-hand sides are zero, and a third pose hull queries."""
+    pricing runs on in a hull query: feasibility verdicts match the
+    reference; a third of the right-hand sides are zero, and a third
+    pose hull queries."""
     rng = np.random.default_rng(1729)
     verdicts = {True: 0, False: 0}
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    zero_rhs_optimal = 0
     for trial in range(30):
         k = int(rng.integers(2, 11))
         p = int(rng.integers(1000, 5001))
@@ -186,77 +227,52 @@ def test_wide_systems_agree_with_reference_solver():
         if ok:
             assert z.min() >= 0.0
             np.testing.assert_allclose(A @ z, b, atol=1e-7)
-        c = rng.integers(-2, 6, size=p).astype(float)
-        status, value = _reference_min(c, A, b)
-        sol = minimize_nonneg(c, A, b)
-        assert sol.status == status
-        statuses[status] += 1
-        if status == "optimal":
-            _assert_optimal(sol, c, A, b, value)
-            zero_rhs_optimal += trial % 3 == 0
     assert min(verdicts.values()) >= 5
-    assert min(statuses.values()) >= 3
-    assert zero_rhs_optimal >= 2
 
 
-def test_minimize_all_zero_rhs_is_zero_or_unbounded():
-    """``A z = 0`` always admits ``z = 0``: the optimum is 0 or there is
-    an improving ray, and the verdict must match the reference."""
-    rng = np.random.default_rng(1618)
-    seen = set()
-    for _ in range(200):
-        k = int(rng.integers(1, 5))
-        p = int(rng.integers(2, 10))
-        A = rng.integers(-3, 4, size=(k, p)).astype(float)
-        b = np.zeros(k)
-        c = rng.integers(-2, 6, size=p).astype(float)
-        status, value = _reference_min(c, A, b)
-        sol = minimize_nonneg(c, A, b)
-        assert sol.status == status
-        seen.add(status)
-        if status == "optimal":
-            _assert_optimal(sol, c, A, b, 0.0)
-    assert seen == {"optimal", "unbounded"}
+def test_unbounded_ray_raises(phase_calls):
+    """A ray whose ``t`` column is zero never leaves the feasible set,
+    so ``t`` is unbounded; ray LPs are bounded by the hull, so that is a
+    solver failure, not an outcome."""
+    with pytest.raises(SolverFailureError, match="no admissible pivot"):
+        simplex._ray_maxima(np.array([[1.0]]), np.array([1.0]),
+                            np.array([[0.0]]), 1e-9)
+    assert phase_calls == {"phase1": 1, "phase2": 1}
 
 
-def test_minimize_infeasible_returns_verdict():
-    sol = minimize_nonneg(np.array([1.0]), np.array([[1.0]]), np.array([-2.0]))
-    assert sol.status == "infeasible"
-    assert sol.z is None
-    # phase 1 matches feasible_nonneg on the same system
+def test_infeasible_ray_lps_raise(phase_calls):
+    """A ``t = 0`` left infeasible by the shared phase 1, at the same
+    tolerance ``feasible_nonneg`` applies, raises before any phase 2."""
+    with pytest.raises(SolverFailureError, match="ray LP infeasible"):
+        simplex._ray_maxima(np.array([[1.0]]), np.array([-2.0]),
+                            np.array([[1.0]]), 1e-9)
     A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     b = np.array([0.5, 0.5, 1e-6])
-    assert minimize_nonneg(np.ones(2), A, b).status == "infeasible"
-    assert minimize_nonneg(np.ones(2), A, b, tol=1e-4).status == "optimal"
+    columns = np.array([[1.0, -1.0, 0.0]])
+    with pytest.raises(SolverFailureError, match="ray LP infeasible"):
+        simplex._ray_maxima(A, b, columns, 1e-9)
+    assert phase_calls == {"phase1": 2, "phase2": 0}
+    sol, = simplex._ray_maxima(A, b, columns, 1e-4)
+    assert sol.status == "optimal" and sol.z[-1] == pytest.approx(0.5)
 
 
 def test_minimize_redundant_rows():
     """A duplicated equality leaves an artificial basic at zero after
     phase 1; phase 2 must not move it."""
-    A = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [1.0, -1.0, 0.0]])
+    A = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]])
     b = np.array([1.0, 2.0, 0.0])
-    c = np.array([0.0, 0.0, -1.0])
-    sol = minimize_nonneg(c, A, b)
-    _assert_optimal(sol, c, A, b, -1.0)
+    column = np.array([1.0, 2.0, 0.0])
+    sol, = simplex._ray_maxima(A, b, column[None], 1e-9)
+    _assert_optimal(sol, _ray_cost(A), np.column_stack([A, column]), b, -1.0)
 
 
 def test_minimize_iteration_cap_raises():
-    V = np.vstack([np.eye(3), -np.eye(3)])
-    A = np.vstack([V.T, np.ones((1, 6))])
-    b = np.array([0.0, 0.0, 0.0, 1.0])
-    with pytest.raises(SolverFailureError):
-        minimize_nonneg(np.ones(6), A, b, max_iter=1)
-    # a budget phase 1 alone uses up leaves phase 2 nothing
+    """A budget that phase 1 used up leaves phase 2 nothing: it raises
+    instead of reading its starting basis as a result."""
     A = np.array([[1.0, 1.0]])
+    state, _ = simplex._phase1(A, np.array([1.0]), 2)
     with pytest.raises(SolverFailureError, match="phase-2"):
-        minimize_nonneg(np.array([1.0, -1.0]), A, np.array([1.0]), max_iter=2)
-
-
-def test_minimize_shape_validation():
-    with pytest.raises(ValueError):
-        minimize_nonneg(np.ones(3), np.ones((2, 2)), np.ones(2))
-    with pytest.raises(ValueError):
-        minimize_nonneg(np.ones(2), np.ones((2, 2)), np.ones(3))
+        simplex._phase2(np.array([1.0, -1.0]), state, 0)
 
 
 # --------------------------------------------------------- anti-cycling
@@ -269,9 +285,9 @@ def test_beale_cycling_lp():
                   [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
     b = np.array([0.0, 0.0, 1.0])
     c = np.array([0.0, 0.0, 0.0, -0.75, 150.0, -1 / 50, 6.0])
-    status, value = _reference_min(c, A, b)
-    assert status == "optimal" and value == pytest.approx(-1 / 20)
-    _assert_optimal(minimize_nonneg(c, A, b), c, A, b, value)
+    value = _reference_min(c, A, b)
+    assert value == pytest.approx(-1 / 20)
+    _assert_optimal(_two_phase(c, A, b), c, A, b, value)
 
 
 def _qutrit_ray_system(seed, ray, m=20):
@@ -320,9 +336,7 @@ def test_bland_fallback_ends_a_dantzig_cycle(monkeypatch, seed, ray):
     np.testing.assert_allclose(A @ z, b, atol=1e-8)
     c = np.zeros(A.shape[1])
     c[-1] = -1.0  # the longest ray
-    status, value = _reference_min(c, A, b)
-    assert status == "optimal"
-    _assert_optimal(minimize_nonneg(c, A, b), c, A, b, value)
+    _assert_optimal(_two_phase(c, A, b), c, A, b, _reference_min(c, A, b))
 
 
 def test_positive_ratio_pivot_that_leaves_the_objective_counts_as_stalled(
@@ -371,11 +385,11 @@ def test_phase2_cut_off_is_strict(seed, ray):
     A, b = _qutrit_ray_system(seed, ray)
     c = np.zeros(A.shape[1])
     c[-1] = -1.0
-    best = minimize_nonneg(c, A, b)
+    best = _two_phase(c, A, b)
 
     def stopped_at(stop):
         state, _ = simplex._phase1(A, b, 10**4)
-        return simplex._phase2(c, state, 1e-9, 10**4, stop_above=stop)
+        return simplex._phase2(c, state, 10**4, stop_above=stop)
 
     at_optimum = stopped_at(best.z[-1])
     assert at_optimum.status == "optimal"
@@ -383,5 +397,5 @@ def test_phase2_cut_off_is_strict(seed, ray):
     cut = stopped_at(0.0)
     assert cut.status == "cut-off" and cut.dual is None
     assert 0.0 < cut.z[-1] < best.z[-1]
-    assert cut.value == -cut.z[-1]
+    assert cut.z.min() >= 0.0
     np.testing.assert_allclose(A @ cut.z, b, atol=1e-9)
