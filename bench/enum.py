@@ -11,7 +11,8 @@ Prints one JSON object with, per case: the rows listed (for the w-type
 cases, the rows streamed through the filter and the rows kept), the
 blocks ``_enum.signed_arrangements`` yielded in one run, the median wall
 time of three runs in the same process, and the process's peak RSS
-(``ru_maxrss``) in MB.  Cases:
+(``ru_maxrss``) in MB.  The ``bloch`` cases likewise give the rows
+streamed and the states kept.  Cases:
 
 - ``perfbench_n9``: the signed permutations of the ``enumerate``
   workload's n=9 base vector (483,840 rows);
@@ -21,7 +22,12 @@ time of three runs in the same process, and the process's peak RSS
   rows streamed, 5,376 kept);
 - ``w_type_stream``: ``--filter w-type`` on a state with 8 distinct
   nonzero amplitude magnitudes (10,321,920 rows streamed, none stored
-  but the kept ones).
+  but the kept ones);
+- ``perfbench_bloch``: ``--target bloch`` on the ``enumerate``
+  workload's real qutrit, at theta = 0.1 (2,688 rows, 24 kept);
+- ``generic_qutrit_bloch``: ``--target bloch`` on a qutrit with
+  complex normal amplitudes from ``default_rng(0)``, whose 8 chart
+  coordinates are distinct and nonzero (10,321,920 rows, 64 kept).
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = ("perfbench_n9", "signed_n10", "unsigned_n10", "readme_w_type", "w_type_stream")
+CASES = ("perfbench_n9", "signed_n10", "unsigned_n10", "readme_w_type", "w_type_stream",
+         "perfbench_bloch", "generic_qutrit_bloch")
 RUNS = 3
 
 
@@ -55,16 +62,25 @@ def _case_call(sp, workloads, name: str):
     if name == "unsigned_n10":
         a = np.arange(1.0, 11.0)
         return lambda: (len(sp.geometry.enumerate_perm_vertices(a)), None)
+    kwargs = {"filter": "w-type"}
+    cap = sp.geometry.ENUMERATION_CAP
     if name == "readme_w_type":
         amps = [complex(re, im) for re, im in workloads.README_STATE]
         psi = sp.quantum.PureState.normalized(amps)[0]
-        cap = sp.geometry.ENUMERATION_CAP
-    else:
+    elif name == "w_type_stream":
         psi = sp.quantum.PureState.normalized(np.arange(1.0, 9.0))[0]
+        cap = 11_000_000
+    elif name == "perfbench_bloch":
+        psi = sp.quantum.PureState([np.cos(0.1), np.sin(0.1), 0.0])
+        kwargs = {"target": "bloch"}
+    else:
+        rng = np.random.default_rng(0)
+        psi = sp.quantum.PureState.normalized(rng.normal(size=3) + 1j * rng.normal(size=3))[0]
+        kwargs = {"target": "bloch"}
         cap = 11_000_000
 
     def call():
-        res = sp.quantum.enumerate_pure_sign_perms(psi, filter="w-type", cap=cap)
+        res = sp.quantum.enumerate_pure_sign_perms(psi, cap=cap, **kwargs)
         return res.total, res.retained
     return call
 

@@ -136,26 +136,47 @@ def _multinomial(counts) -> int:
 def distinct_permutations(counts: Sequence[int], per_chunk: int) -> Iterator[np.ndarray]:
     """Distinct arrangements of the multiset holding ``counts[c]`` copies
     of each code ``c``, in lexicographic order, as the rows of integer
-    arrays of at most ``per_chunk`` rows each.
+    arrays of ``per_chunk`` rows each (the last may hold fewer).
 
     Arrangements grow by prefix expansion: each prefix row carries its
     remaining counts, and the nonzero entries of that matrix, read in
     row-major order, are every prefix's one-code extensions in
     lexicographic order.  A prefix with more than ``per_chunk``
     completions is split into its extensions first, depth first; a run
-    of consecutive siblings that each fit is completed at once and cut
-    into chunks.  So no temporary holds more than ``len(counts) *
-    per_chunk`` arrangements, whatever their total.
+    of consecutive siblings that each fit is completed at once.  Runs
+    are cut into chunks in order, a run's leftover rows going to the
+    head of the next chunk, so every chunk but the last is full.  No
+    temporary holds more than ``len(counts) * per_chunk`` arrangements,
+    whatever their total.
     """
     n = sum(counts)
     root = np.zeros((1, n + len(counts)), dtype=np.min_scalar_type(n))
     root[0, n:] = counts
-    yield from _completions(root, 0, n, per_chunk)
+    pending, held = [], 0
+    for run in _completions(root, 0, n, per_chunk):
+        if held:
+            head = per_chunk - held
+            pending.append(run[:head])
+            if len(run) < head:
+                held += len(run)
+                continue
+            yield np.concatenate(pending)[:, :n]
+            run = run[head:]
+        full = len(run) - len(run) % per_chunk
+        for lo in range(0, full, per_chunk):
+            yield run[lo:lo + per_chunk, :n]
+        # A copy, so that the run's array is freed before the next run
+        # is built.
+        pending, held = [run[full:].copy()], len(run) - full
+    if held:
+        yield np.concatenate(pending)[:, :n]
 
 
 def _completions(nodes: np.ndarray, depth: int, n: int, per_chunk: int) -> Iterator[np.ndarray]:
-    """Chunks of the completions of the prefix rows ``nodes``: ``depth``
-    codes in the first ``n`` columns, remaining counts after them."""
+    """The completions of the prefix rows ``nodes`` (``depth`` codes in
+    the first ``n`` columns, remaining counts after them), in order, as
+    one array of completed rows per run of consecutive siblings that
+    each have at most ``per_chunk`` completions."""
     fits = [_multinomial(rem) <= per_chunk for rem in nodes[:, n:].tolist()]
     start = 0
     for fit, group in itertools.groupby(fits):
@@ -164,8 +185,7 @@ def _completions(nodes: np.ndarray, depth: int, n: int, per_chunk: int) -> Itera
             run = nodes[start:stop]
             for d in range(depth, n):
                 run = _extend(run, d, n)
-            for lo in range(0, len(run), per_chunk):
-                yield run[lo:lo + per_chunk, :n]
+            yield run
         else:
             for i in range(start, stop):
                 yield from _completions(_extend(nodes[i:i + 1], depth, n), depth + 1, n, per_chunk)
@@ -188,22 +208,29 @@ def _extend(nodes: np.ndarray, depth: int, n: int) -> np.ndarray:
     return nodes
 
 
-def signed_arrangements(classes: SignClasses) -> Iterator[np.ndarray]:
+def signed_arrangements(classes: SignClasses,
+                        out: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Yield every distinct signed permutation as the rows of ndarray blocks.
 
     Rows are real, or complex when a representative is complex.
     Arrangements come out in lexicographic code order and, within one
     arrangement, signs flip from all-positive downward, the last nonzero
     slot fastest; the order is deterministic, and distinctness holds by
-    construction.  Unsigned classes give each arrangement once.  A block
-    holds at most ``BLOCK_ROWS`` rows: whole arrangements, or a slice of
-    one arrangement's sign rows when it alone has more.
+    construction.  Unsigned classes give each arrangement once.  Every
+    block but the last holds ``BLOCK_ROWS`` rows: whole arrangements, or
+    a slice of one arrangement's sign rows when it alone has more.
 
     An arrangement's sign rows are its values times a +-1 table that
     depends only on where its zeros sit, so a chunk's rows are one
     gather from the tables of its zero patterns and one product.  The
     product runs on the float view, where negating both parts of a
     complex entry is exact.
+
+    Given ``out``, an array with one row per signed permutation, each
+    block is computed in place in the next rows of ``out`` and the
+    blocks are views of it, so draining the generator fills ``out`` and
+    writes each row once.  Without it every block is a new array, and a
+    consumer that drops them streams in bounded memory.
     """
     values = np.array([0.0] + classes.reps)  # complex if any rep is
     flips = classes.flips
@@ -211,11 +238,15 @@ def signed_arrangements(classes: SignClasses) -> Iterator[np.ndarray]:
     step = min(1 << flips, BLOCK_ROWS)
     parts = values.view(float).reshape(len(values), -1)
     bits = np.arange(flips)[::-1]
+    ptr = 0
     for codes in distinct_permutations([classes.n_zero, *classes.counts], per_chunk):
-        if not classes.signed:
-            yield values[codes]
-            continue
         k, n = codes.shape
+        if not classes.signed:
+            block = np.empty((k, n)) if out is None else out[ptr:ptr + k]
+            ptr += k
+            np.take(values, codes, out=block, mode="clip")
+            yield block
+            continue
         base = parts[codes][:, None]
         patterns, row_pattern = _zero_patterns(codes != 0)
         # Row r of ``signs`` flips nonzero slot j when bit (flips-1-j) of
@@ -227,11 +258,15 @@ def signed_arrangements(classes: SignClasses) -> Iterator[np.ndarray]:
             signs[:, :flips] -= 2 * (np.arange(lo, lo + step)[:, None] >> bits & 1)
             table = np.empty((len(patterns), step, n, parts.shape[1]))
             table[...] = signs[:, slot].transpose(1, 0, 2)[..., None]
-            block = np.empty((k, step, n), dtype=values.dtype)
+            if out is None:
+                block = np.empty((k * step, n), dtype=values.dtype)
+            else:
+                block = out[ptr:ptr + k * step]
+            ptr += k * step
             rows = block.view(float).reshape(k, *table.shape[1:])
             np.take(table, row_pattern, axis=0, out=rows, mode="clip")
             rows *= base
-            yield block.reshape(k * step, n)
+            yield block
 
 
 def _zero_patterns(hot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -147,17 +147,16 @@ def enumerate_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> VertexS
 
 
 def _vertex_set(classes: _enum.SignClasses, n: int, cap: int) -> VertexSet:
-    """Count ``classes``' arrangements against ``cap``, then fill one
-    array with them, block by block.  ``sign_classes`` refused every
-    non-finite entry, so the rows are finite and are wrapped unchecked."""
+    """Count ``classes``' arrangements against ``cap``, then have the
+    enumerator write them into one array, block by block.
+    ``sign_classes`` refused every non-finite entry, so the rows are
+    finite and are wrapped unchecked."""
     count = _enum.count_signed_arrangements(classes)
     if count > cap:
         raise EnumerationTooLargeError(count, cap)
     out = np.empty((count, n))
-    ptr = 0
-    for block in _enum.signed_arrangements(classes):
-        out[ptr:ptr + len(block)] = block
-        ptr += len(block)
+    for _ in _enum.signed_arrangements(classes, out):
+        pass
     out.setflags(write=False)
     vertices = VertexSet.__new__(VertexSet)
     vertices._points = out

@@ -45,6 +45,10 @@ STATE_TOL = 1e-9
 NORM_TOL = 1e-9
 #: How far a purity may sit below 1 for a matrix to count as pure.
 PURITY_TOL = 1e-8
+#: How far below zero a diagonal entry or 2x2 principal minor of
+#: ``M + tol I`` may compute before the Bloch filter drops a row without
+#: diagonalizing it (see :func:`_pure_chart_states`).
+_SCREEN_SLACK = 1e-12
 
 
 @functools.lru_cache(maxsize=None)
@@ -429,8 +433,28 @@ def enumerate_pure_sign_perms(
 def _pure_chart_states(coords: np.ndarray, tol: float) -> np.ndarray:
     """Amplitude vectors, one per row, of the chart points in ``coords``
     whose matrices are states (smallest eigenvalue at least ``-tol``);
-    their purity ``1/d + |c|^2`` is the input's, 1, so no row is mixed."""
-    M = from_coords(coords)
+    their purity ``1/d + |c|^2`` is the input's, 1, so no row is mixed.
+
+    ``eigvalsh`` decides, but only on the rows that pass a screen read
+    off the coordinates.  If ``lambda_min(M) >= -tol`` then ``M + tol I``
+    is positive semidefinite, so its diagonal entries ``rho_jj + tol``
+    and its 2x2 principal minors ``(rho_jj + tol)(rho_kk + tol) -
+    |rho_jk|^2`` are nonnegative (Horn & Johnson, *Matrix Analysis*,
+    2nd ed., 7.1).  A row is dropped only when one of them computes
+    below ``-_SCREEN_SLACK``.  Purity 1 bounds every entry of ``M`` and
+    every eigenvalue by 1, so these quantities, and the ``lambda_min``
+    of ``eigvalsh``, carry roundoff of about 1e-15 wherever they are
+    near zero: the slack keeps every row that ``eigvalsh`` could keep.
+    """
+    d = math.isqrt(coords.shape[-1] + 1)
+    p = d * (d - 1) // 2
+    diagonal = traceless_hermitian_basis(d)[2 * p:].diagonal(axis1=1, axis2=2).real
+    shifted = coords[:, 2 * p:] @ diagonal + (1.0 / d + tol)
+    j, k = np.triu_indices(d, 1)
+    # rho_jk = (c_sym - i c_antisym) / sqrt(2), the basis order above.
+    minors = shifted[:, j] * shifted[:, k] - (coords[:, :p] ** 2 + coords[:, p:2 * p] ** 2) / 2
+    passed = (shifted.min(axis=1) >= -_SCREEN_SLACK) & (minors.min(axis=1) >= -_SCREEN_SLACK)
+    M = from_coords(coords[passed])
     M = M[np.linalg.eigvalsh(M).min(axis=1) >= -tol]
     _, v = np.linalg.eigh(M)
     return _phase_fixed(v[..., -1])

@@ -30,6 +30,7 @@ from signpoly import (
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 PIVOTS = Path(__file__).resolve().parents[1] / "bench" / "pivots.py"
+ENUM = Path(__file__).resolve().parents[1] / "bench" / "enum.py"
 
 PUBLIC_NAMES = [
     "DEFAULT_TOL", "ENUMERATION_CAP", "CrossPolytopeCertificate",
@@ -113,3 +114,12 @@ def test_pivot_counter_counts_a_construct(monkeypatch):
     assert counter.phase1_solves == 1
     assert counter.counts["phase2"] > 0
     assert counter.total == sum(counter.counts.values())
+
+
+def test_enum_bench_case_answers(monkeypatch):
+    """``bench/enum.py`` builds each case from the library and the
+    workload module; the smallest ``bloch`` case keeps the workload's
+    24 states of 2,688 rows."""
+    bench = _load(monkeypatch, "bench_enum", ENUM)
+    workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
+    assert bench._case_call(signpoly, workloads, "perfbench_bloch")() == (2688, 24)

@@ -310,12 +310,47 @@ def test_enumerator_matches_itertools_byte_for_byte(kind, block_rows, monkeypatc
     classes = _enum.sign_classes(np.array(values), signed=signed)
     monkeypatch.setattr(_enum, "BLOCK_ROWS", block_rows)
     blocks = list(_enum.signed_arrangements(classes))
-    assert max(len(b) for b in blocks) <= block_rows
+    assert all(len(b) == block_rows for b in blocks[:-1])
+    assert 0 < len(blocks[-1]) <= block_rows
     got = np.concatenate(blocks)
     want = _itertools_rows(classes)
     assert len(want) == _enum.count_signed_arrangements(classes)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+    # Given an array, the enumerator writes the same rows into it.
+    out = np.full_like(want, np.nan)
+    for block in _enum.signed_arrangements(classes, out):
+        assert block.base is out
+    assert out.tobytes() == want.tobytes()
+
+
+#: The ``enumerate`` workload's n=9 base vector (483,840 signed
+#: permutations; ``N9_BASE`` in ``perfbench/workloads.py``).
+_N9_BASE = [5.0, 4.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_every_block_but_the_last_is_full():
+    # A run of sibling prefixes seldom completes to a whole number of
+    # chunks; its leftover rows open the next chunk, so only the last
+    # block is partial.
+    classes = _enum.sign_classes(np.array(_N9_BASE))
+    rows = _enum.count_signed_arrangements(classes)
+    blocks = sum(1 for _ in _enum.signed_arrangements(classes))
+    assert blocks == math.ceil(rows / _enum.BLOCK_ROWS) == 15
+
+
+def test_vertex_listing_writes_each_row_once():
+    # The rows are computed in place in the result, so the listing holds
+    # little beside it: one chunk's codes and sign tables (a block copied
+    # into the result would take 2.4 MB, 7% of it).
+    tracemalloc.start()
+    try:
+        V = enumerate_sign_perm_vertices(_N9_BASE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(V) == 483_840
+    assert peak <= 1.02 * V.array.nbytes
 
 
 def test_filtered_stream_holds_a_few_blocks():

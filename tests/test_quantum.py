@@ -23,7 +23,8 @@ from signpoly import (
     traceless_hermitian_basis,
     validate_state,
 )
-from signpoly.quantum import _hyperdeterminant
+from signpoly import _enum
+from signpoly.quantum import _hyperdeterminant, _phase_fixed, _pure_chart_states
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -518,6 +519,66 @@ def test_phase_fixed_rows_survive_re_extraction():
     for a in res.amplitudes:
         back = pure_from_density(PureState(a).to_density()).amplitudes
         np.testing.assert_allclose(back, a, rtol=0, atol=1e-12)
+
+
+def _brute_chart_states(coords, tol):
+    """The Bloch filter without a screen: every row is diagonalized."""
+    M = from_coords(coords)
+    M = M[np.linalg.eigvalsh(M).min(axis=1) >= -tol]
+    _, v = np.linalg.eigh(M)
+    return _phase_fixed(v[..., -1])
+
+
+def _chart_blocks(psi, count):
+    """The first ``count`` blocks of signed permutations of ``psi``'s
+    chart point."""
+    classes = _enum.sign_classes(to_coords(psi.to_density()))
+    return list(itertools.islice(_enum.signed_arrangements(classes), count))
+
+
+def _screen_inputs():
+    rng = np.random.default_rng(5)
+    states = [PureState.normalized(rng.normal(size=2) + 1j * rng.normal(size=2))[0]
+              for _ in range(8)]
+    for _ in range(4):
+        # the perfbench ``enumerate`` workload's real qutrits
+        theta = rng.uniform(0.05, 0.15)
+        states.append(PureState([math.cos(theta), rng.choice([-1.0, 1.0]) * math.sin(theta), 0.0]))
+    states += [PureState(np.eye(d)[k]) for d in (2, 3, 4) for k in (0, d - 1)]
+    blocks = [b for psi in states for b in _chart_blocks(psi, 1)]
+    # the first 4 of a generic qutrit's 315 blocks (10,321,920 rows)
+    generic = PureState.normalized(rng.normal(size=3) + 1j * rng.normal(size=3))[0]
+    return blocks + _chart_blocks(generic, 4)
+
+
+def test_bloch_screen_keeps_exactly_what_eigvalsh_keeps():
+    kept = 0
+    for block in _screen_inputs():
+        got = _pure_chart_states(block, 1e-9)
+        want = _brute_chart_states(block, 1e-9)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        kept += len(want)
+    assert kept > 0
+
+
+def test_bloch_screen_at_the_eigenvalue_threshold():
+    """Rows whose smallest eigenvalue sits at ``-tol``, or within 1e-15
+    of it, pass the screen, and ``eigvalsh`` alone decides them."""
+    psi = PureState([math.cos(0.1), math.sin(0.1), 0.0])
+    block = _chart_blocks(psi, 1)[0]
+    lam = np.linalg.eigvalsh(from_coords(block)).min(axis=1)
+    # non-states, from far below zero to the closest one
+    order = np.argsort(lam)
+    picks = order[np.linspace(0, np.sum(lam < -1e-9) - 1, 9).astype(int)]
+    for i in picks:
+        for tol in (-lam[i], -lam[i] - 1e-15, -lam[i] + 1e-15,
+                    np.nextafter(-lam[i], 0.0), np.nextafter(-lam[i], 1.0)):
+            got = _pure_chart_states(block, tol)
+            want = _brute_chart_states(block, tol)
+            assert got.tobytes() == want.tobytes()
+            if tol >= -lam[i]:
+                assert len(want) > 24
 
 
 def test_enumerate_validation_and_cap():
