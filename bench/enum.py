@@ -1,18 +1,24 @@
 """Wall time and peak memory of the vertex enumerator on fixed inputs.
 
-Every case runs in a fresh subprocess, so its peak RSS is its own.
+Each case runs once in each of ``--procs`` fresh subprocesses, so every
+timing starts from a fresh heap and every peak RSS is the run's own.
 ``--src`` picks the ``signpoly`` to measure, so the same command
-measures another checkout::
+measures another checkout; ``--against`` measures a second one too,
+alternating processes between the two trees (the first process of a
+case runs ``--src``, the next one ``--against`` first, and so on), so
+both see the same drift of a shared host::
 
     python3 bench/enum.py
     python3 bench/enum.py --src ../parent/src
+    python3 bench/enum.py --against ../parent/src --procs 8 --case unsigned_n10
 
-Prints one JSON object with, per case: the rows listed (for the w-type
-cases, the rows streamed through the filter and the rows kept), the
-blocks ``_enum.signed_arrangements`` yielded in one run, the median wall
-time of three runs in the same process, and the process's peak RSS
-(``ru_maxrss``) in MB.  The ``bloch`` cases likewise give the rows
-streamed and the states kept.  Cases:
+Prints one JSON object with, per case (and, with ``--against``, per
+tree): the rows listed (for the w-type cases, the rows streamed through
+the filter and the rows kept), the blocks ``_enum.signed_arrangements``
+yielded in one run, the quartiles of the wall time over the processes,
+and the median over the processes of the peak RSS (``ru_maxrss``) in MB.
+The ``bloch`` cases likewise give the rows streamed and the states
+kept.  Cases:
 
 - ``perfbench_n9``: the signed permutations of the ``enumerate``
   workload's n=9 base vector (483,840 rows);
@@ -36,7 +42,6 @@ import argparse
 import importlib
 import json
 import resource
-import statistics
 import subprocess
 import sys
 import time
@@ -47,7 +52,6 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ("perfbench_n9", "signed_n10", "unsigned_n10", "readme_w_type", "w_type_stream",
          "perfbench_bloch", "generic_qutrit_bloch")
-RUNS = 3
 
 
 def _case_call(sp, workloads, name: str):
@@ -86,7 +90,7 @@ def _case_call(sp, workloads, name: str):
 
 
 def run_case(src: Path, name: str) -> dict:
-    """Run one case ``RUNS`` times in this process and measure it."""
+    """Run one case once in this process and measure it."""
     sys.path[:0] = [str(src.resolve()), str(ROOT / "perfbench")]
     sp = importlib.import_module("signpoly")
     for sub in ("_enum", "geometry", "quantum"):
@@ -104,36 +108,72 @@ def run_case(src: Path, name: str) -> dict:
             yield block
 
     sp._enum.signed_arrangements = counted
-    times = []
-    for _ in range(RUNS):
-        blocks = 0
-        start = time.perf_counter()
-        rows, kept = call()
-        times.append(time.perf_counter() - start)
+    start = time.perf_counter()
+    rows, kept = call()
+    wall = time.perf_counter() - start
     result = {"rows": rows, "blocks": blocks}
     if kept is not None:
         result["kept"] = kept
-    result["median_wall_s"] = round(statistics.median(times), 4)
-    result["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    result["wall_s"] = wall
+    result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return result
+
+
+def _in_fresh_process(src: Path, name: str) -> dict:
+    out = subprocess.run(
+        [sys.executable, __file__, "--src", str(src), "--in-process", name],
+        check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def _summary(runs: list) -> dict:
+    """The counts of the first run (every run must repeat them), the
+    wall-time quartiles and the median peak RSS."""
+    counts = {key: value for key, value in runs[0].items()
+              if key not in ("wall_s", "peak_rss_mb")}
+    for run in runs[1:]:
+        if any(run[key] != value for key, value in counts.items()):
+            raise RuntimeError(f"counts differ between processes: {counts} {run}")
+    q1, median, q3 = np.percentile([run["wall_s"] for run in runs], [25, 50, 75])
+    return {**counts,
+            "wall_s": {"q1": round(q1, 4), "median": round(median, 4),
+                       "q3": round(q3, 4)},
+            "peak_rss_mb": round(float(np.median([run["peak_rss_mb"] for run in runs])), 1)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the signpoly package")
+    parser.add_argument("--against", type=Path,
+                        help="a second signpoly directory, measured in "
+                             "processes alternating with --src")
+    parser.add_argument("--procs", type=int, default=5,
+                        help="fresh processes per case and tree (default 5)")
+    parser.add_argument("--case", action="append", choices=CASES,
+                        help="run only this case (repeatable; default all)")
     parser.add_argument("--in-process", choices=CASES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.in_process:
         print(json.dumps(run_case(args.src, args.in_process)))
         return 0
+    if args.procs < 1:
+        parser.error("--procs must be at least 1")
+    trees = [args.src] + ([args.against] if args.against else [])
     results = {}
-    for name in CASES:
-        out = subprocess.run(
-            [sys.executable, __file__, "--src", str(args.src), "--in-process", name],
-            check=True, capture_output=True, text=True).stdout
-        results[name] = json.loads(out)
-    print(json.dumps({"src": str(args.src), "runs": RUNS, "cases": results}, indent=1))
+    for name in args.case or CASES:
+        runs = {tree: [] for tree in trees}
+        for i in range(args.procs):
+            for tree in trees[::-1] if i % 2 else trees:
+                runs[tree].append(_in_fresh_process(tree, name))
+        if args.against:
+            results[name] = {"src": _summary(runs[args.src]),
+                             "against": _summary(runs[args.against])}
+        else:
+            results[name] = _summary(runs[args.src])
+    print(json.dumps({"src": str(args.src),
+                      "against": None if args.against is None else str(args.against),
+                      "procs": args.procs, "cases": results}, indent=1))
     return 0
 
 

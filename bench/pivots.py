@@ -47,14 +47,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 class PivotCounter:
     """Counts the pivots of ``sp.simplex`` by where they happen (the keys
-    of :data:`KINDS`) while it is entered, and the phase-1 solves from
-    the artificial basis."""
+    of :data:`KINDS`) while it is entered, the phase-1 solves from the
+    artificial basis, and the basis inversions (the keys of
+    :data:`INVERSIONS`)."""
 
     KINDS = ("phase1", "drive_out", "phase2")
+    INVERSIONS = ("phase1", "rays", "batch")
 
     def __init__(self, sp):
         self.simplex = sp.simplex
         self.counts = dict.fromkeys(self.KINDS, 0)
+        self.inversions = dict.fromkeys(self.INVERSIONS, 0)
         self.phase1_solves = 0
         self._where = ["drive_out"]
 
@@ -69,6 +72,14 @@ class PivotCounter:
         simplex = self.simplex
         self._saved = simplex._pivot, simplex._phase1, simplex._pivot_loop
         pivot, phase1, loop = self._saved
+        linalg = simplex.np.linalg
+        self._inv = inv = linalg.inv
+
+        def counted_inv(B):
+            kind = ("phase1" if self._where[-1] == "phase1"
+                    else "batch" if B.ndim > 2 else "rays")
+            self.inversions[kind] += 1
+            return inv(B)
 
         def counted_pivot(*args):
             self.counts[self._where[-1]] += 1
@@ -85,11 +96,13 @@ class PivotCounter:
         simplex._pivot = counted_pivot
         simplex._phase1 = counted_phase1
         simplex._pivot_loop = counted_loop
+        linalg.inv = counted_inv
         return self
 
     def __exit__(self, *exc):
         simplex = self.simplex
         simplex._pivot, simplex._phase1, simplex._pivot_loop = self._saved
+        simplex.np.linalg.inv = self._inv
 
     @property
     def total(self) -> int:
@@ -126,13 +139,17 @@ def hull_pivots(sp, workloads, seed: int) -> dict:
 
 
 def _per_construct(counters) -> dict:
-    """Mean phase-1 solves and pivots per ``construct`` over ``counters``."""
+    """Mean phase-1 solves, pivots and basis inversions per ``construct``
+    over ``counters``."""
     mean = lambda values: round(float(np.mean(values)), 2)
     pivots = {kind: mean([c.counts[kind] for c in counters])
               for kind in PivotCounter.KINDS}
     pivots["total"] = mean([c.total for c in counters])
+    inversions = {kind: mean([c.inversions[kind] for c in counters])
+                  for kind in PivotCounter.INVERSIONS}
+    inversions["total"] = mean([sum(c.inversions.values()) for c in counters])
     return {"phase1_solves": mean([c.phase1_solves for c in counters]),
-            "pivots": pivots}
+            "pivots": pivots, "inversions": inversions}
 
 
 def construct_pivots(sp, workloads, seed: int) -> dict:

@@ -6,8 +6,9 @@ Phase 1 decides whether some ``z >= 0`` solves ``A z = b``
 solve keeps ``A`` and only the ``k x (k + 1)`` array ``[B^-1 | x_B]``,
 prices every column from ``A`` at each pivot (Dantzig & Orchard-Hays,
 1954), and rebuilds it from the basis columns every ``REFRESH_EVERY``
-pivots and at the end of each phase.  Failure to converge raises, it
-never masquerades as a verdict.
+pivots and at the end of each phase; the ray LPs stopped early are
+rebuilt together, by one batched inversion after the last ray.  Failure
+to converge raises, it never masquerades as a verdict.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class _State:
     def __init__(self, A, b):
         self.A, self.b = A, b
         self.sign = np.where(b < 0, -1.0, 1.0)
-        self.T = np.c_[np.diag(self.sign), np.abs(b)]
+        self.T = np.concatenate([np.diag(self.sign), np.abs(b)[:, None]], axis=1)
         self.basis = np.arange(A.shape[1], A.shape[1] + b.size)
 
 
@@ -88,41 +89,46 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
     ``"optimal"``, or ``"cut-off"`` at a basis that is not optimal once
     minus the objective value is above ``stop_above``.
     """
-    p = s.A.shape[1]
+    A, sign, p = s.A, s.sign, s.A.shape[1]
     basis, inverse, x = s.basis, s.T[:, :-1], s.T[:, -1]  # updated in place
     c_basic = cost[basis]
-    c_real = cost[:p] if cost[:p].any() else None
+    c_real = cost[:p] if np.count_nonzero(cost[:p]) else None
     value = float(c_basic @ x)
     stalled = 0
     # Reused: a fresh wide array per pass costs more in page faults than pricing.
     reduced, ratios = np.empty(ncols), np.empty(basis.size)
+    real, art = reduced[:p], reduced[p:]
     for it in range(max_iter):
         y = c_basic @ inverse
-        np.matmul(-y, s.A, out=reduced[:p])
+        np.matmul(-y, A, out=real)
         if c_real is not None:
-            reduced[:p] += c_real
+            real += c_real
         if ncols > p:
-            np.subtract(cost[p:], s.sign * y, out=reduced[p:])
+            np.subtract(cost[p:], sign * y, out=art)
         j = int(reduced.argmin())  # Dantzig: most negative enters; NaN wins
-        if not math.isfinite(reduced[j]):
+        entering = float(reduced[j])
+        if not math.isfinite(entering):
             raise SolverFailureError("non-finite reduced cost in pricing")
-        if reduced[j] >= -PIVOT_EPS:
+        if entering >= -PIVOT_EPS:
             return it, "optimal"
         if -value > stop_above:
             return it, "cut-off"
         if stalled >= STALL_LIMIT:
             j = _bland(reduced)
-        col = inverse @ s.A[:, j] if j < p else s.sign[j - p] * inverse[:, j - p]
+            entering = float(reduced[j])
+        col = inverse @ A[:, j] if j < p else sign[j - p] * inverse[:, j - p]
         ratios.fill(math.inf)
         np.divide(x, col, out=ratios, where=col > PIVOT_EPS)
-        least = ratios.min()
+        i = int(ratios.argmin())
+        least = ratios[i]
         if least == math.inf:
             raise SolverFailureError("no admissible pivot in entering column")
         ties = (ratios <= least + RATIO_EPS).nonzero()[0]
-        i = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
+        if ties.size > 1:
+            i = int(ties[basis[ties].argmin()])
         _pivot(s, i, j, col)
         c_basic[i] = cost[j]
-        before, value = value, value + float(reduced[j]) * float(x[i])
+        before, value = value, value + entering * float(x[i])
         stalled = 0 if before - value > PIVOT_EPS * max(1.0, abs(before)) else stalled + 1
         if (it + 1) % REFRESH_EVERY == 0:
             _refine(s)
@@ -131,18 +137,30 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
                              f"within {max_iter} iterations")
 
 
-def _refine(s):
-    """Invert the basis columns of ``[A | diag(sign)]`` into ``s.T``."""
-    p = s.A.shape[1]
-    art = s.basis >= p
-    B = s.A[:, np.where(art, 0, s.basis)]
-    if art.any():
-        B[:, art] = np.diag(s.sign)[:, s.basis[art] - p]
+def _basis_matrix(A, sign, basis):
+    """The columns ``basis`` of ``[A | diag(sign)]``, or one such matrix
+    per row of a stack of bases."""
+    p = A.shape[1]
+    B = A[:, np.minimum(basis, p - 1)].swapaxes(0, -2)
+    *stack, slot = (basis >= p).nonzero()
+    row = basis[(*stack, slot)] - p
+    B[(*stack, slice(None), slot)] = 0.0
+    B[(*stack, row, slot)] = sign[row]
+    return B
+
+
+def _invert_into(T, B, b):
+    """Write ``[B^-1 | B^-1 b]`` into ``T``, for a matrix ``B`` or a stack."""
     try:
-        s.T[:, :-1] = np.linalg.inv(B)
+        T[..., :-1] = np.linalg.inv(B)
     except np.linalg.LinAlgError:
         raise SolverFailureError("singular simplex basis") from None
-    s.T[:, -1] = s.T[:, :-1] @ s.b
+    T[..., -1] = T[..., :-1] @ b
+
+
+def _refine(s):
+    """Invert the basis columns of ``[A | diag(sign)]`` into ``s.T``."""
+    _invert_into(s.T, _basis_matrix(s.A, s.sign, s.basis), s.b)
 
 
 def _phase1(A, b, max_iter):
@@ -209,27 +227,52 @@ def _ray_maxima(A, b, columns, tol):
     support along the ray), and a ray's phase 2 stops, as ``"cut-off"``,
     at the first basis whose ``t`` is strictly above the smallest
     optimal ``t`` so far.  The primal simplex never lowers ``t``, so
-    every ray whose ``t`` is the final minimum runs to optimality.
+    every ray whose ``t`` is the final minimum runs to optimality.  An
+    optimal ray is rebuilt at once, as the cut-off reads its ``t``; the
+    rays stopped early are rebuilt together by one batched inversion
+    after the last ray, so every witness is read from a rebuilt solution.
     Returns the :class:`LPSolution` of each ray in the order of
     ``columns``.
     """
     k, p = A.shape
     cap = 50 * (k + p + 1)
-    s, used = _phase1(np.c_[A, np.zeros(k)], b, cap)
+    s, used = _phase1(np.concatenate([A, np.zeros((k, 1))], axis=1), b, cap)
     if not _infeasibility(s) <= tol:
         raise SolverFailureError(
             "ray LP infeasible, though t = 0 is feasible in a bounded hull")
     shared = s.T.copy(), s.basis.copy()
-    c = np.append(np.zeros(p), -1.0)
+    cost = np.zeros(p + 1 + k)
+    cost[p] = -1.0
     sols = [None] * len(columns)
+    stopped, bases = [], []
     best = math.inf
     for j in np.argsort(np.max(-columns @ A, axis=1), kind="stable"):
         # The t column is nonbasic at the shared basis, so only it changes.
         s.A[:, p] = columns[j]
         s.T[:], s.basis[:] = shared
-        sols[j] = sol = _phase2(c, s, cap - used, stop_above=best)
-        if sol.status == "optimal":
-            best = min(best, sol.z[-1])
+        _drive_out(s)
+        _, outcome = _pivot_loop(s, cost, p + 1, cap - used, phase=2,
+                                 stop_above=best)
+        if outcome == "cut-off":
+            stopped.append(j)
+            bases.append(s.basis.copy())
+            continue
+        _refine(s)
+        z = _basic_solution(s)
+        sols[j] = LPSolution("optimal", z, cost[s.basis] @ s.T[:, :-1])
+        best = min(best, z[-1])
+    if stopped:
+        bases = np.array(bases)
+        B = _basis_matrix(s.A, s.sign, bases)
+        ray, slot = (bases == p).nonzero()
+        B[ray, :, slot] = columns[np.array(stopped)[ray]]
+        T = np.empty((len(stopped), k, k + 1))
+        _invert_into(T, B, b)
+        z = np.zeros((len(stopped), p + 1 + k))
+        z[np.arange(len(stopped))[:, None], bases] = T[..., -1]
+        # Basic values are nonnegative up to roundoff; clamp the dust.
+        for j, zj in zip(stopped, np.maximum(z[:, :p + 1], 0.0)):
+            sols[j] = LPSolution("cut-off", zj)
     return sols
 
 
@@ -242,17 +285,3 @@ def _drive_out(s):
         if abs(row[j]) > PIVOT_EPS:
             s.T[i, -1] = 0.0
             _pivot(s, i, j, s.T[:, :-1] @ s.A[:, j])
-
-
-def _phase2(c, s, max_iter, stop_above=math.inf):
-    """Drive-out and phase 2 from a feasible phase-1 state; phase 2
-    stops, as ``"cut-off"``, once ``-c . z > stop_above``."""
-    _drive_out(s)
-    cost = np.concatenate([c, np.zeros(s.b.size)])
-    _, outcome = _pivot_loop(s, cost, c.size, max_iter, phase=2,
-                             stop_above=stop_above)
-    _refine(s)
-    z = _basic_solution(s)
-    if outcome == "cut-off":
-        return LPSolution("cut-off", z)
-    return LPSolution("optimal", z, cost[s.basis] @ s.T[:, :-1])

@@ -637,6 +637,84 @@ def test_cut_off_binding_ray_raises(monkeypatch):
         max_inscribed_cross_polytope(_cube_decomposition(0.3))
 
 
+def test_stopped_rays_share_one_inversion(monkeypatch):
+    """Basis inversions in one d=3, m=20 search: one ends the shared
+    phase 1, one rebuilds each optimal ray, and one batched call
+    rebuilds every ray stopped early; inverting each ray on its own
+    took 17."""
+    dec = _random_decomposition(7, 3, 20, 1.0)
+    sols = simplex._ray_maxima(*_ray_system(dec), 1e-9)
+    optimal = sum(sol.status == "optimal" for sol in sols)
+    assert optimal < len(sols)
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda B: calls.append(B.shape) or inv(B))
+    poly = max_inscribed_cross_polytope(dec)
+    assert len(calls) <= 1 + optimal + 1
+    assert certificate_holds(poly)
+
+
+def _rays_one_by_one(A, b, columns, tol):
+    """``_ray_maxima`` with every ray finished on its own: drive-out,
+    phase 2, an inversion of its final basis, and its solution read off
+    the rebuilt state, from the same shared phase 1 in the same order."""
+    k, p = A.shape
+    cap = 50 * (k + p + 1)
+    s, used = simplex._phase1(np.c_[A, np.zeros(k)], b, cap)
+    assert simplex._infeasibility(s) <= tol
+    shared = s.T.copy(), s.basis.copy()
+    cost = np.zeros(p + 1 + k)
+    cost[p] = -1.0
+    sols = [None] * len(columns)
+    best = math.inf
+    for j in np.argsort(np.max(-columns @ A, axis=1), kind="stable"):
+        s.A[:, p] = columns[j]
+        s.T[:], s.basis[:] = shared
+        simplex._drive_out(s)
+        _, status = simplex._pivot_loop(s, cost, p + 1, cap - used, phase=2,
+                                        stop_above=best)
+        simplex._refine(s)
+        z = simplex._basic_solution(s)
+        dual = None
+        if status == "optimal":
+            dual = cost[s.basis] @ s.T[:, :-1]
+            best = min(best, z[-1])
+        sols[j] = simplex.LPSolution(status, z, dual)
+    return sols
+
+
+def _bits(x):
+    return None if x is None else x.tobytes()
+
+
+def test_batched_rebuild_matches_one_by_one_bit_for_bit():
+    """Rays rebuilt in one batch after the last ray have the status,
+    witness and dual, bit for bit, of rays each rebuilt at the end of
+    its own phase 2: on seeded d = 2, 3, 4 searches, on the octahedral
+    one (all six rays tie), on a flat one whose stopped rays keep an
+    artificial basic, and on a system with a redundant row."""
+    systems = [_ray_system(_random_decomposition(seed, d, m, conc))
+               for seed, d, m, conc in ((1, 2, 6, 1.0), (2, 2, 12, 0.2),
+                                        (3, 3, 12, 1.0), (7, 3, 20, 1.0),
+                                        (4, 3, 30, 0.2), (7, 4, 40, 1.0),
+                                        (5, 4, 24, 5.0))]
+    systems.append(_ray_system(_octahedral_decomposition(0.4)))
+    systems.append(_ray_system(_flat_qubit_decomposition(2, 8)))
+    systems.append((np.array([[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]]),
+                    np.array([1.0, 2.0, 0.0]), np.array([[1.0, 2.0, 0.0]])))
+    cut_off = 0
+    for A, b, columns in systems:
+        sols = simplex._ray_maxima(A, b, columns, 1e-9)
+        reference = _rays_one_by_one(A, b, columns, 1e-9)
+        assert [sol.status for sol in sols] == [ref.status for ref in reference]
+        assert [_bits(sol.z) for sol in sols] == [_bits(ref.z) for ref in reference]
+        assert ([_bits(sol.dual) for sol in sols]
+                == [_bits(ref.dual) for ref in reference])
+        cut_off += sum(sol.status == "cut-off" for sol in sols)
+    assert cut_off > 20
+
+
 def _ray_system(dec):
     """Shared rows ``[X^T; 1] w = [c; 1]`` of the ray LPs of ``dec``, over
     the members' chart points ``X`` and the centre ``c``, and the ``t``
@@ -695,19 +773,25 @@ def test_shared_phase1_rays_match_standalone_solves(seed, d, extra,
         _random_decomposition(seed, d, d * d - 1 + extra, concentration))
 
 
+def _flat_qubit_decomposition(seed, m):
+    """``m`` qubit states at Bloch radius 0.3 on the z = 0 circle and a
+    Dirichlet(1) mix of them."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2.0 * np.pi, m)
+    members = from_coords(
+        0.3 * np.column_stack([np.cos(angles), np.sin(angles), np.zeros(m)]))
+    weights = rng.dirichlet(np.ones(m))
+    return DecompositionInput(from_coords(weights @ to_coords(members)),
+                              members, weights)
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(4, 10))
 def test_rank_deficient_rays_match_standalone_solves(seed, m):
     """Members all at Bloch z = 0 make ``[V^T; 1]`` rank deficient: an
     artificial stays basic in the shared phase 1, and on the two z rays
     the t column replaces it."""
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, 2.0 * np.pi, m)
-    members = from_coords(
-        0.3 * np.column_stack([np.cos(angles), np.sin(angles), np.zeros(m)]))
-    weights = rng.dirichlet(np.ones(m))
-    dec = DecompositionInput(from_coords(weights @ to_coords(members)),
-                             members, weights)
+    dec = _flat_qubit_decomposition(seed, m)
     A, b, _ = _ray_system(dec)
     state, _ = simplex._phase1(A, b, 1000)
     assert max(state.basis) >= m

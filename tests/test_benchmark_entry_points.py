@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import signpoly
 from signpoly import (
@@ -114,6 +115,9 @@ def test_pivot_counter_counts_a_construct(monkeypatch):
     assert counter.phase1_solves == 1
     assert counter.counts["phase2"] > 0
     assert counter.total == sum(counter.counts.values())
+    # every octahedral ray runs to its optimum: no batch to rebuild
+    assert counter.inversions == {"phase1": 1, "rays": 6, "batch": 0}
+    assert np.linalg.inv is counter._inv
 
 
 def test_enum_bench_case_answers(monkeypatch):
@@ -123,3 +127,16 @@ def test_enum_bench_case_answers(monkeypatch):
     bench = _load(monkeypatch, "bench_enum", ENUM)
     workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
     assert bench._case_call(signpoly, workloads, "perfbench_bloch")() == (2688, 24)
+
+
+def test_enum_bench_summary(monkeypatch):
+    """``bench/enum.py`` reports the quartiles of the per-process wall
+    times and refuses processes whose counts differ."""
+    bench = _load(monkeypatch, "bench_enum", ENUM)
+    runs = [{"rows": 10, "blocks": 1, "wall_s": w, "peak_rss_mb": 30.0 + w}
+            for w in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    assert bench._summary(runs) == {
+        "rows": 10, "blocks": 1, "wall_s": {"q1": 2.0, "median": 3.0, "q3": 4.0},
+        "peak_rss_mb": 33.0}
+    with pytest.raises(RuntimeError, match="counts differ"):
+        bench._summary(runs + [{**runs[0], "blocks": 2}])

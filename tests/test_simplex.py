@@ -1,5 +1,7 @@
 """The LP kernel against an independent solver on random instances."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -96,6 +98,21 @@ def test_singular_basis_raises():
         simplex._refine(state)
 
 
+def test_basis_matrix_gathers_basis_columns():
+    """One basis, or a stack of them, of real and artificial columns
+    gathers the same matrices as indexing ``[A | diag(sign)]``."""
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(4, 6))
+    sign = np.array([1.0, -1.0, -1.0, 1.0])
+    full = np.c_[A, np.diag(sign)]
+    bases = np.array([rng.permutation(10)[:4] for _ in range(5)])
+    assert (bases >= 6).any() and (bases < 6).any()
+    np.testing.assert_array_equal(simplex._basis_matrix(A, sign, bases),
+                                  [full[:, basis] for basis in bases])
+    np.testing.assert_array_equal(simplex._basis_matrix(A, sign, bases[0]),
+                                  full[:, bases[0]])
+
+
 def test_tolerance_separates_near_feasible():
     # b is 1e-6 outside the column cone; loose tolerance accepts it
     A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -124,12 +141,25 @@ def _ray_cost(A):
     return c
 
 
+def _finished(c, state, max_iter, stop_above=math.inf):
+    """Drive-out and phase 2 with cost ``c`` from a feasible phase-1
+    state, its final basis inverted and read off as an
+    :class:`~signpoly.simplex.LPSolution`."""
+    cost = np.concatenate([c, np.zeros(state.b.size)])
+    simplex._drive_out(state)
+    _, status = simplex._pivot_loop(state, cost, c.size, max_iter, phase=2,
+                                    stop_above=stop_above)
+    simplex._refine(state)
+    dual = cost[state.basis] @ state.T[:, :-1] if status == "optimal" else None
+    return simplex.LPSolution(status, simplex._basic_solution(state), dual)
+
+
 def _two_phase(c, A, b, max_iter=10**4):
     """Phase 1, then phase 2 from its basis: minimize ``c . z`` over a
     feasible ``A z = b``, ``z >= 0``."""
     state, used = simplex._phase1(A, b, max_iter)
     assert simplex._infeasibility(state) <= 1e-9
-    return simplex._phase2(c, state, max_iter - used)
+    return _finished(c, state, max_iter - used)
 
 
 def _assert_optimal(sol, c, A, b, value):
@@ -272,7 +302,7 @@ def test_minimize_iteration_cap_raises():
     A = np.array([[1.0, 1.0]])
     state, _ = simplex._phase1(A, np.array([1.0]), 2)
     with pytest.raises(SolverFailureError, match="phase-2"):
-        simplex._phase2(np.array([1.0, -1.0]), state, 0)
+        _finished(np.array([1.0, -1.0]), state, 0)
 
 
 # --------------------------------------------------------- anti-cycling
@@ -389,7 +419,7 @@ def test_phase2_cut_off_is_strict(seed, ray):
 
     def stopped_at(stop):
         state, _ = simplex._phase1(A, b, 10**4)
-        return simplex._phase2(c, state, 10**4, stop_above=stop)
+        return _finished(c, state, 10**4, stop_above=stop)
 
     at_optimum = stopped_at(best.z[-1])
     assert at_optimum.status == "optimal"
