@@ -12,8 +12,10 @@ measures another checkout::
     python3 bench/pivots.py --seed 3 --stall-limit 5
 
 Prints one JSON object: per ``hull`` probe kind the number of probes,
-the mean, smallest and largest pivot count, the solver failures and the
-answers that disagree with the oracle; for the ``construct`` block and
+the mean, smallest and largest pivot count, the solver failures, the
+answers that disagree with the oracle and ``peak_bytes``, the median
+tracemalloc peak of one warm ``hull_member_lp`` call (each probe asked a
+second time); for the ``construct`` block and
 the d=5 case the phase-1 solves from the artificial basis and the mean
 pivots per ``construct``, split by where they happen:
 
@@ -24,7 +26,8 @@ pivots per ``construct``, split by where they happen:
 
 The d=5 case also reports its alpha, or the solver failure it raised.
 No wall time is taken: one unpaired timing of one tree varies from run
-to run by more than the changes it would compare.  ``--stall-limit``
+to run by more than the changes it would compare; pivot counts and
+traced bytes do not depend on the clock.  ``--stall-limit``
 overrides ``simplex.STALL_LIMIT``, the run of pivots that leave the
 objective unchanged after which Bland's rule takes over, for a sweep of
 that constant.
@@ -37,6 +40,7 @@ import importlib
 import json
 import sys
 import tempfile
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -119,10 +123,38 @@ def count_pivots(sp, call):
     return counter, result
 
 
+def hull_peak_bytes(sp, call) -> int:
+    """The tracemalloc peak, in bytes, of the one ``hull_member_lp`` call
+    that ``call()`` makes through ``sp.geometry``; a solver failure
+    still counts the bytes it traced."""
+    geometry = sp.geometry
+    hull = geometry.hull_member_lp
+    peaks = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return hull(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    geometry.hull_member_lp = traced
+    try:
+        call()
+    except sp.errors.SolverFailureError:
+        pass
+    finally:
+        geometry.hull_member_lp = hull
+    (peak,) = peaks
+    return peak
+
+
 def hull_pivots(sp, workloads, seed: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         wl = workloads.build_hull(np.random.default_rng(seed), Path(tmp), sp)
-    kinds = defaultdict(lambda: {"pivots": [], "failures": 0, "wrong": 0})
+    kinds = defaultdict(lambda: {"pivots": [], "failures": 0, "wrong": 0,
+                                 "peak_bytes": []})
     for op in wl.blocks[0]:
         counter, answer = count_pivots(sp, op.call)
         rec = kinds[op.kind]
@@ -131,10 +163,12 @@ def hull_pivots(sp, workloads, seed: int) -> dict:
             rec["failures"] += 1
         elif not op.agrees(answer):
             rec["wrong"] += 1
+        rec["peak_bytes"].append(hull_peak_bytes(sp, op.call))
     return {kind: {"probes": len(rec["pivots"]),
                    "mean": round(float(np.mean(rec["pivots"])), 1),
                    "min": int(min(rec["pivots"])), "max": int(max(rec["pivots"])),
-                   "failures": rec["failures"], "wrong": rec["wrong"]}
+                   "failures": rec["failures"], "wrong": rec["wrong"],
+                   "peak_bytes": int(np.median(rec["peak_bytes"]))}
             for kind, rec in sorted(kinds.items())}
 
 

@@ -29,15 +29,21 @@ class VertexSet:
 
     Points are stored as the rows of a read-only ``(m, n)`` array, in the
     order given and with any repeats kept: neither a hull nor the LP
-    depends on them.  A read-only float array is held without a copy;
-    anything else (an array or a sequence of points) is copied.
+    depends on them.  A read-only float array that owns its data is held
+    without a copy; anything else (a view, a writable array or a sequence
+    of points) is copied, so no base array can change the points
+    afterwards.  A writable view made before the held array was frozen
+    still could: do not keep one.
+    The first :func:`hull_member_lp` query builds the LP matrix
+    ``[V^T; 1]``, ``(n+1)/n`` times the array's bytes, and the set keeps
+    it for every later query.
     """
 
-    __slots__ = ("_points",)
+    __slots__ = ("_points", "_lp")
 
     def __init__(self, points):
         if (isinstance(points, np.ndarray) and points.dtype == float
-                and not points.flags.writeable):
+                and not points.flags.writeable and points.flags.owndata):
             arr = points
         else:
             arr = np.array(points, dtype=float)
@@ -47,6 +53,7 @@ class VertexSet:
             raise ValueError("vertex coordinates must be finite")
         arr.setflags(write=False)
         self._points = arr
+        self._lp = None
 
     @property
     def array(self) -> np.ndarray:
@@ -69,6 +76,18 @@ class VertexSet:
 
     def __repr__(self) -> str:
         return f"VertexSet({len(self)} points in R^{self.dim})"
+
+    def _lp_matrix(self) -> np.ndarray:
+        """The read-only, C-ordered ``(n+1, m)`` matrix ``[V^T; 1]`` of
+        :func:`hull_member_lp`'s LP, built on the first call."""
+        if self._lp is None:
+            m, n = self._points.shape
+            A = np.empty((n + 1, m))
+            A[:n] = self._points.T
+            A[n] = 1.0
+            A.setflags(write=False)
+            self._lp = A
+        return self._lp
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +178,7 @@ def _vertex_set(classes: _enum.SignClasses, n: int, cap: int) -> VertexSet:
         pass
     out.setflags(write=False)
     vertices = VertexSet.__new__(VertexSet)
-    vertices._points = out
+    vertices._points, vertices._lp = out, None
     return vertices
 
 
@@ -176,8 +195,13 @@ def hull_member_lp(
     checked as :class:`VertexSet` checks them, and a non-finite point
     raises ``ValueError``.  A solver that fails to converge or misses
     that bound raises instead.
+
+    A :class:`VertexSet` builds its LP matrix on its first query and
+    reuses it; a raw array is wrapped, transposed and dropped on every
+    call, so pass one :class:`VertexSet` to ask many points of one set.
     """
-    V = (vertices if isinstance(vertices, VertexSet) else VertexSet(vertices)).array
+    vs = vertices if isinstance(vertices, VertexSet) else VertexSet(vertices)
+    V = vs.array
     xv = as_coords(x)
     if not np.all(np.isfinite(xv)):
         raise ValueError("point coordinates must be finite")
@@ -185,10 +209,7 @@ def hull_member_lp(
         raise DimensionMismatchError(
             f"point dimension {xv.size} does not match vertex dimension"
         )
-    m, n = V.shape
-    A = np.empty((n + 1, m))
-    A[:n] = V.T
-    A[n] = 1.0
+    A = vs._lp_matrix()
     b = np.append(xv, 1.0)
     ok, w = feasible_nonneg(A, b, tol=tol)
     if not ok:

@@ -76,6 +76,10 @@ def _bland(reduced):
 def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
     """Pivot until no column below ``ncols`` (real columns, then the
     artificials) has a negative reduced cost ``cost - c_B B^-1 column``.
+    ``cost`` lists the costs of the last ``cost.size`` variables: the
+    artificials and every variable basic at the start, at least.  Every
+    variable before them costs 0, so phase 1, which starts from the
+    artificial basis, passes the ``k`` artificial costs alone.
 
     The most negative reduced cost enters (Dantzig's rule); ties in the
     ratio test leave by lowest basic index.  After ``STALL_LIMIT``
@@ -91,20 +95,23 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
     """
     A, sign, p = s.A, s.sign, s.A.shape[1]
     basis, inverse, x = s.basis, s.T[:, :-1], s.T[:, -1]  # updated in place
-    c_basic = cost[basis]
-    c_real = cost[:p] if np.count_nonzero(cost[:p]) else None
+    lo = p + sign.size - cost.size  # the first variable listed in cost
+    c_basic = cost[basis - lo]
+    c_real, c_art = cost[:p - lo], cost[p - lo:]
+    if not np.count_nonzero(c_real):
+        c_real = None
     value = float(c_basic @ x)
     stalled = 0
     # Reused: a fresh wide array per pass costs more in page faults than pricing.
     reduced, ratios = np.empty(ncols), np.empty(basis.size)
-    real, art = reduced[:p], reduced[p:]
+    real, listed, art = reduced[:p], reduced[lo:p], reduced[p:]
     for it in range(max_iter):
         y = c_basic @ inverse
         np.matmul(-y, A, out=real)
         if c_real is not None:
-            real += c_real
+            listed += c_real
         if ncols > p:
-            np.subtract(cost[p:], sign * y, out=art)
+            np.subtract(c_art, sign * y, out=art)
         j = int(reduced.argmin())  # Dantzig: most negative enters; NaN wins
         entering = float(reduced[j])
         if not math.isfinite(entering):
@@ -127,7 +134,7 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
         if ties.size > 1:
             i = int(ties[basis[ties].argmin()])
         _pivot(s, i, j, col)
-        c_basic[i] = cost[j]
+        c_basic[i] = cost[j - lo] if j >= lo else 0.0
         before, value = value, value + entering * float(x[i])
         stalled = 0 if before - value > PIVOT_EPS * max(1.0, abs(before)) else stalled + 1
         if (it + 1) % REFRESH_EVERY == 0:
@@ -167,8 +174,8 @@ def _phase1(A, b, max_iter):
     """Minimize the sum of artificials from the artificial basis; returns
     the final, refined state and the pivots used."""
     s = _State(A, b)
-    cost = np.concatenate([np.zeros(A.shape[1]), np.ones(b.size)])
-    used, _ = _pivot_loop(s, cost, cost.size, max_iter, phase=1)
+    used, _ = _pivot_loop(s, np.ones(b.size), A.shape[1] + b.size, max_iter,
+                          phase=1)
     _refine(s)
     return s, used
 
@@ -179,11 +186,14 @@ def _infeasibility(s):
 
 
 def _basic_solution(s):
-    k, p = s.A.shape
-    z = np.zeros(p + k)
-    z[s.basis] = s.T[:, -1]
+    """The real variables of the basic solution: ``x_B`` is written
+    straight into one zero vector, every basic artificial into one spare
+    entry past the real variables, which the returned view leaves out."""
+    p = s.A.shape[1]
+    z = np.zeros(p + 1)
     # Basic values are nonnegative up to roundoff; clamp the dust.
-    return np.maximum(z[:p], 0.0)
+    z[np.minimum(s.basis, p)] = np.maximum(s.T[:, -1], 0.0)
+    return z[:p]
 
 
 def feasible_nonneg(

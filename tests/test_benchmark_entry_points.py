@@ -120,6 +120,27 @@ def test_pivot_counter_counts_a_construct(monkeypatch):
     assert np.linalg.inv is counter._inv
 
 
+def test_pivot_bench_reports_hull_peak_bytes(monkeypatch):
+    """``bench/pivots.py`` reports, per ``hull`` probe kind, the median
+    tracemalloc peak of one warm ``hull_member_lp`` call, read through
+    ``geometry``'s attribute, which it restores: more than the weights
+    over the kind's vertex set (3,840, 960 or 26,880 vertices), and on
+    the 26,880 vertices of n = 8 at most two float vectors that wide."""
+    pivots = _load(monkeypatch, "bench_pivots", PIVOTS)
+    workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
+    hull = signpoly.geometry.hull_member_lp
+    kinds = pivots.hull_pivots(signpoly, workloads, 3)
+    assert signpoly.geometry.hull_member_lp is hull
+    sizes = {"5": 3840, "6": 960, "8": 26880}
+    assert len(kinds) == 7
+    for kind, rec in kinds.items():
+        m = sizes[kind[len("hull_n")]]
+        assert rec["failures"] == rec["wrong"] == 0
+        assert 8 * m < rec["peak_bytes"], kind
+        if m == 26880:
+            assert rec["peak_bytes"] <= 2 * 8 * m, kind
+
+
 def test_enum_bench_case_answers(monkeypatch):
     """``bench/enum.py`` builds each case from the library and the
     workload module; the smallest ``bloch`` case keeps the workload's

@@ -65,6 +65,20 @@ class TestVertexSet:
         rows.setflags(write=False)
         assert VertexSet(rows).array is rows
 
+    def test_read_only_view_is_copied(self):
+        """A read-only view of a writable array can still change through
+        its base, so the set copies it: doubling the base changes
+        neither the points nor a hull answer cached from them."""
+        base = np.vstack([np.eye(2), -np.eye(2)])
+        view = base[:]
+        view.setflags(write=False)
+        v = VertexSet(view)
+        assert v.array is not view
+        assert hull_member_lp([1.5, 0.0], v) == (False, None)
+        base *= 2.0
+        np.testing.assert_array_equal(v.array, np.vstack([np.eye(2), -np.eye(2)]))
+        assert hull_member_lp([1.5, 0.0], v) == (False, None)
+
     def test_points_are_read_only(self):
         v = VertexSet(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
@@ -424,12 +438,14 @@ def test_hull_member_agrees_with_majorization():
 
 
 OCTA_BASE = [4.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+# perfbench's hull defect probe: a member of the OCTA_BASE hull
+DEFECT_PROBE = 0.9179802462889692 * np.array([4.0, -3.0, 0.0, -2.0, 0.0, 0.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("probe, bound", [
     # answered True by scipy and majorization, but Bland's rule alone
     # pivoted 4,807 times and then found no admissible pivot
-    (0.9179802462889692 * np.array([4.0, -3.0, 0.0, -2.0, 0.0, 0.0, 0.0, 1.0]), 40),
+    (DEFECT_PROBE, 40),
     # the last vertex, scaled by 1.0: maximally degenerate (7,159 pivots
     # under Bland's rule alone)
     (1.0 * np.array([-4.0, -3.0, -2.0, -1.0, 0.0, 0.0, 0.0, 0.0]), 72),
@@ -455,6 +471,74 @@ def test_boundary_probe_pivot_count(monkeypatch, probe, bound):
                         b_eq=np.append(probe, 1.0), bounds=(0, None), method="highs")
     assert reference.status == 0
     _assert_witness(w, verts, probe)
+
+
+def _perfbench_probes(rng):
+    """A few probes of each perfbench ``hull`` kind, with the base of
+    the signed-permutation set each asks: Dirichlet mixes of 200 (n=5, 6)
+    or 2,000 (n=8) vertices, vertices scaled by a factor in [0.9, 1.1],
+    and the defect probe."""
+    bases = {5: [5.0, 4.0, 3.0, 2.0, 1.0], 6: [3.0, 2.0, 1.0, 0.0, 0.0, 0.0],
+             8: OCTA_BASE}
+    sets = {n: enumerate_sign_perm_vertices(a) for n, a in bases.items()}
+    probes = [(8, DEFECT_PROBE)]
+    for n, kind, support in ((5, "mix", 200), (6, "mix", 200), (8, "mix", 2000),
+                             (5, "scaled", 0), (6, "scaled", 0)):
+        V = sets[n].array
+        for _ in range(3):
+            if kind == "mix":
+                x = rng.dirichlet(np.ones(support)) @ V[rng.choice(len(V), support,
+                                                                   replace=False)]
+            else:
+                x = rng.uniform(0.9, 1.1) * V[rng.integers(len(V))]
+            probes.append((n, x))
+    return sets, probes
+
+
+def _answer_bytes(answer):
+    member, w = answer
+    return member, None if w is None else w.tobytes()
+
+
+def test_repeated_queries_match_fresh_vertex_sets():
+    """A set answers every query from the LP matrix its first query
+    built: asked twice, in between the other probes, each probe gets the
+    verdict and the witness bytes of a fresh set built from a copy."""
+    sets, probes = _perfbench_probes(np.random.default_rng(11))
+    fresh = [_answer_bytes(hull_member_lp(x, VertexSet(sets[n].array.copy())))
+             for n, x in probes]
+    assert any(member for member, _ in fresh) and not all(member for member, _ in fresh)
+    for _ in range(2):
+        assert [_answer_bytes(hull_member_lp(x, sets[n])) for n, x in probes] == fresh
+
+
+def test_lp_matrix_is_built_once_and_read_only():
+    verts = enumerate_sign_perm_vertices([2.0, 1.0, 0.0])
+    assert hull_member_lp([0.5, 0.5, 0.0], verts)[0]
+    A = verts._lp_matrix()
+    assert verts._lp_matrix() is A
+    assert not A.flags.writeable and A.flags.c_contiguous
+    np.testing.assert_array_equal(A, np.vstack([verts.array.T, np.ones(len(verts))]))
+    with pytest.raises(ValueError):
+        A[0, 0] = 9.0
+
+
+def test_warm_hull_query_allocates_two_vectors_at_most():
+    """Once a set holds its LP matrix, a query allocates the pricing
+    buffer and the weights over the m vertices and nothing else that
+    wide (building ``[V^T; 1]`` per query would take 9 such vectors at
+    n = 8); tracemalloc counts bytes, so the gate does not depend on
+    the machine."""
+    verts = enumerate_sign_perm_vertices(OCTA_BASE)
+    assert hull_member_lp(DEFECT_PROBE, verts)[0]
+    tracemalloc.start()
+    try:
+        member, _ = hull_member_lp(DEFECT_PROBE, verts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert member
+    assert peak <= 2 * 8 * len(verts)
 
 
 def test_hull_member_just_outside_permutohedron_gets_a_verdict():

@@ -73,6 +73,18 @@ def test_degenerate_hull_systems():
         np.testing.assert_allclose(A @ z, b, atol=1e-8)
 
 
+def test_basic_solution_clamps_roundoff_below_zero():
+    """(-0.78, -0.58) is 0.9 v_0 + 0.1 v_2, on an edge of this triangle:
+    v_1's basic weight computes as -5.6e-17, and the solution returns it
+    as 0."""
+    V = np.array([[-0.9, -0.7], [0.9, -0.6], [0.3, 0.5]])
+    x = np.array([0.1, 0.9]) @ V[[2, 0]]
+    ok, z = feasible_nonneg(np.vstack([V.T, np.ones(3)]), np.append(x, 1.0))
+    assert ok
+    assert z[1] == 0.0 and z.min() >= 0.0
+    np.testing.assert_allclose(z, [0.9, 0.0, 0.1])
+
+
 def test_iteration_cap_raises():
     V = np.vstack([np.eye(3), -np.eye(3)])
     A = np.vstack([V.T, np.ones((1, 6))])
@@ -429,3 +441,21 @@ def test_phase2_cut_off_is_strict(seed, ray):
     assert 0.0 < cut.z[-1] < best.z[-1]
     assert cut.z.min() >= 0.0
     np.testing.assert_allclose(A @ cut.z, b, atol=1e-9)
+
+
+def test_stopped_ray_clamps_roundoff_below_zero():
+    """The centre 0.3 v_3 + 0.7 v_1 lies on an edge of the hull of these
+    four points.  Ray 0 (the column -e_0) stops early, and the batched
+    rebuild of its basis computes w_2 as -5.6e-17; the solution returns
+    it as 0."""
+    V = np.array([[0.3, 0.3], [-0.1, 0.2], [0.5, 0.9], [0.2, 0.2]])
+    A = np.vstack([V.T, np.ones(4)])
+    b = np.append(np.array([0.3, 0.7]) @ V[[3, 1]], 1.0)
+    columns = np.vstack([-np.eye(2, 3), np.eye(2, 3)])
+    sols = simplex._ray_maxima(A, b, columns, 1e-9)
+    assert sols[0].status == "cut-off"
+    assert sols[0].z[2] == 0.0
+    for sol, column in zip(sols, columns):
+        assert sol.z.min() >= 0.0
+        np.testing.assert_allclose(A @ sol.z[:-1] + sol.z[-1] * column, b,
+                                   atol=1e-12)
