@@ -9,13 +9,13 @@ what the commands print can be checked against its parent::
     python3 bench/cli_diff.py --src ../parent/src
     python3 bench/cli_diff.py --src ../parent/src --against ../other/src
 
-The 158 cases, with input documents written from numpy alone (seeded,
+The 174 cases, with input documents written from numpy alone (seeded,
 so every run writes the same files):
 
 - ``volume``: d in {2, 3, 4, 5} at alpha in {0, 0.1, 0.4, 1, -1, nan,
   1e200}, and each d without ``--alpha``;
 - ``check``: four centre/probe pairs (d = 2, 3, 4, and a close d = 2
-  pair) at alpha in {0, 0.2, 0.7, 3, -1, 1e200};
+  pair) at alpha in {0, 0.2, 0.7, 3, -1, 1e200, inf, nan};
 - ``construct``: six seeded decompositions with d = 2-4, one of them
   with Dirichlet(0.05) weights, each with and without
   ``--verify-probes 20 --seed S``, and the first with
@@ -54,7 +54,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 VOLUME_DIMS = (2, 3, 4, 5)
 ALPHAS = ("0", "0.1", "0.4", "1", "-1", "nan", "1e200")
-CHECK_ALPHAS = ("0", "0.2", "0.7", "3", "-1", "1e200")
+CHECK_ALPHAS = ("0", "0.2", "0.7", "3", "-1", "1e200", "inf", "nan")
 #: (seed, d, members, Dirichlet concentration of the weights)
 DECOMPOSITIONS = ((0, 2, 6, 1.0), (1, 2, 9, 1.0), (2, 3, 12, 1.0),
                   (3, 3, 20, 1.0), (4, 4, 24, 1.0), (5, 3, 14, 0.05))

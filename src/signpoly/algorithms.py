@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DecompositionError, SolverFailureError
 from .geometry import CrossPolytopeSpec, _exp, _witness_violation
-from .majorization import DEFAULT_TOL, _weakly_majorized
-from .quantum import DensityMatrix, _chart, _state_stack, from_coords, to_coords
+from .majorization import DEFAULT_TOL, _check_sums
+from .quantum import DensityMatrix, _chart, _state_stack, from_coords
 from .simplex import _ray_maxima
 
 #: Inscribed scales at or below this mark the polytope as degenerate.
@@ -270,22 +270,33 @@ def robustness_member(
 def _displacement(probe: DensityMatrix, center: DensityMatrix,
                   alpha: float) -> np.ndarray:
     """The chart displacement ``c`` of ``probe`` from ``center``, once
-    their dimensions agree and ``alpha`` is nonnegative."""
+    their dimensions agree and ``alpha`` is nonnegative.  The two are
+    charted as one stack, whose rows are their charts bit for bit."""
     if probe.dim != center.dim:
         raise DecompositionError(
             f"probe dimension {probe.dim} != center dimension {center.dim}"
         )
     if not alpha >= 0.0:
         raise ValueError("alpha must be nonnegative")
-    return to_coords(probe) - to_coords(center)
+    coords = _chart(np.array((probe.matrix, center.matrix)))
+    return coords[0] - coords[1]
 
 
 def _in_cross_polytope(c: np.ndarray, alpha: float, tol: float) -> bool:
     """Whether ``c`` is in the cross-polytope of scale ``alpha`` about 0,
-    the sign-permutation polytope of ``(alpha, 0, ..., 0)``."""
-    anchor = np.zeros(c.size)
-    anchor[0] = alpha
-    return _weakly_majorized(np.abs(c), anchor, tol)
+    the sign-permutation polytope of ``(alpha, 0, ..., 0)``.
+
+    Every descending partial sum of that anchor is ``alpha``, and those
+    of ``|c|`` never fall (adding a nonnegative float never lowers a
+    sum), so weak majorization is decided by the last one, summed in
+    the same order as :func:`~signpoly.majorization.weakly_majorized`.
+    """
+    s = np.abs(c)
+    s.sort()
+    total = s[::-1].cumsum().item(-1)
+    if not math.isfinite(total + alpha):
+        _check_sums((s, np.array([alpha])), (total, alpha))
+    return bool(total <= alpha + tol)
 
 
 def hs_volume(d: int) -> float:

@@ -214,7 +214,14 @@ def hull_member_lp(
     ok, w = feasible_nonneg(A, b, tol=tol)
     if not ok:
         return False, None
-    violation = _witness_violation(w, V, xv)
+    # A basic solution has at most n + 1 nonzero weights: check those
+    # rows, not all m.  The mask keeps NaN weights (numpy finds a bool
+    # mask's nonzeros several times faster than a float array's); an
+    # all-zero w keeps every row, so its sum and minimum are defined.
+    support = np.flatnonzero(w != 0.0)
+    if support.size == 0:
+        support = slice(None)
+    violation = _witness_violation(w[support], V[support], xv)
     if not violation <= tol:
         raise SolverFailureError(
             f"witness violation {violation:.3e} exceeds tolerance {tol:.3e}"

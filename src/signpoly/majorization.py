@@ -52,9 +52,17 @@ def _check_sums(points: tuple[np.ndarray, ...], totals: tuple[float, ...]) -> No
         raise ValueError("partial sums of the coordinates overflow")
 
 
-def _partial_sums_desc(arr: np.ndarray) -> np.ndarray:
+def _partial_sums_desc(s: np.ndarray) -> np.ndarray:
+    """Partial sums of the descending rearrangement of each row of the
+    fresh ``(2, n)`` array ``s``, which is sorted in place.
+
+    The rows are sorted and summed as one array, one numpy call each; an
+    accumulation runs along its row in order, so every row equals
+    ``np.cumsum(np.sort(v)[::-1])`` of that row bit for bit.
+    """
     # Only the sorted values matter for partial sums, so plain sort is fine.
-    return np.cumsum(np.sort(arr)[::-1])
+    s.sort()
+    return s[:, ::-1].cumsum(axis=1)
 
 
 def majorizes(b: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bool:
@@ -67,14 +75,13 @@ def majorizes(b: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bool:
     av = as_coords(a)
     bv = as_coords(b)
     _check_same_dim(av, bv)
-    sa = _partial_sums_desc(av)
-    sb = _partial_sums_desc(bv)
+    sa, sb = _partial_sums_desc(np.array((av, bv)))
     gap = abs(sa.item(-1) - sb.item(-1))
     if not math.isfinite(gap):
         _check_sums((av, bv), (sa.item(-1), sb.item(-1)))
     if gap > tol:
         return False
-    return bool(np.all(sa <= sb + tol))
+    return bool((sa <= sb + tol).all())
 
 
 def weakly_majorized(x: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bool:
@@ -87,16 +94,16 @@ def weakly_majorized(x: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bo
     xv = as_coords(x)
     av = as_coords(a)
     _check_same_dim(xv, av)
-    return _weakly_majorized(xv, av, tol)
+    return _weakly_majorized(np.array((xv, av)), tol)
 
 
-def _weakly_majorized(xv: np.ndarray, av: np.ndarray, tol: float) -> bool:
-    """:func:`weakly_majorized` on 1-d float arrays of one size."""
-    sx = _partial_sums_desc(xv)
-    sa = _partial_sums_desc(av)
+def _weakly_majorized(s: np.ndarray, tol: float) -> bool:
+    """:func:`weakly_majorized` of row 0 of the fresh ``(2, n)`` float
+    array ``s`` by its row 1; ``s`` is sorted in place."""
+    sx, sa = _partial_sums_desc(s)
     if not math.isfinite(sx.item(-1) + sa.item(-1)):
-        _check_sums((xv, av), (sx.item(-1), sa.item(-1)))
-    return bool(np.all(sx <= sa + tol))
+        _check_sums((s,), (sx.item(-1), sa.item(-1)))
+    return bool((sx <= sa + tol).all())
 
 
 def rado_member(x: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bool:
@@ -117,4 +124,5 @@ def sign_perm_member(x: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bo
     xv = as_coords(x)
     av = as_coords(a)
     _check_same_dim(xv, av)
-    return _weakly_majorized(np.abs(xv), np.abs(av), tol)
+    s = np.array((xv, av))
+    return _weakly_majorized(np.abs(s, out=s), tol)

@@ -27,8 +27,9 @@ from signpoly import (
     stateio,
     to_coords,
     traceless_hermitian_basis,
+    weakly_majorized,
 )
-from signpoly.algorithms import _chart_members
+from signpoly.algorithms import _chart_members, _displacement, _in_cross_polytope
 from signpoly.cli import main
 from signpoly.geometry import _witness_violation
 
@@ -832,6 +833,8 @@ def test_robustness_member_validation():
     for alpha in (-0.1, math.nan):
         with pytest.raises(ValueError):
             robustness_member(center, center, alpha)
+    with pytest.raises(ValueError, match="finite"):
+        robustness_member(center, center, math.inf)
 
 
 def test_robustness_member_agrees_with_lp_route():
@@ -861,6 +864,60 @@ def test_robustness_membership_implies_hs_distance_bound():
         c = rng.uniform(-0.3, 0.3, size=3)
         if robustness_member(_qubit_state(c), center, alpha):
             assert np.linalg.norm(c) <= alpha + 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_displacement_charts_probe_and_center_as_one_stack(d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(20):
+        probe, center = (DensityMatrix(G @ G.conj().T / np.trace(G @ G.conj().T).real)
+                         for G in rng.normal(size=(2, d, d))
+                         + 1j * rng.normal(size=(2, d, d)))
+        c = _displacement(probe, center, 0.1)
+        expected = to_coords(probe) - to_coords(center)
+        assert c.tobytes() == expected.tobytes()
+
+
+def _anchored_in_cross_polytope(c, alpha, tol=1e-9):
+    """The weak majorization of ``|c|`` by ``(alpha, 0, ..., 0)`` that
+    :func:`_in_cross_polytope` reduces to its last partial sum."""
+    anchor = np.zeros(len(c))
+    anchor[0] = alpha
+    return weakly_majorized(np.abs(c), anchor, tol=tol)
+
+
+def test_in_cross_polytope_agrees_with_anchored_weak_majorization():
+    rng = np.random.default_rng(12)
+    checked = {True: 0, False: 0}
+    for n in (1, 3, 8, 15, 24):
+        for _ in range(40):
+            c = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3])
+            if rng.random() < 0.3:
+                c = np.round(c * 8) / 8   # dyadic: |c|_1 is exact
+            total = float(np.cumsum(np.sort(np.abs(c))[::-1])[-1])
+            for alpha in (total, np.nextafter(total, 0.0), total - 1e-9,
+                          np.nextafter(total - 1e-9, 0.0), total - 2e-9,
+                          0.5 * total, 2.0 * total, 0.0):
+                got = _in_cross_polytope(c, alpha, 1e-9)
+                assert got == _anchored_in_cross_polytope(c, alpha)
+                checked[got] += 1
+    # |c|_1 == alpha exactly is on the boundary, and closed
+    assert _in_cross_polytope(np.array([0.5, -0.25, 0.125]), 0.875, 0.0)
+    assert not _in_cross_polytope(np.array([0.5, -0.25, 0.125]),
+                                  np.nextafter(0.875, 0.0), 0.0)
+    assert min(checked.values()) > 100
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_in_cross_polytope_refuses_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="finite"):
+        _in_cross_polytope(np.array([0.1, bad, 0.0]), 0.3, 1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_in_cross_polytope_refuses_overflowing_sums():
+    with pytest.raises(ValueError, match="overflow"):
+        _in_cross_polytope(np.array([1e308, -1e308, 0.0]), 0.3, 1e-9)
 
 
 # ----------------------------------------------------------------- volumes

@@ -626,9 +626,11 @@ def test_bad_tolerance_flags(ghz_file):
     ["--alpha", "nan"],
     ["--alpha", "0.5", "--tol", "nan"],
     ["--alpha", "0.5", "--tol-alpha", "nan"],
-], ids=["alpha", "tol", "tol-alpha"])
+    ["--alpha", "inf"],
+], ids=["alpha", "tol", "tol-alpha", "alpha-inf"])
 def test_nan_tolerance_or_scale_is_bad_input(tmp_path, capsys, extra):
-    """NaN is invalid input (exit 2), never a verdict."""
+    """NaN, or an infinite scale, is invalid input (exit 2), never a
+    verdict."""
     a = _state_file(tmp_path, "a.json", MIXED_2)
     assert main(["check", a, a, *extra]) == 2
     captured = capsys.readouterr()

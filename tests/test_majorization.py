@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signpoly import (
     DimensionMismatchError,
@@ -9,6 +11,7 @@ from signpoly import (
     sign_perm_member,
     weakly_majorized,
 )
+from signpoly.majorization import _partial_sums_desc
 
 
 def test_majorizes_examples():
@@ -175,3 +178,65 @@ def test_overflowing_difference_of_finite_sums_is_a_verdict():
     # sx + sa = 1e308 + 1.1e308 overflows, both sums are finite
     assert weakly_majorized([1e308, 0.0], [1e308, 1e307])
     assert sign_perm_member([-1e308, 0.0], [1e308, 1e307])
+
+
+# ------------------------------------- fused partial sums against the seed's
+
+def _seed_partial_sums(v):
+    """The per-vector partial sums the fused ``(2, n)`` pass replaced."""
+    return np.cumsum(np.sort(v)[::-1])
+
+
+def _seed_weakly_majorized(x, a, tol=1e-9):
+    return bool(np.all(_seed_partial_sums(x) <= _seed_partial_sums(a) + tol))
+
+
+def _seed_majorizes(b, a, tol=1e-9):
+    sa, sb = _seed_partial_sums(a), _seed_partial_sums(b)
+    if abs(sa[-1] - sb[-1]) > tol:
+        return False
+    return bool(np.all(sa <= sb + tol))
+
+
+def _same_bits(p, q):
+    return p.shape == q.shape and p.tobytes() == q.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.one_of(st.integers(1, 12), st.integers(1, 1000)),
+       seed=st.integers(0, 2**32 - 1),
+       values=st.sampled_from(["normal", "ties", "signed-zeros"]),
+       relation=st.sampled_from(["mixed", "equal", "up", "down", "flipped"]))
+def test_fused_partial_sums_match_per_vector_sums(n, seed, values, relation):
+    """Sorting and summing both points as one ``(2, n)`` array gives the
+    per-vector partial sums bit for bit, and every predicate the seed's
+    verdict, at ties, signed zeros and points on or next to the
+    boundary."""
+    rng = np.random.default_rng(seed)
+    if values == "normal":
+        a = rng.normal(size=n)
+    elif values == "ties":
+        a = rng.integers(-3, 4, size=n).astype(float)
+    else:
+        a = rng.choice([-0.0, 0.0, 1.0, -2.0], size=n)
+    if relation == "mixed":
+        w = rng.dirichlet(np.ones(3))
+        x = sum(wi * rng.choice([-1.0, 1.0], size=n) * a[rng.permutation(n)]
+                for wi in w)
+    elif relation == "equal":
+        x = a.copy()
+    elif relation == "up":
+        x = a * (1 + 1e-12)
+    elif relation == "down":
+        x = a * (1 - 1e-12)
+    else:
+        x = rng.choice([-1.0, 1.0], size=n) * a[rng.permutation(n)]
+    fused = _partial_sums_desc(np.array((x, a)))
+    assert _same_bits(fused[0], _seed_partial_sums(x))
+    assert _same_bits(fused[1], _seed_partial_sums(a))
+    assert majorizes(a, x) == _seed_majorizes(a, x)
+    assert majorizes(x, a) == _seed_majorizes(x, a)
+    assert rado_member(x, a) == _seed_majorizes(a, x)
+    assert weakly_majorized(x, a) == _seed_weakly_majorized(x, a)
+    assert weakly_majorized(a, x) == _seed_weakly_majorized(a, x)
+    assert sign_perm_member(x, a) == _seed_weakly_majorized(np.abs(x), np.abs(a))
