@@ -22,7 +22,16 @@ pivots per ``construct``, split by where they happen:
 - ``phase1``: in those phase-1 solves (one shared solve per
   ``construct``, or one per ray LP where phase 1 is not shared);
 - ``drive_out``: artificials pivoted out between the phases;
-- ``phase2``: phase 2.
+- ``phase2``: phase 2;
+
+and the mean basis inversions (``np.linalg.inv`` calls) per
+``construct``, split the same way:
+
+- ``phase1``: in phase 1, its ``REFRESH_EVERY`` refreshes and the
+  rebuild that ends it;
+- ``refresh``: the ``REFRESH_EVERY`` refreshes of phase 2;
+- ``batch``: the one batched inversion that rebuilds every ray's final
+  basis after the last ray.
 
 The d=5 case also reports its alpha, or the solver failure it raised.
 No wall time is taken: one unpaired timing of one tree varies from run
@@ -53,10 +62,11 @@ class PivotCounter:
     """Counts the pivots of ``sp.simplex`` by where they happen (the keys
     of :data:`KINDS`) while it is entered, the phase-1 solves from the
     artificial basis, and the basis inversions (the keys of
-    :data:`INVERSIONS`)."""
+    :data:`INVERSIONS`): in phase 1, single inversions elsewhere (the
+    phase-2 refreshes), and stacked ones (the batched rebuild)."""
 
     KINDS = ("phase1", "drive_out", "phase2")
-    INVERSIONS = ("phase1", "rays", "batch")
+    INVERSIONS = ("phase1", "refresh", "batch")
 
     def __init__(self, sp):
         self.simplex = sp.simplex
@@ -81,7 +91,7 @@ class PivotCounter:
 
         def counted_inv(B):
             kind = ("phase1" if self._where[-1] == "phase1"
-                    else "batch" if B.ndim > 2 else "rays")
+                    else "batch" if B.ndim > 2 else "refresh")
             self.inversions[kind] += 1
             return inv(B)
 

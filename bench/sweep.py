@@ -27,15 +27,18 @@ to run, so two checkouts compare exactly::
     python3 bench/sweep.py --compare old.json new.json
 
 A run writes, per case, the scale as ``repr(float)`` (or the error it
-raised) and whether ``certificate_holds`` accepts the result, and prints
-the totals per block.  ``--compare`` prints per block how many scales
-differ at all between two runs and the largest difference.  The
+raised), whether ``certificate_holds`` accepts the result, and the
+sha256 of the certificate's ``t``, ``witnesses`` and ``hyperplane``
+bytes, and prints the totals per block.  ``--compare`` prints per block
+how many scales differ at all between two runs, the largest difference,
+and how many certificates differ in any bit.  The
 centred block needs scipy (``scipy.stats.unitary_group``).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import json
 import sys
@@ -106,6 +109,14 @@ def load(sp, path: Path, target, members, weights):
     return sp.stateio.load_decomposition(path)
 
 
+def digest(cert) -> str:
+    """sha256 of the bytes of ``t``, ``witnesses`` and ``hyperplane``."""
+    h = hashlib.sha256()
+    for a in (cert.t, cert.witnesses, cert.hyperplane):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def run(sp) -> dict:
     results, blocks = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -119,7 +130,8 @@ def run(sp) -> dict:
                 results[key] = {"error": str(exc)}
                 continue
             results[key] = {"alpha": repr(poly.alpha),
-                            "certificate": bool(sp.certificate_holds(poly))}
+                            "certificate": bool(sp.certificate_holds(poly)),
+                            "digest": digest(poly.certificate)}
     totals = {}
     for block, keys in blocks.items():
         done = [results[k] for k in keys if "alpha" in results[k]]
@@ -140,6 +152,9 @@ def compare(old: dict, new: dict) -> dict:
             "compared": len(both),
             "alphas_differing": sum(d != 0.0 for d in diffs),
             "max_abs_difference": max(diffs, default=0.0),
+            "certificates_differing": sum(
+                old["results"][k]["digest"] != new["results"][k]["digest"]
+                for k in both),
             "raises": [old["blocks"][block]["raises"], new["blocks"][block]["raises"]],
             "certificate_failures": [old["blocks"][block]["certificate_failures"],
                                      new["blocks"][block]["certificate_failures"]]}

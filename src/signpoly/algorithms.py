@@ -175,17 +175,17 @@ def max_inscribed_cross_polytope(
     translated to put ``c`` at 0: phase 1 is fully degenerate there).
     The rays differ only in the ``t`` column, so one shared phase 1 feeds
     their ``2(d^2-1)`` phase-2 runs, and a ray stops once its ``t`` is
-    strictly above the smallest optimum found so far (status
-    ``"cut-off"``), which leaves the scale unchanged: the binding ray
-    always runs to its optimum.  A centre on the hull boundary gives a
-    scale at or near 0; scales at or below ``tol_alpha`` carry the
-    ``degenerate`` flag instead of raising.  Every ray keeps its LP
-    weights, and the binding ray its LP dual, as the certificate.  A
-    shared phase 1 that leaves ``t = 0`` infeasible at ``lp_tol``, a ray
-    with no admissible pivot, a binding ray that is not optimal, or a
-    certificate that :func:`certificate_holds` rejects at ``lp_tol``
-    raises :class:`~signpoly.errors.SolverFailureError`, so every scale
-    returned is certified on both sides.
+    strictly above the smallest optimum found so far, which leaves the
+    scale unchanged: the binding ray always runs to its optimum.  A
+    centre on the hull boundary gives a scale at or near 0; scales at or
+    below ``tol_alpha`` carry the ``degenerate`` flag instead of
+    raising.  Every ray keeps its LP weights, and the binding ray its LP
+    dual, as the certificate.  A shared phase 1 that leaves ``t = 0``
+    infeasible at ``lp_tol``, a ray with no admissible pivot, a binding
+    ray that is not optimal, or a certificate that
+    :func:`certificate_holds` rejects at ``lp_tol`` raises
+    :class:`~signpoly.errors.SolverFailureError`, so every scale returned
+    is certified on both sides.
     """
     center, points = _chart_members(decomposition)
     m, n = points.shape
@@ -194,17 +194,16 @@ def max_inscribed_cross_polytope(
     b = np.append(center, 1.0)
     columns = np.vstack([-np.eye(n, n + 1), np.eye(n, n + 1)])
 
-    sols = list(_ray_maxima(A, b, columns, lp_tol))
-    z = np.array([sol.z for sol in sols])
+    z, dual = _ray_maxima(A, b, columns, lp_tol)
     t = z[:, m]
     binding = int(np.argmin(t))
-    if sols[binding].status != "optimal":
+    if np.isnan(dual[binding]).any():
         raise SolverFailureError("the binding ray LP stopped before its optimum")
     alpha = float(t[binding]) + 0.0  # no negative zero
     # The dual (u, u0) of the binding ray has u . x + u0 <= 0 on every
     # member, s u_k >= 1 and u . c + u0 = -alpha: u . (x - c) <= alpha.
     certificate = CrossPolytopeCertificate(
-        t=t, witnesses=z[:, :m], hyperplane=sols[binding].dual[:n])
+        t=t, witnesses=z[:, :m], hyperplane=dual[binding, :n])
     if not _certified(certificate, alpha, center, points, lp_tol):
         raise SolverFailureError(
             f"the certificate of scale {alpha!r} fails at tolerance "

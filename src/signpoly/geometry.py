@@ -29,11 +29,8 @@ class VertexSet:
 
     Points are stored as the rows of a read-only ``(m, n)`` array, in the
     order given and with any repeats kept: neither a hull nor the LP
-    depends on them.  A read-only float array that owns its data is held
-    without a copy; anything else (a view, a writable array or a sequence
-    of points) is copied, so no base array can change the points
-    afterwards.  A writable view made before the held array was frozen
-    still could: do not keep one.
+    depends on them.  The points are always copied, so no array the
+    caller keeps can change them afterwards.
     The first :func:`hull_member_lp` query builds the LP matrix
     ``[V^T; 1]``, ``(n+1)/n`` times the array's bytes, and the set keeps
     it for every later query.
@@ -42,11 +39,7 @@ class VertexSet:
     __slots__ = ("_points", "_lp")
 
     def __init__(self, points):
-        if (isinstance(points, np.ndarray) and points.dtype == float
-                and not points.flags.writeable and points.flags.owndata):
-            arr = points
-        else:
-            arr = np.array(points, dtype=float)
+        arr = np.array(points, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("a vertex set needs at least one point")
         if not np.all(np.isfinite(arr)):

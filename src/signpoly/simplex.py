@@ -6,15 +6,14 @@ Phase 1 decides whether some ``z >= 0`` solves ``A z = b``
 solve keeps ``A`` and only the ``k x (k + 1)`` array ``[B^-1 | x_B]``,
 prices every column from ``A`` at each pivot (Dantzig & Orchard-Hays,
 1954), and rebuilds it from the basis columns every ``REFRESH_EVERY``
-pivots and at the end of each phase; the ray LPs stopped early are
-rebuilt together, by one batched inversion after the last ray.  Failure
-to converge raises, it never masquerades as a verdict.
+pivots and at the end of phase 1; every ray LP keeps its final basis,
+and all of them are rebuilt together, by one batched inversion after the
+last ray.  Failure to converge raises, it never masquerades as a verdict.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,24 +27,6 @@ RATIO_EPS = 1e-12
 STALL_LIMIT = 20
 # Pivots between two rebuilds of [B^-1 | x_B] by _refine.
 REFRESH_EVERY = 32
-
-
-@dataclass(frozen=True)
-class LPSolution:
-    """One ray LP of :func:`_ray_maxima`: minimize ``c . z`` subject to
-    ``A z = b``, ``z >= 0``, with ``c = (0, ..., 0, -1)``.
-
-    ``status`` is ``"optimal"`` or ``"cut-off"``, and ``z`` is a feasible
-    basic solution either way.  When optimal, ``z`` is a minimizer and
-    ``dual`` is a vector ``y`` with ``A^T y <= c`` (up to the pivot
-    tolerance) and ``b . y = c . z``, the certificate that no feasible
-    point does better.  When cut off, phase 2 stopped early, ``z`` is
-    not a minimizer and ``dual`` is ``None``.
-    """
-
-    status: str
-    z: np.ndarray
-    dual: np.ndarray | None = None
 
 
 class _State:
@@ -234,15 +215,21 @@ def _ray_maxima(A, b, columns, tol):
 
     Only the smallest maximum matters to the caller, so the rays run in
     ascending order of the bound ``max_i -a . A_i`` (the members'
-    support along the ray), and a ray's phase 2 stops, as ``"cut-off"``,
-    at the first basis whose ``t`` is strictly above the smallest
-    optimal ``t`` so far.  The primal simplex never lowers ``t``, so
-    every ray whose ``t`` is the final minimum runs to optimality.  An
-    optimal ray is rebuilt at once, as the cut-off reads its ``t``; the
-    rays stopped early are rebuilt together by one batched inversion
-    after the last ray, so every witness is read from a rebuilt solution.
-    Returns the :class:`LPSolution` of each ray in the order of
-    ``columns``.
+    support along the ray), and a ray's phase 2 stops early at the first
+    basis whose ``t`` is strictly above the smallest optimal ``t`` so far
+    (read from the ray's basic ``t``, clamped at 0).  The primal simplex
+    never lowers ``t``, so every ray whose ``t`` is the final minimum
+    runs to optimality.  Every ray keeps its final basis, and all of them
+    are rebuilt together by one batched inversion after the last ray, so
+    every solution is read from a rebuilt basis.
+
+    Returns ``(z, dual)`` in the order of ``columns``: row ``j`` of the
+    ``(R, p + 1)`` array ``z`` is ray ``j``'s feasible basic ``(w, t)``,
+    its minimizer when optimal.  Row ``j`` of the ``(R, k)`` array
+    ``dual`` is, for an optimal ray, a ``y`` with ``[A | a]^T y <= (0,
+    ..., 0, -1)`` (up to the pivot tolerance) and ``b . y = -t``, the
+    proof that no feasible point does better; for a ray stopped early,
+    it is NaN.
     """
     k, p = A.shape
     cap = 50 * (k + p + 1)
@@ -253,8 +240,8 @@ def _ray_maxima(A, b, columns, tol):
     shared = s.T.copy(), s.basis.copy()
     cost = np.zeros(p + 1 + k)
     cost[p] = -1.0
-    sols = [None] * len(columns)
-    stopped, bases = [], []
+    bases = np.empty((len(columns), k), dtype=int)
+    stopped = np.zeros(len(columns), dtype=bool)
     best = math.inf
     for j in np.argsort(np.max(-columns @ A, axis=1), kind="stable"):
         # The t column is nonbasic at the shared basis, so only it changes.
@@ -263,27 +250,22 @@ def _ray_maxima(A, b, columns, tol):
         _drive_out(s)
         _, outcome = _pivot_loop(s, cost, p + 1, cap - used, phase=2,
                                  stop_above=best)
-        if outcome == "cut-off":
-            stopped.append(j)
-            bases.append(s.basis.copy())
-            continue
-        _refine(s)
-        z = _basic_solution(s)
-        sols[j] = LPSolution("optimal", z, cost[s.basis] @ s.T[:, :-1])
-        best = min(best, z[-1])
-    if stopped:
-        bases = np.array(bases)
-        B = _basis_matrix(s.A, s.sign, bases)
-        ray, slot = (bases == p).nonzero()
-        B[ray, :, slot] = columns[np.array(stopped)[ray]]
-        T = np.empty((len(stopped), k, k + 1))
-        _invert_into(T, B, b)
-        z = np.zeros((len(stopped), p + 1 + k))
-        z[np.arange(len(stopped))[:, None], bases] = T[..., -1]
-        # Basic values are nonnegative up to roundoff; clamp the dust.
-        for j, zj in zip(stopped, np.maximum(z[:, :p + 1], 0.0)):
-            sols[j] = LPSolution("cut-off", zj)
-    return sols
+        bases[j] = s.basis
+        stopped[j] = outcome == "cut-off"
+        if not stopped[j]:
+            best = min(best, max(float(s.T[:, -1] @ (s.basis == p)), 0.0))
+    B = _basis_matrix(s.A, s.sign, bases)
+    ray, slot = (bases == p).nonzero()
+    B[ray, :, slot] = columns[ray]
+    T = np.empty((len(columns), k, k + 1))
+    _invert_into(T, B, b)
+    z = np.zeros((len(columns), p + 1 + k))
+    z[np.arange(len(columns))[:, None], bases] = T[..., -1]
+    dual = np.full((len(columns), k), np.nan)
+    for j in (~stopped).nonzero()[0]:
+        dual[j] = cost[bases[j]] @ T[j, :, :-1]
+    # Basic values are nonnegative up to roundoff; clamp the dust.
+    return np.maximum(z[:, :p + 1], 0.0), dual
 
 
 def _drive_out(s):

@@ -397,10 +397,9 @@ def test_ray_witness_that_misses_raises(monkeypatch):
     rays = signpoly.algorithms._ray_maxima
 
     def heavy(*args, **kwargs):
-        for sol in rays(*args, **kwargs):
-            z = sol.z.copy()
-            z[0] += 2e-9
-            yield dataclasses.replace(sol, z=z)
+        z, dual = rays(*args, **kwargs)
+        z[:, 0] += 2e-9
+        return z, dual
 
     monkeypatch.setattr(signpoly.algorithms, "_ray_maxima", heavy)
     with pytest.raises(SolverFailureError, match="ray witness"):
@@ -416,10 +415,9 @@ def test_construct_refuses_a_dual_that_does_not_bound_the_scale(
     rays = signpoly.algorithms._ray_maxima
 
     def halved(*args, **kwargs):
-        sols = list(rays(*args, **kwargs))
-        j = int(np.argmin([sol.z[-1] for sol in sols]))
-        sols[j] = dataclasses.replace(sols[j], dual=sols[j].dual / 2)
-        return sols
+        z, dual = rays(*args, **kwargs)
+        dual[int(np.argmin(z[:, -1]))] /= 2
+        return z, dual
 
     dec = _random_decomposition(7, 3, 20, 1.0)
     monkeypatch.setattr(signpoly.algorithms, "_ray_maxima", halved)
@@ -611,13 +609,13 @@ def test_bounded_rays_pivot_count(monkeypatch):
 
 def test_tied_rays_all_run_to_their_optimum():
     """On the octahedral decomposition all six rays tie at 0.4: the
-    cut-off is strict, so none of them stops early, each keeps its
+    cut-off is strict, so none of them stops early, each keeps a finite
     dual, and the certificate holds."""
     dec = _octahedral_decomposition(0.4)
-    sols = simplex._ray_maxima(*_ray_system(dec), 1e-9)
-    assert [sol.status for sol in sols] == ["optimal"] * 6
-    assert all(sol.dual is not None for sol in sols)
-    np.testing.assert_allclose([sol.z[-1] for sol in sols], 0.4, atol=1e-12)
+    z, dual = simplex._ray_maxima(*_ray_system(dec), 1e-9)
+    assert len(z) == len(dual) == 6
+    assert np.isfinite(dual).all()
+    np.testing.assert_allclose(z[:, -1], 0.4, atol=1e-12)
     assert certificate_holds(max_inscribed_cross_polytope(dec))
 
 
@@ -628,10 +626,9 @@ def test_cut_off_binding_ray_raises(monkeypatch):
     rays = signpoly.algorithms._ray_maxima
 
     def stopped(*args, **kwargs):
-        sols = rays(*args, **kwargs)
-        j = int(np.argmin([sol.z[-1] for sol in sols]))
-        sols[j] = dataclasses.replace(sols[j], status="cut-off", dual=None)
-        return sols
+        z, dual = rays(*args, **kwargs)
+        dual[int(np.argmin(z[:, -1]))] = np.nan
+        return z, dual
 
     monkeypatch.setattr(signpoly.algorithms, "_ray_maxima", stopped)
     with pytest.raises(SolverFailureError, match="binding ray"):
@@ -639,27 +636,34 @@ def test_cut_off_binding_ray_raises(monkeypatch):
 
 
 def test_stopped_rays_share_one_inversion(monkeypatch):
-    """Basis inversions in one d=3, m=20 search: one ends the shared
-    phase 1, one rebuilds each optimal ray, and one batched call
-    rebuilds every ray stopped early; inverting each ray on its own
-    took 17."""
+    """Basis inversions in one d=3, m=20 search, where some rays stop
+    early: one ends the shared phase 1 and one batched call rebuilds
+    every ray, optimal or stopped; inverting each ray on its own took
+    17."""
     dec = _random_decomposition(7, 3, 20, 1.0)
-    sols = simplex._ray_maxima(*_ray_system(dec), 1e-9)
-    optimal = sum(sol.status == "optimal" for sol in sols)
-    assert optimal < len(sols)
+    _, dual = simplex._ray_maxima(*_ray_system(dec), 1e-9)
+    assert 0 < np.isnan(dual).all(axis=1).sum() < len(dual)
     calls = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv",
-                        lambda B: calls.append(B.shape) or inv(B))
+                        lambda B: calls.append(B.ndim) or inv(B))
     poly = max_inscribed_cross_polytope(dec)
-    assert len(calls) <= 1 + optimal + 1
+    assert calls == [2, 3]
     assert certificate_holds(poly)
+
+
+#: (seed, d, m, concentration) of the seeded searches whose rays the
+#: batched rebuild is checked on.
+SEEDED_SEARCHES = ((1, 2, 6, 1.0), (2, 2, 12, 0.2), (3, 3, 12, 1.0),
+                   (7, 3, 20, 1.0), (4, 3, 30, 0.2), (7, 4, 40, 1.0),
+                   (5, 4, 24, 5.0))
 
 
 def _rays_one_by_one(A, b, columns, tol):
     """``_ray_maxima`` with every ray finished on its own: drive-out,
     phase 2, an inversion of its final basis, and its solution read off
-    the rebuilt state, from the same shared phase 1 in the same order."""
+    the rebuilt state, from the same shared phase 1 in the same order;
+    the cut-off reads each optimal ``t`` from the rebuilt solution."""
     k, p = A.shape
     cap = 50 * (k + p + 1)
     s, used = simplex._phase1(np.c_[A, np.zeros(k)], b, cap)
@@ -667,7 +671,8 @@ def _rays_one_by_one(A, b, columns, tol):
     shared = s.T.copy(), s.basis.copy()
     cost = np.zeros(p + 1 + k)
     cost[p] = -1.0
-    sols = [None] * len(columns)
+    z = np.empty((len(columns), p + 1))
+    dual = np.full((len(columns), k), np.nan)
     best = math.inf
     for j in np.argsort(np.max(-columns @ A, axis=1), kind="stable"):
         s.A[:, p] = columns[j]
@@ -676,44 +681,72 @@ def _rays_one_by_one(A, b, columns, tol):
         _, status = simplex._pivot_loop(s, cost, p + 1, cap - used, phase=2,
                                         stop_above=best)
         simplex._refine(s)
-        z = simplex._basic_solution(s)
-        dual = None
+        z[j] = simplex._basic_solution(s)
         if status == "optimal":
-            dual = cost[s.basis] @ s.T[:, :-1]
-            best = min(best, z[-1])
-        sols[j] = simplex.LPSolution(status, z, dual)
-    return sols
-
-
-def _bits(x):
-    return None if x is None else x.tobytes()
+            dual[j] = cost[s.basis] @ s.T[:, :-1]
+            best = min(best, z[j, -1])
+    return z, dual
 
 
 def test_batched_rebuild_matches_one_by_one_bit_for_bit():
-    """Rays rebuilt in one batch after the last ray have the status,
+    """Rays rebuilt in one batch after the last ray have the outcome,
     witness and dual, bit for bit, of rays each rebuilt at the end of
     its own phase 2: on seeded d = 2, 3, 4 searches, on the octahedral
     one (all six rays tie), on a flat one whose stopped rays keep an
     artificial basic, and on a system with a redundant row."""
-    systems = [_ray_system(_random_decomposition(seed, d, m, conc))
-               for seed, d, m, conc in ((1, 2, 6, 1.0), (2, 2, 12, 0.2),
-                                        (3, 3, 12, 1.0), (7, 3, 20, 1.0),
-                                        (4, 3, 30, 0.2), (7, 4, 40, 1.0),
-                                        (5, 4, 24, 5.0))]
+    systems = [_ray_system(_random_decomposition(*args))
+               for args in SEEDED_SEARCHES]
     systems.append(_ray_system(_octahedral_decomposition(0.4)))
     systems.append(_ray_system(_flat_qubit_decomposition(2, 8)))
     systems.append((np.array([[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]]),
                     np.array([1.0, 2.0, 0.0]), np.array([[1.0, 2.0, 0.0]])))
     cut_off = 0
     for A, b, columns in systems:
-        sols = simplex._ray_maxima(A, b, columns, 1e-9)
-        reference = _rays_one_by_one(A, b, columns, 1e-9)
-        assert [sol.status for sol in sols] == [ref.status for ref in reference]
-        assert [_bits(sol.z) for sol in sols] == [_bits(ref.z) for ref in reference]
-        assert ([_bits(sol.dual) for sol in sols]
-                == [_bits(ref.dual) for ref in reference])
-        cut_off += sum(sol.status == "cut-off" for sol in sols)
+        z, dual = simplex._ray_maxima(A, b, columns, 1e-9)
+        z_ref, dual_ref = _rays_one_by_one(A, b, columns, 1e-9)
+        assert z.tobytes() == z_ref.tobytes()
+        assert dual.tobytes() == dual_ref.tobytes()
+        cut_off += np.isnan(dual).all(axis=1).sum()
     assert cut_off > 20
+
+
+def test_dual_is_nan_exactly_for_rays_stopped_early(monkeypatch):
+    """A ray's dual row is NaN exactly when its phase 2 stopped early,
+    as ``_pivot_loop`` reports it; for every other ray it is finite and
+    proves the optimum: ``[A | a]^T y <= (0, ..., 0, -1)`` and ``b . y =
+    -t``.  On the seeded searches of the bit-for-bit test and the
+    octahedral one."""
+    outcomes = {}
+    loop = simplex._pivot_loop
+
+    def recorded(s, *args, phase, **kwargs):
+        it, outcome = loop(s, *args, phase=phase, **kwargs)
+        if phase == 2:
+            outcomes[s.A[:, -1].tobytes()] = outcome
+        return it, outcome
+
+    monkeypatch.setattr(simplex, "_pivot_loop", recorded)
+    decompositions = [_random_decomposition(*args) for args in SEEDED_SEARCHES]
+    decompositions.append(_octahedral_decomposition(0.4))
+    counts = {"optimal": 0, "cut-off": 0}
+    for dec in decompositions:
+        A, b, columns = _ray_system(dec)
+        outcomes.clear()
+        z, dual = simplex._ray_maxima(A, b, columns, 1e-9)
+        assert len(outcomes) == len(columns)
+        c = np.zeros(A.shape[1] + 1)
+        c[-1] = -1.0
+        for a, zj, yj in zip(columns, z, dual):
+            outcome = outcomes[a.tobytes()]
+            counts[outcome] += 1
+            if outcome == "cut-off":
+                assert np.isnan(yj).all()
+                continue
+            assert np.isfinite(yj).all()
+            assert np.max(np.column_stack([A, a]).T @ yj - c) <= 1e-8
+            assert b @ yj == pytest.approx(-zj[-1], abs=1e-9)
+    assert counts["optimal"] > 20
+    assert counts["cut-off"] > 20
 
 
 def _ray_system(dec):
@@ -748,20 +781,20 @@ def _assert_rays_match_standalone(dec):
     center, X = _chart_members(dec)
     V = X - center
     m, n = V.shape
-    shared = simplex._ray_maxima(A, b, columns, 1e-9)
-    assert len(shared) == len(columns)
-    alpha = min(sol.z[-1] for sol in shared)
-    for column, sol in zip(columns, shared):
+    z, dual = simplex._ray_maxima(A, b, columns, 1e-9)
+    assert len(z) == len(dual) == len(columns)
+    alpha = z[:, -1].min()
+    for column, zj, yj in zip(columns, z, dual):
         best = _highs_ray(A, b, column)
-        if sol.z[-1] == alpha:
-            assert sol.status == "optimal"
-        if sol.status == "optimal":
-            assert sol.z[-1] == pytest.approx(best, abs=1e-9)
+        optimal = np.isfinite(yj).all()
+        if zj[-1] == alpha:
+            assert optimal
+        if optimal:
+            assert zj[-1] == pytest.approx(best, abs=1e-9)
         else:
-            assert sol.status == "cut-off" and sol.dual is None
-            assert alpha < sol.z[-1] <= best + 1e-9
-            assert _witness_violation(sol.z[:m], V,
-                                      -sol.z[-1] * column[:n]) <= 1e-9
+            assert np.isnan(yj).all()
+            assert alpha < zj[-1] <= best + 1e-9
+            assert _witness_violation(zj[:m], V, -zj[-1] * column[:n]) <= 1e-9
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -115,8 +115,8 @@ def test_pivot_counter_counts_a_construct(monkeypatch):
     assert counter.phase1_solves == 1
     assert counter.counts["phase2"] > 0
     assert counter.total == sum(counter.counts.values())
-    # every octahedral ray runs to its optimum: no batch to rebuild
-    assert counter.inversions == {"phase1": 1, "rays": 6, "batch": 0}
+    # one inversion ends phase 1 and one batch rebuilds all six rays
+    assert counter.inversions == {"phase1": 1, "refresh": 0, "batch": 1}
     assert np.linalg.inv is counter._inv
 
 

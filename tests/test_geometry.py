@@ -60,24 +60,25 @@ class TestVertexSet:
         assert len(enumerate_sign_perm_vertices([-1.0, 1.0 + 1e-13])) == 4
         assert len(enumerate_sign_perm_vertices([1.0, 1.0 + 1e-6])) == 8
 
-    def test_read_only_float_array_is_held_without_a_copy(self):
-        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
-        rows.setflags(write=False)
-        assert VertexSet(rows).array is rows
-
     def test_read_only_view_is_copied(self):
-        """A read-only view of a writable array can still change through
-        its base, so the set copies it: doubling the base changes
-        neither the points nor a hull answer cached from them."""
-        base = np.vstack([np.eye(2), -np.eye(2)])
-        view = base[:]
-        view.setflags(write=False)
-        v = VertexSet(view)
-        assert v.array is not view
-        assert hull_member_lp([1.5, 0.0], v) == (False, None)
-        base *= 2.0
-        np.testing.assert_array_equal(v.array, np.vstack([np.eye(2), -np.eye(2)]))
-        assert hull_member_lp([1.5, 0.0], v) == (False, None)
+        """A read-only array can still change through a writable array
+        sharing its memory: the writable base of a read-only view, or a
+        writable view made before an array that owns its data was
+        frozen.  So the set copies either: doubling through the
+        writable array changes neither the points nor a hull answer
+        cached from them."""
+        for frozen in ("view", "owner"):
+            base = np.vstack([np.eye(2), -np.eye(2)])
+            view = base[:]
+            held, writer = (view, base) if frozen == "view" else (base, view)
+            held.setflags(write=False)
+            v = VertexSet(held)
+            assert v.array is not held
+            assert hull_member_lp([1.5, 0.0], v) == (False, None)
+            writer *= 2.0
+            np.testing.assert_array_equal(v.array,
+                                          np.vstack([np.eye(2), -np.eye(2)]))
+            assert hull_member_lp([1.5, 0.0], v) == (False, None)
 
     def test_points_are_read_only(self):
         v = VertexSet(np.array([[1.0, 2.0]]))

@@ -155,15 +155,18 @@ def _ray_cost(A):
 
 def _finished(c, state, max_iter, stop_above=math.inf):
     """Drive-out and phase 2 with cost ``c`` from a feasible phase-1
-    state, its final basis inverted and read off as an
-    :class:`~signpoly.simplex.LPSolution`."""
+    state, its final basis inverted and read off as ``(z, dual)``, as
+    ``_ray_maxima`` returns one ray: the dual is NaN if phase 2 stopped
+    early."""
     cost = np.concatenate([c, np.zeros(state.b.size)])
     simplex._drive_out(state)
     _, status = simplex._pivot_loop(state, cost, c.size, max_iter, phase=2,
                                     stop_above=stop_above)
     simplex._refine(state)
-    dual = cost[state.basis] @ state.T[:, :-1] if status == "optimal" else None
-    return simplex.LPSolution(status, simplex._basic_solution(state), dual)
+    dual = np.full(state.b.size, np.nan)
+    if status == "optimal":
+        dual = cost[state.basis] @ state.T[:, :-1]
+    return simplex._basic_solution(state), dual
 
 
 def _two_phase(c, A, b, max_iter=10**4):
@@ -174,14 +177,14 @@ def _two_phase(c, A, b, max_iter=10**4):
     return _finished(c, state, max_iter - used)
 
 
-def _assert_optimal(sol, c, A, b, value):
-    assert sol.status == "optimal"
-    assert sol.z.min() >= 0.0
-    np.testing.assert_allclose(A @ sol.z, b, atol=1e-7)
-    assert c @ sol.z == pytest.approx(value, abs=1e-7)
+def _assert_optimal(z, dual, c, A, b, value):
+    assert np.isfinite(dual).all()
+    assert z.min() >= 0.0
+    np.testing.assert_allclose(A @ z, b, atol=1e-7)
+    assert c @ z == pytest.approx(value, abs=1e-7)
     # the dual proves optimality: A^T y <= c and b . y equals the value
-    assert np.max(A.T @ sol.dual - c) <= 1e-8
-    assert b @ sol.dual == pytest.approx(c @ sol.z, abs=1e-7)
+    assert np.max(A.T @ dual - c) <= 1e-8
+    assert b @ dual == pytest.approx(c @ z, abs=1e-7)
 
 
 def test_minimize_agrees_with_reference_on_bounded_lps():
@@ -189,9 +192,9 @@ def test_minimize_agrees_with_reference_on_bounded_lps():
     ``_ray_maxima``, whose last row ``sum w = 1`` bounds ``t``; every
     other right-hand side is zero in the degenerate half, as in the ray
     systems of the cross-polytope search.  Each optimal ray has the
-    reference's ``t`` and a dual proving it, each cut-off ray is a
-    feasible point strictly above the smallest optimum, and a system
-    whose ``t = 0`` is infeasible raises."""
+    reference's ``t`` and a dual proving it, each ray stopped early
+    (a NaN dual) is a feasible point strictly above the smallest
+    optimum, and a system whose ``t = 0`` is infeasible raises."""
     rng = np.random.default_rng(2718)
     outcomes = {"optimal": 0, "cut-off": 0, "infeasible": 0}
     degenerate_optimal = 0
@@ -212,21 +215,22 @@ def test_minimize_agrees_with_reference_on_bounded_lps():
                 simplex._ray_maxima(A, b, columns, 1e-9)
             outcomes["infeasible"] += 1
             continue
-        sols = simplex._ray_maxima(A, b, columns, 1e-9)
-        best = min(sol.z[-1] for sol in sols if sol.status == "optimal")
+        z, dual = simplex._ray_maxima(A, b, columns, 1e-9)
+        optimal = np.isfinite(dual).all(axis=1)
+        best = z[optimal, -1].min()
         c = _ray_cost(A)
-        for a, sol in zip(columns, sols):
+        for a, zj, yj, ok in zip(columns, z, dual, optimal):
             full = np.column_stack([A, a])
             value = _reference_min(c, full, b)
-            outcomes[sol.status] += 1
-            if sol.status == "optimal":
-                _assert_optimal(sol, c, full, b, value)
+            outcomes["optimal" if ok else "cut-off"] += 1
+            if ok:
+                _assert_optimal(zj, yj, c, full, b, value)
                 degenerate_optimal += trial % 2
             else:
-                assert sol.status == "cut-off" and sol.dual is None
-                assert sol.z.min() >= 0.0
-                np.testing.assert_allclose(full @ sol.z, b, atol=1e-7)
-                assert best < sol.z[-1] <= -value + 1e-7
+                assert np.isnan(yj).all()
+                assert zj.min() >= 0.0
+                np.testing.assert_allclose(full @ zj, b, atol=1e-7)
+                assert best < zj[-1] <= -value + 1e-7
     assert outcomes["optimal"] > 100
     assert outcomes["cut-off"] > 20
     assert outcomes["infeasible"] > 20
@@ -294,8 +298,8 @@ def test_infeasible_ray_lps_raise(phase_calls):
     with pytest.raises(SolverFailureError, match="ray LP infeasible"):
         simplex._ray_maxima(A, b, columns, 1e-9)
     assert phase_calls == {"phase1": 2, "phase2": 0}
-    sol, = simplex._ray_maxima(A, b, columns, 1e-4)
-    assert sol.status == "optimal" and sol.z[-1] == pytest.approx(0.5)
+    (z,), (dual,) = simplex._ray_maxima(A, b, columns, 1e-4)
+    assert np.isfinite(dual).all() and z[-1] == pytest.approx(0.5)
 
 
 def test_minimize_redundant_rows():
@@ -304,8 +308,9 @@ def test_minimize_redundant_rows():
     A = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]])
     b = np.array([1.0, 2.0, 0.0])
     column = np.array([1.0, 2.0, 0.0])
-    sol, = simplex._ray_maxima(A, b, column[None], 1e-9)
-    _assert_optimal(sol, _ray_cost(A), np.column_stack([A, column]), b, -1.0)
+    (z,), (dual,) = simplex._ray_maxima(A, b, column[None], 1e-9)
+    _assert_optimal(z, dual, _ray_cost(A), np.column_stack([A, column]), b,
+                    -1.0)
 
 
 def test_minimize_iteration_cap_raises():
@@ -329,7 +334,7 @@ def test_beale_cycling_lp():
     c = np.array([0.0, 0.0, 0.0, -0.75, 150.0, -1 / 50, 6.0])
     value = _reference_min(c, A, b)
     assert value == pytest.approx(-1 / 20)
-    _assert_optimal(_two_phase(c, A, b), c, A, b, value)
+    _assert_optimal(*_two_phase(c, A, b), c, A, b, value)
 
 
 def _qutrit_ray_system(seed, ray, m=20):
@@ -378,7 +383,7 @@ def test_bland_fallback_ends_a_dantzig_cycle(monkeypatch, seed, ray):
     np.testing.assert_allclose(A @ z, b, atol=1e-8)
     c = np.zeros(A.shape[1])
     c[-1] = -1.0  # the longest ray
-    _assert_optimal(_two_phase(c, A, b), c, A, b, _reference_min(c, A, b))
+    _assert_optimal(*_two_phase(c, A, b), c, A, b, _reference_min(c, A, b))
 
 
 def test_positive_ratio_pivot_that_leaves_the_objective_counts_as_stalled(
@@ -423,24 +428,24 @@ def test_phase2_cut_off_is_strict(seed, ray):
     """Phase 2 stopped at ``stop_above`` equal to the optimum runs to
     the optimum, bit for bit; stopped at 0 it ends at the first basis
     whose ``t`` is above 0, a feasible point short of the optimum, with
-    status ``"cut-off"`` and no dual."""
+    a NaN dual."""
     A, b = _qutrit_ray_system(seed, ray)
     c = np.zeros(A.shape[1])
     c[-1] = -1.0
-    best = _two_phase(c, A, b)
+    best, _ = _two_phase(c, A, b)
 
     def stopped_at(stop):
         state, _ = simplex._phase1(A, b, 10**4)
         return _finished(c, state, 10**4, stop_above=stop)
 
-    at_optimum = stopped_at(best.z[-1])
-    assert at_optimum.status == "optimal"
-    np.testing.assert_array_equal(at_optimum.z, best.z)
-    cut = stopped_at(0.0)
-    assert cut.status == "cut-off" and cut.dual is None
-    assert 0.0 < cut.z[-1] < best.z[-1]
-    assert cut.z.min() >= 0.0
-    np.testing.assert_allclose(A @ cut.z, b, atol=1e-9)
+    at_optimum, dual = stopped_at(best[-1])
+    assert np.isfinite(dual).all()
+    np.testing.assert_array_equal(at_optimum, best)
+    cut, dual = stopped_at(0.0)
+    assert np.isnan(dual).all()
+    assert 0.0 < cut[-1] < best[-1]
+    assert cut.min() >= 0.0
+    np.testing.assert_allclose(A @ cut, b, atol=1e-9)
 
 
 def test_stopped_ray_clamps_roundoff_below_zero():
@@ -452,10 +457,10 @@ def test_stopped_ray_clamps_roundoff_below_zero():
     A = np.vstack([V.T, np.ones(4)])
     b = np.append(np.array([0.3, 0.7]) @ V[[3, 1]], 1.0)
     columns = np.vstack([-np.eye(2, 3), np.eye(2, 3)])
-    sols = simplex._ray_maxima(A, b, columns, 1e-9)
-    assert sols[0].status == "cut-off"
-    assert sols[0].z[2] == 0.0
-    for sol, column in zip(sols, columns):
-        assert sol.z.min() >= 0.0
-        np.testing.assert_allclose(A @ sol.z[:-1] + sol.z[-1] * column, b,
+    z, dual = simplex._ray_maxima(A, b, columns, 1e-9)
+    assert np.isnan(dual[0]).all()
+    assert z[0, 2] == 0.0
+    for zj, column in zip(z, columns):
+        assert zj.min() >= 0.0
+        np.testing.assert_allclose(A @ zj[:-1] + zj[-1] * column, b,
                                    atol=1e-12)
