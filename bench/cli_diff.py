@@ -9,7 +9,7 @@ what the commands print can be checked against its parent::
     python3 bench/cli_diff.py --src ../parent/src
     python3 bench/cli_diff.py --src ../parent/src --against ../other/src
 
-The 174 cases, with input documents written from numpy alone (seeded,
+The 182 cases, with input documents written from numpy alone (seeded,
 so every run writes the same files):
 
 - ``volume``: d in {2, 3, 4, 5} at alpha in {0, 0.1, 0.4, 1, -1, nan,
@@ -22,10 +22,12 @@ so every run writes the same files):
   ``--verify-probes -1`` (exit 2);
 - ``enumerate``: a seeded signed permutation (and global phase) of the
   README's three-qubit example under ``--filter any-pure``, ``w-type``,
-  ``w-type --show 3``, ``w-type --show -1`` (exit 2) and ``--cap 100``
-  (exit 3); seeded qutrit and qubit states under ``--target bloch``,
-  the qubit with ``--show 3``; and ``w-type`` with ``bloch``, which is
-  refused (exit 2);
+  ``w-type --show 3``, ``w-type --show -1`` (exit 2), ``--cap 100``
+  (exit 3), and at the cap boundary ``--cap 26880`` (its count, exit 0)
+  and ``--cap 26879`` (exit 3); seeded qutrit and qubit states under
+  ``--target bloch``, the qubit with ``--show 3`` and the qutrit at
+  ``--cap 2688`` (its count) and ``--cap 2687`` (exit 3); and
+  ``w-type`` with ``bloch``, which is refused (exit 2);
 - ``tangle``: the GHZ and the W state;
 
 each in the text and the structured format.  Prints one JSON object
@@ -136,7 +138,11 @@ def cases(workdir: Path) -> list[list[str]]:
              ["enumerate", w_path, "--filter", "w-type", "--show", "3"],
              ["enumerate", w_path, "--filter", "w-type", "--show", "-1"],
              ["enumerate", w_path, "--cap", "100"],
+             ["enumerate", w_path, "--cap", "26880"],
+             ["enumerate", w_path, "--cap", "26879"],
              ["enumerate", qutrit, "--target", "bloch"],
+             ["enumerate", qutrit, "--target", "bloch", "--cap", "2688"],
+             ["enumerate", qutrit, "--target", "bloch", "--cap", "2687"],
              ["enumerate", qubit, "--target", "bloch", "--show", "3"],
              ["enumerate", qubit, "--target", "bloch", "--filter", "w-type"]]
 

@@ -6,7 +6,8 @@ then exactly the distinct arrangements of class representatives combined
 with an independent sign per nonzero slot.  Plain permutations are the
 unsigned case: classes of equal values and no sign flips.  A NaN or
 infinite entry belongs to no class, and is refused before anything is
-counted or listed.
+counted or listed, as :func:`count_signed_arrangements` refuses a count
+above the row cap.
 
 Everything is built in numpy, a chunk of arrangements at a time.  An
 arrangement is a row of class codes (0 for the zero class, ``1..k`` for
@@ -26,6 +27,11 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from .errors import EnumerationTooLargeError
+
+#: Default ceiling on the number of rows an enumeration may produce.
+ENUMERATION_CAP = 10_000_000
 
 #: Entries this close to zero are the zero class, and class
 #: representatives this close to each other are one class.
@@ -82,11 +88,10 @@ def sign_classes(values, signed: bool = True) -> SignClasses:
     vals = list(values)
     if not np.isfinite(vals).all():
         raise ValueError("vector entries must be finite")
-    is_complex = False
+    is_complex = signed and np.iscomplexobj(vals)
     if not signed:
         nonzero = sorted(float(v) for v in vals)
     else:
-        is_complex = any(isinstance(v, complex) or np.iscomplexobj(v) for v in vals)
         nonzero = [_canonical_rep(complex(v) if is_complex else float(v))
                    for v in vals if abs(v) > ZERO_TOL]
     n_zero = len(vals) - len(nonzero)
@@ -119,10 +124,14 @@ def _class_of(v, reps: list, is_complex: bool) -> int | None:
     return None
 
 
-def count_signed_arrangements(classes: SignClasses) -> int:
+def count_signed_arrangements(classes: SignClasses, cap=math.inf) -> int:
     """Exact number of distinct signed permutations, in integer arithmetic:
-    ``2^m * n! / (m_1! ... m_k! * n_zero!)`` (no ``2^m`` when unsigned)."""
-    return _multinomial([classes.n_zero, *classes.counts]) << classes.flips
+    ``2^m * n! / (m_1! ... m_k! * n_zero!)`` (no ``2^m`` when unsigned);
+    a count above ``cap`` raises ``EnumerationTooLargeError``."""
+    count = _multinomial([classes.n_zero, *classes.counts]) << classes.flips
+    if count > cap:
+        raise EnumerationTooLargeError(count, cap)
+    return count
 
 
 def _multinomial(counts) -> int:

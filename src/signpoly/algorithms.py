@@ -240,12 +240,12 @@ def _certified(cert: CrossPolytopeCertificate, alpha: float,
     V = points - center
     m, n = V.shape
     if (np.shape(cert.t) != (2 * n,) or np.shape(cert.witnesses) != (2 * n, m)
-            or np.shape(cert.hyperplane) != (n,) or cert.t.min() != alpha):
+            or np.shape(cert.hyperplane) != (n,)):
         return False
-    points = np.vstack([np.eye(n), -np.eye(n)]) * cert.t[:, None]
-    if not _witness_violation(cert.witnesses, V, points).max() <= tol:
+    t, witnesses, u = map(np.asarray, (cert.t, cert.witnesses, cert.hyperplane))
+    points = np.vstack([np.eye(n), -np.eye(n)]) * t[:, None]
+    if t.min() != alpha or not _witness_violation(witnesses, V, points).max() <= tol:
         return False
-    u = cert.hyperplane
     return (float(np.max(V @ u)) <= alpha + tol
             and cert.binding_sign * u[cert.binding_axis] >= 1.0 - tol)
 

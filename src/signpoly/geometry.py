@@ -16,12 +16,10 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from . import _enum
-from .errors import DimensionMismatchError, EnumerationTooLargeError, SolverFailureError
-from .majorization import DEFAULT_TOL, _check_same_dim, _check_sums, as_coords
+from ._enum import ENUMERATION_CAP
+from .errors import SolverFailureError
+from .majorization import DEFAULT_TOL, _check_same_dim, _check_sums, _real_array, as_coords
 from .simplex import feasible_nonneg
-
-#: Default ceiling on the number of vertices an enumeration may produce.
-ENUMERATION_CAP = 10_000_000
 
 
 class VertexSet:
@@ -30,7 +28,7 @@ class VertexSet:
     Points are stored as the rows of a read-only ``(m, n)`` array, in the
     order given and with any repeats kept: neither a hull nor the LP
     depends on them.  The points are always copied, so no array the
-    caller keeps can change them afterwards.
+    caller keeps can change them; complex or non-finite ones raise.
     The first :func:`hull_member_lp` query builds the LP matrix
     ``[V^T; 1]``, ``(n+1)/n`` times the array's bytes, and the set keeps
     it for every later query.
@@ -39,7 +37,7 @@ class VertexSet:
     __slots__ = ("_points", "_lp")
 
     def __init__(self, points):
-        arr = np.array(points, dtype=float)
+        arr = np.array(_real_array(points))
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("a vertex set needs at least one point")
         if not np.all(np.isfinite(arr)):
@@ -163,9 +161,7 @@ def _vertex_set(classes: _enum.SignClasses, n: int, cap: int) -> VertexSet:
     enumerator write them into one array, block by block.
     ``sign_classes`` refused every non-finite entry, so the rows are
     finite and are wrapped unchecked."""
-    count = _enum.count_signed_arrangements(classes)
-    if count > cap:
-        raise EnumerationTooLargeError(count, cap)
+    count = _enum.count_signed_arrangements(classes, cap)
     out = np.empty((count, n))
     for _ in _enum.signed_arrangements(classes, out):
         pass
@@ -198,10 +194,7 @@ def hull_member_lp(
     xv = as_coords(x)
     if not np.all(np.isfinite(xv)):
         raise ValueError("point coordinates must be finite")
-    if V.shape[1] != xv.size:
-        raise DimensionMismatchError(
-            f"point dimension {xv.size} does not match vertex dimension"
-        )
+    _check_same_dim(V[0], xv)
     A = vs._lp_matrix()
     b = np.append(xv, 1.0)
     ok, w = feasible_nonneg(A, b, tol=tol)

@@ -9,7 +9,7 @@ live in :mod:`signpoly.geometry`.
 
 All predicates take a tolerance (default ``1e-9``) and treat the hulls
 as closed: boundary points, including the vertices themselves, count as
-members.  A NaN or infinite entry, or a partial sum of finite entries
+members.  A complex, NaN or infinite entry, or a partial sum of finite entries
 that overflows the float range, raises ``ValueError``, never a verdict.
 """
 
@@ -25,9 +25,19 @@ from .errors import DimensionMismatchError
 DEFAULT_TOL = 1e-9
 
 
+def _real_array(p: ArrayLike) -> np.ndarray:
+    """``p`` as a float array; complex entries raise ``ValueError``."""
+    arr = np.asarray(p)
+    if arr.dtype != np.float64:
+        if arr.dtype.kind == "c":
+            raise ValueError("coordinates must be real, not complex")
+        arr = arr.astype(float)
+    return arr
+
+
 def as_coords(p: ArrayLike) -> np.ndarray:
     """Coerce a point (a sequence or array of reals) to a 1-d float array."""
-    arr = np.asarray(p, dtype=float)
+    arr = _real_array(p)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("expected a nonempty 1-d point")
     return arr

@@ -31,12 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _enum
-from .errors import (
-    EnumerationTooLargeError,
-    StateValidationError,
-)
-from .geometry import ENUMERATION_CAP
-from .majorization import DEFAULT_TOL
+from .errors import StateValidationError
+from .majorization import DEFAULT_TOL, _real_array
 
 #: Tolerance for the density-matrix invariants (Hermitian, unit trace,
 #: positive semidefinite).
@@ -265,7 +261,7 @@ def from_coords(coords) -> np.ndarray:
     state: far-out coordinate vectors produce indefinite matrices,
     which is exactly what membership tests need to detect.
     """
-    c = np.asarray(coords, dtype=float)
+    c = _real_array(coords)
     n = c.shape[-1] if c.ndim else 0
     d = math.isqrt(n + 1)
     if d < 2 or d * d - 1 != n:
@@ -381,7 +377,7 @@ def enumerate_pure_sign_perms(
     filter: str = "any-pure",
     target: str = "amplitudes",
     tol: float = DEFAULT_TOL,
-    cap: int = ENUMERATION_CAP,
+    cap: int = _enum.ENUMERATION_CAP,
 ) -> PureEnumeration:
     """Enumerate distinct signed permutations of a pure state.
 
@@ -415,9 +411,7 @@ def enumerate_pure_sign_perms(
         classes = _enum.sign_classes(psi.amplitudes)
     else:
         classes = _enum.sign_classes(to_coords(psi.to_density()))
-    total = _enum.count_signed_arrangements(classes)
-    if total > cap:
-        raise EnumerationTooLargeError(total, cap)
+    total = _enum.count_signed_arrangements(classes, cap)
     kept = []
     for block in _enum.signed_arrangements(classes):
         if target == "bloch":

@@ -8,7 +8,9 @@ prices every column from ``A`` at each pivot (Dantzig & Orchard-Hays,
 1954), and rebuilds it from the basis columns every ``REFRESH_EVERY``
 pivots and at the end of phase 1; every ray LP keeps its final basis,
 and all of them are rebuilt together, by one batched inversion after the
-last ray.  Failure to converge raises, it never masquerades as a verdict.
+last ray; :func:`_basic_solution` reads one basis or that stack.  A system
+gets ``50 * (rows + cols)`` pivots, shared by a ray's two phases; more, or
+any other failure to converge, raise: a failure is never a verdict.
 """
 
 from __future__ import annotations
@@ -166,40 +168,36 @@ def _infeasibility(s):
     return float(s.T[:, -1] @ (s.basis >= s.A.shape[1]))
 
 
-def _basic_solution(s):
-    """The real variables of the basic solution: ``x_B`` is written
-    straight into one zero vector, every basic artificial into one spare
-    entry past the real variables, which the returned view leaves out."""
-    p = s.A.shape[1]
-    z = np.zeros(p + 1)
+def _basic_solution(T, basis, p):
+    """The first ``p`` variables of the basic solution ``T = [B^-1 | x_B]``
+    over ``basis``, or one row per basis of a stack: ``x_B`` goes into a zero
+    row, any variable from ``p`` on into a spare entry the view leaves out."""
+    z = np.zeros((*basis.shape[:-1], p + 1))
+    first = np.arange(0, z.size, p + 1).reshape(*basis.shape[:-1], 1)
     # Basic values are nonnegative up to roundoff; clamp the dust.
-    z[np.minimum(s.basis, p)] = np.maximum(s.T[:, -1], 0.0)
-    return z[:p]
+    z.reshape(-1)[first + np.minimum(basis, p)] = np.maximum(T[..., -1], 0.0)
+    return z[..., :p]
 
 
 def feasible_nonneg(
     A: np.ndarray,
     b: np.ndarray,
     tol: float = 1e-9,
-    max_iter: int | None = None,
 ) -> tuple[bool, np.ndarray | None]:
     """Search for ``z >= 0`` solving ``A z = b`` (phase 1 alone).
 
     Returns ``(True, z)`` when the phase-1 optimum, recomputed from the
     final basis, is within ``tol`` of zero, ``(False, None)`` otherwise.
-    ``max_iter`` defaults to ``50 * (rows + cols)``; exceeding it raises
-    :class:`~signpoly.errors.SolverFailureError`.
+    More than ``50 * (rows + cols)`` pivots raise ``SolverFailureError``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
         raise ValueError("A must be (k, p) and b of length k")
-    if max_iter is None:
-        max_iter = 50 * sum(A.shape)
-    s, _ = _phase1(A, b, max_iter)
+    s, _ = _phase1(A, b, 50 * sum(A.shape))
     if not _infeasibility(s) <= tol:
         return False, None
-    return True, _basic_solution(s)
+    return True, _basic_solution(s.T, s.basis, A.shape[1])
 
 
 def _ray_maxima(A, b, columns, tol):
@@ -210,8 +208,6 @@ def _ray_maxima(A, b, columns, tol):
     poses ``A w = b`` so that ``t = 0`` is feasible and ``t`` is bounded;
     a shared phase 1 left more than ``tol`` infeasible, or a ray with no
     admissible pivot, raises :class:`~signpoly.errors.SolverFailureError`.
-    Each ray's pivot cap is ``50 * (rows + cols + 1)`` less the shared
-    phase-1 pivots.
 
     Only the smallest maximum matters to the caller, so the rays run in
     ascending order of the bound ``max_i -a . A_i`` (the members'
@@ -253,19 +249,16 @@ def _ray_maxima(A, b, columns, tol):
         bases[j] = s.basis
         stopped[j] = outcome == "cut-off"
         if not stopped[j]:
-            best = min(best, max(float(s.T[:, -1] @ (s.basis == p)), 0.0))
+            best = min(best, _basic_solution(s.T, s.basis, p + 1)[p])
     B = _basis_matrix(s.A, s.sign, bases)
     ray, slot = (bases == p).nonzero()
     B[ray, :, slot] = columns[ray]
     T = np.empty((len(columns), k, k + 1))
     _invert_into(T, B, b)
-    z = np.zeros((len(columns), p + 1 + k))
-    z[np.arange(len(columns))[:, None], bases] = T[..., -1]
     dual = np.full((len(columns), k), np.nan)
     for j in (~stopped).nonzero()[0]:
         dual[j] = cost[bases[j]] @ T[j, :, :-1]
-    # Basic values are nonnegative up to roundoff; clamp the dust.
-    return np.maximum(z[:, :p + 1], 0.0), dual
+    return _basic_solution(T, bases, p + 1), dual
 
 
 def _drive_out(s):

@@ -472,6 +472,23 @@ def test_certificate_checker_rejects_tampering():
             cert, hyperplane=cert.hyperplane * 1.01)))
 
 
+def test_certificate_checker_reads_list_fields():
+    """Fields given as lists of the right shape, as a JSON document
+    would give them, get the verdict their arrays get."""
+    poly = max_inscribed_cross_polytope(_cube_decomposition(0.3))
+    cert = poly.certificate
+    listed = dataclasses.replace(cert, t=cert.t.tolist(),
+                                 witnesses=cert.witnesses.tolist(),
+                                 hyperplane=cert.hyperplane.tolist())
+    assert certificate_holds(dataclasses.replace(poly, certificate=listed))
+    bent = cert.witnesses.tolist()
+    bent[2] = bent[2][-1:] + bent[2][:-1]
+    for tampered in (dict(witnesses=bent),
+                     dict(hyperplane=(cert.hyperplane * 0.99).tolist())):
+        assert not certificate_holds(dataclasses.replace(
+            poly, certificate=dataclasses.replace(listed, **tampered)))
+
+
 @pytest.mark.parametrize("dec", [
     pytest.param(lambda: _random_decomposition(7, 3, 20, 1.0), id="random"),
     pytest.param(lambda: _octahedral_decomposition(0.4), id="octahedral-tied"),
@@ -681,7 +698,7 @@ def _rays_one_by_one(A, b, columns, tol):
         _, status = simplex._pivot_loop(s, cost, p + 1, cap - used, phase=2,
                                         stop_above=best)
         simplex._refine(s)
-        z[j] = simplex._basic_solution(s)
+        z[j] = simplex._basic_solution(s.T, s.basis, p + 1)
         if status == "optimal":
             dual[j] = cost[s.basis] @ s.T[:, :-1]
             best = min(best, z[j, -1])

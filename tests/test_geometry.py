@@ -20,9 +20,11 @@ from signpoly import (
     enumerate_perm_vertices,
     enumerate_pure_sign_perms,
     enumerate_sign_perm_vertices,
+    from_coords,
     hull_member_lp,
     hulls_disjoint,
     insphere_radius,
+    make_canonical,
     rado_member,
     sign_perm_member,
 )
@@ -252,11 +254,41 @@ def test_enumerate_sign_rows_beyond_one_block():
     np.testing.assert_array_equal(got, want)
 
 
-def test_enumeration_cap():
+#: Each listing that takes a cap, by the cap it is called with.
+_CAPPED_LISTINGS = {
+    "signed": lambda cap: enumerate_sign_perm_vertices([1.0, 2.0, 3.0], cap=cap),
+    "unsigned": lambda cap: enumerate_perm_vertices([1.0, 2.0, 3.0, 4.0], cap=cap),
+    "amplitudes": lambda cap: enumerate_pure_sign_perms(make_canonical("w"), cap=cap),
+    "bloch": lambda cap: enumerate_pure_sign_perms(
+        PureState.normalized([1.0, 0.3 + 0.5j])[0], target="bloch", cap=cap),
+}
+
+
+@pytest.mark.parametrize("listing, total", [
+    ("signed", 48), ("unsigned", 24), ("amplitudes", 448), ("bloch", 48),
+], ids=list(_CAPPED_LISTINGS))
+def test_enumeration_cap(listing, total, monkeypatch):
+    """A cap equal to the count lists every row; one below it raises
+    with the count and the cap before the enumerator is entered."""
+    listed = []
+    enumerate_rows = _enum.signed_arrangements
+
+    def counted(*args):
+        for block in enumerate_rows(*args):
+            listed.append(len(block))
+            yield block
+
+    monkeypatch.setattr(_enum, "signed_arrangements", counted)
+    _CAPPED_LISTINGS[listing](total)
+    assert sum(listed) == total
+
+    def never_listed(*args):
+        raise AssertionError("listing started")
+
+    monkeypatch.setattr(_enum, "signed_arrangements", never_listed)
     with pytest.raises(EnumerationTooLargeError) as exc:
-        enumerate_sign_perm_vertices([1.0, 2.0, 3.0], cap=47)
-    assert exc.value.count == 48
-    assert exc.value.cap == 47
+        _CAPPED_LISTINGS[listing](total - 1)
+    assert (exc.value.count, exc.value.cap) == (total, total - 1)
 
 
 def test_enumerate_perm_vertices():
@@ -570,6 +602,27 @@ def test_hull_member_dimension_mismatch():
 def test_hull_member_rejects_malformed_raw_input(vertices, point):
     with pytest.raises(ValueError, match="finite|at least one point"):
         hull_member_lp(point, np.array(vertices))
+
+
+@pytest.mark.parametrize("z", [np.array([1j, 2.0]), [1j, 2.0]],
+                         ids=["array", "list"])
+@pytest.mark.parametrize("call", [
+    lambda z: sign_perm_member(z, [0.5, 0.0]),
+    lambda z: sign_perm_member([0.5, 0.0], z),
+    lambda z: rado_member(z, [1.0, 2.0]),
+    count_sign_perm_vertices,
+    lambda z: hull_member_lp(z, VertexSet(np.eye(2))),
+    lambda z: hull_member_lp([0.5, 0.5], [z, [1.0, 0.0]]),
+    lambda z: VertexSet([z, [1.0, 0.0]]),
+    lambda z: CrossPolytopeSpec(1.0, z),
+    lambda z: from_coords([*z, 0.0]),
+], ids=["sign-perm-point", "sign-perm-base", "rado", "count", "hull-point",
+        "hull-vertices", "vertex-set", "cross-polytope-centre", "chart"])
+def test_complex_points_are_refused(call, z):
+    """A cast to float would drop the imaginary parts and answer for
+    another point: ``sign_perm_member([1j, 0], [0.5, 0])`` read as True."""
+    with pytest.raises(ValueError, match="not complex"):
+        call(z)
 
 
 # ---------------------------------------------------------------- disjointness

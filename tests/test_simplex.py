@@ -90,7 +90,7 @@ def test_iteration_cap_raises():
     A = np.vstack([V.T, np.ones((1, 6))])
     b = np.array([0.0, 0.0, 0.0, 1.0])
     with pytest.raises(SolverFailureError):
-        feasible_nonneg(A, b, max_iter=1)
+        simplex._phase1(A, b, 1)
 
 
 def test_shape_validation():
@@ -166,7 +166,7 @@ def _finished(c, state, max_iter, stop_above=math.inf):
     dual = np.full(state.b.size, np.nan)
     if status == "optimal":
         dual = cost[state.basis] @ state.T[:, :-1]
-    return simplex._basic_solution(state), dual
+    return simplex._basic_solution(state.T, state.basis, state.A.shape[1]), dual
 
 
 def _two_phase(c, A, b, max_iter=10**4):
