@@ -9,7 +9,7 @@ what the commands print can be checked against its parent::
     python3 bench/cli_diff.py --src ../parent/src
     python3 bench/cli_diff.py --src ../parent/src --against ../other/src
 
-The 182 cases, with input documents written from numpy alone (seeded,
+The 184 cases, with input documents written from numpy alone (seeded,
 so every run writes the same files):
 
 - ``volume``: d in {2, 3, 4, 5} at alpha in {0, 0.1, 0.4, 1, -1, nan,
@@ -21,10 +21,11 @@ so every run writes the same files):
   ``--verify-probes 20 --seed S``, and the first with
   ``--verify-probes -1`` (exit 2);
 - ``enumerate``: a seeded signed permutation (and global phase) of the
-  README's three-qubit example under ``--filter any-pure``, ``w-type``,
-  ``w-type --show 3``, ``w-type --show -1`` (exit 2), ``--cap 100``
-  (exit 3), and at the cap boundary ``--cap 26880`` (its count, exit 0)
-  and ``--cap 26879`` (exit 3); seeded qutrit and qubit states under
+  README's three-qubit example under ``--filter any-pure``, the default
+  filter with ``--show 3``, ``w-type``, ``w-type --show 3``,
+  ``w-type --show -1`` (exit 2), ``--cap 100`` (exit 3), and at the cap
+  boundary ``--cap 26880`` (its count, exit 0) and ``--cap 26879``
+  (exit 3); seeded qutrit and qubit states under
   ``--target bloch``, the qubit with ``--show 3`` and the qutrit at
   ``--cap 2688`` (its count) and ``--cap 2687`` (exit 3); and
   ``w-type`` with ``bloch``, which is refused (exit 2);
@@ -134,6 +135,7 @@ def cases(workdir: Path) -> list[list[str]]:
     qubit = _amplitude_file(workdir / "qubit.json",
                             rng.normal(size=2) + 1j * rng.normal(size=2))
     runs += [["enumerate", w_path, "--filter", "any-pure"],
+             ["enumerate", w_path, "--show", "3"],
              ["enumerate", w_path, "--filter", "w-type"],
              ["enumerate", w_path, "--filter", "w-type", "--show", "3"],
              ["enumerate", w_path, "--filter", "w-type", "--show", "-1"],

@@ -24,6 +24,8 @@ kept.  Cases:
   workload's n=9 base vector (483,840 rows);
 - ``signed_n10``: those of ``[1,1,2,2,3,3,4,0,0,0]`` (9,676,800 rows);
 - ``unsigned_n10``: the plain permutations of ``1..10`` (3,628,800 rows);
+- ``any_pure``: the default ``--filter any-pure`` on the state
+  ``[1,2,3,4,5,6,0,0]`` (normalized; 1,290,240 rows, every one kept);
 - ``readme_w_type``: ``--filter w-type`` on the README state (26,880
   rows streamed, 5,376 kept);
 - ``w_type_stream``: ``--filter w-type`` on a state with 8 distinct
@@ -50,8 +52,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = ("perfbench_n9", "signed_n10", "unsigned_n10", "readme_w_type", "w_type_stream",
-         "perfbench_bloch", "generic_qutrit_bloch")
+CASES = ("perfbench_n9", "signed_n10", "unsigned_n10", "any_pure", "readme_w_type",
+         "w_type_stream", "perfbench_bloch", "generic_qutrit_bloch")
 
 
 def _case_call(sp, workloads, name: str):
@@ -68,7 +70,10 @@ def _case_call(sp, workloads, name: str):
         return lambda: (len(sp.geometry.enumerate_perm_vertices(a)), None)
     kwargs = {"filter": "w-type"}
     cap = sp.geometry.ENUMERATION_CAP
-    if name == "readme_w_type":
+    if name == "any_pure":
+        psi = sp.quantum.PureState.normalized([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0])[0]
+        kwargs = {}
+    elif name == "readme_w_type":
         amps = [complex(re, im) for re, im in workloads.README_STATE]
         psi = sp.quantum.PureState.normalized(amps)[0]
     elif name == "w_type_stream":

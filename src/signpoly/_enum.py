@@ -17,6 +17,9 @@ arrangement depend only on where its zeros sit, so
 :func:`signed_arrangements` writes a chunk's signed rows from one +-1
 table per zero pattern: one gather of the tables and one product with
 the arrangements' values.
+
+:func:`listing` is the one place an enumeration's result is allocated:
+written in place, each row once, or joined from what a filter keeps.
 """
 
 from __future__ import annotations
@@ -217,6 +220,31 @@ def _extend(nodes: np.ndarray, depth: int, n: int) -> np.ndarray:
     return nodes
 
 
+def listing(classes: SignClasses, cap=ENUMERATION_CAP, keep=None) -> tuple[np.ndarray, int]:
+    """Every distinct signed permutation of ``classes``, in
+    :func:`signed_arrangements` order, as the rows of one read-only
+    array, and their number; a number above ``cap`` raises
+    ``EnumerationTooLargeError`` before any row is built.
+
+    Without ``keep`` the array is allocated once and the generator
+    writes each row into it in place.  With ``keep``, a function from a
+    block of rows to the rows to hold (some of them, or rows computed
+    from them), the blocks stream through it: the array joins what it
+    returns, and the number still counts every row listed.
+    """
+    count = count_signed_arrangements(classes, cap)
+    if keep is None:
+        # The dtype of the generator's values: complex if any rep is.
+        rows = np.empty((count, classes.n_zero + sum(classes.counts)),
+                        dtype=np.result_type(0.0, *classes.reps))
+        for _ in signed_arrangements(classes, rows):
+            pass
+    else:
+        rows = np.concatenate([keep(block) for block in signed_arrangements(classes)])
+    rows.setflags(write=False)
+    return rows, count
+
+
 def signed_arrangements(classes: SignClasses,
                         out: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Yield every distinct signed permutation as the rows of ndarray blocks.
@@ -238,8 +266,9 @@ def signed_arrangements(classes: SignClasses,
     Given ``out``, an array with one row per signed permutation, each
     block is computed in place in the next rows of ``out`` and the
     blocks are views of it, so draining the generator fills ``out`` and
-    writes each row once.  Without it every block is a new array, and a
-    consumer that drops them streams in bounded memory.
+    writes each row once; :func:`listing` alone passes it.  Without it
+    every block is a new array, and a consumer that drops them streams
+    in bounded memory.
     """
     values = np.array([0.0] + classes.reps)  # complex if any rep is
     flips = classes.flips

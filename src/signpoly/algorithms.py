@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DecompositionError, SolverFailureError
 from .geometry import CrossPolytopeSpec, _exp, _witness_violation
-from .majorization import DEFAULT_TOL, _check_sums
+from .majorization import DEFAULT_TOL, _check_sums, _real_array
 from .quantum import DensityMatrix, _chart, _state_stack, from_coords
 from .simplex import _ray_maxima
 
@@ -38,8 +38,9 @@ class DecompositionInput:
     ``weights`` ``(m,)`` built from any array-likes.  The target, then the
     members, must be states (one stack of the target's shape), more than
     ``d^2 - 1`` members (else the hull has empty interior), weights
-    nonnegative with unit sum, and a weighted reconstruction within
-    ``1e-8`` of the target in Hilbert-Schmidt norm (NaN fails every check).
+    real and nonnegative with unit sum (complex weights raise
+    ``ValueError``), and a weighted reconstruction within ``1e-8`` of the
+    target in Hilbert-Schmidt norm (NaN fails every check).
     """
 
     target: np.ndarray
@@ -61,7 +62,7 @@ class DecompositionInput:
                 f"need more than {n_needed} members for dimension {d}, "
                 f"got {len(members)}"
             )
-        w = np.array(self.weights, dtype=float)
+        w = np.array(_real_array(self.weights))
         if w.shape != (len(members),):
             raise DecompositionError("weights and members must have equal length")
         if not w.min() >= -DEFAULT_TOL:

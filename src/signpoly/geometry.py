@@ -107,9 +107,16 @@ class CrossPolytopeSpec:
         return self.center.size
 
     def vertices(self) -> VertexSet:
-        """The 2n vertex points ``center ± scale * e_k``."""
-        eye = np.eye(self.dimension) * self.scale
-        return VertexSet(np.vstack([self.center + eye, self.center - eye]))
+        """The 2n vertex points ``center ± scale * e_k``, written once
+        into the set's array; a coordinate that overflows raises
+        ``ValueError``."""
+        # Rows scale * e_k, then -scale * e_k; adding -scale * e_k is
+        # subtracting scale * e_k, bit for bit, signed zeros included.
+        points = np.kron([[self.scale], [-self.scale]], np.eye(self.dimension))
+        points += self.center
+        if not np.all(np.isfinite(points)):
+            raise ValueError("vertex coordinates must be finite")
+        return _vertex_set(points)
 
     def volume(self) -> float:
         return cross_polytope_volume(self.dimension, self.scale)
@@ -143,8 +150,7 @@ def enumerate_sign_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> Ve
     is deterministic (lexicographic arrangements, signs toggled from
     all-positive).
     """
-    arr = as_coords(a)
-    return _vertex_set(_enum.sign_classes(arr), arr.size, cap)
+    return _vertex_set(_enum.listing(_enum.sign_classes(as_coords(a)), cap)[0])
 
 
 def enumerate_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> VertexSet:
@@ -152,22 +158,17 @@ def enumerate_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> VertexS
     lexicographic order.  Entries within ``ZERO_TOL`` of each other are
     one value, for the count and the listing alike; a NaN or infinite
     entry raises ``ValueError``."""
-    arr = as_coords(a)
-    return _vertex_set(_enum.sign_classes(arr, signed=False), arr.size, cap)
+    return _vertex_set(_enum.listing(_enum.sign_classes(as_coords(a), signed=False), cap)[0])
 
 
-def _vertex_set(classes: _enum.SignClasses, n: int, cap: int) -> VertexSet:
-    """Count ``classes``' arrangements against ``cap``, then have the
-    enumerator write them into one array, block by block.
-    ``sign_classes`` refused every non-finite entry, so the rows are
-    finite and are wrapped unchecked."""
-    count = _enum.count_signed_arrangements(classes, cap)
-    out = np.empty((count, n))
-    for _ in _enum.signed_arrangements(classes, out):
-        pass
-    out.setflags(write=False)
+def _vertex_set(points: np.ndarray) -> VertexSet:
+    """Wrap ``points``, a finite ``(m, n)`` float array the library built
+    and no caller holds, unchecked and uncopied, as a vertex set; the
+    array is made read-only.  Every vertex listing and
+    :meth:`CrossPolytopeSpec.vertices` build their sets here."""
+    points.setflags(write=False)
     vertices = VertexSet.__new__(VertexSet)
-    vertices._points, vertices._lp = out, None
+    vertices._points, vertices._lp = points, None
     return vertices
 
 

@@ -401,27 +401,27 @@ def enumerate_pure_sign_perms(
         raise ValueError(f"unknown filter {filter!r}")
     if target not in ("amplitudes", "bloch"):
         raise ValueError(f"unknown target {target!r}")
+    keep = None
     if filter == "w-type":
         if target != "amplitudes":
             raise ValueError("the w-type filter applies to amplitude enumeration only")
         if psi.dim != 8:
             raise ValueError("the w-type filter needs a three-qubit state")
+        keep = functools.partial(_low_tangle, tol=tol)
 
     if target == "amplitudes":
         classes = _enum.sign_classes(psi.amplitudes)
     else:
         classes = _enum.sign_classes(to_coords(psi.to_density()))
-    total = _enum.count_signed_arrangements(classes, cap)
-    kept = []
-    for block in _enum.signed_arrangements(classes):
-        if target == "bloch":
-            block = _pure_chart_states(block, tol)
-        elif filter == "w-type":
-            block = block[4.0 * np.abs(_hyperdeterminant(block.T)) <= tol]
-        kept.append(block)
-    amplitudes = np.concatenate(kept)
-    amplitudes.setflags(write=False)
+        keep = functools.partial(_pure_chart_states, tol=tol)
+    amplitudes, total = _enum.listing(classes, cap, keep)
     return PureEnumeration(amplitudes=amplitudes, total=total)
+
+
+def _low_tangle(amplitudes: np.ndarray, tol: float) -> np.ndarray:
+    """The rows of ``amplitudes`` (three-qubit states) whose three-tangle
+    is at most ``tol``."""
+    return amplitudes[4.0 * np.abs(_hyperdeterminant(amplitudes.T)) <= tol]
 
 
 def _pure_chart_states(coords: np.ndarray, tol: float) -> np.ndarray:

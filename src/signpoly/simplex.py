@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .errors import SolverFailureError
+from .majorization import _real_array
 
 # Pivot candidates below this magnitude are treated as zero.
 PIVOT_EPS = 1e-11
@@ -188,10 +189,11 @@ def feasible_nonneg(
 
     Returns ``(True, z)`` when the phase-1 optimum, recomputed from the
     final basis, is within ``tol`` of zero, ``(False, None)`` otherwise.
-    More than ``50 * (rows + cols)`` pivots raise ``SolverFailureError``.
+    More than ``50 * (rows + cols)`` pivots raise ``SolverFailureError``,
+    and a complex ``A`` or ``b`` raises ``ValueError``.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    A = _real_array(A)
+    b = _real_array(b)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
         raise ValueError("A must be (k, p) and b of length k")
     s, _ = _phase1(A, b, 50 * sum(A.shape))

@@ -106,6 +106,16 @@ class TestDecompositionInput:
             DecompositionInput(target=dec.target, members=dec.members,
                                weights=(math.nan,) + (1 / 6,) * 5)
 
+    def test_complex_weights_are_refused(self):
+        # As an array and as a list alike: the imaginary parts are not
+        # dropped.
+        dec = _octahedral_decomposition()
+        weights = [1 / 6 + 1j] + [1 / 6] * 5
+        for given in (weights, np.array(weights)):
+            with pytest.raises(ValueError, match="complex"):
+                DecompositionInput(target=dec.target, members=dec.members,
+                                   weights=given)
+
     def test_dimension_mismatch(self):
         """A target of another shape, or a ragged member list, is no
         stack of states: a decomposition error before any state check."""

@@ -143,6 +143,16 @@ class TestCrossPolytopeSpec:
         v = spec.vertices()  # all 2n vertices collapse to the center
         np.testing.assert_array_equal(v.array, np.ones((4, 2)))
 
+    def test_vertices_are_read_only_and_finite(self):
+        spec = CrossPolytopeSpec(1.0, [-0.0, 2.0])
+        arr = spec.vertices().array
+        assert not arr.flags.writeable
+        # Bit for bit center + scale * e_k and center - scale * e_k.
+        eye = np.eye(2)
+        assert arr.tobytes() == np.vstack([spec.center + eye, spec.center - eye]).tobytes()
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            CrossPolytopeSpec(1e308, [1e308, 0.0]).vertices()
+
 
 # ---------------------------------------------------------------- counting
 
@@ -369,6 +379,13 @@ def test_enumerator_matches_itertools_byte_for_byte(kind, block_rows, monkeypatc
     for block in _enum.signed_arrangements(classes, out):
         assert block.base is out
     assert out.tobytes() == want.tobytes()
+    # The listing gives the same rows written in place or streamed
+    # through a filter that keeps every block, read-only either way.
+    for keep in (None, lambda block: block):
+        rows, count = _enum.listing(classes, keep=keep)
+        assert count == len(want)
+        assert rows.dtype == want.dtype and not rows.flags.writeable
+        assert rows.tobytes() == want.tobytes()
 
 
 #: The ``enumerate`` workload's n=9 base vector (483,840 signed
@@ -398,6 +415,23 @@ def test_vertex_listing_writes_each_row_once():
         tracemalloc.stop()
     assert len(V) == 483_840
     assert peak <= 1.02 * V.array.nbytes
+
+
+def test_amplitude_listing_writes_each_row_once():
+    # With no filter the amplitudes are written in place as well: 2^6 *
+    # 7! = 322,560 complex rows (36 MB) and little beside them, one
+    # chunk's codes and sign tables (a kept copy of every block, joined
+    # at the end, would double it).
+    psi = PureState.normalized([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0])[0]
+    tracemalloc.start()
+    try:
+        res = enumerate_pure_sign_perms(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.total == res.retained == 322_560
+    assert not res.amplitudes.flags.writeable
+    assert peak <= 1.02 * res.amplitudes.nbytes
 
 
 def test_filtered_stream_holds_a_few_blocks():

@@ -100,6 +100,14 @@ def test_shape_validation():
         feasible_nonneg(np.ones(4), np.ones(2))
 
 
+def test_complex_systems_are_refused():
+    # Solving on the real parts would answer (True, [1, 1]) here.
+    with pytest.raises(ValueError, match="complex"):
+        feasible_nonneg(np.eye(2), np.array([1 + 1j, 1.0]))
+    with pytest.raises(ValueError, match="complex"):
+        feasible_nonneg(np.eye(2) + 0j, np.ones(2))
+
+
 def test_singular_basis_raises():
     """A basis whose columns are dependent cannot be inverted, and that
     is a solver failure."""
