@@ -9,7 +9,7 @@ what the commands print can be checked against its parent::
     python3 bench/cli_diff.py --src ../parent/src
     python3 bench/cli_diff.py --src ../parent/src --against ../other/src
 
-The 184 cases, with input documents written from numpy alone (seeded,
+The 188 cases, with input documents written from numpy alone (seeded,
 so every run writes the same files):
 
 - ``volume``: d in {2, 3, 4, 5} at alpha in {0, 0.1, 0.4, 1, -1, nan,
@@ -19,7 +19,9 @@ so every run writes the same files):
 - ``construct``: six seeded decompositions with d = 2-4, one of them
   with Dirichlet(0.05) weights, each with and without
   ``--verify-probes 20 --seed S``, and the first with
-  ``--verify-probes -1`` (exit 2);
+  ``--verify-probes -1`` (exit 2); the first d = 3 one with
+  ``"dim": 3`` in every entry, and the same with a top-level
+  ``"dim": 2``, which its entries contradict (exit 2);
 - ``enumerate``: a seeded signed permutation (and global phase) of the
   README's three-qubit example under ``--filter any-pure``, the default
   filter with ``--show 3``, ``w-type``, ``w-type --show 3``,
@@ -122,6 +124,13 @@ def cases(workdir: Path) -> list[list[str]]:
         runs.append(["construct", path, "--verify-probes", "20",
                      "--seed", str(seed + 7)])
     runs.append(["construct", str(workdir / "dec0.json"), "--verify-probes", "-1"])
+    # The d=3 decomposition with "dim": 3 in every entry, under its own
+    # "dim" and under "dim": 2, which the entries contradict (exit 2).
+    doc = json.loads((workdir / "dec2.json").read_text())
+    for body in (doc["target"], *doc["members"]):
+        body["dim"] = 3
+    runs.append(["construct", _write(workdir / "dec2_dims.json", doc)])
+    runs.append(["construct", _write(workdir / "dec2_dim2.json", {**doc, "dim": 2})])
 
     rng = np.random.default_rng(16)
     w = np.zeros(8, dtype=complex)

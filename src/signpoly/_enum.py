@@ -40,7 +40,10 @@ ENUMERATION_CAP = 10_000_000
 #: representatives this close to each other are one class.
 ZERO_TOL = 1e-12
 
-#: Rows per block yielded by :func:`signed_arrangements`.
+#: Rows per block yielded by :func:`signed_arrangements`.  A power of
+#: two: an arrangement's ``2^flips`` sign rows are walked in steps of
+#: ``min(2^flips, BLOCK_ROWS)``, which must divide ``2^flips``, or rows
+#: repeat.
 BLOCK_ROWS = 1 << 15
 
 

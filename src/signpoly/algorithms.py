@@ -295,7 +295,7 @@ def _in_cross_polytope(c: np.ndarray, alpha: float, tol: float) -> bool:
     s.sort()
     total = s[::-1].cumsum().item(-1)
     if not math.isfinite(total + alpha):
-        _check_sums((s, np.array([alpha])), (total, alpha))
+        _check_sums(np.append(s, alpha), (total, alpha))
     return bool(total <= alpha + tol)
 
 

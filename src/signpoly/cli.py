@@ -9,10 +9,11 @@ Subcommands::
     signpoly tangle FILE
 
 FILE arguments are JSON documents as described in
-:mod:`signpoly.stateio`.  Exit codes: 0 success (for ``check``: member),
-1 non-member, 2 malformed or invalid input, 3 resource limit hit or
-solver failure (enumeration cap, LP iteration cap, or a ``construct``
-scale whose certificate fails).
+:mod:`signpoly.stateio`.  Each command returns its report and exit
+code; :func:`main` writes the report in the chosen format.  Exit codes:
+0 success (for ``check``: member), 1 non-member, 2 malformed or invalid
+input, 3 resource limit hit or solver failure (enumeration cap, LP
+iteration cap, or a ``construct`` scale whose certificate fails).
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def _load_pure(path) -> tuple[PureState, float | None]:
     return (state if isinstance(state, PureState) else pure_from_density(state)), norm
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[dict, int]:
     if args.show < 0:
         raise ValueError("--show must be nonnegative")
     cap = _resolve_cap(args)
@@ -210,18 +211,16 @@ def cmd_enumerate(args) -> int:
         report["input_norm"] = norm
     if args.show > 0:
         report["states"] = [_pairs(a) for a in result.amplitudes[:args.show]]
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_tangle(args) -> int:
+def cmd_tangle(args) -> tuple[dict, int]:
     psi, norm = _load_pure(args.file)
     tau = three_tangle(psi)
     report = {"command": "tangle", "dim": psi.dim, "tau3": tau}
     if norm is not None:
         report["input_norm"] = norm
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def _fractions(d: int, alpha: float) -> dict:
@@ -237,7 +236,7 @@ def _fractions(d: int, alpha: float) -> dict:
     }
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple[dict, int]:
     if args.verify_probes < 0:
         raise ValueError("--verify-probes must be nonnegative")
     decomposition = load_decomposition(args.file)
@@ -279,11 +278,10 @@ def cmd_construct(args) -> int:
         report["probes_inside"] = hits
         if args.seed is not None:
             report["seed"] = args.seed
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, int]:
     center = _as_density(load_state(args.center)[0])
     probe = _as_density(load_state(args.probe)[0])
     c = _displacement(probe, center, args.alpha)
@@ -298,11 +296,10 @@ def cmd_check(args) -> int:
         "member": member,
         **_fractions(d, args.alpha),
     }
-    _emit(report, args.format)
-    return EXIT_OK if member else EXIT_NON_MEMBER
+    return report, EXIT_OK if member else EXIT_NON_MEMBER
 
 
-def cmd_volume(args) -> int:
+def cmd_volume(args) -> tuple[dict, int]:
     d = args.dim
     n = d * d - 1
     report = {"command": "volume", "dim": d, "chart_dim": n,
@@ -322,8 +319,7 @@ def cmd_volume(args) -> int:
                 - _log_cross_polytope_volume(n, args.alpha))
             if radius > 0.0 else 0.0,
         })
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 _DISPATCH = {
@@ -340,13 +336,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_tols(args)
-        return _DISPATCH[args.command](args)
-    except (EnumerationTooLargeError, SolverFailureError) as exc:
+        report, code = _DISPATCH[args.command](args)
+    except (SignpolyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (SignpolyError, ValueError) as exc:  # every other failure is bad input
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        # Exit 3 on a resource limit or a solver failure; any other is bad input.
+        resource = isinstance(exc, (EnumerationTooLargeError, SolverFailureError))
+        return EXIT_RESOURCE if resource else EXIT_INPUT_ERROR
+    _emit(report, args.format)
+    return code
 
 
 def run() -> None:

@@ -18,7 +18,14 @@ from numpy.typing import ArrayLike
 from . import _enum
 from ._enum import ENUMERATION_CAP
 from .errors import SolverFailureError
-from .majorization import DEFAULT_TOL, _check_same_dim, _check_sums, _real_array, as_coords
+from .majorization import (
+    DEFAULT_TOL,
+    _check_same_dim,
+    _check_sums,
+    _real_array,
+    _two_points,
+    as_coords,
+)
 from .simplex import feasible_nonneg
 
 
@@ -233,13 +240,11 @@ def hulls_disjoint(a: ArrayLike, b: ArrayLike, tol: float = DEFAULT_TOL) -> bool
     each other count as meeting.  A NaN or infinite entry, or a sum that
     overflows, raises ``ValueError``.
     """
-    av = as_coords(a)
-    bv = as_coords(b)
-    _check_same_dim(av, bv)
-    sa, sb = float(av.sum()), float(bv.sum())
+    s = _two_points(a, b)
+    sa, sb = s.sum(axis=1).tolist()
     gap = abs(sa - sb)
     if not math.isfinite(gap):
-        _check_sums((av, bv), (sa, sb))
+        _check_sums(s, (sa, sb))
     return gap > tol
 
 

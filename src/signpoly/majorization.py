@@ -50,13 +50,22 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-def _check_sums(points: tuple[np.ndarray, ...], totals: tuple[float, ...]) -> None:
+def _two_points(p: ArrayLike, q: ArrayLike) -> np.ndarray:
+    """``p`` and ``q``, coerced by :func:`as_coords` in that order and
+    of one dimension, as the rows of one fresh ``(2, n)`` float array."""
+    pv = as_coords(p)
+    qv = as_coords(q)
+    _check_same_dim(pv, qv)
+    return np.array((pv, qv))
+
+
+def _check_sums(points: np.ndarray, totals: tuple[float, ...]) -> None:
     """Raise on a NaN or infinite entry of ``points``, or on a non-finite
     one of ``totals``, their full sums.  A partial sum of finite entries
     that overflows stays infinite through the full sum, so finite totals
     clear every partial sum; callers whose own result is finite skip
     this, so finite input pays one scalar test."""
-    if not all(np.isfinite(p).all() for p in points):
+    if not np.isfinite(points).all():
         raise ValueError("point coordinates must be finite")
     if not all(math.isfinite(t) for t in totals):
         raise ValueError("partial sums of the coordinates overflow")
@@ -82,13 +91,11 @@ def majorizes(b: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bool:
     below the matching partial sum for ``b`` within ``tol``, and the
     totals must agree within ``tol``.
     """
-    av = as_coords(a)
-    bv = as_coords(b)
-    _check_same_dim(av, bv)
-    sa, sb = _partial_sums_desc(np.array((av, bv)))
+    s = _two_points(a, b)
+    sa, sb = _partial_sums_desc(s)
     gap = abs(sa.item(-1) - sb.item(-1))
     if not math.isfinite(gap):
-        _check_sums((av, bv), (sa.item(-1), sb.item(-1)))
+        _check_sums(s, (sa.item(-1), sb.item(-1)))
     if gap > tol:
         return False
     return bool((sa <= sb + tol).all())
@@ -101,10 +108,7 @@ def weakly_majorized(x: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bo
     the matching ones of ``a`` within ``tol``; no equality is required at
     the last index, and boundary points count.
     """
-    xv = as_coords(x)
-    av = as_coords(a)
-    _check_same_dim(xv, av)
-    return _weakly_majorized(np.array((xv, av)), tol)
+    return _weakly_majorized(_two_points(x, a), tol)
 
 
 def _weakly_majorized(s: np.ndarray, tol: float) -> bool:
@@ -112,7 +116,7 @@ def _weakly_majorized(s: np.ndarray, tol: float) -> bool:
     array ``s`` by its row 1; ``s`` is sorted in place."""
     sx, sa = _partial_sums_desc(s)
     if not math.isfinite(sx.item(-1) + sa.item(-1)):
-        _check_sums((s,), (sx.item(-1), sa.item(-1)))
+        _check_sums(s, (sx.item(-1), sa.item(-1)))
     return bool((sx <= sa + tol).all())
 
 
@@ -131,8 +135,5 @@ def sign_perm_member(x: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bo
     that frame the hull is characterized by weak majorization of the
     absolute values.
     """
-    xv = as_coords(x)
-    av = as_coords(a)
-    _check_same_dim(xv, av)
-    s = np.array((xv, av))
+    s = _two_points(x, a)
     return _weakly_majorized(np.abs(s, out=s), tol)

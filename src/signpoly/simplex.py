@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import SolverFailureError
-from .majorization import _real_array
+from .majorization import DEFAULT_TOL, _real_array
 
 # Pivot candidates below this magnitude are treated as zero.
 PIVOT_EPS = 1e-11
@@ -183,7 +183,7 @@ def _basic_solution(T, basis, p):
 def feasible_nonneg(
     A: np.ndarray,
     b: np.ndarray,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[bool, np.ndarray | None]:
     """Search for ``z >= 0`` solving ``A z = b`` (phase 1 alone).
 

@@ -18,7 +18,8 @@ amplitude document the normalized :class:`~signpoly.quantum.PureState`
 with its original norm, and a decomposition document a
 :class:`~signpoly.algorithms.DecompositionInput`.
 
-Decomposition document::
+Decomposition document, whose entries take its ``dim`` (an entry may
+repeat it, but not name another)::
 
     {"schema": 1, "kind": "decomposition", "dim": 2,
      "target": {... state body ...},
@@ -40,7 +41,10 @@ from .quantum import DensityMatrix, PureState, validate_state
 SCHEMA_VERSION = 1
 
 
-def _read_json(path) -> dict:
+def _read_document(path, kind: str) -> tuple[dict, int]:
+    """The JSON object at ``path`` and its ``dim``, once its schema, its
+    ``"kind"`` (``kind`` when absent) and its ``dim`` (an integer >= 2)
+    check out."""
     p = Path(path)
     try:
         text = p.read_text()
@@ -52,13 +56,16 @@ def _read_json(path) -> dict:
         raise FileFormatError(f"{p} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{p}: top level must be an object")
-    return doc
-
-
-def _check_schema(doc: dict, where: str) -> None:
     if doc.get("schema") != SCHEMA_VERSION:
-        raise FileFormatError(f"{where}: expected \"schema\": {SCHEMA_VERSION}, "
+        raise FileFormatError(f"{path}: expected \"schema\": {SCHEMA_VERSION}, "
                               f"got {doc.get('schema')!r}")
+    if doc.get("kind", kind) != kind:
+        raise FileFormatError(
+            f"{path}: expected a {kind} document, got kind {doc['kind']!r}")
+    dim = doc.get("dim")
+    if not isinstance(dim, int) or dim < 2:
+        raise FileFormatError(f"{path}: \"dim\" must be an integer >= 2")
+    return doc, dim
 
 
 def _complex_pairs(obj, expected: int, where: str) -> np.ndarray:
@@ -72,24 +79,25 @@ def _complex_pairs(obj, expected: int, where: str) -> np.ndarray:
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[:, 0]
 
 
-def _parse_state_body(doc: dict, where: str) -> tuple[np.ndarray | PureState,
-                                                      float | None]:
+def _parse_state_body(body: dict, dim: int,
+                      where: str) -> tuple[np.ndarray | PureState, float | None]:
     """The raw ``(dim, dim)`` matrix of a matrix body and ``None``, not
     yet validated as a state (a NaN or infinite entry is left to that
     check, which names it), or the normalized state of an amplitude
-    body and its original norm."""
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 2:
-        raise FileFormatError(f"{where}: \"dim\" must be an integer >= 2")
-    has_matrix = "matrix" in doc
-    has_amps = "amplitudes" in doc
+    body and its original norm.  ``dim`` is the document's; a body that
+    names another ``"dim"`` is refused."""
+    if "dim" in body and not (isinstance(body["dim"], int) and body["dim"] == dim):
+        raise FileFormatError(
+            f"{where}: \"dim\" must be the document's \"dim\", {dim}")
+    has_matrix = "matrix" in body
+    has_amps = "amplitudes" in body
     if has_matrix == has_amps:
         raise FileFormatError(
             f"{where}: provide exactly one of \"matrix\" / \"amplitudes\"")
     if has_matrix:
-        flat = _complex_pairs(doc["matrix"], dim * dim, f"{where}.matrix")
+        flat = _complex_pairs(body["matrix"], dim * dim, f"{where}.matrix")
         return flat.reshape(dim, dim), None
-    amps = _complex_pairs(doc["amplitudes"], dim, f"{where}.amplitudes")
+    amps = _complex_pairs(body["amplitudes"], dim, f"{where}.amplitudes")
     if not np.all(np.isfinite(amps)):
         raise FileFormatError(f"{where}.amplitudes: entries must be finite")
     try:
@@ -113,12 +121,8 @@ def load_state(path) -> tuple[DensityMatrix | PureState, float | None]:
     :class:`~signpoly.errors.StateValidationError` when a matrix is not
     a state at ``STATE_TOL``.
     """
-    doc = _read_json(path)
-    _check_schema(doc, str(path))
-    kind = doc.get("kind", "state")
-    if kind != "state":
-        raise FileFormatError(f"{path}: expected a state document, got kind {kind!r}")
-    state, norm = _parse_state_body(doc, str(path))
+    doc, dim = _read_document(path, "state")
+    state, norm = _parse_state_body(doc, dim, str(path))
     if isinstance(state, PureState):
         return state, norm
     return validate_state(state), None
@@ -129,26 +133,17 @@ def load_decomposition(path) -> DecompositionInput:
     :class:`~signpoly.algorithms.DecompositionInput` (amplitude entries
     as their projectors), parsing every entry first, so a malformed one
     raises ``FileFormatError`` before a state error in an earlier one."""
-    doc = _read_json(path)
-    _check_schema(doc, str(path))
-    kind = doc.get("kind", "decomposition")
-    if kind != "decomposition":
-        raise FileFormatError(
-            f"{path}: expected a decomposition document, got kind {kind!r}")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 2:
-        raise FileFormatError(f"{path}: \"dim\" must be an integer >= 2")
+    doc, dim = _read_document(path, "decomposition")
     if not isinstance(doc.get("target"), dict):
         raise FileFormatError(f"{path}: \"target\" must be a state object")
-    entries = [_parse_state_body({"dim": dim, **doc["target"]}, f"{path}.target")[0]]
+    entries = [_parse_state_body(doc["target"], dim, f"{path}.target")[0]]
     members_doc = doc.get("members")
     if not isinstance(members_doc, list) or not members_doc:
         raise FileFormatError(f"{path}: \"members\" must be a nonempty list")
     for i, body in enumerate(members_doc):
         if not isinstance(body, dict):
             raise FileFormatError(f"{path}.members[{i}]: must be a state object")
-        entries.append(_parse_state_body({"dim": dim, **body},
-                                         f"{path}.members[{i}]")[0])
+        entries.append(_parse_state_body(body, dim, f"{path}.members[{i}]")[0])
     weights = doc.get("weights")
     if (not isinstance(weights, list) or len(weights) != len(members_doc)
             or not all(isinstance(w, (int, float)) for w in weights)):

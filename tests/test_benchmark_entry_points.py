@@ -10,6 +10,7 @@ shows up only as a failed benchmark operation.
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -32,6 +33,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 PIVOTS = Path(__file__).resolve().parents[1] / "bench" / "pivots.py"
 ENUM = Path(__file__).resolve().parents[1] / "bench" / "enum.py"
+LOC = Path(__file__).resolve().parents[1] / "bench" / "loc.py"
 
 PUBLIC_NAMES = [
     "DEFAULT_TOL", "ENUMERATION_CAP", "CrossPolytopeCertificate",
@@ -161,3 +163,37 @@ def test_enum_bench_summary(monkeypatch):
         "peak_rss_mb": 33.0}
     with pytest.raises(RuntimeError, match="counts differ"):
         bench._summary(runs + [{**runs[0], "blocks": 2}])
+
+
+#: 16 lines, 6 of them code: the two lines of the string that is not a
+#: docstring count, the docstrings, comments and blank lines do not.
+_LOC_MODULE = '''"""Module docstring
+over two lines."""
+import os  # a comment
+
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function
+        docstring."""
+        s = """a string, not
+a docstring"""
+        return s + os.sep
+'''
+
+
+def test_loc_counts_code_lines(tmp_path, monkeypatch, capsys):
+    """``bench/loc.py`` counts lines as ``wc -l`` does and code lines
+    as lines holding a token outside docstrings and comments."""
+    loc = _load(monkeypatch, "bench_loc", LOC)
+    (tmp_path / "mod.py").write_text(_LOC_MODULE)
+    (tmp_path / "empty.py").write_text("")
+    assert loc.main(["--src", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["modules"] == {"empty.py": {"lines": 0, "code": 0},
+                                 "mod.py": {"lines": 16, "code": 6}}
+    assert report["total"] == {"lines": 16, "code": 6}

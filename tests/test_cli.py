@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,11 @@ from signpoly import (
 from signpoly.cli import main
 
 MIXED_2 = np.eye(2, dtype=complex) / 2
+#: Maximally mixed state bodies, the qutrit one naming its "dim".
+_QUBIT_BODY = {"matrix": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}
+_QUTRIT_BODY = {"dim": 3, "matrix": [[1 / 3, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                     [1 / 3, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                     [1 / 3, 0.0]]}
 
 
 @pytest.fixture
@@ -232,30 +238,48 @@ class TestStateIO:
         with pytest.raises(stateio.FileFormatError):
             stateio.load_state(path)
 
-    @pytest.mark.parametrize("change", [
-        {"kind": "state"},                                    # wrong kind
-        {"dim": 1},                                           # dim too small
-        {"dim": "2"},                                         # dim not an integer
-        {"target": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]},  # bare list
-        {"members": []},                                      # no members
-        {"members": {"matrix": [[0.5, 0.0]] * 4}},            # not a list
-        {"members": [[[0.5, 0.0]] * 4] * 6},                  # bare lists
-        {"weights": [1 / 5] * 5},                             # one too few
-        {"weights": [1 / 6] * 5 + ["0.1"]},                   # a string
-        {"weights": None},                                    # missing
+    @pytest.mark.parametrize("change, entry", [
+        ({"kind": "state"}, ""),                              # wrong kind
+        ({"dim": 1}, ""),                                     # dim too small
+        ({"dim": "2"}, ""),                                   # dim not an integer
+        ({"target": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}, ""),  # bare list
+        ({"members": []}, ""),                                # no members
+        ({"members": {"matrix": [[0.5, 0.0]] * 4}}, ""),      # not a list
+        ({"members": [[[0.5, 0.0]] * 4] * 6}, ".members[0]"),  # bare lists
+        ({"weights": [1 / 5] * 5}, ""),                       # one too few
+        ({"weights": [1 / 6] * 5 + ["0.1"]}, ""),             # a string
+        ({"weights": None}, ""),                              # missing
+        # Entries of a "dim": 2 document that say "dim": 3 (with 3x3
+        # matrices): the document's "dim" governs every entry.
+        ({"target": _QUTRIT_BODY}, ".target"),
+        ({"members": [_QUTRIT_BODY] + [_QUBIT_BODY] * 5}, ".members[0]"),
+        ({"target": _QUTRIT_BODY, "members": [_QUTRIT_BODY] * 9,
+          "weights": [1 / 9] * 9}, ".target"),
     ], ids=["kind", "dim", "dim-type", "target", "members-empty",
             "members-object", "member-list", "weights-length",
-            "weights-string", "weights-none"])
+            "weights-string", "weights-none", "target-dim", "member-dim",
+            "every-dim"])
     def test_malformed_decomposition_documents(self, tmp_path, capsys,
-                                               octahedral_file, change):
+                                               octahedral_file, change, entry):
         doc = json.loads(Path(octahedral_file).read_text())
         doc.update(change)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(stateio.FileFormatError):
+        with pytest.raises(stateio.FileFormatError, match=f"^{re.escape(f'{path}{entry}: ')}"):
             stateio.load_decomposition(path)
         assert main(["construct", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_entries_may_repeat_the_document_dim(self, tmp_path, octahedral_file):
+        doc = json.loads(Path(octahedral_file).read_text())
+        for body in (doc["target"], *doc["members"]):
+            body["dim"] = 2
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps(doc))
+        got = stateio.load_decomposition(path)
+        want = stateio.load_decomposition(octahedral_file)
+        for field in ("target", "members", "weights"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
     def test_pairs_parse_as_complex_does(self):
         """The array parse of ``[re, im]`` pairs gives ``complex(re, im)``

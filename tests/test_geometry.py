@@ -357,6 +357,9 @@ _ORACLE_INPUTS = {
     "signed": ([2.0, -1.0, 0.0, 1.0 + 1e-13, -0.0, 2.0 - 1e-13, 1e-13], True),
     "unsigned": ([3.0, -1.0, 0.0, -0.0, 3.0 + 1e-13, 1e-13, -1.0], False),
     "complex": ([-1j, 0.0, 1e-13 + 1j, 0.5 - 0.5j, -0.5 + 0.5j, complex(-0.0, -2.0)], True),
+    # 105 rows; at 8 rows a block, some runs of sibling prefixes fit
+    # whole in the chunk that the leftover of the run before opened.
+    "unsigned_carry": ([1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0], False),
 }
 
 
@@ -386,6 +389,12 @@ def test_enumerator_matches_itertools_byte_for_byte(kind, block_rows, monkeypatc
         assert count == len(want)
         assert rows.dtype == want.dtype and not rows.flags.writeable
         assert rows.tobytes() == want.tobytes()
+
+
+def test_block_rows_is_a_power_of_two():
+    # Sign rows are walked in steps of min(2^flips, BLOCK_ROWS), which
+    # must divide 2^flips.
+    assert bin(_enum.BLOCK_ROWS).count("1") == 1
 
 
 #: The ``enumerate`` workload's n=9 base vector (483,840 signed
