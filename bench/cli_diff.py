@@ -9,11 +9,12 @@ what the commands print can be checked against its parent::
     python3 bench/cli_diff.py --src ../parent/src
     python3 bench/cli_diff.py --src ../parent/src --against ../other/src
 
-The 188 cases, with input documents written from numpy alone (seeded,
+The 192 cases, with input documents written from numpy alone (seeded,
 so every run writes the same files):
 
 - ``volume``: d in {2, 3, 4, 5} at alpha in {0, 0.1, 0.4, 1, -1, nan,
-  1e200}, and each d without ``--alpha``;
+  1e200}, each d without ``--alpha``, and d = 2 with ``--cap 0``, a
+  flag it does not read but refuses out of range (exit 2);
 - ``check``: four centre/probe pairs (d = 2, 3, 4, and a close d = 2
   pair) at alpha in {0, 0.2, 0.7, 3, -1, 1e200, inf, nan};
 - ``construct``: six seeded decompositions with d = 2-4, one of them
@@ -31,7 +32,8 @@ so every run writes the same files):
   ``--target bloch``, the qubit with ``--show 3`` and the qutrit at
   ``--cap 2688`` (its count) and ``--cap 2687`` (exit 3); and
   ``w-type`` with ``bloch``, which is refused (exit 2);
-- ``tangle``: the GHZ and the W state;
+- ``tangle``: the GHZ and the W state, and the GHZ state with
+  ``--seed -1`` (exit 2);
 
 each in the text and the structured format.  Prints one JSON object
 with the case counts and every case that differs; for a structured case
@@ -101,6 +103,7 @@ def cases(workdir: Path) -> list[list[str]]:
     for d in VOLUME_DIMS:
         runs.append(["volume", "--dim", str(d)])
         runs += [["volume", "--dim", str(d), "--alpha", a] for a in ALPHAS]
+    runs.append(["volume", "--dim", "2", "--cap", "0"])
 
     rng = np.random.default_rng(15)
     for i, (d, step) in enumerate(((2, 0.3), (3, 0.3), (4, 0.3), (2, 0.05))):
@@ -163,6 +166,7 @@ def cases(workdir: Path) -> list[list[str]]:
     w_state[[1, 2, 4]] = 1.0 / math.sqrt(3.0)
     runs += [["tangle", _amplitude_file(workdir / f"{name}.json", amps)]
              for name, amps in (("ghz", ghz), ("w", w_state))]
+    runs.append(["tangle", str(workdir / "ghz.json"), "--seed", "-1"])
     return [run + ["--format", fmt] for run in runs for fmt in FORMATS]
 
 

@@ -270,14 +270,17 @@ def robustness_member(
 def _displacement(probe: DensityMatrix, center: DensityMatrix,
                   alpha: float) -> np.ndarray:
     """The chart displacement ``c`` of ``probe`` from ``center``, once
-    their dimensions agree and ``alpha`` is nonnegative.  The two are
-    charted as one stack, whose rows are their charts bit for bit."""
+    their dimensions agree and ``alpha`` is finite and nonnegative.  The
+    two are charted as one stack, whose rows are their charts bit for
+    bit."""
     if probe.dim != center.dim:
         raise DecompositionError(
             f"probe dimension {probe.dim} != center dimension {center.dim}"
         )
     if not alpha >= 0.0:
         raise ValueError("alpha must be nonnegative")
+    if alpha == math.inf:
+        raise ValueError("alpha must be a finite nonnegative real")
     coords = _chart(np.array((probe.matrix, center.matrix)))
     return coords[0] - coords[1]
 

@@ -143,29 +143,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_cap(args) -> int:
-    cap = args.cap
-    if cap is None:
-        env = os.environ.get(CAP_ENV_VAR)
-        if env is not None:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"${CAP_ENV_VAR} must be an integer, got {env!r}"
-                ) from None
-    if cap is None:
-        cap = ENUMERATION_CAP
+def _checked_cap(cap: int) -> int:
     if cap < 1:
         raise ValueError("enumeration cap must be at least 1")
     return cap
 
 
-def _check_tols(args) -> None:
+def _resolve_cap(args) -> int:
+    """``--cap`` (checked by :func:`_check_flags`), else
+    ``$SIGNPOLY_CAP``, else :data:`ENUMERATION_CAP`."""
+    if args.cap is not None:
+        return args.cap
+    env = os.environ.get(CAP_ENV_VAR)
+    if env is None:
+        return ENUMERATION_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError(
+            f"${CAP_ENV_VAR} must be an integer, got {env!r}"
+        ) from None
+    return _checked_cap(cap)
+
+
+def _check_flags(args) -> None:
+    """Refuse a common flag out of range, in every subcommand, whether
+    or not that subcommand reads it."""
     if not args.tol > 0.0:
         raise ValueError("--tol must be positive")
     if not args.tol_alpha > 0.0:
         raise ValueError("--tol-alpha must be positive")
+    if args.cap is not None:
+        _checked_cap(args.cap)
+    if args.seed is not None and args.seed < 0:
+        raise ValueError("--seed must be nonnegative")
 
 
 def _render_value(v) -> str:
@@ -335,7 +346,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_tols(args)
+        _check_flags(args)
         report, code = _DISPATCH[args.command](args)
     except (SignpolyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,13 @@ All predicates take a tolerance (default ``1e-9``) and treat the hulls
 as closed: boundary points, including the vertices themselves, count as
 members.  A complex, NaN or infinite entry, or a partial sum of finite entries
 that overflows the float range, raises ``ValueError``, never a verdict.
+
+Each predicate sorts both points once, then answers from the sorted
+entries where they settle the verdict, and sums partial sums only where
+they do not (:func:`_settled`): a largest entry above the anchor's is a
+non-member, and, for weak majorization, entries at or below the
+anchor's one by one are a member.  Both rules give the verdict the sums
+would, and run only where the sums would raise nothing.
 """
 
 from __future__ import annotations
@@ -73,15 +80,51 @@ def _check_sums(points: np.ndarray, totals: tuple[float, ...]) -> None:
 
 def _partial_sums_desc(s: np.ndarray) -> np.ndarray:
     """Partial sums of the descending rearrangement of each row of the
-    fresh ``(2, n)`` array ``s``, which is sorted in place.
+    ``(2, n)`` array ``s``, whose rows are sorted ascending.
 
-    The rows are sorted and summed as one array, one numpy call each; an
-    accumulation runs along its row in order, so every row equals
+    The rows are summed as one array, in one numpy call; an accumulation
+    runs along its row in order, so every row equals
     ``np.cumsum(np.sort(v)[::-1])`` of that row bit for bit.
     """
-    # Only the sorted values matter for partial sums, so plain sort is fine.
-    s.sort()
     return s[:, ::-1].cumsum(axis=1)
+
+
+def _settled(s: np.ndarray, tol: float, weak: bool) -> bool | None:
+    """The verdict that the sorted rows of ``s`` settle without partial
+    sums, or None when the sums must decide.
+
+    Row 0 is the point tested against the anchor in row 1, each sorted
+    ascending.  Both rules hold only where the summed path raises
+    nothing, which the rows' end entries tell: a sorted row puts NaN and
+    ``+inf`` last and ``-inf`` first, and, rounding being monotone, no
+    partial sum of entries at most ``m`` in magnitude exceeds ``2 n m``.
+
+    - Largest entries: the first descending partial sum is the largest
+      entry itself, so ``x_max > a_max + tol`` is the summed path's
+      first comparison, and the answer is False (for :func:`majorizes`
+      too, whose totals test would answer False as well).
+    - Domination (``weak`` only): rounded addition is monotone, so when
+      sorted ``x <=`` sorted ``a`` entry by entry, every float partial
+      sum ``S_k(x) <= S_k(a) <= S_k(a) + tol`` for ``tol >= 0``, and the
+      answer is True.
+
+    Only a float ``tol`` is read here (a float plus a ``np.float32``
+    rounds in float32, the sums' ``+ tol`` in float64); any other goes
+    to the sums, with their arithmetic and errors.
+    """
+    if not isinstance(tol, float):
+        return None
+    x_lo, x_hi = s.item(0, 0), s.item(0, -1)
+    a_lo, a_hi = s.item(1, 0), s.item(1, -1)
+    if not math.isfinite(2.0 * s.shape[1]
+                         * (abs(x_lo) + abs(x_hi) + abs(a_lo) + abs(a_hi))):
+        return None
+    if x_hi > a_hi + tol:
+        return False
+    # The end entries turn most crossing rows away without a pass.
+    if weak and tol >= 0.0 and x_hi <= a_hi and x_lo <= a_lo and (s[0] <= s[1]).all():
+        return True
+    return None
 
 
 def majorizes(b: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bool:
@@ -92,6 +135,9 @@ def majorizes(b: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bool:
     totals must agree within ``tol``.
     """
     s = _two_points(a, b)
+    s.sort()
+    if _settled(s, tol, weak=False) is not None:
+        return False
     sa, sb = _partial_sums_desc(s)
     gap = abs(sa.item(-1) - sb.item(-1))
     if not math.isfinite(gap):
@@ -114,6 +160,10 @@ def weakly_majorized(x: ArrayLike, a: ArrayLike, tol: float = DEFAULT_TOL) -> bo
 def _weakly_majorized(s: np.ndarray, tol: float) -> bool:
     """:func:`weakly_majorized` of row 0 of the fresh ``(2, n)`` float
     array ``s`` by its row 1; ``s`` is sorted in place."""
+    s.sort()
+    verdict = _settled(s, tol, weak=True)
+    if verdict is not None:
+        return verdict
     sx, sa = _partial_sums_desc(s)
     if not math.isfinite(sx.item(-1) + sa.item(-1)):
         _check_sums(s, (sx.item(-1), sa.item(-1)))

@@ -897,6 +897,17 @@ def test_robustness_member_validation():
         robustness_member(center, center, math.inf)
 
 
+def test_infinite_alpha_is_refused_as_alpha():
+    """An infinite scale is the scale's fault, not the displacement's:
+    the message is ``robustness_fraction``'s own."""
+    center = DensityMatrix(MIXED_2)
+    for call in (lambda: robustness_member(center, center, math.inf),
+                 lambda: robustness_fraction(2, math.inf)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "alpha must be a finite nonnegative real"
+
+
 def test_robustness_member_agrees_with_lp_route():
     """Probe membership via partial sums must match the explicit LP over
     the polytope's own vertex set."""

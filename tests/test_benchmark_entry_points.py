@@ -34,6 +34,7 @@ SPANS = PERFBENCH / "spans.py"
 PIVOTS = Path(__file__).resolve().parents[1] / "bench" / "pivots.py"
 ENUM = Path(__file__).resolve().parents[1] / "bench" / "enum.py"
 LOC = Path(__file__).resolve().parents[1] / "bench" / "loc.py"
+VERDICTS = Path(__file__).resolve().parents[1] / "bench" / "verdicts.py"
 
 PUBLIC_NAMES = [
     "DEFAULT_TOL", "ENUMERATION_CAP", "CrossPolytopeCertificate",
@@ -163,6 +164,29 @@ def test_enum_bench_summary(monkeypatch):
         "peak_rss_mb": 33.0}
     with pytest.raises(RuntimeError, match="counts differ"):
         bench._summary(runs + [{**runs[0], "blocks": 2}])
+
+
+def test_verdict_counter_counts_the_check_and_hull_blocks(monkeypatch):
+    """``bench/verdicts.py`` counts by rebinding names in
+    ``majorization`` (and stubbing ``hull_member_lp``), which it
+    restores; if the summing helper is renamed or skipped everywhere,
+    its counts stop meaning anything without an error.  The sorted
+    entries settle 98 of the 128 calls of the seed-3 ``check`` block and
+    67 of the 99 of its ``hull`` block."""
+    verdicts = _load(monkeypatch, "bench_verdicts", VERDICTS)
+    workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
+    sums = signpoly.majorization._partial_sums_desc
+    report = verdicts.count_check(signpoly, workloads, 3)
+    assert signpoly.majorization._partial_sums_desc is sums
+    assert report["total"] == {"largest": 67, "dominated": 31, "sums": 30,
+                               "calls": 128}
+    assert set(report) == {"rado_member", "sign_perm_member", "total"}
+    assert all(rules["dominated"] == 0 for rules in report["rado_member"].values())
+    lp = signpoly.geometry.hull_member_lp
+    report = verdicts.count_hull(signpoly, workloads, 3)
+    assert signpoly.geometry.hull_member_lp is lp
+    assert report["total"] == {"largest": 12, "dominated": 55, "sums": 32,
+                               "calls": 99}
 
 
 #: 16 lines, 6 of them code: the two lines of the string that is not a

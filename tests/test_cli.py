@@ -384,6 +384,38 @@ def test_enumerate_cap_below_one(w_example_file, capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--cap", "0", "enumeration cap must be at least 1"),
+    ("--cap", "-5", "enumeration cap must be at least 1"),
+    ("--seed", "-1", "--seed must be nonnegative"),
+], ids=["cap-0", "cap-negative", "seed-negative"])
+@pytest.mark.parametrize("command", ["volume", "tangle"])
+def test_common_flags_are_checked_in_every_subcommand(command, flag, value,
+                                                      message, ghz_file, capsys):
+    """``--cap`` and ``--seed`` are refused out of range (exit 2) by
+    subcommands that do not read them, with ``enumerate``'s message."""
+    argv = ["volume", "--dim", "2"] if command == "volume" else ["tangle", ghz_file]
+    assert main([*argv, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert main([*argv, flag, "1"]) == 0
+
+
+def test_cap_env_is_read_by_enumerate_alone(ghz_file, monkeypatch, capsys):
+    monkeypatch.setenv("SIGNPOLY_CAP", "0")
+    assert main(["volume", "--dim", "2"]) == 0
+    assert main(["tangle", ghz_file]) == 0
+    assert main(["enumerate", ghz_file]) == 2
+    assert capsys.readouterr().err == "error: enumeration cap must be at least 1\n"
+
+
+def test_construct_negative_seed(capsys, octahedral_file):
+    assert main(["construct", octahedral_file, "--verify-probes", "5",
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be nonnegative\n"
+
+
 def test_enumerate_negative_show(w_example_file, capsys):
     assert main(["enumerate", w_example_file, "--show", "-2"]) == 2
     captured = capsys.readouterr()
@@ -518,6 +550,14 @@ def test_check_dimension_mismatch(tmp_path):
 def test_check_negative_alpha(tmp_path):
     a = _state_file(tmp_path, "a.json", MIXED_2)
     assert main(["check", a, a, "--alpha", "-1"]) == 2
+
+
+def test_check_infinite_alpha_is_blamed_on_alpha(tmp_path, capsys):
+    a = _state_file(tmp_path, "a.json", MIXED_2)
+    assert main(["check", a, a, "--alpha", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: alpha must be a finite nonnegative real\n"
 
 
 def test_check_rejects_invalid_state(tmp_path):

@@ -206,12 +206,15 @@ def _same_bits(p, q):
 @given(n=st.one_of(st.integers(1, 12), st.integers(1, 1000)),
        seed=st.integers(0, 2**32 - 1),
        values=st.sampled_from(["normal", "ties", "signed-zeros"]),
-       relation=st.sampled_from(["mixed", "equal", "up", "down", "flipped"]))
+       relation=st.sampled_from(["mixed", "equal", "up", "down", "flipped",
+                                 "dominated", "top-too-big"]))
 def test_fused_partial_sums_match_per_vector_sums(n, seed, values, relation):
     """Sorting and summing both points as one ``(2, n)`` array gives the
     per-vector partial sums bit for bit, and every predicate the seed's
-    verdict, at ties, signed zeros and points on or next to the
-    boundary."""
+    verdict, at ties, signed zeros, points on or next to the boundary,
+    and the points whose sorted entries settle the verdict early: those
+    below the anchor entry by entry and those whose largest entry is too
+    big."""
     rng = np.random.default_rng(seed)
     if values == "normal":
         a = rng.normal(size=n)
@@ -229,9 +232,16 @@ def test_fused_partial_sums_match_per_vector_sums(n, seed, values, relation):
         x = a * (1 + 1e-12)
     elif relation == "down":
         x = a * (1 - 1e-12)
-    else:
+    elif relation == "flipped":
         x = rng.choice([-1.0, 1.0], size=n) * a[rng.permutation(n)]
-    fused = _partial_sums_desc(np.array((x, a)))
+    elif relation == "dominated":
+        x = a * rng.uniform(0.5, 1.0, size=n)
+    else:
+        x = a.copy()
+        x[np.argmax(x)] *= rng.choice([1 + 1e-12, 1.05])
+    s = np.array((x, a))
+    s.sort()
+    fused = _partial_sums_desc(s)
     assert _same_bits(fused[0], _seed_partial_sums(x))
     assert _same_bits(fused[1], _seed_partial_sums(a))
     assert majorizes(a, x) == _seed_majorizes(a, x)
@@ -240,3 +250,112 @@ def test_fused_partial_sums_match_per_vector_sums(n, seed, values, relation):
     assert weakly_majorized(x, a) == _seed_weakly_majorized(x, a)
     assert weakly_majorized(a, x) == _seed_weakly_majorized(a, x)
     assert sign_perm_member(x, a) == _seed_weakly_majorized(np.abs(x), np.abs(a))
+
+
+# ------------------------------------------- early verdicts from sorted entries
+
+_FINITE_MESSAGE = "point coordinates must be finite"
+_OVERFLOW_MESSAGE = "partial sums of the coordinates overflow"
+
+
+def _seed_outcome(predicate, x, a, tol):
+    """What ``predicate(x, a, tol)`` returned at the seed: the per-vector
+    verdict, or the ``ValueError`` message for a NaN or infinite entry,
+    or for finite entries whose partial sums overflow."""
+    with np.errstate(all="ignore"):
+        x, a = np.array(x, dtype=float), np.array(a, dtype=float)
+        if predicate is sign_perm_member:
+            x, a = np.abs(x), np.abs(a)
+        if not (np.isfinite(x).all() and np.isfinite(a).all()):
+            return _FINITE_MESSAGE
+        if not (np.isfinite(_seed_partial_sums(x)[-1])
+                and np.isfinite(_seed_partial_sums(a)[-1])):
+            return _OVERFLOW_MESSAGE
+        if predicate is majorizes:
+            return _seed_majorizes(x, a, tol)
+        if predicate is rado_member:
+            return _seed_majorizes(a, x, tol)
+        return _seed_weakly_majorized(x, a, tol)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")], ids=["0", "-1e-9", "nan"])
+@pytest.mark.parametrize("predicate", [majorizes, weakly_majorized, rado_member,
+                                       sign_perm_member])
+@pytest.mark.parametrize("x, a", [
+    ([0.5, 0.0], [1e308, 1e308]),
+    ([2e308 / 4, 0.0], [1e308, 1e308]),
+    ([1e308, 1e308], [0.5, 0.0]),
+    ([-1e308, -1e308], [0.5, 0.0]),
+    ([1e308, 0.0], [1e308, 1e307]),
+    ([1e308, -1e308], [1.0, 0.0]),
+    ([3.0, 0.0], [1e308, 0.0]),
+    ([-np.inf, 0.0], [1.0, 1.0]),
+    ([5.0, 0.0], [1.0, -np.inf]),
+    ([0.5, 0.0], [np.inf, 0.0]),
+    ([np.inf, 0.0], [0.5, 0.5]),
+    ([np.nan, 0.0], [1.0, 1.0]),
+    ([5.0, 0.0], [1.0, np.nan]),
+    ([1.0, 0.5], [0.5, 1.0]),
+], ids=["dominated-overflowing-anchor", "half-max-overflowing-anchor",
+        "overflowing-point", "overflowing-negative-point", "finite-sums",
+        "cancelling-point", "huge-anchor", "minus-inf-point", "minus-inf-anchor",
+        "inf-anchor", "inf-point", "nan-point", "nan-anchor", "permuted"])
+def test_early_verdicts_keep_the_seed_outcome(predicate, x, a, tol):
+    """Where the sorted entries could settle a verdict but an entry is
+    NaN or infinite, a partial sum overflows or ``tol`` is not
+    nonnegative (a permuted point fails its own partial sums by
+    ``-1e-9``), every predicate still answers or raises as the seed's
+    per-vector sums did."""
+    want = _seed_outcome(predicate, x, a, tol)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as info:
+            predicate(x, a, tol)
+        assert str(info.value) == want
+    else:
+        assert predicate(x, a, tol) is want
+
+
+class _Summed(Exception):
+    """Raised by the summing helper when a test requires it be skipped."""
+
+
+@pytest.mark.parametrize("call, verdict", [
+    (lambda: sign_perm_member([-0.5, 1.0, 0.2], [1.0, -2.0, 0.5]), True),
+    (lambda: weakly_majorized([0.5, 1.0, 0.2], [1.0, 2.0, 0.5]), True),
+    (lambda: majorizes([1.0, 2.0, 3.0], [4.0, 1.0, 1.0]), False),
+    (lambda: weakly_majorized([4.0, 0.0, 0.0], [1.0, 2.0, 3.0]), False),
+    (lambda: rado_member([4.0, 1.0, 1.0], [1.0, 2.0, 3.0]), False),
+    (lambda: sign_perm_member([-4.0, 0.0, 0.0], [1.0, 2.0, 3.0]), False),
+    (lambda: sign_perm_member([3.0 + 2e-9, 0.0], [1.0, -3.0]), False),
+], ids=["dominated-sign-perm", "dominated-weak", "top-majorizes", "top-weak",
+        "top-rado", "top-sign-perm", "top-just-past-tol"])
+def test_settled_verdicts_skip_the_partial_sums(monkeypatch, call, verdict):
+    """Dominated weak-majorization members and every predicate's
+    non-members by the largest entry are answered without the sums."""
+    def summed(s):
+        raise _Summed
+    monkeypatch.setattr("signpoly.majorization._partial_sums_desc", summed)
+    assert call() is verdict
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rado_member([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]),
+    lambda: weakly_majorized([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]),
+    lambda: sign_perm_member([0.5, -0.5], [1.0, 1.0], tol=-1e-9),
+    lambda: sign_perm_member([0.5, 0.0], [1e308, 1e308]),
+    lambda: weakly_majorized([3.0 + 1e-9, 0.0], [3.0, 0.0]),
+    lambda: sign_perm_member([0.5, 0.0], [1.0, 0.0], tol=0),
+    lambda: weakly_majorized([1.0 + 5e-10, 0.0], [1.0, 0.0], tol=np.float32(1e-9)),
+], ids=["rado-member", "crossing-weak-member", "negative-tol",
+        "overflowing-anchor", "top-within-tol", "int-tol", "float32-tol"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_unsettled_verdicts_reach_the_partial_sums(monkeypatch, call):
+    """Members that are not dominated, a negative or non-float ``tol``,
+    and sums that overflow are left to the partial sums."""
+    def summed(s):
+        raise _Summed
+    monkeypatch.setattr("signpoly.majorization._partial_sums_desc", summed)
+    with pytest.raises(_Summed):
+        call()
