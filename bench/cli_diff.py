@@ -9,7 +9,7 @@ what the commands print can be checked against its parent::
     python3 bench/cli_diff.py --src ../parent/src
     python3 bench/cli_diff.py --src ../parent/src --against ../other/src
 
-The 192 cases, with input documents written from numpy alone (seeded,
+The 202 cases, with input documents written from numpy alone (seeded,
 so every run writes the same files):
 
 - ``volume``: d in {2, 3, 4, 5} at alpha in {0, 0.1, 0.4, 1, -1, nan,
@@ -31,7 +31,11 @@ so every run writes the same files):
   (exit 3); seeded qutrit and qubit states under
   ``--target bloch``, the qubit with ``--show 3`` and the qutrit at
   ``--cap 2688`` (its count) and ``--cap 2687`` (exit 3); and
-  ``w-type`` with ``bloch``, which is refused (exit 2);
+  ``w-type`` with ``bloch``, which is refused (exit 2); ``--show 30``,
+  above what is retained, on the qutrit under ``any-pure`` (24 rows)
+  and ``--target bloch`` (24 of 2,688 kept); and the amplitudes
+  ``[1..7, 0]`` (5,160,960 signed permutations) under ``any-pure``,
+  with ``--show 3``, and under ``w-type --show 3``;
 - ``tangle``: the GHZ and the W state, and the GHZ state with
   ``--seed -1`` (exit 2);
 
@@ -146,6 +150,8 @@ def cases(workdir: Path) -> list[list[str]]:
                              [math.cos(theta), -math.sin(theta), 0.0])
     qubit = _amplitude_file(workdir / "qubit.json",
                             rng.normal(size=2) + 1j * rng.normal(size=2))
+    big = _amplitude_file(workdir / "big.json",
+                          np.append(np.arange(1.0, 8.0), 0.0) / math.sqrt(140.0))
     runs += [["enumerate", w_path, "--filter", "any-pure"],
              ["enumerate", w_path, "--show", "3"],
              ["enumerate", w_path, "--filter", "w-type"],
@@ -158,7 +164,12 @@ def cases(workdir: Path) -> list[list[str]]:
              ["enumerate", qutrit, "--target", "bloch", "--cap", "2688"],
              ["enumerate", qutrit, "--target", "bloch", "--cap", "2687"],
              ["enumerate", qubit, "--target", "bloch", "--show", "3"],
-             ["enumerate", qubit, "--target", "bloch", "--filter", "w-type"]]
+             ["enumerate", qubit, "--target", "bloch", "--filter", "w-type"],
+             ["enumerate", qutrit, "--show", "30"],
+             ["enumerate", qutrit, "--target", "bloch", "--show", "30"],
+             ["enumerate", big],
+             ["enumerate", big, "--show", "3"],
+             ["enumerate", big, "--filter", "w-type", "--show", "3"]]
 
     ghz = np.zeros(8)
     ghz[[0, 7]] = 1.0 / math.sqrt(2.0)

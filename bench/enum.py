@@ -15,10 +15,13 @@ both see the same drift of a shared host::
 Prints one JSON object with, per case (and, with ``--against``, per
 tree): the rows listed (for the w-type cases, the rows streamed through
 the filter and the rows kept), the blocks ``_enum.signed_arrangements``
-yielded in one run, the quartiles of the wall time over the processes,
-and the median over the processes of the peak RSS (``ru_maxrss``) in MB.
-The ``bloch`` cases likewise give the rows streamed and the states
-kept.  Cases:
+yielded in one run (a filter that builds only the rows it keeps takes
+none from it), the quartiles of the wall time over the processes, and
+the median over the processes of the peak RSS (``ru_maxrss``) in MB.
+The w-type cases also give the tangle evaluations: the hyperdeterminants
+computed (the columns passed to ``quantum._cayley``, or to
+``quantum._hyperdeterminant`` in a tree without it).  The ``bloch``
+cases likewise give the rows streamed and the states kept.  Cases:
 
 - ``perfbench_n9``: the signed permutations of the ``enumerate``
   workload's n=9 base vector (483,840 rows);
@@ -26,6 +29,10 @@ kept.  Cases:
 - ``unsigned_n10``: the plain permutations of ``1..10`` (3,628,800 rows);
 - ``any_pure``: the default ``--filter any-pure`` on the state
   ``[1,2,3,4,5,6,0,0]`` (normalized; 1,290,240 rows, every one kept);
+- ``any_pure_show_0`` and ``any_pure_show_3``: the same state through
+  ``signpoly enumerate FILE --show 0`` (or ``--show 3``), run by
+  ``cli.main`` in the process, which counts every row and prints none
+  (or three);
 - ``readme_w_type``: ``--filter w-type`` on the README state (26,880
   rows streamed, 5,376 kept);
 - ``w_type_stream``: ``--filter w-type`` on a state with 8 distinct
@@ -41,24 +48,30 @@ kept.  Cases:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = ("perfbench_n9", "signed_n10", "unsigned_n10", "any_pure", "readme_w_type",
-         "w_type_stream", "perfbench_bloch", "generic_qutrit_bloch")
+CASES = ("perfbench_n9", "signed_n10", "unsigned_n10", "any_pure", "any_pure_show_0",
+         "any_pure_show_3", "readme_w_type", "w_type_stream", "perfbench_bloch",
+         "generic_qutrit_bloch")
+#: Cases that report the tangle evaluations.
+W_TYPE_CASES = ("readme_w_type", "w_type_stream")
 
 
 def _case_call(sp, workloads, name: str):
-    """The case's call; it returns ``(rows, kept)``, ``kept`` None when
-    every row is kept."""
+    """The case's call; it returns ``(rows, kept)``, ``kept`` None for
+    a vertex listing or a library listing that keeps every row."""
     if name == "perfbench_n9":
         a = np.array(workloads.N9_BASE)
         return lambda: (len(sp.geometry.enumerate_sign_perm_vertices(a)), None)
@@ -68,6 +81,8 @@ def _case_call(sp, workloads, name: str):
     if name == "unsigned_n10":
         a = np.arange(1.0, 11.0)
         return lambda: (len(sp.geometry.enumerate_perm_vertices(a)), None)
+    if name.startswith("any_pure_show_"):
+        return _cli_call(sp, name.rsplit("_", 1)[1])
     kwargs = {"filter": "w-type"}
     cap = sp.geometry.ENUMERATION_CAP
     if name == "any_pure":
@@ -94,11 +109,31 @@ def _case_call(sp, workloads, name: str):
     return call
 
 
+def _cli_call(sp, show: str):
+    """``signpoly enumerate FILE --show SHOW`` on ``[1..6,0,0]``, with
+    ``(total, retained)`` read from its structured report."""
+    amps = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0])
+    doc = {"schema": 1, "kind": "state", "dim": 8,
+           "amplitudes": [[a, 0.0] for a in (amps / np.linalg.norm(amps)).tolist()]}
+    path = Path(tempfile.mkdtemp()) / "state.json"
+    path.write_text(json.dumps(doc))
+
+    def call():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            sp.cli.main(["enumerate", str(path), "--show", show, "--format", "structured"])
+        path.unlink()
+        path.parent.rmdir()
+        report = json.loads(out.getvalue())
+        return report["total"], report["retained"]
+    return call
+
+
 def run_case(src: Path, name: str) -> dict:
     """Run one case once in this process and measure it."""
     sys.path[:0] = [str(src.resolve()), str(ROOT / "perfbench")]
     sp = importlib.import_module("signpoly")
-    for sub in ("_enum", "geometry", "quantum"):
+    for sub in ("_enum", "cli", "geometry", "quantum"):
         importlib.import_module(f"signpoly.{sub}")
     workloads = importlib.import_module("workloads")
     call = _case_call(sp, workloads, name)
@@ -113,12 +148,24 @@ def run_case(src: Path, name: str) -> dict:
             yield block
 
     sp._enum.signed_arrangements = counted
+    evaluations = 0
+    det_name = "_cayley" if hasattr(sp.quantum, "_cayley") else "_hyperdeterminant"
+    det = getattr(sp.quantum, det_name)
+
+    def counted_det(t):
+        nonlocal evaluations
+        evaluations += np.shape(t)[-1] if np.ndim(t) > 1 else 1
+        return det(t)
+
+    setattr(sp.quantum, det_name, counted_det)
     start = time.perf_counter()
     rows, kept = call()
     wall = time.perf_counter() - start
     result = {"rows": rows, "blocks": blocks}
     if kept is not None:
         result["kept"] = kept
+    if name in W_TYPE_CASES:
+        result["tangle_evals"] = evaluations
     result["wall_s"] = wall
     result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return result

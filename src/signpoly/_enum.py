@@ -16,10 +16,15 @@ from their prefixes in lexicographic order.  The sign rows of an
 arrangement depend only on where its zeros sit, so
 :func:`signed_arrangements` writes a chunk's signed rows from one +-1
 table per zero pattern: one gather of the tables and one product with
-the arrangements' values.
+the arrangements' values.  A :class:`SignBlock` is such a block before
+it is built, and :meth:`SignBlock.rows` is the one place a row is
+built, for a whole block or for a selection of its rows.
 
 :func:`listing` is the one place an enumeration's result is allocated:
 written in place, each row once, or joined from what a filter keeps.
+A filter sees either built rows or a :class:`SignBlock`, from which it
+picks rows without building them.  Given a limit, a listing counts
+every row it keeps but builds only the first ``limit``.
 """
 
 from __future__ import annotations
@@ -223,29 +228,135 @@ def _extend(nodes: np.ndarray, depth: int, n: int) -> np.ndarray:
     return nodes
 
 
-def listing(classes: SignClasses, cap=ENUMERATION_CAP, keep=None) -> tuple[np.ndarray, int]:
-    """Every distinct signed permutation of ``classes``, in
-    :func:`signed_arrangements` order, as the rows of one read-only
-    array, and their number; a number above ``cap`` raises
-    ``EnumerationTooLargeError`` before any row is built.
+def listing(classes: SignClasses, cap=ENUMERATION_CAP, keep=None, select=None,
+            limit=None) -> tuple[np.ndarray, int, int]:
+    """The distinct signed permutations of ``classes`` that a filter
+    keeps, in :func:`signed_arrangements` order, as the rows of one
+    read-only array; their number before filtering; and the number kept.
+    A number above ``cap`` raises ``EnumerationTooLargeError`` before
+    any row is built.
 
-    Without ``keep`` the array is allocated once and the generator
-    writes each row into it in place.  With ``keep``, a function from a
-    block of rows to the rows to hold (some of them, or rows computed
-    from them), the blocks stream through it: the array joins what it
-    returns, and the number still counts every row listed.
+    With no filter every row is kept, the array is allocated once and
+    the generator writes each row into it in place.  A filter streams
+    the blocks: ``keep`` is a function from a block of built rows to the
+    rows to hold (some of them, or rows computed from them);
+    ``select(block, room)`` takes a :class:`SignBlock` and returns the
+    number of its rows to keep and the indices of the first ``room`` of
+    them, the only rows built.  Given ``limit``, every kept row
+    is counted but only the first ``limit`` are built and held; with no
+    filter the generator stops there.
     """
     count = count_signed_arrangements(classes, cap)
-    if keep is None:
+    room = count if limit is None else min(limit, count)
+    if keep is None and select is None:
         # The dtype of the generator's values: complex if any rep is.
-        rows = np.empty((count, classes.n_zero + sum(classes.counts)),
+        rows = np.empty((room, classes.n_zero + sum(classes.counts)),
                         dtype=np.result_type(0.0, *classes.reps))
-        for _ in signed_arrangements(classes, rows):
-            pass
+        if room:
+            for _ in signed_arrangements(classes, rows):
+                pass
+        retained = count
     else:
-        rows = np.concatenate([keep(block) for block in signed_arrangements(classes)])
+        held, retained = [], 0
+        for block in _sign_blocks(classes) if select else signed_arrangements(classes):
+            if select:
+                kept, picked = select(block, room)
+                rows = block.rows(picked)
+            else:
+                rows = keep(block)
+                kept, rows = len(rows), rows[:room]
+            retained += kept
+            room -= len(rows)
+            held.append(rows)
+        rows = np.concatenate(held)
     rows.setflags(write=False)
-    return rows, count
+    return rows, count, retained
+
+
+@dataclass
+class SignBlock:
+    """One block of signed permutations, described before it is built.
+
+    ``codes`` holds a chunk of arrangements (class codes, 0 for the zero
+    class) and ``values`` the class values they index.  Each arrangement
+    has ``step`` rows, consecutive in the block: row ``a * step + r`` is
+    arrangement ``a`` times sign row ``r`` of its zero pattern.
+    ``nonzero`` holds the chunk's distinct zero patterns (the nonzero
+    slots, one boolean row each) and ``pattern`` the pattern of each
+    arrangement.  ``table[p, r]`` is sign row ``r`` of pattern ``p``, a
+    +-1 per slot (zero slots read +1) repeated along a last axis over
+    the float parts of a value.  Unsigned classes have no sign rows:
+    ``table`` is None and an arrangement's values are its one row.
+    """
+
+    values: np.ndarray
+    codes: np.ndarray
+    nonzero: np.ndarray | None = None
+    pattern: np.ndarray | None = None
+    table: np.ndarray | None = None
+
+    @property
+    def step(self) -> int:
+        return 1 if self.table is None else self.table.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.codes) * self.step
+
+    def rows(self, select=None, out=None) -> np.ndarray:
+        """The block's rows, or the rows at the ascending indices
+        ``select``, computed in ``out`` when given: the one place a row
+        is built.  A sign flip is a product by -1 on the float view,
+        exact on both parts of a complex entry."""
+        size = len(self) if select is None else len(select)
+        if out is None:
+            out = np.empty((size, self.codes.shape[1]), dtype=self.values.dtype)
+        if self.table is None:
+            codes = self.codes if select is None else self.codes[select]
+            np.take(self.values, codes, out=out, mode="clip")
+            return out
+        parts = self.values.view(float).reshape(len(self.values), -1)
+        if select is None:
+            rows = out.view(float).reshape(len(self.codes), *self.table.shape[1:])
+            np.take(self.table, self.pattern, axis=0, out=rows, mode="clip")
+            rows *= parts[self.codes][:, None]
+        else:
+            a, r = np.divmod(select, self.step)
+            signs = self.table.reshape(-1, *self.table.shape[2:])
+            rows = out.view(float).reshape(size, *self.table.shape[2:])
+            np.take(signs, self.pattern[a] * self.step + r, axis=0, out=rows, mode="clip")
+            rows *= parts.take(self.codes[a], axis=0)
+        return out
+
+
+def _sign_blocks(classes: SignClasses) -> Iterator[SignBlock]:
+    """Every distinct signed permutation of ``classes``, in
+    :func:`signed_arrangements` order and blocks, unbuilt.
+
+    A chunk's arrangements share one +-1 sign table per zero pattern,
+    so a block is one chunk with ``min(2^flips, BLOCK_ROWS)`` sign rows,
+    walked from all-positive downward, the last nonzero slot fastest.
+    """
+    values = np.array([0.0] + classes.reps)  # complex if any rep is
+    flips = classes.flips
+    per_chunk = max(1, BLOCK_ROWS >> flips)
+    step = min(1 << flips, BLOCK_ROWS)
+    parts = values.view(float).size // len(values)
+    bits = np.arange(flips)[::-1]
+    for codes in distinct_permutations([classes.n_zero, *classes.counts], per_chunk):
+        if not classes.signed:
+            yield SignBlock(values, codes)
+            continue
+        nonzero, pattern = _zero_patterns(codes != 0)
+        # Row r of ``signs`` flips nonzero slot j when bit (flips-1-j) of
+        # r is set, the itertools.product order; zeros read its last
+        # column, which never flips.
+        slot = np.where(nonzero, np.cumsum(nonzero, axis=1) - 1, flips)
+        for lo in range(0, 1 << flips, step):
+            signs = np.ones((step, flips + 1))
+            signs[:, :flips] -= 2 * (np.arange(lo, lo + step)[:, None] >> bits & 1)
+            table = np.empty((len(nonzero), step, codes.shape[1], parts))
+            table[...] = signs[:, slot].transpose(1, 0, 2)[..., None]
+            yield SignBlock(values, codes, nonzero, pattern, table)
 
 
 def signed_arrangements(classes: SignClasses,
@@ -262,52 +373,27 @@ def signed_arrangements(classes: SignClasses,
 
     An arrangement's sign rows are its values times a +-1 table that
     depends only on where its zeros sit, so a chunk's rows are one
-    gather from the tables of its zero patterns and one product.  The
-    product runs on the float view, where negating both parts of a
-    complex entry is exact.
+    gather from the tables of its zero patterns and one product
+    (:meth:`SignBlock.rows`).
 
-    Given ``out``, an array with one row per signed permutation, each
-    block is computed in place in the next rows of ``out`` and the
-    blocks are views of it, so draining the generator fills ``out`` and
-    writes each row once; :func:`listing` alone passes it.  Without it
-    every block is a new array, and a consumer that drops them streams
-    in bounded memory.
+    Given ``out``, each block is computed in place in the next rows of
+    ``out`` and the blocks are views of it, so draining the generator
+    fills ``out`` and writes each row once; it stops when ``out`` is
+    full, after its first ``len(out)`` rows.  :func:`listing` alone
+    passes it.  Without it every block is a new array, and a consumer
+    that drops them streams in bounded memory.
     """
-    values = np.array([0.0] + classes.reps)  # complex if any rep is
-    flips = classes.flips
-    per_chunk = max(1, BLOCK_ROWS >> flips)
-    step = min(1 << flips, BLOCK_ROWS)
-    parts = values.view(float).reshape(len(values), -1)
-    bits = np.arange(flips)[::-1]
     ptr = 0
-    for codes in distinct_permutations([classes.n_zero, *classes.counts], per_chunk):
-        k, n = codes.shape
-        if not classes.signed:
-            block = np.empty((k, n)) if out is None else out[ptr:ptr + k]
-            ptr += k
-            np.take(values, codes, out=block, mode="clip")
-            yield block
+    for block in _sign_blocks(classes):
+        if out is None:
+            yield block.rows()
             continue
-        base = parts[codes][:, None]
-        patterns, row_pattern = _zero_patterns(codes != 0)
-        # Row r of ``signs`` flips nonzero slot j when bit (flips-1-j) of
-        # r is set, the itertools.product order; zeros read its last
-        # column, which never flips.
-        slot = np.where(patterns, np.cumsum(patterns, axis=1) - 1, flips)
-        for lo in range(0, 1 << flips, step):
-            signs = np.ones((step, flips + 1))
-            signs[:, :flips] -= 2 * (np.arange(lo, lo + step)[:, None] >> bits & 1)
-            table = np.empty((len(patterns), step, n, parts.shape[1]))
-            table[...] = signs[:, slot].transpose(1, 0, 2)[..., None]
-            if out is None:
-                block = np.empty((k * step, n), dtype=values.dtype)
-            else:
-                block = out[ptr:ptr + k * step]
-            ptr += k * step
-            rows = block.view(float).reshape(k, *table.shape[1:])
-            np.take(table, row_pattern, axis=0, out=rows, mode="clip")
-            rows *= base
-            yield block
+        size = min(len(block), len(out) - ptr)
+        select = None if size == len(block) else np.arange(size)
+        yield block.rows(select, out[ptr:ptr + size])
+        ptr += size
+        if ptr == len(out):
+            return
 
 
 def _zero_patterns(hot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

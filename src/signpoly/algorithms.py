@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, SolverFailureError
-from .geometry import CrossPolytopeSpec, _exp, _witness_violation
+from .geometry import CrossPolytopeSpec, _check_scale, _exp, _witness_violation
 from .majorization import DEFAULT_TOL, _check_sums, _real_array
 from .quantum import DensityMatrix, _chart, _state_stack, from_coords
 from .simplex import _ray_maxima
@@ -277,10 +277,7 @@ def _displacement(probe: DensityMatrix, center: DensityMatrix,
         raise DecompositionError(
             f"probe dimension {probe.dim} != center dimension {center.dim}"
         )
-    if not alpha >= 0.0:
-        raise ValueError("alpha must be nonnegative")
-    if alpha == math.inf:
-        raise ValueError("alpha must be a finite nonnegative real")
+    _check_scale(alpha, "alpha")
     coords = _chart(np.array((probe.matrix, center.matrix)))
     return coords[0] - coords[1]
 
@@ -333,8 +330,7 @@ def robustness_fraction(d: int, alpha: float) -> float:
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    if not (alpha >= 0.0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be a finite nonnegative real")
+    _check_scale(alpha, "alpha")
     if alpha == 0.0:
         return 0.0
     log_f = (0.5 * (2 * d + 3) * (d - 1) * math.log(2.0)

@@ -208,7 +208,8 @@ def cmd_enumerate(args) -> tuple[dict, int]:
     cap = _resolve_cap(args)
     psi, norm = _load_pure(args.file)
     result = enumerate_pure_sign_perms(
-        psi, filter=args.filter, target=args.target, tol=args.tol, cap=cap
+        psi, filter=args.filter, target=args.target, tol=args.tol, cap=cap,
+        limit=args.show,
     )
     report = {
         "command": "enumerate",
@@ -221,7 +222,7 @@ def cmd_enumerate(args) -> tuple[dict, int]:
     if norm is not None:
         report["input_norm"] = norm
     if args.show > 0:
-        report["states"] = [_pairs(a) for a in result.amplitudes[:args.show]]
+        report["states"] = [_pairs(a) for a in result.amplitudes]
     return report, EXIT_OK
 
 

@@ -105,7 +105,7 @@ class CrossPolytopeSpec:
         center = np.array(as_coords(self.center))
         if not np.all(np.isfinite(center)):
             raise ValueError("center coordinates must be finite")
-        _check_dim_scale(center.size, self.scale)
+        _check_dim_scale(center.size, self.scale, "scale")
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
 
@@ -251,7 +251,7 @@ def hulls_disjoint(a: ArrayLike, b: ArrayLike, tol: float = DEFAULT_TOL) -> bool
 def cross_polytope_volume(n: int, alpha: float) -> float:
     """Volume ``(2*alpha)^n / n!`` of the n-dimensional cross-polytope
     with circumradius ``alpha``, evaluated in log space."""
-    _check_dim_scale(n, alpha)
+    _check_dim_scale(n, alpha, "alpha")
     return (_exp(_log_cross_polytope_volume(n, alpha), "cross-polytope volume")
             if alpha > 0.0 else 0.0)
 
@@ -264,13 +264,13 @@ def _log_cross_polytope_volume(n: int, alpha: float) -> float:
 def insphere_radius(n: int, alpha: float) -> float:
     """Radius ``alpha / sqrt(n)`` of the largest ball inside the
     cross-polytope with circumradius ``alpha``."""
-    _check_dim_scale(n, alpha)
+    _check_dim_scale(n, alpha, "alpha")
     return alpha / math.sqrt(n)
 
 
 def ball_volume(n: int, r: float) -> float:
     """Volume ``pi^(n/2) r^n / Gamma(n/2 + 1)`` of the n-ball."""
-    _check_dim_scale(n, r)
+    _check_dim_scale(n, r, "radius")
     return _exp(_log_ball_volume(n, r), "ball volume") if r > 0.0 else 0.0
 
 
@@ -292,8 +292,14 @@ def _exp(log_v: float, what: str) -> float:
     return v
 
 
-def _check_dim_scale(n: int, scale: float) -> None:
+def _check_dim_scale(n: int, value: float, name: str) -> None:
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if not (scale >= 0.0 and math.isfinite(scale)):
-        raise ValueError("scale must be a finite nonnegative real")
+    _check_scale(value, name)
+
+
+def _check_scale(value: float, name: str) -> None:
+    """Refuse a scale (``alpha``, a radius) that is negative, NaN or
+    infinite, by its name: one test and one message for every scale."""
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite nonnegative real")

@@ -20,6 +20,14 @@ Chart points are plain float arrays: :func:`to_coords` maps a stack
 ``(..., d, d)`` of matrices to read-only ``(..., d*d - 1)`` vectors, and
 :func:`from_coords` maps any stack ``(..., d*d - 1)`` of them back to
 ``(..., d, d)`` matrices.
+
+:func:`enumerate_pure_sign_perms` filters the signed permutations of a
+state.  The w-type filter keeps three-qubit rows whose three-tangle
+(Coffman, Kundu & Wootters, PRA 61, 052306, 2000) is at most ``tol``.
+The tangle is a function of eight pair products of the amplitudes, and a
+sign flip negates pair products exactly, so it is computed once per sign
+class of an arrangement (:func:`_class_tangles`), bit for bit the value
+each row of the class would give, and only the rows asked for are built.
 """
 
 from __future__ import annotations
@@ -312,17 +320,37 @@ def _phase_fixed(vecs: np.ndarray) -> np.ndarray:
 
 # --- three-qubit entanglement ------------------------------------------------
 
+#: Cayley's 2x2x2 hyperdeterminant is a polynomial in eight pair
+#: products ``t_a t_b`` of the amplitudes of ``|000>, ..., |111>``: the
+#: mixed term's four, (000,111), (001,110), (010,101), (011,100), then
+#: the second term's, (000,011), (001,010), (100,111), (101,110).  Row 0
+#: holds each pair's first slot, row 1 its second.
+_PAIRS = np.array([[0, 1, 2, 3, 0, 1, 4, 5],
+                   [7, 6, 5, 4, 3, 2, 7, 6]])
+#: For each set of negated slots (bit j for slot j), the set of pairs
+#: whose product it negates (bit j for pair j of :data:`_PAIRS`).
+_NEGATED_PAIRS = np.packbits(
+    np.bitwise_xor(*(np.arange(256)[:, None] >> _PAIRS[:, None] & 1)),
+    axis=1, bitorder="little")[:, 0]
+
+
 def _hyperdeterminant(t):
     """Cayley's 2x2x2 hyperdeterminant of the amplitudes ``t`` of
-    ``|000>, ..., |111>`` (numbers, or equal-length columns of them).
+    ``|000>, ..., |111>`` (numbers, or equal-length columns of them)."""
+    t = np.asarray(t)
+    return _cayley(t[_PAIRS[0]] * t[_PAIRS[1]])
+
+
+def _cayley(p):
+    """Cayley's hyperdeterminant from its eight pair products ``p``
+    (numbers, or equal-length columns of them) in :data:`_PAIRS` order.
 
     It is the discriminant of the pencil ``det(x A + y B)`` of the
     slices ``A = t[0jk]`` and ``B = t[1jk]``: eleven products instead of
     the expanded sum's thirty-odd.
     """
-    t000, t001, t010, t011, t100, t101, t110, t111 = t
-    mixed = t000 * t111 - t001 * t110 - t010 * t101 + t011 * t100
-    return mixed * mixed - 4.0 * (t000 * t011 - t001 * t010) * (t100 * t111 - t101 * t110)
+    mixed = p[0] - p[1] - p[2] + p[3]
+    return mixed * mixed - 4.0 * (p[4] - p[5]) * (p[6] - p[7])
 
 
 def three_tangle(psi: PureState | np.ndarray) -> float:
@@ -359,17 +387,15 @@ def make_canonical(kind: str) -> PureState:
 class PureEnumeration:
     """Result of enumerating signed permutations of a pure state.
 
-    ``total`` counts everything enumerated before filtering;
-    ``amplitudes`` holds the retained states' amplitude vectors as the
-    rows of one read-only array, in deterministic generation order.
+    ``total`` counts everything enumerated before filtering and
+    ``retained`` what the filter kept; ``amplitudes`` holds the retained
+    states' amplitude vectors (all of them, or the first ``limit``) as
+    the rows of one read-only array, in deterministic generation order.
     """
 
     amplitudes: np.ndarray
     total: int
-
-    @property
-    def retained(self) -> int:
-        return len(self.amplitudes)
+    retained: int
 
 
 def enumerate_pure_sign_perms(
@@ -378,6 +404,7 @@ def enumerate_pure_sign_perms(
     target: str = "amplitudes",
     tol: float = DEFAULT_TOL,
     cap: int = _enum.ENUMERATION_CAP,
+    limit: int | None = None,
 ) -> PureEnumeration:
     """Enumerate distinct signed permutations of a pure state.
 
@@ -395,33 +422,96 @@ def enumerate_pure_sign_perms(
     ``"w-type"`` (amplitude target, three qubits only: keep states whose
     three-way entanglement is at most ``tol``).
 
-    The full count is checked against ``cap`` before enumerating.
+    The full count is checked against ``cap`` before enumerating.  Given
+    ``limit``, every retained state is counted but only the first
+    ``limit`` are built and returned.
     """
     if filter not in ("any-pure", "w-type"):
         raise ValueError(f"unknown filter {filter!r}")
     if target not in ("amplitudes", "bloch"):
         raise ValueError(f"unknown target {target!r}")
-    keep = None
+    keep = select = None
     if filter == "w-type":
         if target != "amplitudes":
             raise ValueError("the w-type filter applies to amplitude enumeration only")
         if psi.dim != 8:
             raise ValueError("the w-type filter needs a three-qubit state")
-        keep = functools.partial(_low_tangle, tol=tol)
+        select = functools.partial(_low_tangle, tol=tol)
 
     if target == "amplitudes":
         classes = _enum.sign_classes(psi.amplitudes)
     else:
         classes = _enum.sign_classes(to_coords(psi.to_density()))
         keep = functools.partial(_pure_chart_states, tol=tol)
-    amplitudes, total = _enum.listing(classes, cap, keep)
-    return PureEnumeration(amplitudes=amplitudes, total=total)
+    amplitudes, total, retained = _enum.listing(classes, cap, keep, select, limit)
+    return PureEnumeration(amplitudes=amplitudes, total=total, retained=retained)
 
 
-def _low_tangle(amplitudes: np.ndarray, tol: float) -> np.ndarray:
-    """The rows of ``amplitudes`` (three-qubit states) whose three-tangle
-    is at most ``tol``."""
-    return amplitudes[4.0 * np.abs(_hyperdeterminant(amplitudes.T)) <= tol]
+def _low_tangle(block: _enum.SignBlock, room: int, tol: float) -> tuple[int, np.ndarray]:
+    """The number of rows of ``block`` (three-qubit states) whose
+    three-tangle is at most ``tol``, and the indices of the first
+    ``room`` of them, with no row built (see :func:`_class_tangles`)."""
+    tau, size, offset, local = _class_tangles(block)
+    low = tau <= tol
+    kept = int(size[low].sum())
+    if not room:
+        return kept, np.empty(0, dtype=np.intp)
+    return kept, np.flatnonzero(low[offset[:, None] + local[block.pattern]])[:room]
+
+
+def _class_tangles(block: _enum.SignBlock) -> tuple[np.ndarray, ...]:
+    """The three-tangles ``4 |Det|`` of the rows of ``block``
+    (three-qubit states), one per sign class of each arrangement.
+
+    Negating an amplitude negates each pair product it enters, exactly
+    in floating point, so a signed row's pair products are its
+    arrangement's, each negated where the pair's two signs differ.
+    Three changes of those eight negations leave ``|Det|`` bit for bit
+    unchanged: negating a pair that holds a zero slot (its product is
+    +-0); negating the four mixed pairs (``mixed * mixed`` is
+    unchanged); and negating the four pairs of the second term (both of
+    its factors negate).  So a sign row's class is its negated pairs
+    with zero pairs dropped and each term's first other pair made
+    positive, and ``Det`` is computed once per arrangement and class:
+    at most 16 classes for any number of sign rows.
+
+    Returns ``tau``, the tangle of each arrangement and class, arranged
+    arrangement by arrangement; ``size``, the block rows each stands
+    for; ``offset``, the index in ``tau`` of each arrangement's first
+    class; and ``local``, the class of each sign row of each zero
+    pattern among that pattern's classes.  Row ``a * step + r`` of the
+    block has the tangle ``tau[offset[a] + local[block.pattern[a], r]]``,
+    bit for bit the one computed from the row.
+    """
+    first, second = _PAIRS
+    live = np.packbits(block.nonzero[:, first] & block.nonzero[:, second],
+                       axis=1, bitorder="little")
+    negated = np.packbits(block.table[..., 0] < 0, axis=2, bitorder="little")[..., 0]
+    key = _NEGATED_PAIRS[negated] & live
+    for term in (0x0F, 0xF0):
+        pairs = live & term
+        key ^= np.where(key & pairs & -pairs, pairs, 0)
+    # One class per distinct key of a pattern; the pattern in the high
+    # bits, so each pattern's classes are consecutive.
+    patterns, step = key.shape
+    keys, local, size = np.unique(key + 256 * np.arange(patterns)[:, None],
+                                  return_inverse=True, return_counts=True)
+    start = np.searchsorted(keys, 256 * np.arange(patterns))
+    local = local.reshape(patterns, step) - start[:, None]
+    classes = np.diff(start, append=len(keys))[block.pattern]
+    # Determinant i is of arrangement owner[i] in class pair_class[i].
+    offset = np.cumsum(classes) - classes
+    owner = np.repeat(np.arange(len(classes)), classes)
+    pair_class = np.arange(len(owner)) - offset[owner] + start[block.pattern[owner]]
+    # Products of two class values, then their negations.
+    m = len(block.values)
+    products = block.values[:, None] * block.values
+    products = np.concatenate((products, -products)).ravel()
+    codes = block.codes.astype(np.intp)
+    at = (codes[:, first] * m + codes[:, second])[owner]
+    at += m * m * (keys[pair_class, None] >> np.arange(8) & 1)
+    tau = 4.0 * np.abs(_cayley(products.take(at.T)))
+    return tau, size[pair_class], offset, local
 
 
 def _pure_chart_states(coords: np.ndarray, tol: float) -> np.ndarray:

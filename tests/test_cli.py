@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,32 @@ def test_enumerate_show_states_as_text(capsys, ghz_file):
         assert np.linalg.norm(amp) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("extra", [[], ["--show", "3"], ["--filter", "w-type"],
+                                   ["--filter", "w-type", "--show", "3"]])
+def test_enumerate_lists_only_what_it_prints(tmp_path, capsys, extra):
+    """The amplitudes ``[1..6, 0, 0]`` have 2^6 * 8!/2! = 1,290,240
+    signed permutations, 165 MB as one complex array; the command
+    counts them all but builds only the rows it prints."""
+    amps = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0])
+    path = tmp_path / "s.json"
+    stateio.save_document(path, stateio.state_document(
+        8, amplitudes=amps / np.linalg.norm(amps)))
+    argv = ["enumerate", str(path), "--format", "structured", *extra]
+    main(argv)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["total"] == 1_290_240
+    assert doc["retained"] == (12_288 if extra[:1] == ["--filter"] else 1_290_240)
+    assert len(doc.get("states", [])) == (3 if "--show" in extra else 0)
+    assert peak < 4_000_000
+
+
 def test_enumerate_bloch_target(capsys, tmp_path):
     path = _state_file(tmp_path, "zero.json", np.diag([1.0, 0.0]))
     rc = main(["enumerate", path, "--target", "bloch"])
@@ -558,6 +585,14 @@ def test_check_infinite_alpha_is_blamed_on_alpha(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: alpha must be a finite nonnegative real\n"
+
+
+@pytest.mark.parametrize("alpha", ["-1", "nan", "inf", "-inf", "-1e-300"])
+def test_every_bad_alpha_is_refused_with_one_message(tmp_path, capsys, alpha):
+    a = _state_file(tmp_path, "a.json", MIXED_2)
+    for argv in (["check", a, a], ["volume", "--dim", "2"]):
+        assert main([*argv, f"--alpha={alpha}"]) == 2
+        assert capsys.readouterr().err == "error: alpha must be a finite nonnegative real\n"
 
 
 def test_check_rejects_invalid_state(tmp_path):

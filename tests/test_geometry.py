@@ -382,13 +382,17 @@ def test_enumerator_matches_itertools_byte_for_byte(kind, block_rows, monkeypatc
     for block in _enum.signed_arrangements(classes, out):
         assert block.base is out
     assert out.tobytes() == want.tobytes()
-    # The listing gives the same rows written in place or streamed
-    # through a filter that keeps every block, read-only either way.
-    for keep in (None, lambda block: block):
-        rows, count = _enum.listing(classes, keep=keep)
-        assert count == len(want)
+    # The listing gives the same rows written in place, streamed through
+    # a filter that keeps every block, or built from a selection of
+    # every row, read-only either way; given a limit, it holds the first
+    # rows and still counts them all.
+    filters = ({}, {"keep": lambda block: block},
+               {"select": lambda block, room: (len(block), np.arange(len(block))[:room])})
+    for kwargs, limit in itertools.product(filters, (None, 0, 5, len(want) + 1)):
+        rows, count, retained = _enum.listing(classes, limit=limit, **kwargs)
+        assert count == retained == len(want)
         assert rows.dtype == want.dtype and not rows.flags.writeable
-        assert rows.tobytes() == want.tobytes()
+        assert rows.tobytes() == want[:limit].tobytes()
 
 
 def test_block_rows_is_a_power_of_two():

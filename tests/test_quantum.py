@@ -24,7 +24,15 @@ from signpoly import (
     validate_state,
 )
 from signpoly import _enum
-from signpoly.quantum import _hyperdeterminant, _phase_fixed, _pure_chart_states
+from signpoly.quantum import (
+    _PAIRS,
+    _cayley,
+    _class_tangles,
+    _hyperdeterminant,
+    _low_tangle,
+    _phase_fixed,
+    _pure_chart_states,
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -435,6 +443,86 @@ def test_tangle_agrees_with_residual_tangle_oracle():
         # polynomial one, hence the looser comparison
         assert three_tangle(psi) == pytest.approx(
             _residual_tangle(psi.amplitudes), abs=1e-6)
+
+
+def test_one_pair_flip_is_not_a_symmetry():
+    # The class-level tangle identifies sign rows only under the three
+    # exact symmetries: negating the four mixed pair products, or the
+    # four of the second term, leaves |Det| bit for bit; negating one
+    # pair product alone moves it.
+    t = _random_pure(np.random.default_rng(17)).amplitudes
+    products = t[_PAIRS[0]] * t[_PAIRS[1]]
+    det = abs(_cayley(products))
+    assert det == abs(_hyperdeterminant(t))
+    for term in (slice(0, 4), slice(4, 8)):
+        flipped = products.copy()
+        flipped[term] *= -1
+        assert abs(_cayley(flipped)) == det
+    for j in range(8):
+        flipped = products.copy()
+        flipped[j] *= -1
+        assert abs(_cayley(flipped)) != det
+
+
+#: Amplitudes that tie, up to sign, with each other and with their
+#: negations, and a zero, drawn among arbitrary ones.
+_TIED_AMPLITUDES = st.sampled_from([0.0, 0.5, -0.5, 1.25, 0.3 + 0.4j, -0.3 - 0.4j, 0.4j])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(amps=st.lists(st.one_of(_TIED_AMPLITUDES,
+                               st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                                  allow_infinity=False)),
+                     min_size=8, max_size=8),
+       real=st.booleans(), block_rows=st.sampled_from([16, _enum.BLOCK_ROWS]),
+       data=st.data())
+def test_class_tangles_match_the_rows_byte_for_byte(amps, real, block_rows, data):
+    """The tangle read off a row's sign class is the one computed from
+    the built row, bit for bit, and the w-type filter keeps the same rows,
+    at a tolerance drawn among the attained tangles too."""
+    v = np.array(amps)
+    v = v.real if real else v
+    if not np.abs(v).max() > 1e-6:
+        v[0] = 1.0
+    classes = _enum.sign_classes(v)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_enum, "BLOCK_ROWS", block_rows)
+        blocks = list(itertools.islice(_enum._sign_blocks(classes), 3))
+    for block in blocks:
+        rows = block.rows()
+        want = 4.0 * np.abs(_hyperdeterminant(rows.T))
+        tau, size, offset, local = _class_tangles(block)
+        got = tau[offset[:, None] + local[block.pattern]].ravel()
+        assert got.tobytes() == want.tobytes()
+        assert size.sum() == len(block) and len(tau) <= 16 * len(block.codes)
+        tol = data.draw(st.one_of(st.sampled_from(want.tolist()),
+                                  st.floats(0.0, 1.0)))
+        kept, picked = _low_tangle(block, len(block), tol)
+        assert kept == len(picked)
+        np.testing.assert_array_equal(picked, np.flatnonzero(want <= tol))
+
+
+def _limit_cases():
+    readme = np.zeros(8, dtype=complex)
+    readme[[0, 2, 5, 7]] = [0.758j, 0.809 - 0.588j, 0.809 + 0.588j, 0.242]
+    return {
+        # 322,560 rows: a limit past the first block of 32,768
+        "any-pure": (PureState.normalized([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0])[0], {}),
+        "w-type": (PureState.normalized(readme)[0], {"filter": "w-type"}),
+        "bloch": (PureState([np.cos(0.1), np.sin(0.1), 0.0]), {"target": "bloch"}),
+    }
+
+
+@pytest.mark.parametrize("case", ["any-pure", "w-type", "bloch"])
+def test_limit_holds_the_first_states_and_counts_them_all(case):
+    psi, kwargs = _limit_cases()[case]
+    full = enumerate_pure_sign_perms(psi, **kwargs)
+    for limit in (0, 3, _enum.BLOCK_ROWS + 5, full.retained + 1):
+        res = enumerate_pure_sign_perms(psi, limit=limit, **kwargs)
+        assert (res.total, res.retained) == (full.total, full.retained)
+        assert not res.amplitudes.flags.writeable
+        assert res.amplitudes.dtype == full.amplitudes.dtype
+        assert res.amplitudes.tobytes() == full.amplitudes[:limit].tobytes()
 
 
 # ------------------------------------------------------ state enumeration
