@@ -4,20 +4,26 @@ Pivot counts do not depend on the machine, so they compare two versions
 of the LP kernel exactly.  The inputs are those of one ``hull`` block
 and the first ``construct`` block of ``perfbench/workloads.py`` for the
 given seed, plus one larger ``construct`` (d=5, m=60, drawn from the same
-seed).  ``--src`` picks the ``signpoly`` to count, so the same command
-measures another checkout::
+seed) and 13 queries of the 483,840 signed permutations of
+``N9_BASE`` (``n9``: 5 Dirichlet mixes of 3,000 vertices and 8 vertices
+scaled by a factor in [0.9, 1.1], drawn from the same seed).  ``--src``
+picks the ``signpoly`` to count, so the same command measures another
+checkout::
 
     python3 bench/pivots.py --seed 3
     python3 bench/pivots.py --seed 3 --src ../parent/src
     python3 bench/pivots.py --seed 3 --stall-limit 5
+    python3 bench/pivots.py --seed 3 --price-columns 4096
 
 Prints one JSON object: per ``hull`` probe kind the number of probes,
-the mean, smallest and largest pivot count, the solver failures, the
-answers that disagree with the oracle and ``peak_bytes``, the median
-tracemalloc peak of one warm ``hull_member_lp`` call (each probe asked a
-second time); for the ``construct`` block and
-the d=5 case the phase-1 solves from the artificial basis and the mean
-pivots per ``construct``, split by where they happen:
+the mean, smallest and largest pivot count, ``priced``, the mean number
+of columns priced per query, the solver failures, the answers that
+disagree with the oracle and ``peak_bytes``, the median tracemalloc peak
+of one warm ``hull_member_lp`` call (each probe asked a second time);
+the same, less ``peak_bytes``, per ``n9`` kind, against
+``sign_perm_member``; for the ``construct`` block and the d=5 case the
+phase-1 solves from the artificial basis and the mean pivots per
+``construct``, split by where they happen:
 
 - ``phase1``: in those phase-1 solves (one shared solve per
   ``construct``, or one per ray LP where phase 1 is not shared);
@@ -38,8 +44,12 @@ No wall time is taken: one unpaired timing of one tree varies from run
 to run by more than the changes it would compare; pivot counts and
 traced bytes do not depend on the clock.  ``--stall-limit``
 overrides ``simplex.STALL_LIMIT``, the run of pivots that leave the
-objective unchanged after which Bland's rule takes over, for a sweep of
-that constant.
+objective unchanged after which Bland's rule takes over, and
+``--price-columns`` overrides ``simplex.PRICE_COLUMNS``, the width of a
+section of partial pricing, each for a sweep of that constant.  The
+columns priced are counted through ``simplex._price``; a checkout
+without it prices every real column once per pass, so there they are
+counted as the columns times the passes each pivot loop returns.
 """
 
 from __future__ import annotations
@@ -61,9 +71,10 @@ ROOT = Path(__file__).resolve().parent.parent
 class PivotCounter:
     """Counts the pivots of ``sp.simplex`` by where they happen (the keys
     of :data:`KINDS`) while it is entered, the phase-1 solves from the
-    artificial basis, and the basis inversions (the keys of
-    :data:`INVERSIONS`): in phase 1, single inversions elsewhere (the
-    phase-2 refreshes), and stacked ones (the batched rebuild)."""
+    artificial basis, the real columns priced, and the basis inversions
+    (the keys of :data:`INVERSIONS`): in phase 1, single inversions
+    elsewhere (the phase-2 refreshes), and stacked ones (the batched
+    rebuild)."""
 
     KINDS = ("phase1", "drive_out", "phase2")
     INVERSIONS = ("phase1", "refresh", "batch")
@@ -73,6 +84,7 @@ class PivotCounter:
         self.counts = dict.fromkeys(self.KINDS, 0)
         self.inversions = dict.fromkeys(self.INVERSIONS, 0)
         self.phase1_solves = 0
+        self.priced = 0
         self._where = ["drive_out"]
 
     def _inside(self, kind, fn, *args, **kwargs):
@@ -103,19 +115,32 @@ class PivotCounter:
             self.phase1_solves += 1
             return self._inside("phase1", phase1, *args, **kwargs)
 
-        def counted_loop(*args, phase, **kwargs):
-            return self._inside(f"phase{phase}", loop, *args, phase=phase,
-                                **kwargs)
+        self._price = price = getattr(simplex, "_price", None)
+
+        def counted_price(section, *args):
+            self.priced += section[1].shape[1]  # the section's columns of A
+            return price(section, *args)
+
+        def counted_loop(state, *args, phase, **kwargs):
+            passes, outcome = self._inside(f"phase{phase}", loop, state, *args,
+                                           phase=phase, **kwargs)
+            if price is None:  # every real column, once per pass
+                self.priced += (passes + 1) * state.A.shape[1]
+            return passes, outcome
 
         simplex._pivot = counted_pivot
         simplex._phase1 = counted_phase1
         simplex._pivot_loop = counted_loop
+        if price is not None:
+            simplex._price = counted_price
         linalg.inv = counted_inv
         return self
 
     def __exit__(self, *exc):
         simplex = self.simplex
         simplex._pivot, simplex._phase1, simplex._pivot_loop = self._saved
+        if self._price is not None:
+            simplex._price = self._price
         simplex.np.linalg.inv = self._inv
 
     @property
@@ -160,26 +185,63 @@ def hull_peak_bytes(sp, call) -> int:
     return peak
 
 
-def hull_pivots(sp, workloads, seed: int) -> dict:
-    with tempfile.TemporaryDirectory() as tmp:
-        wl = workloads.build_hull(np.random.default_rng(seed), Path(tmp), sp)
-    kinds = defaultdict(lambda: {"pivots": [], "failures": 0, "wrong": 0,
-                                 "peak_bytes": []})
-    for op in wl.blocks[0]:
-        counter, answer = count_pivots(sp, op.call)
-        rec = kinds[op.kind]
+def _per_kind(sp, queries, peak: bool) -> dict:
+    """Per kind of the ``(kind, call, agrees)`` queries: the probes, the
+    mean, smallest and largest pivot count, the mean columns priced, the
+    solver failures, the answers ``agrees`` refuses and, with ``peak``,
+    the median of :func:`hull_peak_bytes`."""
+    kinds = defaultdict(lambda: {"pivots": [], "priced": [], "failures": 0,
+                                 "wrong": 0, "peak_bytes": []})
+    for kind, call, agrees in queries:
+        counter, answer = count_pivots(sp, call)
+        rec = kinds[kind]
         rec["pivots"].append(counter.total)
+        rec["priced"].append(counter.priced)
         if isinstance(answer, Exception):
             rec["failures"] += 1
-        elif not op.agrees(answer):
+        elif not agrees(answer):
             rec["wrong"] += 1
-        rec["peak_bytes"].append(hull_peak_bytes(sp, op.call))
+        if peak:
+            rec["peak_bytes"].append(hull_peak_bytes(sp, call))
     return {kind: {"probes": len(rec["pivots"]),
                    "mean": round(float(np.mean(rec["pivots"])), 1),
                    "min": int(min(rec["pivots"])), "max": int(max(rec["pivots"])),
+                   "priced": round(float(np.mean(rec["priced"]))),
                    "failures": rec["failures"], "wrong": rec["wrong"],
-                   "peak_bytes": int(np.median(rec["peak_bytes"]))}
+                   **({"peak_bytes": int(np.median(rec["peak_bytes"]))}
+                      if peak else {})}
             for kind, rec in sorted(kinds.items())}
+
+
+def hull_pivots(sp, workloads, seed: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        wl = workloads.build_hull(np.random.default_rng(seed), Path(tmp), sp)
+    return _per_kind(sp, [(op.kind, op.call, op.agrees) for op in wl.blocks[0]],
+                     peak=True)
+
+
+def n9_pivots(sp, workloads, seed: int, mixes: int = 5, scaled: int = 8,
+              support: int = 3000) -> dict:
+    """Hull queries of the 483,840 signed permutations of ``N9_BASE``:
+    ``mixes`` Dirichlet mixes of ``support`` vertices and ``scaled``
+    vertices scaled by a factor in [0.9, 1.1], against
+    ``sign_perm_member``."""
+    base = np.array(workloads.N9_BASE)
+    verts = sp.geometry.enumerate_sign_perm_vertices(base)
+    V = verts.array
+    rng = np.random.default_rng(seed)
+    probes = [("mix", rng.dirichlet(np.ones(support))
+               @ V[rng.choice(len(V), support, replace=False)])
+              for _ in range(mixes)]
+    probes += [("scaled", rng.uniform(0.9, 1.1) * V[rng.integers(len(V))])
+               for _ in range(scaled)]
+
+    def query(kind, x):
+        want = sp.majorization.sign_perm_member(x, base)
+        return (kind, lambda: sp.geometry.hull_member_lp(x, verts),
+                lambda answer: answer[0] == want)
+
+    return _per_kind(sp, [query(kind, x) for kind, x in probes], peak=False)
 
 
 def _per_construct(counters) -> dict:
@@ -244,6 +306,8 @@ def main(argv=None) -> int:
                         help="directory holding the signpoly package")
     parser.add_argument("--stall-limit", type=int,
                         help="override simplex.STALL_LIMIT")
+    parser.add_argument("--price-columns", type=int,
+                        help="override simplex.PRICE_COLUMNS")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
     sp = importlib.import_module("signpoly")
@@ -253,9 +317,13 @@ def main(argv=None) -> int:
     workloads = importlib.import_module("workloads")
     if args.stall_limit is not None:
         sp.simplex.STALL_LIMIT = args.stall_limit
+    if args.price_columns is not None:
+        sp.simplex.PRICE_COLUMNS = args.price_columns
     print(json.dumps({"seed": args.seed,
                       "stall_limit": getattr(sp.simplex, "STALL_LIMIT", None),
+                      "price_columns": getattr(sp.simplex, "PRICE_COLUMNS", None),
                       "hull": hull_pivots(sp, workloads, args.seed),
+                      "n9": n9_pivots(sp, workloads, args.seed),
                       "construct": construct_pivots(sp, workloads, args.seed),
                       "construct_large": large_construct_pivots(sp, args.seed)},
                      indent=1))

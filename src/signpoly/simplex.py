@@ -3,14 +3,18 @@
 Phase 1 decides whether some ``z >= 0`` solves ``A z = b``
 (:func:`feasible_nonneg`); phase 2 runs only in the ray LPs of
 :func:`_ray_maxima`, maximizing ``t`` from one shared phase-1 basis.  A
-solve keeps ``A`` and only the ``k x (k + 1)`` array ``[B^-1 | x_B]``,
-prices every column from ``A`` at each pivot (Dantzig & Orchard-Hays,
-1954), and rebuilds it from the basis columns every ``REFRESH_EVERY``
-pivots and at the end of phase 1; every ray LP keeps its final basis,
-and all of them are rebuilt together, by one batched inversion after the
-last ray; :func:`_basic_solution` reads one basis or that stack.  A system
-gets ``50 * (rows + cols)`` pivots, shared by a ray's two phases; more, or
-any other failure to converge, raise: a failure is never a verdict.
+solve keeps ``A`` and only the ``k x (k + 1)`` array ``[B^-1 | x_B]``
+(Dantzig & Orchard-Hays, 1954).  It prices ``A``'s columns in sections
+of ``PRICE_COLUMNS``, moving to the next section only when one has no
+improving column (partial pricing: Orchard-Hays, 1968; Maros, 2003), so
+a system of at most ``PRICE_COLUMNS`` columns is priced whole at every
+pivot.  ``[B^-1 | x_B]`` is rebuilt from the basis columns every
+``REFRESH_EVERY`` pivots and at the end of phase 1; every ray LP keeps
+its final basis, and all of them are rebuilt together, by one batched
+inversion after the last ray; :func:`_basic_solution` reads one basis or
+that stack.  A system gets ``50 * (rows + cols)`` pivots, shared by a
+ray's two phases; more, or any other failure to converge, raise: a
+failure is never a verdict.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ RATIO_EPS = 1e-12
 STALL_LIMIT = 20
 # Pivots between two rebuilds of [B^-1 | x_B] by _refine.
 REFRESH_EVERY = 32
+# Real columns in one section of partial pricing.
+PRICE_COLUMNS = 1 << 14
 
 
 class _State:
@@ -57,23 +63,63 @@ def _bland(reduced):
     return int(np.flatnonzero(reduced < -PIVOT_EPS)[0])
 
 
+def _section(A, c_real, reduced, width, index):
+    """Section ``index`` of ``width`` real columns, as the tuple
+    :func:`_price` reads: its first column, its columns of ``A``, their
+    costs (None when all are 0), their slice of ``reduced``, and the slice
+    whose argmin picks its entering candidate, which for the last section
+    runs on into the artificials'."""
+    p = A.shape[1]
+    start, stop = index * width, min((index + 1) * width, p)
+    out = reduced[start:stop]
+    return (start, A[:, start:stop], None if c_real is None else c_real[start:stop],
+            out, reduced[start:] if stop == p else out)
+
+
+def _price(section, y, reduced, art):
+    """Write the reduced costs ``c - y A`` of ``section``'s columns into
+    ``reduced``, and return the column of least reduced cost among them
+    and the artificials ``art`` (priced already), as one argmin over both
+    would pick it (NaN wins, ties go to the lowest index), with that
+    cost; a non-finite one raises."""
+    start, columns, c, out, scan = section
+    np.matmul(-y, columns, out=out)
+    if c is not None:
+        out += c
+    j = start + int(scan.argmin())
+    if scan is out and art.size:
+        k = reduced.size - art.size + int(art.argmin())
+        if reduced[k] < reduced[j] or math.isnan(reduced[k]):
+            j = k
+    least = float(reduced[j])
+    if not math.isfinite(least):
+        raise SolverFailureError("non-finite reduced cost in pricing")
+    return j, least
+
+
 def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
     """Pivot until no column below ``ncols`` (real columns, then the
     artificials) has a negative reduced cost ``cost - c_B B^-1 column``.
-    ``cost`` lists the costs of the last ``cost.size`` variables: the
-    artificials and every variable basic at the start, at least.  Every
-    variable before them costs 0, so phase 1, which starts from the
-    artificial basis, passes the ``k`` artificial costs alone.
+    ``cost`` lists the costs of every variable, or of the ``k``
+    artificials alone: phase 1, which starts from the artificial basis
+    and gives every real variable cost 0, passes those.
 
-    The most negative reduced cost enters (Dantzig's rule); ties in the
-    ratio test leave by lowest basic index.  After ``STALL_LIMIT``
-    pivots in a row that lower the objective by at most a relative
-    ``PIVOT_EPS``, the lowest-index negative column enters (Bland's rule,
-    which cannot cycle) until one lowers it more, so no cycle of bases is
-    endless; ``max_iter`` (against roundoff), non-finite pricing and an
-    entering column with no admissible pivot raise: phase 1 is bounded
-    below by 0, and a ray's ``t`` by the hull, so an unbounded direction
-    is a solver failure.  Returns ``(iterations, outcome)``:
+    The real columns are priced in consecutive sections of
+    ``PRICE_COLUMNS``.  A pass prices the artificials and the section
+    that supplied the last entering column (the first section at the
+    start); if no column priced has a reduced cost below ``-PIVOT_EPS``,
+    it prices the next section, and so on round, so a basis is optimal
+    only once every column has priced nonnegative in one pass.  Of the
+    columns priced, the most negative reduced cost enters (Dantzig's
+    rule); ties in the ratio test leave by lowest basic index.  After
+    ``STALL_LIMIT`` pivots in a row that lower the objective by at most a
+    relative ``PIVOT_EPS``, every column is priced and the lowest-index
+    negative one enters (Bland's rule, which cannot cycle) until one
+    lowers it more, so no cycle of bases is endless; ``max_iter``
+    (against roundoff), a non-finite reduced cost in a priced section and
+    an entering column with no admissible pivot raise: phase 1 is
+    bounded below by 0, and a ray's ``t`` by the hull, so an unbounded
+    direction is a solver failure.  Returns ``(iterations, outcome)``:
     ``"optimal"``, or ``"cut-off"`` at a basis that is not optimal once
     minus the objective value is above ``stop_above``.
     """
@@ -88,25 +134,36 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
     stalled = 0
     # Reused: a fresh wide array per pass costs more in page faults than pricing.
     reduced, ratios = np.empty(ncols), np.empty(basis.size)
-    real, listed, art = reduced[:p], reduced[lo:p], reduced[p:]
+    art = reduced[p:]
+    width = PRICE_COLUMNS
+    count = max(1, -(-p // width))  # the number of sections
+    current = _section(A, c_real, reduced, width, 0)  # that of the last entering column
     for it in range(max_iter):
         y = c_basic @ inverse
-        np.matmul(-y, A, out=real)
-        if c_real is not None:
-            listed += c_real
         if ncols > p:
             np.subtract(c_art, sign * y, out=art)
-        j = int(reduced.argmin())  # Dantzig: most negative enters; NaN wins
-        entering = float(reduced[j])
-        if not math.isfinite(entering):
-            raise SolverFailureError("non-finite reduced cost in pricing")
+        j, entering = _price(current, y, reduced, art)
+        bland = stalled >= STALL_LIMIT
+        if entering >= -PIVOT_EPS or bland:
+            # On round the other sections: to the first with a negative
+            # reduced cost, or through all of them for Bland's rule.
+            index = current[0] // width
+            for step in range(1, count):
+                section = _section(A, c_real, reduced, width, (index + step) % count)
+                k, least = _price(section, y, reduced, art)
+                if entering >= -PIVOT_EPS and least < -PIVOT_EPS:
+                    j, entering, current = k, least, section
+                    if not bland:
+                        break
         if entering >= -PIVOT_EPS:
             return it, "optimal"
         if -value > stop_above:
             return it, "cut-off"
-        if stalled >= STALL_LIMIT:
+        if bland:
             j = _bland(reduced)
             entering = float(reduced[j])
+            if j < p:
+                current = _section(A, c_real, reduced, width, j // width)
         col = inverse @ A[:, j] if j < p else sign[j - p] * inverse[:, j - p]
         ratios.fill(math.inf)
         np.divide(x, col, out=ratios, where=col > PIVOT_EPS)

@@ -120,7 +120,9 @@ def test_pivot_counter_counts_a_construct(monkeypatch):
     assert counter.total == sum(counter.counts.values())
     # one inversion ends phase 1 and one batch rebuilds all six rays
     assert counter.inversions == {"phase1": 1, "refresh": 0, "batch": 1}
+    assert counter.priced > 0
     assert np.linalg.inv is counter._inv
+    assert signpoly.simplex._price is counter._price
 
 
 def test_pivot_bench_reports_hull_peak_bytes(monkeypatch):
@@ -128,20 +130,47 @@ def test_pivot_bench_reports_hull_peak_bytes(monkeypatch):
     tracemalloc peak of one warm ``hull_member_lp`` call, read through
     ``geometry``'s attribute, which it restores: more than the weights
     over the kind's vertex set (3,840, 960 or 26,880 vertices), and on
-    the 26,880 vertices of n = 8 at most two float vectors that wide."""
+    the 26,880 vertices of n = 8 at most two float vectors that wide.
+    It also reports ``priced``, the mean columns priced per query,
+    counted through ``simplex._price``, which it restores: every column
+    at every pass on a set of one section, and on the two sections of
+    n = 8 fewer than one pricing of every column per pivot."""
     pivots = _load(monkeypatch, "bench_pivots", PIVOTS)
     workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
     hull = signpoly.geometry.hull_member_lp
+    price = signpoly.simplex._price
     kinds = pivots.hull_pivots(signpoly, workloads, 3)
     assert signpoly.geometry.hull_member_lp is hull
+    assert signpoly.simplex._price is price
     sizes = {"5": 3840, "6": 960, "8": 26880}
     assert len(kinds) == 7
     for kind, rec in kinds.items():
         m = sizes[kind[len("hull_n")]]
         assert rec["failures"] == rec["wrong"] == 0
         assert 8 * m < rec["peak_bytes"], kind
+        if m <= signpoly.simplex.PRICE_COLUMNS:
+            assert m * (rec["min"] + 1) <= rec["priced"] <= m * (rec["max"] + 1), kind
+        else:
+            assert rec["priced"] < m * rec["min"], kind
         if m == 26880:
             assert rec["peak_bytes"] <= 2 * 8 * m, kind
+
+
+def test_pivot_bench_counts_the_n9_queries(monkeypatch):
+    """``bench/pivots.py``'s ``n9`` case asks the 483,840 signed
+    permutations of ``N9_BASE``, thirty sections, and agrees with
+    ``sign_perm_member``; each query prices fewer columns than one
+    pricing of every column per pivot."""
+    pivots = _load(monkeypatch, "bench_pivots", PIVOTS)
+    workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
+    price = signpoly.simplex._price
+    kinds = pivots.n9_pivots(signpoly, workloads, 3, mixes=1, scaled=2)
+    assert signpoly.simplex._price is price
+    assert sorted(kinds) == ["mix", "scaled"]
+    assert [kinds["mix"]["probes"], kinds["scaled"]["probes"]] == [1, 2]
+    for kind, rec in kinds.items():
+        assert rec["failures"] == rec["wrong"] == 0
+        assert 0 < rec["priced"] < 483840 * rec["min"], kind
 
 
 def test_enum_bench_case_answers(monkeypatch):

@@ -517,23 +517,60 @@ def test_hull_member_agrees_with_majorization():
         assert lp == rado_member(y, a)
 
 
+@pytest.mark.parametrize("width", [8, 64])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(signed=st.booleans(),
+       base=st.lists(st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0]), min_size=2,
+                     max_size=6),
+       kind=st.sampled_from(["mix", "scaled"]),
+       seed=st.integers(0, 2**32 - 1),
+       factor=st.floats(0.9, 1.1).filter(lambda f: abs(f - 1.0) >= 1e-6))
+def test_sectioned_pricing_agrees_with_majorization(width, signed, base, kind,
+                                                     seed, factor):
+    """Priced in sections of ``width`` columns, ``hull_member_lp`` gives
+    the majorization verdict on signed-permutation and permutation sets,
+    with a witness for every member.  The probes are Dirichlet mixes of
+    up to 20 vertices and vertices scaled about the set's centroid by a
+    factor at least 1e-6 away from 1, so none sits on the boundary."""
+    a = np.array(base)
+    verts = (enumerate_sign_perm_vertices if signed else enumerate_perm_vertices)(a)
+    V = verts.array
+    rng = np.random.default_rng(seed)
+    centroid = np.zeros(a.size) if signed else np.full(a.size, a.mean())
+    if kind == "mix":
+        support = min(len(V), 20)
+        x = rng.dirichlet(np.ones(support)) @ V[rng.choice(len(V), support,
+                                                             replace=False)]
+    else:
+        x = centroid + factor * (V[rng.integers(len(V))] - centroid)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "PRICE_COLUMNS", width)
+        member, w = hull_member_lp(x, verts)
+    assert member == (sign_perm_member(x, a) if signed else rado_member(x, a))
+    if member:
+        _assert_witness(w, verts, x)
+
+
 OCTA_BASE = [4.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 # perfbench's hull defect probe: a member of the OCTA_BASE hull
 DEFECT_PROBE = 0.9179802462889692 * np.array([4.0, -3.0, 0.0, -2.0, 0.0, 0.0, 0.0, 1.0])
 
 
-@pytest.mark.parametrize("probe, bound", [
+@pytest.mark.parametrize("probe, bound, whole", [
     # answered True by scipy and majorization, but Bland's rule alone
     # pivoted 4,807 times and then found no admissible pivot
-    (DEFECT_PROBE, 40),
+    (DEFECT_PROBE, 40, 33),
     # the last vertex, scaled by 1.0: maximally degenerate (7,159 pivots
     # under Bland's rule alone)
-    (1.0 * np.array([-4.0, -3.0, -2.0, -1.0, 0.0, 0.0, 0.0, 0.0]), 72),
+    (1.0 * np.array([-4.0, -3.0, -2.0, -1.0, 0.0, 0.0, 0.0, 0.0]), 72, 58),
 ], ids=["defect-probe", "vertex"])
-def test_boundary_probe_pivot_count(monkeypatch, probe, bound):
+def test_boundary_probe_pivot_count(monkeypatch, probe, bound, whole):
     """Boundary probes against the 26,880 signed permutations of
-    OCTA_BASE: the right answer within twice the pivots counted when the
-    gate was set (20 and 36); pivot counts do not depend on the machine."""
+    OCTA_BASE: the right answer within the gates of 40 and 72 pivots,
+    twice the tableau kernel's 20 and 36; pivot counts do not depend on
+    the machine.  Priced in two sections of ``PRICE_COLUMNS`` they take
+    31 and 34 pivots; priced whole, in one section as wide as the set,
+    exactly the 33 and 58 of pricing every column at every pivot."""
     verts = enumerate_sign_perm_vertices(OCTA_BASE)
     pivots = []
     pivot = simplex._pivot
@@ -550,6 +587,12 @@ def test_boundary_probe_pivot_count(monkeypatch, probe, bound):
     reference = linprog(np.zeros(m), A_eq=np.vstack([verts.array.T, np.ones((1, m))]),
                         b_eq=np.append(probe, 1.0), bounds=(0, None), method="highs")
     assert reference.status == 0
+    _assert_witness(w, verts, probe)
+    monkeypatch.setattr(simplex, "PRICE_COLUMNS", m)
+    pivots.clear()
+    member, w = hull_member_lp(probe, verts)
+    assert len(pivots) == whole
+    assert member
     _assert_witness(w, verts, probe)
 
 
