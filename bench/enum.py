@@ -15,8 +15,8 @@ both see the same drift of a shared host::
 Prints one JSON object with, per case (and, with ``--against``, per
 tree): the rows listed (for the w-type cases, the rows streamed through
 the filter and the rows kept), the blocks ``_enum.signed_arrangements``
-yielded in one run (a filter that builds only the rows it keeps takes
-none from it), the quartiles of the wall time over the processes, and
+yielded in one run (every listing, filtered or not, takes its blocks
+from it), the quartiles of the wall time over the processes, and
 the median over the processes of the peak RSS (``ru_maxrss``) in MB.
 The w-type cases also give the tangle evaluations: the hyperdeterminants
 computed (the columns passed to ``quantum._cayley``, or to

@@ -13,18 +13,20 @@ Everything is built in numpy, a chunk of arrangements at a time.  An
 arrangement is a row of class codes (0 for the zero class, ``1..k`` for
 the others), and :func:`distinct_permutations` grows a chunk's rows
 from their prefixes in lexicographic order.  The sign rows of an
-arrangement depend only on where its zeros sit, so
-:func:`signed_arrangements` writes a chunk's signed rows from one +-1
-table per zero pattern: one gather of the tables and one product with
-the arrangements' values.  A :class:`SignBlock` is such a block before
-it is built, and :meth:`SignBlock.rows` is the one place a row is
-built, for a whole block or for a selection of its rows.
+arrangement depend only on where its zeros sit, so a chunk's signed
+rows come from one +-1 table per zero pattern: one gather of the tables
+and one product with the arrangements' values.
+:func:`signed_arrangements` is the one stream of them: it yields each
+block as a :class:`SignBlock`, described but not built, and
+:meth:`SignBlock.rows` is the one place a row is built, for a whole
+block or for a selection of its rows.
 
 :func:`listing` is the one place an enumeration's result is allocated:
 written in place, each row once, or joined from what a filter keeps.
-A filter sees either built rows or a :class:`SignBlock`, from which it
-picks rows without building them.  Given a limit, a listing counts
-every row it keeps but builds only the first ``limit``.
+A filter takes a :class:`SignBlock` and returns the rows it keeps,
+built, so it may pick rows without building the rest.  Given a limit,
+a listing counts every row it keeps but builds only the first
+``limit``.
 """
 
 from __future__ import annotations
@@ -228,7 +230,7 @@ def _extend(nodes: np.ndarray, depth: int, n: int) -> np.ndarray:
     return nodes
 
 
-def listing(classes: SignClasses, cap=ENUMERATION_CAP, keep=None, select=None,
+def listing(classes: SignClasses, cap=ENUMERATION_CAP, keep=None,
             limit=None) -> tuple[np.ndarray, int, int]:
     """The distinct signed permutations of ``classes`` that a filter
     keeps, in :func:`signed_arrangements` order, as the rows of one
@@ -237,34 +239,33 @@ def listing(classes: SignClasses, cap=ENUMERATION_CAP, keep=None, select=None,
     any row is built.
 
     With no filter every row is kept, the array is allocated once and
-    the generator writes each row into it in place.  A filter streams
-    the blocks: ``keep`` is a function from a block of built rows to the
-    rows to hold (some of them, or rows computed from them);
-    ``select(block, room)`` takes a :class:`SignBlock` and returns the
-    number of its rows to keep and the indices of the first ``room`` of
-    them, the only rows built.  Given ``limit``, every kept row
-    is counted but only the first ``limit`` are built and held; with no
-    filter the generator stops there.
+    each block is built in place in it, each row written once.  A filter
+    ``keep(block, room)`` takes a :class:`SignBlock` and returns the
+    number of its rows to keep and the first ``room`` of those rows,
+    built.  Given ``limit``, every kept row is counted but only the
+    first ``limit`` are built and held; with no filter the stream stops
+    there.  A negative ``limit`` raises ``ValueError``.
     """
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
     count = count_signed_arrangements(classes, cap)
     room = count if limit is None else min(limit, count)
-    if keep is None and select is None:
-        # The dtype of the generator's values: complex if any rep is.
+    if keep is None:
+        # The dtype of the blocks' values: complex if any rep is.
         rows = np.empty((room, classes.n_zero + sum(classes.counts)),
                         dtype=np.result_type(0.0, *classes.reps))
-        if room:
-            for _ in signed_arrangements(classes, rows):
-                pass
+        blocks, ptr = signed_arrangements(classes), 0
+        while ptr < room:
+            block = next(blocks)
+            size = min(len(block), room - ptr)
+            block.rows(None if size == len(block) else np.arange(size),
+                       out=rows[ptr:ptr + size])
+            ptr += size
         retained = count
     else:
         held, retained = [], 0
-        for block in _sign_blocks(classes) if select else signed_arrangements(classes):
-            if select:
-                kept, picked = select(block, room)
-                rows = block.rows(picked)
-            else:
-                rows = keep(block)
-                kept, rows = len(rows), rows[:room]
+        for block in signed_arrangements(classes):
+            kept, rows = keep(block, room)
             retained += kept
             room -= len(rows)
             held.append(rows)
@@ -328,13 +329,20 @@ class SignBlock:
         return out
 
 
-def _sign_blocks(classes: SignClasses) -> Iterator[SignBlock]:
-    """Every distinct signed permutation of ``classes``, in
-    :func:`signed_arrangements` order and blocks, unbuilt.
+def signed_arrangements(classes: SignClasses) -> Iterator[SignBlock]:
+    """Every distinct signed permutation of ``classes``, in blocks
+    described but not built (:class:`SignBlock`); the consumer builds
+    the rows it needs, so one that drops the blocks streams in bounded
+    memory.
 
-    A chunk's arrangements share one +-1 sign table per zero pattern,
-    so a block is one chunk with ``min(2^flips, BLOCK_ROWS)`` sign rows,
-    walked from all-positive downward, the last nonzero slot fastest.
+    Rows are real, or complex when a representative is complex.
+    Arrangements come out in lexicographic code order and, within one
+    arrangement, signs flip from all-positive downward, the last nonzero
+    slot fastest; the order is deterministic, and distinctness holds by
+    construction.  Unsigned classes give each arrangement once.  Every
+    block but the last holds ``BLOCK_ROWS`` rows: a chunk of whole
+    arrangements sharing one +-1 sign table per zero pattern, or a slice
+    of one arrangement's sign rows when it alone has more.
     """
     values = np.array([0.0] + classes.reps)  # complex if any rep is
     flips = classes.flips
@@ -357,43 +365,6 @@ def _sign_blocks(classes: SignClasses) -> Iterator[SignBlock]:
             table = np.empty((len(nonzero), step, codes.shape[1], parts))
             table[...] = signs[:, slot].transpose(1, 0, 2)[..., None]
             yield SignBlock(values, codes, nonzero, pattern, table)
-
-
-def signed_arrangements(classes: SignClasses,
-                        out: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """Yield every distinct signed permutation as the rows of ndarray blocks.
-
-    Rows are real, or complex when a representative is complex.
-    Arrangements come out in lexicographic code order and, within one
-    arrangement, signs flip from all-positive downward, the last nonzero
-    slot fastest; the order is deterministic, and distinctness holds by
-    construction.  Unsigned classes give each arrangement once.  Every
-    block but the last holds ``BLOCK_ROWS`` rows: whole arrangements, or
-    a slice of one arrangement's sign rows when it alone has more.
-
-    An arrangement's sign rows are its values times a +-1 table that
-    depends only on where its zeros sit, so a chunk's rows are one
-    gather from the tables of its zero patterns and one product
-    (:meth:`SignBlock.rows`).
-
-    Given ``out``, each block is computed in place in the next rows of
-    ``out`` and the blocks are views of it, so draining the generator
-    fills ``out`` and writes each row once; it stops when ``out`` is
-    full, after its first ``len(out)`` rows.  :func:`listing` alone
-    passes it.  Without it every block is a new array, and a consumer
-    that drops them streams in bounded memory.
-    """
-    ptr = 0
-    for block in _sign_blocks(classes):
-        if out is None:
-            yield block.rows()
-            continue
-        size = min(len(block), len(out) - ptr)
-        select = None if size == len(block) else np.arange(size)
-        yield block.rows(select, out[ptr:ptr + size])
-        ptr += size
-        if ptr == len(out):
-            return
 
 
 def _zero_patterns(hot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

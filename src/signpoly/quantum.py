@@ -430,33 +430,36 @@ def enumerate_pure_sign_perms(
         raise ValueError(f"unknown filter {filter!r}")
     if target not in ("amplitudes", "bloch"):
         raise ValueError(f"unknown target {target!r}")
-    keep = select = None
+    keep = None
     if filter == "w-type":
         if target != "amplitudes":
             raise ValueError("the w-type filter applies to amplitude enumeration only")
         if psi.dim != 8:
             raise ValueError("the w-type filter needs a three-qubit state")
-        select = functools.partial(_low_tangle, tol=tol)
+        keep = functools.partial(_low_tangle, tol=tol)
 
     if target == "amplitudes":
         classes = _enum.sign_classes(psi.amplitudes)
     else:
         classes = _enum.sign_classes(to_coords(psi.to_density()))
-        keep = functools.partial(_pure_chart_states, tol=tol)
-    amplitudes, total, retained = _enum.listing(classes, cap, keep, select, limit)
+
+        def keep(block, room):
+            states = _pure_chart_states(block.rows(), tol)
+            return len(states), states[:room]
+    amplitudes, total, retained = _enum.listing(classes, cap, keep, limit)
     return PureEnumeration(amplitudes=amplitudes, total=total, retained=retained)
 
 
 def _low_tangle(block: _enum.SignBlock, room: int, tol: float) -> tuple[int, np.ndarray]:
     """The number of rows of ``block`` (three-qubit states) whose
-    three-tangle is at most ``tol``, and the indices of the first
-    ``room`` of them, with no row built (see :func:`_class_tangles`)."""
+    three-tangle is at most ``tol``, and the first ``room`` of them,
+    the only rows built (see :func:`_class_tangles`)."""
     tau, size, offset, local = _class_tangles(block)
     low = tau <= tol
     kept = int(size[low].sum())
     if not room:
-        return kept, np.empty(0, dtype=np.intp)
-    return kept, np.flatnonzero(low[offset[:, None] + local[block.pattern]])[:room]
+        return kept, block.rows(np.empty(0, dtype=np.intp))
+    return kept, block.rows(np.flatnonzero(low[offset[:, None] + local[block.pattern]])[:room])
 
 
 def _class_tangles(block: _enum.SignBlock) -> tuple[np.ndarray, ...]:

@@ -271,11 +271,12 @@ _CAPPED_LISTINGS = {
     "amplitudes": lambda cap: enumerate_pure_sign_perms(make_canonical("w"), cap=cap),
     "bloch": lambda cap: enumerate_pure_sign_perms(
         PureState.normalized([1.0, 0.3 + 0.5j])[0], target="bloch", cap=cap),
+    "w-type": lambda cap: enumerate_pure_sign_perms(make_canonical("w"), filter="w-type", cap=cap),
 }
 
 
 @pytest.mark.parametrize("listing, total", [
-    ("signed", 48), ("unsigned", 24), ("amplitudes", 448), ("bloch", 48),
+    ("signed", 48), ("unsigned", 24), ("amplitudes", 448), ("bloch", 48), ("w-type", 448),
 ], ids=list(_CAPPED_LISTINGS))
 def test_enumeration_cap(listing, total, monkeypatch):
     """A cap equal to the count lists every row; one below it raises
@@ -369,7 +370,7 @@ def test_enumerator_matches_itertools_byte_for_byte(kind, block_rows, monkeypatc
     values, signed = _ORACLE_INPUTS[kind]
     classes = _enum.sign_classes(np.array(values), signed=signed)
     monkeypatch.setattr(_enum, "BLOCK_ROWS", block_rows)
-    blocks = list(_enum.signed_arrangements(classes))
+    blocks = [block.rows() for block in _enum.signed_arrangements(classes)]
     assert all(len(b) == block_rows for b in blocks[:-1])
     assert 0 < len(blocks[-1]) <= block_rows
     got = np.concatenate(blocks)
@@ -377,17 +378,11 @@ def test_enumerator_matches_itertools_byte_for_byte(kind, block_rows, monkeypatc
     assert len(want) == _enum.count_signed_arrangements(classes)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
-    # Given an array, the enumerator writes the same rows into it.
-    out = np.full_like(want, np.nan)
-    for block in _enum.signed_arrangements(classes, out):
-        assert block.base is out
-    assert out.tobytes() == want.tobytes()
-    # The listing gives the same rows written in place, streamed through
-    # a filter that keeps every block, or built from a selection of
-    # every row, read-only either way; given a limit, it holds the first
-    # rows and still counts them all.
-    filters = ({}, {"keep": lambda block: block},
-               {"select": lambda block, room: (len(block), np.arange(len(block))[:room])})
+    # The listing gives the same rows written in place, or streamed
+    # through a filter that keeps every row, read-only either way; given
+    # a limit, it holds the first rows and still counts them all.
+    filters = ({}, {"keep": lambda block, room: (len(block),
+                                                 block.rows(np.arange(len(block))[:room]))})
     for kwargs, limit in itertools.product(filters, (None, 0, 5, len(want) + 1)):
         rows, count, retained = _enum.listing(classes, limit=limit, **kwargs)
         assert count == retained == len(want)

@@ -487,7 +487,7 @@ def test_class_tangles_match_the_rows_byte_for_byte(amps, real, block_rows, data
     classes = _enum.sign_classes(v)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_enum, "BLOCK_ROWS", block_rows)
-        blocks = list(itertools.islice(_enum._sign_blocks(classes), 3))
+        blocks = list(itertools.islice(_enum.signed_arrangements(classes), 3))
     for block in blocks:
         rows = block.rows()
         want = 4.0 * np.abs(_hyperdeterminant(rows.T))
@@ -497,9 +497,9 @@ def test_class_tangles_match_the_rows_byte_for_byte(amps, real, block_rows, data
         assert size.sum() == len(block) and len(tau) <= 16 * len(block.codes)
         tol = data.draw(st.one_of(st.sampled_from(want.tolist()),
                                   st.floats(0.0, 1.0)))
-        kept, picked = _low_tangle(block, len(block), tol)
-        assert kept == len(picked)
-        np.testing.assert_array_equal(picked, np.flatnonzero(want <= tol))
+        kept, low = _low_tangle(block, len(block), tol)
+        assert kept == len(low)
+        assert low.tobytes() == rows[want <= tol].tobytes()
 
 
 def _limit_cases():
@@ -511,6 +511,19 @@ def _limit_cases():
         "w-type": (PureState.normalized(readme)[0], {"filter": "w-type"}),
         "bloch": (PureState([np.cos(0.1), np.sin(0.1), 0.0]), {"target": "bloch"}),
     }
+
+
+@pytest.mark.parametrize("case", ["any-pure", "w-type", "bloch"])
+def test_negative_limit_is_refused_before_counting(case, monkeypatch):
+    psi, kwargs = _limit_cases()[case]
+
+    def never_counted(*args):
+        raise AssertionError("counting started")
+
+    monkeypatch.setattr(_enum, "count_signed_arrangements", never_counted)
+    for limit in (-1, -_enum.BLOCK_ROWS):
+        with pytest.raises(ValueError, match="limit must be nonnegative"):
+            enumerate_pure_sign_perms(psi, limit=limit, **kwargs)
 
 
 @pytest.mark.parametrize("case", ["any-pure", "w-type", "bloch"])
@@ -618,10 +631,10 @@ def _brute_chart_states(coords, tol):
 
 
 def _chart_blocks(psi, count):
-    """The first ``count`` blocks of signed permutations of ``psi``'s
-    chart point."""
+    """The rows of the first ``count`` blocks of signed permutations of
+    ``psi``'s chart point."""
     classes = _enum.sign_classes(to_coords(psi.to_density()))
-    return list(itertools.islice(_enum.signed_arrangements(classes), count))
+    return [block.rows() for block in itertools.islice(_enum.signed_arrangements(classes), count)]
 
 
 def _screen_inputs():
