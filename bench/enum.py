@@ -130,37 +130,46 @@ def _cli_call(sp, show: str):
 
 
 def run_case(src: Path, name: str) -> dict:
-    """Run one case once in this process and measure it."""
-    sys.path[:0] = [str(src.resolve()), str(ROOT / "perfbench")]
-    sp = importlib.import_module("signpoly")
-    for sub in ("_enum", "cli", "geometry", "quantum"):
-        importlib.import_module(f"signpoly.{sub}")
-    workloads = importlib.import_module("workloads")
-    call = _case_call(sp, workloads, name)
+    """Run one case once in this process and measure it.  ``sys.path``
+    and the counted names are restored on return, so a second call
+    counts afresh."""
+    restore = [(sys, "path", sys.path)]
+    sys.path = [str(src.resolve()), str(ROOT / "perfbench"), *sys.path]
+    try:
+        sp = importlib.import_module("signpoly")
+        for sub in ("_enum", "cli", "geometry", "quantum"):
+            importlib.import_module(f"signpoly.{sub}")
+        workloads = importlib.import_module("workloads")
+        call = _case_call(sp, workloads, name)
 
-    blocks = 0
-    signed_arrangements = sp._enum.signed_arrangements
+        blocks = 0
+        signed_arrangements = sp._enum.signed_arrangements
 
-    def counted(*args, **kwargs):
-        nonlocal blocks
-        for block in signed_arrangements(*args, **kwargs):
-            blocks += 1
-            yield block
+        def counted(*args, **kwargs):
+            nonlocal blocks
+            for block in signed_arrangements(*args, **kwargs):
+                blocks += 1
+                yield block
 
-    sp._enum.signed_arrangements = counted
-    evaluations = 0
-    det_name = "_cayley" if hasattr(sp.quantum, "_cayley") else "_hyperdeterminant"
-    det = getattr(sp.quantum, det_name)
+        evaluations = 0
+        det_name = "_cayley" if hasattr(sp.quantum, "_cayley") else "_hyperdeterminant"
+        det = getattr(sp.quantum, det_name)
 
-    def counted_det(t):
-        nonlocal evaluations
-        evaluations += np.shape(t)[-1] if np.ndim(t) > 1 else 1
-        return det(t)
+        def counted_det(t):
+            nonlocal evaluations
+            evaluations += np.shape(t)[-1] if np.ndim(t) > 1 else 1
+            return det(t)
 
-    setattr(sp.quantum, det_name, counted_det)
-    start = time.perf_counter()
-    rows, kept = call()
-    wall = time.perf_counter() - start
+        restore += [(sp._enum, "signed_arrangements", signed_arrangements),
+                    (sp.quantum, det_name, det)]
+        sp._enum.signed_arrangements = counted
+        setattr(sp.quantum, det_name, counted_det)
+        start = time.perf_counter()
+        rows, kept = call()
+        wall = time.perf_counter() - start
+    finally:
+        for owner, attr, value in restore:
+            setattr(owner, attr, value)
     result = {"rows": rows, "blocks": blocks}
     if kept is not None:
         result["kept"] = kept

@@ -289,7 +289,8 @@ def _in_cross_polytope(c: np.ndarray, alpha: float, tol: float) -> bool:
     Every descending partial sum of that anchor is ``alpha``, and those
     of ``|c|`` never fall (adding a nonnegative float never lowers a
     sum), so weak majorization is decided by the last one, summed in
-    the same order as :func:`~signpoly.majorization.weakly_majorized`.
+    the same order as :func:`~signpoly.majorization._majorized`'s
+    :func:`~signpoly.majorization._partial_sums_desc`.
     """
     s = np.abs(c)
     s.sort()

@@ -185,20 +185,27 @@ def test_enum_bench_case_answers(monkeypatch):
 def test_enum_bench_counts_the_w_type_blocks(monkeypatch):
     """The ``readme_w_type`` case of ``bench/enum.py`` counts every block
     that ``_enum.signed_arrangements`` yields for the README state (at
-    1,024 rows a block, so there are several)."""
+    1,024 rows a block, so there are several).  ``run_case`` puts the
+    tree first on ``sys.path`` and rebinds the counted names only while
+    it runs, so a second call in the same process counts the same."""
     bench = _load(monkeypatch, "bench_enum", ENUM)
     workloads = _load(monkeypatch, "workloads", PERFBENCH / "workloads.py")
     monkeypatch.setattr(signpoly._enum, "BLOCK_ROWS", 1 << 10)
     psi = signpoly.PureState.normalized([complex(*a) for a in workloads.README_STATE])[0]
     classes = signpoly._enum.sign_classes(psi.amplitudes)
     blocks = sum(1 for _ in signpoly._enum.signed_arrangements(classes))
-    # run_case puts the tree first on sys.path and rebinds these names.
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setattr(signpoly._enum, "signed_arrangements", signpoly._enum.signed_arrangements)
-    monkeypatch.setattr(signpoly.quantum, "_cayley", signpoly.quantum._cayley)
-    result = bench.run_case(Path(signpoly.__file__).parents[1], "readme_w_type")
-    assert (result["rows"], result["kept"]) == (26880, 5376)
-    assert result["blocks"] == blocks == 27
+    path, path_entries = sys.path, list(sys.path)
+    arrangements, cayley = signpoly._enum.signed_arrangements, signpoly.quantum._cayley
+    src = Path(signpoly.__file__).parents[1]
+    first = bench.run_case(src, "readme_w_type")
+    assert sys.path is path and sys.path == path_entries
+    assert signpoly._enum.signed_arrangements is arrangements
+    assert signpoly.quantum._cayley is cayley
+    assert (first["rows"], first["kept"]) == (26880, 5376)
+    assert first["blocks"] == blocks == 27
+    second = bench.run_case(src, "readme_w_type")
+    assert (second["blocks"], second["tangle_evals"]) == (27, first["tangle_evals"])
+    assert sys.path is path and sys.path == path_entries
 
 
 def test_enum_bench_summary(monkeypatch):

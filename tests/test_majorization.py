@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signpoly import (
@@ -103,15 +103,51 @@ def test_sign_perm_member_closed_under_mixing_and_flips():
         assert sign_perm_member(0.5 * x, a)
 
 
-def test_sign_perm_member_invariant_under_signed_permutations():
-    rng = np.random.default_rng(31)
-    a = np.array([0.3, -1.5, 2.0, 0.0])
-    x = np.array([0.1, 0.4, -0.2, 1.1])
-    ref = sign_perm_member(x, a)
-    for _ in range(20):
-        perm, signs = rng.permutation(4), rng.choice([-1.0, 1.0], size=4)
-        assert sign_perm_member(signs * x[perm], a) == ref
-        assert sign_perm_member(x, signs * a[perm]) == ref
+#: Entries with ties, zeros of both signs and negatives, and any float in
+#: [-4, 4]; :func:`_scaled_pairs` scales a pair by one ``2^e``.
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0]),
+                     st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _scaled_pairs(draw):
+    n = draw(st.integers(1, 8))
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    return tuple(scale * np.array(draw(st.lists(_ENTRIES, min_size=n, max_size=n)))
+                 for _ in range(2))
+
+
+def _outcome(predicate, x, a):
+    """The verdict of ``predicate(x, a)``, or ``ValueError`` if it raises one."""
+    try:
+        return predicate(x, a)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(points=_scaled_pairs(), seed=st.integers(0, 2**32 - 1))
+@example(points=(np.array([0.1, 0.4, -0.2, 1.1]), np.array([0.3, -1.5, 2.0, 0.0])),
+         seed=31)
+def test_sign_perm_member_invariant_under_signed_permutations(points, seed):
+    """Each predicate answers the same (the same bool, or ``ValueError``
+    both times) when its points move by the polytope's symmetries:
+    ``sign_perm_member`` under signed permutations of ``x`` and, apart,
+    of ``a``; the other three under permutations of either point.
+    ``majorizes(b, a)`` also implies ``weakly_majorized(a, b)``."""
+    x, a = points
+    n = x.size
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        perm, signs = rng.permutation(n), rng.choice([-1.0, 1.0], size=n)
+        for p, q in ((signs * x[perm], a), (x, signs * a[perm])):
+            assert _outcome(sign_perm_member, p, q) == _outcome(sign_perm_member, x, a)
+        for predicate in (weakly_majorized, majorizes, rado_member):
+            for p, q in ((x[perm], a), (x, a[perm])):
+                assert _outcome(predicate, p, q) == _outcome(predicate, x, a)
+    for b, c in ((x, a), (a, x)):
+        if _outcome(majorizes, b, c) is True:
+            assert weakly_majorized(c, b)
 
 
 def test_sum_of_sorted_dominates_sum():
