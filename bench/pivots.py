@@ -17,7 +17,9 @@ checkout::
 
 Prints one JSON object: per ``hull`` probe kind the number of probes,
 the mean, smallest and largest pivot count, ``priced``, the mean number
-of columns priced per query, the solver failures, the answers that
+of columns of an LP matrix priced per query, ``sorts``, the mean number
+of passes priced by one sort per query (the sets listed with more than
+``PRICE_COLUMNS`` rows), the solver failures, the answers that
 disagree with the oracle and ``peak_bytes``, the median tracemalloc peak
 of one warm ``hull_member_lp`` call (each probe asked a second time);
 the same, less ``peak_bytes``, per ``n9`` kind, against
@@ -49,7 +51,9 @@ objective unchanged after which Bland's rule takes over, and
 section of partial pricing, each for a sweep of that constant.  The
 columns priced are counted through ``simplex._price``; a checkout
 without it prices every real column once per pass, so there they are
-counted as the columns times the passes each pivot loop returns.
+counted as the columns times the passes each pivot loop returns.  Sort
+pricings are counted through ``simplex._sort_price``, and read 0 on a
+checkout without it.
 """
 
 from __future__ import annotations
@@ -71,7 +75,8 @@ ROOT = Path(__file__).resolve().parent.parent
 class PivotCounter:
     """Counts the pivots of ``sp.simplex`` by where they happen (the keys
     of :data:`KINDS`) while it is entered, the phase-1 solves from the
-    artificial basis, the real columns priced, and the basis inversions
+    artificial basis, the real columns priced, the passes priced by one
+    sort, and the basis inversions
     (the keys of :data:`INVERSIONS`): in phase 1, single inversions
     elsewhere (the phase-2 refreshes), and stacked ones (the batched
     rebuild)."""
@@ -85,6 +90,7 @@ class PivotCounter:
         self.inversions = dict.fromkeys(self.INVERSIONS, 0)
         self.phase1_solves = 0
         self.priced = 0
+        self.sorts = 0
         self._where = ["drive_out"]
 
     def _inside(self, kind, fn, *args, **kwargs):
@@ -121,6 +127,12 @@ class PivotCounter:
             self.priced += section[1].shape[1]  # the section's columns of A
             return price(section, *args)
 
+        self._sort_price = sort_price = getattr(simplex, "_sort_price", None)
+
+        def counted_sort_price(*args):
+            self.sorts += 1
+            return sort_price(*args)
+
         def counted_loop(state, *args, phase, **kwargs):
             passes, outcome = self._inside(f"phase{phase}", loop, state, *args,
                                            phase=phase, **kwargs)
@@ -133,6 +145,8 @@ class PivotCounter:
         simplex._pivot_loop = counted_loop
         if price is not None:
             simplex._price = counted_price
+        if sort_price is not None:
+            simplex._sort_price = counted_sort_price
         linalg.inv = counted_inv
         return self
 
@@ -141,6 +155,8 @@ class PivotCounter:
         simplex._pivot, simplex._phase1, simplex._pivot_loop = self._saved
         if self._price is not None:
             simplex._price = self._price
+        if self._sort_price is not None:
+            simplex._sort_price = self._sort_price
         simplex.np.linalg.inv = self._inv
 
     @property
@@ -187,16 +203,17 @@ def hull_peak_bytes(sp, call) -> int:
 
 def _per_kind(sp, queries, peak: bool) -> dict:
     """Per kind of the ``(kind, call, agrees)`` queries: the probes, the
-    mean, smallest and largest pivot count, the mean columns priced, the
-    solver failures, the answers ``agrees`` refuses and, with ``peak``,
+    mean, smallest and largest pivot count, the mean columns priced and
+    sort pricings, the solver failures, the answers ``agrees`` refuses and, with ``peak``,
     the median of :func:`hull_peak_bytes`."""
-    kinds = defaultdict(lambda: {"pivots": [], "priced": [], "failures": 0,
-                                 "wrong": 0, "peak_bytes": []})
+    kinds = defaultdict(lambda: {"pivots": [], "priced": [], "sorts": [],
+                                 "failures": 0, "wrong": 0, "peak_bytes": []})
     for kind, call, agrees in queries:
         counter, answer = count_pivots(sp, call)
         rec = kinds[kind]
         rec["pivots"].append(counter.total)
         rec["priced"].append(counter.priced)
+        rec["sorts"].append(counter.sorts)
         if isinstance(answer, Exception):
             rec["failures"] += 1
         elif not agrees(answer):
@@ -207,6 +224,7 @@ def _per_kind(sp, queries, peak: bool) -> dict:
                    "mean": round(float(np.mean(rec["pivots"])), 1),
                    "min": int(min(rec["pivots"])), "max": int(max(rec["pivots"])),
                    "priced": round(float(np.mean(rec["priced"]))),
+                   "sorts": round(float(np.mean(rec["sorts"])), 1),
                    "failures": rec["failures"], "wrong": rec["wrong"],
                    **({"peak_bytes": int(np.median(rec["peak_bytes"]))}
                       if peak else {})}

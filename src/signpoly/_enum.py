@@ -26,11 +26,13 @@ written in place, each row once, or joined from what a filter keeps.
 A filter takes a :class:`SignBlock` and returns the rows it keeps,
 built, so it may pick rows without building the rest.  Given a limit,
 a listing counts every row it keeps but builds only the first
-``limit``.
+``limit``.  :func:`rank` maps listed rows back to their indices in the
+listing, by a binary search over the arrangements.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -84,6 +86,23 @@ class SignClasses:
         """Number of slots whose sign flips independently: the nonzero
         ones, or none for unsigned classes."""
         return sum(self.counts) if self.signed else 0
+
+    @functools.cached_property
+    def _keys(self) -> np.ndarray:
+        """Every arrangement's class codes as one byte string, in
+        :func:`distinct_permutations` order, which is ascending; built on
+        first use, for :func:`rank`."""
+        counts = [self.n_zero, *self.counts]
+        codes = np.concatenate(list(distinct_permutations(counts, BLOCK_ROWS)))
+        return _byte_strings(codes)
+
+
+def _byte_strings(codes: np.ndarray) -> np.ndarray:
+    """Each row of class codes as one byte string, so that the strings
+    compare as the rows do lexicographically.  A code fits a byte: 256
+    classes would take more than 256! rows."""
+    codes = np.ascontiguousarray(codes, dtype=np.uint8)
+    return codes.view(f"S{codes.shape[1]}").ravel()
 
 
 def sign_classes(values, signed: bool = True) -> SignClasses:
@@ -228,6 +247,32 @@ def _extend(nodes: np.ndarray, depth: int, n: int) -> np.ndarray:
     nodes[:, depth] = codes
     nodes.reshape(-1)[np.arange(len(rows)) * width + n + codes] -= 1
     return nodes
+
+
+def rank(classes: SignClasses, rows) -> np.ndarray:
+    """The index of each of ``rows``, distinct signed permutations of
+    ``classes`` (entries equal to the class values), in :func:`listing`
+    order: the lexicographic rank of its arrangement, found among the
+    classes' arrangements by binary search, times the ``2^flips`` sign
+    rows of an arrangement, plus its sign row, whose bits are the
+    nonzero slots that are negative, the last slot lowest.  A row that
+    is no such permutation gets a wrong index, perhaps past the count,
+    and no error: a caller checks what it places by the index."""
+    rows = np.asarray(rows, dtype=float)
+    reps = np.array(classes.reps, dtype=float)
+    if classes.signed:
+        nonzero = rows != 0.0
+        codes = np.where(nonzero, np.searchsorted(reps, np.abs(rows)) + 1, 0)
+    else:
+        codes = np.searchsorted(reps, rows) + 1
+    keys = classes._keys
+    index = np.minimum(np.searchsorted(keys, _byte_strings(codes)), len(keys) - 1)
+    if not classes.signed:
+        return index
+    flips = classes.flips
+    bits = np.where(nonzero & (rows < 0.0),
+                    np.left_shift(1, flips - np.cumsum(nonzero, axis=1)), 0)
+    return (index << flips) + bits.sum(axis=1)
 
 
 def listing(classes: SignClasses, cap=ENUMERATION_CAP, keep=None,

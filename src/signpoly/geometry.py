@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from . import _enum
+from . import _enum, simplex
 from ._enum import ENUMERATION_CAP
 from .errors import SolverFailureError
 from .majorization import (
@@ -38,10 +38,14 @@ class VertexSet:
     caller keeps can change them; complex or non-finite ones raise.
     The first :func:`hull_member_lp` query builds the LP matrix
     ``[V^T; 1]``, ``(n+1)/n`` times the array's bytes, and the set keeps
-    it for every later query.
+    it for every later query.  A set listed by
+    :func:`enumerate_sign_perm_vertices` or :func:`enumerate_perm_vertices`
+    also keeps its sign classes; when it has more than
+    ``simplex.PRICE_COLUMNS`` rows its queries are priced by one sort per
+    pivot and it never builds the LP matrix.
     """
 
-    __slots__ = ("_points", "_lp")
+    __slots__ = ("_points", "_lp", "_classes")
 
     def __init__(self, points):
         arr = np.array(_real_array(points))
@@ -51,7 +55,7 @@ class VertexSet:
             raise ValueError("vertex coordinates must be finite")
         arr.setflags(write=False)
         self._points = arr
-        self._lp = None
+        self._lp = self._classes = None
 
     @property
     def array(self) -> np.ndarray:
@@ -157,7 +161,8 @@ def enumerate_sign_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> Ve
     is deterministic (lexicographic arrangements, signs toggled from
     all-positive).
     """
-    return _vertex_set(_enum.listing(_enum.sign_classes(as_coords(a)), cap)[0])
+    classes = _enum.sign_classes(as_coords(a))
+    return _vertex_set(_enum.listing(classes, cap)[0], classes)
 
 
 def enumerate_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> VertexSet:
@@ -165,17 +170,19 @@ def enumerate_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> VertexS
     lexicographic order.  Entries within ``ZERO_TOL`` of each other are
     one value, for the count and the listing alike; a NaN or infinite
     entry raises ``ValueError``."""
-    return _vertex_set(_enum.listing(_enum.sign_classes(as_coords(a), signed=False), cap)[0])
+    classes = _enum.sign_classes(as_coords(a), signed=False)
+    return _vertex_set(_enum.listing(classes, cap)[0], classes)
 
 
-def _vertex_set(points: np.ndarray) -> VertexSet:
+def _vertex_set(points: np.ndarray, classes=None) -> VertexSet:
     """Wrap ``points``, a finite ``(m, n)`` float array the library built
     and no caller holds, unchecked and uncopied, as a vertex set; the
     array is made read-only.  Every vertex listing and
-    :meth:`CrossPolytopeSpec.vertices` build their sets here."""
+    :meth:`CrossPolytopeSpec.vertices` build their sets here; a listing
+    passes the ``classes`` it listed, every row of them in order."""
     points.setflags(write=False)
     vertices = VertexSet.__new__(VertexSet)
-    vertices._points, vertices._lp = points, None
+    vertices._points, vertices._lp, vertices._classes = points, None, classes
     return vertices
 
 
@@ -196,6 +203,13 @@ def hull_member_lp(
     A :class:`VertexSet` builds its LP matrix on its first query and
     reuses it; a raw array is wrapped, transposed and dropped on every
     call, so pass one :class:`VertexSet` to ask many points of one set.
+    A set listed by :func:`enumerate_sign_perm_vertices` or
+    :func:`enumerate_perm_vertices` with more than
+    ``simplex.PRICE_COLUMNS`` rows builds no LP matrix: each pivot prices
+    every vertex at once by one sort (the rearrangement inequality), and
+    the at most ``n + 1`` basic vertices are ranked into the listing at
+    the end.  Its witness may differ from the one explicit pricing over
+    the same rows finds, but it is checked the same way.
     """
     vs = vertices if isinstance(vertices, VertexSet) else VertexSet(vertices)
     V = vs.array
@@ -203,9 +217,11 @@ def hull_member_lp(
     if not np.all(np.isfinite(xv)):
         raise ValueError("point coordinates must be finite")
     _check_same_dim(V[0], xv)
-    A = vs._lp_matrix()
     b = np.append(xv, 1.0)
-    ok, w = feasible_nonneg(A, b, tol=tol)
+    if vs._classes is not None and len(vs) > simplex.PRICE_COLUMNS:
+        ok, w = simplex._feasible(simplex._Sorted(V, vs._classes), b, tol)
+    else:
+        ok, w = feasible_nonneg(vs._lp_matrix(), b, tol=tol)
     if not ok:
         return False, None
     # A basic solution has at most n + 1 nonzero weights: check those

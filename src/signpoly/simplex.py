@@ -3,18 +3,29 @@
 Phase 1 decides whether some ``z >= 0`` solves ``A z = b``
 (:func:`feasible_nonneg`); phase 2 runs only in the ray LPs of
 :func:`_ray_maxima`, maximizing ``t`` from one shared phase-1 basis.  A
-solve keeps ``A`` and only the ``k x (k + 1)`` array ``[B^-1 | x_B]``
-(Dantzig & Orchard-Hays, 1954).  It prices ``A``'s columns in sections
-of ``PRICE_COLUMNS``, moving to the next section only when one has no
-improving column (partial pricing: Orchard-Hays, 1968; Maros, 2003), so
-a system of at most ``PRICE_COLUMNS`` columns is priced whole at every
-pivot.  ``[B^-1 | x_B]`` is rebuilt from the basis columns every
-``REFRESH_EVERY`` pivots and at the end of phase 1; every ray LP keeps
-its final basis, and all of them are rebuilt together, by one batched
-inversion after the last ray; :func:`_basic_solution` reads one basis or
-that stack.  A system gets ``50 * (rows + cols)`` pivots, shared by a
-ray's two phases; more, or any other failure to converge, raise: a
-failure is never a verdict.
+solve keeps the ``k x k`` basis columns ``B`` and the ``k x (k + 1)``
+array ``[B^-1 | x_B]`` (Dantzig & Orchard-Hays, 1954); only the pricing
+step of :func:`_pivot_loop` depends on how the columns are given.
+
+- A matrix ``A`` is priced in sections of ``PRICE_COLUMNS`` columns,
+  moving to the next section only when one has no improving column
+  (partial pricing: Orchard-Hays, 1968; Maros, 2003), so a system of at
+  most ``PRICE_COLUMNS`` columns is priced whole at every pivot
+  (:class:`_Sections`).
+- The columns ``[v; 1]`` of a listed set of signed permutations
+  (:class:`_Sorted`) are priced by one sort: by the rearrangement
+  inequality the least reduced cost among them is reached at the ``v``
+  that orders ``|a|`` as ``|y|`` is ordered, with ``y``'s signs
+  (column generation: Gilmore & Gomory, 1961).  No ``(n+1) x m``
+  matrix is built; the basic columns are ranked into the listing once,
+  at the end of phase 1.
+
+``[B^-1 | x_B]`` is rebuilt from ``B`` every ``REFRESH_EVERY`` pivots and
+at the end of phase 1; every ray LP keeps its final basis, and all of
+them are rebuilt together, by one batched inversion after the last ray;
+:func:`_basic_solution` reads one basis or that stack.  A system gets
+``50 * (rows + cols)`` pivots, shared by a ray's two phases; more, or
+any other failure to converge, raise: a failure is never a verdict.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import math
 
 import numpy as np
 
+from . import _enum
 from .errors import SolverFailureError
 from .majorization import DEFAULT_TOL, _real_array
 
@@ -39,23 +51,29 @@ PRICE_COLUMNS = 1 << 14
 
 
 class _State:
-    """``T = [B^-1 | x_B]`` for a basis (``basis``, one variable index per
-    row) of ``A z + diag(sign) s = b``, starting from the artificial one:
-    ``s_i`` is variable ``p + i``, signed so that the basis is feasible."""
+    """``B``, the basis columns, and ``T = [B^-1 | x_B]`` for a basis
+    (``basis``, one variable index per row) of ``A z + diag(sign) s = b``,
+    starting from the artificial one: ``s_i`` is variable ``p + i``,
+    signed so that the basis is feasible.  ``A`` is a matrix, or a
+    :class:`_Sorted` set of columns, which has a shape but no entries."""
 
     def __init__(self, A, b):
         self.A, self.b = A, b
         self.sign = np.where(b < 0, -1.0, 1.0)
-        self.T = np.concatenate([np.diag(self.sign), np.abs(b)[:, None]], axis=1)
+        self.B = np.diag(self.sign)
+        self.T = np.concatenate([self.B, np.abs(b)[:, None]], axis=1)
         self.basis = np.arange(A.shape[1], A.shape[1] + b.size)
+        self.ratios = np.empty(b.size)  # the ratio test's workspace
 
 
-def _pivot(s, i, j, col):
-    """Pivot column ``j``, whose ``B^-1`` image is ``col``, into row ``i``."""
+def _pivot(s, i, j, col, column):
+    """Pivot column ``j``, ``column`` of ``[A | diag(sign)]`` with
+    ``B^-1`` image ``col``, into row ``i``."""
     row = s.T[i] / col[i]
     s.T -= col[:, None] * row
     s.T[i] = row
     s.basis[i] = j
+    s.B[:, i] = column
 
 
 def _bland(reduced):
@@ -97,74 +115,180 @@ def _price(section, y, reduced, art):
     return j, least
 
 
-def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
+class _Sections:
+    """Partial pricing of the columns of a matrix ``A`` with costs
+    ``c_real`` (all 0 in phase 1), and of the artificials when
+    ``ncols`` counts them, in consecutive sections of ``PRICE_COLUMNS``.
+
+    A pass prices the artificials and the section that supplied the last
+    entering column (the first section at the start); if no column
+    priced has a reduced cost below ``-PIVOT_EPS``, it prices the next
+    section, and so on round, so a basis is optimal only once every
+    column has priced nonnegative in one pass.  For Bland's rule every
+    section is priced and the lowest-index negative column enters.  The
+    reduced-cost buffer and the section views are built once, so the
+    loops that share one pricing (the rays of :func:`_ray_maxima`) reuse
+    them, and each pass resumes at the section of the last entering
+    column."""
+
+    def __init__(self, A, c_real, ncols):
+        self.A = A
+        if not np.count_nonzero(c_real):
+            c_real = None
+        # Reused: a fresh wide array per pass costs more in page faults than pricing.
+        self.reduced = np.empty(ncols)
+        self.art = self.reduced[A.shape[1]:]  # written by _pivot_loop
+        self.width = PRICE_COLUMNS
+        self.sections = [_section(A, c_real, self.reduced, self.width, index)
+                         for index in range(max(1, -(-A.shape[1] // self.width)))]
+        self.current = self.sections[0]  # that of the last entering column
+
+    def price(self, y, bland):
+        """The entering column and its reduced cost: Dantzig's choice in
+        the sections priced, or Bland's when ``bland``; a cost of at
+        least ``-PIVOT_EPS`` means the basis is optimal."""
+        reduced, art, count = self.reduced, self.art, len(self.sections)
+        j, entering = _price(self.current, y, reduced, art)
+        if entering >= -PIVOT_EPS or bland:
+            # On round the other sections: to the first with a negative
+            # reduced cost, or through all of them for Bland's rule.
+            index = self.current[0] // self.width
+            for step in range(1, count):
+                section = self.sections[(index + step) % count]
+                k, least = _price(section, y, reduced, art)
+                if entering >= -PIVOT_EPS and least < -PIVOT_EPS:
+                    j, entering, self.current = k, least, section
+                    if not bland:
+                        break
+        if bland and entering < -PIVOT_EPS:
+            j = _bland(reduced)
+            entering = float(reduced[j])
+            if j < self.A.shape[1]:
+                self.current = self.sections[j // self.width]
+        return j, entering
+
+    def column(self, j):
+        return self.A[:, j]
+
+
+def _sort_price(values, signed, y, out):
+    """Write into ``out`` the column ``[v; 1]`` of least phase-1 reduced
+    cost ``-y . [v; 1]`` over every signed permutation ``v`` of the
+    ascending ``values`` (every permutation, unsigned), and return that
+    cost.  By the rearrangement inequality ``y[:-1] . v`` is largest
+    when ``|v|`` is ordered as ``|y[:-1]|`` is, with its signs (``v`` as
+    ``y[:-1]``, unsigned); ties keep slot order."""
+    yv, v = y[:-1], out[:-1]
+    if signed:
+        v[np.argsort(np.abs(yv), kind="stable")] = values
+        np.copysign(v, yv, out=v)
+    else:
+        v[np.argsort(yv, kind="stable")] = values
+    return -float(y @ out)
+
+
+class _Sorted:
+    """The phase-1 columns ``[v; 1]`` of the rows ``v`` of ``V``, every
+    distinct signed permutation of ``classes`` in :func:`_enum.listing`
+    order, priced by one sort per pass (:func:`_sort_price`).
+
+    A sort-priced column enters under the index -1: which listed row it
+    is becomes known only when :func:`_phase1` ranks the final basis
+    (:func:`_enum.rank`), so no pivot pays for a rank.  Bland's rule
+    prices every listed column once, as ``-(V @ y[:-1] + y[-1])``, and
+    enters the lowest-index negative one under its own index, so it keeps
+    the listing's order and its guarantee against cycling."""
+
+    def __init__(self, V, classes):
+        self.V, self.classes = V, classes
+        m, n = V.shape
+        self.shape = (n + 1, m)
+        self.values = np.repeat([0.0, *classes.reps], [classes.n_zero, *classes.counts])
+        self.entering = np.ones(n + 1)  # the column priced or listed last
+        self.art = np.empty(n + 1)  # written by _pivot_loop
+        self.reduced = None  # every column's, for Bland's rule; built on first use
+
+    def price(self, y, bland):
+        """As :meth:`_Sections.price`: the sort's column (-1) or an
+        artificial by Dantzig's rule, or Bland's choice when ``bland``."""
+        j, least = -1, _sort_price(self.values, self.classes.signed, y, self.entering)
+        art, m = self.art, self.shape[1]
+        k = int(art.argmin())
+        if art[k] < least or math.isnan(art[k]):
+            j, least = m + k, float(art[k])
+        if not math.isfinite(least):
+            raise SolverFailureError("non-finite reduced cost in pricing")
+        if bland and least < -PIVOT_EPS:
+            if self.reduced is None:
+                self.reduced = np.empty(m + art.size)
+            reduced = self.reduced
+            np.matmul(self.V, -y[:-1], out=reduced[:m])
+            reduced[:m] -= y[-1]
+            reduced[m:] = art
+            negative = np.flatnonzero(reduced < -PIVOT_EPS)
+            if negative.size:  # roundoff may leave only the sort's column
+                j = int(negative[0])
+                least = float(reduced[j])
+        return j, least
+
+    def column(self, j):
+        if j >= 0:
+            self.entering[:-1] = self.V[j]
+        return self.entering
+
+    def rank(self, columns):
+        """The listed indices of the columns ``[v; 1]`` of ``columns``."""
+        return _enum.rank(self.classes, columns[:-1].T)
+
+
+def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf, pricing=None):
     """Pivot until no column below ``ncols`` (real columns, then the
     artificials) has a negative reduced cost ``cost - c_B B^-1 column``.
     ``cost`` lists the costs of every variable, or of the ``k``
     artificials alone: phase 1, which starts from the artificial basis
     and gives every real variable cost 0, passes those.
 
-    The real columns are priced in consecutive sections of
-    ``PRICE_COLUMNS``.  A pass prices the artificials and the section
-    that supplied the last entering column (the first section at the
-    start); if no column priced has a reduced cost below ``-PIVOT_EPS``,
-    it prices the next section, and so on round, so a basis is optimal
-    only once every column has priced nonnegative in one pass.  Of the
-    columns priced, the most negative reduced cost enters (Dantzig's
-    rule); ties in the ratio test leave by lowest basic index.  After
-    ``STALL_LIMIT`` pivots in a row that lower the objective by at most a
-    relative ``PIVOT_EPS``, every column is priced and the lowest-index
-    negative one enters (Bland's rule, which cannot cycle) until one
-    lowers it more, so no cycle of bases is endless; ``max_iter``
-    (against roundoff), a non-finite reduced cost in a priced section and
-    an entering column with no admissible pivot raise: phase 1 is
-    bounded below by 0, and a ray's ``t`` by the hull, so an unbounded
-    direction is a solver failure.  Returns ``(iterations, outcome)``:
+    ``pricing`` prices the real columns (:class:`_Sections` of ``s.A``
+    by default, or ``s.A`` itself when it is :class:`_Sorted`); the
+    artificials are priced at every pass.  Of the columns priced, the
+    most negative reduced cost enters (Dantzig's rule); ties in the
+    ratio test leave by lowest basic index.  After ``STALL_LIMIT``
+    pivots in a row that lower the objective by at most a relative
+    ``PIVOT_EPS``, every column is priced and the lowest-index negative
+    one enters (Bland's rule, which cannot cycle) until one lowers it
+    more, so no cycle of bases is endless; ``max_iter`` (against
+    roundoff), a non-finite reduced cost in a priced section and an
+    entering column with no admissible pivot raise: phase 1 is bounded
+    below by 0, and a ray's ``t`` by the hull, so an unbounded direction
+    is a solver failure.  Returns ``(iterations, outcome)``:
     ``"optimal"``, or ``"cut-off"`` at a basis that is not optimal once
     minus the objective value is above ``stop_above``.
     """
-    A, sign, p = s.A, s.sign, s.A.shape[1]
-    basis, inverse, x = s.basis, s.T[:, :-1], s.T[:, -1]  # updated in place
+    sign, p = s.sign, s.A.shape[1]
+    basis, inverse, x, ratios = s.basis, s.T[:, :-1], s.T[:, -1], s.ratios  # updated in place
     lo = p + sign.size - cost.size  # the first variable listed in cost
     c_basic = cost[basis - lo]
-    c_real, c_art = cost[:p - lo], cost[p - lo:]
-    if not np.count_nonzero(c_real):
-        c_real = None
+    c_art = cost[p - lo:]
+    if pricing is None:
+        pricing = s.A if isinstance(s.A, _Sorted) else _Sections(s.A, cost[:p - lo], ncols)
+    art = pricing.art
     value = float(c_basic @ x)
     stalled = 0
-    # Reused: a fresh wide array per pass costs more in page faults than pricing.
-    reduced, ratios = np.empty(ncols), np.empty(basis.size)
-    art = reduced[p:]
-    width = PRICE_COLUMNS
-    count = max(1, -(-p // width))  # the number of sections
-    current = _section(A, c_real, reduced, width, 0)  # that of the last entering column
     for it in range(max_iter):
         y = c_basic @ inverse
-        if ncols > p:
+        if art.size:
             np.subtract(c_art, sign * y, out=art)
-        j, entering = _price(current, y, reduced, art)
-        bland = stalled >= STALL_LIMIT
-        if entering >= -PIVOT_EPS or bland:
-            # On round the other sections: to the first with a negative
-            # reduced cost, or through all of them for Bland's rule.
-            index = current[0] // width
-            for step in range(1, count):
-                section = _section(A, c_real, reduced, width, (index + step) % count)
-                k, least = _price(section, y, reduced, art)
-                if entering >= -PIVOT_EPS and least < -PIVOT_EPS:
-                    j, entering, current = k, least, section
-                    if not bland:
-                        break
+        j, entering = pricing.price(y, stalled >= STALL_LIMIT)
         if entering >= -PIVOT_EPS:
             return it, "optimal"
         if -value > stop_above:
             return it, "cut-off"
-        if bland:
-            j = _bland(reduced)
-            entering = float(reduced[j])
-            if j < p:
-                current = _section(A, c_real, reduced, width, j // width)
-        col = inverse @ A[:, j] if j < p else sign[j - p] * inverse[:, j - p]
+        if j < p:
+            column = pricing.column(j)
+            col = inverse @ column
+        else:
+            column = np.where(np.arange(sign.size) == j - p, sign, 0.0)
+            col = sign[j - p] * inverse[:, j - p]
         ratios.fill(math.inf)
         np.divide(x, col, out=ratios, where=col > PIVOT_EPS)
         i = int(ratios.argmin())
@@ -174,7 +298,7 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
         ties = (ratios <= least + RATIO_EPS).nonzero()[0]
         if ties.size > 1:
             i = int(ties[basis[ties].argmin()])
-        _pivot(s, i, j, col)
+        _pivot(s, i, j, col, column)
         c_basic[i] = cost[j - lo] if j >= lo else 0.0
         before, value = value, value + entering * float(x[i])
         stalled = 0 if before - value > PIVOT_EPS * max(1.0, abs(before)) else stalled + 1
@@ -183,18 +307,6 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf):
             value = float(c_basic @ x)
     raise SolverFailureError(f"phase-{phase} simplex did not converge "
                              f"within {max_iter} iterations")
-
-
-def _basis_matrix(A, sign, basis):
-    """The columns ``basis`` of ``[A | diag(sign)]``, or one such matrix
-    per row of a stack of bases."""
-    p = A.shape[1]
-    B = A[:, np.minimum(basis, p - 1)].swapaxes(0, -2)
-    *stack, slot = (basis >= p).nonzero()
-    row = basis[(*stack, slot)] - p
-    B[(*stack, slice(None), slot)] = 0.0
-    B[(*stack, row, slot)] = sign[row]
-    return B
 
 
 def _invert_into(T, B, b):
@@ -207,17 +319,21 @@ def _invert_into(T, B, b):
 
 
 def _refine(s):
-    """Invert the basis columns of ``[A | diag(sign)]`` into ``s.T``."""
-    _invert_into(s.T, _basis_matrix(s.A, s.sign, s.basis), s.b)
+    """Invert the basis columns ``s.B`` into ``s.T``."""
+    _invert_into(s.T, s.B, s.b)
 
 
 def _phase1(A, b, max_iter):
     """Minimize the sum of artificials from the artificial basis; returns
-    the final, refined state and the pivots used."""
+    the final, refined state, every basic column named by its index, and
+    the pivots used."""
     s = _State(A, b)
     used, _ = _pivot_loop(s, np.ones(b.size), A.shape[1] + b.size, max_iter,
                           phase=1)
     _refine(s)
+    unnamed = s.basis < 0  # columns a _Sorted pricing entered by sort
+    if unnamed.any():
+        s.basis[unnamed] = A.rank(s.B[:, unnamed])
     return s, used
 
 
@@ -253,6 +369,12 @@ def feasible_nonneg(
     b = _real_array(b)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.size:
         raise ValueError("A must be (k, p) and b of length k")
+    return _feasible(A, b, tol)
+
+
+def _feasible(A, b, tol):
+    """:func:`feasible_nonneg` on checked input, where ``A`` may also be
+    a :class:`_Sorted` set of columns."""
     s, _ = _phase1(A, b, 50 * sum(A.shape))
     if not _infeasibility(s) <= tol:
         return False, None
@@ -292,26 +414,25 @@ def _ray_maxima(A, b, columns, tol):
     if not _infeasibility(s) <= tol:
         raise SolverFailureError(
             "ray LP infeasible, though t = 0 is feasible in a bounded hull")
-    shared = s.T.copy(), s.basis.copy()
+    shared = s.T.copy(), s.basis.copy(), s.B.copy()
     cost = np.zeros(p + 1 + k)
     cost[p] = -1.0
+    pricing = _Sections(s.A, cost[:p + 1], p + 1)  # one workspace for every ray
     bases = np.empty((len(columns), k), dtype=int)
+    B = np.empty((len(columns), k, k))
     stopped = np.zeros(len(columns), dtype=bool)
     best = math.inf
     for j in np.argsort(np.max(-columns @ A, axis=1), kind="stable"):
         # The t column is nonbasic at the shared basis, so only it changes.
         s.A[:, p] = columns[j]
-        s.T[:], s.basis[:] = shared
+        s.T[:], s.basis[:], s.B[:] = shared
         _drive_out(s)
         _, outcome = _pivot_loop(s, cost, p + 1, cap - used, phase=2,
-                                 stop_above=best)
-        bases[j] = s.basis
+                                 stop_above=best, pricing=pricing)
+        bases[j], B[j] = s.basis, s.B
         stopped[j] = outcome == "cut-off"
         if not stopped[j]:
             best = min(best, _basic_solution(s.T, s.basis, p + 1)[p])
-    B = _basis_matrix(s.A, s.sign, bases)
-    ray, slot = (bases == p).nonzero()
-    B[ray, :, slot] = columns[ray]
     T = np.empty((len(columns), k, k + 1))
     _invert_into(T, B, b)
     dual = np.full((len(columns), k), np.nan)
@@ -328,4 +449,4 @@ def _drive_out(s):
         j = int(np.argmax(np.abs(row)))
         if abs(row[j]) > PIVOT_EPS:
             s.T[i, -1] = 0.0
-            _pivot(s, i, j, s.T[:, :-1] @ s.A[:, j])
+            _pivot(s, i, j, s.T[:, :-1] @ s.A[:, j], s.A[:, j])

@@ -695,7 +695,7 @@ def _rays_one_by_one(A, b, columns, tol):
     cap = 50 * (k + p + 1)
     s, used = simplex._phase1(np.c_[A, np.zeros(k)], b, cap)
     assert simplex._infeasibility(s) <= tol
-    shared = s.T.copy(), s.basis.copy()
+    shared = s.T.copy(), s.basis.copy(), s.B.copy()
     cost = np.zeros(p + 1 + k)
     cost[p] = -1.0
     z = np.empty((len(columns), p + 1))
@@ -703,7 +703,7 @@ def _rays_one_by_one(A, b, columns, tol):
     best = math.inf
     for j in np.argsort(np.max(-columns @ A, axis=1), kind="stable"):
         s.A[:, p] = columns[j]
-        s.T[:], s.basis[:] = shared
+        s.T[:], s.basis[:], s.B[:] = shared
         simplex._drive_out(s)
         _, status = simplex._pivot_loop(s, cost, p + 1, cap - used, phase=2,
                                         stop_above=best)

@@ -128,49 +128,55 @@ def test_pivot_counter_counts_a_construct(monkeypatch):
 def test_pivot_bench_reports_hull_peak_bytes(monkeypatch):
     """``bench/pivots.py`` reports, per ``hull`` probe kind, the median
     tracemalloc peak of one warm ``hull_member_lp`` call, read through
-    ``geometry``'s attribute, which it restores: more than the weights
-    over the kind's vertex set (3,840, 960 or 26,880 vertices), and on
+    ``geometry``'s attribute, which it restores: on the 3,840 and 960
+    vertices of n = 5 and 6 more than the weights over the set, and on
     the 26,880 vertices of n = 8 at most two float vectors that wide.
     It also reports ``priced``, the mean columns priced per query,
-    counted through ``simplex._price``, which it restores: every column
-    at every pass on a set of one section, and on the two sections of
-    n = 8 fewer than one pricing of every column per pivot."""
+    counted through ``simplex._price``, and ``sorts``, the mean passes
+    priced by sort, counted through ``simplex._sort_price``, both of
+    which it restores: every column at every pass on the sets of one
+    section, and on the n = 8 listing, wider than ``PRICE_COLUMNS``, no
+    column of an LP matrix and one sort per pass."""
     pivots = _load(monkeypatch, "bench_pivots", PIVOTS)
     workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
     hull = signpoly.geometry.hull_member_lp
-    price = signpoly.simplex._price
+    price, sort_price = signpoly.simplex._price, signpoly.simplex._sort_price
     kinds = pivots.hull_pivots(signpoly, workloads, 3)
     assert signpoly.geometry.hull_member_lp is hull
     assert signpoly.simplex._price is price
+    assert signpoly.simplex._sort_price is sort_price
     sizes = {"5": 3840, "6": 960, "8": 26880}
     assert len(kinds) == 7
     for kind, rec in kinds.items():
         m = sizes[kind[len("hull_n")]]
         assert rec["failures"] == rec["wrong"] == 0
-        assert 8 * m < rec["peak_bytes"], kind
         if m <= signpoly.simplex.PRICE_COLUMNS:
+            assert 8 * m < rec["peak_bytes"], kind
             assert m * (rec["min"] + 1) <= rec["priced"] <= m * (rec["max"] + 1), kind
+            assert rec["sorts"] == 0, kind
         else:
-            assert rec["priced"] < m * rec["min"], kind
-        if m == 26880:
+            assert rec["priced"] == 0, kind
+            assert rec["sorts"] >= rec["mean"] + 1, kind
             assert rec["peak_bytes"] <= 2 * 8 * m, kind
 
 
 def test_pivot_bench_counts_the_n9_queries(monkeypatch):
     """``bench/pivots.py``'s ``n9`` case asks the 483,840 signed
-    permutations of ``N9_BASE``, thirty sections, and agrees with
-    ``sign_perm_member``; each query prices fewer columns than one
-    pricing of every column per pivot."""
+    permutations of ``N9_BASE`` and agrees with ``sign_perm_member``;
+    the listing is priced by sort, one sort per pass and no column of an
+    LP matrix."""
     pivots = _load(monkeypatch, "bench_pivots", PIVOTS)
     workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
-    price = signpoly.simplex._price
+    price, sort_price = signpoly.simplex._price, signpoly.simplex._sort_price
     kinds = pivots.n9_pivots(signpoly, workloads, 3, mixes=1, scaled=2)
     assert signpoly.simplex._price is price
+    assert signpoly.simplex._sort_price is sort_price
     assert sorted(kinds) == ["mix", "scaled"]
     assert [kinds["mix"]["probes"], kinds["scaled"]["probes"]] == [1, 2]
     for kind, rec in kinds.items():
         assert rec["failures"] == rec["wrong"] == 0
-        assert 0 < rec["priced"] < 483840 * rec["min"], kind
+        assert rec["priced"] == 0, kind
+        assert rec["sorts"] >= rec["mean"] + 1, kind
 
 
 def test_enum_bench_case_answers(monkeypatch):

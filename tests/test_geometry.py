@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ from signpoly import (
     DimensionMismatchError,
     EnumerationTooLargeError,
     PureState,
+    SolverFailureError,
     VertexSet,
     ball_volume,
     count_sign_perm_vertices,
@@ -457,6 +459,37 @@ def test_filtered_stream_holds_a_few_blocks():
     assert peak < 8 * _enum.BLOCK_ROWS * psi.amplitudes.itemsize * 8
 
 
+#: Real listings of the tests above, as (values, signed): zeros of both
+#: signs, ties, entries snapped within ZERO_TOL, one arrangement's sign
+#: rows over several blocks, and the n = 9 workload base.
+_RANKED_LISTINGS = {
+    **{kind: _ORACLE_INPUTS[kind] for kind in ("signed", "unsigned", "unsigned_carry")},
+    "order": ([1.0, 2.0, 0.0], True),
+    "near_zero": ([1.0, 1e-13, 0.0], True),
+    "sixteen_ones": (np.ones(16), True),
+    "four_distinct": ([0.758, 0.0, 0.809, 0.0, 0.0, 0.588, 0.0, 0.242], True),
+    "near_tie": ([1.0, 1.0 + 1e-13], False),
+    "n9": (_N9_BASE, True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RANKED_LISTINGS))
+def test_rank_inverts_the_listing(kind):
+    """``_enum.rank`` gives each listed row its index in the listing."""
+    values, signed = _RANKED_LISTINGS[kind]
+    classes = _enum.sign_classes(np.array(values), signed=signed)
+    rows, count, _ = _enum.listing(classes)
+    np.testing.assert_array_equal(_enum.rank(classes, rows), np.arange(count))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(signed=st.booleans(), entries=st.lists(_ENTRY, min_size=1, max_size=6))
+def test_rank_inverts_random_listings(signed, entries):
+    classes = _enum.sign_classes(np.array(entries), signed=signed)
+    rows, count, _ = _enum.listing(classes)
+    np.testing.assert_array_equal(_enum.rank(classes, rows), np.arange(count))
+
+
 # ---------------------------------------------------------------- LP route
 
 def _assert_witness(w, verts, x):
@@ -524,11 +557,15 @@ def test_sectioned_pricing_agrees_with_majorization(width, signed, base, kind,
                                                      seed, factor):
     """Priced in sections of ``width`` columns, ``hull_member_lp`` gives
     the majorization verdict on signed-permutation and permutation sets,
-    with a witness for every member.  The probes are Dirichlet mixes of
-    up to 20 vertices and vertices scaled about the set's centroid by a
-    factor at least 1e-6 away from 1, so none sits on the boundary."""
+    with a witness for every member.  The sets are raw copies of the
+    listings, which explicit pricing serves at every size (a listing
+    wider than ``width`` would be priced by sort).  The probes are
+    Dirichlet mixes of up to 20 vertices and vertices scaled about the
+    set's centroid by a factor at least 1e-6 away from 1, so none sits
+    on the boundary."""
     a = np.array(base)
-    verts = (enumerate_sign_perm_vertices if signed else enumerate_perm_vertices)(a)
+    listed = (enumerate_sign_perm_vertices if signed else enumerate_perm_vertices)(a)
+    verts = VertexSet(listed.array)
     V = verts.array
     rng = np.random.default_rng(seed)
     centroid = np.zeros(a.size) if signed else np.full(a.size, a.mean())
@@ -544,6 +581,112 @@ def test_sectioned_pricing_agrees_with_majorization(width, signed, base, kind,
     assert member == (sign_perm_member(x, a) if signed else rado_member(x, a))
     if member:
         _assert_witness(w, verts, x)
+
+
+#: (signed, base) of n = 8 listings wider than PRICE_COLUMNS, so priced
+#: by sort: signed sets of 26,880, 35,840 (ties, zeros, and entries
+#: snapped within ZERO_TOL) and 53,760 rows, and unsigned ones of 40,320
+#: (a zero) and 20,160 (a snapped tie) rows.
+_SORT_PRICED = [
+    (True, (4.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0)),
+    (True, (3.0, 2.0 + 1e-13, 1.0, -1.0 + 1e-13, 1.0, 0.0, 1e-13, -0.0)),
+    (True, (3.0, 3.0, 2.0, -1.0, 1.0, 0.0, 0.0, 0.0)),
+    (False, (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)),
+    (False, (-1.0, 2.0, 0.5, 1.0 + 1e-13, 3.0, 0.0, 1.0, 4.0)),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _sort_priced(key):
+    """The listing of ``key`` and a raw copy of it (explicit pricing),
+    built once."""
+    signed, base = key
+    listed = (enumerate_sign_perm_vertices if signed else enumerate_perm_vertices)(base)
+    assert len(listed) > simplex.PRICE_COLUMNS
+    return listed, VertexSet(listed.array)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(_SORT_PRICED),
+       kind=st.sampled_from(["mix", "scaled"]),
+       seed=st.integers(0, 2**32 - 1),
+       factor=st.floats(0.9, 1.1).filter(lambda f: abs(f - 1.0) >= 1e-6))
+def test_sort_pricing_agrees_with_explicit_pricing(key, kind, seed, factor):
+    """On n = 8 listings, sort pricing gives the verdict of explicit
+    pricing over a raw copy and of majorization, every member with a
+    witness over the listed rows, and builds no LP matrix.  The probes
+    are those of the sectioned-pricing test."""
+    signed, base = key
+    listed, raw = _sort_priced(key)
+    a = np.array(base)
+    V = listed.array
+    rng = np.random.default_rng(seed)
+    centroid = np.zeros(a.size) if signed else np.full(a.size, a.mean())
+    if kind == "mix":
+        x = rng.dirichlet(np.ones(20)) @ V[rng.choice(len(V), 20, replace=False)]
+    else:
+        x = centroid + factor * (V[rng.integers(len(V))] - centroid)
+    want = sign_perm_member(x, a) if signed else rado_member(x, a)
+    for verts in (listed, raw):
+        member, w = hull_member_lp(x, verts)
+        assert member == want
+        if member:
+            _assert_witness(w, verts, x)
+    assert listed._lp is None
+
+
+def test_sort_priced_bland_rule_keeps_the_listing_order(monkeypatch):
+    """With Bland's rule due at every pivot (``STALL_LIMIT = 0``) a
+    sort-priced query enters, at each pivot, the lowest-index listed row
+    or artificial whose reduced cost, computed here from ``[V^T; 1]``, is
+    negative, under its listed index; the verdicts agree with
+    majorization, with a witness for each member."""
+    key = _SORT_PRICED[0]
+    listed, _ = _sort_priced(key)
+    V = listed.array
+    m = len(V)
+    A = np.vstack([V.T, np.ones(m)])
+    entered = []
+    price = simplex._Sorted.price
+
+    def checked(self, y, bland):
+        j, least = price(self, y, bland)
+        assert bland
+        reduced = np.concatenate([-(y @ A), self.art])
+        if least < -simplex.PIVOT_EPS and j >= 0:
+            assert reduced[j] < -simplex.PIVOT_EPS
+            assert reduced[:j].min(initial=0.0) >= -simplex.PIVOT_EPS - 1e-12
+            entered.append(j)
+        return j, least
+
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
+    monkeypatch.setattr(simplex._Sorted, "price", checked)
+    rng = np.random.default_rng(21)
+    probes = [rng.dirichlet(np.ones(20)) @ V[rng.choice(m, 20, replace=False)]
+              for _ in range(2)]
+    probes.append(1.3 * V[rng.integers(m)])
+    for x in probes:
+        member, w = hull_member_lp(x, listed)
+        assert member == sign_perm_member(x, key[1])
+        if member:
+            _assert_witness(w, listed, x)
+    assert any(j < m for j in entered)
+
+
+@pytest.mark.parametrize("shift", [lambda index: index + 1, lambda index: index ^ 1],
+                         ids=["next", "last-sign"])
+def test_wrong_rank_raises(monkeypatch, shift):
+    """A rank that places a basic weight on a neighbouring row fails
+    the witness check: a solver failure, never a verdict."""
+    listed, _ = _sort_priced(_SORT_PRICED[0])
+    rng = np.random.default_rng(8)
+    V = listed.array
+    x = rng.dirichlet(np.ones(2000)) @ V[rng.choice(len(V), 2000, replace=False)]
+    assert hull_member_lp(x, listed)[0]
+    rank = _enum.rank
+    monkeypatch.setattr(_enum, "rank", lambda classes, rows: shift(rank(classes, rows)))
+    with pytest.raises(SolverFailureError, match="witness violation"):
+        hull_member_lp(x, listed)
 
 
 OCTA_BASE = [4.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0]
@@ -562,11 +705,14 @@ DEFECT_PROBE = 0.9179802462889692 * np.array([4.0, -3.0, 0.0, -2.0, 0.0, 0.0, 0.
 def test_boundary_probe_pivot_count(monkeypatch, probe, bound, whole):
     """Boundary probes against the 26,880 signed permutations of
     OCTA_BASE: the right answer within the gates of 40 and 72 pivots,
-    twice the tableau kernel's 20 and 36; pivot counts do not depend on
-    the machine.  Priced in two sections of ``PRICE_COLUMNS`` they take
-    31 and 34 pivots; priced whole, in one section as wide as the set,
-    exactly the 33 and 58 of pricing every column at every pivot."""
-    verts = enumerate_sign_perm_vertices(OCTA_BASE)
+    twice the tableau kernel's 20 and 36, whether the listed set is
+    priced by sort (32 and 50 pivots) or a raw copy of it in two
+    sections of ``PRICE_COLUMNS`` (31 and 34); pivot counts do not
+    depend on the machine.  The raw copy priced whole, in one section as
+    wide as the set, takes exactly the 33 and 58 of pricing every column
+    at every pivot."""
+    listed = enumerate_sign_perm_vertices(OCTA_BASE)
+    raw = VertexSet(listed.array)
     pivots = []
     pivot = simplex._pivot
 
@@ -575,20 +721,29 @@ def test_boundary_probe_pivot_count(monkeypatch, probe, bound, whole):
         return pivot(*args)
 
     monkeypatch.setattr(simplex, "_pivot", counting)
-    member, w = hull_member_lp(probe, verts)
-    assert len(pivots) <= bound
-    assert member and sign_perm_member(probe, OCTA_BASE)
-    m = len(verts)
-    reference = linprog(np.zeros(m), A_eq=np.vstack([verts.array.T, np.ones((1, m))]),
+    m = len(listed)
+    reference = linprog(np.zeros(m), A_eq=np.vstack([listed.array.T, np.ones((1, m))]),
                         b_eq=np.append(probe, 1.0), bounds=(0, None), method="highs")
     assert reference.status == 0
-    _assert_witness(w, verts, probe)
+    assert sign_perm_member(probe, OCTA_BASE)
+    for verts in (listed, raw):
+        pivots.clear()
+        member, w = hull_member_lp(probe, verts)
+        assert len(pivots) <= bound
+        assert member
+        _assert_witness(w, verts, probe)
+    assert listed._lp is None
     monkeypatch.setattr(simplex, "PRICE_COLUMNS", m)
     pivots.clear()
-    member, w = hull_member_lp(probe, verts)
+    member, w = hull_member_lp(probe, raw)
     assert len(pivots) == whole
     assert member
-    _assert_witness(w, verts, probe)
+    _assert_witness(w, raw, probe)
+
+
+#: The bases of perfbench's ``hull`` sets, by length.
+_HULL_BASES = {5: [5.0, 4.0, 3.0, 2.0, 1.0], 6: [3.0, 2.0, 1.0, 0.0, 0.0, 0.0],
+               8: OCTA_BASE}
 
 
 def _perfbench_probes(rng):
@@ -596,9 +751,7 @@ def _perfbench_probes(rng):
     the signed-permutation set each asks: Dirichlet mixes of 200 (n=5, 6)
     or 2,000 (n=8) vertices, vertices scaled by a factor in [0.9, 1.1],
     and the defect probe."""
-    bases = {5: [5.0, 4.0, 3.0, 2.0, 1.0], 6: [3.0, 2.0, 1.0, 0.0, 0.0, 0.0],
-             8: OCTA_BASE}
-    sets = {n: enumerate_sign_perm_vertices(a) for n, a in bases.items()}
+    sets = {n: enumerate_sign_perm_vertices(a) for n, a in _HULL_BASES.items()}
     probes = [(8, DEFECT_PROBE)]
     for n, kind, support in ((5, "mix", 200), (6, "mix", 200), (8, "mix", 2000),
                              (5, "scaled", 0), (6, "scaled", 0)):
@@ -619,15 +772,20 @@ def _answer_bytes(answer):
 
 
 def test_repeated_queries_match_fresh_vertex_sets():
-    """A set answers every query from the LP matrix its first query
-    built: asked twice, in between the other probes, each probe gets the
-    verdict and the witness bytes of a fresh set built from a copy."""
+    """A set answers every query from what its first query built (the
+    LP matrix, or the arrangement keys of a sort-priced listing): asked
+    twice, in between the other probes, each probe gets the verdict and
+    the witness bytes of a fresh listing, and on a raw copy (explicit
+    pricing at every size) those of a fresh raw copy."""
     sets, probes = _perfbench_probes(np.random.default_rng(11))
-    fresh = [_answer_bytes(hull_member_lp(x, VertexSet(sets[n].array.copy())))
-             for n, x in probes]
-    assert any(member for member, _ in fresh) and not all(member for member, _ in fresh)
-    for _ in range(2):
-        assert [_answer_bytes(hull_member_lp(x, sets[n])) for n, x in probes] == fresh
+    raw = {n: VertexSet(verts.array) for n, verts in sets.items()}
+    for kept, fresh_set in ((sets, lambda n: enumerate_sign_perm_vertices(_HULL_BASES[n])),
+                            (raw, lambda n: VertexSet(sets[n].array.copy()))):
+        fresh = [_answer_bytes(hull_member_lp(x, fresh_set(n))) for n, x in probes]
+        assert any(member for member, _ in fresh) and not all(member for member, _ in fresh)
+        for _ in range(2):
+            assert [_answer_bytes(hull_member_lp(x, kept[n])) for n, x in probes] == fresh
+    assert sets[8]._lp is None and raw[8]._lp is not None
 
 
 def test_lp_matrix_is_built_once_and_read_only():
@@ -641,13 +799,17 @@ def test_lp_matrix_is_built_once_and_read_only():
         A[0, 0] = 9.0
 
 
-def test_warm_hull_query_allocates_two_vectors_at_most():
+@pytest.mark.parametrize("raw", [False, True], ids=["sort-priced", "explicit"])
+def test_warm_hull_query_allocates_two_vectors_at_most(raw):
     """Once a set holds its LP matrix, a query allocates the pricing
     buffer and the weights over the m vertices and nothing else that
     wide (building ``[V^T; 1]`` per query would take 9 such vectors at
-    n = 8); tracemalloc counts bytes, so the gate does not depend on
-    the machine."""
+    n = 8); a sort-priced listing allocates the weights alone.
+    tracemalloc counts bytes, so the gate does not depend on the
+    machine."""
     verts = enumerate_sign_perm_vertices(OCTA_BASE)
+    if raw:
+        verts = VertexSet(verts.array)
     assert hull_member_lp(DEFECT_PROBE, verts)[0]
     tracemalloc.start()
     try:
@@ -656,7 +818,7 @@ def test_warm_hull_query_allocates_two_vectors_at_most():
     finally:
         tracemalloc.stop()
     assert member
-    assert peak <= 2 * 8 * len(verts)
+    assert peak <= (2 if raw else 1.2) * 8 * len(verts)
 
 
 def test_hull_member_just_outside_permutohedron_gets_a_verdict():

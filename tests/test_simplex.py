@@ -111,26 +111,12 @@ def test_complex_systems_are_refused():
 def test_singular_basis_raises():
     """A basis whose columns are dependent cannot be inverted, and that
     is a solver failure."""
-    state = simplex._State(np.array([[1.0, 2.0], [1.0, 2.0]]),
-                           np.array([1.0, 1.0]))
+    A = np.array([[1.0, 2.0], [1.0, 2.0]])
+    state = simplex._State(A, np.array([1.0, 1.0]))
     state.basis[:] = [0, 1]
+    state.B[:] = A
     with pytest.raises(SolverFailureError, match="singular"):
         simplex._refine(state)
-
-
-def test_basis_matrix_gathers_basis_columns():
-    """One basis, or a stack of them, of real and artificial columns
-    gathers the same matrices as indexing ``[A | diag(sign)]``."""
-    rng = np.random.default_rng(5)
-    A = rng.normal(size=(4, 6))
-    sign = np.array([1.0, -1.0, -1.0, 1.0])
-    full = np.c_[A, np.diag(sign)]
-    bases = np.array([rng.permutation(10)[:4] for _ in range(5)])
-    assert (bases >= 6).any() and (bases < 6).any()
-    np.testing.assert_array_equal(simplex._basis_matrix(A, sign, bases),
-                                  [full[:, basis] for basis in bases])
-    np.testing.assert_array_equal(simplex._basis_matrix(A, sign, bases[0]),
-                                  full[:, bases[0]])
 
 
 def test_tolerance_separates_near_feasible():
