@@ -19,7 +19,12 @@ Prints one JSON object: per ``hull`` probe kind the number of probes,
 the mean, smallest and largest pivot count, ``priced``, the mean number
 of columns of an LP matrix priced per query, ``sorts``, the mean number
 of passes priced by one sort per query (the sets listed with more than
-``PRICE_COLUMNS`` rows), the solver failures, the answers that
+``PRICE_COLUMNS`` rows), ``passes``, the mean number of pricing
+passes per query (one per pivot, one more where a pivot loop ends by
+finding its basis optimal, and one more where the aimed column does not
+enter), ``aimed``, the share of queries whose first
+pivot entered the vertex most aligned with the probe (the aimed start
+of phase 1), the solver failures, the answers that
 disagree with the oracle and ``peak_bytes``, the median tracemalloc peak
 of one warm ``hull_member_lp`` call (each probe asked a second time);
 the same, less ``peak_bytes``, per ``n9`` kind, against
@@ -53,7 +58,11 @@ columns priced are counted through ``simplex._price``; a checkout
 without it prices every real column once per pass, so there they are
 counted as the columns times the passes each pivot loop returns.  Sort
 pricings are counted through ``simplex._sort_price``, and read 0 on a
-checkout without it.
+checkout without it.  The aimed first pass prices through one of those
+two as well.  Passes are counted through the ``price`` and ``aligned``
+methods of ``simplex._Sections`` and ``simplex._Sorted``, and aimed
+entries through ``aligned``; each reads 0 on a checkout without the
+methods.
 """
 
 from __future__ import annotations
@@ -76,7 +85,9 @@ class PivotCounter:
     """Counts the pivots of ``sp.simplex`` by where they happen (the keys
     of :data:`KINDS`) while it is entered, the phase-1 solves from the
     artificial basis, the real columns priced, the passes priced by one
-    sort, and the basis inversions
+    sort, the pricing passes, the objective value at which the last
+    phase-1 pivot loop ended, the aimed columns that entered, and the
+    basis inversions
     (the keys of :data:`INVERSIONS`): in phase 1, single inversions
     elsewhere (the phase-2 refreshes), and stacked ones (the batched
     rebuild)."""
@@ -91,6 +102,9 @@ class PivotCounter:
         self.phase1_solves = 0
         self.priced = 0
         self.sorts = 0
+        self.passes = 0
+        self.objective = None
+        self.aimed = 0
         self._where = ["drive_out"]
 
     def _inside(self, kind, fn, *args, **kwargs):
@@ -133,12 +147,27 @@ class PivotCounter:
             self.sorts += 1
             return sort_price(*args)
 
+        classes = [getattr(simplex, name, None) for name in ("_Sections", "_Sorted")]
+        self._methods = {(cls, name): getattr(cls, name) for cls in classes
+                         for name in ("price", "aligned") if hasattr(cls, name)}
+
+        def counting(name, method):
+            def counted(pricing, *args):
+                self.passes += 1
+                j, entering = method(pricing, *args)
+                if name == "aligned":
+                    self.aimed += entering < -simplex.PIVOT_EPS
+                return j, entering
+            return counted
+
         def counted_loop(state, *args, phase, **kwargs):
-            passes, outcome = self._inside(f"phase{phase}", loop, state, *args,
-                                           phase=phase, **kwargs)
+            iterations, outcome = self._inside(f"phase{phase}", loop, state, *args,
+                                               phase=phase, **kwargs)
             if price is None:  # every real column, once per pass
-                self.priced += (passes + 1) * state.A.shape[1]
-            return passes, outcome
+                self.priced += (iterations + 1) * state.A.shape[1]
+            if phase == 1:  # the sum of the basic artificials
+                self.objective = float(state.T[:, -1] @ (state.basis >= state.A.shape[1]))
+            return iterations, outcome
 
         simplex._pivot = counted_pivot
         simplex._phase1 = counted_phase1
@@ -147,6 +176,8 @@ class PivotCounter:
             simplex._price = counted_price
         if sort_price is not None:
             simplex._sort_price = counted_sort_price
+        for (cls, name), method in self._methods.items():
+            setattr(cls, name, counting(name, method))
         linalg.inv = counted_inv
         return self
 
@@ -157,6 +188,8 @@ class PivotCounter:
             simplex._price = self._price
         if self._sort_price is not None:
             simplex._sort_price = self._sort_price
+        for (cls, name), method in self._methods.items():
+            setattr(cls, name, method)
         simplex.np.linalg.inv = self._inv
 
     @property
@@ -203,17 +236,22 @@ def hull_peak_bytes(sp, call) -> int:
 
 def _per_kind(sp, queries, peak: bool) -> dict:
     """Per kind of the ``(kind, call, agrees)`` queries: the probes, the
-    mean, smallest and largest pivot count, the mean columns priced and
-    sort pricings, the solver failures, the answers ``agrees`` refuses and, with ``peak``,
-    the median of :func:`hull_peak_bytes`."""
-    kinds = defaultdict(lambda: {"pivots": [], "priced": [], "sorts": [],
-                                 "failures": 0, "wrong": 0, "peak_bytes": []})
+    mean, smallest and largest pivot count, the mean columns priced,
+    sort pricings and pricing passes, the share of aimed first pivots,
+    the solver failures,
+    the answers ``agrees`` refuses and, with ``peak``, the median of
+    :func:`hull_peak_bytes`."""
+    kinds = defaultdict(lambda: {"pivots": [], "priced": [], "sorts": [], "passes": [],
+                                 "aimed": [], "failures": 0, "wrong": 0,
+                                 "peak_bytes": []})
     for kind, call, agrees in queries:
         counter, answer = count_pivots(sp, call)
         rec = kinds[kind]
         rec["pivots"].append(counter.total)
         rec["priced"].append(counter.priced)
         rec["sorts"].append(counter.sorts)
+        rec["passes"].append(counter.passes)
+        rec["aimed"].append(counter.aimed > 0)
         if isinstance(answer, Exception):
             rec["failures"] += 1
         elif not agrees(answer):
@@ -225,25 +263,31 @@ def _per_kind(sp, queries, peak: bool) -> dict:
                    "min": int(min(rec["pivots"])), "max": int(max(rec["pivots"])),
                    "priced": round(float(np.mean(rec["priced"]))),
                    "sorts": round(float(np.mean(rec["sorts"])), 1),
+                   "passes": round(float(np.mean(rec["passes"])), 1),
+                   "aimed": round(float(np.mean(rec["aimed"])), 2),
                    "failures": rec["failures"], "wrong": rec["wrong"],
                    **({"peak_bytes": int(np.median(rec["peak_bytes"]))}
                       if peak else {})}
             for kind, rec in sorted(kinds.items())}
 
 
-def hull_pivots(sp, workloads, seed: int) -> dict:
+def hull_queries(sp, workloads, seed: int) -> list:
+    """The ``(kind, call, agrees)`` queries of one ``hull`` block."""
     with tempfile.TemporaryDirectory() as tmp:
         wl = workloads.build_hull(np.random.default_rng(seed), Path(tmp), sp)
-    return _per_kind(sp, [(op.kind, op.call, op.agrees) for op in wl.blocks[0]],
-                     peak=True)
+    return [(op.kind, op.call, op.agrees) for op in wl.blocks[0]]
 
 
-def n9_pivots(sp, workloads, seed: int, mixes: int = 5, scaled: int = 8,
-              support: int = 3000) -> dict:
-    """Hull queries of the 483,840 signed permutations of ``N9_BASE``:
-    ``mixes`` Dirichlet mixes of ``support`` vertices and ``scaled``
-    vertices scaled by a factor in [0.9, 1.1], against
-    ``sign_perm_member``."""
+def hull_pivots(sp, workloads, seed: int) -> dict:
+    return _per_kind(sp, hull_queries(sp, workloads, seed), peak=True)
+
+
+def n9_queries(sp, workloads, seed: int, mixes: int = 5, scaled: int = 8,
+               support: int = 3000) -> list:
+    """The ``(kind, call, agrees)`` hull queries of the 483,840 signed
+    permutations of ``N9_BASE``: ``mixes`` Dirichlet mixes of
+    ``support`` vertices and ``scaled`` vertices scaled by a factor in
+    [0.9, 1.1], against ``sign_perm_member``."""
     base = np.array(workloads.N9_BASE)
     verts = sp.geometry.enumerate_sign_perm_vertices(base)
     V = verts.array
@@ -259,7 +303,12 @@ def n9_pivots(sp, workloads, seed: int, mixes: int = 5, scaled: int = 8,
         return (kind, lambda: sp.geometry.hull_member_lp(x, verts),
                 lambda answer: answer[0] == want)
 
-    return _per_kind(sp, [query(kind, x) for kind, x in probes], peak=False)
+    return [query(kind, x) for kind, x in probes]
+
+
+def n9_pivots(sp, workloads, seed: int, **sizes) -> dict:
+    """:func:`_per_kind` of the :func:`n9_queries` of ``sizes``."""
+    return _per_kind(sp, n9_queries(sp, workloads, seed, **sizes), peak=False)
 
 
 def _per_construct(counters) -> dict:

@@ -26,7 +26,6 @@ from .majorization import (
     _two_points,
     as_coords,
 )
-from .simplex import feasible_nonneg
 
 
 class VertexSet:
@@ -210,6 +209,12 @@ def hull_member_lp(
     the at most ``n + 1`` basic vertices are ranked into the listing at
     the end.  Its witness may differ from the one explicit pricing over
     the same rows finds, but it is checked the same way.
+
+    Phase 1 aims at its right-hand side ``[x; 1]``: it first tries the
+    vertex ``v`` that maximizes ``x . v`` (one product with the LP
+    matrix, or one sort) and enters it if that lowers
+    the infeasibility; a probe near a vertex then takes a few pivots,
+    and an exact vertex one.
     """
     vs = vertices if isinstance(vertices, VertexSet) else VertexSet(vertices)
     V = vs.array
@@ -217,11 +222,11 @@ def hull_member_lp(
     if not np.all(np.isfinite(xv)):
         raise ValueError("point coordinates must be finite")
     _check_same_dim(V[0], xv)
-    b = np.append(xv, 1.0)
     if vs._classes is not None and len(vs) > simplex.PRICE_COLUMNS:
-        ok, w = simplex._feasible(simplex._Sorted(V, vs._classes), b, tol)
+        A = simplex._Sorted(V, vs._classes)
     else:
-        ok, w = feasible_nonneg(vs._lp_matrix(), b, tol=tol)
+        A = vs._lp_matrix()
+    ok, w = simplex._feasible(A, np.append(xv, 1.0), tol, aimed=True)
     if not ok:
         return False, None
     # A basic solution has at most n + 1 nonzero weights: check those

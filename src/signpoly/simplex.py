@@ -20,6 +20,12 @@ step of :func:`_pivot_loop` depends on how the columns are given.
   matrix is built; the basic columns are ranked into the listing once,
   at the end of phase 1.
 
+A hull query aims phase 1 at its own right-hand side ``[x; 1]``: its
+first pass prices one column, the vertex ``v`` that maximizes ``x . v``
+(one product with the matrix, or one sort), and enters it when it
+improves; the ray LPs do not aim (a crash start: Bixby, 1992).  Phase 1
+ends once its objective is 0.
+
 ``[B^-1 | x_B]`` is rebuilt from ``B`` every ``REFRESH_EVERY`` pivots and
 at the end of phase 1; every ray LP keeps its final basis, and all of
 them are rebuilt together, by one batched inversion after the last ray;
@@ -167,6 +173,21 @@ class _Sections:
                 self.current = self.sections[j // self.width]
         return j, entering
 
+    def aligned(self, b, y):
+        """The column ``j`` whose rows but the last are most aligned with
+        ``b``'s, one product through :func:`_price` into the reduced-cost
+        buffer (for the columns ``[v; 1]`` and ``b = [x; 1]`` of a hull
+        query, the ``v`` that maximizes ``x . v``; the last row is left
+        out, as adding 1 would round away the differences of ``x . v``
+        at small scales), and its phase-1 reduced cost ``-y . A_j``;
+        when that enters, the next pass resumes at its section."""
+        out = self.reduced[:self.A.shape[1]]
+        j, _ = _price((0, self.A[:-1], None, out, out), b[:-1], self.reduced, self.art[:0])
+        entering = -float(y @ self.A[:, j])
+        if entering < -PIVOT_EPS:
+            self.current = self.sections[j // self.width]
+        return j, entering
+
     def column(self, j):
         return self.A[:, j]
 
@@ -231,6 +252,13 @@ class _Sorted:
                 least = float(reduced[j])
         return j, least
 
+    def aligned(self, b, y):
+        """As :meth:`_Sections.aligned`: the sort's column ``[v; 1]``
+        with ``v`` most aligned with ``b[:-1]`` (-1; the sort reads no
+        last entry), and its phase-1 reduced cost."""
+        _sort_price(self.values, self.classes.signed, b, self.entering)
+        return -1, -float(y @ self.entering)
+
     def column(self, j):
         if j >= 0:
             self.entering[:-1] = self.V[j]
@@ -241,7 +269,8 @@ class _Sorted:
         return _enum.rank(self.classes, columns[:-1].T)
 
 
-def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf, pricing=None):
+def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf, pricing=None,
+                aim=None):
     """Pivot until no column below ``ncols`` (real columns, then the
     artificials) has a negative reduced cost ``cost - c_B B^-1 column``.
     ``cost`` lists the costs of every variable, or of the ``k``
@@ -250,7 +279,11 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf, pricing=No
 
     ``pricing`` prices the real columns (:class:`_Sections` of ``s.A``
     by default, or ``s.A`` itself when it is :class:`_Sorted`); the
-    artificials are priced at every pass.  Of the columns priced, the
+    artificials are priced at every pass.  Given ``aim``, the right-hand
+    side ``b`` of a hull query, the first pass prices one column, the one
+    ``pricing.aligned`` finds most aligned with it, and enters it if
+    its reduced cost is below ``-PIVOT_EPS`` (a crash start: Bixby,
+    1992); otherwise, and at every later pass, of the columns priced the
     most negative reduced cost enters (Dantzig's rule); ties in the
     ratio test leave by lowest basic index.  After ``STALL_LIMIT``
     pivots in a row that lower the objective by at most a relative
@@ -260,9 +293,12 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf, pricing=No
     roundoff), a non-finite reduced cost in a priced section and an
     entering column with no admissible pivot raise: phase 1 is bounded
     below by 0, and a ray's ``t`` by the hull, so an unbounded direction
-    is a solver failure.  Returns ``(iterations, outcome)``:
-    ``"optimal"``, or ``"cut-off"`` at a basis that is not optimal once
-    minus the objective value is above ``stop_above``.
+    is a solver failure.  Phase 1 is optimal, with no pass priced, as
+    soon as its objective value is 0: after an aimed vertex probe's first
+    pivot, pricing on would only wander among degenerate bases.  Returns
+    ``(iterations, outcome)``: ``"optimal"``, or ``"cut-off"`` at a basis
+    that is not optimal once minus the objective value is above
+    ``stop_above``.
     """
     sign, p = s.sign, s.A.shape[1]
     basis, inverse, x, ratios = s.basis, s.T[:, :-1], s.T[:, -1], s.ratios  # updated in place
@@ -275,10 +311,19 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf, pricing=No
     value = float(c_basic @ x)
     stalled = 0
     for it in range(max_iter):
+        if phase == 1 and value <= 0.0:  # at phase 1's lower bound: optimal
+            return it, "optimal"
         y = c_basic @ inverse
         if art.size:
             np.subtract(c_art, sign * y, out=art)
-        j, entering = pricing.price(y, stalled >= STALL_LIMIT)
+        entering = 0.0
+        if aim is not None:
+            j, entering = pricing.aligned(aim, y)
+            aim = None
+            if not math.isfinite(entering):
+                raise SolverFailureError("non-finite reduced cost in pricing")
+        if entering >= -PIVOT_EPS:
+            j, entering = pricing.price(y, stalled >= STALL_LIMIT)
         if entering >= -PIVOT_EPS:
             return it, "optimal"
         if -value > stop_above:
@@ -323,13 +368,14 @@ def _refine(s):
     _invert_into(s.T, s.B, s.b)
 
 
-def _phase1(A, b, max_iter):
-    """Minimize the sum of artificials from the artificial basis; returns
-    the final, refined state, every basic column named by its index, and
-    the pivots used."""
+def _phase1(A, b, max_iter, aimed=False):
+    """Minimize the sum of artificials from the artificial basis, first
+    trying the column most aligned with ``b`` when ``aimed``; returns the
+    final, refined state, every basic column named by its index, and the
+    pivots used."""
     s = _State(A, b)
     used, _ = _pivot_loop(s, np.ones(b.size), A.shape[1] + b.size, max_iter,
-                          phase=1)
+                          phase=1, aim=b if aimed else None)
     _refine(s)
     unnamed = s.basis < 0  # columns a _Sorted pricing entered by sort
     if unnamed.any():
@@ -372,10 +418,11 @@ def feasible_nonneg(
     return _feasible(A, b, tol)
 
 
-def _feasible(A, b, tol):
+def _feasible(A, b, tol, aimed=False):
     """:func:`feasible_nonneg` on checked input, where ``A`` may also be
-    a :class:`_Sorted` set of columns."""
-    s, _ = _phase1(A, b, 50 * sum(A.shape))
+    a :class:`_Sorted` set of columns, with phase 1 aimed at ``b`` when
+    ``aimed`` (see :func:`_pivot_loop`)."""
+    s, _ = _phase1(A, b, 50 * sum(A.shape), aimed)
     if not _infeasibility(s) <= tol:
         return False, None
     return True, _basic_solution(s.T, s.basis, A.shape[1])

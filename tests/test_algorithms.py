@@ -393,11 +393,9 @@ def test_certificate_of_octahedral_decomposition():
 def test_hull_member_raises_on_a_witness_that_misses(monkeypatch, shift):
     """A solver answer whose weights break ``w >= 0`` or ``sum w = 1``
     is a solver failure, not a verdict."""
-    import signpoly.geometry
     verts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     w = np.array([0.0, 0.5, 0.25, 0.25]) + shift
-    monkeypatch.setattr(signpoly.geometry, "feasible_nonneg",
-                        lambda *a, **k: (True, w))
+    monkeypatch.setattr(simplex, "_feasible", lambda *a, **k: (True, w))
     with pytest.raises(SolverFailureError, match="witness"):
         hull_member_lp([0.25, 0.25], verts)
 
@@ -595,11 +593,9 @@ def test_infeasible_shared_phase1_raises(monkeypatch):
 def test_one_kernel_solve_per_direction(monkeypatch, phase_calls, d, m):
     """Exactly one phase-1 loop, the shared one, then 2(d^2 - 1) phase-2
     runs, and no hull queries per search."""
-    import signpoly.geometry
-
     feasible = []
-    kernel = signpoly.geometry.feasible_nonneg
-    monkeypatch.setattr(signpoly.geometry, "feasible_nonneg",
+    kernel = simplex._feasible
+    monkeypatch.setattr(simplex, "_feasible",
                         lambda *a, **k: feasible.append(1) or kernel(*a, **k))
     poly = max_inscribed_cross_polytope(_random_decomposition(7, d, m, 1.0))
     assert not poly.degenerate

@@ -132,39 +132,69 @@ def test_pivot_bench_reports_hull_peak_bytes(monkeypatch):
     vertices of n = 5 and 6 more than the weights over the set, and on
     the 26,880 vertices of n = 8 at most two float vectors that wide.
     It also reports ``priced``, the mean columns priced per query,
-    counted through ``simplex._price``, and ``sorts``, the mean passes
-    priced by sort, counted through ``simplex._sort_price``, both of
-    which it restores: every column at every pass on the sets of one
-    section, and on the n = 8 listing, wider than ``PRICE_COLUMNS``, no
-    column of an LP matrix and one sort per pass."""
+    counted through ``simplex._price``, ``sorts``, the mean passes
+    priced by sort, counted through ``simplex._sort_price``, and
+    ``passes``, the mean pricing passes, counted through the pricings'
+    ``price`` and ``aligned`` methods, all of which it restores.  Query
+    by query, every pass prices every column on the sets of one section,
+    and on the n = 8 listing, wider than ``PRICE_COLUMNS``, no column of
+    an LP matrix and one sort.  There is a pass per pivot and one more
+    that finds the basis optimal, which only a member may skip, when
+    its phase 1 ends at objective value 0 (:func:`_passes_hold`).  The
+    aimed first pass is one of them; ``aimed``, the share of queries
+    whose first pivot entered the aimed vertex, is counted through
+    ``aligned``, and on seed 3 every query's did."""
     pivots = _load(monkeypatch, "bench_pivots", PIVOTS)
     workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
     hull = signpoly.geometry.hull_member_lp
     price, sort_price = signpoly.simplex._price, signpoly.simplex._sort_price
+    methods = [(cls, name, getattr(cls, name))
+               for cls in (signpoly.simplex._Sections, signpoly.simplex._Sorted)
+               for name in ("price", "aligned")]
     kinds = pivots.hull_pivots(signpoly, workloads, 3)
     assert signpoly.geometry.hull_member_lp is hull
     assert signpoly.simplex._price is price
     assert signpoly.simplex._sort_price is sort_price
+    assert all(getattr(cls, name) is method for cls, name, method in methods)
     sizes = {"5": 3840, "6": 960, "8": 26880}
     assert len(kinds) == 7
     for kind, rec in kinds.items():
         m = sizes[kind[len("hull_n")]]
         assert rec["failures"] == rec["wrong"] == 0
+        assert rec["aimed"] == 1.0, kind
         if m <= signpoly.simplex.PRICE_COLUMNS:
             assert 8 * m < rec["peak_bytes"], kind
-            assert m * (rec["min"] + 1) <= rec["priced"] <= m * (rec["max"] + 1), kind
             assert rec["sorts"] == 0, kind
         else:
             assert rec["priced"] == 0, kind
-            assert rec["sorts"] >= rec["mean"] + 1, kind
+            assert rec["sorts"] == rec["passes"], kind
             assert rec["peak_bytes"] <= 2 * 8 * m, kind
+    for kind, call, _ in pivots.hull_queries(signpoly, workloads, 3):
+        _passes_hold(pivots, call, sizes[kind[len("hull_n")]])
+
+
+def _passes_hold(pivots, call, m):
+    """Asks one aimed hull query over ``m`` vertices and checks its
+    passes: priced through ``simplex._price`` with every column each
+    pass up to ``PRICE_COLUMNS`` vertices, by one sort each pass above,
+    one pass per pivot and one more, which only a member whose phase 1
+    ends at objective value 0 skips, and the aimed vertex entered."""
+    counter, (member, _) = pivots.count_pivots(signpoly, call)
+    if m <= signpoly.simplex.PRICE_COLUMNS:
+        assert (counter.priced, counter.sorts) == (m * counter.passes, 0)
+    else:
+        assert (counter.priced, counter.sorts) == (0, counter.passes)
+    assert counter.phase1_solves == counter.aimed == 1
+    assert (counter.passes == counter.total + 1
+            or member and counter.objective == 0.0 and counter.passes == counter.total)
 
 
 def test_pivot_bench_counts_the_n9_queries(monkeypatch):
     """``bench/pivots.py``'s ``n9`` case asks the 483,840 signed
     permutations of ``N9_BASE`` and agrees with ``sign_perm_member``;
     the listing is priced by sort, one sort per pass and no column of an
-    LP matrix."""
+    LP matrix, a pass per pivot and one more (:func:`_passes_hold`), and
+    every query's first pivot enters the aimed vertex."""
     pivots = _load(monkeypatch, "bench_pivots", PIVOTS)
     workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
     price, sort_price = signpoly.simplex._price, signpoly.simplex._sort_price
@@ -176,7 +206,10 @@ def test_pivot_bench_counts_the_n9_queries(monkeypatch):
     for kind, rec in kinds.items():
         assert rec["failures"] == rec["wrong"] == 0
         assert rec["priced"] == 0, kind
-        assert rec["sorts"] >= rec["mean"] + 1, kind
+        assert rec["sorts"] == rec["passes"], kind
+        assert rec["aimed"] == 1.0, kind
+    for kind, call, _ in pivots.n9_queries(signpoly, workloads, 3, mixes=1, scaled=2):
+        _passes_hold(pivots, call, 483840)
 
 
 def test_enum_bench_case_answers(monkeypatch):
