@@ -13,13 +13,12 @@ checkout::
     python3 bench/pivots.py --seed 3
     python3 bench/pivots.py --seed 3 --src ../parent/src
     python3 bench/pivots.py --seed 3 --stall-limit 5
-    python3 bench/pivots.py --seed 3 --price-columns 4096
 
 Prints one JSON object: per ``hull`` probe kind the number of probes,
 the mean, smallest and largest pivot count, ``priced``, the mean number
 of columns of an LP matrix priced per query, ``sorts``, the mean number
 of passes priced by one sort per query (the sets listed with more than
-``PRICE_COLUMNS`` rows), ``passes``, the mean number of pricing
+2^14 rows), ``passes``, the mean number of pricing
 passes per query (one per pivot, one more where a pivot loop ends by
 finding its basis optimal, and one more where the aimed column does not
 enter), ``aimed``, the share of queries whose first
@@ -51,18 +50,19 @@ No wall time is taken: one unpaired timing of one tree varies from run
 to run by more than the changes it would compare; pivot counts and
 traced bytes do not depend on the clock.  ``--stall-limit``
 overrides ``simplex.STALL_LIMIT``, the run of pivots that leave the
-objective unchanged after which Bland's rule takes over, and
-``--price-columns`` overrides ``simplex.PRICE_COLUMNS``, the width of a
-section of partial pricing, each for a sweep of that constant.  The
-columns priced are counted through ``simplex._price``; a checkout
-without it prices every real column once per pass, so there they are
-counted as the columns times the passes each pivot loop returns.  Sort
-pricings are counted through ``simplex._sort_price``, and read 0 on a
-checkout without it.  The aimed first pass prices through one of those
-two as well.  Passes are counted through the ``price`` and ``aligned``
-methods of ``simplex._Sections`` and ``simplex._Sorted``, and aimed
-entries through ``aligned``; each reads 0 on a checkout without the
-methods.
+objective unchanged after which Bland's rule takes over, for a sweep
+of that constant.  The columns priced are counted through
+``simplex._price``, whose first argument is the matrix priced (a
+section, whose second entry is that matrix, in checkouts that price in
+sections); a checkout without it prices every real column once per
+pass, so there they are counted as the columns times the passes each
+pivot loop returns.  Sort pricings are counted through
+``simplex._sort_price``, and read 0 on a checkout without it.  The
+aimed first pass prices through one of those two as well.  Passes are
+counted through the ``price`` and ``aligned`` methods of
+``simplex._Whole`` (``_Sections`` in older checkouts) and
+``simplex._Sorted``, and aimed entries through ``aligned``; each reads
+0 on a checkout without the methods.
 """
 
 from __future__ import annotations
@@ -137,9 +137,10 @@ class PivotCounter:
 
         self._price = price = getattr(simplex, "_price", None)
 
-        def counted_price(section, *args):
-            self.priced += section[1].shape[1]  # the section's columns of A
-            return price(section, *args)
+        def counted_price(A, *args):
+            columns = A[1] if isinstance(A, tuple) else A  # a section's columns
+            self.priced += columns.shape[1]
+            return price(A, *args)
 
         self._sort_price = sort_price = getattr(simplex, "_sort_price", None)
 
@@ -147,7 +148,7 @@ class PivotCounter:
             self.sorts += 1
             return sort_price(*args)
 
-        classes = [getattr(simplex, name, None) for name in ("_Sections", "_Sorted")]
+        classes = [getattr(simplex, name, None) for name in ("_Whole", "_Sections", "_Sorted")]
         self._methods = {(cls, name): getattr(cls, name) for cls in classes
                          for name in ("price", "aligned") if hasattr(cls, name)}
 
@@ -373,8 +374,6 @@ def main(argv=None) -> int:
                         help="directory holding the signpoly package")
     parser.add_argument("--stall-limit", type=int,
                         help="override simplex.STALL_LIMIT")
-    parser.add_argument("--price-columns", type=int,
-                        help="override simplex.PRICE_COLUMNS")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
     sp = importlib.import_module("signpoly")
@@ -384,11 +383,8 @@ def main(argv=None) -> int:
     workloads = importlib.import_module("workloads")
     if args.stall_limit is not None:
         sp.simplex.STALL_LIMIT = args.stall_limit
-    if args.price_columns is not None:
-        sp.simplex.PRICE_COLUMNS = args.price_columns
     print(json.dumps({"seed": args.seed,
                       "stall_limit": getattr(sp.simplex, "STALL_LIMIT", None),
-                      "price_columns": getattr(sp.simplex, "PRICE_COLUMNS", None),
                       "hull": hull_pivots(sp, workloads, args.seed),
                       "n9": n9_pivots(sp, workloads, args.seed),
                       "construct": construct_pivots(sp, workloads, args.seed),

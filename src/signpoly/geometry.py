@@ -27,6 +27,9 @@ from .majorization import (
     as_coords,
 )
 
+# A listed set of more rows is priced by one sort per pass, with no LP matrix.
+_SORT_ABOVE = 1 << 14
+
 
 class VertexSet:
     """A finite set of points spanning a convex hull.
@@ -39,9 +42,9 @@ class VertexSet:
     ``[V^T; 1]``, ``(n+1)/n`` times the array's bytes, and the set keeps
     it for every later query.  A set listed by
     :func:`enumerate_sign_perm_vertices` or :func:`enumerate_perm_vertices`
-    also keeps its sign classes; when it has more than
-    ``simplex.PRICE_COLUMNS`` rows its queries are priced by one sort per
-    pivot and it never builds the LP matrix.
+    also keeps its sign classes; when it has more than 2^14 (16,384)
+    rows its queries are priced by one sort per pivot and it never
+    builds the LP matrix.
     """
 
     __slots__ = ("_points", "_lp", "_classes")
@@ -203,12 +206,13 @@ def hull_member_lp(
     reuses it; a raw array is wrapped, transposed and dropped on every
     call, so pass one :class:`VertexSet` to ask many points of one set.
     A set listed by :func:`enumerate_sign_perm_vertices` or
-    :func:`enumerate_perm_vertices` with more than
-    ``simplex.PRICE_COLUMNS`` rows builds no LP matrix: each pivot prices
-    every vertex at once by one sort (the rearrangement inequality), and
-    the at most ``n + 1`` basic vertices are ranked into the listing at
-    the end.  Its witness may differ from the one explicit pricing over
-    the same rows finds, but it is checked the same way.
+    :func:`enumerate_perm_vertices` with more than 2^14 (16,384) rows
+    builds no LP matrix: each pivot prices every vertex at once by one
+    sort (the rearrangement inequality), and the at most ``n + 1`` basic
+    vertices are ranked into the listing at the end.  Its witness may
+    differ from the one explicit pricing over the same rows finds, but
+    it is checked the same way.  Any other set is priced explicitly:
+    every column of its LP matrix at every pivot, however wide.
 
     Phase 1 aims at its right-hand side ``[x; 1]``: it first tries the
     vertex ``v`` that maximizes ``x . v`` (one product with the LP
@@ -222,7 +226,7 @@ def hull_member_lp(
     if not np.all(np.isfinite(xv)):
         raise ValueError("point coordinates must be finite")
     _check_same_dim(V[0], xv)
-    if vs._classes is not None and len(vs) > simplex.PRICE_COLUMNS:
+    if vs._classes is not None and len(vs) > _SORT_ABOVE:
         A = simplex._Sorted(V, vs._classes)
     else:
         A = vs._lp_matrix()

@@ -7,11 +7,9 @@ solve keeps the ``k x k`` basis columns ``B`` and the ``k x (k + 1)``
 array ``[B^-1 | x_B]`` (Dantzig & Orchard-Hays, 1954); only the pricing
 step of :func:`_pivot_loop` depends on how the columns are given.
 
-- A matrix ``A`` is priced in sections of ``PRICE_COLUMNS`` columns,
-  moving to the next section only when one has no improving column
-  (partial pricing: Orchard-Hays, 1968; Maros, 2003), so a system of at
-  most ``PRICE_COLUMNS`` columns is priced whole at every pivot
-  (:class:`_Sections`).
+- A matrix ``A`` is priced whole at every pass: one product gives
+  every column's reduced cost, and one argmin picks the entering column
+  among them and the artificials (:class:`_Whole`).
 - The columns ``[v; 1]`` of a listed set of signed permutations
   (:class:`_Sorted`) are priced by one sort: by the rearrangement
   inequality the least reduced cost among them is reached at the ``v``
@@ -52,8 +50,6 @@ RATIO_EPS = 1e-12
 STALL_LIMIT = 20
 # Pivots between two rebuilds of [B^-1 | x_B] by _refine.
 REFRESH_EVERY = 32
-# Real columns in one section of partial pricing.
-PRICE_COLUMNS = 1 << 14
 
 
 class _State:
@@ -87,90 +83,47 @@ def _bland(reduced):
     return int(np.flatnonzero(reduced < -PIVOT_EPS)[0])
 
 
-def _section(A, c_real, reduced, width, index):
-    """Section ``index`` of ``width`` real columns, as the tuple
-    :func:`_price` reads: its first column, its columns of ``A``, their
-    costs (None when all are 0), their slice of ``reduced``, and the slice
-    whose argmin picks its entering candidate, which for the last section
-    runs on into the artificials'."""
-    p = A.shape[1]
-    start, stop = index * width, min((index + 1) * width, p)
-    out = reduced[start:stop]
-    return (start, A[:, start:stop], None if c_real is None else c_real[start:stop],
-            out, reduced[start:] if stop == p else out)
-
-
-def _price(section, y, reduced, art):
-    """Write the reduced costs ``c - y A`` of ``section``'s columns into
-    ``reduced``, and return the column of least reduced cost among them
-    and the artificials ``art`` (priced already), as one argmin over both
-    would pick it (NaN wins, ties go to the lowest index), with that
-    cost; a non-finite one raises."""
-    start, columns, c, out, scan = section
-    np.matmul(-y, columns, out=out)
+def _price(A, c, y, reduced):
+    """Write the reduced costs ``c - y A`` of ``A``'s columns (``c`` is
+    None when every cost is 0) into the first columns of ``reduced``,
+    and return the column of least reduced cost in all of ``reduced``,
+    which may run on into the artificials' (priced already): one argmin
+    (NaN wins, ties go to the lowest index), with that cost; a
+    non-finite one raises."""
+    out = reduced[:A.shape[1]]
+    np.matmul(-y, A, out=out)
     if c is not None:
         out += c
-    j = start + int(scan.argmin())
-    if scan is out and art.size:
-        k = reduced.size - art.size + int(art.argmin())
-        if reduced[k] < reduced[j] or math.isnan(reduced[k]):
-            j = k
+    j = int(reduced.argmin())
     least = float(reduced[j])
     if not math.isfinite(least):
         raise SolverFailureError("non-finite reduced cost in pricing")
     return j, least
 
 
-class _Sections:
-    """Partial pricing of the columns of a matrix ``A`` with costs
-    ``c_real`` (all 0 in phase 1), and of the artificials when
-    ``ncols`` counts them, in consecutive sections of ``PRICE_COLUMNS``.
-
-    A pass prices the artificials and the section that supplied the last
-    entering column (the first section at the start); if no column
-    priced has a reduced cost below ``-PIVOT_EPS``, it prices the next
-    section, and so on round, so a basis is optimal only once every
-    column has priced nonnegative in one pass.  For Bland's rule every
-    section is priced and the lowest-index negative column enters.  The
-    reduced-cost buffer and the section views are built once, so the
-    loops that share one pricing (the rays of :func:`_ray_maxima`) reuse
-    them, and each pass resumes at the section of the last entering
-    column."""
+class _Whole:
+    """Pricing of every column of a matrix ``A`` with costs ``c_real``
+    (all 0 in phase 1), and of the artificials when ``ncols`` counts
+    them, at every pass: one product into the reduced-cost buffer and
+    one argmin over it (:func:`_price`), which Bland's rule reads too.
+    The buffer is built once, so the loops that share one pricing (the
+    rays of :func:`_ray_maxima`) reuse it."""
 
     def __init__(self, A, c_real, ncols):
         self.A = A
-        if not np.count_nonzero(c_real):
-            c_real = None
+        self.c = c_real if np.count_nonzero(c_real) else None
         # Reused: a fresh wide array per pass costs more in page faults than pricing.
         self.reduced = np.empty(ncols)
         self.art = self.reduced[A.shape[1]:]  # written by _pivot_loop
-        self.width = PRICE_COLUMNS
-        self.sections = [_section(A, c_real, self.reduced, self.width, index)
-                         for index in range(max(1, -(-A.shape[1] // self.width)))]
-        self.current = self.sections[0]  # that of the last entering column
 
     def price(self, y, bland):
-        """The entering column and its reduced cost: Dantzig's choice in
-        the sections priced, or Bland's when ``bland``; a cost of at
-        least ``-PIVOT_EPS`` means the basis is optimal."""
-        reduced, art, count = self.reduced, self.art, len(self.sections)
-        j, entering = _price(self.current, y, reduced, art)
-        if entering >= -PIVOT_EPS or bland:
-            # On round the other sections: to the first with a negative
-            # reduced cost, or through all of them for Bland's rule.
-            index = self.current[0] // self.width
-            for step in range(1, count):
-                section = self.sections[(index + step) % count]
-                k, least = _price(section, y, reduced, art)
-                if entering >= -PIVOT_EPS and least < -PIVOT_EPS:
-                    j, entering, self.current = k, least, section
-                    if not bland:
-                        break
+        """The entering column and its reduced cost: Dantzig's choice,
+        or Bland's when ``bland``; a cost of at least ``-PIVOT_EPS``
+        means the basis is optimal."""
+        j, entering = _price(self.A, self.c, y, self.reduced)
         if bland and entering < -PIVOT_EPS:
-            j = _bland(reduced)
-            entering = float(reduced[j])
-            if j < self.A.shape[1]:
-                self.current = self.sections[j // self.width]
+            j = _bland(self.reduced)
+            entering = float(self.reduced[j])
         return j, entering
 
     def aligned(self, b, y):
@@ -179,14 +132,9 @@ class _Sections:
         buffer (for the columns ``[v; 1]`` and ``b = [x; 1]`` of a hull
         query, the ``v`` that maximizes ``x . v``; the last row is left
         out, as adding 1 would round away the differences of ``x . v``
-        at small scales), and its phase-1 reduced cost ``-y . A_j``;
-        when that enters, the next pass resumes at its section."""
-        out = self.reduced[:self.A.shape[1]]
-        j, _ = _price((0, self.A[:-1], None, out, out), b[:-1], self.reduced, self.art[:0])
-        entering = -float(y @ self.A[:, j])
-        if entering < -PIVOT_EPS:
-            self.current = self.sections[j // self.width]
-        return j, entering
+        at small scales), and its phase-1 reduced cost ``-y . A_j``."""
+        j, _ = _price(self.A[:-1], None, b[:-1], self.reduced[:self.A.shape[1]])
+        return j, -float(y @ self.A[:, j])
 
     def column(self, j):
         return self.A[:, j]
@@ -230,7 +178,7 @@ class _Sorted:
         self.reduced = None  # every column's, for Bland's rule; built on first use
 
     def price(self, y, bland):
-        """As :meth:`_Sections.price`: the sort's column (-1) or an
+        """As :meth:`_Whole.price`: the sort's column (-1) or an
         artificial by Dantzig's rule, or Bland's choice when ``bland``."""
         j, least = -1, _sort_price(self.values, self.classes.signed, y, self.entering)
         art, m = self.art, self.shape[1]
@@ -253,7 +201,7 @@ class _Sorted:
         return j, least
 
     def aligned(self, b, y):
-        """As :meth:`_Sections.aligned`: the sort's column ``[v; 1]``
+        """As :meth:`_Whole.aligned`: the sort's column ``[v; 1]``
         with ``v`` most aligned with ``b[:-1]`` (-1; the sort reads no
         last entry), and its phase-1 reduced cost."""
         _sort_price(self.values, self.classes.signed, b, self.entering)
@@ -277,20 +225,19 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf, pricing=No
     artificials alone: phase 1, which starts from the artificial basis
     and gives every real variable cost 0, passes those.
 
-    ``pricing`` prices the real columns (:class:`_Sections` of ``s.A``
+    ``pricing`` prices the real columns (:class:`_Whole` of ``s.A``
     by default, or ``s.A`` itself when it is :class:`_Sorted`); the
     artificials are priced at every pass.  Given ``aim``, the right-hand
     side ``b`` of a hull query, the first pass prices one column, the one
     ``pricing.aligned`` finds most aligned with it, and enters it if
     its reduced cost is below ``-PIVOT_EPS`` (a crash start: Bixby,
-    1992); otherwise, and at every later pass, of the columns priced the
-    most negative reduced cost enters (Dantzig's rule); ties in the
-    ratio test leave by lowest basic index.  After ``STALL_LIMIT``
-    pivots in a row that lower the objective by at most a relative
-    ``PIVOT_EPS``, every column is priced and the lowest-index negative
-    one enters (Bland's rule, which cannot cycle) until one lowers it
-    more, so no cycle of bases is endless; ``max_iter`` (against
-    roundoff), a non-finite reduced cost in a priced section and an
+    1992); otherwise, and at every later pass, the column of most
+    negative reduced cost enters (Dantzig's rule); ties in the ratio
+    test leave by lowest basic index.  After ``STALL_LIMIT`` pivots in a
+    row that lower the objective by at most a relative ``PIVOT_EPS``,
+    the lowest-index negative column enters (Bland's rule, which cannot
+    cycle) until one lowers it more, so no cycle of bases is endless;
+    ``max_iter`` (against roundoff), a non-finite reduced cost and an
     entering column with no admissible pivot raise: phase 1 is bounded
     below by 0, and a ray's ``t`` by the hull, so an unbounded direction
     is a solver failure.  Phase 1 is optimal, with no pass priced, as
@@ -306,7 +253,7 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf, pricing=No
     c_basic = cost[basis - lo]
     c_art = cost[p - lo:]
     if pricing is None:
-        pricing = s.A if isinstance(s.A, _Sorted) else _Sections(s.A, cost[:p - lo], ncols)
+        pricing = s.A if isinstance(s.A, _Sorted) else _Whole(s.A, cost[:p - lo], ncols)
     art = pricing.art
     value = float(c_basic @ x)
     stalled = 0
@@ -464,7 +411,7 @@ def _ray_maxima(A, b, columns, tol):
     shared = s.T.copy(), s.basis.copy(), s.B.copy()
     cost = np.zeros(p + 1 + k)
     cost[p] = -1.0
-    pricing = _Sections(s.A, cost[:p + 1], p + 1)  # one workspace for every ray
+    pricing = _Whole(s.A, cost[:p + 1], p + 1)  # one workspace for every ray
     bases = np.empty((len(columns), k), dtype=int)
     B = np.empty((len(columns), k, k))
     stopped = np.zeros(len(columns), dtype=bool)

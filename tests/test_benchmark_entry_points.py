@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ PIVOTS = Path(__file__).resolve().parents[1] / "bench" / "pivots.py"
 ENUM = Path(__file__).resolve().parents[1] / "bench" / "enum.py"
 LOC = Path(__file__).resolve().parents[1] / "bench" / "loc.py"
 VERDICTS = Path(__file__).resolve().parents[1] / "bench" / "verdicts.py"
+RAW_PRICING = Path(__file__).resolve().parents[1] / "bench" / "raw_pricing.py"
 
 PUBLIC_NAMES = [
     "DEFAULT_TOL", "ENUMERATION_CAP", "CrossPolytopeCertificate",
@@ -136,9 +138,10 @@ def test_pivot_bench_reports_hull_peak_bytes(monkeypatch):
     priced by sort, counted through ``simplex._sort_price``, and
     ``passes``, the mean pricing passes, counted through the pricings'
     ``price`` and ``aligned`` methods, all of which it restores.  Query
-    by query, every pass prices every column on the sets of one section,
-    and on the n = 8 listing, wider than ``PRICE_COLUMNS``, no column of
-    an LP matrix and one sort.  There is a pass per pivot and one more
+    by query, every pass prices every column on the sets explicitly
+    priced, and on the n = 8 listing, of more than
+    ``geometry._SORT_ABOVE`` rows, no column of an LP matrix and one
+    sort.  There is a pass per pivot and one more
     that finds the basis optimal, which only a member may skip, when
     its phase 1 ends at objective value 0 (:func:`_passes_hold`).  The
     aimed first pass is one of them; ``aimed``, the share of queries
@@ -149,7 +152,7 @@ def test_pivot_bench_reports_hull_peak_bytes(monkeypatch):
     hull = signpoly.geometry.hull_member_lp
     price, sort_price = signpoly.simplex._price, signpoly.simplex._sort_price
     methods = [(cls, name, getattr(cls, name))
-               for cls in (signpoly.simplex._Sections, signpoly.simplex._Sorted)
+               for cls in (signpoly.simplex._Whole, signpoly.simplex._Sorted)
                for name in ("price", "aligned")]
     kinds = pivots.hull_pivots(signpoly, workloads, 3)
     assert signpoly.geometry.hull_member_lp is hull
@@ -162,7 +165,7 @@ def test_pivot_bench_reports_hull_peak_bytes(monkeypatch):
         m = sizes[kind[len("hull_n")]]
         assert rec["failures"] == rec["wrong"] == 0
         assert rec["aimed"] == 1.0, kind
-        if m <= signpoly.simplex.PRICE_COLUMNS:
+        if m <= signpoly.geometry._SORT_ABOVE:
             assert 8 * m < rec["peak_bytes"], kind
             assert rec["sorts"] == 0, kind
         else:
@@ -176,11 +179,11 @@ def test_pivot_bench_reports_hull_peak_bytes(monkeypatch):
 def _passes_hold(pivots, call, m):
     """Asks one aimed hull query over ``m`` vertices and checks its
     passes: priced through ``simplex._price`` with every column each
-    pass up to ``PRICE_COLUMNS`` vertices, by one sort each pass above,
-    one pass per pivot and one more, which only a member whose phase 1
+    pass up to ``geometry._SORT_ABOVE`` vertices, by one sort each pass
+    above, one pass per pivot and one more, which only a member whose phase 1
     ends at objective value 0 skips, and the aimed vertex entered."""
     counter, (member, _) = pivots.count_pivots(signpoly, call)
-    if m <= signpoly.simplex.PRICE_COLUMNS:
+    if m <= signpoly.geometry._SORT_ABOVE:
         assert (counter.priced, counter.sorts) == (m * counter.passes, 0)
     else:
         assert (counter.priced, counter.sorts) == (0, counter.passes)
@@ -302,6 +305,27 @@ class A:
 a docstring"""
         return s + os.sep
 '''
+
+
+def test_raw_pricing_bench_answers_times_out_and_compares(monkeypatch):
+    """``bench/raw_pricing.py`` answers a raw hull query with its pivots,
+    counted through ``simplex._pivot``, which it restores; cuts a call
+    that outlasts its limit as ``timeout``; and compares two runs only
+    where both answered."""
+    bench = _load(monkeypatch, "bench_raw_pricing", RAW_PRICING)
+    V = enumerate_sign_perm_vertices([2.0, 1.0, 0.0]).array
+    raw = signpoly.VertexSet(V)
+    pivot = signpoly.simplex._pivot
+    (x,) = bench.probes(V, True, 1, 0)
+    rec = bench.ask(signpoly, lambda: signpoly.hull_member_lp(x, raw), 5.0)
+    assert rec["answer"] is True and rec["pivots"] > 0
+    assert bench.ask(signpoly, lambda: time.sleep(5.0), 0.05)["answer"] == "timeout"
+    assert signpoly.simplex._pivot is pivot
+    old = {"row": [{"answer": True}, {"answer": "timeout"}, {"answer": False}]}
+    new = {"row": [{"answer": False}, {"answer": True}, {"answer": "solver failed"}]}
+    assert bench.compare(old, new) == {"row": {"verdicts_differ": [0],
+                                               "answered_only_old": [2],
+                                               "answered_only_new": [1]}}
 
 
 def test_loc_counts_code_lines(tmp_path, monkeypatch, capsys):

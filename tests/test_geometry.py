@@ -31,7 +31,7 @@ from signpoly import (
     sign_perm_member,
 )
 from signpoly import _enum, simplex
-from signpoly.geometry import _witness_violation
+from signpoly.geometry import _SORT_ABOVE, _witness_violation
 from signpoly.simplex import feasible_nonneg
 
 
@@ -546,21 +546,18 @@ def test_hull_member_agrees_with_majorization():
         assert lp == rado_member(y, a)
 
 
-@pytest.mark.parametrize("width", [8, 64])
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(signed=st.booleans(),
        base=st.lists(st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0]), min_size=2,
                      max_size=6),
        kind=st.sampled_from(["mix", "scaled"]),
        seed=st.integers(0, 2**32 - 1),
        factor=st.floats(0.9, 1.1).filter(lambda f: abs(f - 1.0) >= 1e-6))
-def test_sectioned_pricing_agrees_with_majorization(width, signed, base, kind,
-                                                     seed, factor):
-    """Priced in sections of ``width`` columns, ``hull_member_lp`` gives
-    the majorization verdict on signed-permutation and permutation sets,
+def test_explicit_pricing_agrees_with_majorization(signed, base, kind, seed, factor):
+    """Priced whole at every pivot, ``hull_member_lp`` gives the
+    majorization verdict on signed-permutation and permutation sets,
     with a witness for every member.  The sets are raw copies of the
-    listings, which explicit pricing serves at every size (a listing
-    wider than ``width`` would be priced by sort).  The probes are
+    listings, which explicit pricing serves at every size.  The probes are
     Dirichlet mixes of up to 20 vertices and vertices scaled about the
     set's centroid by a factor at least 1e-6 away from 1, so none sits
     on the boundary."""
@@ -576,15 +573,13 @@ def test_sectioned_pricing_agrees_with_majorization(width, signed, base, kind,
                                                              replace=False)]
     else:
         x = centroid + factor * (V[rng.integers(len(V))] - centroid)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simplex, "PRICE_COLUMNS", width)
-        member, w = hull_member_lp(x, verts)
+    member, w = hull_member_lp(x, verts)
     assert member == (sign_perm_member(x, a) if signed else rado_member(x, a))
     if member:
         _assert_witness(w, verts, x)
 
 
-#: (signed, base) of n = 8 listings wider than PRICE_COLUMNS, so priced
+#: (signed, base) of n = 8 listings of more than _SORT_ABOVE rows, so priced
 #: by sort: signed sets of 26,880, 35,840 (ties, zeros, and entries
 #: snapped within ZERO_TOL) and 53,760 rows, and unsigned ones of 40,320
 #: (a zero) and 20,160 (a snapped tie) rows.
@@ -603,7 +598,7 @@ def _sort_priced(key):
     built once."""
     signed, base = key
     listed = (enumerate_sign_perm_vertices if signed else enumerate_perm_vertices)(base)
-    assert len(listed) > simplex.PRICE_COLUMNS
+    assert len(listed) > _SORT_ABOVE
     return listed, VertexSet(listed.array)
 
 
@@ -616,7 +611,7 @@ def test_sort_pricing_agrees_with_explicit_pricing(key, kind, seed, factor):
     """On n = 8 listings, sort pricing gives the verdict of explicit
     pricing over a raw copy and of majorization, every member with a
     witness over the listed rows, and builds no LP matrix.  The probes
-    are those of the sectioned-pricing test."""
+    are those of the explicit-pricing test."""
     signed, base = key
     listed, raw = _sort_priced(key)
     a = np.array(base)
@@ -730,13 +725,12 @@ def test_boundary_probe_pivot_count(monkeypatch, probe, bound, whole):
     """Boundary probes against the 26,880 signed permutations of
     OCTA_BASE: the right answer within the gates of 40 and 72 pivots,
     twice the tableau kernel's 20 and 36, whether the listed set is
-    priced by sort (10 and 1 pivots) or a raw copy of it in two
-    sections of ``PRICE_COLUMNS`` (9 and 1); pivot counts do not depend
-    on the machine.  The raw copy priced whole, in one section as wide
-    as the set, takes exactly the 10 and 1 of pricing every column at
-    every pivot after the aimed first one (33 and 58 with Dantzig's rule
-    from the first pivot on): the vertex is its own aimed column, and
-    entering it brings phase 1 to 0."""
+    priced by sort (10 and 1 pivots) or a raw copy of it explicitly;
+    pivot counts do not depend on the machine.  The raw copy, priced
+    whole at every pivot after the aimed first one, takes exactly 10
+    and 1 (33 and 58 with Dantzig's rule from the first pivot on): the
+    vertex is its own aimed column, and entering it brings phase 1 to
+    0."""
     listed = enumerate_sign_perm_vertices(OCTA_BASE)
     raw = VertexSet(listed.array)
     pivots = []
@@ -759,12 +753,7 @@ def test_boundary_probe_pivot_count(monkeypatch, probe, bound, whole):
         assert member
         _assert_witness(w, verts, probe)
     assert listed._lp is None
-    monkeypatch.setattr(simplex, "PRICE_COLUMNS", m)
-    pivots.clear()
-    member, w = hull_member_lp(probe, raw)
-    assert len(pivots) == whole
-    assert member
-    _assert_witness(w, raw, probe)
+    assert len(pivots) == whole  # the raw copy's, asked last
 
 
 #: Per near-vertex kind, the most and the total pivots of an aimed phase
@@ -815,7 +804,7 @@ def _unaimed_hull_member(x, verts, tol):
     no aim, and a cap of 5,000 pivots (an unsigned raw set scaled by
     2^30 can pivot on to the kernel's cap of about two million)."""
     V = verts.array
-    if verts._classes is not None and len(verts) > simplex.PRICE_COLUMNS:
+    if verts._classes is not None and len(verts) > _SORT_ABOVE:
         A = simplex._Sorted(V, verts._classes)
     else:
         A = verts._lp_matrix()
@@ -898,6 +887,56 @@ def test_unsigned_vertex_at_2_30_is_a_member(aimed):
     assert rado_member(x, 2.0**30 * np.arange(8.0))
     solve = hull_member_lp if aimed else _unaimed_hull_member
     assert solve(x, verts, 1e-9)[0]
+
+
+def test_unsigned_raw_mix_at_2_30_is_feasible_in_few_pivots(monkeypatch):
+    """``feasible_nonneg`` on the LP matrix of a raw copy of the
+    permutations of 2^30 (0, ..., 7) finds a Dirichlet mix of 20 of them
+    feasible in 10 pivots, priced whole.  Priced in sections of 16,384
+    columns it pivoted on for minutes (its cap is about two million), so
+    pivots past 20 raise here."""
+    V = enumerate_perm_vertices(2**30 * np.arange(8)).array
+    rng = np.random.default_rng(1)
+    x = rng.dirichlet(np.ones(20)) @ V[rng.choice(len(V), 20, replace=False)]
+    pivots = []
+    pivot = simplex._pivot
+
+    def bounded(*args):
+        pivots.append(1)
+        if len(pivots) > 20:
+            raise AssertionError("more than 20 pivots")
+        return pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", bounded)
+    feasible, _ = feasible_nonneg(VertexSet(V)._lp_matrix(), np.append(x, 1.0))
+    assert feasible
+
+
+def test_wide_raw_set_is_priced_whole(monkeypatch):
+    """A raw set of more than 2^14 rows is priced whole at every pass:
+    each pivot of an unaimed phase 1 over the 26,880 signed permutations
+    of OCTA_BASE enters the column of least reduced cost among all of
+    them and the artificials, recomputed here from the basis."""
+    V = enumerate_sign_perm_vertices(OCTA_BASE).array
+    m = len(V)
+    assert m > 2**14
+    A = VertexSet(V)._lp_matrix()
+    entered = []
+    pivot = simplex._pivot
+
+    def checked(s, i, j, *args):
+        y = (s.basis >= m) @ s.T[:, :-1]
+        reduced = np.concatenate([-(y @ A), 1.0 - s.sign * y])
+        entered.append((j, int(reduced.argmin())))
+        return pivot(s, i, j, *args)
+
+    monkeypatch.setattr(simplex, "_pivot", checked)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = rng.dirichlet(np.ones(20)) @ V[rng.choice(m, 20, replace=False)]
+        assert feasible_nonneg(A, np.append(x, 1.0))[0]
+    assert len(entered) > 3
+    assert all(j == least for j, least in entered), entered
 
 
 #: The bases of perfbench's ``hull`` sets, by length.

@@ -385,8 +385,7 @@ def test_positive_ratio_pivot_that_leaves_the_objective_counts_as_stalled(
     """From the basis {2, 3, 4} the first pivot has ratio 2e-12 >
     RATIO_EPS, but it changes the objective by 4e-23, which leaves the
     objective value 1 bit-identical; it counts toward STALL_LIMIT, so
-    with a limit of 1 Bland's rule picks the second entering column,
-    whether the five columns are priced whole or one per section."""
+    with a limit of 1 Bland's rule picks the second entering column."""
     A = np.array([[1.0, -1.0, 1.0, 0.0, 0.0],
                   [0.0, 1.0, 0.0, 1.0, 0.0],
                   [0.0, 0.0, 0.0, 0.0, 1.0]])
@@ -397,38 +396,31 @@ def test_positive_ratio_pivot_that_leaves_the_objective_counts_as_stalled(
     monkeypatch.setattr(simplex, "STALL_LIMIT", 1)
     monkeypatch.setattr(simplex, "_bland",
                         lambda reduced: calls.append(1) or bland(reduced))
-    for width in (simplex.PRICE_COLUMNS, 1):
-        monkeypatch.setattr(simplex, "PRICE_COLUMNS", width)
-        state = simplex._State(A, np.array([2e-12, 1.0, 1.0]))
-        state.basis[:] = [2, 3, 4]
-        calls.clear()
-        assert simplex._pivot_loop(state, cost, 5, 10, phase=2) == (2, "optimal")
-        assert list(state.basis) == [0, 1, 4]
-        assert calls == [1]
+    state = simplex._State(A, np.array([2e-12, 1.0, 1.0]))
+    state.basis[:] = [2, 3, 4]
+    assert simplex._pivot_loop(state, cost, 5, 10, phase=2) == (2, "optimal")
+    assert list(state.basis) == [0, 1, 4]
+    assert calls == [1]
 
 
 def test_non_finite_pricing_raises(monkeypatch):
     """A NaN in ``B^-1`` makes every reduced cost NaN, so no column
     prices below ``-PIVOT_EPS``; with Bland's rule due at once, that is
-    a solver failure, not an IndexError from an empty candidate list,
-    in the first section priced however wide the sections are."""
+    a solver failure, not an IndexError from an empty candidate list."""
     A = np.array([[1.0, 0.0, 1.0],
                   [0.0, 1.0, 1.0]])
     cost = np.array([0.0, 0.0, 0.0, 1.0, 1.0])
     monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
-    for width in (simplex.PRICE_COLUMNS, 1):
-        monkeypatch.setattr(simplex, "PRICE_COLUMNS", width)
-        state = simplex._State(A, np.array([1.0, 1.0]))
-        state.T[0, 0] = np.nan
-        with pytest.raises(SolverFailureError, match="non-finite"):
-            simplex._pivot_loop(state, cost, 5, 10, phase=1)
+    state = simplex._State(A, np.array([1.0, 1.0]))
+    state.T[0, 0] = np.nan
+    with pytest.raises(SolverFailureError, match="non-finite"):
+        simplex._pivot_loop(state, cost, 5, 10, phase=1)
 
 
 def test_bland_reads_every_reduced_cost(monkeypatch):
-    """Priced four columns a section, the reduced costs that Bland's
-    rule reads are ``cost - y [A | diag(sign)]`` over every real and
-    artificial column of the current basis, and phase 1 still answers as
-    the reference solver does."""
+    """The reduced costs that Bland's rule reads are ``cost - y [A |
+    diag(sign)]`` over every real and artificial column of the current
+    basis, and phase 1 still answers as the reference solver does."""
     A, b = _qutrit_ray_system(303, 12)
     k, p = A.shape
     state = simplex._State(A, b)
@@ -443,7 +435,6 @@ def test_bland_reads_every_reduced_cost(monkeypatch):
         seen.append(1)
         return bland(reduced)
 
-    monkeypatch.setattr(simplex, "PRICE_COLUMNS", 4)
     monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
     monkeypatch.setattr(simplex, "_bland", checking)
     simplex._pivot_loop(state, np.ones(k), p + k, 10**4, phase=1)
