@@ -1,7 +1,8 @@
 """Wall time and peak memory of the vertex enumerator on fixed inputs.
 
-Each case runs once in each of ``--procs`` fresh subprocesses, so every
-timing starts from a fresh heap and every peak RSS is the run's own.
+Each case runs once (or ``--repeat`` times) in each of ``--procs``
+fresh subprocesses, so every process starts from a fresh heap and every
+peak RSS is the run's own.
 ``--src`` picks the ``signpoly`` to measure, so the same command
 measures another checkout; ``--against`` measures a second one too,
 alternating processes between the two trees (the first process of a
@@ -43,6 +44,21 @@ cases likewise give the rows streamed and the states kept.  Cases:
 - ``generic_qutrit_bloch``: ``--target bloch`` on a qutrit with
   complex normal amplitudes from ``default_rng(0)``, whose 8 chart
   coordinates are distinct and nonzero (10,321,920 rows, 64 kept).
+
+``--repeat K`` runs a case K times in each process, the first time on
+the input above and then on fresh inputs of the same multiset shape:
+the vectors and amplitudes permuted, their signs flipped and, for
+complex amplitudes, a global phase applied (a vertex case's vector is
+also scaled by a factor in [0.5, 2]; the ``perfbench_bloch`` qutrit
+takes a new theta in [0.05, 0.15], as the workload draws it; the
+generic qutrit only a global phase).  Every listing must repeat the
+counts above; the case then reports the block descriptions built over
+the K listings (``described``: the blocks ``_enum._descriptions``
+yields, or every block in a tree without it) and the median wall time
+per listing in ``wall_s``, so a repeat shows what one process's
+repeated listings share::
+
+    python3 bench/enum.py --repeat 20 --case readme_w_type --against ../parent/src
 """
 
 from __future__ import annotations
@@ -69,37 +85,54 @@ CASES = ("perfbench_n9", "signed_n10", "unsigned_n10", "any_pure", "any_pure_sho
 W_TYPE_CASES = ("readme_w_type", "w_type_stream")
 
 
-def _case_call(sp, workloads, name: str):
+def _case_call(sp, workloads, name: str, rng=None):
     """The case's call; it returns ``(rows, kept)``, ``kept`` None for
-    a vertex listing or a library listing that keeps every row."""
+    a vertex listing or a library listing that keeps every row.  Given
+    ``rng``, the input is a fresh one of the same multiset shape."""
+    def fresh(v, signed=True, scale=False):
+        v = np.asarray(v)
+        if rng is None:
+            return v
+        v = rng.permutation(v)
+        if signed:
+            v = v * rng.choice([-1.0, 1.0], len(v))
+        if np.iscomplexobj(v):
+            v = v * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        return v * rng.uniform(0.5, 2.0) if scale else v
+
     if name == "perfbench_n9":
-        a = np.array(workloads.N9_BASE)
+        a = fresh(np.array(workloads.N9_BASE), scale=True)
         return lambda: (len(sp.geometry.enumerate_sign_perm_vertices(a)), None)
     if name == "signed_n10":
-        a = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 0.0, 0.0, 0.0])
+        a = fresh(np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 0.0, 0.0, 0.0]), scale=True)
         return lambda: (len(sp.geometry.enumerate_sign_perm_vertices(a)), None)
     if name == "unsigned_n10":
-        a = np.arange(1.0, 11.0)
+        a = fresh(np.arange(1.0, 11.0), signed=False, scale=True)
         return lambda: (len(sp.geometry.enumerate_perm_vertices(a)), None)
     if name.startswith("any_pure_show_"):
-        return _cli_call(sp, name.rsplit("_", 1)[1])
+        return _cli_call(sp, name.rsplit("_", 1)[1], fresh)
     kwargs = {"filter": "w-type"}
     cap = sp.geometry.ENUMERATION_CAP
     if name == "any_pure":
-        psi = sp.quantum.PureState.normalized([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0])[0]
+        psi = sp.quantum.PureState.normalized(
+            fresh([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0]))[0]
         kwargs = {}
     elif name == "readme_w_type":
         amps = [complex(re, im) for re, im in workloads.README_STATE]
-        psi = sp.quantum.PureState.normalized(amps)[0]
+        psi = sp.quantum.PureState.normalized(fresh(amps))[0]
     elif name == "w_type_stream":
-        psi = sp.quantum.PureState.normalized(np.arange(1.0, 9.0))[0]
+        psi = sp.quantum.PureState.normalized(fresh(np.arange(1.0, 9.0)))[0]
         cap = 11_000_000
     elif name == "perfbench_bloch":
-        psi = sp.quantum.PureState([np.cos(0.1), np.sin(0.1), 0.0])
+        theta = 0.1 if rng is None else rng.uniform(0.05, 0.15)
+        sign = 1.0 if rng is None else rng.choice([-1.0, 1.0])
+        psi = sp.quantum.PureState([np.cos(theta), sign * np.sin(theta), 0.0])
         kwargs = {"target": "bloch"}
     else:
-        rng = np.random.default_rng(0)
-        psi = sp.quantum.PureState.normalized(rng.normal(size=3) + 1j * rng.normal(size=3))[0]
+        parts = np.random.default_rng(0).normal(size=(2, 3))
+        amps = parts[0] + 1j * parts[1]
+        phase = 1.0 if rng is None else np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        psi = sp.quantum.PureState.normalized(phase * amps)[0]
         kwargs = {"target": "bloch"}
         cap = 11_000_000
 
@@ -109,10 +142,10 @@ def _case_call(sp, workloads, name: str):
     return call
 
 
-def _cli_call(sp, show: str):
-    """``signpoly enumerate FILE --show SHOW`` on ``[1..6,0,0]``, with
-    ``(total, retained)`` read from its structured report."""
-    amps = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0])
+def _cli_call(sp, show: str, fresh):
+    """``signpoly enumerate FILE --show SHOW`` on ``fresh([1..6,0,0])``,
+    with ``(total, retained)`` read from its structured report."""
+    amps = fresh(np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0, 0.0]))
     doc = {"schema": 1, "kind": "state", "dim": 8,
            "amplitudes": [[a, 0.0] for a in (amps / np.linalg.norm(amps)).tolist()]}
     path = Path(tempfile.mkdtemp()) / "state.json"
@@ -129,10 +162,11 @@ def _cli_call(sp, show: str):
     return call
 
 
-def run_case(src: Path, name: str) -> dict:
-    """Run one case once in this process and measure it.  ``sys.path``
-    and the counted names are restored on return, so a second call
-    counts afresh."""
+def run_case(src: Path, name: str, repeat: int = 1) -> dict:
+    """Run one case ``repeat`` times in this process, the first time on
+    its input and then on fresh inputs of the same shape, and measure
+    it.  ``sys.path`` and the counted names are restored on return, so
+    a second call counts afresh."""
     restore = [(sys, "path", sys.path)]
     sys.path = [str(src.resolve()), str(ROOT / "perfbench"), *sys.path]
     try:
@@ -140,9 +174,11 @@ def run_case(src: Path, name: str) -> dict:
         for sub in ("_enum", "cli", "geometry", "quantum"):
             importlib.import_module(f"signpoly.{sub}")
         workloads = importlib.import_module("workloads")
-        call = _case_call(sp, workloads, name)
+        calls = [_case_call(sp, workloads, name)]
+        calls += [_case_call(sp, workloads, name, np.random.default_rng(i))
+                  for i in range(1, repeat)]
 
-        blocks = 0
+        blocks = described = 0
         signed_arrangements = sp._enum.signed_arrangements
 
         def counted(*args, **kwargs):
@@ -150,6 +186,16 @@ def run_case(src: Path, name: str) -> dict:
             for block in signed_arrangements(*args, **kwargs):
                 blocks += 1
                 yield block
+
+        # Block descriptions built: the describer's blocks, or in a tree
+        # without one every block, each described afresh.
+        describer = getattr(sp._enum, "_descriptions", None)
+
+        def counted_descriptions(*args, **kwargs):
+            nonlocal described
+            for description in describer(*args, **kwargs):
+                described += 1
+                yield description
 
         evaluations = 0
         det_name = "_cayley" if hasattr(sp.quantum, "_cayley") else "_hyperdeterminant"
@@ -164,25 +210,38 @@ def run_case(src: Path, name: str) -> dict:
                     (sp.quantum, det_name, det)]
         sp._enum.signed_arrangements = counted
         setattr(sp.quantum, det_name, counted_det)
-        start = time.perf_counter()
-        rows, kept = call()
-        wall = time.perf_counter() - start
+        if describer is not None:
+            restore.append((sp._enum, "_descriptions", describer))
+            sp._enum._descriptions = counted_descriptions
+        walls, counts = [], []
+        for call in calls:
+            blocks = evaluations = 0
+            start = time.perf_counter()
+            rows, kept = call()
+            walls.append(time.perf_counter() - start)
+            counts.append((rows, kept, blocks, evaluations))
+        if describer is None:
+            described = sum(count[2] for count in counts)
     finally:
         for owner, attr, value in restore:
             setattr(owner, attr, value)
+    if any(count != counts[0] for count in counts):
+        raise RuntimeError(f"counts differ between listings of one shape: {counts}")
     result = {"rows": rows, "blocks": blocks}
     if kept is not None:
         result["kept"] = kept
     if name in W_TYPE_CASES:
         result["tangle_evals"] = evaluations
-    result["wall_s"] = wall
+    result["described"] = described
+    result["wall_s"] = float(np.median(walls))
     result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return result
 
 
-def _in_fresh_process(src: Path, name: str) -> dict:
+def _in_fresh_process(src: Path, name: str, repeat: int) -> dict:
     out = subprocess.run(
-        [sys.executable, __file__, "--src", str(src), "--in-process", name],
+        [sys.executable, __file__, "--src", str(src), "--repeat", str(repeat),
+         "--in-process", name],
         check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
@@ -213,20 +272,25 @@ def main(argv=None) -> int:
                         help="fresh processes per case and tree (default 5)")
     parser.add_argument("--case", action="append", choices=CASES,
                         help="run only this case (repeatable; default all)")
+    parser.add_argument("--repeat", type=int, default=1, metavar="K",
+                        help="listings per process, on fresh same-shape "
+                             "inputs after the first (default 1)")
     parser.add_argument("--in-process", choices=CASES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.in_process:
-        print(json.dumps(run_case(args.src, args.in_process)))
+        print(json.dumps(run_case(args.src, args.in_process, args.repeat)))
         return 0
     if args.procs < 1:
         parser.error("--procs must be at least 1")
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     trees = [args.src] + ([args.against] if args.against else [])
     results = {}
     for name in args.case or CASES:
         runs = {tree: [] for tree in trees}
         for i in range(args.procs):
             for tree in trees[::-1] if i % 2 else trees:
-                runs[tree].append(_in_fresh_process(tree, name))
+                runs[tree].append(_in_fresh_process(tree, name, args.repeat))
         if args.against:
             results[name] = {"src": _summary(runs[args.src]),
                              "against": _summary(runs[args.against])}
@@ -234,7 +298,8 @@ def main(argv=None) -> int:
             results[name] = _summary(runs[args.src])
     print(json.dumps({"src": str(args.src),
                       "against": None if args.against is None else str(args.against),
-                      "procs": args.procs, "cases": results}, indent=1))
+                      "procs": args.procs, "repeat": args.repeat, "cases": results},
+                     indent=1))
     return 0
 
 

@@ -21,6 +21,19 @@ block as a :class:`SignBlock`, described but not built, and
 :meth:`SignBlock.rows` is the one place a row is built, for a whole
 block or for a selection of its rows.
 
+A block's description (codes, zero patterns and sign table) depends
+only on the multiset's shape, never on its values.  A listing that fits
+in one block (at most ``BLOCK_ROWS`` rows and ``8 * BLOCK_ROWS``
+entries) takes it from an LRU cache of ``SHAPE_CACHE`` (8) shapes,
+keyed by ``(n_zero, counts, signed, float parts, BLOCK_ROWS)``, every
+array read-only, with a memo for what a filter derives from it
+(:meth:`SignBlock.derived`, whose function reads no values).  A cached
+shape holds one block's description and its memo, under 8 MiB in the
+worst case.  Repeated same-shape listings in one process gain; a
+one-shot ``signpoly`` process describes each shape once, as it always
+did, and neither gains nor loses.  Longer listings stream, described
+block by block, and keep nothing.
+
 :func:`listing` is the one place an enumeration's result is allocated:
 written in place, each row once, or joined from what a filter keeps.
 A filter takes a :class:`SignBlock` and returns the rows it keeps,
@@ -35,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -54,6 +67,10 @@ ZERO_TOL = 1e-12
 #: ``min(2^flips, BLOCK_ROWS)``, which must divide ``2^flips``, or rows
 #: repeat.
 BLOCK_ROWS = 1 << 15
+
+#: One-block descriptions :func:`signed_arrangements` keeps, the last
+#: ones used, one per multiset shape.
+SHAPE_CACHE = 8
 
 
 def _canonical_rep(v):
@@ -333,6 +350,15 @@ class SignBlock:
     +-1 per slot (zero slots read +1) repeated along a last axis over
     the float parts of a value.  Unsigned classes have no sign rows:
     ``table`` is None and an arrangement's values are its one row.
+
+    Everything but ``values`` is the description, which depends only on
+    the multiset's shape.  A one-block listing (at most ``BLOCK_ROWS``
+    rows and ``8 * BLOCK_ROWS`` entries) takes it from the LRU cache of
+    :func:`signed_arrangements`, ``SHAPE_CACHE`` shapes keyed by
+    ``(n_zero, counts, signed, float parts, BLOCK_ROWS)``: read-only,
+    shared by every listing of that shape in the process, and holding a
+    ``memo`` for :meth:`derived`, under 8 MiB per shape in all.  A
+    streamed block has its own description and no memo.
     """
 
     values: np.ndarray
@@ -340,6 +366,7 @@ class SignBlock:
     nonzero: np.ndarray | None = None
     pattern: np.ndarray | None = None
     table: np.ndarray | None = None
+    memo: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def step(self) -> int:
@@ -347,6 +374,22 @@ class SignBlock:
 
     def __len__(self) -> int:
         return len(self.codes) * self.step
+
+    def derived(self, fn):
+        """``fn(self)``, computed once per cached description and kept in
+        its memo (made read-only, if an array or a tuple of arrays), or
+        computed afresh on a streamed block.  ``fn`` must read the
+        description alone, never ``values``: every listing of the shape
+        shares what it returns."""
+        if self.memo is None:
+            return fn(self)
+        if fn not in self.memo:
+            value = fn(self)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.setflags(write=False)
+            self.memo[fn] = value
+        return self.memo[fn]
 
     def rows(self, select=None, out=None) -> np.ndarray:
         """The block's rows, or the rows at the ascending indices
@@ -388,16 +431,59 @@ def signed_arrangements(classes: SignClasses) -> Iterator[SignBlock]:
     block but the last holds ``BLOCK_ROWS`` rows: a chunk of whole
     arrangements sharing one +-1 sign table per zero pattern, or a slice
     of one arrangement's sign rows when it alone has more.
+
+    A block's description never reads a value.  A listing that fits in
+    one block, of at most ``BLOCK_ROWS`` rows and ``8 * BLOCK_ROWS``
+    entries, takes its description from an LRU cache of the last
+    ``SHAPE_CACHE`` shapes, keyed by ``(n_zero, counts, signed, float
+    parts, BLOCK_ROWS)``.  A cached shape holds one block's description,
+    whose sign table has at most as many floats as the block's rows,
+    plus its :meth:`SignBlock.derived` memo: under 8 MiB in the worst
+    case, and about 0.3 MB for the README state with its w-type memo.
+    Listings of one shape repeated in one process describe it once; a
+    one-shot ``signpoly`` process describes each shape once, as before.
+    Longer listings are described block by block as they stream, and
+    keep nothing.
     """
     values = np.array([0.0] + classes.reps)  # complex if any rep is
-    flips = classes.flips
-    per_chunk = max(1, BLOCK_ROWS >> flips)
-    step = min(1 << flips, BLOCK_ROWS)
-    parts = values.view(float).size // len(values)
+    shape = (classes.n_zero, tuple(classes.counts), classes.signed,
+             values.view(float).size // len(values), BLOCK_ROWS)
+    count = count_signed_arrangements(classes)
+    if count <= BLOCK_ROWS and count * (classes.n_zero + sum(classes.counts)) <= 8 * BLOCK_ROWS:
+        *description, memo = _shape_description(*shape)
+        yield SignBlock(values, *description, memo=memo)
+        return
+    for description in _descriptions(*shape):
+        yield SignBlock(values, *description)
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE)
+def _shape_description(n_zero: int, counts: tuple, signed: bool, parts: int,
+                       block_rows: int) -> tuple:
+    """The one block description of a shape that fits in one block, its
+    arrays read-only, and an empty memo for :meth:`SignBlock.derived`."""
+    (codes, *rest), = _descriptions(n_zero, counts, signed, parts, block_rows)
+    # A copy: the chunk may be a view of a wider array of prefixes.
+    description = (codes.copy(), *rest)
+    for array in description:
+        if array is not None:
+            array.setflags(write=False)
+    return (*description, {})
+
+
+def _descriptions(n_zero: int, counts: tuple, signed: bool, parts: int,
+                  block_rows: int) -> Iterator[tuple]:
+    """The ``(codes, nonzero, pattern, table)`` of each block of
+    :func:`signed_arrangements`, for ``n_zero`` zeros and classes of
+    these ``counts``, each value of ``parts`` floats, in blocks of
+    ``block_rows`` rows; no value is read."""
+    flips = sum(counts) if signed else 0
+    per_chunk = max(1, block_rows >> flips)
+    step = min(1 << flips, block_rows)
     bits = np.arange(flips)[::-1]
-    for codes in distinct_permutations([classes.n_zero, *classes.counts], per_chunk):
-        if not classes.signed:
-            yield SignBlock(values, codes)
+    for codes in distinct_permutations([n_zero, *counts], per_chunk):
+        if not signed:
+            yield codes, None, None, None
             continue
         nonzero, pattern = _zero_patterns(codes != 0)
         # Row r of ``signs`` flips nonzero slot j when bit (flips-1-j) of
@@ -409,7 +495,7 @@ def signed_arrangements(classes: SignClasses) -> Iterator[SignBlock]:
             signs[:, :flips] -= 2 * (np.arange(lo, lo + step)[:, None] >> bits & 1)
             table = np.empty((len(nonzero), step, codes.shape[1], parts))
             table[...] = signs[:, slot].transpose(1, 0, 2)[..., None]
-            yield SignBlock(values, codes, nonzero, pattern, table)
+            yield codes, nonzero, pattern, table
 
 
 def _zero_patterns(hot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -45,11 +45,13 @@ from .errors import (
 )
 from .geometry import (
     ENUMERATION_CAP,
+    VertexSet,
     _exp,
     _log_ball_volume,
     _log_cross_polytope_volume,
     ball_volume,
     cross_polytope_volume,
+    hull_member_lp,
     insphere_radius,
 )
 from .majorization import DEFAULT_TOL
@@ -59,6 +61,7 @@ from .quantum import (
     hs_distance,
     pure_from_density,
     three_tangle,
+    to_coords,
 )
 from .stateio import _as_density, _pairs, load_decomposition, load_state
 
@@ -68,6 +71,10 @@ EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE = 3
 
 CAP_ENV_VAR = "SIGNPOLY_CAP"
+
+#: Dirichlet concentration of the near-vertex probes of ``construct
+#: --verify-probes``: most of a probe's weight falls on one vertex.
+_NEAR_VERTEX = 0.05
 
 
 def _short(tol: float) -> str:
@@ -120,8 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest cross-polytope inside a convex decomposition")
     p.add_argument("file", help="decomposition document (JSON)")
     p.add_argument("--verify-probes", type=int, default=0, metavar="N",
-                   help="spot-check N random interior points of the result "
-                        "for membership (uses --seed)")
+                   help="check N random points of the result, half of them "
+                        "near its vertices, against the members' hull by the "
+                        "LP route (uses --seed)")
 
     p = sub.add_parser("check", parents=[common],
                        help="membership of a probe state in a cross-polytope")
@@ -280,12 +288,17 @@ def cmd_construct(args) -> tuple[dict, int]:
         "binding_sign": poly.certificate.binding_sign,
     }
     if args.verify_probes > 0 and not poly.degenerate:
+        # Each probe, a random mix of the result's vertices, is asked of
+        # the members' hull by the explicit LP, independent of the ray
+        # LPs; every other probe sits near one vertex, where the binding
+        # facet is.  A probe outside is reported, not an exit code.
         rng = np.random.default_rng(args.seed)
         verts = spec.vertices().array
+        hull = VertexSet(to_coords(decomposition.members))
         hits = 0
-        for _ in range(args.verify_probes):
-            w = rng.dirichlet(np.ones(len(verts)))
-            hits += int(_in_cross_polytope(w @ verts - spec.center, alpha, args.tol))
+        for i in range(args.verify_probes):
+            w = rng.dirichlet(np.full(len(verts), _NEAR_VERTEX if i % 2 else 1.0))
+            hits += int(hull_member_lp(w @ verts, hull, args.tol)[0])
         report["probes_checked"] = args.verify_probes
         report["probes_inside"] = hits
         if args.seed is not None:

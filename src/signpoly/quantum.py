@@ -476,7 +476,9 @@ def _class_tangles(block: _enum.SignBlock) -> tuple[np.ndarray, ...]:
     its factors negate).  So a sign row's class is its negated pairs
     with zero pairs dropped and each term's first other pair made
     positive, and ``Det`` is computed once per arrangement and class:
-    at most 16 classes for any number of sign rows.
+    at most 16 classes for any number of sign rows.  The classes read
+    no amplitude (:func:`_tangle_classes`), so a cached block derives
+    them once for every listing of its shape.
 
     Returns ``tau``, the tangle of each arrangement and class, arranged
     arrangement by arrangement; ``size``, the block rows each stands
@@ -486,6 +488,19 @@ def _class_tangles(block: _enum.SignBlock) -> tuple[np.ndarray, ...]:
     block has the tangle ``tau[offset[a] + local[block.pattern[a], r]]``,
     bit for bit the one computed from the row.
     """
+    size, offset, local, at = block.derived(_tangle_classes)
+    # Products of two class values, then their negations.
+    products = block.values[:, None] * block.values
+    products = np.concatenate((products, -products)).ravel()
+    tau = 4.0 * np.abs(_cayley(products.take(at)))
+    return tau, size, offset, local
+
+
+def _tangle_classes(block: _enum.SignBlock) -> tuple[np.ndarray, ...]:
+    """The value-free part of :func:`_class_tangles`: its ``size``,
+    ``offset`` and ``local``, and ``at``, the index of each of the eight
+    pair products of each determinant in the class values' products
+    followed by their negations (a ``(2, m, m)`` array, flattened)."""
     first, second = _PAIRS
     live = np.packbits(block.nonzero[:, first] & block.nonzero[:, second],
                        axis=1, bitorder="little")
@@ -506,15 +521,13 @@ def _class_tangles(block: _enum.SignBlock) -> tuple[np.ndarray, ...]:
     offset = np.cumsum(classes) - classes
     owner = np.repeat(np.arange(len(classes)), classes)
     pair_class = np.arange(len(owner)) - offset[owner] + start[block.pattern[owner]]
-    # Products of two class values, then their negations.
-    m = len(block.values)
-    products = block.values[:, None] * block.values
-    products = np.concatenate((products, -products)).ravel()
+    # Every nonzero class occurs in every arrangement, so the largest
+    # code is the last of the m class values (zero's is code 0).
     codes = block.codes.astype(np.intp)
+    m = int(codes.max()) + 1
     at = (codes[:, first] * m + codes[:, second])[owner]
     at += m * m * (keys[pair_class, None] >> np.arange(8) & 1)
-    tau = 4.0 * np.abs(_cayley(products.take(at.T)))
-    return tau, size[pair_class], offset, local
+    return size[pair_class], offset, local, np.ascontiguousarray(at.T)
 
 
 def _pure_chart_states(coords: np.ndarray, tol: float) -> np.ndarray:

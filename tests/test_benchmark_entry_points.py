@@ -263,6 +263,30 @@ def test_enum_bench_summary(monkeypatch):
         bench._summary(runs + [{**runs[0], "blocks": 2}])
 
 
+def test_enum_bench_repeat(monkeypatch, capsys):
+    """``bench/enum.py --repeat K`` lists a case K times in one process,
+    on fresh inputs of one shape: every listing repeats the counts, the
+    README shape is described once for all four w-type listings, and a
+    streamed listing describes each of its blocks every time."""
+    bench = _load(monkeypatch, "bench_enum", ENUM)
+    workloads = _load(monkeypatch, "workloads", PERFBENCH / "workloads.py")
+    src = Path(signpoly.__file__).parents[1]
+    fresh = [bench._case_call(signpoly, workloads, "readme_w_type", np.random.default_rng(i))
+             for i in (1, 2)]
+    assert fresh[0]() == fresh[1]() == (26880, 5376)
+    signpoly._enum._shape_description.cache_clear()
+    result = bench.run_case(src, "readme_w_type", repeat=4)
+    assert {key: result[key] for key in ("rows", "kept", "blocks", "tangle_evals", "described")} \
+        == {"rows": 26880, "kept": 5376, "blocks": 1, "tangle_evals": 1920, "described": 1}
+    monkeypatch.setattr(signpoly._enum, "BLOCK_ROWS", 1 << 10)
+    result = bench.run_case(src, "perfbench_bloch", repeat=2)
+    assert (result["rows"], result["kept"], result["blocks"], result["described"]) \
+        == (2688, 24, 3, 6)
+    with pytest.raises(SystemExit):
+        bench.main(["--repeat", "0"])
+    assert "--repeat must be at least 1" in capsys.readouterr().err
+
+
 def test_verdict_counter_counts_the_check_and_hull_blocks(monkeypatch):
     """``bench/verdicts.py`` counts by rebinding names in
     ``majorization`` (and stubbing ``hull_member_lp``), which it

@@ -520,7 +520,8 @@ def test_construct_rejects_nan_weight(tmp_path, capsys):
 def test_construct_with_an_invalid_vertex_counts_none(monkeypatch, capsys,
                                                      octahedral_file):
     """Vertex states are validated all or nothing: with one vertex past
-    the Bloch sphere the report counts 0 of 6 valid."""
+    the Bloch sphere the report counts 0 of 6 valid.  The probes of the
+    moved spec are asked of the members' hull, so some fall outside."""
     import signpoly.cli
     solve = signpoly.cli.max_inscribed_cross_polytope
 
@@ -530,9 +531,36 @@ def test_construct_with_an_invalid_vertex_counts_none(monkeypatch, capsys,
             poly, spec=CrossPolytopeSpec(0.5, [-0.3, 0.0, 0.0]))
 
     monkeypatch.setattr(signpoly.cli, "max_inscribed_cross_polytope", moved)
-    assert main(["construct", octahedral_file, "--format", "structured"]) == 0
+    assert main(["construct", octahedral_file, "--verify-probes", "20",
+                 "--format", "structured"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["vertex_states_valid"], doc["vertex_states_total"]) == (0, 6)
+    assert doc["probes_inside"] < doc["probes_checked"] == 20
+
+
+@pytest.mark.parametrize("scale", [0.42, 5.0])
+def test_verify_probes_catch_a_spec_too_large(monkeypatch, capsys, octahedral_file,
+                                              scale):
+    """Probes are checked against the members' hull, not against the
+    spec they are drawn from: a spec 5% past the true scale 0.4 loses
+    most of its near-vertex probes (every other one) and keeps the
+    rest; one at scale 5 keeps none.  The exit code stays 0."""
+    import signpoly.cli
+    solve = signpoly.cli.max_inscribed_cross_polytope
+
+    def grown(*args, **kwargs):
+        poly = solve(*args, **kwargs)
+        return dataclasses.replace(poly, spec=CrossPolytopeSpec(scale, poly.spec.center))
+
+    monkeypatch.setattr(signpoly.cli, "max_inscribed_cross_polytope", grown)
+    assert main(["construct", octahedral_file, "--verify-probes", "40", "--seed", "3",
+                 "--format", "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    inside = doc["probes_inside"]
+    if scale == 5.0:
+        assert inside == 0
+    else:
+        assert 20 <= inside < 40
 
 
 def test_construct_degenerate(tmp_path, capsys):

@@ -32,6 +32,7 @@ from signpoly import (
 )
 from signpoly import _enum, simplex
 from signpoly.geometry import _SORT_ABOVE, _witness_violation
+from signpoly.quantum import _tangle_classes
 from signpoly.simplex import feasible_nonneg
 
 
@@ -397,6 +398,127 @@ def test_block_rows_is_a_power_of_two():
     # Sign rows are walked in steps of min(2^flips, BLOCK_ROWS), which
     # must divide 2^flips.
     assert bin(_enum.BLOCK_ROWS).count("1") == 1
+
+
+# ---------------------------------------------------------------- shape cache
+
+#: Listings of each kind for the shape cache: real, complex, unsigned,
+#: all-zero and tied (equal up to sign, and a near-tie), and two of at
+#: most four rows, which fit one block at ``BLOCK_ROWS`` = 4 too.
+_SHAPE_INPUTS = {
+    "real": ([3.0, -1.0, 0.0, 2.0], True),
+    "complex": ([1j, 0.5 - 0.5j, 0.0, 2.0], True),
+    "unsigned": ([3.0, 1.0, 2.0, 1.0], False),
+    "all_zero": ([0.0, -0.0, 0.0], True),
+    "tied": ([2.0, -2.0, 1.0, 0.0, 1.0 + 1e-13], True),
+    "four_rows": ([0.0, -1.5], True),
+    "four_rows_complex": ([0.5 - 0.5j, 0.0], True),
+}
+
+
+def _same_shape(kind: str, k: int) -> tuple[np.ndarray, bool]:
+    """The input ``kind`` reversed and scaled by ``k + 1``: new values of
+    the same multiset shape, with the classes in the same order."""
+    values, signed = _SHAPE_INPUTS[kind]
+    return (k + 1.0) * np.array(values)[::-1], signed
+
+
+def _resident_bytes(block) -> int:
+    """The bytes a cached block's description and memo hold."""
+    arrays = [block.codes, block.nonzero, block.pattern, block.table]
+    for value in block.memo.values():
+        arrays += value if isinstance(value, tuple) else [value]
+    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
+
+@pytest.mark.parametrize("kind", sorted(_SHAPE_INPUTS))
+def test_same_shape_listings_share_one_read_only_description(kind):
+    first, second = (next(_enum.signed_arrangements(_enum.sign_classes(*_same_shape(kind, k))))
+                     for k in (0, 1))
+    assert second.codes is first.codes and second.table is first.table
+    assert second.memo is first.memo is not None
+    described = [a for a in (first.codes, first.nonzero, first.pattern, first.table)
+                 if a is not None]
+    for array in described:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
+
+
+@pytest.mark.parametrize("block_rows", [None, 4])
+@pytest.mark.parametrize("kind", sorted(_SHAPE_INPUTS))
+def test_warm_listings_match_cold_ones_byte_for_byte(kind, block_rows, monkeypatch):
+    """Listings from a warm cache give the rows of listings after
+    ``cache_clear()``, byte for byte, and the enumerator's order.  The
+    cache is warmed at the default block size before ``BLOCK_ROWS``
+    changes, so a description is served only at the size it was built
+    for: no block may outgrow ``BLOCK_ROWS``."""
+    inputs = [_same_shape(kind, k) for k in range(3)]
+    for values, signed in inputs:
+        _enum.listing(_enum.sign_classes(values, signed))
+    if block_rows is not None:
+        monkeypatch.setattr(_enum, "BLOCK_ROWS", block_rows)
+
+    def listed(values, signed):
+        classes = _enum.sign_classes(values, signed)
+        blocks = [block.rows() for block in _enum.signed_arrangements(classes)]
+        assert all(len(b) <= _enum.BLOCK_ROWS for b in blocks)
+        rows, count, retained = _enum.listing(classes, limit=3)
+        return np.concatenate(blocks).tobytes(), rows.tobytes(), count, retained
+
+    warm = [listed(*given) for given in inputs]
+    cold = []
+    for given in inputs:
+        _enum._shape_description.cache_clear()
+        cold.append(listed(*given))
+    assert warm == cold
+    for (values, signed), (got, *_) in zip(inputs, warm):
+        assert got == _itertools_rows(_enum.sign_classes(values, signed)).tobytes()
+
+
+def test_streamed_listings_keep_nothing(monkeypatch):
+    """A listing of more than ``BLOCK_ROWS`` rows, or of one block of
+    more than ``8 * BLOCK_ROWS`` entries, is described block by block:
+    the cache is neither read nor grown, and no block has a memo."""
+    before = _enum._shape_description.cache_info()
+    wide = _enum.sign_classes([1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 0.0])  # 80,640 rows
+    assert _enum.count_signed_arrangements(wide) > _enum.BLOCK_ROWS
+    assert all(block.memo is None for block in _enum.signed_arrangements(wide))
+    monkeypatch.setattr(_enum, "BLOCK_ROWS", 4)
+    long_row = _enum.sign_classes(np.zeros(33))  # one row of 33 > 32 entries
+    (block,) = _enum.signed_arrangements(long_row)
+    assert block.memo is None
+    assert _enum._shape_description.cache_info() == before
+
+
+def test_shape_cache_residency_is_bounded():
+    """The cache holds the last ``SHAPE_CACHE`` shapes.  Each keeps one
+    block's description, whose sign table has no more floats than the
+    block's rows, plus its memo: at most twice the built rows and under
+    8 MiB, and about 0.3 MB, a tenth of its rows, for the w-type
+    README state."""
+    _enum._shape_description.cache_clear()
+    for k in range(1, _enum.SHAPE_CACHE + 3):
+        _enum.listing(_enum.sign_classes(np.zeros(k)))
+    assert _enum._shape_description.cache_info().currsize == _enum.SHAPE_CACHE
+    readme = np.zeros(8, dtype=complex)
+    readme[[0, 2, 5, 7]] = [0.758j, 0.809 - 0.588j, 0.809 + 0.588j, 0.242]
+    psi = PureState.normalized(readme)[0]
+    enumerate_pure_sign_perms(psi, filter="w-type")
+    # 12 complex entries, 8 of them zero: 7,920 rows, 95,040 entries; and 5,040
+    # unsigned rows of 7 entries.
+    inputs = [(psi.amplitudes, True), (np.r_[np.zeros(8), np.full(4, 1j)], True),
+              (np.arange(7.0), False)]
+    for values, signed in inputs:
+        (block,) = _enum.signed_arrangements(_enum.sign_classes(values, signed))
+        assert block.memo is not None
+        rows = block.rows()
+        if block.table is not None:
+            assert block.table.nbytes <= rows.nbytes
+        assert _resident_bytes(block) <= min(2 * rows.nbytes, 8 << 20)
+        if values is psi.amplitudes:
+            assert _tangle_classes in block.memo
+            assert _resident_bytes(block) <= rows.nbytes // 10
+    assert _enum._shape_description.cache_info().currsize == _enum.SHAPE_CACHE
 
 
 #: The ``enumerate`` workload's n=9 base vector (483,840 signed

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -23,7 +24,7 @@ from signpoly import (
     traceless_hermitian_basis,
     validate_state,
 )
-from signpoly import _enum
+from signpoly import _enum, quantum
 from signpoly.quantum import (
     _PAIRS,
     _cayley,
@@ -32,6 +33,7 @@ from signpoly.quantum import (
     _low_tangle,
     _phase_fixed,
     _pure_chart_states,
+    _tangle_classes,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -500,6 +502,46 @@ def test_class_tangles_match_the_rows_byte_for_byte(amps, real, block_rows, data
         kept, low = _low_tangle(block, len(block), tol)
         assert kept == len(low)
         assert low.tobytes() == rows[want <= tol].tobytes()
+
+
+def test_w_type_memo_matches_a_fresh_computation(monkeypatch):
+    """A w-type listing derives its sign classes once per shape.  Three
+    signed permutations and phases of the README state reuse the first
+    one's classes, and a state of another shape derives its own; each
+    reused description gives ``_class_tangles`` bit for bit what a
+    fresh, unmemoized block gives, the listing keeps the same rows in
+    the same order as one after ``cache_clear()``, and every README
+    listing still evaluates 1,920 determinants."""
+    readme = np.zeros(8, dtype=complex)
+    readme[[0, 2, 5, 7]] = [0.758j, 0.809 - 0.588j, 0.809 + 0.588j, 0.242]
+    rng = np.random.default_rng(7)
+    states = [readme[rng.permutation(8)] * rng.choice([-1.0, 1.0], 8)
+              * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) for _ in range(3)]
+    states = [PureState.normalized(amps)[0]
+              for amps in [readme, *states, [0.5, -1.0, 2.0j, 0.0, 0.0, 0.0, 0.5, 0.0]]]
+    evaluations = []
+    cayley = quantum._cayley
+    monkeypatch.setattr(quantum, "_cayley",
+                        lambda p: evaluations.append(p.shape[-1]) or cayley(p))
+    _enum._shape_description.cache_clear()
+    memos = []
+    for psi in states:
+        (block,) = _enum.signed_arrangements(_enum.sign_classes(psi.amplitudes))
+        memos.append(block.memo)
+        fresh = dataclasses.replace(block, memo=None)
+        for got, want in zip(_class_tangles(block), _class_tangles(fresh), strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert all(not a.flags.writeable for a in block.memo[_tangle_classes])
+    assert all(memo is memos[0] for memo in memos[:4]) and memos[4] is not memos[0]
+    evaluations.clear()
+    warm = [enumerate_pure_sign_perms(psi, filter="w-type") for psi in states]
+    assert evaluations[:4] == [1920] * 4
+    for psi, got in zip(states, warm):
+        _enum._shape_description.cache_clear()
+        want = enumerate_pure_sign_perms(psi, filter="w-type")
+        assert (got.total, got.retained) == (want.total, want.retained)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    assert [(res.total, res.retained) for res in warm[:4]] == [(26880, 5376)] * 4
 
 
 def _limit_cases():
