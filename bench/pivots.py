@@ -52,17 +52,13 @@ traced bytes do not depend on the clock.  ``--stall-limit``
 overrides ``simplex.STALL_LIMIT``, the run of pivots that leave the
 objective unchanged after which Bland's rule takes over, for a sweep
 of that constant.  The columns priced are counted through
-``simplex._price``, whose first argument is the matrix priced (a
-section, whose second entry is that matrix, in checkouts that price in
-sections); a checkout without it prices every real column once per
-pass, so there they are counted as the columns times the passes each
-pivot loop returns.  Sort pricings are counted through
-``simplex._sort_price``, and read 0 on a checkout without it.  The
-aimed first pass prices through one of those two as well.  Passes are
-counted through the ``price`` and ``aligned`` methods of
-``simplex._Whole`` (``_Sections`` in older checkouts) and
-``simplex._Sorted``, and aimed entries through ``aligned``; each reads
-0 on a checkout without the methods.
+``simplex._price``, whose first argument is the matrix priced, and sort
+pricings through ``simplex._sort_price``; the aimed first pass prices
+through one of those two as well.  Passes are counted through the
+``least`` and ``aligned`` methods of ``simplex._Whole`` and
+``simplex._Sorted`` (``price``, not ``least``, in checkouts whose
+sources write their own Bland's rule), and an aimed entry is a pass
+through ``aligned`` followed by a pivot with no other pass between.
 """
 
 from __future__ import annotations
@@ -105,6 +101,7 @@ class PivotCounter:
         self.passes = 0
         self.objective = None
         self.aimed = 0
+        self._aiming = False  # a pass through aligned, not yet followed
         self._where = ["drive_out"]
 
     def _inside(self, kind, fn, *args, **kwargs):
@@ -129,43 +126,40 @@ class PivotCounter:
 
         def counted_pivot(*args):
             self.counts[self._where[-1]] += 1
+            self.aimed += self._aiming
+            self._aiming = False
             return pivot(*args)
 
         def counted_phase1(*args, **kwargs):
             self.phase1_solves += 1
             return self._inside("phase1", phase1, *args, **kwargs)
 
-        self._price = price = getattr(simplex, "_price", None)
+        self._price = price = simplex._price
 
         def counted_price(A, *args):
-            columns = A[1] if isinstance(A, tuple) else A  # a section's columns
-            self.priced += columns.shape[1]
+            self.priced += A.shape[1]
             return price(A, *args)
 
-        self._sort_price = sort_price = getattr(simplex, "_sort_price", None)
+        self._sort_price = sort_price = simplex._sort_price
 
         def counted_sort_price(*args):
             self.sorts += 1
             return sort_price(*args)
 
-        classes = [getattr(simplex, name, None) for name in ("_Whole", "_Sections", "_Sorted")]
-        self._methods = {(cls, name): getattr(cls, name) for cls in classes
-                         for name in ("price", "aligned") if hasattr(cls, name)}
+        self._methods = {(cls, name): getattr(cls, name)
+                         for cls in (simplex._Whole, simplex._Sorted)
+                         for name in ("least", "price", "aligned") if hasattr(cls, name)}
 
         def counting(name, method):
             def counted(pricing, *args):
                 self.passes += 1
-                j, entering = method(pricing, *args)
-                if name == "aligned":
-                    self.aimed += entering < -simplex.PIVOT_EPS
-                return j, entering
+                self._aiming = name == "aligned"
+                return method(pricing, *args)
             return counted
 
         def counted_loop(state, *args, phase, **kwargs):
             iterations, outcome = self._inside(f"phase{phase}", loop, state, *args,
                                                phase=phase, **kwargs)
-            if price is None:  # every real column, once per pass
-                self.priced += (iterations + 1) * state.A.shape[1]
             if phase == 1:  # the sum of the basic artificials
                 self.objective = float(state.T[:, -1] @ (state.basis >= state.A.shape[1]))
             return iterations, outcome
@@ -173,10 +167,8 @@ class PivotCounter:
         simplex._pivot = counted_pivot
         simplex._phase1 = counted_phase1
         simplex._pivot_loop = counted_loop
-        if price is not None:
-            simplex._price = counted_price
-        if sort_price is not None:
-            simplex._sort_price = counted_sort_price
+        simplex._price = counted_price
+        simplex._sort_price = counted_sort_price
         for (cls, name), method in self._methods.items():
             setattr(cls, name, counting(name, method))
         linalg.inv = counted_inv
@@ -185,10 +177,7 @@ class PivotCounter:
     def __exit__(self, *exc):
         simplex = self.simplex
         simplex._pivot, simplex._phase1, simplex._pivot_loop = self._saved
-        if self._price is not None:
-            simplex._price = self._price
-        if self._sort_price is not None:
-            simplex._sort_price = self._sort_price
+        simplex._price, simplex._sort_price = self._price, self._sort_price
         for (cls, name), method in self._methods.items():
             setattr(cls, name, method)
         simplex.np.linalg.inv = self._inv

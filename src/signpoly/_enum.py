@@ -22,17 +22,9 @@ block as a :class:`SignBlock`, described but not built, and
 block or for a selection of its rows.
 
 A block's description (codes, zero patterns and sign table) depends
-only on the multiset's shape, never on its values.  A listing that fits
-in one block (at most ``BLOCK_ROWS`` rows and ``8 * BLOCK_ROWS``
-entries) takes it from an LRU cache of ``SHAPE_CACHE`` (8) shapes,
-keyed by ``(n_zero, counts, signed, float parts, BLOCK_ROWS)``, every
-array read-only, with a memo for what a filter derives from it
-(:meth:`SignBlock.derived`, whose function reads no values).  A cached
-shape holds one block's description and its memo, under 8 MiB in the
-worst case.  Repeated same-shape listings in one process gain; a
-one-shot ``signpoly`` process describes each shape once, as it always
-did, and neither gains nor loses.  Longer listings stream, described
-block by block, and keep nothing.
+only on the multiset's shape, never on its values; a listing that fits
+in one block takes it from a cache of shapes, described at
+:func:`signed_arrangements`.
 
 :func:`listing` is the one place an enumeration's result is allocated:
 written in place, each row once, or joined from what a filter keeps.
@@ -352,13 +344,10 @@ class SignBlock:
     ``table`` is None and an arrangement's values are its one row.
 
     Everything but ``values`` is the description, which depends only on
-    the multiset's shape.  A one-block listing (at most ``BLOCK_ROWS``
-    rows and ``8 * BLOCK_ROWS`` entries) takes it from the LRU cache of
-    :func:`signed_arrangements`, ``SHAPE_CACHE`` shapes keyed by
-    ``(n_zero, counts, signed, float parts, BLOCK_ROWS)``: read-only,
-    shared by every listing of that shape in the process, and holding a
-    ``memo`` for :meth:`derived`, under 8 MiB per shape in all.  A
-    streamed block has its own description and no memo.
+    the multiset's shape.  A one-block listing shares a cached one,
+    read-only and with a ``memo`` for :meth:`derived` (see
+    :func:`signed_arrangements`); a streamed block has its own
+    description and no memo.
     """
 
     values: np.ndarray
@@ -436,10 +425,14 @@ def signed_arrangements(classes: SignClasses) -> Iterator[SignBlock]:
     one block, of at most ``BLOCK_ROWS`` rows and ``8 * BLOCK_ROWS``
     entries, takes its description from an LRU cache of the last
     ``SHAPE_CACHE`` shapes, keyed by ``(n_zero, counts, signed, float
-    parts, BLOCK_ROWS)``.  A cached shape holds one block's description,
-    whose sign table has at most as many floats as the block's rows,
-    plus its :meth:`SignBlock.derived` memo: under 8 MiB in the worst
-    case, and about 0.3 MB for the README state with its w-type memo.
+    parts)``, every array read-only.  The key holds no block size: such
+    a description is one chunk of every arrangement, each with all its
+    ``2^flips`` sign rows, whatever ``BLOCK_ROWS`` is.  A cached shape
+    holds one block's description, whose sign table has at most as many
+    floats as the block's rows, plus its :meth:`SignBlock.derived` memo,
+    for what a filter derives from the description alone: under 8 MiB in
+    the worst case, and about 0.3 MB for the README state with its w-type
+    memo.
     Listings of one shape repeated in one process describe it once; a
     one-shot ``signpoly`` process describes each shape once, as before.
     Longer listings are described block by block as they stream, and
@@ -447,7 +440,7 @@ def signed_arrangements(classes: SignClasses) -> Iterator[SignBlock]:
     """
     values = np.array([0.0] + classes.reps)  # complex if any rep is
     shape = (classes.n_zero, tuple(classes.counts), classes.signed,
-             values.view(float).size // len(values), BLOCK_ROWS)
+             values.view(float).size // len(values))
     count = count_signed_arrangements(classes)
     if count <= BLOCK_ROWS and count * (classes.n_zero + sum(classes.counts)) <= 8 * BLOCK_ROWS:
         *description, memo = _shape_description(*shape)
@@ -458,11 +451,10 @@ def signed_arrangements(classes: SignClasses) -> Iterator[SignBlock]:
 
 
 @functools.lru_cache(maxsize=SHAPE_CACHE)
-def _shape_description(n_zero: int, counts: tuple, signed: bool, parts: int,
-                       block_rows: int) -> tuple:
+def _shape_description(n_zero: int, counts: tuple, signed: bool, parts: int) -> tuple:
     """The one block description of a shape that fits in one block, its
     arrays read-only, and an empty memo for :meth:`SignBlock.derived`."""
-    (codes, *rest), = _descriptions(n_zero, counts, signed, parts, block_rows)
+    (codes, *rest), = _descriptions(n_zero, counts, signed, parts)
     # A copy: the chunk may be a view of a wider array of prefixes.
     description = (codes.copy(), *rest)
     for array in description:
@@ -471,15 +463,14 @@ def _shape_description(n_zero: int, counts: tuple, signed: bool, parts: int,
     return (*description, {})
 
 
-def _descriptions(n_zero: int, counts: tuple, signed: bool, parts: int,
-                  block_rows: int) -> Iterator[tuple]:
+def _descriptions(n_zero: int, counts: tuple, signed: bool, parts: int) -> Iterator[tuple]:
     """The ``(codes, nonzero, pattern, table)`` of each block of
     :func:`signed_arrangements`, for ``n_zero`` zeros and classes of
     these ``counts``, each value of ``parts`` floats, in blocks of
-    ``block_rows`` rows; no value is read."""
+    ``BLOCK_ROWS`` rows; no value is read."""
     flips = sum(counts) if signed else 0
-    per_chunk = max(1, block_rows >> flips)
-    step = min(1 << flips, block_rows)
+    per_chunk = max(1, BLOCK_ROWS >> flips)
+    step = min(1 << flips, BLOCK_ROWS)
     bits = np.arange(flips)[::-1]
     for codes in distinct_permutations([n_zero, *counts], per_chunk):
         if not signed:

@@ -57,11 +57,11 @@ from .geometry import (
 from .majorization import DEFAULT_TOL
 from .quantum import (
     PureState,
+    _chart,
     enumerate_pure_sign_perms,
     hs_distance,
     pure_from_density,
     three_tangle,
-    to_coords,
 )
 from .stateio import _as_density, _pairs, load_decomposition, load_state
 
@@ -294,7 +294,7 @@ def cmd_construct(args) -> tuple[dict, int]:
         # facet is.  A probe outside is reported, not an exit code.
         rng = np.random.default_rng(args.seed)
         verts = spec.vertices().array
-        hull = VertexSet(to_coords(decomposition.members))
+        hull = VertexSet(_chart(decomposition.members))  # states, checked on load
         hits = 0
         for i in range(args.verify_probes):
             w = rng.dirichlet(np.full(len(verts), _NEAR_VERTEX if i % 2 else 1.0))

@@ -4,8 +4,22 @@ Phase 1 decides whether some ``z >= 0`` solves ``A z = b``
 (:func:`feasible_nonneg`); phase 2 runs only in the ray LPs of
 :func:`_ray_maxima`, maximizing ``t`` from one shared phase-1 basis.  A
 solve keeps the ``k x k`` basis columns ``B`` and the ``k x (k + 1)``
-array ``[B^-1 | x_B]`` (Dantzig & Orchard-Hays, 1954); only the pricing
-step of :func:`_pivot_loop` depends on how the columns are given.
+array ``[B^-1 | x_B]`` (Dantzig & Orchard-Hays, 1954).
+
+Only pricing depends on how the columns are given.  :func:`_pivot_loop`
+writes every pricing rule once, Dantzig's, Bland's and the aimed start,
+over a column source that supplies four things:
+
+- ``least(y)``: the column of least reduced cost among its real columns
+  and the artificials, whose costs the loop writes into the source's
+  ``art`` at every phase-1 pass, and that cost (Dantzig's choice);
+- ``every(y)``: every reduced cost of the same pass, the real columns'
+  then the artificials', which Bland's rule reads;
+- ``aligned(b)``: the column whose rows but the last are most aligned
+  with ``b``'s;
+- ``column(j)``: column ``j`` itself.
+
+There are two sources:
 
 - A matrix ``A`` is priced whole at every pass: one product gives
   every column's reduced cost, and one argmin picks the entering column
@@ -79,62 +93,50 @@ def _pivot(s, i, j, col, column):
 
 
 def _bland(reduced):
-    """Lowest-index column with a negative reduced cost."""
-    return int(np.flatnonzero(reduced < -PIVOT_EPS)[0])
+    """The lowest-index column with a negative reduced cost and that
+    cost, or None."""
+    negative = np.flatnonzero(reduced < -PIVOT_EPS)
+    return (int(negative[0]), float(reduced[negative[0]])) if negative.size else None
 
 
 def _price(A, c, y, reduced):
     """Write the reduced costs ``c - y A`` of ``A``'s columns (``c`` is
-    None when every cost is 0) into the first columns of ``reduced``,
-    and return the column of least reduced cost in all of ``reduced``,
-    which may run on into the artificials' (priced already): one argmin
-    (NaN wins, ties go to the lowest index), with that cost; a
-    non-finite one raises."""
+    None when every cost is 0) into the first entries of ``reduced``,
+    and return the entry of least value in all of ``reduced``, which may
+    run on into the artificials' (priced already), and that value: one
+    argmin, where NaN wins and ties go to the lowest index."""
     out = reduced[:A.shape[1]]
     np.matmul(-y, A, out=out)
     if c is not None:
         out += c
     j = int(reduced.argmin())
-    least = float(reduced[j])
-    if not math.isfinite(least):
-        raise SolverFailureError("non-finite reduced cost in pricing")
-    return j, least
+    return j, float(reduced[j])
 
 
 class _Whole:
-    """Pricing of every column of a matrix ``A`` with costs ``c_real``
-    (all 0 in phase 1), and of the artificials when ``ncols`` counts
-    them, at every pass: one product into the reduced-cost buffer and
-    one argmin over it (:func:`_price`), which Bland's rule reads too.
-    The buffer is built once, so the loops that share one pricing (the
-    rays of :func:`_ray_maxima`) reuse it."""
+    """The columns of a matrix ``A`` with costs ``c_real`` (all 0 in
+    phase 1), priced by :func:`_price` into one buffer of reduced costs,
+    real then artificial, built once, so the loops that share one
+    pricing (the rays of :func:`_ray_maxima`) reuse it."""
 
-    def __init__(self, A, c_real, ncols):
+    def __init__(self, A, c_real):
         self.A = A
         self.c = c_real if np.count_nonzero(c_real) else None
         # Reused: a fresh wide array per pass costs more in page faults than pricing.
-        self.reduced = np.empty(ncols)
-        self.art = self.reduced[A.shape[1]:]  # written by _pivot_loop
+        self.reduced = np.empty(sum(A.shape))
+        self.art = self.reduced[A.shape[1]:]
+        self.art.fill(math.inf)  # until phase 1 prices them; phase 2 never does
 
-    def price(self, y, bland):
-        """The entering column and its reduced cost: Dantzig's choice,
-        or Bland's when ``bland``; a cost of at least ``-PIVOT_EPS``
-        means the basis is optimal."""
-        j, entering = _price(self.A, self.c, y, self.reduced)
-        if bland and entering < -PIVOT_EPS:
-            j = _bland(self.reduced)
-            entering = float(self.reduced[j])
-        return j, entering
+    def least(self, y):
+        return _price(self.A, self.c, y, self.reduced)
 
-    def aligned(self, b, y):
-        """The column ``j`` whose rows but the last are most aligned with
-        ``b``'s, one product through :func:`_price` into the reduced-cost
-        buffer (for the columns ``[v; 1]`` and ``b = [x; 1]`` of a hull
-        query, the ``v`` that maximizes ``x . v``; the last row is left
-        out, as adding 1 would round away the differences of ``x . v``
-        at small scales), and its phase-1 reduced cost ``-y . A_j``."""
-        j, _ = _price(self.A[:-1], None, b[:-1], self.reduced[:self.A.shape[1]])
-        return j, -float(y @ self.A[:, j])
+    def every(self, y):
+        return self.reduced  # as least(y) wrote it
+
+    def aligned(self, b):
+        # The last row is left out: for the columns [v; 1] of a hull query,
+        # adding 1 would round away the differences of x . v at small scales.
+        return _price(self.A[:-1], None, b[:-1], self.reduced[:self.A.shape[1]])[0]
 
     def column(self, j):
         return self.A[:, j]
@@ -161,51 +163,41 @@ class _Sorted:
     distinct signed permutation of ``classes`` in :func:`_enum.listing`
     order, priced by one sort per pass (:func:`_sort_price`).
 
-    A sort-priced column enters under the index -1: which listed row it
+    The sort's column enters under the index -1: which listed row it
     is becomes known only when :func:`_phase1` ranks the final basis
-    (:func:`_enum.rank`), so no pivot pays for a rank.  Bland's rule
-    prices every listed column once, as ``-(V @ y[:-1] + y[-1])``, and
-    enters the lowest-index negative one under its own index, so it keeps
-    the listing's order and its guarantee against cycling."""
+    (:func:`_enum.rank`), so no pivot pays for a rank.  The reduced costs
+    that Bland's rule reads, ``-(V @ y[:-1] + y[-1])`` then the
+    artificials', go into a buffer built on first use, and a listed
+    column enters under its own index."""
 
     def __init__(self, V, classes):
         self.V, self.classes = V, classes
         m, n = V.shape
         self.shape = (n + 1, m)
         self.values = np.repeat([0.0, *classes.reps], [classes.n_zero, *classes.counts])
-        self.entering = np.ones(n + 1)  # the column priced or listed last
-        self.art = np.empty(n + 1)  # written by _pivot_loop
-        self.reduced = None  # every column's, for Bland's rule; built on first use
+        self.entering = np.ones(n + 1)  # the column sorted or listed last
+        self.art = np.empty(n + 1)
+        self.reduced = None
 
-    def price(self, y, bland):
-        """As :meth:`_Whole.price`: the sort's column (-1) or an
-        artificial by Dantzig's rule, or Bland's choice when ``bland``."""
-        j, least = -1, _sort_price(self.values, self.classes.signed, y, self.entering)
-        art, m = self.art, self.shape[1]
-        k = int(art.argmin())
-        if art[k] < least or math.isnan(art[k]):
-            j, least = m + k, float(art[k])
-        if not math.isfinite(least):
-            raise SolverFailureError("non-finite reduced cost in pricing")
-        if bland and least < -PIVOT_EPS:
-            if self.reduced is None:
-                self.reduced = np.empty(m + art.size)
-            reduced = self.reduced
-            np.matmul(self.V, -y[:-1], out=reduced[:m])
-            reduced[:m] -= y[-1]
-            reduced[m:] = art
-            negative = np.flatnonzero(reduced < -PIVOT_EPS)
-            if negative.size:  # roundoff may leave only the sort's column
-                j = int(negative[0])
-                least = float(reduced[j])
-        return j, least
+    def least(self, y):
+        least = _sort_price(self.values, self.classes.signed, y, self.entering)
+        k = int(self.art.argmin())
+        if self.art[k] < least or math.isnan(self.art[k]):  # as one argmin would pick
+            return self.shape[1] + k, float(self.art[k])
+        return -1, least
 
-    def aligned(self, b, y):
-        """As :meth:`_Whole.aligned`: the sort's column ``[v; 1]``
-        with ``v`` most aligned with ``b[:-1]`` (-1; the sort reads no
-        last entry), and its phase-1 reduced cost."""
-        _sort_price(self.values, self.classes.signed, b, self.entering)
-        return -1, -float(y @ self.entering)
+    def every(self, y):
+        m = self.shape[1]
+        if self.reduced is None:
+            self.reduced = np.empty(m + self.art.size)
+        np.matmul(self.V, -y[:-1], out=self.reduced[:m])
+        self.reduced[:m] -= y[-1]
+        self.reduced[m:] = self.art
+        return self.reduced
+
+    def aligned(self, b):
+        _sort_price(self.values, self.classes.signed, b, self.entering)  # reads no b[-1]
+        return -1
 
     def column(self, j):
         if j >= 0:
@@ -217,32 +209,34 @@ class _Sorted:
         return _enum.rank(self.classes, columns[:-1].T)
 
 
-def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf, pricing=None,
-                aim=None):
-    """Pivot until no column below ``ncols`` (real columns, then the
-    artificials) has a negative reduced cost ``cost - c_B B^-1 column``.
-    ``cost`` lists the costs of every variable, or of the ``k``
-    artificials alone: phase 1, which starts from the artificial basis
-    and gives every real variable cost 0, passes those.
+def _pivot_loop(s, cost, max_iter, phase, stop_above=math.inf, pricing=None, aim=None):
+    """Pivot until no column has a negative reduced cost ``cost - c_B
+    B^-1 column``: no real column and, in phase 1, no artificial (phase
+    2 starts with them driven out, and never enters one).  ``cost`` lists
+    the costs of every variable, or of the ``k`` artificials alone:
+    phase 1, which starts from the artificial basis and gives every real
+    variable cost 0, passes those.
 
-    ``pricing`` prices the real columns (:class:`_Whole` of ``s.A``
-    by default, or ``s.A`` itself when it is :class:`_Sorted`); the
-    artificials are priced at every pass.  Given ``aim``, the right-hand
-    side ``b`` of a hull query, the first pass prices one column, the one
-    ``pricing.aligned`` finds most aligned with it, and enters it if
-    its reduced cost is below ``-PIVOT_EPS`` (a crash start: Bixby,
-    1992); otherwise, and at every later pass, the column of most
-    negative reduced cost enters (Dantzig's rule); ties in the ratio
-    test leave by lowest basic index.  After ``STALL_LIMIT`` pivots in a
-    row that lower the objective by at most a relative ``PIVOT_EPS``,
-    the lowest-index negative column enters (Bland's rule, which cannot
-    cycle) until one lowers it more, so no cycle of bases is endless;
-    ``max_iter`` (against roundoff), a non-finite reduced cost and an
-    entering column with no admissible pivot raise: phase 1 is bounded
-    below by 0, and a ray's ``t`` by the hull, so an unbounded direction
-    is a solver failure.  Phase 1 is optimal, with no pass priced, as
-    soon as its objective value is 0: after an aimed vertex probe's first
-    pivot, pricing on would only wander among degenerate bases.  Returns
+    ``pricing`` is the column source (see the module docstring):
+    :class:`_Whole` of ``s.A`` by default, or ``s.A`` itself when it is
+    :class:`_Sorted`.  Given ``aim``, the right-hand side ``b`` of a hull
+    query, the first pass prices one column, ``pricing.aligned(b)``, and
+    enters it if its phase-1 reduced cost is below ``-PIVOT_EPS`` (a
+    crash start: Bixby, 1992); otherwise, and at every later pass, the
+    column ``pricing.least`` finds enters (Dantzig's rule); ties in the
+    ratio test leave by lowest basic index.  After ``STALL_LIMIT`` pivots
+    in a row that lower the objective by at most a relative
+    ``PIVOT_EPS``, the lowest-index column whose reduced cost in
+    ``pricing.every`` is negative enters instead (Bland's rule, which
+    cannot cycle), until a pivot lowers it more, so no cycle of bases is
+    endless; where roundoff leaves only a sort's column negative,
+    Dantzig's choice stands.  ``max_iter`` (against roundoff), a
+    non-finite reduced cost of the chosen column and an entering column
+    with no admissible pivot raise: phase 1 is bounded below by 0, and a
+    ray's ``t`` by the hull, so an unbounded direction is a solver
+    failure.  Phase 1 is optimal, with no pass priced, as soon as its
+    objective value is 0: after an aimed vertex probe's first pivot,
+    pricing on would only wander among degenerate bases.  Returns
     ``(iterations, outcome)``: ``"optimal"``, or ``"cut-off"`` at a basis
     that is not optimal once minus the objective value is above
     ``stop_above``.
@@ -253,28 +247,32 @@ def _pivot_loop(s, cost, ncols, max_iter, phase, stop_above=math.inf, pricing=No
     c_basic = cost[basis - lo]
     c_art = cost[p - lo:]
     if pricing is None:
-        pricing = s.A if isinstance(s.A, _Sorted) else _Whole(s.A, cost[:p - lo], ncols)
-    art = pricing.art
+        pricing = s.A if isinstance(s.A, _Sorted) else _Whole(s.A, cost[:p - lo])
     value = float(c_basic @ x)
     stalled = 0
     for it in range(max_iter):
         if phase == 1 and value <= 0.0:  # at phase 1's lower bound: optimal
             return it, "optimal"
         y = c_basic @ inverse
-        if art.size:
-            np.subtract(c_art, sign * y, out=art)
+        if phase == 1:
+            np.subtract(c_art, sign * y, out=pricing.art)
         entering = 0.0
         if aim is not None:
-            j, entering = pricing.aligned(aim, y)
+            j = pricing.aligned(aim)
+            entering = -float(y @ pricing.column(j))
             aim = None
-            if not math.isfinite(entering):
-                raise SolverFailureError("non-finite reduced cost in pricing")
-        if entering >= -PIVOT_EPS:
-            j, entering = pricing.price(y, stalled >= STALL_LIMIT)
+        dantzig = entering >= -PIVOT_EPS
+        if dantzig:
+            j, entering = pricing.least(y)
+        if not math.isfinite(entering):
+            raise SolverFailureError("non-finite reduced cost in pricing")
         if entering >= -PIVOT_EPS:
             return it, "optimal"
         if -value > stop_above:
             return it, "cut-off"
+        if dantzig and stalled >= STALL_LIMIT:
+            # Bland's rule, or None where roundoff left only a sort's column negative.
+            j, entering = _bland(pricing.every(y)) or (j, entering)
         if j < p:
             column = pricing.column(j)
             col = inverse @ column
@@ -321,8 +319,7 @@ def _phase1(A, b, max_iter, aimed=False):
     final, refined state, every basic column named by its index, and the
     pivots used."""
     s = _State(A, b)
-    used, _ = _pivot_loop(s, np.ones(b.size), A.shape[1] + b.size, max_iter,
-                          phase=1, aim=b if aimed else None)
+    used, _ = _pivot_loop(s, np.ones(b.size), max_iter, phase=1, aim=b if aimed else None)
     _refine(s)
     unnamed = s.basis < 0  # columns a _Sorted pricing entered by sort
     if unnamed.any():
@@ -411,7 +408,7 @@ def _ray_maxima(A, b, columns, tol):
     shared = s.T.copy(), s.basis.copy(), s.B.copy()
     cost = np.zeros(p + 1 + k)
     cost[p] = -1.0
-    pricing = _Whole(s.A, cost[:p + 1], p + 1)  # one workspace for every ray
+    pricing = _Whole(s.A, cost[:p + 1])  # one workspace for every ray
     bases = np.empty((len(columns), k), dtype=int)
     B = np.empty((len(columns), k, k))
     stopped = np.zeros(len(columns), dtype=bool)
@@ -421,8 +418,7 @@ def _ray_maxima(A, b, columns, tol):
         s.A[:, p] = columns[j]
         s.T[:], s.basis[:], s.B[:] = shared
         _drive_out(s)
-        _, outcome = _pivot_loop(s, cost, p + 1, cap - used, phase=2,
-                                 stop_above=best, pricing=pricing)
+        _, outcome = _pivot_loop(s, cost, cap - used, phase=2, stop_above=best, pricing=pricing)
         bases[j], B[j] = s.basis, s.B
         stopped[j] = outcome == "cut-off"
         if not stopped[j]:

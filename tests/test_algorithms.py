@@ -701,7 +701,7 @@ def _rays_one_by_one(A, b, columns, tol):
         s.A[:, p] = columns[j]
         s.T[:], s.basis[:], s.B[:] = shared
         simplex._drive_out(s)
-        _, status = simplex._pivot_loop(s, cost, p + 1, cap - used, phase=2,
+        _, status = simplex._pivot_loop(s, cost, cap - used, phase=2,
                                         stop_above=best)
         simplex._refine(s)
         z[j] = simplex._basic_solution(s.T, s.basis, p + 1)

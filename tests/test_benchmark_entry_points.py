@@ -137,7 +137,7 @@ def test_pivot_bench_reports_hull_peak_bytes(monkeypatch):
     counted through ``simplex._price``, ``sorts``, the mean passes
     priced by sort, counted through ``simplex._sort_price``, and
     ``passes``, the mean pricing passes, counted through the pricings'
-    ``price`` and ``aligned`` methods, all of which it restores.  Query
+    ``least`` and ``aligned`` methods, all of which it restores.  Query
     by query, every pass prices every column on the sets explicitly
     priced, and on the n = 8 listing, of more than
     ``geometry._SORT_ABOVE`` rows, no column of an LP matrix and one
@@ -145,15 +145,16 @@ def test_pivot_bench_reports_hull_peak_bytes(monkeypatch):
     that finds the basis optimal, which only a member may skip, when
     its phase 1 ends at objective value 0 (:func:`_passes_hold`).  The
     aimed first pass is one of them; ``aimed``, the share of queries
-    whose first pivot entered the aimed vertex, is counted through
-    ``aligned``, and on seed 3 every query's did."""
+    whose first pivot entered the aimed vertex, is counted as a pass
+    through ``aligned`` that a pivot follows, and on seed 3 every
+    query's did."""
     pivots = _load(monkeypatch, "bench_pivots", PIVOTS)
     workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
     hull = signpoly.geometry.hull_member_lp
     price, sort_price = signpoly.simplex._price, signpoly.simplex._sort_price
     methods = [(cls, name, getattr(cls, name))
                for cls in (signpoly.simplex._Whole, signpoly.simplex._Sorted)
-               for name in ("price", "aligned")]
+               for name in ("least", "aligned")]
     kinds = pivots.hull_pivots(signpoly, workloads, 3)
     assert signpoly.geometry.hull_member_lp is hull
     assert signpoly.simplex._price is price

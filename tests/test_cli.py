@@ -489,6 +489,26 @@ def test_construct_verify_probes(capsys, octahedral_file):
     assert doc["seed"] == 11
 
 
+def test_construct_verify_probes_checks_no_state_again(monkeypatch, capsys, octahedral_file):
+    """The members, validated as states on load, are charted for the
+    probes with no second state check: ``--verify-probes`` adds no call
+    of ``quantum._check_states``."""
+    import signpoly
+
+    check = signpoly.quantum._check_states
+    checks = []
+    monkeypatch.setattr(signpoly.quantum, "_check_states",
+                        lambda *args, **kwargs: checks.append(1) or check(*args, **kwargs))
+    counts = []
+    for probes in ("0", "5"):
+        checks.clear()
+        assert main(["construct", octahedral_file, "--verify-probes", probes,
+                     "--format", "structured"]) == 0
+        counts.append(len(checks))
+    capsys.readouterr()
+    assert counts[0] > 0 and counts[1] == counts[0]
+
+
 def test_construct_negative_verify_probes(capsys, octahedral_file):
     assert main(["construct", octahedral_file, "--verify-probes", "-3"]) == 2
     captured = capsys.readouterr()

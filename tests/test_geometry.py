@@ -755,30 +755,37 @@ def test_sort_pricing_agrees_with_explicit_pricing(key, kind, seed, factor):
 
 def test_sort_priced_bland_rule_keeps_the_listing_order(monkeypatch):
     """With Bland's rule due at every pivot (``STALL_LIMIT = 0``) a
-    sort-priced query enters, at each pivot, the lowest-index listed row
-    or artificial whose reduced cost, computed here from ``[V^T; 1]``, is
-    negative, under its listed index; the verdicts agree with
-    majorization, with a witness for each member."""
+    sort-priced query enters, through ``simplex._bland``, the
+    lowest-index listed row or artificial whose reduced cost, computed
+    here from ``[V^T; 1]`` and the ``y`` of the pass's sort, is negative,
+    under its listed index; the verdicts agree with majorization, with a
+    witness for each member."""
     key = _SORT_PRICED[0]
     listed, _ = _sort_priced(key)
     V = listed.array
     m = len(V)
     A = np.vstack([V.T, np.ones(m)])
     entered = []
-    price = simplex._Sorted.price
+    ys = []
+    sort_price, bland = simplex._sort_price, simplex._bland
 
-    def checked(self, y, bland):
-        j, least = price(self, y, bland)
-        assert bland
-        reduced = np.concatenate([-(y @ A), self.art])
-        if least < -simplex.PIVOT_EPS and j >= 0:
+    def sorted_by(values, signed, y, out):
+        ys.append(y.copy())
+        return sort_price(values, signed, y, out)
+
+    def checked(costs):
+        chosen = bland(costs)
+        reduced = np.concatenate([-(ys[-1] @ A), costs[m:]])
+        if chosen is not None:
+            j, _ = chosen
             assert reduced[j] < -simplex.PIVOT_EPS
             assert reduced[:j].min(initial=0.0) >= -simplex.PIVOT_EPS - 1e-12
             entered.append(j)
-        return j, least
+        return chosen
 
     monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
-    monkeypatch.setattr(simplex._Sorted, "price", checked)
+    monkeypatch.setattr(simplex, "_sort_price", sorted_by)
+    monkeypatch.setattr(simplex, "_bland", checked)
     rng = np.random.default_rng(21)
     probes = [rng.dirichlet(np.ones(20)) @ V[rng.choice(m, 20, replace=False)]
               for _ in range(2)]

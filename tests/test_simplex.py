@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from signpoly import simplex, to_coords
+from signpoly import enumerate_sign_perm_vertices, simplex, to_coords
 from signpoly.errors import SolverFailureError
 from signpoly.simplex import feasible_nonneg
 
@@ -154,7 +154,7 @@ def _finished(c, state, max_iter, stop_above=math.inf):
     early."""
     cost = np.concatenate([c, np.zeros(state.b.size)])
     simplex._drive_out(state)
-    _, status = simplex._pivot_loop(state, cost, c.size, max_iter, phase=2,
+    _, status = simplex._pivot_loop(state, cost, max_iter, phase=2,
                                     stop_above=stop_above)
     simplex._refine(state)
     dual = np.full(state.b.size, np.nan)
@@ -398,7 +398,7 @@ def test_positive_ratio_pivot_that_leaves_the_objective_counts_as_stalled(
                         lambda reduced: calls.append(1) or bland(reduced))
     state = simplex._State(A, np.array([2e-12, 1.0, 1.0]))
     state.basis[:] = [2, 3, 4]
-    assert simplex._pivot_loop(state, cost, 5, 10, phase=2) == (2, "optimal")
+    assert simplex._pivot_loop(state, cost, 10, phase=2) == (2, "optimal")
     assert list(state.basis) == [0, 1, 4]
     assert calls == [1]
 
@@ -414,22 +414,40 @@ def test_non_finite_pricing_raises(monkeypatch):
     state = simplex._State(A, np.array([1.0, 1.0]))
     state.T[0, 0] = np.nan
     with pytest.raises(SolverFailureError, match="non-finite"):
-        simplex._pivot_loop(state, cost, 5, 10, phase=1)
+        simplex._pivot_loop(state, cost, 10, phase=1)
 
 
-def test_bland_reads_every_reduced_cost(monkeypatch):
+def _listed_system():
+    """The 26,880 signed permutations of (4, 3, 2, 1, 0, 0, 0, 0) as a
+    sort-priced set of columns ``[v; 1]``, the same columns as a matrix,
+    and ``[x; 1]`` for a Dirichlet mix ``x`` of 20 of them."""
+    verts = enumerate_sign_perm_vertices([4.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    V = verts.array
+    rng = np.random.default_rng(5)
+    x = rng.dirichlet(np.ones(20)) @ V[rng.choice(len(V), 20, replace=False)]
+    return simplex._Sorted(V, verts._classes), np.vstack([V.T, np.ones(len(V))]), np.append(x, 1.0)
+
+
+@pytest.mark.parametrize("listed", [False, True], ids=["matrix", "sort-priced"])
+def test_bland_reads_every_reduced_cost(monkeypatch, listed):
     """The reduced costs that Bland's rule reads are ``cost - y [A |
     diag(sign)]`` over every real and artificial column of the current
-    basis, and phase 1 still answers as the reference solver does."""
-    A, b = _qutrit_ray_system(303, 12)
+    basis, whether ``A`` is a matrix or a sort-priced listed set, and
+    phase 1 still answers as the reference solver does."""
+    if listed:
+        columns, A, b = _listed_system()
+    else:
+        A, b = _qutrit_ray_system(303, 12)
+        columns = A
     k, p = A.shape
-    state = simplex._State(A, b)
+    state = simplex._State(columns, b)
     cost = np.concatenate([np.zeros(p), np.ones(k)])
     seen = []
     bland = simplex._bland
 
     def checking(reduced):
-        y = cost[state.basis] @ state.T[:, :-1]
+        # A column entered by sort is basic under the index -1, at cost 0.
+        y = (state.basis >= p) @ state.T[:, :-1]
         full = cost - y @ np.hstack([A, np.diag(state.sign)])
         np.testing.assert_allclose(reduced, full, rtol=0, atol=1e-12)
         seen.append(1)
@@ -437,7 +455,7 @@ def test_bland_reads_every_reduced_cost(monkeypatch):
 
     monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
     monkeypatch.setattr(simplex, "_bland", checking)
-    simplex._pivot_loop(state, np.ones(k), p + k, 10**4, phase=1)
+    simplex._pivot_loop(state, np.ones(k), 10**4, phase=1)
     simplex._refine(state)
     assert len(seen) > 1
     assert (simplex._infeasibility(state) <= 1e-9) == _reference_feasible(A, b)
