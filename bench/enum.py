@@ -20,8 +20,7 @@ yielded in one run (every listing, filtered or not, takes its blocks
 from it), the quartiles of the wall time over the processes, and
 the median over the processes of the peak RSS (``ru_maxrss``) in MB.
 The w-type cases also give the tangle evaluations: the hyperdeterminants
-computed (the columns passed to ``quantum._cayley``, or to
-``quantum._hyperdeterminant`` in a tree without it).  The ``bloch``
+computed (the columns passed to ``quantum._cayley``).  The ``bloch``
 cases likewise give the rows streamed and the states kept.  Cases:
 
 - ``perfbench_n9``: the signed permutations of the ``enumerate``
@@ -54,7 +53,7 @@ takes a new theta in [0.05, 0.15], as the workload draws it; the
 generic qutrit only a global phase).  Every listing must repeat the
 counts above; the case then reports the block descriptions built over
 the K listings (``described``: the blocks ``_enum._descriptions``
-yields, or every block in a tree without it) and the median wall time
+yields) and the median wall time
 per listing in ``wall_s``, so a repeat shows what one process's
 repeated listings share::
 
@@ -187,9 +186,7 @@ def run_case(src: Path, name: str, repeat: int = 1) -> dict:
                 blocks += 1
                 yield block
 
-        # Block descriptions built: the describer's blocks, or in a tree
-        # without one every block, each described afresh.
-        describer = getattr(sp._enum, "_descriptions", None)
+        describer = sp._enum._descriptions
 
         def counted_descriptions(*args, **kwargs):
             nonlocal described
@@ -198,21 +195,19 @@ def run_case(src: Path, name: str, repeat: int = 1) -> dict:
                 yield description
 
         evaluations = 0
-        det_name = "_cayley" if hasattr(sp.quantum, "_cayley") else "_hyperdeterminant"
-        det = getattr(sp.quantum, det_name)
+        cayley = sp.quantum._cayley
 
-        def counted_det(t):
+        def counted_cayley(t):
             nonlocal evaluations
             evaluations += np.shape(t)[-1] if np.ndim(t) > 1 else 1
-            return det(t)
+            return cayley(t)
 
         restore += [(sp._enum, "signed_arrangements", signed_arrangements),
-                    (sp.quantum, det_name, det)]
+                    (sp._enum, "_descriptions", describer),
+                    (sp.quantum, "_cayley", cayley)]
         sp._enum.signed_arrangements = counted
-        setattr(sp.quantum, det_name, counted_det)
-        if describer is not None:
-            restore.append((sp._enum, "_descriptions", describer))
-            sp._enum._descriptions = counted_descriptions
+        sp._enum._descriptions = counted_descriptions
+        sp.quantum._cayley = counted_cayley
         walls, counts = [], []
         for call in calls:
             blocks = evaluations = 0
@@ -220,8 +215,6 @@ def run_case(src: Path, name: str, repeat: int = 1) -> dict:
             rows, kept = call()
             walls.append(time.perf_counter() - start)
             counts.append((rows, kept, blocks, evaluations))
-        if describer is None:
-            described = sum(count[2] for count in counts)
     finally:
         for owner, attr, value in restore:
             setattr(owner, attr, value)

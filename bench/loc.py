@@ -4,7 +4,10 @@ For every ``.py`` file under ``--src`` (default: this checkout's
 ``src/signpoly``) it counts the lines as ``wc -l`` does, and the code
 lines: lines that hold a token outside module, class and function
 docstrings and ``#`` comments (a string that spans lines counts on each
-of them).  Prints one JSON object::
+of them).  It also reads ``public_names``, the length of ``__all__``
+in the package's ``__init__.py``, from its syntax tree, without
+importing the package (None where there is no such list).  Prints one
+JSON object::
 
     python3 bench/loc.py
     python3 bench/loc.py --src ../parent/src/signpoly
@@ -48,6 +51,19 @@ def count(text: str) -> dict:
     return {"lines": text.count("\n"), "code": len(code - docstrings)}
 
 
+def public_names(init: Path) -> int | None:
+    """The length of the ``__all__`` list or tuple assigned in ``init``,
+    or None if the file or the assignment is missing."""
+    if not init.is_file():
+        return None
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            return len(ast.literal_eval(node.value))
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src" / "signpoly",
@@ -56,7 +72,8 @@ def main(argv=None) -> int:
     modules = {str(path.relative_to(args.src)): count(path.read_text())
                for path in sorted(args.src.rglob("*.py"))}
     total = {key: sum(m[key] for m in modules.values()) for key in ("lines", "code")}
-    print(json.dumps({"src": str(args.src), "modules": modules, "total": total},
+    print(json.dumps({"src": str(args.src), "modules": modules, "total": total,
+                      "public_names": public_names(args.src / "__init__.py")},
                      indent=1))
     return 0
 

@@ -111,7 +111,7 @@ def run(sp, count: int, seed: int, limit: float) -> dict:
         for label, scale in SCALES.items():
             V = listing(scale * np.array(base)).array
             raw = sp.geometry.VertexSet(V)
-            A = raw._lp_matrix()
+            A = raw._columns()
             xs = probes(V, signed, count, seed)
             rows[f"{name} {label} aimed"] = [
                 ask(sp, lambda: sp.geometry.hull_member_lp(x, raw), limit) for x in xs]

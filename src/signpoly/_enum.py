@@ -75,35 +75,34 @@ def _canonical_rep(v):
     return abs(v)
 
 
-@dataclass
+@dataclass(eq=False)
 class SignClasses:
-    """Sign-equivalence classes of a vector's entries.
+    """Sign-equivalence classes of a vector's entries, stored as
+    arrangement codes index them.
 
-    ``reps[i]`` is the representative value of class ``i`` and
-    ``counts[i]`` its multiplicity; ``n_zero`` counts entries treated as
-    zero.  Unsigned classes (``signed`` false) are plain values: no zero
-    class and no sign flips.
+    ``values[c]`` is code ``c``'s value, in a read-only array: code 0 is
+    the zero class, codes ``1..k`` the representatives in ascending
+    order.  ``counts[c]`` is code ``c``'s multiplicity, ``counts[0]`` the
+    entries treated as zero.  Unsigned classes (``signed`` false) are
+    plain values: an empty zero class and no sign flips.
     """
 
-    reps: list
-    counts: list[int]
-    n_zero: int
+    values: np.ndarray
+    counts: tuple[int, ...]
     signed: bool = True
 
     @property
     def flips(self) -> int:
         """Number of slots whose sign flips independently: the nonzero
         ones, or none for unsigned classes."""
-        return sum(self.counts) if self.signed else 0
+        return sum(self.counts[1:]) if self.signed else 0
 
     @functools.cached_property
     def _keys(self) -> np.ndarray:
         """Every arrangement's class codes as one byte string, in
         :func:`distinct_permutations` order, which is ascending; built on
         first use, for :func:`rank`."""
-        counts = [self.n_zero, *self.counts]
-        codes = np.concatenate(list(distinct_permutations(counts, BLOCK_ROWS)))
-        return _byte_strings(codes)
+        return _byte_strings(np.concatenate(list(distinct_permutations(self.counts, BLOCK_ROWS))))
 
 
 def _byte_strings(codes: np.ndarray) -> np.ndarray:
@@ -147,7 +146,9 @@ def sign_classes(values, signed: bool = True) -> SignClasses:
             counts.append(1)
         else:
             counts[i] += 1
-    return SignClasses(reps=reps, counts=counts, n_zero=n_zero, signed=signed)
+    values = np.array([0.0, *reps])  # complex if any rep is
+    values.setflags(write=False)
+    return SignClasses(values, (n_zero, *counts), signed)
 
 
 def _class_of(v, reps: list, is_complex: bool) -> int | None:
@@ -167,9 +168,10 @@ def _class_of(v, reps: list, is_complex: bool) -> int | None:
 
 def count_signed_arrangements(classes: SignClasses, cap=math.inf) -> int:
     """Exact number of distinct signed permutations, in integer arithmetic:
-    ``2^m * n! / (m_1! ... m_k! * n_zero!)`` (no ``2^m`` when unsigned);
-    a count above ``cap`` raises ``EnumerationTooLargeError``."""
-    count = _multinomial([classes.n_zero, *classes.counts]) << classes.flips
+    ``2^m * n! / (m_0! m_1! ... m_k!)`` over the class counts, ``m_0``
+    the zeros (no ``2^m`` when unsigned); a count above ``cap`` raises
+    ``EnumerationTooLargeError``."""
+    count = _multinomial(classes.counts) << classes.flips
     if count > cap:
         raise EnumerationTooLargeError(count, cap)
     return count
@@ -268,19 +270,16 @@ def rank(classes: SignClasses, rows) -> np.ndarray:
     is no such permutation gets a wrong index, perhaps past the count,
     and no error: a caller checks what it places by the index."""
     rows = np.asarray(rows, dtype=float)
-    reps = np.array(classes.reps, dtype=float)
-    if classes.signed:
-        nonzero = rows != 0.0
-        codes = np.where(nonzero, np.searchsorted(reps, np.abs(rows)) + 1, 0)
+    if classes.signed:  # the values ascend from the zero class's 0
+        codes = np.searchsorted(classes.values, np.abs(rows))
     else:
-        codes = np.searchsorted(reps, rows) + 1
+        codes = np.searchsorted(classes.values[1:], rows) + 1
     keys = classes._keys
     index = np.minimum(np.searchsorted(keys, _byte_strings(codes)), len(keys) - 1)
     if not classes.signed:
         return index
     flips = classes.flips
-    bits = np.where(nonzero & (rows < 0.0),
-                    np.left_shift(1, flips - np.cumsum(nonzero, axis=1)), 0)
+    bits = np.left_shift(rows < 0.0, flips - np.cumsum(codes != 0, axis=1))
     return (index << flips) + bits.sum(axis=1)
 
 
@@ -305,9 +304,7 @@ def listing(classes: SignClasses, cap=ENUMERATION_CAP, keep=None,
     count = count_signed_arrangements(classes, cap)
     room = count if limit is None else min(limit, count)
     if keep is None:
-        # The dtype of the blocks' values: complex if any rep is.
-        rows = np.empty((room, classes.n_zero + sum(classes.counts)),
-                        dtype=np.result_type(0.0, *classes.reps))
+        rows = np.empty((room, sum(classes.counts)), dtype=classes.values.dtype)
         blocks, ptr = signed_arrangements(classes), 0
         while ptr < room:
             block = next(blocks)
@@ -424,9 +421,9 @@ def signed_arrangements(classes: SignClasses) -> Iterator[SignBlock]:
     A block's description never reads a value.  A listing that fits in
     one block, of at most ``BLOCK_ROWS`` rows and ``8 * BLOCK_ROWS``
     entries, takes its description from an LRU cache of the last
-    ``SHAPE_CACHE`` shapes, keyed by ``(n_zero, counts, signed, float
-    parts)``, every array read-only.  The key holds no block size: such
-    a description is one chunk of every arrangement, each with all its
+    ``SHAPE_CACHE`` shapes, keyed by ``(counts, signed, float parts)``,
+    every array read-only.  The key holds no block size: such a
+    description is one chunk of every arrangement, each with all its
     ``2^flips`` sign rows, whatever ``BLOCK_ROWS`` is.  A cached shape
     holds one block's description, whose sign table has at most as many
     floats as the block's rows, plus its :meth:`SignBlock.derived` memo,
@@ -438,11 +435,10 @@ def signed_arrangements(classes: SignClasses) -> Iterator[SignBlock]:
     Longer listings are described block by block as they stream, and
     keep nothing.
     """
-    values = np.array([0.0] + classes.reps)  # complex if any rep is
-    shape = (classes.n_zero, tuple(classes.counts), classes.signed,
-             values.view(float).size // len(values))
+    values = classes.values
+    shape = (classes.counts, classes.signed, values.view(float).size // len(values))
     count = count_signed_arrangements(classes)
-    if count <= BLOCK_ROWS and count * (classes.n_zero + sum(classes.counts)) <= 8 * BLOCK_ROWS:
+    if count <= BLOCK_ROWS and count * sum(classes.counts) <= 8 * BLOCK_ROWS:
         *description, memo = _shape_description(*shape)
         yield SignBlock(values, *description, memo=memo)
         return
@@ -451,10 +447,10 @@ def signed_arrangements(classes: SignClasses) -> Iterator[SignBlock]:
 
 
 @functools.lru_cache(maxsize=SHAPE_CACHE)
-def _shape_description(n_zero: int, counts: tuple, signed: bool, parts: int) -> tuple:
+def _shape_description(counts: tuple, signed: bool, parts: int) -> tuple:
     """The one block description of a shape that fits in one block, its
     arrays read-only, and an empty memo for :meth:`SignBlock.derived`."""
-    (codes, *rest), = _descriptions(n_zero, counts, signed, parts)
+    (codes, *rest), = _descriptions(counts, signed, parts)
     # A copy: the chunk may be a view of a wider array of prefixes.
     description = (codes.copy(), *rest)
     for array in description:
@@ -463,16 +459,16 @@ def _shape_description(n_zero: int, counts: tuple, signed: bool, parts: int) -> 
     return (*description, {})
 
 
-def _descriptions(n_zero: int, counts: tuple, signed: bool, parts: int) -> Iterator[tuple]:
+def _descriptions(counts: tuple, signed: bool, parts: int) -> Iterator[tuple]:
     """The ``(codes, nonzero, pattern, table)`` of each block of
-    :func:`signed_arrangements`, for ``n_zero`` zeros and classes of
-    these ``counts``, each value of ``parts`` floats, in blocks of
+    :func:`signed_arrangements`, for classes of these ``counts`` (the
+    zeros first), each value of ``parts`` floats, in blocks of
     ``BLOCK_ROWS`` rows; no value is read."""
-    flips = sum(counts) if signed else 0
+    flips = sum(counts[1:]) if signed else 0
     per_chunk = max(1, BLOCK_ROWS >> flips)
     step = min(1 << flips, BLOCK_ROWS)
     bits = np.arange(flips)[::-1]
-    for codes in distinct_permutations([n_zero, *counts], per_chunk):
+    for codes in distinct_permutations(counts, per_chunk):
         if not signed:
             yield codes, None, None, None
             continue

@@ -27,7 +27,14 @@ from .majorization import (
     as_coords,
 )
 
-# A listed set of more rows is priced by one sort per pass, with no LP matrix.
+# A listed set of more rows is priced by one sort per pass, with no LP
+# matrix, and a shorter one by its matrix.  On the perfbench ``hull``
+# probes (2-vCPU x86-64 VM), sort pricing halved the tail time of the
+# n=8 queries (26,880 rows; op_s.tail 2.25 -> 1.05 ms) and cut their
+# peak from 223 kB to 11 kB, but made the n=5 and n=6 queries (3,840 and
+# 960 rows) slower in paired in-process runs (n=5 +3 to +24%, n=6 +17 to
+# +35%): a sort pass costs about 1.3 matrix passes at 960 columns, and
+# ranking the basis and setting up the sort add about 35 us a query.
 _SORT_ABOVE = 1 << 14
 
 
@@ -81,9 +88,14 @@ class VertexSet:
     def __repr__(self) -> str:
         return f"VertexSet({len(self)} points in R^{self.dim})"
 
-    def _lp_matrix(self) -> np.ndarray:
-        """The read-only, C-ordered ``(n+1, m)`` matrix ``[V^T; 1]`` of
-        :func:`hull_member_lp`'s LP, built on the first call."""
+    def _columns(self):
+        """The columns ``[v; 1]`` of :func:`hull_member_lp`'s LP, the one
+        place their pricing is chosen: a fresh :class:`simplex._Sorted`
+        for a listing of more than ``_SORT_ABOVE`` rows, otherwise the
+        read-only, C-ordered ``(n+1, m)`` matrix ``[V^T; 1]``, built on
+        the first call and kept."""
+        if self._classes is not None and len(self) > _SORT_ABOVE:
+            return simplex._Sorted(self._points, self._classes)
         if self._lp is None:
             m, n = self._points.shape
             A = np.empty((n + 1, m))
@@ -226,11 +238,7 @@ def hull_member_lp(
     if not np.all(np.isfinite(xv)):
         raise ValueError("point coordinates must be finite")
     _check_same_dim(V[0], xv)
-    if vs._classes is not None and len(vs) > _SORT_ABOVE:
-        A = simplex._Sorted(V, vs._classes)
-    else:
-        A = vs._lp_matrix()
-    ok, w = simplex._feasible(A, np.append(xv, 1.0), tol, aimed=True)
+    ok, w = simplex._feasible(vs._columns(), np.append(xv, 1.0), tol, aimed=True)
     if not ok:
         return False, None
     # A basic solution has at most n + 1 nonzero weights: check those

@@ -174,7 +174,7 @@ class _Sorted:
         self.V, self.classes = V, classes
         m, n = V.shape
         self.shape = (n + 1, m)
-        self.values = np.repeat([0.0, *classes.reps], [classes.n_zero, *classes.counts])
+        self.values = np.repeat(classes.values, classes.counts)
         self.entering = np.ones(n + 1)  # the column sorted or listed last
         self.art = np.empty(n + 1)
         self.reduced = None

@@ -311,6 +311,44 @@ def test_scale_and_certificate_on_random_decompositions(seed, d, extra,
     assert certificate_holds(poly)
 
 
+def test_pivot_loops_rebuild_the_inverse_every_refresh_pivots(monkeypatch):
+    """Every pivot loop rebuilds ``[B^-1 | x_B]`` from the basis columns
+    once per ``simplex.REFRESH_EVERY`` pivots, counted as ``_refine``
+    calls made inside ``_pivot_loop``.  On the d=5, m=60 decomposition
+    of seed 3 one ray's phase 2 takes exactly ``REFRESH_EVERY`` pivots,
+    so a rebuild happens inside phase 2."""
+    loops = []  # [phase, pivots, rebuilds] of each pivot loop, in call order
+    inside = []
+    pivot_loop, pivot, refine = simplex._pivot_loop, simplex._pivot, simplex._refine
+
+    def counted_loop(s, *args, phase, **kwargs):
+        loops.append([phase, 0, 0])
+        inside.append(loops[-1])
+        try:
+            return pivot_loop(s, *args, phase=phase, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_pivot(*args):
+        if inside:
+            inside[-1][1] += 1
+        return pivot(*args)
+
+    def counted_refine(s):
+        if inside:
+            inside[-1][2] += 1
+        return refine(s)
+
+    monkeypatch.setattr(simplex, "_pivot_loop", counted_loop)
+    monkeypatch.setattr(simplex, "_pivot", counted_pivot)
+    monkeypatch.setattr(simplex, "_refine", counted_refine)
+    poly = max_inscribed_cross_polytope(_random_decomposition(3, 5, 60, 1.0))
+    assert certificate_holds(poly)
+    assert [rebuilds for _, _, rebuilds in loops] \
+        == [pivots // simplex.REFRESH_EVERY for _, pivots, _ in loops]
+    assert sum(rebuilds for phase, _, rebuilds in loops if phase == 2) >= 1
+
+
 def _centred_decomposition(seed, d, K):
     """K Haar unitaries U, each with a Dirichlet(1) spectrum p, give the
     d members ``U diag(roll(p, j)) U^+``; under uniform weights every U's
@@ -478,6 +516,24 @@ def test_certificate_checker_rejects_tampering():
     assert not certificate_holds(dataclasses.replace(
         poly, certificate=dataclasses.replace(
             cert, hyperplane=cert.hyperplane * 1.01)))
+
+
+def test_certificate_checker_bounds_the_dual_at_tol():
+    """The dual side holds at ``max(V @ u) <= alpha + tol`` and no
+    looser: the hyperplane scaled so that its largest member value sits
+    0.5e-9 above ``alpha`` still holds at ``tol`` = 1e-9 (and still cuts
+    off the binding vertex), and 2e-9 above fails, the margin the witness
+    tampers use."""
+    poly = max_inscribed_cross_polytope(_cube_decomposition(0.3))
+    cert = poly.certificate
+    center, points = _chart_members(poly.provenance)
+    V = points - center
+    top = float(np.max(V @ cert.hyperplane))
+    for above, holds in ((0.5e-9, True), (2e-9, False)):
+        u = cert.hyperplane * ((poly.alpha + above) / top)
+        assert float(np.max(V @ u)) - poly.alpha == pytest.approx(above, rel=1e-3)
+        assert certificate_holds(dataclasses.replace(
+            poly, certificate=dataclasses.replace(cert, hyperplane=u))) == holds
 
 
 def test_certificate_checker_reads_list_fields():

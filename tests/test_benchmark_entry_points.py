@@ -364,3 +364,17 @@ def test_loc_counts_code_lines(tmp_path, monkeypatch, capsys):
     assert report["modules"] == {"empty.py": {"lines": 0, "code": 0},
                                  "mod.py": {"lines": 16, "code": 6}}
     assert report["total"] == {"lines": 16, "code": 6}
+    assert report["public_names"] is None  # no __init__.py
+
+
+def test_loc_reads_the_public_names(tmp_path, monkeypatch, capsys):
+    """``bench/loc.py`` reports the length of the package's ``__all__``,
+    parsed from its ``__init__.py`` without importing it: 44 on this
+    tree, and that of any list or tuple assigned to it."""
+    loc = _load(monkeypatch, "bench_loc", LOC)
+    assert loc.main([]) == 0
+    assert json.loads(capsys.readouterr().out)["public_names"] == len(PUBLIC_NAMES) == 44
+    (tmp_path / "__init__.py").write_text('"""Doc."""\nimport os\n__all__ = ("a", "b")\n')
+    assert loc.public_names(tmp_path / "__init__.py") == 2
+    (tmp_path / "__init__.py").write_text("import os\n")
+    assert loc.public_names(tmp_path / "__init__.py") is None

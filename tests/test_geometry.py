@@ -339,10 +339,8 @@ def _itertools_rows(classes) -> np.ndarray:
     permutations of the class codes (0 for zeros), each followed by its
     sign rows in ``itertools.product((1, -1))`` order over the nonzero
     slots."""
-    is_complex = any(isinstance(r, complex) for r in classes.reps)
-    values = [0.0] + classes.reps
-    codes = [0] * classes.n_zero + [c + 1 for c, m in enumerate(classes.counts)
-                                    for _ in range(m)]
+    values = classes.values.tolist()
+    codes = [c for c, m in enumerate(classes.counts) for _ in range(m)]
     rows = []
     for arrangement in sorted(set(itertools.permutations(codes))):
         hot = [j for j, c in enumerate(arrangement) if c and classes.signed]
@@ -352,7 +350,7 @@ def _itertools_rows(classes) -> np.ndarray:
                 if s < 0:
                     row[j] = -row[j]
             rows.append(row)
-    return np.array(rows, dtype=complex if is_complex else float)
+    return np.array(rows, dtype=classes.values.dtype)
 
 
 # Zeros of both signs, ties, +-1e-13 near-ties and near-zeros; complex
@@ -933,11 +931,7 @@ def _unaimed_hull_member(x, verts, tol):
     no aim, and a cap of 5,000 pivots (an unsigned raw set scaled by
     2^30 can pivot on to the kernel's cap of about two million)."""
     V = verts.array
-    if verts._classes is not None and len(verts) > _SORT_ABOVE:
-        A = simplex._Sorted(V, verts._classes)
-    else:
-        A = verts._lp_matrix()
-    s, _ = simplex._phase1(A, np.append(x, 1.0), 5000)
+    s, _ = simplex._phase1(verts._columns(), np.append(x, 1.0), 5000)
     if not simplex._infeasibility(s) <= tol:
         return False, None
     w = simplex._basic_solution(s.T, s.basis, len(V))
@@ -1037,7 +1031,7 @@ def test_unsigned_raw_mix_at_2_30_is_feasible_in_few_pivots(monkeypatch):
         return pivot(*args)
 
     monkeypatch.setattr(simplex, "_pivot", bounded)
-    feasible, _ = feasible_nonneg(VertexSet(V)._lp_matrix(), np.append(x, 1.0))
+    feasible, _ = feasible_nonneg(VertexSet(V)._columns(), np.append(x, 1.0))
     assert feasible
 
 
@@ -1049,7 +1043,7 @@ def test_wide_raw_set_is_priced_whole(monkeypatch):
     V = enumerate_sign_perm_vertices(OCTA_BASE).array
     m = len(V)
     assert m > 2**14
-    A = VertexSet(V)._lp_matrix()
+    A = VertexSet(V)._columns()
     entered = []
     pivot = simplex._pivot
 
@@ -1118,8 +1112,8 @@ def test_repeated_queries_match_fresh_vertex_sets():
 def test_lp_matrix_is_built_once_and_read_only():
     verts = enumerate_sign_perm_vertices([2.0, 1.0, 0.0])
     assert hull_member_lp([0.5, 0.5, 0.0], verts)[0]
-    A = verts._lp_matrix()
-    assert verts._lp_matrix() is A
+    A = verts._columns()
+    assert verts._columns() is A
     assert not A.flags.writeable and A.flags.c_contiguous
     np.testing.assert_array_equal(A, np.vstack([verts.array.T, np.ones(len(verts))]))
     with pytest.raises(ValueError):
