@@ -25,7 +25,7 @@ enter), ``aimed``, the share of queries whose first
 pivot entered the vertex most aligned with the probe (the aimed start
 of phase 1), the solver failures, the answers that
 disagree with the oracle and ``peak_bytes``, the median tracemalloc peak
-of one warm ``hull_member_lp`` call (each probe asked a second time);
+of one warm query (each probe asked a second time);
 the same, less ``peak_bytes``, per ``n9`` kind, against
 ``sign_perm_member``; for the ``construct`` block and the d=5 case the
 phase-1 solves from the artificial basis and the mean pivots per
@@ -36,8 +36,7 @@ phase-1 solves from the artificial basis and the mean pivots per
 - ``drive_out``: artificials pivoted out between the phases;
 - ``phase2``: phase 2;
 
-and the mean basis inversions (``np.linalg.inv`` calls) per
-``construct``, split the same way:
+and the mean basis inversions per ``construct``, split the same way:
 
 - ``phase1``: in phase 1, its ``REFRESH_EVERY`` refreshes and the
   rebuild that ends it;
@@ -46,19 +45,20 @@ and the mean basis inversions (``np.linalg.inv`` calls) per
   basis after the last ray.
 
 The d=5 case also reports its alpha, or the solver failure it raised.
+Every ``hull`` and ``n9`` kind, the ``construct`` block and the d=5
+case also report ``bland``, the mean passes that applied Bland's rule
+(the entering column it picks, where it picks one, enters).
 No wall time is taken: one unpaired timing of one tree varies from run
 to run by more than the changes it would compare; pivot counts and
 traced bytes do not depend on the clock.  ``--stall-limit``
 overrides ``simplex.STALL_LIMIT``, the run of pivots that leave the
 objective unchanged after which Bland's rule takes over, for a sweep
-of that constant.  The columns priced are counted through
-``simplex._price``, whose first argument is the matrix priced, and sort
-pricings through ``simplex._sort_price``; the aimed first pass prices
-through one of those two as well.  Passes are counted through the
-``least`` and ``aligned`` methods of ``simplex._Whole`` and
-``simplex._Sorted`` (``price``, not ``least``, in checkouts whose
-sources write their own Bland's rule), and an aimed entry is a pass
-through ``aligned`` followed by a pivot with no other pass between.
+of that constant.
+
+Every count is the kernel's own: each query runs inside
+``simplex._counting()``, and the script reads the counts it yields
+(see the ``simplex`` module docstring).  A ``--src`` tree without
+``simplex._counting`` is refused with exit status 2.
 """
 
 from __future__ import annotations
@@ -75,152 +75,39 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-class PivotCounter:
-    """Counts the pivots of ``sp.simplex`` by where they happen (the keys
-    of :data:`KINDS`) while it is entered, the phase-1 solves from the
-    artificial basis, the real columns priced, the passes priced by one
-    sort, the pricing passes, the objective value at which the last
-    phase-1 pivot loop ended, the aimed columns that entered, and the
-    basis inversions
-    (the keys of :data:`INVERSIONS`): in phase 1, single inversions
-    elsewhere (the phase-2 refreshes), and stacked ones (the batched
-    rebuild)."""
-
-    KINDS = ("phase1", "drive_out", "phase2")
-    INVERSIONS = ("phase1", "refresh", "batch")
-
-    def __init__(self, sp):
-        self.simplex = sp.simplex
-        self.counts = dict.fromkeys(self.KINDS, 0)
-        self.inversions = dict.fromkeys(self.INVERSIONS, 0)
-        self.phase1_solves = 0
-        self.priced = 0
-        self.sorts = 0
-        self.passes = 0
-        self.objective = None
-        self.aimed = 0
-        self._aiming = False  # a pass through aligned, not yet followed
-        self._where = ["drive_out"]
-
-    def _inside(self, kind, fn, *args, **kwargs):
-        self._where.append(kind)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            self._where.pop()
-
-    def __enter__(self):
-        simplex = self.simplex
-        self._saved = simplex._pivot, simplex._phase1, simplex._pivot_loop
-        pivot, phase1, loop = self._saved
-        linalg = simplex.np.linalg
-        self._inv = inv = linalg.inv
-
-        def counted_inv(B):
-            kind = ("phase1" if self._where[-1] == "phase1"
-                    else "batch" if B.ndim > 2 else "refresh")
-            self.inversions[kind] += 1
-            return inv(B)
-
-        def counted_pivot(*args):
-            self.counts[self._where[-1]] += 1
-            self.aimed += self._aiming
-            self._aiming = False
-            return pivot(*args)
-
-        def counted_phase1(*args, **kwargs):
-            self.phase1_solves += 1
-            return self._inside("phase1", phase1, *args, **kwargs)
-
-        self._price = price = simplex._price
-
-        def counted_price(A, *args):
-            self.priced += A.shape[1]
-            return price(A, *args)
-
-        self._sort_price = sort_price = simplex._sort_price
-
-        def counted_sort_price(*args):
-            self.sorts += 1
-            return sort_price(*args)
-
-        self._methods = {(cls, name): getattr(cls, name)
-                         for cls in (simplex._Whole, simplex._Sorted)
-                         for name in ("least", "price", "aligned") if hasattr(cls, name)}
-
-        def counting(name, method):
-            def counted(pricing, *args):
-                self.passes += 1
-                self._aiming = name == "aligned"
-                return method(pricing, *args)
-            return counted
-
-        def counted_loop(state, *args, phase, **kwargs):
-            iterations, outcome = self._inside(f"phase{phase}", loop, state, *args,
-                                               phase=phase, **kwargs)
-            if phase == 1:  # the sum of the basic artificials
-                self.objective = float(state.T[:, -1] @ (state.basis >= state.A.shape[1]))
-            return iterations, outcome
-
-        simplex._pivot = counted_pivot
-        simplex._phase1 = counted_phase1
-        simplex._pivot_loop = counted_loop
-        simplex._price = counted_price
-        simplex._sort_price = counted_sort_price
-        for (cls, name), method in self._methods.items():
-            setattr(cls, name, counting(name, method))
-        linalg.inv = counted_inv
-        return self
-
-    def __exit__(self, *exc):
-        simplex = self.simplex
-        simplex._pivot, simplex._phase1, simplex._pivot_loop = self._saved
-        simplex._price, simplex._sort_price = self._price, self._sort_price
-        for (cls, name), method in self._methods.items():
-            setattr(cls, name, method)
-        simplex.np.linalg.inv = self._inv
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
+#: Where pivots happen, as ``simplex._Counts`` names them.
+KINDS = ("phase1", "drive_out", "phase2")
+#: The basis inversions reported, and the ``simplex._Counts`` names they read.
+INVERSIONS = {"phase1": "phase1_inversions", "refresh": "phase2_inversions",
+              "batch": "batch_inversions"}
 
 
 def count_pivots(sp, call):
-    """Run ``call()`` and return ``(pivot counter, result or exception)``."""
-    with PivotCounter(sp) as counter:
+    """Run ``call()`` and return ``(the kernel's counts, result or
+    exception)``."""
+    with sp.simplex._counting() as counts:
         try:
             result = call()
         except sp.errors.SolverFailureError as exc:
             result = exc
-    return counter, result
+    return counts, result
 
 
 def hull_peak_bytes(sp, call) -> int:
-    """The tracemalloc peak, in bytes, of the one ``hull_member_lp`` call
-    that ``call()`` makes through ``sp.geometry``; a solver failure
-    still counts the bytes it traced."""
-    geometry = sp.geometry
-    hull = geometry.hull_member_lp
-    peaks = []
-
-    def traced(*args, **kwargs):
+    """The tracemalloc peak, in bytes, of one ``call()`` of a ``hull``
+    query (its ``hull_member_lp`` call and then the
+    ``sign_perm_member`` call beside it, which allocates far less); a
+    solver failure still counts the bytes it traced.  The kernel's counts
+    are made fresh before the trace starts."""
+    with sp.simplex._counting():
         tracemalloc.start()
         try:
-            return hull(*args, **kwargs)
+            call()
+        except sp.errors.SolverFailureError:
+            pass
         finally:
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-
-    geometry.hull_member_lp = traced
-    try:
-        call()
-    except sp.errors.SolverFailureError:
-        pass
-    finally:
-        geometry.hull_member_lp = hull
-    (peak,) = peaks
     return peak
 
 
@@ -232,16 +119,14 @@ def _per_kind(sp, queries, peak: bool) -> dict:
     the answers ``agrees`` refuses and, with ``peak``, the median of
     :func:`hull_peak_bytes`."""
     kinds = defaultdict(lambda: {"pivots": [], "priced": [], "sorts": [], "passes": [],
-                                 "aimed": [], "failures": 0, "wrong": 0,
+                                 "aimed": [], "bland": [], "failures": 0, "wrong": 0,
                                  "peak_bytes": []})
     for kind, call, agrees in queries:
-        counter, answer = count_pivots(sp, call)
+        counts, answer = count_pivots(sp, call)
         rec = kinds[kind]
-        rec["pivots"].append(counter.total)
-        rec["priced"].append(counter.priced)
-        rec["sorts"].append(counter.sorts)
-        rec["passes"].append(counter.passes)
-        rec["aimed"].append(counter.aimed > 0)
+        for name in ("pivots", "priced", "sorts", "passes", "bland"):
+            rec[name].append(getattr(counts, name))
+        rec["aimed"].append(counts.aimed > 0)
         if isinstance(answer, Exception):
             rec["failures"] += 1
         elif not agrees(answer):
@@ -255,6 +140,7 @@ def _per_kind(sp, queries, peak: bool) -> dict:
                    "sorts": round(float(np.mean(rec["sorts"])), 1),
                    "passes": round(float(np.mean(rec["passes"])), 1),
                    "aimed": round(float(np.mean(rec["aimed"])), 2),
+                   "bland": round(float(np.mean(rec["bland"])), 1),
                    "failures": rec["failures"], "wrong": rec["wrong"],
                    **({"peak_bytes": int(np.median(rec["peak_bytes"]))}
                       if peak else {})}
@@ -301,31 +187,29 @@ def n9_pivots(sp, workloads, seed: int, **sizes) -> dict:
     return _per_kind(sp, n9_queries(sp, workloads, seed, **sizes), peak=False)
 
 
-def _per_construct(counters) -> dict:
-    """Mean phase-1 solves, pivots and basis inversions per ``construct``
-    over ``counters``."""
-    mean = lambda values: round(float(np.mean(values)), 2)
-    pivots = {kind: mean([c.counts[kind] for c in counters])
-              for kind in PivotCounter.KINDS}
-    pivots["total"] = mean([c.total for c in counters])
-    inversions = {kind: mean([c.inversions[kind] for c in counters])
-                  for kind in PivotCounter.INVERSIONS}
-    inversions["total"] = mean([sum(c.inversions.values()) for c in counters])
-    return {"phase1_solves": mean([c.phase1_solves for c in counters]),
-            "pivots": pivots, "inversions": inversions}
+def _per_construct(counts) -> dict:
+    """Mean phase-1 solves, pivots, basis inversions and Bland's rule
+    passes per ``construct`` over the kernel's ``counts``."""
+    mean = lambda name: round(float(np.mean([getattr(c, name) for c in counts])), 2)
+    pivots = {kind: mean(kind) for kind in KINDS}
+    pivots["total"] = mean("pivots")
+    inversions = {kind: mean(name) for kind, name in INVERSIONS.items()}
+    inversions["total"] = round(float(np.mean(
+        [sum(getattr(c, name) for name in INVERSIONS.values()) for c in counts])), 2)
+    return {"phase1_solves": mean("solves"), "pivots": pivots, "inversions": inversions,
+            "bland": mean("bland")}
 
 
 def construct_pivots(sp, workloads, seed: int) -> dict:
-    counters = []
+    counts = []
     wrong = 0
     with tempfile.TemporaryDirectory() as tmp:
         wl = workloads.build_construct(np.random.default_rng(seed), Path(tmp), sp)
         for op in wl.blocks[0]:
-            counter, answer = count_pivots(sp, op.call)
-            counters.append(counter)
+            op_counts, answer = count_pivots(sp, op.call)
+            counts.append(op_counts)
             wrong += isinstance(answer, Exception) or not op.agrees(answer)
-    return {"decompositions": len(counters), **_per_construct(counters),
-            "wrong": wrong}
+    return {"decompositions": len(counts), **_per_construct(counts), "wrong": wrong}
 
 
 def _random_decomposition(sp, rng, d: int, m: int):
@@ -348,9 +232,8 @@ def _random_decomposition(sp, rng, d: int, m: int):
 
 def large_construct_pivots(sp, seed: int, d: int = 5, m: int = 60) -> dict:
     dec = _random_decomposition(sp, np.random.default_rng(seed), d, m)
-    counter, poly = count_pivots(
-        sp, lambda: sp.max_inscribed_cross_polytope(dec))
-    result = {"d": d, "m": m, **_per_construct([counter])}
+    counts, poly = count_pivots(sp, lambda: sp.max_inscribed_cross_polytope(dec))
+    result = {"d": d, "m": m, **_per_construct([counts])}
     if isinstance(poly, Exception):
         return {**result, "failure": str(poly)}
     return {**result, "alpha": poly.alpha}
@@ -366,8 +249,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
     sp = importlib.import_module("signpoly")
-    for sub in ("algorithms", "cli", "errors", "geometry", "majorization", "simplex",
-                "stateio"):
+    if not hasattr(importlib.import_module("signpoly.simplex"), "_counting"):
+        print(f"{args.src}: signpoly.simplex does not count its own work "
+              "(no simplex._counting)", file=sys.stderr)
+        return 2
+    for sub in ("algorithms", "cli", "errors", "geometry", "majorization", "stateio"):
         importlib.import_module(f"signpoly.{sub}")
     workloads = importlib.import_module("workloads")
     if args.stall_limit is not None:

@@ -26,11 +26,13 @@ compare exactly::
 
 A run writes, per row (set, scale, aimed or not), each probe's answer
 (``true``, ``false``, ``timeout`` or the solver failure's text), its
-pivots, counted through ``simplex._pivot``, and its milliseconds, and
-prints per row the answers, the total pivots and the median time.
-``--compare`` prints, per row, the probes whose verdicts differ where
-both runs answered and the probes that one run answered and the other
-did not.
+pivots and its milliseconds, and prints per row the answers, the total
+pivots and the median time.  The pivots are the kernel's own count,
+read from ``simplex._counting()`` (a pivot loop cut by the alarm still
+adds its pivots); a ``--src`` tree without it is refused with exit
+status 2.  ``--compare`` prints, per row, the probes whose verdicts
+differ where both runs answered and the probes that one run answered
+and the other did not.
 """
 
 from __future__ import annotations
@@ -77,29 +79,19 @@ def probes(V, signed: bool, count: int, seed: int) -> list:
 
 def ask(sp, call, limit: float) -> dict:
     """Run ``call()`` under a ``limit``-second alarm, counting pivots."""
-    simplex = sp.simplex
-    pivot = simplex._pivot
-    pivots = 0
-
-    def counted(*args):
-        nonlocal pivots
-        pivots += 1
-        return pivot(*args)
-
-    simplex._pivot = counted
     signal.signal(signal.SIGALRM, _alarm)
     start = time.perf_counter()
-    signal.setitimer(signal.ITIMER_REAL, limit)
-    try:
-        answer = bool(call()[0])
-    except _Timeout:
-        answer = "timeout"
-    except sp.errors.SolverFailureError as exc:
-        answer = str(exc)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        simplex._pivot = pivot
-    return {"answer": answer, "pivots": pivots,
+    with sp.simplex._counting() as counts:
+        signal.setitimer(signal.ITIMER_REAL, limit)
+        try:
+            answer = bool(call()[0])
+        except _Timeout:
+            answer = "timeout"
+        except sp.errors.SolverFailureError as exc:
+            answer = str(exc)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+    return {"answer": answer, "pivots": counts.pivots,
             "ms": round(1e3 * (time.perf_counter() - start), 2)}
 
 
@@ -167,7 +159,11 @@ def main(argv=None) -> int:
         return 0
     sys.path.insert(0, str(args.src.resolve()))
     sp = importlib.import_module("signpoly")
-    for sub in ("errors", "geometry", "simplex"):
+    if not hasattr(importlib.import_module("signpoly.simplex"), "_counting"):
+        print(f"{args.src}: signpoly.simplex does not count its own work "
+              "(no simplex._counting)", file=sys.stderr)
+        return 2
+    for sub in ("errors", "geometry"):
         importlib.import_module(f"signpoly.{sub}")
     rows = run(sp, args.probes, args.seed, args.limit)
     if args.out:

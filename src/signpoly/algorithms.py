@@ -248,7 +248,7 @@ def _certified(cert: CrossPolytopeCertificate, alpha: float,
     if t.min() != alpha or not _witness_violation(witnesses, V, points).max() <= tol:
         return False
     return (float(np.max(V @ u)) <= alpha + tol
-            and cert.binding_sign * u[cert.binding_axis] >= 1.0 - tol)
+            and cert.binding_sign * float(u[cert.binding_axis]) >= 1.0 - tol)
 
 
 def robustness_member(

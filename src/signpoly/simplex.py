@@ -44,10 +44,24 @@ them are rebuilt together, by one batched inversion after the last ray;
 :func:`_basic_solution` reads one basis or that stack.  A system gets
 ``50 * (rows + cols)`` pivots, shared by a ray's two phases; more, or
 any other failure to converge, raise: a failure is never a verdict.
+
+The kernel counts its own work into the :class:`_Counts` that
+:func:`_counting` installs for a block of code: phase-1 solves and
+phase-2 loops, pivots by where they happen (phase 1, driving
+artificials out, phase 2), pricing passes, the columns of a matrix
+priced, the passes priced by one sort, aimed entries, the passes that
+applied Bland's rule, and basis inversions (phase 1's refreshes and the
+rebuild that ends it, phase 2's refreshes, batched rebuilds).  A pivot
+loop adds its pivots and passes once, when it ends or raises; every
+inversion is counted by :func:`_invert_into`, the one caller of
+``np.linalg.inv``.  Counting has no off switch: outside any
+:func:`_counting` block the counts go to a default :class:`_Counts`
+that no one reads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -64,6 +78,37 @@ RATIO_EPS = 1e-12
 STALL_LIMIT = 20
 # Pivots between two rebuilds of [B^-1 | x_B] by _refine.
 REFRESH_EVERY = 32
+
+
+class _Counts:
+    """What the kernel did (see the module docstring), in plain ints."""
+
+    __slots__ = ("solves", "rays", "phase1", "drive_out", "phase2", "passes", "priced",
+                 "sorts", "aimed", "bland", "phase1_inversions", "phase2_inversions",
+                 "batch_inversions")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, 0)
+
+    @property
+    def pivots(self):
+        return self.phase1 + self.drive_out + self.phase2
+
+
+_COUNTS = _Counts()
+
+
+@contextlib.contextmanager
+def _counting():
+    """Count the kernel's work inside the block into fresh :class:`_Counts`,
+    which it yields; a nested block's work goes to that block's alone."""
+    global _COUNTS
+    outer, _COUNTS = _COUNTS, _Counts()
+    try:
+        yield _COUNTS
+    finally:
+        _COUNTS = outer
 
 
 class _State:
@@ -105,6 +150,7 @@ def _price(A, c, y, reduced):
     and return the entry of least value in all of ``reduced``, which may
     run on into the artificials' (priced already), and that value: one
     argmin, where NaN wins and ties go to the lowest index."""
+    _COUNTS.priced += A.shape[1]
     out = reduced[:A.shape[1]]
     np.matmul(-y, A, out=out)
     if c is not None:
@@ -149,6 +195,7 @@ def _sort_price(values, signed, y, out):
     cost.  By the rearrangement inequality ``y[:-1] . v`` is largest
     when ``|v|`` is ordered as ``|y[:-1]|`` is, with its signs (``v`` as
     ``y[:-1]``, unsigned); ties keep slot order."""
+    _COUNTS.sorts += 1
     yv, v = y[:-1], out[:-1]
     if signed:
         v[np.argsort(np.abs(yv), kind="stable")] = values
@@ -237,9 +284,10 @@ def _pivot_loop(s, cost, max_iter, phase, stop_above=math.inf, pricing=None, aim
     failure.  Phase 1 is optimal, with no pass priced, as soon as its
     objective value is 0: after an aimed vertex probe's first pivot,
     pricing on would only wander among degenerate bases.  Returns
-    ``(iterations, outcome)``: ``"optimal"``, or ``"cut-off"`` at a basis
+    ``(pivots, outcome)``: ``"optimal"``, or ``"cut-off"`` at a basis
     that is not optimal once minus the objective value is above
-    ``stop_above``.
+    ``stop_above``.  The loop's counts go to the current :class:`_Counts`
+    when it returns or raises.
     """
     sign, p = s.sign, s.A.shape[1]
     basis, inverse, x, ratios = s.basis, s.T[:, :-1], s.T[:, -1], s.ratios  # updated in place
@@ -249,58 +297,82 @@ def _pivot_loop(s, cost, max_iter, phase, stop_above=math.inf, pricing=None, aim
     if pricing is None:
         pricing = s.A if isinstance(s.A, _Sorted) else _Whole(s.A, cost[:p - lo])
     value = float(c_basic @ x)
-    stalled = 0
-    for it in range(max_iter):
-        if phase == 1 and value <= 0.0:  # at phase 1's lower bound: optimal
-            return it, "optimal"
-        y = c_basic @ inverse
+    stalled = pivots = passes = aimed = bland = 0
+    try:
+        while pivots < max_iter:
+            if phase == 1 and value <= 0.0:  # at phase 1's lower bound: optimal
+                return pivots, "optimal"
+            y = c_basic @ inverse
+            if phase == 1:
+                np.subtract(c_art, sign * y, out=pricing.art)
+            entering = 0.0
+            if aim is not None:
+                j = pricing.aligned(aim)
+                entering = -float(y @ pricing.column(j))
+                aim = None
+                passes += 1
+            dantzig = entering >= -PIVOT_EPS
+            if dantzig:
+                j, entering = pricing.least(y)
+                passes += 1
+            if not math.isfinite(entering):
+                raise SolverFailureError("non-finite reduced cost in pricing")
+            if entering >= -PIVOT_EPS:
+                return pivots, "optimal"
+            if -value > stop_above:
+                return pivots, "cut-off"
+            if dantzig and stalled >= STALL_LIMIT:
+                # Bland's rule, or None where roundoff left only a sort's column negative.
+                j, entering = _bland(pricing.every(y)) or (j, entering)
+                bland += 1
+            if j < p:
+                column = pricing.column(j)
+                col = inverse @ column
+            else:
+                column = np.where(np.arange(sign.size) == j - p, sign, 0.0)
+                col = sign[j - p] * inverse[:, j - p]
+            ratios.fill(math.inf)
+            np.divide(x, col, out=ratios, where=col > PIVOT_EPS)
+            i = int(ratios.argmin())
+            least = ratios[i]
+            if least == math.inf:
+                raise SolverFailureError("no admissible pivot in entering column")
+            ties = (ratios <= least + RATIO_EPS).nonzero()[0]
+            if ties.size > 1:
+                i = int(ties[basis[ties].argmin()])
+            _pivot(s, i, j, col, column)
+            pivots += 1
+            aimed += not dantzig
+            c_basic[i] = cost[j - lo] if j >= lo else 0.0
+            before, value = value, value + entering * float(x[i])
+            stalled = 0 if before - value > PIVOT_EPS * max(1.0, abs(before)) else stalled + 1
+            if pivots % REFRESH_EVERY == 0:
+                _refine(s, phase)
+                value = float(c_basic @ x)
+        raise SolverFailureError(f"phase-{phase} simplex did not converge "
+                                 f"within {max_iter} iterations")
+    finally:
         if phase == 1:
-            np.subtract(c_art, sign * y, out=pricing.art)
-        entering = 0.0
-        if aim is not None:
-            j = pricing.aligned(aim)
-            entering = -float(y @ pricing.column(j))
-            aim = None
-        dantzig = entering >= -PIVOT_EPS
-        if dantzig:
-            j, entering = pricing.least(y)
-        if not math.isfinite(entering):
-            raise SolverFailureError("non-finite reduced cost in pricing")
-        if entering >= -PIVOT_EPS:
-            return it, "optimal"
-        if -value > stop_above:
-            return it, "cut-off"
-        if dantzig and stalled >= STALL_LIMIT:
-            # Bland's rule, or None where roundoff left only a sort's column negative.
-            j, entering = _bland(pricing.every(y)) or (j, entering)
-        if j < p:
-            column = pricing.column(j)
-            col = inverse @ column
+            _COUNTS.solves += 1
+            _COUNTS.phase1 += pivots
         else:
-            column = np.where(np.arange(sign.size) == j - p, sign, 0.0)
-            col = sign[j - p] * inverse[:, j - p]
-        ratios.fill(math.inf)
-        np.divide(x, col, out=ratios, where=col > PIVOT_EPS)
-        i = int(ratios.argmin())
-        least = ratios[i]
-        if least == math.inf:
-            raise SolverFailureError("no admissible pivot in entering column")
-        ties = (ratios <= least + RATIO_EPS).nonzero()[0]
-        if ties.size > 1:
-            i = int(ties[basis[ties].argmin()])
-        _pivot(s, i, j, col, column)
-        c_basic[i] = cost[j - lo] if j >= lo else 0.0
-        before, value = value, value + entering * float(x[i])
-        stalled = 0 if before - value > PIVOT_EPS * max(1.0, abs(before)) else stalled + 1
-        if (it + 1) % REFRESH_EVERY == 0:
-            _refine(s)
-            value = float(c_basic @ x)
-    raise SolverFailureError(f"phase-{phase} simplex did not converge "
-                             f"within {max_iter} iterations")
+            _COUNTS.rays += 1
+            _COUNTS.phase2 += pivots
+        _COUNTS.passes += passes
+        _COUNTS.aimed += aimed
+        _COUNTS.bland += bland
 
 
-def _invert_into(T, B, b):
-    """Write ``[B^-1 | B^-1 b]`` into ``T``, for a matrix ``B`` or a stack."""
+def _invert_into(T, B, b, phase):
+    """Write ``[B^-1 | B^-1 b]`` into ``T``, for a matrix ``B`` or a stack,
+    and count it: a stack as a batched inversion, a matrix as one of
+    phase ``phase``."""
+    if B.ndim > 2:
+        _COUNTS.batch_inversions += 1
+    elif phase == 1:
+        _COUNTS.phase1_inversions += 1
+    else:
+        _COUNTS.phase2_inversions += 1
     try:
         T[..., :-1] = np.linalg.inv(B)
     except np.linalg.LinAlgError:
@@ -308,9 +380,9 @@ def _invert_into(T, B, b):
     T[..., -1] = T[..., :-1] @ b
 
 
-def _refine(s):
-    """Invert the basis columns ``s.B`` into ``s.T``."""
-    _invert_into(s.T, s.B, s.b)
+def _refine(s, phase):
+    """Invert the basis columns ``s.B`` into ``s.T``, in phase ``phase``."""
+    _invert_into(s.T, s.B, s.b, phase)
 
 
 def _phase1(A, b, max_iter, aimed=False):
@@ -320,7 +392,7 @@ def _phase1(A, b, max_iter, aimed=False):
     pivots used."""
     s = _State(A, b)
     used, _ = _pivot_loop(s, np.ones(b.size), max_iter, phase=1, aim=b if aimed else None)
-    _refine(s)
+    _refine(s, 1)
     unnamed = s.basis < 0  # columns a _Sorted pricing entered by sort
     if unnamed.any():
         s.basis[unnamed] = A.rank(s.B[:, unnamed])
@@ -424,7 +496,7 @@ def _ray_maxima(A, b, columns, tol):
         if not stopped[j]:
             best = min(best, _basic_solution(s.T, s.basis, p + 1)[p])
     T = np.empty((len(columns), k, k + 1))
-    _invert_into(T, B, b)
+    _invert_into(T, B, b, 2)
     dual = np.full((len(columns), k), np.nan)
     for j in (~stopped).nonzero()[0]:
         dual[j] = cost[bases[j]] @ T[j, :, :-1]
@@ -440,3 +512,4 @@ def _drive_out(s):
         if abs(row[j]) > PIVOT_EPS:
             s.T[i, -1] = 0.0
             _pivot(s, i, j, s.T[:, :-1] @ s.A[:, j], s.A[:, j])
+            _COUNTS.drive_out += 1

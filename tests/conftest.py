@@ -6,15 +6,8 @@ from signpoly import simplex
 
 
 @pytest.fixture
-def phase_calls(monkeypatch):
-    """Counts of the simplex kernel's phase-1 and phase-2 pivot loops
-    from the start of the test on."""
-    calls = {"phase1": 0, "phase2": 0}
-    loop = simplex._pivot_loop
-
-    def counting_loop(*args, phase, **kwargs):
-        calls[f"phase{phase}"] += 1
-        return loop(*args, phase=phase, **kwargs)
-
-    monkeypatch.setattr(simplex, "_pivot_loop", counting_loop)
-    return calls
+def lp_counts():
+    """The simplex kernel's own counts of its work from the start of the
+    test on (``simplex._Counts``)."""
+    with simplex._counting() as counts:
+        yield counts

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -334,10 +335,10 @@ def test_pivot_loops_rebuild_the_inverse_every_refresh_pivots(monkeypatch):
             inside[-1][1] += 1
         return pivot(*args)
 
-    def counted_refine(s):
+    def counted_refine(s, phase):
         if inside:
             inside[-1][2] += 1
-        return refine(s)
+        return refine(s, phase)
 
     monkeypatch.setattr(simplex, "_pivot_loop", counted_loop)
     monkeypatch.setattr(simplex, "_pivot", counted_pivot)
@@ -518,6 +519,18 @@ def test_certificate_checker_rejects_tampering():
             cert, hyperplane=cert.hyperplane * 1.01)))
 
 
+def test_certificate_verdicts_are_plain_bools():
+    """``certificate_holds`` answers a plain bool, which JSON can write,
+    on a good certificate and on one that fails its last check, the
+    binding direction's cut."""
+    poly = max_inscribed_cross_polytope(_octahedral_decomposition(0.4))
+    shallow = dataclasses.replace(poly, certificate=dataclasses.replace(
+        poly.certificate, hyperplane=poly.certificate.hyperplane * 0.99))
+    verdicts = [certificate_holds(poly), certificate_holds(shallow)]
+    assert verdicts[0] is True and verdicts[1] is False
+    assert json.dumps(verdicts) == "[true, false]"
+
+
 def test_certificate_checker_bounds_the_dual_at_tol():
     """The dual side holds at ``max(V @ u) <= alpha + tol`` and no
     looser: the hyperplane scaled so that its largest member value sits
@@ -646,43 +659,31 @@ def test_infeasible_shared_phase1_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("d, m", [(2, 8), (3, 20)])
-def test_one_kernel_solve_per_direction(monkeypatch, phase_calls, d, m):
+def test_one_kernel_solve_per_direction(lp_counts, d, m):
     """Exactly one phase-1 loop, the shared one, then 2(d^2 - 1) phase-2
-    runs, and no hull queries per search."""
-    feasible = []
-    kernel = simplex._feasible
-    monkeypatch.setattr(simplex, "_feasible",
-                        lambda *a, **k: feasible.append(1) or kernel(*a, **k))
+    runs, and no hull queries per search (each would be a phase-1
+    solve of its own)."""
     poly = max_inscribed_cross_polytope(_random_decomposition(7, d, m, 1.0))
     assert not poly.degenerate
     n = d * d - 1
-    assert phase_calls == {"phase1": 1, "phase2": 2 * n}
-    assert not feasible
+    assert (lp_counts.solves, lp_counts.rays) == (1, 2 * n)
 
 
-def test_shared_phase1_pivot_count(monkeypatch):
+def test_shared_phase1_pivot_count(lp_counts):
     """Pivots of one d=4, m=40 search: at most a third of the 2,053 it
     took with one full two-phase solve per ray; pivot counts do not
     depend on the machine."""
-    pivots = []
-    pivot = simplex._pivot
-    monkeypatch.setattr(simplex, "_pivot",
-                        lambda *a: pivots.append(1) or pivot(*a))
     poly = max_inscribed_cross_polytope(_random_decomposition(7, 4, 40, 1.0))
-    assert len(pivots) <= 2053 // 3
+    assert lp_counts.pivots <= 2053 // 3
     assert certificate_holds(poly)
 
 
-def test_bounded_rays_pivot_count(monkeypatch):
+def test_bounded_rays_pivot_count(lp_counts):
     """The same d=4, m=40 search with every ray stopped once it cannot
     bind: at most 296 pivots, 60% of the 494 it took with every ray
     driven to its own optimum."""
-    pivots = []
-    pivot = simplex._pivot
-    monkeypatch.setattr(simplex, "_pivot",
-                        lambda *a: pivots.append(1) or pivot(*a))
     poly = max_inscribed_cross_polytope(_random_decomposition(7, 4, 40, 1.0))
-    assert len(pivots) <= 296
+    assert lp_counts.pivots <= 296
     assert certificate_holds(poly)
 
 
@@ -714,20 +715,19 @@ def test_cut_off_binding_ray_raises(monkeypatch):
         max_inscribed_cross_polytope(_cube_decomposition(0.3))
 
 
-def test_stopped_rays_share_one_inversion(monkeypatch):
+def test_stopped_rays_share_one_inversion():
     """Basis inversions in one d=3, m=20 search, where some rays stop
-    early: one ends the shared phase 1 and one batched call rebuilds
-    every ray, optimal or stopped; inverting each ray on its own took
-    17."""
+    early: one ends the shared phase 1, one batched call rebuilds every
+    ray, optimal or stopped, and there are no others (each is counted by
+    ``_invert_into``, which makes it); inverting each ray on its own
+    took 17."""
     dec = _random_decomposition(7, 3, 20, 1.0)
     _, dual = simplex._ray_maxima(*_ray_system(dec), 1e-9)
     assert 0 < np.isnan(dual).all(axis=1).sum() < len(dual)
-    calls = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv",
-                        lambda B: calls.append(B.ndim) or inv(B))
-    poly = max_inscribed_cross_polytope(dec)
-    assert calls == [2, 3]
+    with simplex._counting() as counts:
+        poly = max_inscribed_cross_polytope(dec)
+    assert (counts.phase1_inversions, counts.phase2_inversions,
+            counts.batch_inversions) == (1, 0, 1)
     assert certificate_holds(poly)
 
 
@@ -759,7 +759,7 @@ def _rays_one_by_one(A, b, columns, tol):
         simplex._drive_out(s)
         _, status = simplex._pivot_loop(s, cost, cap - used, phase=2,
                                         stop_above=best)
-        simplex._refine(s)
+        simplex._refine(s, 2)
         z[j] = simplex._basic_solution(s.T, s.basis, p + 1)
         if status == "optimal":
             dual[j] = cost[s.basis] @ s.T[:, :-1]

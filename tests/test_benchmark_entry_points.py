@@ -11,6 +11,7 @@ shows up only as a failed benchmark operation.
 import importlib
 import importlib.util
 import json
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -108,63 +109,63 @@ def test_construct_workload_inputs_certify(tmp_path, monkeypatch):
         assert certificate_holds(poly), path.name
 
 
-def test_pivot_counter_counts_a_construct(monkeypatch):
-    """``bench/pivots.py`` counts by rebinding names in ``simplex``; if
-    one of them is renamed or stops being called, its counts read 0
-    without an error.  One small search runs one shared phase 1 and
-    pivots in phase 2."""
+def test_pivot_bench_counts_a_construct(monkeypatch):
+    """``bench/pivots.py`` reads the kernel's own counts: one small
+    search runs one shared phase 1 and pivots in phase 2, one inversion
+    ends phase 1 and one batch rebuilds all six rays."""
     pivots = _load(monkeypatch, "bench_pivots", PIVOTS)
-    counter, poly = pivots.count_pivots(
+    counts, poly = pivots.count_pivots(
         signpoly, lambda: max_inscribed_cross_polytope(_octahedral()))
     assert certificate_holds(poly)
-    assert counter.phase1_solves == 1
-    assert counter.counts["phase2"] > 0
-    assert counter.total == sum(counter.counts.values())
-    # one inversion ends phase 1 and one batch rebuilds all six rays
-    assert counter.inversions == {"phase1": 1, "refresh": 0, "batch": 1}
-    assert counter.priced > 0
-    assert np.linalg.inv is counter._inv
-    assert signpoly.simplex._price is counter._price
+    assert (counts.solves, counts.rays) == (1, 6)
+    assert counts.phase2 > 0
+    summary = pivots._per_construct([counts])
+    assert summary["inversions"] == {"phase1": 1, "refresh": 0, "batch": 1, "total": 2}
+    assert summary["bland"] == 0
+    assert counts.priced > 0
+
+
+@pytest.mark.parametrize("script", [PIVOTS, RAW_PRICING], ids=lambda path: path.stem)
+def test_count_benches_refuse_a_tree_that_does_not_count(tmp_path, script):
+    """A ``--src`` whose ``simplex`` has no ``_counting``, as in trees
+    whose kernel did not count its own work, is refused with one line
+    and exit status 2."""
+    (tmp_path / "signpoly").mkdir()
+    (tmp_path / "signpoly" / "__init__.py").write_text("")
+    (tmp_path / "signpoly" / "simplex.py").write_text("")
+    done = subprocess.run([sys.executable, str(script), "--src", str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "simplex._counting" in done.stderr
 
 
 def test_pivot_bench_reports_hull_peak_bytes(monkeypatch):
     """``bench/pivots.py`` reports, per ``hull`` probe kind, the median
-    tracemalloc peak of one warm ``hull_member_lp`` call, read through
-    ``geometry``'s attribute, which it restores: on the 3,840 and 960
+    tracemalloc peak of one warm query (its ``hull_member_lp`` call and
+    the ``sign_perm_member`` call beside it): on the 3,840 and 960
     vertices of n = 5 and 6 more than the weights over the set, and on
     the 26,880 vertices of n = 8 at most two float vectors that wide.
-    It also reports ``priced``, the mean columns priced per query,
-    counted through ``simplex._price``, ``sorts``, the mean passes
-    priced by sort, counted through ``simplex._sort_price``, and
-    ``passes``, the mean pricing passes, counted through the pricings'
-    ``least`` and ``aligned`` methods, all of which it restores.  Query
-    by query, every pass prices every column on the sets explicitly
-    priced, and on the n = 8 listing, of more than
+    It also reports the kernel's counts: ``priced``, the mean columns
+    priced per query, ``sorts``, the mean passes priced by sort,
+    ``passes``, the mean pricing passes, and ``bland``, the mean passes
+    that applied Bland's rule, none on seed 3.  Query by query, every
+    pass prices every column on the sets explicitly priced, and on the
+    n = 8 listing, of more than
     ``geometry._SORT_ABOVE`` rows, no column of an LP matrix and one
     sort.  There is a pass per pivot and one more
     that finds the basis optimal, which only a member may skip, when
     its phase 1 ends at objective value 0 (:func:`_passes_hold`).  The
     aimed first pass is one of them; ``aimed``, the share of queries
-    whose first pivot entered the aimed vertex, is counted as a pass
-    through ``aligned`` that a pivot follows, and on seed 3 every
-    query's did."""
+    whose first pivot entered the aimed vertex, is 1.0 on seed 3."""
     pivots = _load(monkeypatch, "bench_pivots", PIVOTS)
     workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
-    hull = signpoly.geometry.hull_member_lp
-    price, sort_price = signpoly.simplex._price, signpoly.simplex._sort_price
-    methods = [(cls, name, getattr(cls, name))
-               for cls in (signpoly.simplex._Whole, signpoly.simplex._Sorted)
-               for name in ("least", "aligned")]
     kinds = pivots.hull_pivots(signpoly, workloads, 3)
-    assert signpoly.geometry.hull_member_lp is hull
-    assert signpoly.simplex._price is price
-    assert signpoly.simplex._sort_price is sort_price
-    assert all(getattr(cls, name) is method for cls, name, method in methods)
     sizes = {"5": 3840, "6": 960, "8": 26880}
     assert len(kinds) == 7
     for kind, rec in kinds.items():
         m = sizes[kind[len("hull_n")]]
-        assert rec["failures"] == rec["wrong"] == 0
+        assert rec["failures"] == rec["wrong"] == rec["bland"] == 0
         assert rec["aimed"] == 1.0, kind
         if m <= signpoly.geometry._SORT_ABOVE:
             assert 8 * m < rec["peak_bytes"], kind
@@ -179,18 +180,17 @@ def test_pivot_bench_reports_hull_peak_bytes(monkeypatch):
 
 def _passes_hold(pivots, call, m):
     """Asks one aimed hull query over ``m`` vertices and checks its
-    passes: priced through ``simplex._price`` with every column each
-    pass up to ``geometry._SORT_ABOVE`` vertices, by one sort each pass
-    above, one pass per pivot and one more, which only a member whose phase 1
-    ends at objective value 0 skips, and the aimed vertex entered."""
-    counter, (member, _) = pivots.count_pivots(signpoly, call)
+    passes: every column priced each pass up to ``geometry._SORT_ABOVE``
+    vertices, one sort each pass above, one pass per pivot and one
+    more, which only a member skips (its phase 1 stops, unpriced, at
+    objective value 0), and the aimed vertex entered."""
+    counts, (member, _) = pivots.count_pivots(signpoly, call)
     if m <= signpoly.geometry._SORT_ABOVE:
-        assert (counter.priced, counter.sorts) == (m * counter.passes, 0)
+        assert (counts.priced, counts.sorts) == (m * counts.passes, 0)
     else:
-        assert (counter.priced, counter.sorts) == (0, counter.passes)
-    assert counter.phase1_solves == counter.aimed == 1
-    assert (counter.passes == counter.total + 1
-            or member and counter.objective == 0.0 and counter.passes == counter.total)
+        assert (counts.priced, counts.sorts) == (0, counts.passes)
+    assert counts.solves == counts.aimed == 1
+    assert counts.passes == counts.pivots + 1 or member and counts.passes == counts.pivots
 
 
 def test_pivot_bench_counts_the_n9_queries(monkeypatch):
@@ -201,10 +201,7 @@ def test_pivot_bench_counts_the_n9_queries(monkeypatch):
     every query's first pivot enters the aimed vertex."""
     pivots = _load(monkeypatch, "bench_pivots", PIVOTS)
     workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
-    price, sort_price = signpoly.simplex._price, signpoly.simplex._sort_price
     kinds = pivots.n9_pivots(signpoly, workloads, 3, mixes=1, scaled=2)
-    assert signpoly.simplex._price is price
-    assert signpoly.simplex._sort_price is sort_price
     assert sorted(kinds) == ["mix", "scaled"]
     assert [kinds["mix"]["probes"], kinds["scaled"]["probes"]] == [1, 2]
     for kind, rec in kinds.items():
@@ -333,19 +330,18 @@ a docstring"""
 
 
 def test_raw_pricing_bench_answers_times_out_and_compares(monkeypatch):
-    """``bench/raw_pricing.py`` answers a raw hull query with its pivots,
-    counted through ``simplex._pivot``, which it restores; cuts a call
-    that outlasts its limit as ``timeout``; and compares two runs only
-    where both answered."""
+    """``bench/raw_pricing.py`` answers a raw hull query with the
+    kernel's count of its pivots; cuts a call that outlasts its limit as
+    ``timeout``; and compares two runs only where both answered."""
     bench = _load(monkeypatch, "bench_raw_pricing", RAW_PRICING)
     V = enumerate_sign_perm_vertices([2.0, 1.0, 0.0]).array
     raw = signpoly.VertexSet(V)
-    pivot = signpoly.simplex._pivot
     (x,) = bench.probes(V, True, 1, 0)
-    rec = bench.ask(signpoly, lambda: signpoly.hull_member_lp(x, raw), 5.0)
+    with signpoly.simplex._counting() as counts:
+        rec = bench.ask(signpoly, lambda: signpoly.hull_member_lp(x, raw), 5.0)
     assert rec["answer"] is True and rec["pivots"] > 0
+    assert counts.pivots == 0  # the query's pivots went to its own block
     assert bench.ask(signpoly, lambda: time.sleep(5.0), 0.05)["answer"] == "timeout"
-    assert signpoly.simplex._pivot is pivot
     old = {"row": [{"answer": True}, {"answer": "timeout"}, {"answer": False}]}
     new = {"row": [{"answer": False}, {"answer": True}, {"answer": "solver failed"}]}
     assert bench.compare(old, new) == {"row": {"verdicts_differ": [0],

@@ -468,13 +468,12 @@ def test_construct_octahedral(capsys, octahedral_file):
         doc["fraction_closed_form"], rel=1e-10)
 
 
-def test_construct_reports_binding_direction(capsys, phase_calls,
-                                             octahedral_file):
+def test_construct_reports_binding_direction(capsys, lp_counts, octahedral_file):
     rc = main(["construct", octahedral_file, "--format", "structured"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     n = doc["chart_dim"]
-    assert phase_calls == {"phase1": 1, "phase2": 2 * n}
+    assert (lp_counts.solves, lp_counts.rays) == (1, 2 * n)
     assert 0 <= doc["binding_axis"] < doc["chart_dim"]
     assert doc["binding_sign"] in (1, -1)
 

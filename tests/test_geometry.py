@@ -848,7 +848,7 @@ DEFECT_PROBE = 0.9179802462889692 * np.array([4.0, -3.0, 0.0, -2.0, 0.0, 0.0, 0.
     # under Bland's rule alone)
     (1.0 * np.array([-4.0, -3.0, -2.0, -1.0, 0.0, 0.0, 0.0, 0.0]), 72, 1),
 ], ids=["defect-probe", "vertex"])
-def test_boundary_probe_pivot_count(monkeypatch, probe, bound, whole):
+def test_boundary_probe_pivot_count(probe, bound, whole):
     """Boundary probes against the 26,880 signed permutations of
     OCTA_BASE: the right answer within the gates of 40 and 72 pivots,
     twice the tableau kernel's 20 and 36, whether the listed set is
@@ -860,27 +860,19 @@ def test_boundary_probe_pivot_count(monkeypatch, probe, bound, whole):
     0."""
     listed = enumerate_sign_perm_vertices(OCTA_BASE)
     raw = VertexSet(listed.array)
-    pivots = []
-    pivot = simplex._pivot
-
-    def counting(*args):
-        pivots.append(1)
-        return pivot(*args)
-
-    monkeypatch.setattr(simplex, "_pivot", counting)
     m = len(listed)
     reference = linprog(np.zeros(m), A_eq=np.vstack([listed.array.T, np.ones((1, m))]),
                         b_eq=np.append(probe, 1.0), bounds=(0, None), method="highs")
     assert reference.status == 0
     assert sign_perm_member(probe, OCTA_BASE)
     for verts in (listed, raw):
-        pivots.clear()
-        member, w = hull_member_lp(probe, verts)
-        assert len(pivots) <= bound
+        with simplex._counting() as counts:
+            member, w = hull_member_lp(probe, verts)
+        assert counts.pivots <= bound
         assert member
         _assert_witness(w, verts, probe)
     assert listed._lp is None
-    assert len(pivots) == whole  # the raw copy's, asked last
+    assert counts.pivots == whole  # the raw copy's, asked last
 
 
 #: Per near-vertex kind, the most and the total pivots of an aimed phase
@@ -891,7 +883,7 @@ _AIMED_PIVOTS = {"boundary": (9, 20), "defect": (10, 10), 5: (7, 42), 6: (9, 47)
 
 
 @pytest.mark.parametrize("kind", list(_AIMED_PIVOTS), ids=str)
-def test_aimed_start_pivot_count(monkeypatch, kind):
+def test_aimed_start_pivot_count(kind):
     """Near-vertex probes of signed-permutation listings, with the right
     answer within the pivots measured for the aimed start: perfbench's
     four fixed n = 8 boundary probes (FIXED_BOUNDARY_SEED 0), its defect
@@ -910,14 +902,11 @@ def test_aimed_start_pivot_count(monkeypatch, kind):
     else:
         rng = np.random.default_rng(29)
         probes = [rng.uniform(0.9, 1.1) * V[rng.integers(len(V))] for _ in range(8)]
-    pivots = []
-    pivot = simplex._pivot
-    monkeypatch.setattr(simplex, "_pivot", lambda *a: pivots.append(1) or pivot(*a))
     counts = []
     for x in probes:
-        pivots.clear()
-        member, w = hull_member_lp(x, verts)
-        counts.append(len(pivots))
+        with simplex._counting() as query:
+            member, w = hull_member_lp(x, verts)
+        counts.append(query.pivots)
         assert member == sign_perm_member(x, base)
         if member:
             _assert_witness(w, verts, x)

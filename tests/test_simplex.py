@@ -1,6 +1,8 @@
 """The LP kernel against an independent solver on random instances."""
 
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,7 +118,7 @@ def test_singular_basis_raises():
     state.basis[:] = [0, 1]
     state.B[:] = A
     with pytest.raises(SolverFailureError, match="singular"):
-        simplex._refine(state)
+        simplex._refine(state, 1)
 
 
 def test_tolerance_separates_near_feasible():
@@ -156,7 +158,7 @@ def _finished(c, state, max_iter, stop_above=math.inf):
     simplex._drive_out(state)
     _, status = simplex._pivot_loop(state, cost, max_iter, phase=2,
                                     stop_above=stop_above)
-    simplex._refine(state)
+    simplex._refine(state, 2)
     dual = np.full(state.b.size, np.nan)
     if status == "optimal":
         dual = cost[state.basis] @ state.T[:, :-1]
@@ -270,17 +272,47 @@ def test_wide_systems_agree_with_reference_solver():
     assert min(verdicts.values()) >= 5
 
 
-def test_unbounded_ray_raises(phase_calls):
+def test_nested_counting_blocks_count_their_own_work():
+    """A ``_counting`` block nested in another gets the work done inside
+    it and nothing else; the outer block gets none of it, and counts on
+    once the inner one ends.  Work outside every block goes to neither."""
+    A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    b = np.array([1.0, 2.0])
+    work = lambda c: (c.solves, c.pivots, c.passes, c.priced, c.phase1_inversions)
+    with simplex._counting() as outer:
+        feasible_nonneg(A, b)
+        once = work(outer)
+        with simplex._counting() as inner:
+            feasible_nonneg(A, b)
+            feasible_nonneg(A, b)
+        assert work(outer) == once
+        feasible_nonneg(A, b)
+    feasible_nonneg(A, b)
+    assert once[0] == 1 and min(once) > 0
+    assert work(inner) == tuple(2 * count for count in once)
+    assert work(outer) == tuple(2 * count for count in once)
+
+
+def test_every_basis_inversion_is_counted():
+    """``_invert_into`` counts each inversion it makes, and it is the
+    kernel's one call of a numpy inverse or solve, so no inversion goes
+    uncounted."""
+    calls = re.findall(r"np\.linalg\.\w*(?:inv|solve)\(", inspect.getsource(simplex))
+    assert calls == ["np.linalg.inv("]
+    assert calls[0] in inspect.getsource(simplex._invert_into)
+
+
+def test_unbounded_ray_raises(lp_counts):
     """A ray whose ``t`` column is zero never leaves the feasible set,
     so ``t`` is unbounded; ray LPs are bounded by the hull, so that is a
     solver failure, not an outcome."""
     with pytest.raises(SolverFailureError, match="no admissible pivot"):
         simplex._ray_maxima(np.array([[1.0]]), np.array([1.0]),
                             np.array([[0.0]]), 1e-9)
-    assert phase_calls == {"phase1": 1, "phase2": 1}
+    assert (lp_counts.solves, lp_counts.rays) == (1, 1)
 
 
-def test_infeasible_ray_lps_raise(phase_calls):
+def test_infeasible_ray_lps_raise(lp_counts):
     """A ``t = 0`` left infeasible by the shared phase 1, at the same
     tolerance ``feasible_nonneg`` applies, raises before any phase 2."""
     with pytest.raises(SolverFailureError, match="ray LP infeasible"):
@@ -291,7 +323,7 @@ def test_infeasible_ray_lps_raise(phase_calls):
     columns = np.array([[1.0, -1.0, 0.0]])
     with pytest.raises(SolverFailureError, match="ray LP infeasible"):
         simplex._ray_maxima(A, b, columns, 1e-9)
-    assert phase_calls == {"phase1": 2, "phase2": 0}
+    assert (lp_counts.solves, lp_counts.rays) == (2, 0)
     (z,), (dual,) = simplex._ray_maxima(A, b, columns, 1e-4)
     assert np.isfinite(dual).all() and z[-1] == pytest.approx(0.5)
 
@@ -355,24 +387,19 @@ def _qutrit_ray_system(seed, ray, m=20):
 @pytest.mark.parametrize("seed, ray", [(303, 12), (329, 9)])
 def test_bland_fallback_ends_a_dantzig_cycle(monkeypatch, seed, ray):
     """Dantzig's rule alone cycles through degenerate pivots on these
-    systems until the iteration cap; the Bland fallback ends the cycle,
-    and both phases then agree with the reference."""
+    systems until the iteration cap, and the solve that raises still
+    counts every pivot up to it; the Bland fallback ends the cycle, and
+    both phases then agree with the reference."""
     A, b = _qutrit_ray_system(seed, ray)
-    with monkeypatch.context() as patch:
+    with monkeypatch.context() as patch, simplex._counting() as counts:
         patch.setattr(simplex, "STALL_LIMIT", 10**9)
         with pytest.raises(SolverFailureError, match="did not converge"):
             feasible_nonneg(A, b)
+    assert (counts.solves, counts.phase1, counts.bland) == (1, 50 * sum(A.shape), 0)
 
-    calls = []
-    bland = simplex._bland
-
-    def counting(reduced):
-        calls.append(1)
-        return bland(reduced)
-
-    monkeypatch.setattr(simplex, "_bland", counting)
-    ok, z = feasible_nonneg(A, b)
-    assert calls, "the Bland fallback never ran"
+    with simplex._counting() as counts:
+        ok, z = feasible_nonneg(A, b)
+    assert counts.bland, "the Bland fallback never ran"
     assert ok and _reference_feasible(A, b)
     np.testing.assert_allclose(A @ z, b, atol=1e-8)
     c = np.zeros(A.shape[1])
@@ -391,16 +418,13 @@ def test_positive_ratio_pivot_that_leaves_the_objective_counts_as_stalled(
                   [0.0, 0.0, 0.0, 0.0, 1.0]])
     cost = np.array([-2e-11, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     assert 1.0 + cost[0] * 2e-12 == 1.0
-    calls = []
-    bland = simplex._bland
     monkeypatch.setattr(simplex, "STALL_LIMIT", 1)
-    monkeypatch.setattr(simplex, "_bland",
-                        lambda reduced: calls.append(1) or bland(reduced))
     state = simplex._State(A, np.array([2e-12, 1.0, 1.0]))
     state.basis[:] = [2, 3, 4]
-    assert simplex._pivot_loop(state, cost, 10, phase=2) == (2, "optimal")
+    with simplex._counting() as counts:
+        assert simplex._pivot_loop(state, cost, 10, phase=2) == (2, "optimal")
     assert list(state.basis) == [0, 1, 4]
-    assert calls == [1]
+    assert counts.bland == 1
 
 
 def test_non_finite_pricing_raises(monkeypatch):
@@ -456,7 +480,7 @@ def test_bland_reads_every_reduced_cost(monkeypatch, listed):
     monkeypatch.setattr(simplex, "STALL_LIMIT", 0)
     monkeypatch.setattr(simplex, "_bland", checking)
     simplex._pivot_loop(state, np.ones(k), 10**4, phase=1)
-    simplex._refine(state)
+    simplex._refine(state, 1)
     assert len(seen) > 1
     assert (simplex._infeasibility(state) <= 1e-9) == _reference_feasible(A, b)
 
