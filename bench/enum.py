@@ -24,9 +24,15 @@ computed (the columns passed to ``quantum._cayley``).  The ``bloch``
 cases likewise give the rows streamed and the states kept.  Cases:
 
 - ``perfbench_n9``: the signed permutations of the ``enumerate``
-  workload's n=9 base vector (483,840 rows);
-- ``signed_n10``: those of ``[1,1,2,2,3,3,4,0,0,0]`` (9,676,800 rows);
-- ``unsigned_n10``: the plain permutations of ``1..10`` (3,628,800 rows);
+  workload's n=9 base vector (483,840 rows), listed by reading the
+  vertex set's ``array``;
+- ``perfbench_n9_count``: the same vertex set's ``len`` alone, as the
+  workload's n=9 operation asks it (a set lists its rows when they are
+  first read, so this lists none);
+- ``signed_n10``: the listed signed permutations of
+  ``[1,1,2,2,3,3,4,0,0,0]`` (9,676,800 rows);
+- ``unsigned_n10``: the listed plain permutations of ``1..10``
+  (3,628,800 rows);
 - ``any_pure``: the default ``--filter any-pure`` on the state
   ``[1,2,3,4,5,6,0,0]`` (normalized; 1,290,240 rows, every one kept);
 - ``any_pure_show_0`` and ``any_pure_show_3``: the same state through
@@ -77,7 +83,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = ("perfbench_n9", "signed_n10", "unsigned_n10", "any_pure", "any_pure_show_0",
+CASES = ("perfbench_n9", "perfbench_n9_count", "signed_n10", "unsigned_n10", "any_pure", "any_pure_show_0",
          "any_pure_show_3", "readme_w_type", "w_type_stream", "perfbench_bloch",
          "generic_qutrit_bloch")
 #: Cases that report the tangle evaluations.
@@ -101,13 +107,16 @@ def _case_call(sp, workloads, name: str, rng=None):
 
     if name == "perfbench_n9":
         a = fresh(np.array(workloads.N9_BASE), scale=True)
+        return lambda: (len(sp.geometry.enumerate_sign_perm_vertices(a).array), None)
+    if name == "perfbench_n9_count":
+        a = fresh(np.array(workloads.N9_BASE), scale=True)
         return lambda: (len(sp.geometry.enumerate_sign_perm_vertices(a)), None)
     if name == "signed_n10":
         a = fresh(np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 0.0, 0.0, 0.0]), scale=True)
-        return lambda: (len(sp.geometry.enumerate_sign_perm_vertices(a)), None)
+        return lambda: (len(sp.geometry.enumerate_sign_perm_vertices(a).array), None)
     if name == "unsigned_n10":
         a = fresh(np.arange(1.0, 11.0), signed=False, scale=True)
-        return lambda: (len(sp.geometry.enumerate_perm_vertices(a)), None)
+        return lambda: (len(sp.geometry.enumerate_perm_vertices(a).array), None)
     if name.startswith("any_pure_show_"):
         return _cli_call(sp, name.rsplit("_", 1)[1], fresh)
     kwargs = {"filter": "w-type"}

@@ -41,20 +41,27 @@ _SORT_ABOVE = 1 << 14
 class VertexSet:
     """A finite set of points spanning a convex hull.
 
-    Points are stored as the rows of a read-only ``(m, n)`` array, in the
-    order given and with any repeats kept: neither a hull nor the LP
-    depends on them.  The points are always copied, so no array the
-    caller keeps can change them; complex or non-finite ones raise.
-    The first :func:`hull_member_lp` query builds the LP matrix
-    ``[V^T; 1]``, ``(n+1)/n`` times the array's bytes, and the set keeps
-    it for every later query.  A set listed by
-    :func:`enumerate_sign_perm_vertices` or :func:`enumerate_perm_vertices`
-    also keeps its sign classes; when it has more than 2^14 (16,384)
-    rows its queries are priced by one sort per pivot and it never
-    builds the LP matrix.
+    Points are the rows of a read-only ``(m, n)`` array, in the order
+    given and with any repeats kept: neither a hull nor the LP depends
+    on them.  The points are always copied, so no array the caller keeps
+    can change them; complex or non-finite ones raise.  The first
+    :func:`hull_member_lp` query of a set of at most 2^14 (16,384) rows,
+    or of any set not listed, builds the LP matrix ``[V^T; 1]``,
+    ``(n+1)/n`` times the array's bytes, and the set keeps it for every
+    later query.
+
+    A set listed by :func:`enumerate_sign_perm_vertices` or
+    :func:`enumerate_perm_vertices` holds its sign classes and its count,
+    and no row: ``len``, ``dim`` and ``repr`` read those.  Its
+    :attr:`array` is listed on first use (iteration, the LP matrix,
+    Bland's rule in a sort-priced query) and then kept, so a
+    ``MemoryError`` can surface there rather than at the call; until
+    then an integer index reads its rows from the classes
+    (:func:`_enum.unrank`).  When it has more than 2^14 rows its queries
+    are priced by one sort per pivot and it never builds the LP matrix.
     """
 
-    __slots__ = ("_points", "_lp", "_classes")
+    __slots__ = ("_points", "_shape", "_lp", "_classes")
 
     def __init__(self, points):
         arr = np.array(_real_array(points))
@@ -63,27 +70,40 @@ class VertexSet:
         if not np.all(np.isfinite(arr)):
             raise ValueError("vertex coordinates must be finite")
         arr.setflags(write=False)
-        self._points = arr
+        self._points, self._shape = arr, arr.shape
         self._lp = self._classes = None
 
     @property
     def array(self) -> np.ndarray:
-        """Vertices as the rows of a read-only ``(m, n)`` array."""
+        """Vertices as the rows of a read-only ``(m, n)`` array, listed
+        on first use for a set listed from its classes."""
+        if self._points is None:
+            self._points = _enum.listing(self._classes, len(self))[0]
         return self._points
 
     @property
     def dim(self) -> int:
-        return self._points.shape[1]
+        return self._shape[1]
 
     def __len__(self) -> int:
-        return self._points.shape[0]
+        return self._shape[0]
 
-    def __getitem__(self, i: int) -> np.ndarray:
-        """Vertex ``i`` as a read-only row of :attr:`array`."""
-        return self._points[i]
+    def __getitem__(self, i):
+        """Vertex ``i`` as a read-only row of :attr:`array`, or the rows
+        at an integer array ``i``; a set not yet listed reads them from
+        its classes, bit for bit the rows its listing would hold."""
+        index = None if self._points is not None or isinstance(i, tuple) else np.asarray(i)
+        if index is None or index.dtype.kind not in "iu":
+            return self.array[i]
+        m = len(self)
+        if np.any((index < -m) | (index >= m)):
+            raise IndexError(f"vertex index out of range for {m} vertices")
+        rows = _enum.unrank(self._classes, index % m)
+        rows.setflags(write=False)
+        return rows
 
     def __iter__(self):
-        return iter(self._points)
+        return iter(self.array)
 
     def __repr__(self) -> str:
         return f"VertexSet({len(self)} points in R^{self.dim})"
@@ -91,15 +111,15 @@ class VertexSet:
     def _columns(self):
         """The columns ``[v; 1]`` of :func:`hull_member_lp`'s LP, the one
         place their pricing is chosen: a fresh :class:`simplex._Sorted`
-        for a listing of more than ``_SORT_ABOVE`` rows, otherwise the
-        read-only, C-ordered ``(n+1, m)`` matrix ``[V^T; 1]``, built on
-        the first call and kept."""
+        of the set for a listing of more than ``_SORT_ABOVE`` rows,
+        otherwise the read-only, C-ordered ``(n+1, m)`` matrix
+        ``[V^T; 1]``, built on the first call and kept."""
         if self._classes is not None and len(self) > _SORT_ABOVE:
-            return simplex._Sorted(self._points, self._classes)
+            return simplex._Sorted(self)
         if self._lp is None:
-            m, n = self._points.shape
+            m, n = self._shape
             A = np.empty((n + 1, m))
-            A[:n] = self._points.T
+            A[:n] = self.array.T
             A[n] = 1.0
             A.setflags(write=False)
             self._lp = A
@@ -171,32 +191,42 @@ def enumerate_sign_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> Ve
 
     The count is computed first; exceeding ``cap`` raises
     :class:`~signpoly.errors.EnumerationTooLargeError`, and a NaN or
-    infinite entry ``ValueError``, before any work is done.  Output order
-    is deterministic (lexicographic arrangements, signs toggled from
+    infinite entry ``ValueError``, before any work is done.  The set
+    holds the sign classes and the count; its rows are listed when they
+    are first read (see :class:`VertexSet`).  Output order is
+    deterministic (lexicographic arrangements, signs toggled from
     all-positive).
     """
-    classes = _enum.sign_classes(as_coords(a))
-    return _vertex_set(_enum.listing(classes, cap)[0], classes)
+    return _listed(_enum.sign_classes(as_coords(a)), cap)
 
 
 def enumerate_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> VertexSet:
     """All distinct coordinate permutations of ``a`` (no sign flips), in
-    lexicographic order.  Entries within ``ZERO_TOL`` of each other are
-    one value, for the count and the listing alike; a NaN or infinite
-    entry raises ``ValueError``."""
-    classes = _enum.sign_classes(as_coords(a), signed=False)
-    return _vertex_set(_enum.listing(classes, cap)[0], classes)
+    lexicographic order, listed when first read, as
+    :func:`enumerate_sign_perm_vertices` lists them.  Entries within
+    ``ZERO_TOL`` of each other are one value, for the count and the
+    listing alike; a NaN or infinite entry raises ``ValueError``."""
+    return _listed(_enum.sign_classes(as_coords(a), signed=False), cap)
 
 
-def _vertex_set(points: np.ndarray, classes=None) -> VertexSet:
+def _listed(classes, cap) -> VertexSet:
+    """The vertex set of every row of the listing of ``classes``, counted
+    under ``cap`` now and listed on first use."""
+    count = _enum.count_signed_arrangements(classes, cap)
+    vertices = VertexSet.__new__(VertexSet)
+    vertices._points, vertices._lp, vertices._classes = None, None, classes
+    vertices._shape = (count, sum(classes.counts))
+    return vertices
+
+
+def _vertex_set(points: np.ndarray) -> VertexSet:
     """Wrap ``points``, a finite ``(m, n)`` float array the library built
     and no caller holds, unchecked and uncopied, as a vertex set; the
-    array is made read-only.  Every vertex listing and
-    :meth:`CrossPolytopeSpec.vertices` build their sets here; a listing
-    passes the ``classes`` it listed, every row of them in order."""
+    array is made read-only."""
     points.setflags(write=False)
     vertices = VertexSet.__new__(VertexSet)
-    vertices._points, vertices._lp, vertices._classes = points, None, classes
+    vertices._points, vertices._lp, vertices._classes = points, None, None
+    vertices._shape = points.shape
     return vertices
 
 
@@ -219,12 +249,14 @@ def hull_member_lp(
     call, so pass one :class:`VertexSet` to ask many points of one set.
     A set listed by :func:`enumerate_sign_perm_vertices` or
     :func:`enumerate_perm_vertices` with more than 2^14 (16,384) rows
-    builds no LP matrix: each pivot prices every vertex at once by one
-    sort (the rearrangement inequality), and the at most ``n + 1`` basic
-    vertices are ranked into the listing at the end.  Its witness may
-    differ from the one explicit pricing over the same rows finds, but
-    it is checked the same way.  Any other set is priced explicitly:
-    every column of its LP matrix at every pivot, however wide.
+    builds no LP matrix, and no listing unless Bland's rule runs: each
+    pivot prices every vertex at once by one sort (the rearrangement
+    inequality), the at most ``n + 1`` basic vertices are ranked into
+    the listing at the end, and the witness is checked on those rows,
+    read from the classes.  Its witness may differ from the one explicit
+    pricing over the same rows finds, but it is checked the same way.
+    Any other set is priced explicitly: every column of its LP matrix at
+    every pivot, however wide.
 
     Phase 1 aims at its right-hand side ``[x; 1]``: it first tries the
     vertex ``v`` that maximizes ``x . v`` (one product with the LP
@@ -233,22 +265,22 @@ def hull_member_lp(
     and an exact vertex one.
     """
     vs = vertices if isinstance(vertices, VertexSet) else VertexSet(vertices)
-    V = vs.array
     xv = as_coords(x)
     if not np.all(np.isfinite(xv)):
         raise ValueError("point coordinates must be finite")
-    _check_same_dim(V[0], xv)
+    _check_same_dim(vs.dim, xv.size)
     ok, w = simplex._feasible(vs._columns(), np.append(xv, 1.0), tol, aimed=True)
     if not ok:
         return False, None
     # A basic solution has at most n + 1 nonzero weights: check those
     # rows, not all m.  The mask keeps NaN weights (numpy finds a bool
     # mask's nonzeros several times faster than a float array's); an
-    # all-zero w keeps every row, so its sum and minimum are defined.
+    # all-zero w keeps row 0, so its sum and minimum are defined, and
+    # its violation is what every row would give (w @ V is 0).
     support = np.flatnonzero(w != 0.0)
     if support.size == 0:
-        support = slice(None)
-    violation = _witness_violation(w[support], V[support], xv)
+        support = np.zeros(1, dtype=np.intp)
+    violation = _witness_violation(w[support], vs[support], xv)
     if not violation <= tol:
         raise SolverFailureError(
             f"witness violation {violation:.3e} exceeds tolerance {tol:.3e}"

@@ -268,10 +268,11 @@ def test_enumerate_sign_rows_beyond_one_block():
     np.testing.assert_array_equal(got, want)
 
 
-#: Each listing that takes a cap, by the cap it is called with.
+#: Each listing that takes a cap, by the cap it is called with; a vertex
+#: set is listed when its array is read.
 _CAPPED_LISTINGS = {
-    "signed": lambda cap: enumerate_sign_perm_vertices([1.0, 2.0, 3.0], cap=cap),
-    "unsigned": lambda cap: enumerate_perm_vertices([1.0, 2.0, 3.0, 4.0], cap=cap),
+    "signed": lambda cap: enumerate_sign_perm_vertices([1.0, 2.0, 3.0], cap=cap).array,
+    "unsigned": lambda cap: enumerate_perm_vertices([1.0, 2.0, 3.0, 4.0], cap=cap).array,
     "amplitudes": lambda cap: enumerate_pure_sign_perms(make_canonical("w"), cap=cap),
     "bloch": lambda cap: enumerate_pure_sign_perms(
         PureState.normalized([1.0, 0.3 + 0.5j])[0], target="bloch", cap=cap),
@@ -541,6 +542,7 @@ def test_vertex_listing_writes_each_row_once():
     tracemalloc.start()
     try:
         V = enumerate_sign_perm_vertices(_N9_BASE)
+        V.array
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -609,6 +611,78 @@ def test_rank_inverts_random_listings(signed, entries):
     classes = _enum.sign_classes(np.array(entries), signed=signed)
     rows, count, _ = _enum.listing(classes)
     np.testing.assert_array_equal(_enum.rank(classes, rows), np.arange(count))
+
+
+def _assert_unrank_lists(classes):
+    """``_enum.unrank`` of every index is the listing bit for bit, signed
+    zeros included, and (for real rows) ``rank`` takes it back."""
+    rows, count, _ = _enum.listing(classes)
+    got = _enum.unrank(classes, np.arange(count))
+    assert got.dtype == rows.dtype and got.tobytes() == rows.tobytes()
+    np.testing.assert_array_equal(np.signbit(got.view(float)), np.signbit(rows.view(float)))
+    assert _enum.unrank(classes, count - 1).tobytes() == rows[-1].tobytes()
+    if not np.iscomplexobj(rows):
+        np.testing.assert_array_equal(_enum.rank(classes, got), np.arange(count))
+
+
+@pytest.mark.parametrize("kind", sorted({**_ORACLE_INPUTS, **_RANKED_LISTINGS}))
+def test_unrank_lists_every_row(kind):
+    values, signed = {**_ORACLE_INPUTS, **_RANKED_LISTINGS}[kind]
+    _assert_unrank_lists(_enum.sign_classes(np.array(values), signed=signed))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(signed=st.booleans(), entries=st.lists(_ENTRY, min_size=1, max_size=6))
+def test_unrank_lists_random_listings(signed, entries):
+    _assert_unrank_lists(_enum.sign_classes(np.array(entries), signed=signed))
+
+
+# ---------------------------------------------------------------- lazy listing
+
+def test_listed_set_reads_rows_from_its_classes():
+    """A listed set answers ``len``, ``dim``, ``repr`` and integer
+    indexing from its classes, bit for bit its listing's rows, and
+    lists once, on the first read of ``array``."""
+    listed = enumerate_sign_perm_vertices([2.0, -1.0, 0.0, 1.0 + 1e-13])
+    assert (len(listed), listed.dim, repr(listed)) == (96, 4, "VertexSet(96 points in R^4)")
+    V = _enum.listing(listed._classes)[0]
+    for index in (0, 95, -1, -96, np.int64(7), [3, 0, 3], np.arange(96).reshape(8, 12)):
+        row = listed[index]
+        assert not row.flags.writeable
+        assert row.tobytes() == V[index].tobytes()
+    for index in (96, -97, [0, 96]):
+        with pytest.raises(IndexError):
+            listed[index]
+    assert listed._points is None
+    assert listed[1:3].tobytes() == V[1:3].tobytes()  # any other index lists
+    assert listed.array is listed.array
+    assert listed.array.tobytes() == V.tobytes() and not listed.array.flags.writeable
+
+
+def test_a_listing_past_the_bytes_is_counted_without_rows():
+    """ROADMAP item 7's length-1500 vector with two nonzero entries has
+    8,994,000 signed permutations, 107.9 GB listed: under the row cap, it
+    gives its length, dimension and repr in under 1 MB.  One more nonzero
+    entry is over the cap and raises at the call, before any row."""
+    a = np.zeros(1500)
+    a[[3, 700]] = [1.0, 2.0]
+    tracemalloc.start()
+    try:
+        verts = enumerate_sign_perm_vertices(a)
+        shown = (len(verts), verts.dim, repr(verts))
+        with pytest.raises(EnumerationTooLargeError) as exc:
+            enumerate_sign_perm_vertices(a, cap=len(verts) - 1)
+        a[9] = 3.0
+        with pytest.raises(EnumerationTooLargeError):
+            enumerate_perm_vertices(a, cap=len(verts))
+        with pytest.raises(EnumerationTooLargeError):
+            enumerate_sign_perm_vertices(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shown == (8_994_000, 1500, "VertexSet(8994000 points in R^1500)")
+    assert exc.value.count == 8_994_000
+    assert peak < 1e6
 
 
 # ---------------------------------------------------------------- LP route
