@@ -158,35 +158,28 @@ def hull_pivots(sp, workloads, seed: int) -> dict:
     return _per_kind(sp, hull_queries(sp, workloads, seed), peak=True)
 
 
-def n9_probes(verts, seed: int, mixes: int = 5, scaled: int = 8,
-              support: int = 3000) -> list:
-    """The ``(kind, x)`` probes of :func:`n9_queries`, drawn from
-    ``verts``, the signed permutations of ``N9_BASE``: ``mixes``
-    Dirichlet mixes of ``support`` vertices and ``scaled`` vertices
-    scaled by a factor in [0.9, 1.1].  Rows are read by index, so a set
-    not listed yet is not listed here."""
-    rng = np.random.default_rng(seed)
-    probes = [("mix", rng.dirichlet(np.ones(support))
-               @ verts[rng.choice(len(verts), support, replace=False)])
-              for _ in range(mixes)]
-    probes += [("scaled", rng.uniform(0.9, 1.1) * verts[rng.integers(len(verts))])
-               for _ in range(scaled)]
-    return probes
-
-
-def n9_queries(sp, workloads, seed: int, **sizes) -> list:
+def n9_queries(sp, workloads, seed: int, mixes: int = 5, scaled: int = 8,
+               support: int = 3000) -> list:
     """The ``(kind, call, agrees)`` hull queries of the 483,840 signed
-    permutations of ``N9_BASE`` at the :func:`n9_probes` of ``sizes``,
-    against ``sign_perm_member``."""
+    permutations of ``N9_BASE``: ``mixes`` Dirichlet mixes of
+    ``support`` vertices and ``scaled`` vertices scaled by a factor in
+    [0.9, 1.1], against ``sign_perm_member``."""
     base = np.array(workloads.N9_BASE)
     verts = sp.geometry.enumerate_sign_perm_vertices(base)
+    V = verts.array
+    rng = np.random.default_rng(seed)
+    probes = [("mix", rng.dirichlet(np.ones(support))
+               @ V[rng.choice(len(V), support, replace=False)])
+              for _ in range(mixes)]
+    probes += [("scaled", rng.uniform(0.9, 1.1) * V[rng.integers(len(V))])
+               for _ in range(scaled)]
 
     def query(kind, x):
         want = sp.majorization.sign_perm_member(x, base)
         return (kind, lambda: sp.geometry.hull_member_lp(x, verts),
                 lambda answer: answer[0] == want)
 
-    return [query(kind, x) for kind, x in n9_probes(verts, seed, **sizes)]
+    return [query(kind, x) for kind, x in probes]
 
 
 def n9_pivots(sp, workloads, seed: int, **sizes) -> dict:

@@ -32,8 +32,7 @@ A filter takes a :class:`SignBlock` and returns the rows it keeps,
 built, so it may pick rows without building the rest.  Given a limit,
 a listing counts every row it keeps but builds only the first
 ``limit``.  :func:`rank` maps listed rows back to their indices in the
-listing, by a binary search over the arrangements, and :func:`unrank`
-builds the rows at given indices without the listing.
+listing, by a binary search over the arrangements.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ class SignClasses:
     def _keys(self) -> np.ndarray:
         """Every arrangement's class codes as one byte string, in
         :func:`distinct_permutations` order, which is ascending; built on
-        first use, for :func:`rank` and :func:`unrank`."""
+        first use, for :func:`rank`."""
         return _byte_strings(np.concatenate(list(distinct_permutations(self.counts, BLOCK_ROWS))))
 
 
@@ -282,27 +281,6 @@ def rank(classes: SignClasses, rows) -> np.ndarray:
     flips = classes.flips
     bits = np.left_shift(rows < 0.0, flips - np.cumsum(codes != 0, axis=1))
     return (index << flips) + bits.sum(axis=1)
-
-
-def unrank(classes: SignClasses, index) -> np.ndarray:
-    """The rows at ``index`` (an int or an array of them, each in
-    ``[0, count)``) of the :func:`listing` of ``classes``, bit for bit,
-    signed zeros included, without building the listing: the inverse of
-    :func:`rank`.  An index is split into its arrangement, read from the
-    classes' arrangements, and its sign row, whose bits flip the nonzero
-    slots, the last slot lowest; a flip is a product by -1 on the float
-    view, as :meth:`SignBlock.rows` builds it."""
-    index = np.asarray(index, dtype=np.int64)
-    n = sum(classes.counts)
-    flips = classes.flips
-    codes = classes._keys[(index >> flips).ravel()].view(np.uint8).reshape(*index.shape, n)
-    rows = classes.values[codes]
-    if flips:
-        slot = np.cumsum(codes != 0, axis=-1)
-        flipped = (index[..., None] >> (flips - slot)) & 1 & (codes != 0)
-        parts = rows.view(float).reshape(*codes.shape, -1)
-        parts *= (1.0 - 2.0 * flipped)[..., None]
-    return rows
 
 
 def listing(classes: SignClasses, cap=ENUMERATION_CAP, keep=None,

@@ -53,12 +53,10 @@ class VertexSet:
     A set listed by :func:`enumerate_sign_perm_vertices` or
     :func:`enumerate_perm_vertices` holds its sign classes and its count,
     and no row: ``len``, ``dim`` and ``repr`` read those.  Its
-    :attr:`array` is listed on first use (iteration, the LP matrix,
-    Bland's rule in a sort-priced query) and then kept, so a
-    ``MemoryError`` can surface there rather than at the call; until
-    then an integer index reads its rows from the classes
-    (:func:`_enum.unrank`).  When it has more than 2^14 rows its queries
-    are priced by one sort per pivot and it never builds the LP matrix.
+    :attr:`array` is listed on first use (indexing, iteration, a hull
+    query) and then kept, so a ``MemoryError`` can surface there rather
+    than at the call.  When it has more than 2^14 rows its queries are
+    priced by one sort per pivot and it never builds the LP matrix.
     """
 
     __slots__ = ("_points", "_shape", "_lp", "_classes")
@@ -88,19 +86,9 @@ class VertexSet:
     def __len__(self) -> int:
         return self._shape[0]
 
-    def __getitem__(self, i):
-        """Vertex ``i`` as a read-only row of :attr:`array`, or the rows
-        at an integer array ``i``; a set not yet listed reads them from
-        its classes, bit for bit the rows its listing would hold."""
-        index = None if self._points is not None or isinstance(i, tuple) else np.asarray(i)
-        if index is None or index.dtype.kind not in "iu":
-            return self.array[i]
-        m = len(self)
-        if np.any((index < -m) | (index >= m)):
-            raise IndexError(f"vertex index out of range for {m} vertices")
-        rows = _enum.unrank(self._classes, index % m)
-        rows.setflags(write=False)
-        return rows
+    def __getitem__(self, i: int) -> np.ndarray:
+        """Vertex ``i`` as a read-only row of :attr:`array`."""
+        return self.array[i]
 
     def __iter__(self):
         return iter(self.array)
@@ -111,11 +99,11 @@ class VertexSet:
     def _columns(self):
         """The columns ``[v; 1]`` of :func:`hull_member_lp`'s LP, the one
         place their pricing is chosen: a fresh :class:`simplex._Sorted`
-        of the set for a listing of more than ``_SORT_ABOVE`` rows,
-        otherwise the read-only, C-ordered ``(n+1, m)`` matrix
-        ``[V^T; 1]``, built on the first call and kept."""
+        for a listing of more than ``_SORT_ABOVE`` rows, otherwise the
+        read-only, C-ordered ``(n+1, m)`` matrix ``[V^T; 1]``, built on
+        the first call and kept."""
         if self._classes is not None and len(self) > _SORT_ABOVE:
-            return simplex._Sorted(self)
+            return simplex._Sorted(self.array, self._classes)
         if self._lp is None:
             m, n = self._shape
             A = np.empty((n + 1, m))
@@ -161,7 +149,7 @@ class CrossPolytopeSpec:
         points += self.center
         if not np.all(np.isfinite(points)):
             raise ValueError("vertex coordinates must be finite")
-        return _vertex_set(points)
+        return _vertex_set(points, points.shape)
 
     def volume(self) -> float:
         return cross_polytope_volume(self.dimension, self.scale)
@@ -197,7 +185,9 @@ def enumerate_sign_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> Ve
     deterministic (lexicographic arrangements, signs toggled from
     all-positive).
     """
-    return _listed(_enum.sign_classes(as_coords(a)), cap)
+    classes = _enum.sign_classes(as_coords(a))
+    return _vertex_set(None, (_enum.count_signed_arrangements(classes, cap), sum(classes.counts)),
+                       classes)
 
 
 def enumerate_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> VertexSet:
@@ -206,27 +196,23 @@ def enumerate_perm_vertices(a: ArrayLike, cap: int = ENUMERATION_CAP) -> VertexS
     :func:`enumerate_sign_perm_vertices` lists them.  Entries within
     ``ZERO_TOL`` of each other are one value, for the count and the
     listing alike; a NaN or infinite entry raises ``ValueError``."""
-    return _listed(_enum.sign_classes(as_coords(a), signed=False), cap)
+    classes = _enum.sign_classes(as_coords(a), signed=False)
+    return _vertex_set(None, (_enum.count_signed_arrangements(classes, cap), sum(classes.counts)),
+                       classes)
 
 
-def _listed(classes, cap) -> VertexSet:
-    """The vertex set of every row of the listing of ``classes``, counted
-    under ``cap`` now and listed on first use."""
-    count = _enum.count_signed_arrangements(classes, cap)
+def _vertex_set(points, shape, classes=None) -> VertexSet:
+    """A vertex set of ``shape``, unchecked: either ``points``, a finite
+    float array the library built and no caller holds, wrapped uncopied
+    and made read-only, or (``points`` None) every row of the listing of
+    ``classes``, counted by the caller and listed on first use.
+    :meth:`CrossPolytopeSpec.vertices` and every vertex listing build
+    their sets here."""
+    if points is not None:
+        points.setflags(write=False)
     vertices = VertexSet.__new__(VertexSet)
-    vertices._points, vertices._lp, vertices._classes = None, None, classes
-    vertices._shape = (count, sum(classes.counts))
-    return vertices
-
-
-def _vertex_set(points: np.ndarray) -> VertexSet:
-    """Wrap ``points``, a finite ``(m, n)`` float array the library built
-    and no caller holds, unchecked and uncopied, as a vertex set; the
-    array is made read-only."""
-    points.setflags(write=False)
-    vertices = VertexSet.__new__(VertexSet)
-    vertices._points, vertices._lp, vertices._classes = points, None, None
-    vertices._shape = points.shape
+    vertices._points, vertices._shape = points, shape
+    vertices._lp, vertices._classes = None, classes
     return vertices
 
 
@@ -249,14 +235,12 @@ def hull_member_lp(
     call, so pass one :class:`VertexSet` to ask many points of one set.
     A set listed by :func:`enumerate_sign_perm_vertices` or
     :func:`enumerate_perm_vertices` with more than 2^14 (16,384) rows
-    builds no LP matrix, and no listing unless Bland's rule runs: each
-    pivot prices every vertex at once by one sort (the rearrangement
-    inequality), the at most ``n + 1`` basic vertices are ranked into
-    the listing at the end, and the witness is checked on those rows,
-    read from the classes.  Its witness may differ from the one explicit
-    pricing over the same rows finds, but it is checked the same way.
-    Any other set is priced explicitly: every column of its LP matrix at
-    every pivot, however wide.
+    builds no LP matrix: each pivot prices every vertex at once by one
+    sort (the rearrangement inequality), and the at most ``n + 1`` basic
+    vertices are ranked into the listing at the end.  Its witness may
+    differ from the one explicit pricing over the same rows finds, but
+    it is checked the same way.  Any other set is priced explicitly:
+    every column of its LP matrix at every pivot, however wide.
 
     Phase 1 aims at its right-hand side ``[x; 1]``: it first tries the
     vertex ``v`` that maximizes ``x . v`` (one product with the LP
@@ -265,22 +249,22 @@ def hull_member_lp(
     and an exact vertex one.
     """
     vs = vertices if isinstance(vertices, VertexSet) else VertexSet(vertices)
+    V = vs.array
     xv = as_coords(x)
     if not np.all(np.isfinite(xv)):
         raise ValueError("point coordinates must be finite")
-    _check_same_dim(vs.dim, xv.size)
+    _check_same_dim(V[0], xv)
     ok, w = simplex._feasible(vs._columns(), np.append(xv, 1.0), tol, aimed=True)
     if not ok:
         return False, None
     # A basic solution has at most n + 1 nonzero weights: check those
     # rows, not all m.  The mask keeps NaN weights (numpy finds a bool
     # mask's nonzeros several times faster than a float array's); an
-    # all-zero w keeps row 0, so its sum and minimum are defined, and
-    # its violation is what every row would give (w @ V is 0).
+    # all-zero w keeps every row, so its sum and minimum are defined.
     support = np.flatnonzero(w != 0.0)
     if support.size == 0:
-        support = np.zeros(1, dtype=np.intp)
-    violation = _witness_violation(w[support], vs[support], xv)
+        support = slice(None)
+    violation = _witness_violation(w[support], V[support], xv)
     if not violation <= tol:
         raise SolverFailureError(
             f"witness violation {violation:.3e} exceeds tolerance {tol:.3e}"

@@ -52,11 +52,10 @@ def as_coords(p: ArrayLike) -> np.ndarray:
     return arr
 
 
-def _check_same_dim(a: int, b: int) -> None:
-    """Refuse two points of dimensions ``a`` and ``b`` that differ."""
-    if a != b:
+def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
+    if a.size != b.size:
         raise DimensionMismatchError(
-            f"points have different dimensions: {a} vs {b}"
+            f"points have different dimensions: {a.size} vs {b.size}"
         )
 
 
@@ -65,7 +64,7 @@ def _two_points(p: ArrayLike, q: ArrayLike) -> np.ndarray:
     of one dimension, as the rows of one fresh ``(2, n)`` float array."""
     pv = as_coords(p)
     qv = as_coords(q)
-    _check_same_dim(pv.size, qv.size)
+    _check_same_dim(pv, qv)
     return np.array((pv, qv))
 
 

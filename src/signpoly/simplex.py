@@ -29,8 +29,8 @@ There are two sources:
   inequality the least reduced cost among them is reached at the ``v``
   that orders ``|a|`` as ``|y|`` is ordered, with ``y``'s signs
   (column generation: Gilmore & Gomory, 1961).  No ``(n+1) x m``
-  matrix is built, nor the listing unless Bland's rule reads it; the
-  basic columns are ranked into the listing once, at the end of phase 1.
+  matrix is built; the basic columns are ranked into the listing once,
+  at the end of phase 1.
 
 A hull query aims phase 1 at its own right-hand side ``[x; 1]``: its
 first pass prices one column, the vertex ``v`` that maximizes ``x . v``
@@ -206,24 +206,22 @@ def _sort_price(values, signed, y, out):
 
 
 class _Sorted:
-    """The phase-1 columns ``[v; 1]`` of the rows ``v`` of a listed
-    :class:`~signpoly.geometry.VertexSet`, every distinct signed
-    permutation of its classes in :func:`_enum.listing` order, priced by
-    one sort per pass (:func:`_sort_price`).
+    """The phase-1 columns ``[v; 1]`` of the rows ``v`` of ``V``, every
+    distinct signed permutation of ``classes`` in :func:`_enum.listing`
+    order, priced by one sort per pass (:func:`_sort_price`).
 
     The sort's column enters under the index -1: which listed row it
     is becomes known only when :func:`_phase1` ranks the final basis
-    (:func:`_enum.rank`), so no pivot pays for a rank.  Bland's rule
-    reads the reduced costs ``-(V @ y[:-1] + y[-1])`` then the
-    artificials', in a buffer built on first use, from the set's
-    ``array``, which lists the set if it is not listed yet; a listed
-    column enters under its own index.  Nothing else reads a row."""
+    (:func:`_enum.rank`), so no pivot pays for a rank.  The reduced costs
+    that Bland's rule reads, ``-(V @ y[:-1] + y[-1])`` then the
+    artificials', go into a buffer built on first use, and a listed
+    column enters under its own index."""
 
-    def __init__(self, vertices):
-        self.vertices, self.classes = vertices, vertices._classes
-        m, n = len(vertices), vertices.dim
+    def __init__(self, V, classes):
+        self.V, self.classes = V, classes
+        m, n = V.shape
         self.shape = (n + 1, m)
-        self.values = np.repeat(self.classes.values, self.classes.counts)
+        self.values = np.repeat(classes.values, classes.counts)
         self.entering = np.ones(n + 1)  # the column sorted or listed last
         self.art = np.empty(n + 1)
         self.reduced = None
@@ -239,7 +237,7 @@ class _Sorted:
         m = self.shape[1]
         if self.reduced is None:
             self.reduced = np.empty(m + self.art.size)
-        np.matmul(self.vertices.array, -y[:-1], out=self.reduced[:m])
+        np.matmul(self.V, -y[:-1], out=self.reduced[:m])
         self.reduced[:m] -= y[-1]
         self.reduced[m:] = self.art
         return self.reduced
@@ -250,7 +248,7 @@ class _Sorted:
 
     def column(self, j):
         if j >= 0:
-            self.entering[:-1] = self.vertices[j]
+            self.entering[:-1] = self.V[j]
         return self.entering
 
     def rank(self, columns):

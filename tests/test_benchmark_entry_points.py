@@ -8,14 +8,12 @@ other test.  Likewise a ``construct`` input that the library refuses
 shows up only as a failed benchmark operation.
 """
 
-import hashlib
 import importlib
 import importlib.util
 import json
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -213,45 +211,6 @@ def test_pivot_bench_counts_the_n9_queries(monkeypatch):
         assert rec["aimed"] == 1.0, kind
     for kind, call, _ in pivots.n9_queries(signpoly, workloads, 3, mixes=1, scaled=2):
         _passes_hold(pivots, call, 483840)
-
-
-def _n9_answers(verts, probes):
-    """``(member, SHA-256 of the witness)`` of each probe against
-    ``verts``, each witness dropped once hashed."""
-    answers = []
-    for x in probes:
-        member, w = signpoly.hull_member_lp(x, verts)
-        answers.append((member, None if w is None else hashlib.sha256(w).hexdigest()))
-        del w  # before the next query allocates its own
-    return answers
-
-
-def test_sort_priced_queries_never_list(monkeypatch):
-    """The 13 ``n9`` queries of ``bench/pivots.py`` against an unlisted
-    set of the 483,840 signed permutations of the n = 9 base list
-    nothing: they make no Bland pass, and the peak stays 2 MB above the
-    one witness a query returns (8 bytes a vertex; the listing is
-    35 MB).  Their answers and witnesses are those of a listed set, byte
-    for byte."""
-    pivots = _load(monkeypatch, "bench_pivots", PIVOTS)
-    workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
-    probes = [x for _, x in pivots.n9_probes(enumerate_sign_perm_vertices(workloads.N9_BASE), 3)]
-    tracemalloc.start()
-    try:
-        with signpoly.simplex._counting() as counts:
-            verts = enumerate_sign_perm_vertices(workloads.N9_BASE)
-            assert len(verts) == 483_840
-            lazy = _n9_answers(verts, probes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert verts._points is None
-    assert counts.bland == 0 and counts.sorts > 0
-    assert peak < 2e6 + 8 * len(verts)
-    listed = enumerate_sign_perm_vertices(workloads.N9_BASE)
-    listed.array
-    assert _n9_answers(listed, probes) == lazy
-    assert [member for member, _ in lazy] == [True] * 9 + [False] * 4
 
 
 def test_enum_bench_case_answers(monkeypatch):

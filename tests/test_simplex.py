@@ -449,7 +449,7 @@ def _listed_system():
     V = verts.array
     rng = np.random.default_rng(5)
     x = rng.dirichlet(np.ones(20)) @ V[rng.choice(len(V), 20, replace=False)]
-    return simplex._Sorted(verts), np.vstack([V.T, np.ones(len(V))]), np.append(x, 1.0)
+    return simplex._Sorted(V, verts._classes), np.vstack([V.T, np.ones(len(V))]), np.append(x, 1.0)
 
 
 @pytest.mark.parametrize("listed", [False, True], ids=["matrix", "sort-priced"])
