@@ -20,8 +20,10 @@ yielded in one run (every listing, filtered or not, takes its blocks
 from it), the quartiles of the wall time over the processes, and
 the median over the processes of the peak RSS (``ru_maxrss``) in MB.
 The w-type cases also give the tangle evaluations: the hyperdeterminants
-computed (the columns passed to ``quantum._cayley``).  The ``bloch``
-cases likewise give the rows streamed and the states kept.  Cases:
+``quantum._cayley`` computed.  The ``bloch`` cases likewise give the
+rows streamed and the states kept.  The counts are the library's own
+(``signpoly._counts``), and a tree without them is refused with exit
+status 2.  Cases:
 
 - ``perfbench_n9``: the signed permutations of the ``enumerate``
   workload's n=9 base vector (483,840 rows), listed by reading the
@@ -58,8 +60,8 @@ also scaled by a factor in [0.5, 2]; the ``perfbench_bloch`` qutrit
 takes a new theta in [0.05, 0.15], as the workload draws it; the
 generic qutrit only a global phase).  Every listing must repeat the
 counts above; the case then reports the block descriptions built over
-the K listings (``described``: the blocks ``_enum._descriptions``
-yields) and the median wall time
+the K listings (``described``, as ``_enum._descriptions`` counts them)
+and the median wall time
 per listing in ``wall_s``, so a repeat shows what one process's
 repeated listings share::
 
@@ -172,63 +174,32 @@ def _cli_call(sp, show: str, fresh):
 
 def run_case(src: Path, name: str, repeat: int = 1) -> dict:
     """Run one case ``repeat`` times in this process, the first time on
-    its input and then on fresh inputs of the same shape, and measure
-    it.  ``sys.path`` and the counted names are restored on return, so
-    a second call counts afresh."""
-    restore = [(sys, "path", sys.path)]
+    its input and then on fresh inputs of the same shape, and measure it
+    by the library's own counts, fresh for each listing.  ``sys.path``
+    is restored on return."""
+    path = sys.path
     sys.path = [str(src.resolve()), str(ROOT / "perfbench"), *sys.path]
     try:
         sp = importlib.import_module("signpoly")
-        for sub in ("_enum", "cli", "geometry", "quantum"):
+        for sub in ("_counts", "_enum", "cli", "geometry", "quantum"):
             importlib.import_module(f"signpoly.{sub}")
         workloads = importlib.import_module("workloads")
         calls = [_case_call(sp, workloads, name)]
         calls += [_case_call(sp, workloads, name, np.random.default_rng(i))
                   for i in range(1, repeat)]
-
-        blocks = described = 0
-        signed_arrangements = sp._enum.signed_arrangements
-
-        def counted(*args, **kwargs):
-            nonlocal blocks
-            for block in signed_arrangements(*args, **kwargs):
-                blocks += 1
-                yield block
-
-        describer = sp._enum._descriptions
-
-        def counted_descriptions(*args, **kwargs):
-            nonlocal described
-            for description in describer(*args, **kwargs):
-                described += 1
-                yield description
-
-        evaluations = 0
-        cayley = sp.quantum._cayley
-
-        def counted_cayley(t):
-            nonlocal evaluations
-            evaluations += np.shape(t)[-1] if np.ndim(t) > 1 else 1
-            return cayley(t)
-
-        restore += [(sp._enum, "signed_arrangements", signed_arrangements),
-                    (sp._enum, "_descriptions", describer),
-                    (sp.quantum, "_cayley", cayley)]
-        sp._enum.signed_arrangements = counted
-        sp._enum._descriptions = counted_descriptions
-        sp.quantum._cayley = counted_cayley
-        walls, counts = [], []
+        walls, counts, described = [], [], 0
         for call in calls:
-            blocks = evaluations = 0
-            start = time.perf_counter()
-            rows, kept = call()
-            walls.append(time.perf_counter() - start)
-            counts.append((rows, kept, blocks, evaluations))
+            with sp._counts._counting() as work:
+                start = time.perf_counter()
+                rows, kept = call()
+                walls.append(time.perf_counter() - start)
+            counts.append((rows, kept, work.blocks, work.determinants))
+            described += work.described
     finally:
-        for owner, attr, value in restore:
-            setattr(owner, attr, value)
+        sys.path = path
     if any(count != counts[0] for count in counts):
         raise RuntimeError(f"counts differ between listings of one shape: {counts}")
+    rows, kept, blocks, evaluations = counts[0]
     result = {"rows": rows, "blocks": blocks}
     if kept is not None:
         result["kept"] = kept
@@ -279,6 +250,11 @@ def main(argv=None) -> int:
                              "inputs after the first (default 1)")
     parser.add_argument("--in-process", choices=CASES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    for tree in (args.src, args.against):
+        if tree is not None and not (tree / "signpoly" / "_counts.py").is_file():
+            print(f"{tree}: signpoly does not count its own work (no signpoly._counts)",
+                  file=sys.stderr)
+            return 2
     if args.in_process:
         print(json.dumps(run_case(args.src, args.in_process, args.repeat)))
         return 0

@@ -56,9 +56,9 @@ objective unchanged after which Bland's rule takes over, for a sweep
 of that constant.
 
 Every count is the kernel's own: each query runs inside
-``simplex._counting()``, and the script reads the counts it yields
-(see the ``simplex`` module docstring).  A ``--src`` tree without
-``simplex._counting`` is refused with exit status 2.
+``signpoly._counts._counting()``, and the script reads the counts it
+yields (see the ``_counts`` module docstring).  A ``--src`` tree
+without ``signpoly._counts`` is refused with exit status 2.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-#: Where pivots happen, as ``simplex._Counts`` names them.
+#: Where pivots happen, as ``_counts._Counts`` names them.
 KINDS = ("phase1", "drive_out", "phase2")
-#: The basis inversions reported, and the ``simplex._Counts`` names they read.
+#: The basis inversions reported, and the ``_counts._Counts`` names they read.
 INVERSIONS = {"phase1": "phase1_inversions", "refresh": "phase2_inversions",
               "batch": "batch_inversions"}
 
@@ -85,7 +85,7 @@ INVERSIONS = {"phase1": "phase1_inversions", "refresh": "phase2_inversions",
 def count_pivots(sp, call):
     """Run ``call()`` and return ``(the kernel's counts, result or
     exception)``."""
-    with sp.simplex._counting() as counts:
+    with sp._counts._counting() as counts:
         try:
             result = call()
         except sp.errors.SolverFailureError as exc:
@@ -99,7 +99,7 @@ def hull_peak_bytes(sp, call) -> int:
     ``sign_perm_member`` call beside it, which allocates far less); a
     solver failure still counts the bytes it traced.  The kernel's counts
     are made fresh before the trace starts."""
-    with sp.simplex._counting():
+    with sp._counts._counting():
         tracemalloc.start()
         try:
             call()
@@ -247,13 +247,14 @@ def main(argv=None) -> int:
     parser.add_argument("--stall-limit", type=int,
                         help="override simplex.STALL_LIMIT")
     args = parser.parse_args(argv)
+    if not (args.src / "signpoly" / "_counts.py").is_file():
+        print(f"{args.src}: signpoly does not count its own work (no signpoly._counts)",
+              file=sys.stderr)
+        return 2
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
     sp = importlib.import_module("signpoly")
-    if not hasattr(importlib.import_module("signpoly.simplex"), "_counting"):
-        print(f"{args.src}: signpoly.simplex does not count its own work "
-              "(no simplex._counting)", file=sys.stderr)
-        return 2
-    for sub in ("algorithms", "cli", "errors", "geometry", "majorization", "stateio"):
+    for sub in ("_counts", "algorithms", "cli", "errors", "geometry", "majorization",
+                "stateio"):
         importlib.import_module(f"signpoly.{sub}")
     workloads = importlib.import_module("workloads")
     if args.stall_limit is not None:

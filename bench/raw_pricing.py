@@ -28,11 +28,11 @@ A run writes, per row (set, scale, aimed or not), each probe's answer
 (``true``, ``false``, ``timeout`` or the solver failure's text), its
 pivots and its milliseconds, and prints per row the answers, the total
 pivots and the median time.  The pivots are the kernel's own count,
-read from ``simplex._counting()`` (a pivot loop cut by the alarm still
-adds its pivots); a ``--src`` tree without it is refused with exit
-status 2.  ``--compare`` prints, per row, the probes whose verdicts
-differ where both runs answered and the probes that one run answered
-and the other did not.
+read from ``signpoly._counts._counting()`` (a pivot loop cut by the
+alarm still adds its pivots); a ``--src`` tree without
+``signpoly._counts`` is refused with exit status 2.  ``--compare``
+prints, per row, the probes whose verdicts differ where both runs
+answered and the probes that one run answered and the other did not.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def ask(sp, call, limit: float) -> dict:
     """Run ``call()`` under a ``limit``-second alarm, counting pivots."""
     signal.signal(signal.SIGALRM, _alarm)
     start = time.perf_counter()
-    with sp.simplex._counting() as counts:
+    with sp._counts._counting() as counts:
         signal.setitimer(signal.ITIMER_REAL, limit)
         try:
             answer = bool(call()[0])
@@ -157,13 +157,13 @@ def main(argv=None) -> int:
         old, new = (json.loads(path.read_text()) for path in args.compare)
         print(json.dumps(compare(old, new), indent=1))
         return 0
+    if not (args.src / "signpoly" / "_counts.py").is_file():
+        print(f"{args.src}: signpoly does not count its own work (no signpoly._counts)",
+              file=sys.stderr)
+        return 2
     sys.path.insert(0, str(args.src.resolve()))
     sp = importlib.import_module("signpoly")
-    if not hasattr(importlib.import_module("signpoly.simplex"), "_counting"):
-        print(f"{args.src}: signpoly.simplex does not count its own work "
-              "(no simplex._counting)", file=sys.stderr)
-        return 2
-    for sub in ("errors", "geometry"):
+    for sub in ("_counts", "errors", "geometry"):
         importlib.import_module(f"signpoly.{sub}")
     rows = run(sp, args.probes, args.seed, args.limit)
     if args.out:

@@ -45,6 +45,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import _counts
 from .errors import EnumerationTooLargeError
 
 #: Default ceiling on the number of rows an enumeration may produce.
@@ -383,6 +384,7 @@ class SignBlock:
         is built.  A sign flip is a product by -1 on the float view,
         exact on both parts of a complex entry."""
         size = len(self) if select is None else len(select)
+        _counts.COUNTS.built += size
         if out is None:
             out = np.empty((size, self.codes.shape[1]), dtype=self.values.dtype)
         if self.table is None:
@@ -440,10 +442,14 @@ def signed_arrangements(classes: SignClasses) -> Iterator[SignBlock]:
     count = count_signed_arrangements(classes)
     if count <= BLOCK_ROWS and count * sum(classes.counts) <= 8 * BLOCK_ROWS:
         *description, memo = _shape_description(*shape)
-        yield SignBlock(values, *description, memo=memo)
-        return
-    for description in _descriptions(*shape):
-        yield SignBlock(values, *description)
+        blocks = [SignBlock(values, *description, memo=memo)]
+    else:
+        blocks = (SignBlock(values, *description) for description in _descriptions(*shape))
+    for block in blocks:
+        counts = _counts.COUNTS
+        counts.blocks += 1
+        counts.streamed += len(block)
+        yield block
 
 
 @functools.lru_cache(maxsize=SHAPE_CACHE)
@@ -470,6 +476,7 @@ def _descriptions(counts: tuple, signed: bool, parts: int) -> Iterator[tuple]:
     bits = np.arange(flips)[::-1]
     for codes in distinct_permutations(counts, per_chunk):
         if not signed:
+            _counts.COUNTS.described += 1
             yield codes, None, None, None
             continue
         nonzero, pattern = _zero_patterns(codes != 0)
@@ -482,6 +489,7 @@ def _descriptions(counts: tuple, signed: bool, parts: int) -> Iterator[tuple]:
             signs[:, :flips] -= 2 * (np.arange(lo, lo + step)[:, None] >> bits & 1)
             table = np.empty((len(nonzero), step, codes.shape[1], parts))
             table[...] = signs[:, slot].transpose(1, 0, 2)[..., None]
+            _counts.COUNTS.described += 1
             yield codes, nonzero, pattern, table
 
 

@@ -226,9 +226,11 @@ def hull_member_lp(
     Returns ``(True, w)`` with the LP's own read-only ``(m,)`` weights
     over the ``m`` vertices, meeting ``w >= 0``, ``sum w = 1`` and
     ``w @ V = x`` within ``tol``, or ``(False, None)``.  Raw vertices are
-    checked as :class:`VertexSet` checks them, and a non-finite point
-    raises ``ValueError``.  A solver that fails to converge or misses
-    that bound raises instead.
+    checked as :class:`VertexSet` checks them; a non-finite point
+    raises ``ValueError`` and a point of another dimension
+    ``DimensionMismatchError``, before a set listed on first use lists
+    a row.  A solver that fails to converge or misses that bound raises
+    instead.
 
     A :class:`VertexSet` builds its LP matrix on its first query and
     reuses it; a raw array is wrapped, transposed and dropped on every
@@ -249,11 +251,11 @@ def hull_member_lp(
     and an exact vertex one.
     """
     vs = vertices if isinstance(vertices, VertexSet) else VertexSet(vertices)
-    V = vs.array
     xv = as_coords(x)
     if not np.all(np.isfinite(xv)):
         raise ValueError("point coordinates must be finite")
-    _check_same_dim(V[0], xv)
+    _check_same_dim(vs.dim, xv.size)
+    V = vs.array
     ok, w = simplex._feasible(vs._columns(), np.append(xv, 1.0), tol, aimed=True)
     if not ok:
         return False, None

@@ -29,6 +29,7 @@ import math
 import numpy as np
 from numpy.typing import ArrayLike
 
+from . import _counts
 from .errors import DimensionMismatchError
 
 DEFAULT_TOL = 1e-9
@@ -52,11 +53,9 @@ def as_coords(p: ArrayLike) -> np.ndarray:
     return arr
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.size != b.size:
-        raise DimensionMismatchError(
-            f"points have different dimensions: {a.size} vs {b.size}"
-        )
+def _check_same_dim(n: int, m: int) -> None:
+    if n != m:
+        raise DimensionMismatchError(f"points have different dimensions: {n} vs {m}")
 
 
 def _two_points(p: ArrayLike, q: ArrayLike) -> np.ndarray:
@@ -64,7 +63,7 @@ def _two_points(p: ArrayLike, q: ArrayLike) -> np.ndarray:
     of one dimension, as the rows of one fresh ``(2, n)`` float array."""
     pv = as_coords(p)
     qv = as_coords(q)
-    _check_same_dim(pv, qv)
+    _check_same_dim(pv.size, qv.size)
     return np.array((pv, qv))
 
 
@@ -114,19 +113,25 @@ def _majorized(s: np.ndarray, tol: float, weak: bool) -> bool:
     ``tol`` is read there (a float plus a ``np.float32`` rounds in
     float32, the sums' ``+ tol`` in float64); any other goes to the
     sums, with their arithmetic and errors.  Without ``weak`` the totals
-    must also agree within ``tol``.
+    must also agree within ``tol``.  Each call is counted in
+    :data:`signpoly._counts.COUNTS` by the rule that settles it:
+    ``largest``, ``dominated`` or ``sums``.
     """
     s.sort()
+    counts = _counts.COUNTS
     x_lo, x_hi = s.item(0, 0), s.item(0, -1)
     a_lo, a_hi = s.item(1, 0), s.item(1, -1)
     if isinstance(tol, float) and math.isfinite(
             2.0 * s.shape[1] * (abs(x_lo) + abs(x_hi) + abs(a_lo) + abs(a_hi))):
         if x_hi > a_hi + tol:
+            counts.largest += 1
             return False
         # The end entries turn most crossing rows away without a pass.
         if (weak and tol >= 0.0 and x_hi <= a_hi and x_lo <= a_lo
                 and (s[0] <= s[1]).all()):
+            counts.dominated += 1
             return True
+    counts.sums += 1
     sx, sa = _partial_sums_desc(s)
     gap = sx.item(-1) - sa.item(-1)
     if not math.isfinite(gap):

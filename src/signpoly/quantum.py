@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _enum
+from . import _counts, _enum
 from .errors import StateValidationError
 from .majorization import DEFAULT_TOL, _real_array
 
@@ -136,6 +136,7 @@ def _check_states(M: np.ndarray, psd: bool = True) -> None:
             "not-square", 0.0,
             f"expected a square matrix of dimension >= 2, got shape {M.shape[1:]}",
         )
+    _counts.COUNTS.checked += len(M)
     finite = np.isfinite(M).all(axis=(1, 2))
     F = np.where(finite[:, None, None], M, 0.0)
     herm = np.abs(F - F.conj().transpose(0, 2, 1)).max(axis=(1, 2))
@@ -350,6 +351,7 @@ def _cayley(p):
     the expanded sum's thirty-odd.
     """
     mixed = p[0] - p[1] - p[2] + p[3]
+    _counts.COUNTS.determinants += np.size(mixed)
     return mixed * mixed - 4.0 * (p[4] - p[5]) * (p[6] - p[7])
 
 
@@ -555,6 +557,7 @@ def _pure_chart_states(coords: np.ndarray, tol: float) -> np.ndarray:
     minors = shifted[:, j] * shifted[:, k] - (coords[:, :p] ** 2 + coords[:, p:2 * p] ** 2) / 2
     passed = (shifted.min(axis=1) >= -_SCREEN_SLACK) & (minors.min(axis=1) >= -_SCREEN_SLACK)
     M = from_coords(coords[passed])
+    _counts.COUNTS.diagonalized += len(M)
     M = M[np.linalg.eigvalsh(M).min(axis=1) >= -tol]
     _, v = np.linalg.eigh(M)
     return _phase_fixed(v[..., -1])

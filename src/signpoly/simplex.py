@@ -45,28 +45,17 @@ them are rebuilt together, by one batched inversion after the last ray;
 ``50 * (rows + cols)`` pivots, shared by a ray's two phases; more, or
 any other failure to converge, raise: a failure is never a verdict.
 
-The kernel counts its own work into the :class:`_Counts` that
-:func:`_counting` installs for a block of code: phase-1 solves and
-phase-2 loops, pivots by where they happen (phase 1, driving
-artificials out, phase 2), pricing passes, the columns of a matrix
-priced, the passes priced by one sort, aimed entries, the passes that
-applied Bland's rule, and basis inversions (phase 1's refreshes and the
-rebuild that ends it, phase 2's refreshes, batched rebuilds).  A pivot
-loop adds its pivots and passes once, when it ends or raises; every
-inversion is counted by :func:`_invert_into`, the one caller of
-``np.linalg.inv``.  Counting has no off switch: outside any
-:func:`_counting` block the counts go to a default :class:`_Counts`
-that no one reads.
+The kernel counts its own work into :data:`signpoly._counts.COUNTS`
+(see :mod:`signpoly._counts`).
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
 
-from . import _enum
+from . import _counts, _enum
 from .errors import SolverFailureError
 from .majorization import DEFAULT_TOL, _real_array
 
@@ -78,37 +67,6 @@ RATIO_EPS = 1e-12
 STALL_LIMIT = 20
 # Pivots between two rebuilds of [B^-1 | x_B] by _refine.
 REFRESH_EVERY = 32
-
-
-class _Counts:
-    """What the kernel did (see the module docstring), in plain ints."""
-
-    __slots__ = ("solves", "rays", "phase1", "drive_out", "phase2", "passes", "priced",
-                 "sorts", "aimed", "bland", "phase1_inversions", "phase2_inversions",
-                 "batch_inversions")
-
-    def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    @property
-    def pivots(self):
-        return self.phase1 + self.drive_out + self.phase2
-
-
-_COUNTS = _Counts()
-
-
-@contextlib.contextmanager
-def _counting():
-    """Count the kernel's work inside the block into fresh :class:`_Counts`,
-    which it yields; a nested block's work goes to that block's alone."""
-    global _COUNTS
-    outer, _COUNTS = _COUNTS, _Counts()
-    try:
-        yield _COUNTS
-    finally:
-        _COUNTS = outer
 
 
 class _State:
@@ -150,7 +108,7 @@ def _price(A, c, y, reduced):
     and return the entry of least value in all of ``reduced``, which may
     run on into the artificials' (priced already), and that value: one
     argmin, where NaN wins and ties go to the lowest index."""
-    _COUNTS.priced += A.shape[1]
+    _counts.COUNTS.priced += A.shape[1]
     out = reduced[:A.shape[1]]
     np.matmul(-y, A, out=out)
     if c is not None:
@@ -195,7 +153,7 @@ def _sort_price(values, signed, y, out):
     cost.  By the rearrangement inequality ``y[:-1] . v`` is largest
     when ``|v|`` is ordered as ``|y[:-1]|`` is, with its signs (``v`` as
     ``y[:-1]``, unsigned); ties keep slot order."""
-    _COUNTS.sorts += 1
+    _counts.COUNTS.sorts += 1
     yv, v = y[:-1], out[:-1]
     if signed:
         v[np.argsort(np.abs(yv), kind="stable")] = values
@@ -286,8 +244,8 @@ def _pivot_loop(s, cost, max_iter, phase, stop_above=math.inf, pricing=None, aim
     pricing on would only wander among degenerate bases.  Returns
     ``(pivots, outcome)``: ``"optimal"``, or ``"cut-off"`` at a basis
     that is not optimal once minus the objective value is above
-    ``stop_above``.  The loop's counts go to the current :class:`_Counts`
-    when it returns or raises.
+    ``stop_above``.  The loop's counts go to the current
+    :data:`~signpoly._counts.COUNTS` when it returns or raises.
     """
     sign, p = s.sign, s.A.shape[1]
     basis, inverse, x, ratios = s.basis, s.T[:, :-1], s.T[:, -1], s.ratios  # updated in place
@@ -352,27 +310,29 @@ def _pivot_loop(s, cost, max_iter, phase, stop_above=math.inf, pricing=None, aim
         raise SolverFailureError(f"phase-{phase} simplex did not converge "
                                  f"within {max_iter} iterations")
     finally:
+        counts = _counts.COUNTS
         if phase == 1:
-            _COUNTS.solves += 1
-            _COUNTS.phase1 += pivots
+            counts.solves += 1
+            counts.phase1 += pivots
         else:
-            _COUNTS.rays += 1
-            _COUNTS.phase2 += pivots
-        _COUNTS.passes += passes
-        _COUNTS.aimed += aimed
-        _COUNTS.bland += bland
+            counts.rays += 1
+            counts.phase2 += pivots
+        counts.passes += passes
+        counts.aimed += aimed
+        counts.bland += bland
 
 
 def _invert_into(T, B, b, phase):
     """Write ``[B^-1 | B^-1 b]`` into ``T``, for a matrix ``B`` or a stack,
     and count it: a stack as a batched inversion, a matrix as one of
     phase ``phase``."""
+    counts = _counts.COUNTS
     if B.ndim > 2:
-        _COUNTS.batch_inversions += 1
+        counts.batch_inversions += 1
     elif phase == 1:
-        _COUNTS.phase1_inversions += 1
+        counts.phase1_inversions += 1
     else:
-        _COUNTS.phase2_inversions += 1
+        counts.phase2_inversions += 1
     try:
         T[..., :-1] = np.linalg.inv(B)
     except np.linalg.LinAlgError:
@@ -493,7 +453,9 @@ def _ray_maxima(A, b, columns, tol):
         _, outcome = _pivot_loop(s, cost, cap - used, phase=2, stop_above=best, pricing=pricing)
         bases[j], B[j] = s.basis, s.B
         stopped[j] = outcome == "cut-off"
-        if not stopped[j]:
+        if stopped[j]:
+            _counts.COUNTS.stopped += 1
+        else:
             best = min(best, _basic_solution(s.T, s.basis, p + 1)[p])
     T = np.empty((len(columns), k, k + 1))
     _invert_into(T, B, b, 2)
@@ -512,4 +474,4 @@ def _drive_out(s):
         if abs(row[j]) > PIVOT_EPS:
             s.T[i, -1] = 0.0
             _pivot(s, i, j, s.T[:, :-1] @ s.A[:, j], s.A[:, j])
-            _COUNTS.drive_out += 1
+            _counts.COUNTS.drive_out += 1

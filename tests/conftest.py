@@ -2,12 +2,12 @@
 
 import pytest
 
-from signpoly import simplex
+from signpoly._counts import _counting
 
 
 @pytest.fixture
-def lp_counts():
-    """The simplex kernel's own counts of its work from the start of the
-    test on (``simplex._Counts``)."""
-    with simplex._counting() as counts:
+def counts():
+    """The library's own counts of its work from the start of the test
+    on (``signpoly._counts._Counts``)."""
+    with _counting() as counts:
         yield counts

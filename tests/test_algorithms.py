@@ -30,6 +30,7 @@ from signpoly import (
     traceless_hermitian_basis,
     weakly_majorized,
 )
+from signpoly._counts import _counting
 from signpoly.algorithms import _chart_members, _displacement, _in_cross_polytope
 from signpoly.cli import main
 from signpoly.geometry import _witness_violation
@@ -186,12 +187,10 @@ def test_result_optimality_certificates():
     assert not contained(poly.alpha + 1e-6)
 
 
-def test_construct_charts_its_validated_members_unchecked(monkeypatch):
+def test_construct_charts_its_validated_members_unchecked():
     """A ``DecompositionInput`` validates its states once: the search and
     the certificate check chart them with no second state check, to the
     same bits as the checked ``to_coords``."""
-    import signpoly
-
     dec = _random_decomposition(3, 3, 20, 1.0)
     weights = np.clip(dec.weights, 0.0, None)
     weights /= weights.sum()
@@ -199,11 +198,9 @@ def test_construct_charts_its_validated_members_unchecked(monkeypatch):
     assert np.array_equal(points, to_coords(dec.members))
     assert np.array_equal(
         center, to_coords((weights[:, None, None] * dec.members).sum(axis=0)))
-    checks = []
-    monkeypatch.setattr(signpoly.quantum, "_check_states",
-                        lambda *args, **kwargs: checks.append(args))
-    assert certificate_holds(max_inscribed_cross_polytope(dec))
-    assert checks == []
+    with _counting() as counts:
+        assert certificate_holds(max_inscribed_cross_polytope(dec))
+    assert counts.checked == 0
 
 
 def test_vertex_states_are_valid_density_matrices():
@@ -659,31 +656,31 @@ def test_infeasible_shared_phase1_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("d, m", [(2, 8), (3, 20)])
-def test_one_kernel_solve_per_direction(lp_counts, d, m):
+def test_one_kernel_solve_per_direction(counts, d, m):
     """Exactly one phase-1 loop, the shared one, then 2(d^2 - 1) phase-2
     runs, and no hull queries per search (each would be a phase-1
     solve of its own)."""
     poly = max_inscribed_cross_polytope(_random_decomposition(7, d, m, 1.0))
     assert not poly.degenerate
     n = d * d - 1
-    assert (lp_counts.solves, lp_counts.rays) == (1, 2 * n)
+    assert (counts.solves, counts.rays) == (1, 2 * n)
 
 
-def test_shared_phase1_pivot_count(lp_counts):
+def test_shared_phase1_pivot_count(counts):
     """Pivots of one d=4, m=40 search: at most a third of the 2,053 it
     took with one full two-phase solve per ray; pivot counts do not
     depend on the machine."""
     poly = max_inscribed_cross_polytope(_random_decomposition(7, 4, 40, 1.0))
-    assert lp_counts.pivots <= 2053 // 3
+    assert counts.pivots <= 2053 // 3
     assert certificate_holds(poly)
 
 
-def test_bounded_rays_pivot_count(lp_counts):
+def test_bounded_rays_pivot_count(counts):
     """The same d=4, m=40 search with every ray stopped once it cannot
     bind: at most 296 pivots, 60% of the 494 it took with every ray
     driven to its own optimum."""
     poly = max_inscribed_cross_polytope(_random_decomposition(7, 4, 40, 1.0))
-    assert lp_counts.pivots <= 296
+    assert counts.pivots <= 296
     assert certificate_holds(poly)
 
 
@@ -724,7 +721,7 @@ def test_stopped_rays_share_one_inversion():
     dec = _random_decomposition(7, 3, 20, 1.0)
     _, dual = simplex._ray_maxima(*_ray_system(dec), 1e-9)
     assert 0 < np.isnan(dual).all(axis=1).sum() < len(dual)
-    with simplex._counting() as counts:
+    with _counting() as counts:
         poly = max_inscribed_cross_polytope(dec)
     assert (counts.phase1_inversions, counts.phase2_inversions,
             counts.batch_inversions) == (1, 0, 1)
@@ -789,43 +786,31 @@ def test_batched_rebuild_matches_one_by_one_bit_for_bit():
     assert cut_off > 20
 
 
-def test_dual_is_nan_exactly_for_rays_stopped_early(monkeypatch):
-    """A ray's dual row is NaN exactly when its phase 2 stopped early,
-    as ``_pivot_loop`` reports it; for every other ray it is finite and
-    proves the optimum: ``[A | a]^T y <= (0, ..., 0, -1)`` and ``b . y =
-    -t``.  On the seeded searches of the bit-for-bit test and the
-    octahedral one."""
-    outcomes = {}
-    loop = simplex._pivot_loop
-
-    def recorded(s, *args, phase, **kwargs):
-        it, outcome = loop(s, *args, phase=phase, **kwargs)
-        if phase == 2:
-            outcomes[s.A[:, -1].tobytes()] = outcome
-        return it, outcome
-
-    monkeypatch.setattr(simplex, "_pivot_loop", recorded)
+def test_dual_is_nan_exactly_for_rays_stopped_early():
+    """A ray's dual row is NaN exactly when its phase 2 stopped early:
+    the NaN rows number the rays the kernel counts as stopped, and every
+    other row is finite and proves the optimum: ``[A | a]^T y <= (0,
+    ..., 0, -1)`` and ``b . y = -t``.  On the seeded searches of the
+    bit-for-bit test and the octahedral one."""
     decompositions = [_random_decomposition(*args) for args in SEEDED_SEARCHES]
     decompositions.append(_octahedral_decomposition(0.4))
-    counts = {"optimal": 0, "cut-off": 0}
+    optimal = stopped = 0
     for dec in decompositions:
         A, b, columns = _ray_system(dec)
-        outcomes.clear()
-        z, dual = simplex._ray_maxima(A, b, columns, 1e-9)
-        assert len(outcomes) == len(columns)
+        with _counting() as counts:
+            z, dual = simplex._ray_maxima(A, b, columns, 1e-9)
+        nan = np.isnan(dual).any(axis=1)
+        assert np.isnan(dual[nan]).all() and nan.sum() == counts.stopped
         c = np.zeros(A.shape[1] + 1)
         c[-1] = -1.0
-        for a, zj, yj in zip(columns, z, dual):
-            outcome = outcomes[a.tobytes()]
-            counts[outcome] += 1
-            if outcome == "cut-off":
-                assert np.isnan(yj).all()
-                continue
+        for a, zj, yj in zip(columns[~nan], z[~nan], dual[~nan]):
             assert np.isfinite(yj).all()
             assert np.max(np.column_stack([A, a]).T @ yj - c) <= 1e-8
             assert b @ yj == pytest.approx(-zj[-1], abs=1e-9)
-    assert counts["optimal"] > 20
-    assert counts["cut-off"] > 20
+        optimal += int((~nan).sum())
+        stopped += counts.stopped
+    assert optimal > 20
+    assert stopped > 20
 
 
 def _ray_system(dec):

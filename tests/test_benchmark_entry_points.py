@@ -125,11 +125,12 @@ def test_pivot_bench_counts_a_construct(monkeypatch):
     assert counts.priced > 0
 
 
-@pytest.mark.parametrize("script", [PIVOTS, RAW_PRICING], ids=lambda path: path.stem)
+@pytest.mark.parametrize("script", [PIVOTS, RAW_PRICING, ENUM, VERDICTS],
+                         ids=lambda path: path.stem)
 def test_count_benches_refuse_a_tree_that_does_not_count(tmp_path, script):
-    """A ``--src`` whose ``simplex`` has no ``_counting``, as in trees
-    whose kernel did not count its own work, is refused with one line
-    and exit status 2."""
+    """A ``--src`` with no ``signpoly._counts``, as in trees whose
+    library did not count its own work, is refused with one line and
+    exit status 2."""
     (tmp_path / "signpoly").mkdir()
     (tmp_path / "signpoly" / "__init__.py").write_text("")
     (tmp_path / "signpoly" / "simplex.py").write_text("")
@@ -137,7 +138,7 @@ def test_count_benches_refuse_a_tree_that_does_not_count(tmp_path, script):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert done.stdout == ""
-    assert done.stderr.count("\n") == 1 and "simplex._counting" in done.stderr
+    assert done.stderr.count("\n") == 1 and "signpoly._counts" in done.stderr
 
 
 def test_pivot_bench_reports_hull_peak_bytes(monkeypatch):
@@ -238,8 +239,8 @@ def test_enum_bench_counts_the_w_type_blocks(monkeypatch):
     """The ``readme_w_type`` case of ``bench/enum.py`` counts every block
     that ``_enum.signed_arrangements`` yields for the README state (at
     1,024 rows a block, so there are several).  ``run_case`` puts the
-    tree first on ``sys.path`` and rebinds the counted names only while
-    it runs, so a second call in the same process counts the same."""
+    tree first on ``sys.path`` only while it runs, and counts in blocks
+    of its own, so a second call in the same process counts the same."""
     bench = _load(monkeypatch, "bench_enum", ENUM)
     workloads = _load(monkeypatch, "workloads", PERFBENCH / "workloads.py")
     monkeypatch.setattr(signpoly._enum, "BLOCK_ROWS", 1 << 10)
@@ -247,12 +248,9 @@ def test_enum_bench_counts_the_w_type_blocks(monkeypatch):
     classes = signpoly._enum.sign_classes(psi.amplitudes)
     blocks = sum(1 for _ in signpoly._enum.signed_arrangements(classes))
     path, path_entries = sys.path, list(sys.path)
-    arrangements, cayley = signpoly._enum.signed_arrangements, signpoly.quantum._cayley
     src = Path(signpoly.__file__).parents[1]
     first = bench.run_case(src, "readme_w_type")
     assert sys.path is path and sys.path == path_entries
-    assert signpoly._enum.signed_arrangements is arrangements
-    assert signpoly.quantum._cayley is cayley
     assert (first["rows"], first["kept"]) == (26880, 5376)
     assert first["blocks"] == blocks == 27
     second = bench.run_case(src, "readme_w_type")
@@ -298,24 +296,24 @@ def test_enum_bench_repeat(monkeypatch, capsys):
 
 
 def test_verdict_counter_counts_the_check_and_hull_blocks(monkeypatch):
-    """``bench/verdicts.py`` counts by rebinding names in
-    ``majorization`` (and stubbing ``hull_member_lp``), which it
-    restores; if the summing helper is renamed or skipped everywhere,
-    its counts stop meaning anything without an error.  The sorted
-    entries settle 98 of the 128 calls of the seed-3 ``check`` block and
-    67 of the 99 of its ``hull`` block."""
+    """``bench/verdicts.py`` reads the verdicts ``_majorized`` counts by
+    rule, per operation kind.  The sorted entries settle 98 of the 128
+    calls of the seed-3 ``check`` block and 67 of the 99 of its ``hull``
+    block; robustness checks give no verdict, and ``rado_member`` none
+    by domination."""
     verdicts = _load(monkeypatch, "bench_verdicts", VERDICTS)
     workloads = _load(monkeypatch, "perfbench_workloads", PERFBENCH / "workloads.py")
-    sums = signpoly.majorization._partial_sums_desc
-    report = verdicts.count_check(signpoly, workloads, 3)
-    assert signpoly.majorization._partial_sums_desc is sums
+    report = verdicts.count(signpoly, workloads.build_check, 3)
     assert report["total"] == {"largest": 67, "dominated": 31, "sums": 30,
                                "calls": 128}
-    assert set(report) == {"rado_member", "sign_perm_member", "total"}
-    assert all(rules["dominated"] == 0 for rules in report["rado_member"].values())
-    lp = signpoly.geometry.hull_member_lp
-    report = verdicts.count_hull(signpoly, workloads, 3)
-    assert signpoly.geometry.hull_member_lp is lp
+    assert {kind.rsplit("_", 1)[0] for kind in report} == {
+        "check_robust", "check_rado", "check_sign_perm", "total"}
+    for kind, rules in report.items():
+        if kind.startswith("check_robust"):
+            assert sum(rules.values()) == 0, kind
+        if kind.startswith("check_rado"):
+            assert rules["dominated"] == 0, kind
+    report = verdicts.count(signpoly, workloads.build_hull, 3)
     assert report["total"] == {"largest": 12, "dominated": 55, "sums": 32,
                                "calls": 99}
 
@@ -349,7 +347,7 @@ def test_raw_pricing_bench_answers_times_out_and_compares(monkeypatch):
     V = enumerate_sign_perm_vertices([2.0, 1.0, 0.0]).array
     raw = signpoly.VertexSet(V)
     (x,) = bench.probes(V, True, 1, 0)
-    with signpoly.simplex._counting() as counts:
+    with signpoly._counts._counting() as counts:
         rec = bench.ask(signpoly, lambda: signpoly.hull_member_lp(x, raw), 5.0)
     assert rec["answer"] is True and rec["pivots"] > 0
     assert counts.pivots == 0  # the query's pivots went to its own block

@@ -20,6 +20,7 @@ from signpoly import (
     stateio,
     traceless_hermitian_basis,
 )
+from signpoly._counts import _counting
 from signpoly.cli import main
 
 MIXED_2 = np.eye(2, dtype=complex) / 2
@@ -468,12 +469,12 @@ def test_construct_octahedral(capsys, octahedral_file):
         doc["fraction_closed_form"], rel=1e-10)
 
 
-def test_construct_reports_binding_direction(capsys, lp_counts, octahedral_file):
+def test_construct_reports_binding_direction(capsys, counts, octahedral_file):
     rc = main(["construct", octahedral_file, "--format", "structured"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     n = doc["chart_dim"]
-    assert (lp_counts.solves, lp_counts.rays) == (1, 2 * n)
+    assert (counts.solves, counts.rays) == (1, 2 * n)
     assert 0 <= doc["binding_axis"] < doc["chart_dim"]
     assert doc["binding_sign"] in (1, -1)
 
@@ -488,24 +489,18 @@ def test_construct_verify_probes(capsys, octahedral_file):
     assert doc["seed"] == 11
 
 
-def test_construct_verify_probes_checks_no_state_again(monkeypatch, capsys, octahedral_file):
+def test_construct_verify_probes_checks_no_state_again(capsys, octahedral_file):
     """The members, validated as states on load, are charted for the
-    probes with no second state check: ``--verify-probes`` adds no call
-    of ``quantum._check_states``."""
-    import signpoly
-
-    check = signpoly.quantum._check_states
-    checks = []
-    monkeypatch.setattr(signpoly.quantum, "_check_states",
-                        lambda *args, **kwargs: checks.append(1) or check(*args, **kwargs))
-    counts = []
+    probes with no second state check: ``--verify-probes`` adds no
+    matrix to those ``quantum._check_states`` checks."""
+    checked = []
     for probes in ("0", "5"):
-        checks.clear()
-        assert main(["construct", octahedral_file, "--verify-probes", probes,
-                     "--format", "structured"]) == 0
-        counts.append(len(checks))
+        with _counting() as counts:
+            assert main(["construct", octahedral_file, "--verify-probes", probes,
+                         "--format", "structured"]) == 0
+        checked.append(counts.checked)
     capsys.readouterr()
-    assert counts[0] > 0 and counts[1] == counts[0]
+    assert checked[0] > 0 and checked[1] == checked[0]
 
 
 def test_construct_negative_verify_probes(capsys, octahedral_file):

@@ -31,6 +31,7 @@ from signpoly import (
     sign_perm_member,
 )
 from signpoly import _enum, simplex
+from signpoly._counts import _counting
 from signpoly.geometry import _SORT_ABOVE, _witness_violation
 from signpoly.quantum import _tangle_classes
 from signpoly.simplex import feasible_nonneg
@@ -283,27 +284,15 @@ _CAPPED_LISTINGS = {
 @pytest.mark.parametrize("listing, total", [
     ("signed", 48), ("unsigned", 24), ("amplitudes", 448), ("bloch", 48), ("w-type", 448),
 ], ids=list(_CAPPED_LISTINGS))
-def test_enumeration_cap(listing, total, monkeypatch):
+def test_enumeration_cap(listing, total, counts):
     """A cap equal to the count lists every row; one below it raises
-    with the count and the cap before the enumerator is entered."""
-    listed = []
-    enumerate_rows = _enum.signed_arrangements
-
-    def counted(*args):
-        for block in enumerate_rows(*args):
-            listed.append(len(block))
-            yield block
-
-    monkeypatch.setattr(_enum, "signed_arrangements", counted)
+    with the count and the cap before a block is yielded or a row
+    built."""
     _CAPPED_LISTINGS[listing](total)
-    assert sum(listed) == total
-
-    def never_listed(*args):
-        raise AssertionError("listing started")
-
-    monkeypatch.setattr(_enum, "signed_arrangements", never_listed)
-    with pytest.raises(EnumerationTooLargeError) as exc:
+    assert counts.streamed == total
+    with _counting() as refused, pytest.raises(EnumerationTooLargeError) as exc:
         _CAPPED_LISTINGS[listing](total - 1)
+    assert (refused.blocks, refused.built) == (0, 0)
     assert (exc.value.count, exc.value.cap) == (total, total - 1)
 
 
@@ -323,16 +312,12 @@ def test_enumerate_perm_vertices_counts_what_it_lists():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_entries_are_refused_before_counting(bad, monkeypatch):
-    def never_listed(classes):
-        raise AssertionError("listing started")
-        yield
-
-    monkeypatch.setattr(_enum, "signed_arrangements", never_listed)
+def test_non_finite_entries_are_refused_before_counting(bad, counts):
     for call in (count_sign_perm_vertices, enumerate_sign_perm_vertices,
                  enumerate_perm_vertices):
         with pytest.raises(ValueError, match="entries must be finite"):
             call([bad, 1.0])
+    assert (counts.blocks, counts.built) == (0, 0)
 
 
 def _itertools_rows(classes) -> np.ndarray:
@@ -909,7 +894,7 @@ def test_boundary_probe_pivot_count(probe, bound, whole):
     assert reference.status == 0
     assert sign_perm_member(probe, OCTA_BASE)
     for verts in (listed, raw):
-        with simplex._counting() as counts:
+        with _counting() as counts:
             member, w = hull_member_lp(probe, verts)
         assert counts.pivots <= bound
         assert member
@@ -947,7 +932,7 @@ def test_aimed_start_pivot_count(kind):
         probes = [rng.uniform(0.9, 1.1) * V[rng.integers(len(V))] for _ in range(8)]
     counts = []
     for x in probes:
-        with simplex._counting() as query:
+        with _counting() as query:
             member, w = hull_member_lp(x, verts)
         counts.append(query.pivots)
         assert member == sign_perm_member(x, base)
@@ -1188,6 +1173,20 @@ def test_hull_member_dimension_mismatch():
     verts = VertexSet(np.eye(3))
     with pytest.raises(DimensionMismatchError):
         hull_member_lp([1.0, 0.0], verts)
+
+
+@pytest.mark.parametrize("probe, error, message", [
+    (np.ones(8), DimensionMismatchError, "9 vs 8"),
+    ([np.nan] + [0.0] * 8, ValueError, "must be finite"),
+], ids=["dimension", "nan"])
+def test_malformed_probe_is_refused_before_listing(counts, probe, error, message):
+    """A probe of the wrong length, or with a NaN, is refused before a
+    lazily listed set lists its 483,840 rows."""
+    verts = enumerate_sign_perm_vertices([5.0, 4.0, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(error, match=message):
+        hull_member_lp(probe, verts)
+    assert (counts.blocks, counts.built) == (0, 0)
+    assert verts._points is None
 
 
 @pytest.mark.parametrize("vertices, point", [

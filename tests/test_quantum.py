@@ -24,7 +24,8 @@ from signpoly import (
     traceless_hermitian_basis,
     validate_state,
 )
-from signpoly import _enum, quantum
+from signpoly import _enum
+from signpoly._counts import _counting
 from signpoly.quantum import (
     _PAIRS,
     _cayley,
@@ -504,7 +505,7 @@ def test_class_tangles_match_the_rows_byte_for_byte(amps, real, block_rows, data
         assert low.tobytes() == rows[want <= tol].tobytes()
 
 
-def test_w_type_memo_matches_a_fresh_computation(monkeypatch):
+def test_w_type_memo_matches_a_fresh_computation():
     """A w-type listing derives its sign classes once per shape.  Three
     signed permutations and phases of the README state reuse the first
     one's classes, and a state of another shape derives its own; each
@@ -519,10 +520,6 @@ def test_w_type_memo_matches_a_fresh_computation(monkeypatch):
               * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) for _ in range(3)]
     states = [PureState.normalized(amps)[0]
               for amps in [readme, *states, [0.5, -1.0, 2.0j, 0.0, 0.0, 0.0, 0.5, 0.0]]]
-    evaluations = []
-    cayley = quantum._cayley
-    monkeypatch.setattr(quantum, "_cayley",
-                        lambda p: evaluations.append(p.shape[-1]) or cayley(p))
     _enum._shape_description.cache_clear()
     memos = []
     for psi in states:
@@ -533,8 +530,11 @@ def test_w_type_memo_matches_a_fresh_computation(monkeypatch):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert all(not a.flags.writeable for a in block.memo[_tangle_classes])
     assert all(memo is memos[0] for memo in memos[:4]) and memos[4] is not memos[0]
-    evaluations.clear()
-    warm = [enumerate_pure_sign_perms(psi, filter="w-type") for psi in states]
+    warm, evaluations = [], []
+    for psi in states:
+        with _counting() as counts:
+            warm.append(enumerate_pure_sign_perms(psi, filter="w-type"))
+        evaluations.append(counts.determinants)
     assert evaluations[:4] == [1920] * 4
     for psi, got in zip(states, warm):
         _enum._shape_description.cache_clear()
@@ -556,16 +556,13 @@ def _limit_cases():
 
 
 @pytest.mark.parametrize("case", ["any-pure", "w-type", "bloch"])
-def test_negative_limit_is_refused_before_counting(case, monkeypatch):
+def test_negative_limit_is_refused_before_counting(case):
+    """A negative limit raises before the count is checked against a
+    cap it exceeds."""
     psi, kwargs = _limit_cases()[case]
-
-    def never_counted(*args):
-        raise AssertionError("counting started")
-
-    monkeypatch.setattr(_enum, "count_signed_arrangements", never_counted)
     for limit in (-1, -_enum.BLOCK_ROWS):
         with pytest.raises(ValueError, match="limit must be nonnegative"):
-            enumerate_pure_sign_perms(psi, limit=limit, **kwargs)
+            enumerate_pure_sign_perms(psi, limit=limit, cap=0, **kwargs)
 
 
 @pytest.mark.parametrize("case", ["any-pure", "w-type", "bloch"])
@@ -722,6 +719,18 @@ def test_bloch_screen_at_the_eigenvalue_threshold():
             assert got.tobytes() == want.tobytes()
             if tol >= -lam[i]:
                 assert len(want) > 24
+
+
+def test_bloch_screen_drops_rows_just_below_its_slack(counts):
+    """At ``tol = 0.0098683`` the screen values of 8 of the workload
+    qutrit's 2,688 chart rows compute near -5e-8: below
+    ``-_SCREEN_SLACK`` (1e-12), but within 1e-6.  The screen drops them,
+    so 24 rows reach ``eigvalsh`` (a slack of 1e-6 would pass 32), and
+    all 24 are kept."""
+    psi = PureState([math.cos(0.1), math.sin(0.1), 0.0])
+    res = enumerate_pure_sign_perms(psi, target="bloch", tol=0.0098683)
+    assert (res.total, res.retained) == (2688, 24)
+    assert counts.diagonalized == 24
 
 
 def test_enumerate_validation_and_cap():

@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 
 from signpoly import enumerate_sign_perm_vertices, simplex, to_coords
 from signpoly.errors import SolverFailureError
+from signpoly._counts import _counting
 from signpoly.simplex import feasible_nonneg
 
 
@@ -279,10 +280,10 @@ def test_nested_counting_blocks_count_their_own_work():
     A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     b = np.array([1.0, 2.0])
     work = lambda c: (c.solves, c.pivots, c.passes, c.priced, c.phase1_inversions)
-    with simplex._counting() as outer:
+    with _counting() as outer:
         feasible_nonneg(A, b)
         once = work(outer)
-        with simplex._counting() as inner:
+        with _counting() as inner:
             feasible_nonneg(A, b)
             feasible_nonneg(A, b)
         assert work(outer) == once
@@ -302,17 +303,17 @@ def test_every_basis_inversion_is_counted():
     assert calls[0] in inspect.getsource(simplex._invert_into)
 
 
-def test_unbounded_ray_raises(lp_counts):
+def test_unbounded_ray_raises(counts):
     """A ray whose ``t`` column is zero never leaves the feasible set,
     so ``t`` is unbounded; ray LPs are bounded by the hull, so that is a
     solver failure, not an outcome."""
     with pytest.raises(SolverFailureError, match="no admissible pivot"):
         simplex._ray_maxima(np.array([[1.0]]), np.array([1.0]),
                             np.array([[0.0]]), 1e-9)
-    assert (lp_counts.solves, lp_counts.rays) == (1, 1)
+    assert (counts.solves, counts.rays) == (1, 1)
 
 
-def test_infeasible_ray_lps_raise(lp_counts):
+def test_infeasible_ray_lps_raise(counts):
     """A ``t = 0`` left infeasible by the shared phase 1, at the same
     tolerance ``feasible_nonneg`` applies, raises before any phase 2."""
     with pytest.raises(SolverFailureError, match="ray LP infeasible"):
@@ -323,7 +324,7 @@ def test_infeasible_ray_lps_raise(lp_counts):
     columns = np.array([[1.0, -1.0, 0.0]])
     with pytest.raises(SolverFailureError, match="ray LP infeasible"):
         simplex._ray_maxima(A, b, columns, 1e-9)
-    assert (lp_counts.solves, lp_counts.rays) == (2, 0)
+    assert (counts.solves, counts.rays) == (2, 0)
     (z,), (dual,) = simplex._ray_maxima(A, b, columns, 1e-4)
     assert np.isfinite(dual).all() and z[-1] == pytest.approx(0.5)
 
@@ -391,13 +392,13 @@ def test_bland_fallback_ends_a_dantzig_cycle(monkeypatch, seed, ray):
     counts every pivot up to it; the Bland fallback ends the cycle, and
     both phases then agree with the reference."""
     A, b = _qutrit_ray_system(seed, ray)
-    with monkeypatch.context() as patch, simplex._counting() as counts:
+    with monkeypatch.context() as patch, _counting() as counts:
         patch.setattr(simplex, "STALL_LIMIT", 10**9)
         with pytest.raises(SolverFailureError, match="did not converge"):
             feasible_nonneg(A, b)
     assert (counts.solves, counts.phase1, counts.bland) == (1, 50 * sum(A.shape), 0)
 
-    with simplex._counting() as counts:
+    with _counting() as counts:
         ok, z = feasible_nonneg(A, b)
     assert counts.bland, "the Bland fallback never ran"
     assert ok and _reference_feasible(A, b)
@@ -421,7 +422,7 @@ def test_positive_ratio_pivot_that_leaves_the_objective_counts_as_stalled(
     monkeypatch.setattr(simplex, "STALL_LIMIT", 1)
     state = simplex._State(A, np.array([2e-12, 1.0, 1.0]))
     state.basis[:] = [2, 3, 4]
-    with simplex._counting() as counts:
+    with _counting() as counts:
         assert simplex._pivot_loop(state, cost, 10, phase=2) == (2, "optimal")
     assert list(state.basis) == [0, 1, 4]
     assert counts.bland == 1
